@@ -13,22 +13,24 @@ dump    print an exact truncated series (tau function, partition function,
         per sector.
 oracle  run the two-route coefficient recursion cross-check.
 
+Checks run one after another in this process.  Hirota derivatives D^k
+(series.hirota) are the alpha-expansion of f(e^{w1 alpha} z) g(e^{w2 alpha} z)
+at weights (w1, w2) = (1, -1); the 4d blowup entries use the same expansion at
+other weights.
+
 Determinism: the seed fully determines the sample sequence; timing data is
 quarantined in a separate report section so residual sections are diffable.
-Environment overrides: NEKTAU_SEED (seed), NEKTAU_WORKERS (thread count for
-verify; default 1, sequential).
+Environment override: NEKTAU_SEED (seed).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 
@@ -57,7 +59,6 @@ class RunConfig:
     format: str = "json"
     fail_fast: bool = False
     corrupt: Frac | None = None  # debug: perturb one coefficient at this exponent
-    workers: int = 1
 
     def to_dict(self):
         return {
@@ -143,11 +144,6 @@ def build_config(args, known=None) -> RunConfig:
     cfg.fail_fast = bool(args.fail_fast or data.get("failFast", False))
     if getattr(args, "corrupt_coefficient", None) is not None:
         cfg.corrupt = _parse_order(args.corrupt_coefficient)
-    workers = os.environ.get("NEKTAU_WORKERS", "1")
-    try:
-        cfg.workers = max(1, int(workers))
-    except ValueError as exc:
-        raise ConfigError(f"bad NEKTAU_WORKERS {workers!r}") from exc
     return cfg
 
 
@@ -171,26 +167,17 @@ def run_verify(cfg: RunConfig):
         for k, sample in enumerate(samples):
             jobs.append((id, k, sample))
 
-    def work(job):
-        id, k, sample = job
+    results = []
+    for id, _, sample in jobs:
         if cfg.corrupt is not None:
             with idmod.mutation(cfg.corrupt):
-                return _run_one(id, sample, cfg.order)
-        return _run_one(id, sample, cfg.order)
-
-    results = [None] * len(jobs)
-    if cfg.workers > 1 and not cfg.fail_fast:
-        with concurrent.futures.ThreadPoolExecutor(cfg.workers) as pool:
-            for i, rep in enumerate(pool.map(work, jobs)):
-                results[i] = rep
-    else:
-        for i, job in enumerate(jobs):
-            results[i] = work(job)
-            rep = results[i]
-            if cfg.fail_fast and rep.status == "theorem" and not rep.ok:
-                results = results[: i + 1]
-                jobs = jobs[: i + 1]
-                break
+                rep = _run_one(id, sample, cfg.order)
+        else:
+            rep = _run_one(id, sample, cfg.order)
+        results.append(rep)
+        if cfg.fail_fast and rep.status == "theorem" and not rep.ok:
+            break
+    jobs = jobs[: len(results)]
 
     theorem_fail = any(
         r.status in ("theorem", "derived") and not r.ok for r in results

@@ -1,8 +1,10 @@
 """Fourier-graded series: finite maps sector k in (1/2)Z -> PuiseuxSeries.
 
 The sector index is the formal s-power of a tau function; products convolve
-sectors.  Equality testing produces a structural report (which sector, which
-exponent, what residual) rather than a bare boolean.
+sectors, so the Hirota derivative of series.py, re-exported here, is
+sector-bilinear on FourierSeries.  Equality testing produces a structural
+report (which sector, which exponent, what residual) rather than a bare
+boolean.
 """
 
 from __future__ import annotations
@@ -10,14 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import PuiseuxSeries, hirota_ps, weighted_theta_expand_ps
-from .symbols import NonInvertible, SymExpr
+from .series import PuiseuxSeries, hirota  # noqa: F401  (re-exported)
+from .symbols import NonInvertible, SymExpr, _frac
 
 Frac = Fraction
-
-
-def _frac(x):
-    return x if isinstance(x, Frac) else Frac(x)
 
 
 class FourierSeries:
@@ -47,9 +45,6 @@ class FourierSeries:
 
     def sector(self, k) -> PuiseuxSeries:
         return self.sectors.get(_frac(k), PuiseuxSeries.zero(self.trunc))
-
-    def with_tag(self, tag):
-        return FourierSeries(self.sectors, self.trunc, tag)
 
     def relabel(self, dk):
         """Multiply by s^{dk}: shift every sector index."""
@@ -174,47 +169,6 @@ class FourierSeries:
                     }
                 )
         return out
-
-
-def hirota(k: int, f, g):
-    """D^k in log z; sector-bilinear on FourierSeries, plain on PuiseuxSeries."""
-    if isinstance(f, PuiseuxSeries):
-        return hirota_ps(k, f, g)
-    v_f = min((ps.min_exp() for ps in f.sectors.values()), default=f.trunc)
-    v_g = min((ps.min_exp() for ps in g.sectors.values()), default=g.trunc)
-    trunc = min(f.trunc + v_g, g.trunc + v_f)
-    out = {}
-    for k1, p1 in f.sectors.items():
-        for k2, p2 in g.sectors.items():
-            prod = hirota_ps(k, p1, p2)
-            kk = k1 + k2
-            out[kk] = out[kk] + prod if kk in out else prod
-    return FourierSeries(out, trunc)
-
-
-def weighted_hirota_expand(f, g, w1, w2, max_alpha: int):
-    """alpha-expansion coefficients of f(e^{w1 a} z) g(e^{w2 a} z).
-
-    Returns [H_0..H_max] with H_k the coefficient of alpha^k/k!, i.e.
-    H_k = sum_j C(k,j) w1^j w2^{k-j} theta^j f * theta^{k-j} g.
-    """
-    if max_alpha > 4:
-        raise ValueError("alpha order limited to 4")
-    if isinstance(f, PuiseuxSeries):
-        return [weighted_theta_expand_ps(f, g, w1, w2, k) for k in range(max_alpha + 1)]
-    out = []
-    for k in range(max_alpha + 1):
-        v_f = min((ps.min_exp() for ps in f.sectors.values()), default=f.trunc)
-        v_g = min((ps.min_exp() for ps in g.sectors.values()), default=g.trunc)
-        trunc = min(f.trunc + v_g, g.trunc + v_f)
-        acc = {}
-        for k1, p1 in f.sectors.items():
-            for k2, p2 in g.sectors.items():
-                prod = weighted_theta_expand_ps(p1, p2, w1, w2, k)
-                kk = k1 + k2
-                acc[kk] = acc[kk] + prod if kk in acc else prod
-        out.append(FourierSeries(acc, trunc))
-    return out
 
 
 @dataclass

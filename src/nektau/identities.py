@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .fourier import (
@@ -46,14 +46,9 @@ from .nekrasov import (
 from .qseries import PochhammerSpec, pochhammer_series
 from .rationals import GaussianRational
 from .sampling import ParameterSample
-from .series import PuiseuxSeries, weighted_theta_expand_ps
+from .series import PuiseuxSeries, weighted_theta_expand
 from .symbols import SymExpr, rational_power
 from .tau import TauSystem4d, TauSystemQ, build_tau, backlund, g_function, zeta_from_tau
-
-try:
-    from dataclasses import replace as _dc_replace
-except ImportError:  # pragma: no cover
-    raise
 
 Frac = Fraction
 HALF = Frac(1, 2)
@@ -235,9 +230,20 @@ def _pair_4d(e1, e2, a):
     return A, B
 
 
-def _sum_4d(A, B, E, k_alpha, offset, w1, w2):
-    """Mode sum of the alpha^k/k! coefficient, exact through z^E (slack per
-    factor: E minus the partner's negative classical gap)."""
+def _pair_5d(t, E1, E2, Lu, m=0):
+    sm = ParameterSample(t=t, dq=4)
+    A = RelativeZ5d(Theory5d(E1, E2 - E1, m), Lu, sm)
+    B = RelativeZ5d(Theory5d(E1 - E2, E2, m), Lu, sm)
+    return A, B, sm
+
+
+def _mode_sum(A, B, E, offset, pair):
+    """Blowup sum over n in Z + offset of pair(n, A-mode, B-mode), exact
+    through z^E.
+
+    The modes sit at lattice points (2n, 0) of A and (0, 2n) of B; each is
+    built through E minus the partner's negative classical gap.
+    """
 
     def gap(n):
         k = int(2 * n)
@@ -246,37 +252,20 @@ def _sum_4d(A, B, E, k_alpha, offset, w1, w2):
     out = PuiseuxSeries({}, E)
     for n in blowup_modes(E, gap, offset):
         k = int(2 * n)
-        gA = A.classical_gap(k, 0)
-        gB = B.classical_gap(0, k)
-        f = A.mode(k, 0, E - min(Frac(0), gB))
-        g = B.mode(0, k, E - min(Frac(0), gA))
-        out = out + weighted_theta_expand_ps(f, g, w1, w2, k_alpha)
+        f = A.mode(k, 0, E - min(Frac(0), B.classical_gap(0, k)))
+        g = B.mode(0, k, E - min(Frac(0), A.classical_gap(k, 0)))
+        out = out + pair(n, f, g)
     return out.truncate(E)
 
 
-def _pair_5d(t, E1, E2, Lu, m=0):
-    sm = ParameterSample(t=t, dq=4)
-    A = RelativeZ5d(Theory5d(E1, E2 - E1, m), Lu, sm)
-    B = RelativeZ5d(Theory5d(E1 - E2, E2, m), Lu, sm)
-    return A, B, sm
+def _expand(k_alpha, w1, w2):
+    """Pair term of the alpha^k/k! coefficient at dilation weights (w1, w2)."""
+    return lambda n, f, g: weighted_theta_expand(f, g, w1, w2, k_alpha)
 
 
-def _sum_5d(A, B, E, t, texpA, texpB, offset):
-    """q-mode sum with per-factor z -> t^texp z dilations."""
-
-    def gap(n):
-        k = int(2 * n)
-        return A.classical_gap(k, 0)[0] + B.classical_gap(0, k)[0]
-
-    out = PuiseuxSeries({}, E)
-    for n in blowup_modes(E, gap, offset):
-        k = int(2 * n)
-        gA = A.classical_gap(k, 0)[0]
-        gB = B.classical_gap(0, k)[0]
-        f = _dilz(A.mode(k, 0, E - min(Frac(0), gB)), t, texpA)
-        g = _dilz(B.mode(0, k, E - min(Frac(0), gA)), t, texpB)
-        out = out + f * g
-    return out.truncate(E)
+def _dilated(t, texpA, texpB):
+    """Pair term with per-factor z -> t^texp z dilations."""
+    return lambda n, f, g: _dilz(f, t, texpA) * _dilz(g, t, texpB)
 
 
 _TAU4D_CACHE = {}
@@ -297,10 +286,8 @@ def _taus_4d(sigma: Frac, EB: Frac):
             "t0": build_tau(sysm.long(0), EB),
             # odd-mode unit kappa = -i (global branch, see module docstring)
             "t1": build_tau(sysm.long(1, kappa_sign=-1), EB),
-            "bp": build_tau(
-                _dc_replace(kiev, k_offset=(0, 1), label="tau(+1/2)"), EB),
-            "bm": build_tau(
-                _dc_replace(kiev, k_offset=(0, -1), label="tau(-1/2)"), EB),
+            "bp": build_tau(replace(kiev, k_offset=(0, 1), label="tau(+1/2)"), EB),
+            "bm": build_tau(replace(kiev, k_offset=(0, -1), label="tau(-1/2)"), EB),
         }
         _TAU4D_CACHE[key] = out
     return _TAU4D_CACHE[key]
@@ -336,7 +323,7 @@ def run_NY(sample, E):
     e1, e2, a = sample
     A, B = _pair_4d(e1, e2, a)
     ZC = _maybe_mutate_ps(inst_series_4d(Theory4d(e1, e2), a, E))
-    S0 = _sum_4d(A, B, E, 0, Frac(0), -2 * e1, -2 * e2)
+    S0 = _mode_sum(A, B, E, Frac(0), _expand(0, -2 * e1, -2 * e2))
     return [("integer mode sum equals the central series",
              ps_equal_to_order(S0, ZC, E))]
 
@@ -347,7 +334,7 @@ def run_NY2(sample, E):
     zero = PuiseuxSeries({}, E)
     parts = []
     for k in (1, 2, 3):
-        S = _sum_4d(A, B, E, k, Frac(0), -2 * e1, -2 * e2)
+        S = _mode_sum(A, B, E, Frac(0), _expand(k, -2 * e1, -2 * e2))
         parts.append((f"alpha^{k} coefficient vanishes",
                       ps_equal_to_order(S, zero, E)))
     return parts
@@ -357,8 +344,8 @@ def run_NY4(sample, E):
     e1, e2, a = sample
     A, B = _pair_4d(e1, e2, a)
     ZC = inst_series_4d(Theory4d(e1, e2), a, E)
-    S0 = _sum_4d(A, B, E, 0, Frac(0), -2 * e1, -2 * e2)
-    S4 = _sum_4d(A, B, E, 4, Frac(0), -2 * e1, -2 * e2)
+    S0 = _mode_sum(A, B, E, Frac(0), _expand(0, -2 * e1, -2 * e2))
+    S4 = _mode_sum(A, B, E, Frac(0), _expand(4, -2 * e1, -2 * e2))
     # the displayed coefficient presupposes the alpha-dressing
     # e^{(e1+e2) alpha / 2}; since the alpha^1..3 jets vanish, its only
     # effect at alpha^4 is the ((e1+e2)/4)^4 term restored on the left
@@ -372,8 +359,8 @@ def run_NY1(sample, E):
     e1, e2, a = sample
     A, B = _pair_4d(e1, e2, a)
     ZC = inst_series_4d(Theory4d(e1, e2), a, E)
-    S0 = _sum_4d(A, B, E, 0, HALF, -2 * e1, -2 * e2)
-    S1 = _sum_4d(A, B, E, 1, HALF, -2 * e1, -2 * e2)
+    S0 = _mode_sum(A, B, E, HALF, _expand(0, -2 * e1, -2 * e2))
+    S1 = _mode_sum(A, B, E, HALF, _expand(1, -2 * e1, -2 * e2))
     parts = [("alpha^0 coefficient vanishes",
               ps_equal_to_order(S0, PuiseuxSeries({}, E), E))]
     cand = ZC.shift(QUARTER)
@@ -560,7 +547,7 @@ def run_qNY1(sample, E):
     for j in (0, 1):
         lhs = ZC.shift(Frac(j, 4)).scale(
             rational_power(t, -Frac(j) * (E1 + E2) / 4)).truncate(E)
-        S = _sum_5d(A, B, E, t, -E1, -E2, Frac(j, 2))
+        S = _mode_sum(A, B, E, Frac(j, 2), _dilated(t, -E1, -E2))
         parts.append((f"half-unit downward dilation, offset j={j}",
                       ps_equal_to_order(lhs, S, E)))
     return parts
@@ -573,7 +560,7 @@ def run_qNY2(sample, E):
     parts = []
     for j in (0, 1):
         lhs = ZC.scale(Frac(1 - j)).truncate(E)
-        S = _sum_5d(A, B, E, t, Frac(0), Frac(0), Frac(j, 2))
+        S = _mode_sum(A, B, E, Frac(j, 2), _dilated(t, Frac(0), Frac(0)))
         parts.append((f"undilated sum, offset j={j}",
                       ps_equal_to_order(lhs, S, E)))
     return parts
@@ -588,7 +575,7 @@ def run_qNY3(sample, E):
         lhs = ZC.shift(Frac(j, 4)).scale(
             rational_power(t, Frac(j) * (E1 + E2) / 4) * Frac((-1) ** j)
         ).truncate(E)
-        S = _sum_5d(A, B, E, t, E1, E2, Frac(j, 2))
+        S = _mode_sum(A, B, E, Frac(j, 2), _dilated(t, E1, E2))
         parts.append((f"half-unit upward dilation, offset j={j}",
                       ps_equal_to_order(lhs, S, E)))
     return parts
@@ -605,7 +592,7 @@ def run_qNYCS(base_x):
             A, B, sm = _pair_5d(t, E1, E2, Lu, m=m)
             ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, sm, E)
             x = base_x(m)
-            S = _sum_5d(A, B, E, t, 4 * x * E1, 4 * x * E2, Frac(0))
+            S = _mode_sum(A, B, E, Frac(0), _dilated(t, 4 * x * E1, 4 * x * E2))
             parts.append((f"level m={m}", ps_equal_to_order(ZC, S, E)))
         return parts
 
@@ -625,7 +612,7 @@ def run_qNYCShi(sample, E):
          Frac(1, 4), rational_power(t, (E1 + E2) / 4) * Frac(-1)),
     ):
         lhs = ZC.shift(QUARTER).scale(c).truncate(E)
-        S = _sum_5d(A, B, E, t, 4 * x * E1, 4 * x * E2, HALF)
+        S = _mode_sum(A, B, E, HALF, _dilated(t, 4 * x * E1, 4 * x * E2))
         parts.append((name, ps_equal_to_order(lhs, S, E)))
     return parts
 
@@ -645,7 +632,7 @@ def run_qNYD12diff(smp, E):
     parts = []
     for j in (0, 1):
         lhs = ZC.shift(Frac(j, 4)).truncate(E)
-        S = _sum_5d(A, B, E, smp.t, -E1, -E2, Frac(j, 2))
+        S = _mode_sum(A, B, E, Frac(j, 2), _dilated(smp.t, -E1, -E2))
         parts.append((f"z^{{j/4}} Z at offset j={j}",
                       ps_equal_to_order(lhs, S, E)))
     return parts
@@ -887,29 +874,15 @@ def determ_recursion(kmax: int, sample=None):
         true2 = mB.coeff(E)
 
         def coeff_sum(x, c1, c2):
-            cA = dict(mA.coeffs)
-            cA[E] = SymExpr.coerce(c1)
-            cB = dict(mB.coeffs)
-            cB[E] = SymExpr.coerce(c2)
-            pA = _dilz(PuiseuxSeries(cA, E), t, 4 * x * E1)
-            pB = _dilz(PuiseuxSeries(cB, E), t, 4 * x * E2)
-            total = (pA * pB).coeff(E)
+            dilated = _dilated(t, 4 * x * E1, 4 * x * E2)
 
-            def gap(n):
-                kk = int(2 * n)
-                return (A.classical_gap(kk, 0)[0]
-                        + B.classical_gap(0, kk)[0])
+            def pair(n, f, g):
+                if n == 0:  # the unknowns: mode-0 coefficients at z^E
+                    f = PuiseuxSeries({**f.coeffs, E: SymExpr.coerce(c1)}, E)
+                    g = PuiseuxSeries({**g.coeffs, E: SymExpr.coerce(c2)}, E)
+                return dilated(n, f, g)
 
-            for n in blowup_modes(E, gap, Frac(0)):
-                kk = int(2 * n)
-                if kk == 0:
-                    continue
-                gA = A.classical_gap(kk, 0)[0]
-                gB = B.classical_gap(0, kk)[0]
-                f = _dilz(A.mode(kk, 0, E - min(Frac(0), gB)), t, 4 * x * E1)
-                g = _dilz(B.mode(0, kk, E - min(Frac(0), gA)), t, 4 * x * E2)
-                total = total + (f * g).coeff(E)
-            return total
+            return _mode_sum(A, B, E, Frac(0), pair).coeff(E)
 
         rows = []
         rhs = []

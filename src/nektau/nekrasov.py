@@ -275,10 +275,9 @@ class RelativeZ4d:
     the point a0 + k1 e1 + k2 e2, exact through z^order.
     """
 
-    def __init__(self, th: Theory4d, a0: Frac, sample: ParameterSample = None):
+    def __init__(self, th: Theory4d, a0: Frac):
         self.th = th
         self.a0 = Frac(a0)
-        self.sample = sample
         self._cache = {}
 
     def classical_gap(self, k1: int, k2: int) -> Frac:
@@ -310,12 +309,12 @@ class RelativeZ5d:
         self.sample = sample
         self._cache = {}
 
-    def classical_gap(self, k1: int, k2: int):
-        """(z-exponent gap, t-exponent gap) of the classical factor."""
+    def classical_gap(self, k1: int, k2: int) -> Frac:
+        """z-exponent gap of the classical factor."""
         Lu = self.Lu0 + k1 * self.th.E1 + k2 * self.th.E2
-        P1, T1 = classical_exp_5d(self.th.E1, self.th.E2, Lu)
-        P0, T0 = classical_exp_5d(self.th.E1, self.th.E2, self.Lu0)
-        return P1 - P0, T1 - T0
+        P1, _ = classical_exp_5d(self.th.E1, self.th.E2, Lu)
+        P0, _ = classical_exp_5d(self.th.E1, self.th.E2, self.Lu0)
+        return P1 - P0
 
     def cocycle(self, k1: int, k2: int) -> SymExpr:
         return q_z1loop_ratio(self.th.E1, self.th.E2, self.Lu0, k1, k2, self.sample.t)
@@ -324,23 +323,14 @@ class RelativeZ5d:
         order = Frac(order)
         key = (k1, k2, order)
         if key not in self._cache:
-            zgap, tgap = self.classical_gap(k1, k2)
+            zgap = self.classical_gap(k1, k2)
+            # t-exponent gap: -(E1 + E2) per unit of z-gap (classical_exp_5d)
+            tgap = -(self.th.E1 + self.th.E2) * zgap
             Lu = self.Lu0 + k1 * self.th.E1 + k2 * self.th.E2
             inst = inst_series_5d(self.th, Lu, self.sample, order - zgap)
             coeff = self.cocycle(k1, k2) * rational_power(self.sample.t, tgap)
             self._cache[key] = inst.shift(zgap).scale(coeff)
         return self._cache[key]
-
-
-def assemble_relativeZ(th, ref, sample: ParameterSample = None):
-    """Package a theory plus reference point into a relative-mode factory."""
-    if isinstance(th, Theory4d):
-        return RelativeZ4d(th, ref, sample)
-    if isinstance(th, Theory5d):
-        if sample is None:
-            raise ValueError("5d assembly needs a parameter sample")
-        return RelativeZ5d(th, ref, sample)
-    raise TypeError(f"unknown theory {th!r}")
 
 
 def blowup_modes(order, gap_fn, offset: Frac = Frac(0)):

@@ -14,17 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .series import PuiseuxSeries
-from .symbols import SymExpr
+from .symbols import SymExpr, _frac
 
 Frac = Fraction
 
 
 class UnsupportedRegion(Exception):
     """Base exponent 0 (root of unity) or non-lattice exponent."""
-
-
-def _frac(x):
-    return x if isinstance(x, Frac) else Frac(x)
 
 
 @dataclass(frozen=True)

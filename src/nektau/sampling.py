@@ -15,7 +15,7 @@ determinant-style denominator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .symbols import Resonance, gamma_value, poch_value, sin_pi, theta_value
@@ -40,7 +40,6 @@ class ParameterSample:
     eps2: Frac = Frac(-1)
     a: Frac = None
     seed: int = 0
-    s_formal: bool = field(default=True)
 
     def __post_init__(self):
         if not (0 < self.t < 1):

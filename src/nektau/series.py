@@ -11,13 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .symbols import NonInvertible, SymExpr, rational_power
+from .symbols import NonInvertible, SymExpr, _frac, rational_power
 
 Frac = Fraction
-
-
-def _frac(x):
-    return x if isinstance(x, Frac) else Frac(x)
 
 
 class PuiseuxSeries:
@@ -164,7 +160,7 @@ class PuiseuxSeries:
     def exp(self):
         """exp(series); requires strictly positive exponents."""
         if any(e <= 0 for e in self.coeffs):
-            raise NonInvertible("ps_exp needs strictly positive exponents")
+            raise NonInvertible("exp needs strictly positive exponents")
         if not self.coeffs:
             return PuiseuxSeries.one(self.trunc)
         m = self.min_exp()
@@ -221,45 +217,13 @@ class PuiseuxSeries:
         ]
 
 
-# ---------------------------------------------------------------------------
-# module-level operation aliases (the documented API surface)
-# ---------------------------------------------------------------------------
+def weighted_theta_expand(f, g, w1, w2, k):
+    """Coefficient of alpha^k/k! in f(e^{w1 alpha} z) g(e^{w2 alpha} z).
 
-
-def ps_mul(a, b):
-    return a * b
-
-
-def ps_theta_derivative(a):
-    return a.theta()
-
-
-def ps_dilate(a, q_exp, sample):
-    return a.dilate(q_exp, sample)
-
-
-def ps_exp(a):
-    return a.exp()
-
-
-def hirota_ps(k, f, g):
-    """Hirota derivative D^k in log z on plain series, k <= 4."""
-    if k > 4:
-        raise ValueError("Hirota order limited to 4")
-    thf = [f]
-    thg = [g]
-    for _ in range(k):
-        thf.append(thf[-1].theta())
-        thg.append(thg[-1].theta())
-    out = None
-    for j in range(k + 1):
-        term = (thf[j] * thg[k - j]).scale(Frac(comb(k, j) * (-1) ** (k - j)))
-        out = term if out is None else out + term
-    return out
-
-
-def weighted_theta_expand_ps(f, g, w1, w2, k):
-    """Coefficient of alpha^k/k! in f(e^{w1 a} z) g(e^{w2 a} z) (theta-form)."""
+    Equals sum_j C(k,j) w1^j w2^{k-j} theta^j f * theta^{k-j} g.  Only theta,
+    products, scale and sums are used, so f and g may be PuiseuxSeries or
+    FourierSeries (where the product convolves sectors).
+    """
     w1, w2 = _frac(w1), _frac(w2)
     thf = [f]
     thg = [g]
@@ -271,3 +235,11 @@ def weighted_theta_expand_ps(f, g, w1, w2, k):
         term = (thf[j] * thg[k - j]).scale(Frac(comb(k, j)) * w1**j * w2 ** (k - j))
         out = term if out is None else out + term
     return out
+
+
+def hirota(k, f, g):
+    """Hirota derivative D^k in log z, k <= 4: the alpha-expansion above at
+    weights (1, -1)."""
+    if k > 4:
+        raise ValueError("Hirota order limited to 4")
+    return weighted_theta_expand(f, g, 1, -1, k)

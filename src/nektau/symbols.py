@@ -220,9 +220,6 @@ class SymExpr:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_monomial_multiple(self):
-        return len(self.terms) == 1
-
     def rational_value(self):
         """The Q(i) value if this expression is a pure number, else None."""
         if not self.terms:
@@ -499,51 +496,6 @@ def poch_value(E, B, t) -> SymExpr:
         expr = expr * one_minus_t_pow(E)
         E += B
     return expr * SymExpr.monomial(SymbolMonomial(poch=(((E, B), Frac(1)),)))
-
-
-def mono_canonicalize(t, rad=(), pi_exp=0, gam=(), sn=(), th=(), poch=()):
-    """Canonicalize a raw symbol product; returns (monomial, cofactor SymExpr).
-
-    The raw input is given as exponent maps with arbitrary rational arguments;
-    the result is the unique canonical monomial plus the exact accumulated
-    cofactor (itself a canonical SymExpr).  Raises Resonance on pole/zero loci.
-    """
-    expr = pi_power(pi_exp)
-    for p, e in dict(rad).items():
-        expr = expr * rational_power(p, e)
-    for y, e in dict(gam).items():
-        expr = expr * _sym_pow(gamma_value(y), _frac(e))
-    for y, e in dict(sn).items():
-        expr = expr * _sym_pow(sin_pi(y), _frac(e))
-    for (a, b), e in dict(th).items():
-        expr = expr * _sym_pow(theta_value(a, b, t), _frac(e))
-    for (a, b), e in dict(poch).items():
-        expr = expr * _sym_pow(poch_value(a, b, t), _frac(e))
-    if len(expr.terms) != 1:
-        raise NonInvertible("raw monomial did not reduce to a single term")
-    ((mono, coeff),) = expr.terms.items()
-    return mono, SymExpr.monomial(MONO_ONE, coeff)
-
-
-def _sym_pow(expr: SymExpr, e: Frac) -> SymExpr:
-    """expr^e for a monomial-multiple expr and rational (often half-int) e."""
-    if e.denominator == 1:
-        return expr ** e.numerator
-    if len(expr.terms) != 1:
-        raise NonInvertible("fractional power of a non-monomial SymExpr")
-    ((m, c),) = expr.terms.items()
-    scale = lambda pairs: tuple((k, ex * e) for k, ex in pairs)
-    mono = SymbolMonomial(
-        scale(m.rad), m.pi_exp * e, scale(m.gam), scale(m.sn), scale(m.th), scale(m.poch)
-    )
-    if c == GaussianRational(1):
-        cc = SymExpr.one()
-    elif c.is_rational():
-        cc = rational_power(c.re, e)
-    else:
-        raise NonInvertible(f"fractional power of Gaussian coefficient {c!r}")
-    mono2, cof = mono_mul(mono, MONO_ONE)
-    return SymExpr.monomial(mono2, cof) * cc
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .nekrasov import (
 )
 from .rationals import GaussianRational
 from .sampling import ParameterSample
-from .symbols import NonInvertible, SymExpr, cos_pi
+from .symbols import NonInvertible, SymExpr, _frac, cos_pi
 
 Frac = Fraction
 HALF = Frac(1, 2)
@@ -36,15 +36,6 @@ HALF = Frac(1, 2)
 
 class NonInvertibleLeading(NonInvertible):
     """Series division needs a single-monomial leading coefficient."""
-
-
-def _frac(x):
-    return x if isinstance(x, Frac) else Frac(x)
-
-
-def _zgap(base, k1, k2):
-    g = base.classical_gap(k1, k2)
-    return g[0] if isinstance(g, tuple) else g
 
 
 def _unit_shift(steps, target):
@@ -65,9 +56,8 @@ class TauSpec:
 
     Mode index j runs over Z; mode j sits in sector
     fourier_offset + j*sector_step and uses the lattice point
-    k_offset + j*k_step of the underlying relative theory.  sigma_shift
-    records accumulated Backlund half-shifts (bookkeeping only; the shift
-    itself is encoded in k_offset / fourier_offset).
+    k_offset + j*k_step of the underlying relative theory.  Backlund
+    half-shifts are encoded in k_offset / fourier_offset.
     """
 
     base: object
@@ -76,7 +66,6 @@ class TauSpec:
     k_offset: tuple = (0, 0)
     fourier_offset: Frac = Frac(0)
     sector_step: Frac = Frac(1)
-    sigma_shift: Frac = Frac(0)
     prefactor: object = None
 
     def lattice(self, j: int):
@@ -101,7 +90,7 @@ def build_tau(spec: TauSpec, E) -> FourierSeries:
     E = _frac(E)
 
     def gap(j):
-        return _zgap(spec.base, *spec.lattice(int(j)))
+        return spec.base.classical_gap(*spec.lattice(int(j)))
 
     sectors = {}
     for j in blowup_modes(E, gap):
@@ -140,7 +129,6 @@ def backlund(spec: TauSpec, kind: str) -> TauSpec:
         spec,
         k_offset=(spec.k_offset[0] + dk1, spec.k_offset[1] + dk2),
         fourier_offset=spec.fourier_offset + dsector,
-        sigma_shift=spec.sigma_shift + sign * HALF,
         label=spec.label + ("+" if sign > 0 else "-") + kind,
     )
 

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, deterministic reports, series dumps."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from nektau.cli import ConfigError, RunConfig, build_config, main, make_parser
+import nektau.identities as idmod
+from nektau.cli import ConfigError, RunConfig, build_config, main, make_parser, run_verify
+from nektau.fourier import EqualityReport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -17,7 +20,6 @@ GOLDEN = Path(__file__).parent / "golden"
 def run_cli(*args, env=None):
     e = dict(os.environ)
     e.pop("NEKTAU_SEED", None)
-    e.pop("NEKTAU_WORKERS", None)
     if env:
         e.update(env)
     return subprocess.run(
@@ -85,16 +87,29 @@ def test_verify_fractional_order():
     assert "order 3/2" in r.stdout
 
 
-def test_conjectures_never_affect_exit_code(tmp_path):
-    # force a conjecture failure through the mutation flag on an id whose
-    # theorem parts are unaffected: use a config with only conjecture ids
-    # and the corrupt flag; exit must stay 0 because no theorem failed
-    rp = tmp_path / "r.json"
-    r = run_cli("verify", "--id", "halfpow", "--order", "1",
-                "--corrupt-coefficient", "--report", str(rp))
-    doc = json.loads(rp.read_text())
-    assert doc["results"][0]["status"] == "conjecture"
-    assert r.returncode == 0
+def test_conjectures_never_affect_exit_code(tmp_path, monkeypatch):
+    # a failing stub in place of the halfpow runner: as a conjecture it is
+    # reported but exits 0; the same stub as a theorem exits 1
+    bad = [("stub", EqualityReport(False, F(1), [(F(0), F(1), 1, "(1)")]))]
+    entry = idmod.CATALOG["halfpow"]
+    argv = ["verify", "--id", "halfpow", "--order", "1"]
+    for status, code in (("conjecture", 0), ("theorem", 1)):
+        monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
+            entry, status=status, run=lambda sample, E: bad))
+        rp = tmp_path / f"{status}.json"
+        assert main(argv + ["--report", str(rp)]) == code
+        res = json.loads(rp.read_text())["results"][0]
+        assert res["status"] == status and res["ok"] is False
+
+
+def test_corrupt_run_leaves_no_mutation_behind():
+    cfg = RunConfig(identities=["NY", "qNY1", "NYtaupm"], order=F(1),
+                    corrupt=F(1))
+    code, _, results = run_verify(cfg)
+    assert code == 1 and len(results) == 3
+    assert not any(r.ok for r in results)
+    # the same process then verifies cleanly
+    assert idmod.verify("NY", E=F(1)).ok
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ from nektau.fourier import (
     fs_equal_to_order,
     hirota,
     ps_equal_to_order,
-    weighted_hirota_expand,
 )
 from nektau.rationals import GaussianRational as G
-from nektau.series import PuiseuxSeries
+from nektau.series import PuiseuxSeries, weighted_theta_expand
 from nektau.symbols import SymExpr
 
 TR = F(3)
@@ -115,8 +114,21 @@ def test_weighted_hirota_k0():
     p = PuiseuxSeries({F(1): SymExpr.coerce(2)}, TR)
     f = FourierSeries.single(p, F(1, 2))
     g = FourierSeries.single(p, F(-1, 2))
-    out = weighted_hirota_expand(f, g, F(1), F(2), 1)
-    assert fs_eq(out[0], f * g)
+    out = weighted_theta_expand(f, g, F(1), F(2), 0)
+    assert fs_eq(out, f * g)
+
+
+@given(fseries(), fseries())
+@settings(max_examples=40)
+def test_hirota_is_sector_bilinear(f, g):
+    # D^k of Fourier series equals D^k of every sector pair, summed into
+    # the product sector
+    for k in range(4):
+        ref = FourierSeries.zero(min(f.trunc, g.trunc))
+        for k1, p1 in f.sectors.items():
+            for k2, p2 in g.sectors.items():
+                ref = ref + FourierSeries.single(hirota(k, p1, p2), k1 + k2)
+        assert fs_eq(hirota(k, f, g), ref)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from nektau.nekrasov import (
     IncompleteModeRange,
     RelativeZ4d,
-    RelativeZ5d,
     Theory4d,
     Theory5d,
-    assemble_relativeZ,
     blowup_modes,
     classical_exp_4d,
     classical_exp_5d,
@@ -174,15 +172,6 @@ def test_relative_mode_reference_is_plain_series():
     m = rz.mode(0, 0, F(2))
     ref = inst_series_4d(th, A, F(2))
     assert all(not (m.coeff(e) - c) for e, c in ref.items())
-
-
-def test_assemble_relativeZ_dispatch():
-    assert isinstance(assemble_relativeZ(Theory4d(E1, E2), A), RelativeZ4d)
-    smp = ParameterSample(t=F(1, 2), dq=4)
-    assert isinstance(
-        assemble_relativeZ(Theory5d(F(4), F(-12)), F(2), smp), RelativeZ5d)
-    with pytest.raises(ValueError):
-        assemble_relativeZ(Theory5d(F(4), F(-12)), F(2))
 
 
 def test_blowup_modes_quadratic():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
-from nektau.series import PuiseuxSeries, hirota_ps, weighted_theta_expand_ps
+from nektau.series import PuiseuxSeries, hirota, weighted_theta_expand
 from nektau.symbols import SymExpr
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -119,7 +119,7 @@ def test_dilate():
 @given(series(), series())
 @settings(max_examples=40)
 def test_hirota_zero_is_product(f, g):
-    assert ps_eq(hirota_ps(0, f, g), f * g)
+    assert ps_eq(hirota(0, f, g), f * g)
 
 
 @given(series())
@@ -127,7 +127,7 @@ def test_hirota_zero_is_product(f, g):
 def test_hirota_odd_antisymmetry(f):
     # D^1(f, f) = 0 and D^3(f, f) = 0
     for k in (1, 3):
-        d = hirota_ps(k, f, f)
+        d = hirota(k, f, f)
         assert all(not c for _, c in d.items())
 
 
@@ -136,30 +136,39 @@ def test_hirota_odd_antisymmetry(f):
 def test_hirota_symmetry_signs(f, g):
     # D^k(f, g) = (-1)^k D^k(g, f)
     for k in (1, 2, 3):
-        a = hirota_ps(k, f, g)
-        b = hirota_ps(k, g, f)
+        a = hirota(k, f, g)
+        b = hirota(k, g, f)
         assert ps_eq(a, b.scale(F((-1) ** k)))
 
 
 def test_hirota_order_cap():
     f = PuiseuxSeries.one(F(2))
     with pytest.raises(ValueError):
-        hirota_ps(5, f, f)
+        hirota(5, f, f)
 
 
 @given(series(), series())
 @settings(max_examples=40)
 def test_weighted_expand_matches_hirota(f, g):
-    # with weights (1, -1) the alpha-expansion reproduces D^k
-    for k in range(3):
-        w = weighted_theta_expand_ps(f, g, F(1), F(-1), k)
-        assert ps_eq(w, hirota_ps(k, f, g))
+    # f(e^{w1 a} z) g(e^{w2 a} z) sends z^x z^y to e^{(w1 x + w2 y) a} z^{x+y},
+    # so the alpha^k/k! coefficient pairs terms with weight (w1 x + w2 y)^k;
+    # at weights (1, -1) this is D^k
+    for w1, w2 in ((F(1), F(-1)), (F(2), F(-1, 3))):
+        for k in range(4):
+            ref = PuiseuxSeries.zero(min(f.trunc, g.trunc))
+            for x, a in f.items():
+                for y, b in g.items():
+                    ref = ref + PuiseuxSeries.monomial(
+                        x + y, a * b * (w1 * x + w2 * y) ** k, ref.trunc)
+            assert ps_eq(weighted_theta_expand(f, g, w1, w2, k), ref)
+            if (w1, w2) == (1, -1):
+                assert ps_eq(hirota(k, f, g), ref)
 
 
 def test_weighted_expand_k0():
     f = PuiseuxSeries({F(1): SymExpr.coerce(2)}, F(3))
     g = PuiseuxSeries({F(1, 2): SymExpr.coerce(3)}, F(3))
-    assert ps_eq(weighted_theta_expand_ps(f, g, F(2), F(5), 0), f * g)
+    assert ps_eq(weighted_theta_expand(f, g, F(2), F(5), 0), f * g)
 
 
 def test_dump_sorted_and_exact():

@@ -146,19 +146,19 @@ def test_continuous_fixture_toda():
     # tau = z^{1/16} e^{-4 sqrt z} and its sigma +- 1/2 neighbours
     # z^{1/16 +- 1/4} e^{-4 sqrt z} satisfy
     # D^2(tau, tau) = -2 z^{1/2} tau_+ tau_-
-    from nektau.series import hirota_ps
+    from nektau.series import hirota
 
     tau = algebraic_fixture("P3_tau_minus", EB)
     up = tau.shift(F(1, 4))
     dn = tau.shift(-F(1, 4))
-    lhs = hirota_ps(2, tau, tau)
+    lhs = hirota(2, tau, tau)
     rhs = (up * dn).shift(F(1, 2)).scale(F(-2))
     diff = (lhs - rhs).truncate(E)
     assert all(not c for _, c in diff.items())
 
 
 def test_continuous_fixture_wrong_branch_fails():
-    from nektau.series import hirota_ps
+    from nektau.series import hirota
 
     tau = algebraic_fixture("P3_tau_plus_branch", EB)
     # the plus branch satisfies the same equation (z^{1/2} -> -z^{1/2} is a
