@@ -5,8 +5,10 @@ Subcommands
 list    print the identity catalog (id, status, anchor formula).
 verify  run catalog checks and write a deterministic JSON/CSV report.
         Exit code 0 iff every theorem-status check passed, 1 on a theorem
-        failure, 2 on a configuration error.  Conjecture-status outcomes
-        are recorded in the report but never affect the exit code.
+        failure, 2 on a configuration error (found before any computation,
+        e.g. an order below an entry's lowest meaningful order or more
+        samples than its pool holds).  Conjecture-status outcomes are
+        recorded in the report but never affect the exit code.
 dump    print an exact truncated series (tau function, partition function,
         or closed-form fixture) as JSON.  Byte-identical across runs with
         the same arguments; a higher-order dump extends a lower-order one
@@ -94,6 +96,12 @@ def _domain_of(id: str) -> str:
     return _EXTRA_IDS[id]
 
 
+def _min_order_of(id: str) -> Frac:
+    if id in idmod.CATALOG:
+        return idmod.CATALOG[id].min_order
+    return Frac(0)
+
+
 def build_config(args, known=None) -> RunConfig:
     """Merge config file, flags, and env overrides; reject unknown ids."""
     data = {}
@@ -125,10 +133,20 @@ def build_config(args, known=None) -> RunConfig:
         if isinstance(order, list):
             order = f"{order[0]}/{order[1]}"
         cfg.order = _parse_order(str(order))
+        for id in cfg.identities:
+            if cfg.order < _min_order_of(id):
+                raise ConfigError(
+                    f"order {cfg.order} is below the lowest meaningful order "
+                    f"{_min_order_of(id)} of {id}")
     cfg.samples = int(args.samples if args.samples is not None
                       else data.get("samples", 1))
     if cfg.samples < 1:
         raise ConfigError("--samples must be >= 1")
+    for domain in sorted({_domain_of(id) for id in cfg.identities}):
+        try:
+            idmod.default_samples(domain, cfg.samples)
+        except ValueError as exc:
+            raise ConfigError(f"--samples {cfg.samples}: {exc}") from exc
     seed = args.seed if args.seed is not None else data.get("seed", 0)
     if os.environ.get("NEKTAU_SEED"):
         seed = os.environ["NEKTAU_SEED"]

@@ -105,8 +105,14 @@ _POOLS = {
 
 
 def default_samples(domain: str, count: int, seed: int = 0):
-    """Deterministic sample choice: rotate the fixed pool by the seed."""
+    """Deterministic sample choice: rotate the fixed pool by the seed.
+
+    Raises ValueError when count exceeds the pool, so samples are distinct.
+    """
     pool = _POOLS[domain]
+    if count > len(pool):
+        raise ValueError(f"the {domain} pool holds {len(pool)} samples, "
+                         f"asked for {count}")
     return [pool[(seed + k) % len(pool)] for k in range(count)]
 
 
@@ -1029,10 +1035,13 @@ class IdentityCheck:
     default_order: Frac
     run: object = field(compare=False)
     note: str = ""
+    #: orders below this compare nothing the identity constrains
+    min_order: Frac = Frac(0)
 
 
-def _entry(id, status, anchor, domain, order, run, note=""):
-    return IdentityCheck(id, status, anchor, domain, Frac(order), run, note)
+def _entry(id, status, anchor, domain, order, run, note="", min_order=0):
+    return IdentityCheck(id, status, anchor, domain, Frac(order), run, note,
+                         Frac(min_order))
 
 
 CATALOG = {
@@ -1056,7 +1065,9 @@ CATALOG = {
                     "unit i Lambda refers to a different half-sector weight "
                     "convention, and the identity is consumed downstream "
                     "only through its graded bilinear consequence, which is "
-                    "verified verbatim"),
+                    "verified verbatim",
+               # the constant is read off the z^{1/4} coefficient
+               min_order=QUARTER),
         _entry("NYdiffIS", "derived",
                r"D^4_{[\log z]}(\uptau^+,\uptau^-)=-2z\tau",
                "4d-tau", 2, run_NYdiffIS,
@@ -1186,10 +1197,10 @@ CATALOG = {
                "5d-generic", 3, run_determlemma),
         _entry("prdx", "conjecture",
                r"(-qz^{1/2};q,q)^2_{\infty}\mathcal{Z}_{inst}",
-               "q-painleve", 5, run_prdx),
+               "q-painleve", 5, run_prdx, min_order=HALF),
         _entry("halfpow", "conjecture",
                r"up to $z^{7/2}$ analytically",
-               "q-painleve", Frac(7, 2), run_halfpow),
+               "q-painleve", Frac(7, 2), run_halfpow, min_order=HALF),
     ]
 }
 

@@ -18,12 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .partitions import (
+    BinomialTable,
+    BoxWeights,
     cs_weight,
     enumerate_pairs,
-    n_factor_4d,
-    n_factor_5d,
+    gaussian_ratio,
+    mul_factors_4d,
+    mul_factors_5d,
 )
 from .rationals import GaussianRational
 from .sampling import ParameterSample
@@ -69,17 +73,23 @@ class Theory5d:
 @lru_cache(maxsize=None)
 def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int) -> Frac:
     """Coefficient of z^d: sum over partition pairs of the inverse
-    product of the four pair factors at arguments (0, a, -a, 0)."""
+    product of the four pair factors at arguments (0, a, -a, 0).
+
+    Over L = lcm of the denominators of (a, e1, e2) each factor is an
+    integer over L, and the four factors of a pair hold 4d boxes, so the
+    sum of the inverse integer products is scaled by L^{4d}.
+    """
+    L = lcm(a.denominator, e1.denominator, e2.denominator)
+    A = int(a * L)
+    weights = BoxWeights(e1 * L, e2 * L)
     total = Frac(0)
     for lam1, lam2 in enumerate_pairs(d):
-        den = (
-            n_factor_4d(lam1, lam1, Frac(0), e1, e2)
-            * n_factor_4d(lam1, lam2, a, e1, e2)
-            * n_factor_4d(lam2, lam1, -a, e1, e2)
-            * n_factor_4d(lam2, lam2, Frac(0), e1, e2)
-        )
-        total += 1 / den
-    return total
+        den = mul_factors_4d(1, lam1, lam1, weights, 0)
+        den = mul_factors_4d(den, lam1, lam2, weights, A)
+        den = mul_factors_4d(den, lam2, lam1, weights, -A)
+        den = mul_factors_4d(den, lam2, lam2, weights, 0)
+        total += Frac(1, den)
+    return total * L ** (4 * d)
 
 
 def inst_series_4d(th: Theory4d, a: Frac, order) -> PuiseuxSeries:
@@ -95,15 +105,14 @@ def inst_series_4d(th: Theory4d, a: Frac, order) -> PuiseuxSeries:
 @lru_cache(maxsize=None)
 def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> SymExpr:
     one = GaussianRational(1)
+    weights, table = BoxWeights(E1, E2), BinomialTable(one, t)
     total = SymExpr.zero()
     for lam1, lam2 in enumerate_pairs(d):
-        den = (
-            n_factor_5d(lam1, lam1, one, Frac(0), E1, E2, t)
-            * n_factor_5d(lam1, lam2, one, Lu, E1, E2, t)
-            * n_factor_5d(lam2, lam1, one, -Lu, E1, E2, t)
-            * n_factor_5d(lam2, lam2, one, Frac(0), E1, E2, t)
-        )
-        term = SymExpr.from_rational(den.inverse())
+        den = mul_factors_5d((1, 0, 1), lam1, lam1, weights, table, 0)
+        den = mul_factors_5d(den, lam1, lam2, weights, table, Lu)
+        den = mul_factors_5d(den, lam2, lam1, weights, table, -Lu)
+        den = mul_factors_5d(den, lam2, lam2, weights, table, 0)
+        term = SymExpr.from_rational(gaussian_ratio((1, 0, 1), den))
         if m:
             term = term * cs_weight(lam1, m, one, Lu / 2, E1, E2, t)
             term = term * cs_weight(lam2, m, one, -Lu / 2, E1, E2, t)
@@ -140,25 +149,33 @@ def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int) -> SymEx
     def gpow(c: GaussianRational, k: int) -> GaussianRational:
         return c ** k if k >= 0 else c.inverse() ** (-k)
 
-    total = SymExpr.zero()
+    one_tab = BinomialTable(GaussianRational(1), t)
+    weights = BoxWeights(E1, E2)
+    # per sign pair (eps, epsp): the a- and b-type numerator factors, with
+    # their coefficient tables and t-exponents, and the denominator exponent
+    signs = [
+        (eps, epsp,
+         BinomialTable(gpow(cinf, eps) * c1.inverse(), t),
+         dq * (eps * pinf - p1 - epsp * sigma),
+         BinomialTable(gpow(c0, -eps) * ct.inverse(), t),
+         dq * (epsp * sigma - pt - eps * p0),
+         dq * (eps - epsp) * sigma)
+        for eps in (1, -1) for epsp in (1, -1)
+    ]
+
+    total_re, total_im = Frac(0), Frac(0)
     for lam1, lam2 in enumerate_pairs(d):
         diagrams = {1: lam1, -1: lam2}
-        num = GaussianRational(1)
-        den = GaussianRational(1)
-        for eps in (1, -1):
-            for epsp in (1, -1):
-                a_coef = gpow(cinf, eps) * c1.inverse()
-                a_texp = dq * (eps * pinf - p1 - epsp * sigma)
-                num = num * n_factor_5d((), diagrams[epsp], a_coef, a_texp, E1, E2, t)
-                b_coef = gpow(c0, -eps) * ct.inverse()
-                b_texp = dq * (epsp * sigma - pt - eps * p0)
-                num = num * n_factor_5d(diagrams[epsp], (), b_coef, b_texp, E1, E2, t)
-                den = den * n_factor_5d(
-                    diagrams[eps], diagrams[epsp],
-                    GaussianRational(1), dq * (eps - epsp) * sigma, E1, E2, t,
-                )
-        total = total + SymExpr.from_rational(num * den.inverse())
-    return total
+        num = den = (1, 0, 1)
+        for eps, epsp, a_tab, a_texp, b_tab, b_texp, d_texp in signs:
+            mu = diagrams[epsp]
+            num = mul_factors_5d(num, (), mu, weights, a_tab, a_texp)
+            num = mul_factors_5d(num, mu, (), weights, b_tab, b_texp)
+            den = mul_factors_5d(den, diagrams[eps], mu, weights, one_tab, d_texp)
+        term = gaussian_ratio(num, den)
+        total_re += term.re
+        total_im += term.im
+    return SymExpr.from_rational(GaussianRational(total_re, total_im))
 
 
 def inst_series_matter(vs, sigma: Frac, sample: ParameterSample, order) -> PuiseuxSeries:

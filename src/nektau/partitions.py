@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .rationals import GaussianRational
 from .symbols import SymExpr, ZeroFactor, rational_power
@@ -67,25 +68,118 @@ def boxes(lam):
             yield (i, j)
 
 
+def pair_offsets(lam, mu):
+    """Offsets (p, q) of the boxes of the pair factor N_{lam mu}.
+
+    The factor at a box has weight a + e2 p + e1 q in 4d and u q2^p q1^q in
+    5d.  A lam-box has p = -(arm_mu + 1), q = leg_lam; a mu-box has
+    p = arm_lam, q = -(leg_mu + 1).  lam-boxes come first, row by row.
+    """
+    out = [(-arm_leg(mu, s)[0] - 1, arm_leg(lam, s)[1]) for s in boxes(lam)]
+    out += [(arm_leg(lam, s)[0], -arm_leg(mu, s)[1] - 1) for s in boxes(mu)]
+    return out
+
+
+class BoxWeights(dict):
+    """(lam, mu) -> the weights e2 p + e1 q of the boxes of N_{lam mu}.
+
+    The factor at a box is a + weight in 4d and 1 - c t^{u + weight} in 5d.
+    Integer e1, e2 (the ``integral`` case) give int weights.  Entries are
+    made on first use and live as long as the table.
+    """
+
+    def __init__(self, e1, e2):
+        super().__init__()
+        self.integral = e1.denominator == 1 and e2.denominator == 1
+        self.e1, self.e2 = (int(e1), int(e2)) if self.integral else (e1, e2)
+
+    def __missing__(self, pair):
+        e1, e2 = self.e1, self.e2
+        val = self[pair] = tuple(e2 * p + e1 * q for p, q in pair_offsets(*pair))
+        return val
+
+
+def _box_of(lam, mu, k):
+    """The k-th box of N_{lam mu} in pair_offsets order."""
+    return (list(boxes(lam)) + list(boxes(mu)))[k]
+
+
+def mul_factors_4d(acc: int, lam, mu, weights: BoxWeights, A: int) -> int:
+    """acc times the integer numerators A + weight of N_{lam mu}.
+
+    With L a common denominator of (a, e1, e2), A = a L and weights made
+    from (e1 L, e2 L), the 4d pair factor is the product over L^{#boxes}.
+    """
+    for k, w in enumerate(weights[lam, mu]):
+        f = A + w
+        if not f:
+            raise ZeroFactor(
+                f"4d factor vanished at box {_box_of(lam, mu, k)} of {lam}/{mu}")
+        acc *= f
+    return acc
+
+
 def n_factor_4d(lam, mu, a: Frac, e1: Frac, e2: Frac) -> Frac:
     """Pair factor: prod over lam-boxes of (a - e2(arm_mu+1) + e1 leg_lam)
     times prod over mu-boxes of (a + e2 arm_lam - e1(leg_mu+1))."""
-    out = Frac(1)
-    for s in boxes(lam):
-        am, _ = arm_leg(mu, s)
-        _, ll = arm_leg(lam, s)
-        f = a - e2 * (am + 1) + e1 * ll
-        if not f:
-            raise ZeroFactor(f"4d factor vanished at box {s} of {lam}/{mu}")
-        out *= f
-    for s in boxes(mu):
-        al, _ = arm_leg(lam, s)
-        _, lm = arm_leg(mu, s)
-        f = a + e2 * al - e1 * (lm + 1)
-        if not f:
-            raise ZeroFactor(f"4d factor vanished at box {s} of {lam}/{mu}")
-        out *= f
-    return out
+    L = lcm(a.denominator, e1.denominator, e2.denominator)
+    num = mul_factors_4d(1, lam, mu, BoxWeights(e1 * L, e2 * L), int(a * L))
+    return Frac(num, L ** (sum(lam) + sum(mu)))
+
+
+class BinomialTable(dict):
+    """Exponent e -> (1 - c t^e) as an integer triple (re, im, den).
+
+    The triple stands for (re + im i) / den: with c = (cr + ci i) / cd and
+    t^e = n / d in lowest terms, re = cd d - cr n, im = -ci n, den = cd d.
+    Entries are made on first use and live as long as the table.
+    """
+
+    def __init__(self, coef: GaussianRational, t: Frac):
+        super().__init__()
+        re, im = coef.re, coef.im
+        self.cd = lcm(re.denominator, im.denominator)
+        self.cr = re.numerator * (self.cd // re.denominator)
+        self.ci = im.numerator * (self.cd // im.denominator)
+        self.P, self.R = t.numerator, t.denominator
+
+    def __missing__(self, e: int):
+        n, d = (self.P ** e, self.R ** e) if e >= 0 else (self.R ** -e, self.P ** -e)
+        val = self[e] = (self.cd * d - self.cr * n, -self.ci * n, self.cd * d)
+        return val
+
+
+def _integer_exponent(e: Frac) -> int:
+    if e.denominator != 1:
+        raise ValueError(f"non-integer t-exponent {e} in 5d factor")
+    return e.numerator
+
+
+def mul_factors_5d(acc, lam, mu, weights: BoxWeights, table: BinomialTable,
+                   u_texp: Frac):
+    """acc times the factors (1 - c t^{u_texp + weight}) of N_{lam mu}.
+
+    acc and the result are triples (re, im, den) for (re + im i) / den; the
+    coefficient c and the base t are those of table.  Every exponent must be
+    an integer: with integral weights that holds exactly when u_texp is one.
+    """
+    re, im, den = acc
+    ws = weights[lam, mu]
+    if weights.integral:
+        if ws and u_texp.denominator != 1:
+            _integer_exponent(u_texp + ws[0])
+        u = int(u_texp)
+        exps = (u + w for w in ws)
+    else:
+        exps = (_integer_exponent(u_texp + w) for w in ws)
+    for k, e in enumerate(exps):
+        fr, fi, fd = table[e]
+        if not (fr or fi):
+            raise ZeroFactor(
+                f"5d factor vanished at box {_box_of(lam, mu, k)} of {lam}/{mu}")
+        re, im = re * fr - im * fi, re * fi + im * fr
+        den *= fd
+    return re, im, den
 
 
 def n_factor_5d(lam, mu, u_coef: GaussianRational, u_texp: Frac,
@@ -96,28 +190,19 @@ def n_factor_5d(lam, mu, u_coef: GaussianRational, u_texp: Frac,
     All exponents must land on integers (enforced), so the result is an
     exact Gaussian rational.
     """
-    out = GaussianRational(1)
-    for s in boxes(lam):
-        am, _ = arm_leg(mu, s)
-        _, ll = arm_leg(lam, s)
-        e = u_texp + E2 * (-am - 1) + E1 * ll
-        if e.denominator != 1:
-            raise ValueError(f"non-integer t-exponent {e} in 5d factor")
-        f = GaussianRational(1) - u_coef * (t ** e.numerator)
-        if not f:
-            raise ZeroFactor(f"5d factor vanished at box {s} of {lam}/{mu}")
-        out = out * f
-    for s in boxes(mu):
-        al, _ = arm_leg(lam, s)
-        _, lm = arm_leg(mu, s)
-        e = u_texp + E2 * al + E1 * (-lm - 1)
-        if e.denominator != 1:
-            raise ValueError(f"non-integer t-exponent {e} in 5d factor")
-        f = GaussianRational(1) - u_coef * (t ** e.numerator)
-        if not f:
-            raise ZeroFactor(f"5d factor vanished at box {s} of {lam}/{mu}")
-        out = out * f
-    return out
+    re, im, den = mul_factors_5d(
+        (1, 0, 1), lam, mu, BoxWeights(E1, E2),
+        BinomialTable(GaussianRational.coerce(u_coef), t), u_texp)
+    return GaussianRational(Frac(re, den), Frac(im, den))
+
+
+def gaussian_ratio(num, den) -> GaussianRational:
+    """num / den for triples (re, im, d) standing for (re + im i) / d."""
+    nr, ni, nd = num
+    dr, di, dd = den
+    norm = (dr * dr + di * di) * nd
+    return GaussianRational(Frac((nr * dr + ni * di) * dd, norm),
+                            Frac((ni * dr - nr * di) * dd, norm))
 
 
 def cs_weight(lam, m: int, u_coef: GaussianRational, u_texp: Frac,

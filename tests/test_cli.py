@@ -69,6 +69,27 @@ def test_verify_bad_order_exit_two():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("id,order,lowest", [
+    ("prdx", "1/3", "1/2"),  # used to raise an uncaught ValueError (exit 1)
+    ("NY1", "1/8", "1/4"),   # used to report a theorem FAIL (exit 1)
+])
+def test_verify_below_lowest_meaningful_order_exit_two(id, order, lowest):
+    r = run_cli("verify", "--id", id, "--order", order)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr.strip().splitlines() == [
+        f"configuration error: order {order} is below the lowest meaningful "
+        f"order {lowest} of {id}"]
+
+
+def test_verify_more_samples_than_pool_exit_two():
+    # the 4d-eps pool holds three samples; five used to repeat two of them
+    r = run_cli("verify", "--id", "NY", "--order", "1", "--samples", "5")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert "4d-eps pool holds 3 samples" in r.stderr
+
+
 def test_verify_corrupted_coefficient_exit_one(tmp_path):
     rp = tmp_path / "r.json"
     r = run_cli("verify", "--id", "NY", "--order", "2",
