@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import PuiseuxSeries, hirota  # noqa: F401  (re-exported)
+from .series import PuiseuxSeries, hirota, solve_recurrence  # noqa: F401  (hirota re-exported)
 from .symbols import NonInvertible, SymExpr, _frac
 
 Frac = Fraction
@@ -122,36 +122,29 @@ class FourierSeries:
         return k, e, self.sectors[k].coeff(e)
 
     def inverse(self):
-        """1/series when a unique minimal monomial (sector, exponent) exists."""
+        """1/series when a unique minimal monomial (sector, exponent) exists.
+
+        With series = c0 s^{k0} z^{e0} (1 + R), the coefficients of
+        1/(1 + R) follow the recurrence of `PuiseuxSeries.inverse`
+        (Brent-Kung, JACM 1978) over (exponent, sector) keys:
+        b_n = -sum_{x in supp R, x <= n} R_x b_{n-x}.
+        """
         k0, e0, c0 = self.leading()
         c0_inv = c0.inverse()
-        # series = c0 s^{k0} z^{e0} (1 + R) with R of positive valuation
         rel_trunc = self.trunc - e0
-        r_sectors = {}
+        steps = {}
         for k, ps in self.sectors.items():
-            shifted = PuiseuxSeries(
-                {e - e0: c * c0_inv for e, c in ps.coeffs.items()
-                 if not (k == k0 and e == e0)},
-                rel_trunc,
-            )
-            if not shifted.is_zero():
-                r_sectors[k - k0] = shifted
-        r = FourierSeries(r_sectors, rel_trunc)
-        out = FourierSeries.single(PuiseuxSeries.one(rel_trunc))
-        if r.sectors:
-            v = min(ps.min_exp() for ps in r.sectors.values())
-            if v <= 0:
-                raise NonInvertible("non-leading term at the leading exponent")
-            term = out
-            for _ in range(int(rel_trunc / v) + 1):
-                term = term * (-r)
-                term = term.truncate(rel_trunc)
-                if not term.sectors:
-                    break
-                out = out + term
+            for e, c in ps.coeffs.items():
+                if not (k == k0 and e == e0):
+                    steps[(e - e0, k - k0)] = -(c * c0_inv)
+        if any(e <= 0 for e, _ in steps):
+            raise NonInvertible("non-leading term at the leading exponent")
+        out = {}
+        for (n, k), c in solve_recurrence(steps, rel_trunc).items():
+            out.setdefault(k - k0, {})[n - e0] = c * c0_inv
+        trunc = rel_trunc - e0
         return FourierSeries(
-            {k - k0: ps.scale(c0_inv).shift(-e0) for k, ps in out.sectors.items()},
-            rel_trunc - e0,
+            {k: PuiseuxSeries(coeffs, trunc) for k, coeffs in out.items()}, trunc
         )
 
     def __repr__(self):

@@ -25,6 +25,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import ceil
 
 from .fourier import (
     EqualityReport,
@@ -814,8 +815,10 @@ def _split_even_odd(P: PuiseuxSeries, Ew: int):
 
 
 def run_prdx(smp, E):
+    # the w-series (w = z^{1/2}) is built through w^{ceil(2E)}, so the even
+    # part is known through z^E also when 2E is not an integer
     E = Frac(E)
-    Ew = int(2 * E)
+    Ew = ceil(2 * E)
     dq = smp.dq
     rhs = inst_series_5d(Theory5d(Frac(-dq), Frac(2 * dq)), smp.u_exp, smp, E)
     parts = []
@@ -833,9 +836,9 @@ def run_prdx(smp, E):
 
 
 def run_halfpow(smp, E):
-    # E is the half-integer order z^{E}; the product is built through w^{2E}
+    # E is the order z^{E}; the product is built through w^{ceil(2E)}
     E = Frac(E)
-    Ew = int(2 * E)
+    Ew = ceil(2 * E)
     vs = {k: (_I1, Frac(0)) for k in ("0", "t", "1", "inf")}
     # generic fourth mass i * alpha with alpha = (5/3) q^3
     vs["inf"] = (GaussianRational(0, Frac(5, 3)), Frac(3))

@@ -104,7 +104,8 @@ def pochhammer_series(spec: PochhammerSpec, t: Frac, E, route: str = "shift") ->
     E = _frac(E)
     neg = [b for b in spec.bases if b < 0]
     if neg:
-        # (w; q^{-1}, ..) = (w q; q, ..)^{-1}, applied per negative base
+        # (w; q^{-1}, ..) = (w q; q, ..)^{-1}, applied per negative base: the
+        # argument gains every q, and the inverses cancel in pairs
         coeff = SymExpr.coerce(spec.coeff)
         total_shift = Frac(0)
         for b in neg:
@@ -114,9 +115,7 @@ def pochhammer_series(spec: PochhammerSpec, t: Frac, E, route: str = "shift") ->
         inner = pochhammer_series(
             PochhammerSpec(coeff, spec.zpow, pos), t, E, route
         )
-        out = inner
-        for _ in range(len(neg)):
-            out = out.inverse()
+        out = inner.inverse() if len(neg) % 2 else inner
         return out.truncate(E)
 
     mmax = int(E / spec.zpow)

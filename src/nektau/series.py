@@ -8,12 +8,14 @@ operations track the bound conservatively.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .symbols import NonInvertible, SymExpr, _frac, rational_power
 
 Frac = Fraction
+ZERO = Frac(0)
 
 
 class PuiseuxSeries:
@@ -158,45 +160,38 @@ class PuiseuxSeries:
         )
 
     def exp(self):
-        """exp(series); requires strictly positive exponents."""
+        """exp(series); requires strictly positive exponents.
+
+        b = exp f satisfies theta(b) = b * theta(f), so b_0 = 1 and
+        n b_n = sum_{x in supp f, x <= n} x f_x b_{n-x}
+        (Brent-Kung, "Fast algorithms for manipulating formal power
+        series", JACM 1978; Knuth, TAOCP vol. 2, 4.7), solved by
+        `solve_recurrence` over the exponents of f.
+        """
         if any(e <= 0 for e in self.coeffs):
             raise NonInvertible("exp needs strictly positive exponents")
-        if not self.coeffs:
-            return PuiseuxSeries.one(self.trunc)
-        m = self.min_exp()
-        kmax = int(self.trunc / m) + 1
-        out = PuiseuxSeries.one(self.trunc)
-        term = PuiseuxSeries.one(self.trunc)
-        for k in range(1, kmax + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            out = out + term.scale(Frac(1, factorial(k)))
-        return PuiseuxSeries(out.coeffs, self.trunc)
+        steps = {(e, ZERO): c * e for e, c in self.coeffs.items()}
+        b = solve_recurrence(steps, self.trunc, divide=True)
+        return PuiseuxSeries({n: c for (n, _), c in b.items()}, self.trunc)
 
     def inverse(self):
-        """1/series for a series whose leading coefficient is invertible."""
+        """1/series for a series whose leading coefficient is invertible.
+
+        With self = c0 z^{e0} (1 + r), 1/(1 + r) = sum b_n z^n where b_0 = 1
+        and b_n = -sum_{x in supp r, x <= n} r_x b_{n-x} (Brent-Kung, JACM
+        1978), solved by `solve_recurrence` over the exponents of r.
+        """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero series")
         e0 = self.min_exp()
         c0 = self.coeffs[e0]
         c0_inv = c0.inverse()  # raises NonInvertible for multi-term leading
-        # self = c0 z^{e0} (1 + r), inverse = z^{-e0} c0^{-1} sum (-r)^k
         rel_trunc = self.trunc - e0
-        r = PuiseuxSeries(
-            {e - e0: c * c0_inv for e, c in self.coeffs.items() if e != e0}, rel_trunc
-        )
-        out = PuiseuxSeries.one(rel_trunc)
-        if not r.is_zero():
-            kmax = int(rel_trunc / r.min_exp()) + 1
-            term = PuiseuxSeries.one(rel_trunc)
-            for _ in range(kmax):
-                term = term * (-r)
-                if term.is_zero():
-                    break
-                out = out + term
+        steps = {(e - e0, ZERO): -(c * c0_inv)
+                 for e, c in self.coeffs.items() if e != e0}
+        b = solve_recurrence(steps, rel_trunc)
         return PuiseuxSeries(
-            {e - e0: c * c0_inv for e, c in out.coeffs.items()}, rel_trunc - e0
+            {n - e0: c * c0_inv for (n, _), c in b.items()}, rel_trunc - e0
         )
 
     def __eq__(self, other):
@@ -215,6 +210,54 @@ class PuiseuxSeries:
             {"exponent": [e.numerator, e.denominator], "coefficient": c.render()}
             for e, c in self.items()
         ]
+
+
+def solve_recurrence(steps, bound, divide=False):
+    """Coefficients of the series b with b_0 = 1 and, for n > 0,
+
+        b_n = w_n * sum_{x in steps, x <= n} s_x b_{n-x},
+
+    where w_n = 1/n (the exponent of n) if divide, else 1.
+
+    Keys are (exponent, sector) pairs and add componentwise; every step
+    key needs a positive exponent.  The keys n run over the additive
+    closure of the step keys with exponent <= bound, popped from a heap in
+    increasing order, so each b_{n-x} is known before b_n; no dense grid
+    at the lcm of the denominators is formed.  A key is pushed only from a
+    nonzero coefficient, which reaches every nonzero b_n.  Returns
+    {key: b_n} for the nonzero b_n.
+    """
+    order = sorted(steps.items())
+    root = (ZERO, ZERO)
+    b = {}
+    heap = [root]
+    seen = {root}
+    while heap:
+        n = heapq.heappop(heap)
+        ne, nk = n
+        if n == root:
+            c = SymExpr.one()
+        else:
+            c = SymExpr.zero()
+            for (xe, xk), s in order:
+                if xe > ne:
+                    break
+                prev = b.get((ne - xe, nk - xk))
+                if prev is not None:
+                    c = c + s * prev
+            if c and divide:
+                c = c * (1 / ne)
+            if not c:
+                continue
+        b[n] = c
+        for (xe, xk), _ in order:
+            m = (ne + xe, nk + xk)
+            if m[0] > bound:
+                break
+            if m not in seen:
+                seen.add(m)
+                heapq.heappush(heap, m)
+    return b
 
 
 def weighted_theta_expand(f, g, w1, w2, k):

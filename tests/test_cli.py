@@ -108,6 +108,19 @@ def test_verify_fractional_order():
     assert "order 3/2" in r.stdout
 
 
+@pytest.mark.parametrize("id", ["prdx", "halfpow"])
+def test_verify_order_with_odd_quarter_exit_zero(id, tmp_path):
+    # 2E = 3/2 is not an integer: the w-series is built through w^2, so both
+    # parts are known through z^1 (it stopped at w^1, and prdx raised)
+    rp = tmp_path / "r.json"
+    r = run_cli("verify", "--id", id, "--order", "3/4", "--report", str(rp))
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert f"{id} [conjecture] order 3/4: pass" in r.stdout
+    res = json.loads(rp.read_text())["results"][0]
+    assert res["ok"] is True
+    assert "pass (exact through z^1)" in [p["detail"] for p in res["parts"]]
+
+
 def test_conjectures_never_affect_exit_code(tmp_path, monkeypatch):
     # a failing stub in place of the halfpow runner: as a conjecture it is
     # reported but exits 0; the same stub as a theorem exits 1

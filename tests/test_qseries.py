@@ -80,6 +80,24 @@ def test_leading_terms():
     assert s.coeff(F(1)).rational_value() == G(-2)
 
 
+@pytest.mark.parametrize("bases", [(-1, -2), (-1, -1, 2), (-2, -1, -3)])
+@pytest.mark.parametrize("route", ["shift", "exp"])
+def test_negative_bases_match_inversion_per_base(bases, route):
+    # the inversion rule applied once per negative base, as the expansion
+    # did before the pairs of inverses were cancelled
+    spec = PochhammerSpec(G(1, -2), F(1, 2), bases)
+    t = F(2, 5)
+    shift = -sum(b for b in bases if b < 0)
+    inner = pochhammer_series(
+        PochhammerSpec(SymExpr.coerce(spec.coeff) * tpow(t, shift), spec.zpow,
+                       tuple(abs(b) for b in bases)), t, E, route)
+    want = inner
+    for b in bases:
+        if b < 0:
+            want = want.inverse()
+    assert pochhammer_series(spec, t, E, route) == want.truncate(E)
+
+
 # ---------------------------------------------------------------------------
 # the q-Pochhammer identities
 # ---------------------------------------------------------------------------
@@ -184,6 +202,16 @@ def test_theta_inversion(cw, a, cp, r):
     rhs = theta_z_series(SymExpr.coerce(cw) * SymExpr.coerce(cp), a + r,
                          cp, r, E)
     assert ps_eq(lhs, rhs)
+
+
+@pytest.mark.parametrize("cw,a,cp", [(F(2), 8, F(-1, 3)), (G(0, 1), -6, F(-1))])
+def test_jacobi_triple_product_far_argument(cw, a, cp):
+    # far-out arguments at r = 1/2: the Jacobi route inverts a long (p;p)_inf
+    r, order = F(1, 2), F(4)
+    lhs = theta_z_series(cw, a, cp, r, order, route="product")
+    rhs = theta_z_series(cw, a, cp, r, order, route="jacobi")
+    assert lhs.trunc == rhs.trunc == order and lhs.coeffs
+    assert ps_equal_to_order(lhs, rhs, order).ok
 
 
 def test_theta_needs_positive_base_weight():

@@ -1,6 +1,7 @@
 """Truncated Puiseux-series ring: arithmetic, exp/inverse, theta, Hirota."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
 from nektau.series import PuiseuxSeries, hirota, weighted_theta_expand
-from nektau.symbols import SymExpr
+from nektau.symbols import NonInvertible, SymExpr, rational_power
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
 coef = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -98,6 +99,139 @@ def test_inverse(a):
         return
     inv = a.inverse()
     assert ps_eq(a * inv, PuiseuxSeries.one(min(a.trunc, inv.trunc)))
+
+
+# ---------------------------------------------------------------------------
+# inverse and exp against the repeated-product routes they replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_inverse(f):
+    """Test-only copy of the geometric-sum inverse: c0^{-1} z^{-e0} sum (-r)^k."""
+    if not f.coeffs:
+        raise ZeroDivisionError("inverse of zero series")
+    e0 = f.min_exp()
+    c0_inv = f.coeffs[e0].inverse()
+    rel_trunc = f.trunc - e0
+    r = PuiseuxSeries(
+        {e - e0: c * c0_inv for e, c in f.coeffs.items() if e != e0}, rel_trunc)
+    out = PuiseuxSeries.one(rel_trunc)
+    if not r.is_zero():
+        term = PuiseuxSeries.one(rel_trunc)
+        for _ in range(int(rel_trunc / r.min_exp()) + 1):
+            term = term * (-r)
+            if term.is_zero():
+                break
+            out = out + term
+    return PuiseuxSeries(
+        {e - e0: c * c0_inv for e, c in out.coeffs.items()}, rel_trunc - e0)
+
+
+def ref_exp(f):
+    """Test-only copy of the exponential-sum exp: sum f^k / k!."""
+    if any(e <= 0 for e in f.coeffs):
+        raise NonInvertible("exp needs strictly positive exponents")
+    if not f.coeffs:
+        return PuiseuxSeries.one(f.trunc)
+    kmax = int(f.trunc / f.min_exp()) + 1
+    out = PuiseuxSeries.one(f.trunc)
+    term = PuiseuxSeries.one(f.trunc)
+    for k in range(1, kmax + 1):
+        term = term * f
+        if term.is_zero():
+            break
+        out = out + term.scale(F(1, factorial(k)))
+    return PuiseuxSeries(out.coeffs, f.trunc)
+
+
+def ps(terms, trunc=F(3)):
+    return PuiseuxSeries({F(e): SymExpr.coerce(c) for e, c in terms.items()},
+                         trunc)
+
+
+SQRT2 = rational_power(F(2), F(1, 2))
+TWO_TERM = SymExpr.coerce(F(2, 3)) + SQRT2  # 2/3 + 2^{1/2}
+
+# (name, series with positive exponents); exp runs on each, inverse on 1 + f
+REF_CASES = [
+    ("mixed denominators 1/3 and 1/2",
+     ps({F(1, 3): 2, F(1, 2): -1, F(5, 6): F(1, 5), F(7, 4): 3})),
+    ("Gaussian coefficients",
+     ps({F(1, 2): G(1, F(-2, 3)), F(1): G(0, 1), F(3, 2): G(F(5, 7), 2)})),
+    ("multi-term SymExpr coefficients",
+     ps({F(1, 3): TWO_TERM, F(1, 2): SQRT2 * G(0, 1), F(2): TWO_TERM * TWO_TERM})),
+    ("single monomial", ps({F(2, 3): F(-7, 4)}, F(4))),
+    ("step at the bound", ps({F(3, 2): 5}, F(3, 2))),
+]
+
+
+@pytest.mark.parametrize("name,f", REF_CASES, ids=[c[0] for c in REF_CASES])
+def test_exp_matches_exponential_sum(name, f):
+    assert f.exp() == ref_exp(f)
+
+
+@pytest.mark.parametrize("name,f", REF_CASES, ids=[c[0] for c in REF_CASES])
+def test_inverse_matches_geometric_sum(name, f):
+    for lead in (SymExpr.one(), SymExpr.coerce(G(2, -1)), SQRT2 * F(3)):
+        g = f + lead
+        assert g.inverse() == ref_inverse(g)
+
+
+@pytest.mark.parametrize("e0", [F(-1, 2), F(-2), F(0), F(1, 3)])
+def test_inverse_matches_geometric_sum_at_leading_exponent(e0):
+    # negative, zero and positive leading exponents, mixed denominators
+    f = ps({e0: G(3, 1), e0 + F(1, 3): -2, e0 + F(1, 2): TWO_TERM,
+            e0 + F(5, 4): G(0, F(1, 3))}, F(5, 2))
+    inv = f.inverse()
+    assert inv == ref_inverse(f)
+    assert inv.trunc == f.trunc - 2 * e0
+    assert inv.min_exp() == -e0
+
+
+def test_walk_continues_past_vanishing_coefficients():
+    # 1/(1 + z + z^2) = (1 - z)/(1 - z^3) and exp(z - z^2/2) both have a zero
+    # coefficient at z^2 followed by nonzero ones
+    f = ps({0: 1, 1: 1, 2: 1}, F(6))
+    inv = f.inverse()
+    assert not inv.coeff(2) and inv.coeff(3) == SymExpr.one()
+    assert inv == ref_inverse(f)
+    g = ps({1: 1, 2: F(-1, 2)}, F(4))
+    e = g.exp()
+    assert not e.coeff(2) and e.coeff(3) == SymExpr.coerce(F(-1, 3))
+    assert e == ref_exp(g)
+
+
+mixed_exps = st.fractions(min_value=-1, max_value=3).filter(
+    lambda e: e.denominator in (1, 2, 3, 4, 6))
+mixed_coef = st.sampled_from(
+    [F(1), F(-1), F(3, 5), G(0, 1), G(2, F(-1, 3)), SQRT2, TWO_TERM])
+
+
+@given(st.dictionaries(mixed_exps, mixed_coef, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_inverse_and_exp_match_old_routes(terms):
+    f = PuiseuxSeries({e: SymExpr.coerce(c) for e, c in terms.items()}, F(5, 2))
+    if f.coeffs and f.coeffs[f.min_exp()].rational_value() is not None:
+        assert f.inverse() == ref_inverse(f)
+    pos = PuiseuxSeries({e: c for e, c in f.coeffs.items() if e > 0}, f.trunc)
+    assert pos.exp() == ref_exp(pos)
+
+
+def test_zero_series_inverse_and_exp():
+    z = PuiseuxSeries.zero(F(2))
+    with pytest.raises(ZeroDivisionError):
+        z.inverse()
+    with pytest.raises(ZeroDivisionError):
+        ref_inverse(z)
+    assert z.exp() == ref_exp(z) == PuiseuxSeries.one(F(2))
+
+
+def test_inverse_and_exp_guards():
+    with pytest.raises(NonInvertible):  # multi-term leading coefficient
+        ps({F(0): TWO_TERM, F(1): 1}).inverse()
+    for bad in (F(0), F(-1, 2)):  # exp needs strictly positive exponents
+        with pytest.raises(NonInvertible):
+            ps({bad: 1, F(1): 2}).exp()
 
 
 def test_dilate():

@@ -10,28 +10,51 @@ ROOT = Path(__file__).resolve().parents[1]
 # runs in a fresh interpreter: install() rebinds package attributes for good
 TRACED_RUN = """
 import json, sys
+from fractions import Fraction
 src, bench, out = sys.argv[1:]
 sys.path[:0] = [src, bench]
 import tracing
-from nektau import identities
+from nektau import identities, qseries
 
 tr = tracing.install()
-assert identities.verify("NYD2diff", E=1).ok
+{body}
 tr.dump(out)
 with open(out) as f:
     print(json.dumps(tracing.summarize(json.load(f))))
 """
 
 
-def test_traced_run_records_hirota_and_mode_spans(tmp_path):
+def traced(tmp_path, body):
+    """Span names and per-layer metrics of body run under the tracer."""
     out = tmp_path / "trace.json"
     r = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"),
+        [sys.executable, "-c", TRACED_RUN.format(body=body), str(ROOT / "src"),
          str(ROOT / "perfbench"), str(out)],
         capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     names = set(json.loads(out.read_text())["names"])
+    return names, json.loads(r.stdout.splitlines()[-1])
+
+
+def test_traced_run_records_hirota_and_mode_spans(tmp_path):
+    names, metrics = traced(
+        tmp_path, 'assert identities.verify("NYD2diff", E=1).ok')
     assert {"fourier.hirota", "nekrasov.mode"} <= names
-    metrics = json.loads(r.stdout.splitlines()[-1])
     assert metrics["fourier.hirota.s"] > 0
     assert metrics["nekrasov.mode.calls"] > 0
+
+
+def test_traced_run_records_inverse_and_exp_spans(tmp_path):
+    # zetac divides by the tau series (fourier.inverse); a Pochhammer symbol
+    # with one negative base inverts once (series.inverse), and its exp
+    # route runs series.exp
+    names, metrics = traced(tmp_path, "\n".join([
+        'assert identities.verify("zetac", E=1).ok',
+        "spec = qseries.PochhammerSpec(2, 1, (1, -2))",
+        'for route in ("shift", "exp"):',
+        "    qseries.pochhammer_series(spec, Fraction(1, 3), 3, route)",
+    ]))
+    assert {"fourier.inverse", "series.inverse", "series.exp"} <= names
+    assert metrics["series.inverse.calls"] > 0
+    for key in ("series.inverse.s", "series.exp.s", "fourier.inverse.s"):
+        assert metrics[key] > 0, key
