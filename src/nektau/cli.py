@@ -15,14 +15,20 @@ dump    print an exact truncated series (tau function, partition function,
         per sector.
 oracle  run the two-route coefficient recursion cross-check.
 
-Checks run one after another in this process.  Hirota derivatives D^k
+Checks run one after another in this process, in one run context
+(identities.Context): instanton coefficients and tau functions built by one
+check are reused by the later checks of the same run, and are dropped when
+the run ends.  --corrupt-coefficient sets the context's corruption setting:
+the central series of a few theorem entries gains +1 at that z-exponent
+before it is compared, so those checks must fail.  Hirota derivatives D^k
 (series.hirota) are the alpha-expansion of f(e^{w1 alpha} z) g(e^{w2 alpha} z)
 at weights (w1, w2) = (1, -1); the 4d blowup entries use the same expansion at
 other weights.
 
 Determinism: the seed fully determines the sample sequence; timing data is
 quarantined in a separate report section so residual sections are diffable.
-Environment override: NEKTAU_SEED (seed).
+Environment override: NEKTAU_SEED (seed; a value that is not an integer is a
+configuration error for every command).
 """
 
 from __future__ import annotations
@@ -102,6 +108,15 @@ def _min_order_of(id: str) -> Frac:
     return Frac(0)
 
 
+def _seed(default) -> int:
+    """NEKTAU_SEED if set and non-empty, else default, as an int."""
+    seed = os.environ.get("NEKTAU_SEED") or default
+    try:
+        return int(seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad seed {seed!r}") from exc
+
+
 def build_config(args, known=None) -> RunConfig:
     """Merge config file, flags, and env overrides; reject unknown ids."""
     data = {}
@@ -147,13 +162,7 @@ def build_config(args, known=None) -> RunConfig:
             idmod.default_samples(domain, cfg.samples)
         except ValueError as exc:
             raise ConfigError(f"--samples {cfg.samples}: {exc}") from exc
-    seed = args.seed if args.seed is not None else data.get("seed", 0)
-    if os.environ.get("NEKTAU_SEED"):
-        seed = os.environ["NEKTAU_SEED"]
-    try:
-        cfg.seed = int(seed)
-    except ValueError as exc:
-        raise ConfigError(f"bad seed {seed!r}") from exc
+    cfg.seed = _seed(args.seed if args.seed is not None else data.get("seed", 0))
     cfg.report = args.report if args.report else data.get("report")
     fmt = args.format if args.format else data.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -170,10 +179,10 @@ def build_config(args, known=None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _run_one(id: str, sample, order):
+def _run_one(id: str, sample, order, ctx):
     if id == "m1chain":
-        return idmod.m1_identity_check(sample=sample, E=order or Frac(2))
-    return idmod.verify(id, sample=sample, E=order)
+        return idmod.m1_identity_check(sample=sample, E=order or Frac(2), ctx=ctx)
+    return idmod.verify(id, sample=sample, E=order, ctx=ctx)
 
 
 def run_verify(cfg: RunConfig):
@@ -185,13 +194,11 @@ def run_verify(cfg: RunConfig):
         for k, sample in enumerate(samples):
             jobs.append((id, k, sample))
 
+    # one context per run: its checks share instanton sums and taus
+    ctx = idmod.Context(corrupt=cfg.corrupt)
     results = []
     for id, _, sample in jobs:
-        if cfg.corrupt is not None:
-            with idmod.mutation(cfg.corrupt):
-                rep = _run_one(id, sample, cfg.order)
-        else:
-            rep = _run_one(id, sample, cfg.order)
+        rep = _run_one(id, sample, cfg.order, ctx)
         results.append(rep)
         if cfg.fail_fast and rep.status == "theorem" and not rep.ok:
             break
@@ -335,7 +342,7 @@ def _resolve_dump(selector: str, order: Frac, seed: int):
 def cmd_dump(args) -> int:
     try:
         order = _parse_order(args.order) if args.order else Frac(2)
-        seed = int(os.environ.get("NEKTAU_SEED", args.seed or 0))
+        seed = _seed(args.seed or 0)
         sample, rows = _resolve_dump(args.selector, order, seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -367,7 +374,7 @@ def cmd_oracle(args) -> int:
         kmax = int(args.order) if args.order else 2
         if kmax < 0:
             raise ConfigError("oracle depth must be >= 0")
-        seed = int(os.environ.get("NEKTAU_SEED", args.seed or 0))
+        seed = _seed(args.seed or 0)
     except (ValueError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -106,19 +106,18 @@ class FourierSeries:
     def leading(self):
         """(sector, exponent, coefficient) of the unique minimal term.
 
-        Minimality is in the z-exponent; ties across sectors are rejected
-        since the inverse would then not have a single leading monomial.
+        Minimality is in the z-exponent.  Two sectors tied at the minimal
+        exponent are rejected, since the inverse would then not have a
+        single leading monomial; ties above it do not matter.
         """
-        best = None
-        for k, ps in self.sectors.items():
-            e = ps.min_exp()
-            if best is None or e < best[1]:
-                best = (k, e)
-            elif e == best[1]:
-                raise NonInvertible("no unique minimal term across sectors")
-        if best is None:
+        if not self.sectors:
             raise ZeroDivisionError("inverse of zero series")
-        k, e = best
+        mins = {k: ps.min_exp() for k, ps in self.sectors.items()}
+        e = min(mins.values())
+        at_min = [k for k, v in mins.items() if v == e]
+        if len(at_min) > 1:
+            raise NonInvertible("no unique minimal term across sectors")
+        k = at_min[0]
         return k, e, self.sectors[k].coeff(e)
 
     def inverse(self):

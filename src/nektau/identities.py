@@ -17,12 +17,15 @@ Statuses:
   conjecture  open claim; failures are findings, reported with the minimal
               failing coefficient, and never fail the suite
   derived     relative-normalization slice or direct consequence
+
+Every check runs in a Context, which holds the instanton coefficients and
+tau functions its run has built and an optional corrupted coefficient.  One
+Context lives for one run; nothing is kept at module level.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil
@@ -134,39 +137,70 @@ def describe_sample(domain: str, sample):
 
 
 # ---------------------------------------------------------------------------
-# mutation hook (catalog non-vacuity probe)
+# run context
 # ---------------------------------------------------------------------------
 
-_MUTATION = {"active": False, "exponent": Frac(1)}
 
+@dataclass
+class Context:
+    """What the checks of one run share.
 
-@contextmanager
-def mutation(exponent=Frac(1)):
-    """Perturb one central instanton coefficient by +1 inside the context."""
-    prev = dict(_MUTATION)
-    _MUTATION.update(active=True, exponent=Frac(exponent))
-    try:
-        yield
-    finally:
-        _MUTATION.update(prev)
+    corrupt: if set, the central series of a few theorem entries gains +1 at
+             this z-exponent (in sector 0 for taus) before it is compared, a
+             probe that the catalog is not vacuous.
+    memo:    instanton coefficients and tau sets built so far, keyed by
+             their arguments, so that checks on the same sums share them.
+    """
 
+    corrupt: Frac | None = None
+    memo: dict = field(default_factory=dict)
 
-def _maybe_mutate_ps(ps: PuiseuxSeries) -> PuiseuxSeries:
-    if not _MUTATION["active"]:
-        return ps
-    e = _MUTATION["exponent"]
-    coeffs = dict(ps.coeffs)
-    coeffs[e] = coeffs.get(e, SymExpr.zero()) + SymExpr.one()
-    return PuiseuxSeries(coeffs, ps.trunc)
+    def corrupted(self, x):
+        """x (a PuiseuxSeries or FourierSeries), or its corrupted copy."""
+        if self.corrupt is None:
+            return x
+        if isinstance(x, FourierSeries):
+            sectors = dict(x.sectors)
+            sectors[Frac(0)] = self.corrupted(
+                sectors.get(Frac(0), PuiseuxSeries({}, x.trunc)))
+            return FourierSeries(sectors, x.trunc)
+        coeffs = dict(x.coeffs)
+        coeffs[self.corrupt] = coeffs.get(self.corrupt, SymExpr.zero()) + SymExpr.one()
+        return PuiseuxSeries(coeffs, x.trunc)
 
+    def taus_4d(self, sigma: Frac, EB: Frac):
+        key = ("taus_4d", sigma, EB)
+        if key not in self.memo:
+            sysm = TauSystem4d(sigma, memo=self.memo)
+            kiev = sysm.kiev()
+            self.memo[key] = {
+                "sys": sysm,
+                "tau": build_tau(kiev, EB),
+                "tau1": build_tau(sysm.kiev_half(), EB),
+                "tp": build_tau(sysm.short(+1), EB),
+                "tm": build_tau(sysm.short(-1), EB),
+                "t0": build_tau(sysm.long(0), EB),
+                # odd-mode unit kappa = -i (global branch, see module docstring)
+                "t1": build_tau(sysm.long(1, kappa_sign=-1), EB),
+                "bp": build_tau(replace(kiev, k_offset=(0, 1), label="tau(+1/2)"), EB),
+                "bm": build_tau(replace(kiev, k_offset=(0, -1), label="tau(-1/2)"), EB),
+            }
+        return self.memo[key]
 
-def _maybe_mutate_fs(fs: FourierSeries) -> FourierSeries:
-    if not _MUTATION["active"]:
-        return fs
-    sectors = dict(fs.sectors)
-    sectors[Frac(0)] = _maybe_mutate_ps(
-        sectors.get(Frac(0), PuiseuxSeries({}, fs.trunc)))
-    return FourierSeries(sectors, fs.trunc)
+    def taus_q(self, sample: ParameterSample, m: int, EB: Frac):
+        key = ("taus_q", sample, m, EB)
+        if key not in self.memo:
+            sysm = TauSystemQ(sample, m=m, memo=self.memo)
+            self.memo[key] = {
+                "sys": sysm,
+                "tau": build_tau(sysm.kiev(0), EB),
+                "tau1": build_tau(sysm.kiev(1), EB),
+                "tp": build_tau(sysm.short(+1), EB),
+                "tm": build_tau(sysm.short(-1), EB),
+                "up": build_tau(sysm.u_shifted_kiev(1), EB),
+                "um": build_tau(sysm.u_shifted_kiev(-1), EB),
+            }
+        return self.memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +265,16 @@ def _dilz(ps: PuiseuxSeries, t: Frac, texp: Frac) -> PuiseuxSeries:
     )
 
 
-def _pair_4d(e1, e2, a):
-    A = RelativeZ4d(Theory4d(e1, e2 - e1), a)
-    B = RelativeZ4d(Theory4d(e1 - e2, e2), a)
+def _pair_4d(e1, e2, a, memo):
+    A = RelativeZ4d(Theory4d(e1, e2 - e1), a, memo=memo)
+    B = RelativeZ4d(Theory4d(e1 - e2, e2), a, memo=memo)
     return A, B
 
 
-def _pair_5d(t, E1, E2, Lu, m=0):
+def _pair_5d(t, E1, E2, Lu, memo, m=0):
     sm = ParameterSample(t=t, dq=4)
-    A = RelativeZ5d(Theory5d(E1, E2 - E1, m), Lu, sm)
-    B = RelativeZ5d(Theory5d(E1 - E2, E2, m), Lu, sm)
+    A = RelativeZ5d(Theory5d(E1, E2 - E1, m), Lu, sm, memo=memo)
+    B = RelativeZ5d(Theory5d(E1 - E2, E2, m), Lu, sm, memo=memo)
     return A, B, sm
 
 
@@ -275,48 +309,6 @@ def _dilated(t, texpA, texpB):
     return lambda n, f, g: _dilz(f, t, texpA) * _dilz(g, t, texpB)
 
 
-_TAU4D_CACHE = {}
-_TAUQ_CACHE = {}
-
-
-def _taus_4d(sigma: Frac, EB: Frac):
-    key = (sigma, EB)
-    if key not in _TAU4D_CACHE:
-        sysm = TauSystem4d(sigma)
-        kiev = sysm.kiev()
-        out = {
-            "sys": sysm,
-            "tau": build_tau(kiev, EB),
-            "tau1": build_tau(sysm.kiev_half(), EB),
-            "tp": build_tau(sysm.short(+1), EB),
-            "tm": build_tau(sysm.short(-1), EB),
-            "t0": build_tau(sysm.long(0), EB),
-            # odd-mode unit kappa = -i (global branch, see module docstring)
-            "t1": build_tau(sysm.long(1, kappa_sign=-1), EB),
-            "bp": build_tau(replace(kiev, k_offset=(0, 1), label="tau(+1/2)"), EB),
-            "bm": build_tau(replace(kiev, k_offset=(0, -1), label="tau(-1/2)"), EB),
-        }
-        _TAU4D_CACHE[key] = out
-    return _TAU4D_CACHE[key]
-
-
-def _taus_q(sample: ParameterSample, m: int, EB: Frac):
-    key = (sample, m, EB)
-    if key not in _TAUQ_CACHE:
-        sysm = TauSystemQ(sample, m=m)
-        out = {
-            "sys": sysm,
-            "tau": build_tau(sysm.kiev(0), EB),
-            "tau1": build_tau(sysm.kiev(1), EB),
-            "tp": build_tau(sysm.short(+1), EB),
-            "tm": build_tau(sysm.short(-1), EB),
-            "up": build_tau(sysm.u_shifted_kiev(1), EB),
-            "um": build_tau(sysm.u_shifted_kiev(-1), EB),
-        }
-        _TAUQ_CACHE[key] = out
-    return _TAUQ_CACHE[key]
-
-
 def _fseq(a, b, E):
     return fs_equal_to_order(a, b.truncate(a.trunc) if b.trunc > a.trunc else b, E)
 
@@ -326,18 +318,18 @@ def _fseq(a, b, E):
 # ---------------------------------------------------------------------------
 
 
-def run_NY(sample, E):
+def run_NY(sample, E, ctx):
     e1, e2, a = sample
-    A, B = _pair_4d(e1, e2, a)
-    ZC = _maybe_mutate_ps(inst_series_4d(Theory4d(e1, e2), a, E))
+    A, B = _pair_4d(e1, e2, a, ctx.memo)
+    ZC = ctx.corrupted(inst_series_4d(Theory4d(e1, e2), a, E, memo=ctx.memo))
     S0 = _mode_sum(A, B, E, Frac(0), _expand(0, -2 * e1, -2 * e2))
     return [("integer mode sum equals the central series",
              ps_equal_to_order(S0, ZC, E))]
 
 
-def run_NY2(sample, E):
+def run_NY2(sample, E, ctx):
     e1, e2, a = sample
-    A, B = _pair_4d(e1, e2, a)
+    A, B = _pair_4d(e1, e2, a, ctx.memo)
     zero = PuiseuxSeries({}, E)
     parts = []
     for k in (1, 2, 3):
@@ -347,10 +339,10 @@ def run_NY2(sample, E):
     return parts
 
 
-def run_NY4(sample, E):
+def run_NY4(sample, E, ctx):
     e1, e2, a = sample
-    A, B = _pair_4d(e1, e2, a)
-    ZC = inst_series_4d(Theory4d(e1, e2), a, E)
+    A, B = _pair_4d(e1, e2, a, ctx.memo)
+    ZC = inst_series_4d(Theory4d(e1, e2), a, E, memo=ctx.memo)
     S0 = _mode_sum(A, B, E, Frac(0), _expand(0, -2 * e1, -2 * e2))
     S4 = _mode_sum(A, B, E, Frac(0), _expand(4, -2 * e1, -2 * e2))
     # the displayed coefficient presupposes the alpha-dressing
@@ -362,10 +354,10 @@ def run_NY4(sample, E):
              ps_equal_to_order(lhs.truncate(E), rhs.truncate(E), E))]
 
 
-def run_NY1(sample, E):
+def run_NY1(sample, E, ctx):
     e1, e2, a = sample
-    A, B = _pair_4d(e1, e2, a)
-    ZC = inst_series_4d(Theory4d(e1, e2), a, E)
+    A, B = _pair_4d(e1, e2, a, ctx.memo)
+    ZC = inst_series_4d(Theory4d(e1, e2), a, E, memo=ctx.memo)
     S0 = _mode_sum(A, B, E, HALF, _expand(0, -2 * e1, -2 * e2))
     S1 = _mode_sum(A, B, E, HALF, _expand(1, -2 * e1, -2 * e2))
     parts = [("alpha^0 coefficient vanishes",
@@ -388,22 +380,22 @@ def run_NY1(sample, E):
 # ---------------------------------------------------------------------------
 
 
-def run_NYtaupm(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_NYtaupm(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     lhs = d["tp"] * d["tm"]
     return [("product of short taus equals the full tau",
-             _fseq(lhs, _maybe_mutate_fs(d["tau"]), E))]
+             _fseq(lhs, ctx.corrupted(d["tau"]), E))]
 
 
-def run_NYtau01(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_NYtau01(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     lhs = d["t0"] * d["t0"] + d["t1"] * d["t1"]
     return [("sum of squared parity taus equals the full tau",
              _fseq(lhs, d["tau"], E))]
 
 
-def run_NYD2diff(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_NYD2diff(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     mid = hirota(2, d["tp"], d["tm"])
     lhs = hirota(2, d["t0"], d["t0"]) + hirota(2, d["t1"], d["t1"])
     zero = FourierSeries.zero(mid.trunc)
@@ -413,8 +405,8 @@ def run_NYD2diff(sigma, E):
     ]
 
 
-def run_NYD4diff(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_NYD4diff(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     mid = hirota(4, d["tp"], d["tm"])
     lhs = hirota(4, d["t0"], d["t0"]) + hirota(4, d["t1"], d["t1"])
     rhs = d["tau"].shift(1).scale(-2)
@@ -424,8 +416,8 @@ def run_NYD4diff(sigma, E):
     ]
 
 
-def run_NYD1diff(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_NYD1diff(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     L = hirota(1, d["t0"], d["t1"])
     M = hirota(1, d["tp"], d["tm"])
     rhs = d["tau1"].shift(QUARTER).scale(OMEGA)
@@ -435,8 +427,8 @@ def run_NYD1diff(sigma, E):
     ]
 
 
-def run_NYD3diff(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_NYD3diff(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     L = hirota(3, d["t0"], d["t1"])
     M = hirota(3, d["tp"], d["tm"])
     # the displayed z d/dz acts on the absolute tau_1 = z^{sigma^2} (...);
@@ -449,8 +441,8 @@ def run_NYD3diff(sigma, E):
     ]
 
 
-def run_NYdiffIS(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_NYdiffIS(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     D2 = hirota(2, d["tp"], d["tm"])
     D4 = hirota(4, d["tp"], d["tm"])
     rhs = d["tau"].shift(1).scale(-2)
@@ -463,8 +455,8 @@ def run_NYdiffIS(sigma, E):
     ]
 
 
-def run_NYdiffHIS1(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_NYdiffHIS1(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     D1 = hirota(1, d["tp"], d["tm"])
     rhs = d["tau1"].shift(QUARTER).scale(OMEGA)
     return [("degree-1 half sector slice",
@@ -472,8 +464,8 @@ def run_NYdiffHIS1(sigma, E):
                                rhs.sector(HALF).truncate(E), E))]
 
 
-def run_NYdiffHIS3(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_NYdiffHIS3(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     D3 = hirota(3, d["tp"], d["tm"])
     s2 = sigma * sigma
     rhs = (d["tau1"].theta() + d["tau1"].scale(s2)).shift(QUARTER).scale(OMEGA)
@@ -482,16 +474,16 @@ def run_NYdiffHIS3(sigma, E):
                                rhs.sector(HALF).truncate(E), E))]
 
 
-def run_Todasg(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_Todasg(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     lhs = hirota(2, d["tau"], d["tau"])
     rhs = (d["bp"] * d["bm"]).shift(HALF).scale(-2)
     return [("D^2(tau,tau) equals -2 z^{1/2} tau(+1/2) tau(-1/2)",
              _fseq(lhs, rhs, E))]
 
 
-def run_doubleprop(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_doubleprop(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     lhs = hirota(2, d["tau"], d["tau"])
     D1 = hirota(1, d["tp"], d["tm"])
     rhs1 = (D1 * D1).scale(-2)
@@ -502,8 +494,8 @@ def run_doubleprop(sigma, E):
     ]
 
 
-def _zeta_pair(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def _zeta_pair(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     zr = zeta_from_tau(d["tau"])
     # relative series drop the classical z^{sigma^2}; restore the constant
     const = FourierSeries.single(
@@ -511,8 +503,8 @@ def _zeta_pair(sigma, E):
     return zr, zr + const
 
 
-def run_zetac(sigma, E):
-    zr, _ = _zeta_pair(sigma, E)
+def run_zetac(sigma, E, ctx):
+    zr, _ = _zeta_pair(sigma, E, ctx)
     zp = zr.theta()
     zpp = zp.theta()
     zppp = zpp.theta()
@@ -521,8 +513,8 @@ def run_zetac(sigma, E):
              _fseq(lhs, FourierSeries.zero(lhs.trunc), E))]
 
 
-def run_zeta3(sigma, E):
-    _, z = _zeta_pair(sigma, E)
+def run_zeta3(sigma, E, ctx):
+    _, z = _zeta_pair(sigma, E, ctx)
     zp = z.theta()
     zpp = zp.theta()
     lhs = (zpp - zp) * (zpp - zp)
@@ -531,8 +523,8 @@ def run_zeta3(sigma, E):
              _fseq(lhs, rhs, E))]
 
 
-def run_KZsq(sigma, E):
-    d = _taus_4d(sigma, E + 1)
+def run_KZsq(sigma, E, ctx):
+    d = ctx.taus_4d(sigma, E + 1)
     tau = d["tau"]
     D1 = hirota(1, d["t0"], d["t1"])
     lhs = (D1 * D1).scale(4)
@@ -546,10 +538,10 @@ def run_KZsq(sigma, E):
 # ---------------------------------------------------------------------------
 
 
-def run_qNY1(sample, E):
+def run_qNY1(sample, E, ctx):
     t, E1, E2, Lu = sample
-    A, B, sm = _pair_5d(t, E1, E2, Lu)
-    ZC = _maybe_mutate_ps(inst_series_5d(Theory5d(E1, E2), Lu, sm, E))
+    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo)
+    ZC = ctx.corrupted(inst_series_5d(Theory5d(E1, E2), Lu, sm, E, memo=ctx.memo))
     parts = []
     for j in (0, 1):
         lhs = ZC.shift(Frac(j, 4)).scale(
@@ -560,10 +552,10 @@ def run_qNY1(sample, E):
     return parts
 
 
-def run_qNY2(sample, E):
+def run_qNY2(sample, E, ctx):
     t, E1, E2, Lu = sample
-    A, B, sm = _pair_5d(t, E1, E2, Lu)
-    ZC = _maybe_mutate_ps(inst_series_5d(Theory5d(E1, E2), Lu, sm, E))
+    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo)
+    ZC = ctx.corrupted(inst_series_5d(Theory5d(E1, E2), Lu, sm, E, memo=ctx.memo))
     parts = []
     for j in (0, 1):
         lhs = ZC.scale(Frac(1 - j)).truncate(E)
@@ -573,10 +565,10 @@ def run_qNY2(sample, E):
     return parts
 
 
-def run_qNY3(sample, E):
+def run_qNY3(sample, E, ctx):
     t, E1, E2, Lu = sample
-    A, B, sm = _pair_5d(t, E1, E2, Lu)
-    ZC = inst_series_5d(Theory5d(E1, E2), Lu, sm, E)
+    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo)
+    ZC = inst_series_5d(Theory5d(E1, E2), Lu, sm, E, memo=ctx.memo)
     parts = []
     for j in (0, 1):
         lhs = ZC.shift(Frac(j, 4)).scale(
@@ -592,12 +584,12 @@ def run_qNYCS(base_x):
     """One of the three level-m dilation relations; base_x(m) gives the
     dilation weight exponent x with Lambda -> q_i^x Lambda."""
 
-    def run(sample, E):
+    def run(sample, E, ctx):
         t, E1, E2, Lu = sample
         parts = []
         for m in (1, 2):
-            A, B, sm = _pair_5d(t, E1, E2, Lu, m=m)
-            ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, sm, E)
+            A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo, m=m)
+            ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, sm, E, memo=ctx.memo)
             x = base_x(m)
             S = _mode_sum(A, B, E, Frac(0), _dilated(t, 4 * x * E1, 4 * x * E2))
             parts.append((f"level m={m}", ps_equal_to_order(ZC, S, E)))
@@ -606,11 +598,11 @@ def run_qNYCS(base_x):
     return run
 
 
-def run_qNYCShi(sample, E):
+def run_qNYCShi(sample, E, ctx):
     m = 1
     t, E1, E2, Lu = sample
-    A, B, sm = _pair_5d(t, E1, E2, Lu, m=m)
-    ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, sm, E)
+    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo, m=m)
+    ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, sm, E, memo=ctx.memo)
     parts = []
     for name, x, c in (
         ("downward quarter dilation",
@@ -629,13 +621,13 @@ def run_qNYCShi(sample, E):
 # ---------------------------------------------------------------------------
 
 
-def run_qNYD12diff(smp, E):
+def run_qNYD12diff(smp, E, ctx):
     dq = smp.dq
     E1, E2 = Frac(-dq), Frac(dq)
     Lu = smp.u_exp
-    A = RelativeZ5d(Theory5d(E1, E2 - E1), Lu, smp)
-    B = RelativeZ5d(Theory5d(E1 - E2, E2), Lu, smp)
-    ZC = inst_series_5d(Theory5d(E1, E2), Lu, smp, E)
+    A = RelativeZ5d(Theory5d(E1, E2 - E1), Lu, smp, memo=ctx.memo)
+    B = RelativeZ5d(Theory5d(E1 - E2, E2), Lu, smp, memo=ctx.memo)
+    ZC = inst_series_5d(Theory5d(E1, E2), Lu, smp, E, memo=ctx.memo)
     parts = []
     for j in (0, 1):
         lhs = ZC.shift(Frac(j, 4)).truncate(E)
@@ -645,10 +637,10 @@ def run_qNYD12diff(smp, E):
     return parts
 
 
-def run_qNYtaupm(smp, E):
-    d = _taus_q(smp, 0, E + 1)
+def run_qNYtaupm(smp, E, ctx):
+    d = ctx.taus_q(smp, 0, E + 1)
     return [("product of short q-taus equals the full q-tau",
-             _fseq(d["tp"] * d["tm"], _maybe_mutate_fs(d["tau"]), E))]
+             _fseq(d["tp"] * d["tm"], ctx.corrupted(d["tau"]), E))]
 
 
 def _qpm_dilated(d, smp, a):
@@ -656,38 +648,38 @@ def _qpm_dilated(d, smp, a):
             d["tp"].dilate(-a, smp) * d["tm"].dilate(a, smp))
 
 
-def run_qNYD2diff(smp, E):
-    d = _taus_q(smp, 0, E + 1)
+def run_qNYD2diff(smp, E, ctx):
+    d = ctx.taus_q(smp, 0, E + 1)
     Apl, Bpl = _qpm_dilated(d, smp, 1)
     return [("symmetric unit dilation sum equals 2 tau",
              _fseq(Apl + Bpl, d["tau"].scale(2), E))]
 
 
-def run_qNYD1diff(smp, E):
-    d = _taus_q(smp, 0, E + 1)
+def run_qNYD1diff(smp, E, ctx):
+    d = ctx.taus_q(smp, 0, E + 1)
     Apl, Bpl = _qpm_dilated(d, smp, 1)
     rhs = d["tau1"].shift(QUARTER).scale(-2 * OMEGA)
     return [("antisymmetric unit dilation sum equals -2 z^{1/4} tau_1",
              _fseq(Apl - Bpl, rhs, E))]
 
 
-def run_qNYD2diffp(smp, E):
-    d = _taus_q(smp, 0, E + 1)
+def run_qNYD2diffp(smp, E, ctx):
+    d = ctx.taus_q(smp, 0, E + 1)
     Apl, Bpl = _qpm_dilated(d, smp, 1)
     return [("symmetric unit dilation sum equals 2 tau+ tau-",
              _fseq(Apl + Bpl, (d["tp"] * d["tm"]).scale(2), E))]
 
 
-def run_qNYD4diff(smp, E):
-    d = _taus_q(smp, 0, E + 1)
+def run_qNYD4diff(smp, E, ctx):
+    d = ctx.taus_q(smp, 0, E + 1)
     A2, B2 = _qpm_dilated(d, smp, 2)
     rhs = d["tau"].scale(2) - d["tau"].shift(1).scale(2)
     return [("symmetric double dilation sum equals 2 (1 - z) tau",
              _fseq(A2 + B2, rhs, E))]
 
 
-def run_qTodasg(smp, E):
-    d = _taus_q(smp, 0, E + 1)
+def run_qTodasg(smp, E, ctx):
+    d = ctx.taus_q(smp, 0, E + 1)
     tau = d["tau"]
     lhs = tau.dilate(1, smp) * tau.dilate(-1, smp)
     rhs = tau * tau - (d["up"] * d["um"]).shift(HALF)
@@ -695,9 +687,9 @@ def run_qTodasg(smp, E):
              _fseq(lhs, rhs, E))]
 
 
-def run_qG(smp, E):
+def run_qG(smp, E, ctx):
     EB = E + 2
-    d = _taus_q(smp, 0, EB)
+    d = ctx.taus_q(smp, 0, EB)
     G = g_function(d["tau"], d["tau1"])
     one = FourierSeries.single(PuiseuxSeries.one(G.trunc))
     z1 = one.shift(1)
@@ -710,8 +702,8 @@ def run_qG(smp, E):
     return [("cleared quotient form", _fseq(lhs, rhs, E))]
 
 
-def run_cdsystem(smp, E):
-    d = _taus_q(smp, 0, E + 1)
+def run_cdsystem(smp, E, ctx):
+    d = ctx.taus_q(smp, 0, E + 1)
     t0p, t0m = d["tp"], d["tm"]
     sysm = d["sys"]
     t1p = build_tau(backlund(sysm.short(+1), "u_q"), E + 1)
@@ -734,8 +726,8 @@ def run_cdsystem(smp, E):
     return parts
 
 
-def run_qNYDCS2diff(smp, E):
-    d = _taus_q(smp, 1, E + 1)
+def run_qNYDCS2diff(smp, E, ctx):
+    d = ctx.taus_q(smp, 1, E + 1)
     lhs = d["tau"].scale(2)
 
     def mix(a):
@@ -749,8 +741,8 @@ def run_qNYDCS2diff(smp, E):
     ]
 
 
-def run_qNYDCS1diff(smp, E):
-    d = _taus_q(smp, 1, E + 1)
+def run_qNYDCS1diff(smp, E, ctx):
+    d = ctx.taus_q(smp, 1, E + 1)
     C = (d["tp"].dilate(1, smp) * d["tm"].dilate(-1, smp)
          - d["tp"].dilate(-1, smp) * d["tm"].dilate(1, smp))
     rhs = d["tau1"].shift(QUARTER).scale(-2 * OMEGA)
@@ -758,10 +750,10 @@ def run_qNYDCS1diff(smp, E):
              _fseq(C, rhs, E))]
 
 
-def run_qTodaCSsg(smp, E):
+def run_qTodaCSsg(smp, E, ctx):
     parts = []
     for m in (1, 2):
-        d = _taus_q(smp, m, E + 1)
+        d = ctx.taus_q(smp, m, E + 1)
         tau = d["tau"]
         lhs = tau.dilate(1, smp) * tau.dilate(-1, smp)
         bp = d["up"].dilate(Frac(m, 2), smp)
@@ -772,12 +764,12 @@ def run_qTodaCSsg(smp, E):
 
 
 def run_20equiv(E1_mult, E2_mult):
-    def run(smp, E):
+    def run(smp, E, ctx):
         dq = smp.dq
         E1, E2 = Frac(E1_mult * dq), Frac(E2_mult * dq)
         Lu = smp.u_exp
-        lhs = inst_series_5d(Theory5d(E1, E2, 2), Lu, smp, E)
-        z0 = inst_series_5d(Theory5d(E1, E2, 0), Lu, smp, E)
+        lhs = inst_series_5d(Theory5d(E1, E2, 2), Lu, smp, E, memo=ctx.memo)
+        z0 = inst_series_5d(Theory5d(E1, E2, 0), Lu, smp, E, memo=ctx.memo)
         poch = pochhammer_series(
             PochhammerSpec(Frac(1), 1, (E1, E2)), smp.t, E)
         return [("level-2 series equals the Pochhammer-dressed level-0 series",
@@ -814,13 +806,14 @@ def _split_even_odd(P: PuiseuxSeries, Ew: int):
     return PuiseuxSeries(even, Ez), PuiseuxSeries(odd, Ez)
 
 
-def run_prdx(smp, E):
+def run_prdx(smp, E, ctx):
     # the w-series (w = z^{1/2}) is built through w^{ceil(2E)}, so the even
     # part is known through z^E also when 2E is not an integer
     E = Frac(E)
     Ew = ceil(2 * E)
     dq = smp.dq
-    rhs = inst_series_5d(Theory5d(Frac(-dq), Frac(2 * dq)), smp.u_exp, smp, E)
+    rhs = inst_series_5d(Theory5d(Frac(-dq), Frac(2 * dq)), smp.u_exp, smp, E,
+                         memo=ctx.memo)
     parts = []
     for p in (HALF, -HALF):
         vs = {k: (_I1, Frac(0)) for k in ("0", "t", "1", "inf")}
@@ -835,7 +828,7 @@ def run_prdx(smp, E):
     return parts
 
 
-def run_halfpow(smp, E):
+def run_halfpow(smp, E, ctx):
     # E is the order z^{E}; the product is built through w^{ceil(2E)}
     E = Frac(E)
     Ew = ceil(2 * E)
@@ -853,7 +846,7 @@ def run_halfpow(smp, E):
 # ---------------------------------------------------------------------------
 
 
-def determ_recursion(kmax: int, sample=None):
+def determ_recursion(kmax: int, sample=None, ctx=None):
     """Solve the level-by-level 2x2 systems of the three equal mode sums and
     compare against the combinatorial instanton coefficients.
 
@@ -862,12 +855,13 @@ def determ_recursion(kmax: int, sample=None):
     """
     if sample is None:
         sample = POOL_5D[0]
+    ctx = Context() if ctx is None else ctx
     t, E1, E2, Lu = sample
     for k in range(1, kmax + 1):
         if not (k * E1 and k * E2 and k * (E1 - E2)):
             raise SingularSystem(
                 f"determinant vanishes at level {k}: E1={E1}, E2={E2}")
-    A, B, sm = _pair_5d(t, E1, E2, Lu, m=2)
+    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo, m=2)
     xs = (Frac(-1, 2), Frac(-1, 4), Frac(0))
     parts = [("seed: both level-0 coefficients are 1",
               bool_report(
@@ -925,8 +919,8 @@ def determ_recursion(kmax: int, sample=None):
     )
 
 
-def run_determlemma(sample, E):
-    rep = determ_recursion(int(E), sample)
+def run_determlemma(sample, E, ctx):
+    rep = determ_recursion(int(E), sample, ctx)
     return rep.parts
 
 
@@ -971,11 +965,12 @@ def _plus_position_expansion():
     return lhs, rhs
 
 
-def m1_identity_check(sample=None, E=Frac(2)):
+def m1_identity_check(sample=None, E=Frac(2), ctx=None):
     """Level-1 chain: the four-factor label identity, the assembled series
     consequence, and a sign-flip mutation that must fail."""
     if sample is None:
         sample = POOL_QP[0]
+    ctx = Context() if ctx is None else ctx
     E = Frac(E)
     t0 = time.monotonic()
     lhs, rhs = _plus_position_expansion()
@@ -985,7 +980,7 @@ def m1_identity_check(sample=None, E=Frac(2)):
     parts = [("plus-position bookkeeping cancels exactly",
               bool_report(book_ok, 0))]
 
-    d = _taus_q(sample, 1, E + 1)
+    d = ctx.taus_q(sample, 1, E + 1)
     tp, tm = d["tp"], d["tm"]
 
     def mixp(a):
@@ -1224,20 +1219,22 @@ def manifest():
     ]
 
 
-def verify(id: str, sample=None, E=None) -> VerificationReport:
-    """Run one catalog entry at a sample and order; see module docstring."""
+def verify(id: str, sample=None, E=None, ctx=None) -> VerificationReport:
+    """Run one catalog entry at a sample and order in ctx (by default a
+    fresh Context); see module docstring."""
     if id not in CATALOG:
         raise KeyError(f"unknown identity {id!r}")
     entry = CATALOG[id]
     if sample is None:
         sample = default_samples(entry.domain, 1)[0]
     E = entry.default_order if E is None else Frac(E)
+    ctx = Context() if ctx is None else ctx
     t0 = time.monotonic()
-    parts = entry.run(sample, E)
+    parts = entry.run(sample, E, ctx)
     ok = all(rep.ok for _, rep in parts)
     note = entry.note
     if id == "zeta3" and not ok:
-        probe = verify("zetac", sample, E)
+        probe = verify("zetac", sample, E, ctx)
         if probe.ok:
             note = (note + "; " if note else "") + (
                 "diagnosis: the constant-free form holds, so the residual "

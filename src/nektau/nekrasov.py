@@ -11,13 +11,16 @@ algebra.
 Conventions: the series variable z carries four units of the mass scale
 (scale^4 = z), all multiplicative parameters are powers of the sample base
 t, and 4d equivariant parameters are literal rationals.
+
+Instanton coefficients are memoised only in a dict the caller passes as
+``memo`` (one verification run's, see identities.Context); without one,
+nothing is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .partitions import (
@@ -70,7 +73,16 @@ class Theory5d:
     m: int = 0
 
 
-@lru_cache(maxsize=None)
+def _memo_call(memo, fn, *args):
+    """fn(*args), computed once per memo dict; memo None keeps nothing."""
+    if memo is None:
+        return fn(*args)
+    key = (fn.__name__, *args)
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
+
+
 def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int) -> Frac:
     """Coefficient of z^d: sum over partition pairs of the inverse
     product of the four pair factors at arguments (0, a, -a, 0).
@@ -92,17 +104,16 @@ def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int) -> Frac:
     return total * L ** (4 * d)
 
 
-def inst_series_4d(th: Theory4d, a: Frac, order) -> PuiseuxSeries:
+def inst_series_4d(th: Theory4d, a: Frac, order, *, memo=None) -> PuiseuxSeries:
     order = Frac(order)
     coeffs = {}
     for d in range(int(order) + 1):
-        c = inst_coeff_4d(th.e1, th.e2, a, d)
+        c = _memo_call(memo, inst_coeff_4d, th.e1, th.e2, a, d)
         if c:
             coeffs[Frac(d)] = SymExpr.from_rational(c)
     return PuiseuxSeries(coeffs, order)
 
 
-@lru_cache(maxsize=None)
 def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> SymExpr:
     one = GaussianRational(1)
     weights, table = BoxWeights(E1, E2), BinomialTable(one, t)
@@ -121,11 +132,12 @@ def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> Sym
     return total * rational_power(t, -(E1 + E2) * d)
 
 
-def inst_series_5d(th: Theory5d, Lu: Frac, sample: ParameterSample, order) -> PuiseuxSeries:
+def inst_series_5d(th: Theory5d, Lu: Frac, sample: ParameterSample, order, *,
+                   memo=None) -> PuiseuxSeries:
     order = Frac(order)
     coeffs = {}
     for d in range(int(order) + 1):
-        c = _inst_coeff_5d(th.E1, th.E2, th.m, Lu, sample.t, d)
+        c = _memo_call(memo, _inst_coeff_5d, th.E1, th.E2, th.m, Lu, sample.t, d)
         if c:
             coeffs[Frac(d)] = c
     return PuiseuxSeries(coeffs, order)
@@ -292,9 +304,10 @@ class RelativeZ4d:
     the point a0 + k1 e1 + k2 e2, exact through z^order.
     """
 
-    def __init__(self, th: Theory4d, a0: Frac):
+    def __init__(self, th: Theory4d, a0: Frac, *, memo=None):
         self.th = th
         self.a0 = Frac(a0)
+        self.memo = memo
         self._cache = {}
 
     def classical_gap(self, k1: int, k2: int) -> Frac:
@@ -312,7 +325,7 @@ class RelativeZ4d:
         if key not in self._cache:
             gap = self.classical_gap(k1, k2)
             a = self.a0 + k1 * self.th.e1 + k2 * self.th.e2
-            inst = inst_series_4d(self.th, a, order - gap)
+            inst = inst_series_4d(self.th, a, order - gap, memo=self.memo)
             self._cache[key] = inst.shift(gap).scale(self.cocycle(k1, k2))
         return self._cache[key]
 
@@ -320,10 +333,12 @@ class RelativeZ4d:
 class RelativeZ5d:
     """All mode data of one 5d theory relative to a reference weight Lu0."""
 
-    def __init__(self, th: Theory5d, Lu0: Frac, sample: ParameterSample):
+    def __init__(self, th: Theory5d, Lu0: Frac, sample: ParameterSample, *,
+                 memo=None):
         self.th = th
         self.Lu0 = Frac(Lu0)
         self.sample = sample
+        self.memo = memo
         self._cache = {}
 
     def classical_gap(self, k1: int, k2: int) -> Frac:
@@ -344,7 +359,8 @@ class RelativeZ5d:
             # t-exponent gap: -(E1 + E2) per unit of z-gap (classical_exp_5d)
             tgap = -(self.th.E1 + self.th.E2) * zgap
             Lu = self.Lu0 + k1 * self.th.E1 + k2 * self.th.E2
-            inst = inst_series_5d(self.th, Lu, self.sample, order - zgap)
+            inst = inst_series_5d(self.th, Lu, self.sample, order - zgap,
+                                  memo=self.memo)
             coeff = self.cocycle(k1, k2) * rational_power(self.sample.t, tgap)
             self._cache[key] = inst.shift(zgap).scale(coeff)
         return self._cache[key]

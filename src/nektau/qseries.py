@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .series import PuiseuxSeries
 from .symbols import SymExpr, _frac
@@ -53,7 +52,6 @@ def _tpow(t: Frac, e: Frac) -> Frac:
     return t ** e.numerator
 
 
-@lru_cache(maxsize=None)
 def _poch_base_coeffs(bases, t: Frac, mmax: int):
     """Coefficients g_0..g_mmax of (w; t^{b_1}, ..)_inf as a w-series,
     for bases with positive exponents, by peeling the first base:

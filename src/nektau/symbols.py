@@ -24,8 +24,8 @@ Canonicalization rules:
   theta(q*z; q) = -z^(-1) * theta(z; q); theta(z^(-1); q) = -z^(-1)*theta(z;q)
   (z; q^(-1))_inf = (z*q; q)_inf^(-1); (z; q)_inf = (1-z) * (z*q; q)_inf
 
-A symbol argument landing on a zero/pole locus raises Resonance; the sampling
-layer treats that as "reject this sample".
+A symbol argument landing on a zero/pole locus raises Resonance; the sample
+pools are chosen so that no check reaches one.
 """
 
 from __future__ import annotations

@@ -147,13 +147,13 @@ class TauSystem4d:
     half-theory taus and the self-dual tau live over the same normalizer.
     """
 
-    def __init__(self, sigma: Frac):
+    def __init__(self, sigma: Frac, *, memo=None):
         self.sigma = _frac(sigma)
         a0 = -2 * self.sigma
         self.a0 = a0
-        self.rc = RelativeZ4d(Theory4d(Frac(1), Frac(-1)), a0)
-        self.rp = RelativeZ4d(Theory4d(Frac(1), Frac(-2)), a0)
-        self.rm = RelativeZ4d(Theory4d(Frac(2), Frac(-1)), a0)
+        self.rc = RelativeZ4d(Theory4d(Frac(1), Frac(-1)), a0, memo=memo)
+        self.rp = RelativeZ4d(Theory4d(Frac(1), Frac(-2)), a0, memo=memo)
+        self.rm = RelativeZ4d(Theory4d(Frac(2), Frac(-1)), a0, memo=memo)
 
     def kiev(self) -> TauSpec:
         """Self-dual tau: sector n carries the mode at sigma + n."""
@@ -204,15 +204,15 @@ class TauSystemQ:
     optional level m, and the half-theories are (q^{-1}, q^2) / (q, q^{-2}).
     """
 
-    def __init__(self, sample: ParameterSample, m: int = 0):
+    def __init__(self, sample: ParameterSample, m: int = 0, *, memo=None):
         self.sample = sample
         dq = sample.dq
         Lu0 = sample.u_exp
         self.Lu0 = Lu0
         self.m = m
-        self.rc = RelativeZ5d(Theory5d(Frac(-dq), Frac(dq), m), Lu0, sample)
-        self.rp = RelativeZ5d(Theory5d(Frac(-dq), Frac(2 * dq), m), Lu0, sample)
-        self.rm = RelativeZ5d(Theory5d(Frac(dq), Frac(-2 * dq), m), Lu0, sample)
+        self.rc = RelativeZ5d(Theory5d(Frac(-dq), Frac(dq), m), Lu0, sample, memo=memo)
+        self.rp = RelativeZ5d(Theory5d(Frac(-dq), Frac(2 * dq), m), Lu0, sample, memo=memo)
+        self.rm = RelativeZ5d(Theory5d(Frac(dq), Frac(-2 * dq), m), Lu0, sample, memo=memo)
 
     def kiev(self, j: int = 0) -> TauSpec:
         """Self-dual tau: sector n in Z + j/2 carries the mode at u q^{2n}."""

@@ -5,21 +5,26 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import nektau.identities as idmod
+from nektau import nekrasov
 from nektau.cli import ConfigError, RunConfig, build_config, main, make_parser, run_verify
 from nektau.fourier import EqualityReport
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args, env=None):
     e = dict(os.environ)
     e.pop("NEKTAU_SEED", None)
+    # the checkout's package, also when it is not installed
+    e["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), e.get("PYTHONPATH")]))
     if env:
         e.update(env)
     return subprocess.run(
@@ -129,7 +134,7 @@ def test_conjectures_never_affect_exit_code(tmp_path, monkeypatch):
     argv = ["verify", "--id", "halfpow", "--order", "1"]
     for status, code in (("conjecture", 0), ("theorem", 1)):
         monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
-            entry, status=status, run=lambda sample, E: bad))
+            entry, status=status, run=lambda sample, E, ctx: bad))
         rp = tmp_path / f"{status}.json"
         assert main(argv + ["--report", str(rp)]) == code
         res = json.loads(rp.read_text())["results"][0]
@@ -144,6 +149,42 @@ def test_corrupt_run_leaves_no_mutation_behind():
     assert not any(r.ok for r in results)
     # the same process then verifies cleanly
     assert idmod.verify("NY", E=F(1)).ok
+
+
+def test_one_run_computes_each_coefficient_once(monkeypatch):
+    # the three 5d blowup checks sum over the same instanton coefficients:
+    # one run computes each of them once, and the next run starts afresh
+    calls = []
+    real = nekrasov._inst_coeff_5d
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nekrasov, "_inst_coeff_5d", counting)
+    cfg = RunConfig(identities=["qNY1", "qNY2", "qNY3"])
+    code, _, results = run_verify(cfg)
+    assert code == 0 and len(results) == 3
+    first = Counter(calls)
+    assert first and set(first.values()) == {1}
+    calls.clear()
+    assert run_verify(cfg)[0] == 0
+    assert Counter(calls) == first
+
+
+def test_run_writes_no_module_state():
+    mods = [m for name, m in sys.modules.items() if name.startswith("nektau.")]
+
+    def sizes():
+        return {(m.__name__, k): len(v) for m in mods
+                for k, v in vars(m).items()
+                if not k.startswith("__") and isinstance(v, (dict, list, set))}
+
+    before = sizes()
+    cfg = RunConfig(identities=["NY", "qNY1", "NYtaupm", "qNYtaupm", "m1chain"],
+                    order=F(1))
+    assert run_verify(cfg)[0] == 0
+    assert sizes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +317,15 @@ def test_dump_prefix_extension_per_sector():
 def test_dump_unknown_selector_exit_two():
     r = run_cli("dump", "nope")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("command", [["dump", "Z4d"], ["oracle", "--order", "1"]])
+def test_non_integer_env_seed_exit_two(command):
+    # dump used to raise an uncaught ValueError (exit 1)
+    r = run_cli(*command, env={"NEKTAU_SEED": "x"})
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr.strip().splitlines() == ["configuration error: bad seed 'x'"]
 
 
 def test_dump_exponents_are_integer_pairs():

@@ -176,6 +176,24 @@ def test_inverse_guards():
         fs_of({0: {F(1, 2): 1}, 1: {F(1, 2): 2, 1: 3}}).inverse()
 
 
+@pytest.mark.parametrize("order", [(0, 1, -1), (-1, 0, 1), (1, -1, 0)])
+def test_leading_ignores_a_tie_above_the_minimum(order):
+    # sectors 0 and 1 tie at z^{1/2}, above sector -1's z^0; the answer must
+    # not depend on which sectors come first
+    rows = {0: {F(1, 2): 1}, 1: {F(1, 2): 2}, -1: {0: 3}}
+    fs = fs_of({k: rows[k] for k in order})
+    k, e, c = fs.leading()
+    assert (k, e, c.rational_value()) == (-1, 0, G(3))
+    assert fs_eq(fs * fs.inverse(), FourierSeries.single(PuiseuxSeries.one(TR)))
+
+
+@pytest.mark.parametrize("order", [(0, 1, -1), (-1, 0, 1)])
+def test_leading_rejects_a_tie_at_the_minimum(order):
+    rows = {0: {0: 1}, 1: {0: 2}, -1: {F(1, 2): 3}}
+    with pytest.raises(NonInvertible, match="no unique minimal term"):
+        fs_of({k: rows[k] for k in order}).leading()
+
+
 def test_inverse_rejects_non_leading_term_at_leading_exponent(monkeypatch):
     # leading() rejects ties before this guard runs, so it is reached only
     # when the term named leading is not minimal: stub leading() to do that

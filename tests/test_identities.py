@@ -78,16 +78,14 @@ def test_m1_chain_passes_at_two_orders():
     ("NYtaupm", F(1)), ("qNYtaupm", F(1)),
 ])
 def test_mutation_breaks_theorems(id, exponent):
-    with idmod.mutation(exponent):
-        rep = idmod.verify(id, E=F(2))
+    rep = idmod.verify(id, E=F(2), ctx=idmod.Context(corrupt=exponent))
     assert not rep.ok
-    # the hook restores itself: the same check passes afterwards
+    # the corruption belongs to that context: a fresh one verifies cleanly
     assert idmod.verify(id, E=F(1)).ok
 
 
 def test_mutation_failure_localizes_residual():
-    with idmod.mutation(F(1)):
-        rep = idmod.verify("NY", E=F(2))
+    rep = idmod.verify("NY", E=F(2), ctx=idmod.Context(corrupt=F(1)))
     residuals = [r for _, part in rep.parts for r in part.residuals]
     assert residuals
     sector, exponent, n_terms, rendered = residuals[0]
@@ -125,7 +123,7 @@ def test_report_serialization_quarantines_timing():
 
 def _stub_entry(id, status, parts):
     base = idmod.CATALOG[id]
-    return dataclasses.replace(base, run=lambda sample, E: parts, status=status)
+    return dataclasses.replace(base, run=lambda sample, E, ctx: parts, status=status)
 
 
 def test_zeta3_failure_reports_normalization_diagnosis(monkeypatch):
@@ -149,6 +147,15 @@ def test_conjecture_failure_reports_minimal_coefficient(monkeypatch):
     assert "finding: minimal failing coefficient" in rep.note
     # the residual at the smallest exponent is the one reported
     assert "exponent 1" in rep.note and "(5)" in rep.note
+
+
+def test_context_shares_taus_within_itself_only():
+    sigma = idmod.POOL_SIGMA[0]
+    ctx = idmod.Context()
+    taus = ctx.taus_4d(sigma, F(2))
+    assert ctx.taus_4d(sigma, F(2)) is taus
+    assert ctx.taus_4d(sigma, F(3)) is not taus
+    assert idmod.Context().taus_4d(sigma, F(2)) is not taus
 
 
 def test_determ_recursion_singular_sample():

@@ -1,10 +1,10 @@
-"""Parameter samples: hashing, validation demands, deterministic streams."""
+"""Parameter samples: hashing, derived exponents, construction guards."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from nektau.sampling import ParameterSample, sample_stream, sample_validate
+from nektau.sampling import ParameterSample
 
 
 def test_sample_is_frozen_and_hashable():
@@ -26,27 +26,8 @@ def test_describe_is_json_ready():
     assert d["dq"] == 8
 
 
-def test_validate_accepts_generic_sample():
-    s = ParameterSample(t=F(1, 3), dq=8, sigma=F(3, 8))
-    assert sample_validate(s, [("nonzero", F(1, 2))])
-
-
-def test_validate_rejects_resonant_demand():
-    s = ParameterSample(t=F(1, 3), dq=8, sigma=F(3, 8))
-    rejected = sample_validate(s, [("nonzero", F(0))])
-    assert not rejected
-
-
-def test_sample_stream_deterministic():
-    a = list(sample_stream(7, 5))
-    b = list(sample_stream(7, 5))
-    assert a == b
-    c = list(sample_stream(8, 5))
-    assert a != c
-
-
-def test_sample_stream_validated():
-    for s in sample_stream(0, 8):
-        assert s.dq % 4 == 0
-        assert 0 < s.t < 1
-        assert s.sigma != 0
+@pytest.mark.parametrize("dq", [0, 6, -8])
+def test_dq_must_be_a_positive_multiple_of_four(dq):
+    # dq = 0 makes q = 1, a root of unity
+    with pytest.raises(ValueError):
+        ParameterSample(t=F(1, 3), dq=dq, sigma=F(1, 4))
