@@ -4,11 +4,12 @@ Subcommands
 -----------
 list    print the identity catalog (id, status, anchor formula).
 verify  run catalog checks and write a deterministic JSON/CSV report.
-        Exit code 0 iff every theorem-status check passed, 1 on a theorem
-        failure, 2 on a configuration error (found before any computation,
-        e.g. an order below an entry's lowest meaningful order or more
-        samples than its pool holds).  Conjecture-status outcomes are
-        recorded in the report but never affect the exit code.
+        Exit code 0 iff every theorem- and derived-status check passed, 1
+        when one of them failed, 2 on a configuration error (found before
+        any computation, e.g. a config-file value of the wrong type, an
+        order below an entry's lowest meaningful order or more samples than
+        its pool holds).  Conjecture-status outcomes are recorded in the
+        report but never affect the exit code.
 dump    print an exact truncated series (tau function, partition function,
         or closed-form fixture) as JSON.  Byte-identical across runs with
         the same arguments; a higher-order dump extends a lower-order one
@@ -117,7 +118,26 @@ def _seed(default) -> int:
         raise ConfigError(f"bad seed {seed!r}") from exc
 
 
-def build_config(args, known=None) -> RunConfig:
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# JSON type of each config-file key: (description, check)
+_CONFIG_TYPES = {
+    "identities": ("a string or a list of strings",
+                   lambda v: isinstance(v, str) or (
+                       isinstance(v, list) and all(isinstance(i, str) for i in v))),
+    "order": ("a number, a string or a [num, den] pair",
+              lambda v: isinstance(v, (int, float, str)) or (
+                  isinstance(v, list) and len(v) == 2)),
+    "samples": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "report": ("a string", lambda v: isinstance(v, str)),
+    "failFast": ("a boolean", lambda v: isinstance(v, bool)),
+}
+
+
+def build_config(args) -> RunConfig:
     """Merge config file, flags, and env overrides; reject unknown ids."""
     data = {}
     if getattr(args, "config", None):
@@ -128,6 +148,9 @@ def build_config(args, known=None) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+        for key, (want, ok) in _CONFIG_TYPES.items():
+            if key in data and not ok(data[key]):
+                raise ConfigError(f"config {key!r} must be {want}, got {data[key]!r}")
     cfg = RunConfig()
     ids = data.get("identities", "all")
     if args.id:
@@ -136,7 +159,7 @@ def build_config(args, known=None) -> RunConfig:
         ids = _known_ids()
     if isinstance(ids, str):
         ids = [ids]
-    known = set(_known_ids()) if known is None else known
+    known = set(_known_ids())
     unknown = [i for i in ids if i not in known]
     if unknown:
         raise ConfigError(f"unknown identity id(s): {', '.join(unknown)}")
@@ -153,8 +176,7 @@ def build_config(args, known=None) -> RunConfig:
                 raise ConfigError(
                     f"order {cfg.order} is below the lowest meaningful order "
                     f"{_min_order_of(id)} of {id}")
-    cfg.samples = int(args.samples if args.samples is not None
-                      else data.get("samples", 1))
+    cfg.samples = args.samples if args.samples is not None else data.get("samples", 1)
     if cfg.samples < 1:
         raise ConfigError("--samples must be >= 1")
     for domain in sorted({_domain_of(id) for id in cfg.identities}):
@@ -168,7 +190,7 @@ def build_config(args, known=None) -> RunConfig:
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}")
     cfg.format = fmt
-    cfg.fail_fast = bool(args.fail_fast or data.get("failFast", False))
+    cfg.fail_fast = args.fail_fast or data.get("failFast", False)
     if getattr(args, "corrupt_coefficient", None) is not None:
         cfg.corrupt = _parse_order(args.corrupt_coefficient)
     return cfg
@@ -305,7 +327,7 @@ def _resolve_dump(selector: str, order: Frac, seed: int):
         spec = {
             "kiev": sys4.kiev, "plus": lambda: sys4.short(+1),
             "minus": lambda: sys4.short(-1), "long0": lambda: sys4.long(0),
-            "long1": lambda: sys4.long(1, kappa_sign=-1),
+            "long1": lambda: sys4.long(1),
         }[selector.split(":", 1)[1]]()
         fs = build_tau(spec, order)
         return idmod.describe_sample("4d-tau", sigma), fs.dump()

@@ -19,9 +19,9 @@ Frac = Fraction
 
 
 class FourierSeries:
-    __slots__ = ("sectors", "trunc", "tag")
+    __slots__ = ("sectors", "trunc")
 
-    def __init__(self, sectors, trunc, tag=""):
+    def __init__(self, sectors, trunc):
         trunc = _frac(trunc)
         clean = {}
         for k, ps in sectors.items():
@@ -30,7 +30,6 @@ class FourierSeries:
                 clean[_frac(k)] = ps
         object.__setattr__(self, "sectors", clean)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "tag", tag)
 
     def __setattr__(self, name, value):
         raise AttributeError("FourierSeries is immutable")
@@ -40,20 +39,11 @@ class FourierSeries:
         return FourierSeries({}, trunc)
 
     @staticmethod
-    def single(ps: PuiseuxSeries, k=0, tag=""):
-        return FourierSeries({_frac(k): ps}, ps.trunc, tag)
+    def single(ps: PuiseuxSeries, k=0):
+        return FourierSeries({_frac(k): ps}, ps.trunc)
 
     def sector(self, k) -> PuiseuxSeries:
         return self.sectors.get(_frac(k), PuiseuxSeries.zero(self.trunc))
-
-    def relabel(self, dk):
-        """Multiply by s^{dk}: shift every sector index."""
-        dk = _frac(dk)
-        return FourierSeries({k + dk: ps for k, ps in self.sectors.items()}, self.trunc, self.tag)
-
-    def reflect(self):
-        """s -> s^{-1}: sector index negation."""
-        return FourierSeries({-k: ps for k, ps in self.sectors.items()}, self.trunc, self.tag)
 
     def __add__(self, other):
         trunc = min(self.trunc, other.trunc)
@@ -63,17 +53,17 @@ class FourierSeries:
         return FourierSeries(out, trunc)
 
     def __neg__(self):
-        return FourierSeries({k: -ps for k, ps in self.sectors.items()}, self.trunc, self.tag)
+        return FourierSeries({k: -ps for k, ps in self.sectors.items()}, self.trunc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return FourierSeries({k: ps.scale(c) for k, ps in self.sectors.items()}, self.trunc, self.tag)
+        return FourierSeries({k: ps.scale(c) for k, ps in self.sectors.items()}, self.trunc)
 
     def shift(self, de):
         """Multiply by z^{de}."""
-        return FourierSeries({k: ps.shift(de) for k, ps in self.sectors.items()}, self.trunc + _frac(de), self.tag)
+        return FourierSeries({k: ps.shift(de) for k, ps in self.sectors.items()}, self.trunc + _frac(de))
 
     def __mul__(self, other):
         if isinstance(other, (int, Frac, SymExpr)):
@@ -93,15 +83,15 @@ class FourierSeries:
     __rmul__ = __mul__
 
     def theta(self):
-        return FourierSeries({k: ps.theta() for k, ps in self.sectors.items()}, self.trunc, self.tag)
+        return FourierSeries({k: ps.theta() for k, ps in self.sectors.items()}, self.trunc)
 
     def dilate(self, q_exp, sample):
         return FourierSeries(
-            {k: ps.dilate(q_exp, sample) for k, ps in self.sectors.items()}, self.trunc, self.tag
+            {k: ps.dilate(q_exp, sample) for k, ps in self.sectors.items()}, self.trunc
         )
 
     def truncate(self, E):
-        return FourierSeries(self.sectors, min(self.trunc, _frac(E)), self.tag)
+        return FourierSeries(self.sectors, min(self.trunc, _frac(E)))
 
     def leading(self):
         """(sector, exponent, coefficient) of the unique minimal term.
@@ -147,7 +137,7 @@ class FourierSeries:
         )
 
     def __repr__(self):
-        return f"<FS[{self.tag}] sectors={sorted(self.sectors)} trunc={self.trunc}>"
+        return f"<FS sectors={sorted(self.sectors)} trunc={self.trunc}>"
 
     def dump(self):
         out = []

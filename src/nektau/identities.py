@@ -180,10 +180,9 @@ class Context:
                 "tp": build_tau(sysm.short(+1), EB),
                 "tm": build_tau(sysm.short(-1), EB),
                 "t0": build_tau(sysm.long(0), EB),
-                # odd-mode unit kappa = -i (global branch, see module docstring)
-                "t1": build_tau(sysm.long(1, kappa_sign=-1), EB),
-                "bp": build_tau(replace(kiev, k_offset=(0, 1), label="tau(+1/2)"), EB),
-                "bm": build_tau(replace(kiev, k_offset=(0, -1), label="tau(-1/2)"), EB),
+                "t1": build_tau(sysm.long(1), EB),
+                "bp": build_tau(replace(kiev, k_offset=(0, 1)), EB),
+                "bm": build_tau(replace(kiev, k_offset=(0, -1)), EB),
             }
         return self.memo[key]
 
@@ -221,10 +220,10 @@ class VerificationReport:
     sample: dict
     parts: list  # [(name, EqualityReport)]
     note: str = ""
-    elapsed: float = 0.0  # quarantined: excluded from to_dict by default
+    elapsed: float = 0  # wall seconds; only run_verify's timing block reads it
 
-    def to_dict(self, include_timing: bool = False):
-        out = {
+    def to_dict(self):
+        return {
             "id": self.id,
             "status": self.status,
             "ok": self.ok,
@@ -241,9 +240,6 @@ class VerificationReport:
             ],
             "note": self.note,
         }
-        if include_timing:
-            out["elapsed_seconds"] = self.elapsed
-        return out
 
     def summary(self):
         flag = "pass" if self.ok else "FAIL"

@@ -258,20 +258,6 @@ def z1loop_ratio_4d(e1: Frac, e2: Frac, a0: Frac, k1: int, k2: int) -> SymExpr:
     return out
 
 
-def z1loop_negation_ratio(e1: Frac, e2: Frac, a: Frac) -> SymExpr:
-    """Ratio of one-loop factors for (-e1, -e2) over (e1, e2) at the same a.
-
-    Negating both parameters equals shifting both arguments down by
-    e1 + e2, which telescopes into four single-parameter factors.
-    """
-    return (
-        gamma1_exp(e2, a)
-        * gamma1_exp(e1, a - e1)
-        * gamma1_exp(e2, -a)
-        * gamma1_exp(e1, -a - e1)
-    )
-
-
 def q_z1loop_ratio(E1: Frac, E2: Frac, Lu0: Frac, k1: int, k2: int, t: Frac) -> SymExpr:
     """Ratio of 5d one-loop factors: u shifted by q1^{k1} q2^{k2} over u.
 

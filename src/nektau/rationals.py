@@ -43,9 +43,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_rational(self) -> bool:
-        return not self.im
-
     def __bool__(self):
         return not self.is_zero()
 

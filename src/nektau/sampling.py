@@ -7,7 +7,7 @@ fix literal rational (eps1, eps2, a).  The expansion variable's formal power
 s is never sampled; it stays a formal Fourier grading.
 
 The samples a run uses come from the fixed pools of identities.py, chosen
-away from the Gamma, sine, theta and Pochhammer zero and pole loci.
+away from the Gamma, sine and Pochhammer zero and pole loci.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ class ParameterSample:
             raise ValueError("dq must be a positive multiple of 4 and of den(sigma)")
         if self.a is None:
             object.__setattr__(self, "a", -2 * self.sigma * self.eps1)
-
-    # t-exponents of multiplicative parameters
-    @property
-    def q_exp(self) -> int:
-        return self.dq
 
     @property
     def u_exp(self) -> Frac:

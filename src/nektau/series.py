@@ -130,16 +130,6 @@ class PuiseuxSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            return PuiseuxSeries.one(self.trunc)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
     # -- calculus ----------------------------------------------------------
 
     def theta(self):

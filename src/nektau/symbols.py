@@ -7,7 +7,6 @@ monomial is a product of canonical symbols:
   * pi^e
   * gamma symbols         Gamma(y)^e     with y rational in (0, 1/2)
   * sine symbols          sin(pi*y)^e    with y rational in (0, 1/2)
-  * theta symbols         theta(t^a; t^b)^e   with 0 < a <= b/2
   * Pochhammer symbols    (t^E; t^B)_inf^e    with 0 < E <= B
 
 All arguments are rational, all exponents rational (the half-integer ones the
@@ -20,9 +19,10 @@ Canonicalization rules:
 
   Gamma(y+1) = y*Gamma(y); Gamma(1/2) = pi^(1/2);
   Gamma(y) = pi / (sin(pi*y) * Gamma(1-y)) for y in (1/2, 1)   [reflection]
-  sin(pi*(y+1)) = -sin(pi*y); sin(pi*(1-y)) = sin(pi*y); sin(pi/2) = 1
-  theta(q*z; q) = -z^(-1) * theta(z; q); theta(z^(-1); q) = -z^(-1)*theta(z;q)
   (z; q^(-1))_inf = (z*q; q)_inf^(-1); (z; q)_inf = (1-z) * (z*q; q)_inf
+
+Sine symbols arise only from the Gamma reflection, whose argument 1 - y is
+already in (0, 1/2).
 
 A symbol argument landing on a zero/pole locus raises Resonance; the sample
 pools are chosen so that no check reaches one.
@@ -70,26 +70,25 @@ def _factorint(n: int):
 class SymbolMonomial:
     """Immutable canonical symbol monomial (see module docstring)."""
 
-    __slots__ = ("rad", "pi_exp", "gam", "sn", "th", "poch", "_hash")
+    __slots__ = ("rad", "pi_exp", "gam", "sn", "poch", "_hash")
 
-    def __init__(self, rad=(), pi_exp=Frac(0), gam=(), sn=(), th=(), poch=()):
+    def __init__(self, rad=(), pi_exp=Frac(0), gam=(), sn=(), poch=()):
         object.__setattr__(self, "rad", tuple(sorted(rad)))
         object.__setattr__(self, "pi_exp", pi_exp)
         object.__setattr__(self, "gam", tuple(sorted(gam)))
         object.__setattr__(self, "sn", tuple(sorted(sn)))
-        object.__setattr__(self, "th", tuple(sorted(th)))
         object.__setattr__(self, "poch", tuple(sorted(poch)))
         object.__setattr__(
             self,
             "_hash",
-            hash((self.rad, self.pi_exp, self.gam, self.sn, self.th, self.poch)),
+            hash((self.rad, self.pi_exp, self.gam, self.sn, self.poch)),
         )
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolMonomial is immutable")
 
     def is_one(self):
-        return not (self.rad or self.pi_exp or self.gam or self.sn or self.th or self.poch)
+        return not (self.rad or self.pi_exp or self.gam or self.sn or self.poch)
 
     def __eq__(self, other):
         if not isinstance(other, SymbolMonomial):
@@ -100,7 +99,6 @@ class SymbolMonomial:
             and self.pi_exp == other.pi_exp
             and self.gam == other.gam
             and self.sn == other.sn
-            and self.th == other.th
             and self.poch == other.poch
         )
 
@@ -110,7 +108,7 @@ class SymbolMonomial:
     def inverse_key(self):
         neg = lambda pairs: tuple((k, -e) for k, e in pairs)
         return SymbolMonomial(
-            neg(self.rad), -self.pi_exp, neg(self.gam), neg(self.sn), neg(self.th), neg(self.poch)
+            neg(self.rad), -self.pi_exp, neg(self.gam), neg(self.sn), neg(self.poch)
         )
 
     def render(self) -> str:
@@ -123,8 +121,6 @@ class SymbolMonomial:
             bits.append(f"Gamma({y})^({e})")
         for y, e in self.sn:
             bits.append(f"sin(pi*{y})^({e})")
-        for (a, b), e in self.th:
-            bits.append(f"theta(t^{a};t^{b})^({e})")
         for (a, b), e in self.poch:
             bits.append(f"poch(t^{a};t^{b})^({e})")
         return "*".join(bits) if bits else "1"
@@ -169,7 +165,6 @@ def mono_mul(m1: SymbolMonomial, m2: SymbolMonomial):
         m1.pi_exp + m2.pi_exp,
         _merge_pairs(m1.gam, m2.gam),
         _merge_pairs(m1.sn, m2.sn),
-        _merge_pairs(m1.th, m2.th),
         _merge_pairs(m1.poch, m2.poch),
     )
     return mono, cof
@@ -417,55 +412,6 @@ def gamma_value(y) -> SymExpr:
     return SymExpr.monomial(SymbolMonomial(gam=((y, Frac(1)),)), c)
 
 
-def sin_pi(y) -> SymExpr:
-    """sin(pi*y) for rational y, canonicalized to an argument in (0,1/2)."""
-    y = _frac(y)
-    if y.denominator == 1:
-        raise Resonance(f"sin(pi*{y}) = 0")
-    k = y.numerator // y.denominator
-    y -= k
-    sign = -1 if k % 2 else 1
-    if y == Frac(1, 2):
-        return SymExpr.from_rational(sign)
-    if y > Frac(1, 2):
-        y = 1 - y
-    return SymExpr.monomial(SymbolMonomial(sn=((y, Frac(1)),)), sign)
-
-
-def cos_pi(y) -> SymExpr:
-    """cos(pi*y) = sin(pi*(y + 1/2)) reduced through sin_pi."""
-    y = _frac(y)
-    try:
-        return sin_pi(y + Frac(1, 2))
-    except Resonance:
-        raise Resonance(f"cos(pi*{y}) = 0")
-
-
-def theta_value(a, b, t) -> SymExpr:
-    """theta(t^a; t^b) as a canonical symbol times its exact cofactor.
-
-    Reduction: theta(q z; q) = -z^(-1) theta(z; q) moves a into (0, b]; the
-    inversion theta(t^(b-a)) = theta(t^a) then lands it in (0, b/2].
-    """
-    a, b, t = _frac(a), _frac(b), _frac(t)
-    if b <= 0:
-        raise ValueError("theta base exponent must be positive")
-    expr = SymExpr.one()
-    while a - b > 0:
-        # theta(t^a) = -t^(b-a) * theta(t^(a-b))
-        expr = expr * rational_power(t, b - a) * (-1)
-        a -= b
-    while a <= 0:
-        # theta(t^a) = -t^a * theta(t^(a+b))
-        expr = expr * rational_power(t, a) * (-1)
-        a += b
-    if a == b:
-        raise Resonance(f"theta argument on zero locus (argExp = baseExp = {b})")
-    if a > b / 2:
-        a = b - a
-    return expr * SymExpr.monomial(SymbolMonomial(th=(((a, b), Frac(1)),)))
-
-
 def poch_value(E, B, t) -> SymExpr:
     """(t^E; t^B)_inf as a canonical symbol times its exact cofactor.
 
@@ -496,61 +442,3 @@ def poch_value(E, B, t) -> SymExpr:
         expr = expr * one_minus_t_pow(E)
         E += B
     return expr * SymExpr.monomial(SymbolMonomial(poch=(((E, B), Frac(1)),)))
-
-
-# ---------------------------------------------------------------------------
-# numeric oracle
-# ---------------------------------------------------------------------------
-
-
-def numeric_value(expr: SymExpr, t, dps=60):
-    """Evaluate a SymExpr with mpmath at the sample base t (oracle use only)."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        tt = mp.mpf(t.numerator) / mp.mpf(t.denominator)
-        total = mp.mpc(0)
-        for m, c in expr.terms.items():
-            v = mp.mpc(mp.mpf(c.re.numerator) / c.re.denominator,
-                       mp.mpf(c.im.numerator) / c.im.denominator)
-            for p, e in m.rad:
-                v *= mp.power(p, mp.mpf(e.numerator) / e.denominator)
-            if m.pi_exp:
-                v *= mp.power(mp.pi, mp.mpf(m.pi_exp.numerator) / m.pi_exp.denominator)
-            for y, e in m.gam:
-                v *= mp.power(mp.gamma(mp.mpf(y.numerator) / y.denominator),
-                              mp.mpf(e.numerator) / e.denominator)
-            for y, e in m.sn:
-                v *= mp.power(mp.sin(mp.pi * mp.mpf(y.numerator) / y.denominator),
-                              mp.mpf(e.numerator) / e.denominator)
-            for (a, b), e in m.th:
-                v *= mp.power(_theta_num(tt, a, b, mp), mp.mpf(e.numerator) / e.denominator)
-            for (a, b), e in m.poch:
-                v *= mp.power(_poch_num(tt, a, b, mp), mp.mpf(e.numerator) / e.denominator)
-            total += v
-        return total
-
-
-def _poch_num(tt, a, b, mp):
-    z = mp.power(tt, mp.mpf(a.numerator) / a.denominator)
-    q = mp.power(tt, mp.mpf(b.numerator) / b.denominator)
-    out = mp.mpf(1)
-    while abs(z) > mp.mpf(10) ** (-mp.mp.dps - 10):
-        out *= (1 - z)
-        z *= q
-    return out
-
-
-def _theta_num(tt, a, b, mp):
-    z = mp.power(tt, mp.mpf(a.numerator) / a.denominator)
-    q = mp.power(tt, mp.mpf(b.numerator) / b.denominator)
-    out = mp.mpf(1)
-    w = z
-    while abs(w) > mp.mpf(10) ** (-mp.mp.dps - 10):
-        out *= (1 - w)
-        w *= q
-    w = q / z
-    while abs(w) > mp.mpf(10) ** (-mp.mp.dps - 10):
-        out *= (1 - w)
-        w *= q
-    return out

@@ -24,11 +24,10 @@ from .nekrasov import (
     Theory4d,
     Theory5d,
     blowup_modes,
-    z1loop_negation_ratio,
 )
 from .rationals import GaussianRational
 from .sampling import ParameterSample
-from .symbols import NonInvertible, SymExpr, _frac, cos_pi
+from .symbols import NonInvertible, SymExpr, _frac
 
 Frac = Fraction
 HALF = Frac(1, 2)
@@ -61,7 +60,6 @@ class TauSpec:
     """
 
     base: object
-    label: str
     k_step: tuple
     k_offset: tuple = (0, 0)
     fourier_offset: Frac = Frac(0)
@@ -100,19 +98,16 @@ def build_tau(spec: TauSpec, E) -> FourierSeries:
             ps = ps.scale(spec.prefactor)
         k = spec.fourier_offset + j * spec.sector_step
         sectors[k] = sectors[k] + ps if k in sectors else ps
-    return FourierSeries(sectors, E, tag=spec.label)
+    return FourierSeries(sectors, E)
 
 
 def backlund(spec: TauSpec, kind: str) -> TauSpec:
     """Backlund-transformed recipe.
 
     kinds:
-      sigma_half  sigma -> sigma + 1/2 with the s^{1/2} relabeling folded in
-      u_q         u -> u q with the s^{1/4} relabeling folded in
-      reverse variants carry a leading "-" (sigma -> sigma - 1/2 etc.)
+      sigma_half  sigma -> sigma + 1/2 with the s^{1/2} sector shift folded in
+      u_q         u -> u q with the s^{1/4} sector shift folded in
     """
-    sign = -1 if kind.startswith("-") else 1
-    kind = kind.lstrip("-")
     steps = spec.theory_steps()
     if isinstance(spec.base, RelativeZ4d):
         # a = -2 sigma, so d(sigma) = 1/2 means d(a) = -1
@@ -123,13 +118,11 @@ def backlund(spec: TauSpec, kind: str) -> TauSpec:
         targets = {"sigma_half": Frac(dq), "u_q": Frac(dq)}
     if kind not in targets or targets[kind] is None:
         raise ValueError(f"unknown Backlund kind {kind!r} for this system")
-    dk1, dk2 = _unit_shift(steps, sign * targets[kind])
-    dsector = sign * spec.sector_step / 2
+    dk1, dk2 = _unit_shift(steps, targets[kind])
     return replace(
         spec,
         k_offset=(spec.k_offset[0] + dk1, spec.k_offset[1] + dk2),
-        fourier_offset=spec.fourier_offset + dsector,
-        label=spec.label + ("+" if sign > 0 else "-") + kind,
+        fourier_offset=spec.fourier_offset + spec.sector_step / 2,
     )
 
 
@@ -137,7 +130,8 @@ def backlund(spec: TauSpec, kind: str) -> TauSpec:
 # concrete tau systems
 # ---------------------------------------------------------------------------
 
-I_UNIT = SymExpr.from_rational(GaussianRational(0, 1))
+# odd-mode unit of the parity tau: the global branch (see identities.py)
+KAPPA = SymExpr.from_rational(GaussianRational(0, -1))
 
 
 class TauSystem4d:
@@ -148,16 +142,14 @@ class TauSystem4d:
     """
 
     def __init__(self, sigma: Frac, *, memo=None):
-        self.sigma = _frac(sigma)
-        a0 = -2 * self.sigma
-        self.a0 = a0
+        a0 = -2 * _frac(sigma)
         self.rc = RelativeZ4d(Theory4d(Frac(1), Frac(-1)), a0, memo=memo)
         self.rp = RelativeZ4d(Theory4d(Frac(1), Frac(-2)), a0, memo=memo)
         self.rm = RelativeZ4d(Theory4d(Frac(2), Frac(-1)), a0, memo=memo)
 
     def kiev(self) -> TauSpec:
         """Self-dual tau: sector n carries the mode at sigma + n."""
-        return TauSpec(self.rc, "tau", k_step=(0, 2))
+        return TauSpec(self.rc, k_step=(0, 2))
 
     def kiev_half(self) -> TauSpec:
         """The s^{1/2}-shifted companion (sigma + 1/2, half-integer sectors)."""
@@ -166,35 +158,25 @@ class TauSystem4d:
     def short(self, sign: int) -> TauSpec:
         """Half-theory taus: sector n/2 carries the mode at sigma + n."""
         if sign > 0:
-            return TauSpec(self.rp, "tau+", k_step=(0, 1), sector_step=HALF)
-        return TauSpec(self.rm, "tau-", k_step=(-1, 0), sector_step=HALF)
+            return TauSpec(self.rp, k_step=(0, 1), sector_step=HALF)
+        return TauSpec(self.rm, k_step=(-1, 0), sector_step=HALF)
 
-    def long(self, i: int, kappa_sign: int = 1) -> TauSpec:
+    def long(self, i: int) -> TauSpec:
         """Parity taus: sector n in Z + i/2 carries the mode at sigma + 2n.
 
         Only the (1, -2) half-theory appears; the trig normalizer of the
-        other half is divided out, leaving a Gaussian unit (kappa) on the
-        odd lattice whose sign is the branch choice of the square root.
+        other half is divided out, leaving a Gaussian unit on the odd
+        lattice.  Its sign is the branch of the square root: KAPPA = -i.
         """
         if i == 0:
-            return TauSpec(self.rp, "tau0", k_step=(0, 2))
+            return TauSpec(self.rp, k_step=(0, 2))
         return TauSpec(
             self.rp,
-            "tau1",
             k_step=(0, 2),
             k_offset=(0, 1),
             fourier_offset=HALF,
-            prefactor=I_UNIT * kappa_sign,
+            prefactor=KAPPA,
         )
-
-    def pm_normalizer_ratio(self) -> SymExpr:
-        """One-loop normalizer ratio of the (2,-1) theory over the (1,-2)
-        theory at the reference point; equals 2 cos(pi sigma) when the
-        reflection symmetry of the halves holds."""
-        return z1loop_negation_ratio(Frac(-2), Frac(1), self.a0)
-
-    def two_cos(self) -> SymExpr:
-        return 2 * cos_pi(self.sigma)
 
 
 class TauSystemQ:
@@ -217,25 +199,18 @@ class TauSystemQ:
     def kiev(self, j: int = 0) -> TauSpec:
         """Self-dual tau: sector n in Z + j/2 carries the mode at u q^{2n}."""
         if j == 0:
-            return TauSpec(self.rc, "qtau", k_step=(0, 2))
-        return TauSpec(
-            self.rc, "qtau1", k_step=(0, 2), k_offset=(0, 1), fourier_offset=HALF
-        )
+            return TauSpec(self.rc, k_step=(0, 2))
+        return TauSpec(self.rc, k_step=(0, 2), k_offset=(0, 1), fourier_offset=HALF)
 
     def short(self, sign: int) -> TauSpec:
         """Half-theory taus: sector n/2 carries the mode at u q^{2n}."""
         if sign > 0:
-            return TauSpec(self.rp, "qtau+", k_step=(0, 1), sector_step=HALF)
-        return TauSpec(self.rm, "qtau-", k_step=(0, -1), sector_step=HALF)
+            return TauSpec(self.rp, k_step=(0, 1), sector_step=HALF)
+        return TauSpec(self.rm, k_step=(0, -1), sector_step=HALF)
 
-    def u_shifted_kiev(self, shift: int, j: int = 0) -> TauSpec:
+    def u_shifted_kiev(self, shift: int) -> TauSpec:
         """Self-dual tau at u q^{shift} with unchanged sector grading."""
-        spec = self.kiev(j)
-        return replace(
-            spec,
-            k_offset=(spec.k_offset[0], spec.k_offset[1] + shift),
-            label=f"{spec.label}(uq^{shift})",
-        )
+        return replace(self.kiev(), k_offset=(0, shift))
 
 
 # ---------------------------------------------------------------------------

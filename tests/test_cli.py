@@ -278,6 +278,21 @@ def test_build_config_all_expands():
     assert cfg.format == "json" and cfg.samples == 1
 
 
+@pytest.mark.parametrize("data", [
+    {"samples": "two"}, {"seed": None}, {"seed": [1]}, {"identities": 5},
+    {"order": [1]}, {"samples": 2.5}, {"failFast": "no"}, {"report": 5},
+], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_malformed_config_value_exit_two(tmp_path, data):
+    # these used to crash with exit 1 or be read as some other value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    r = run_cli("verify", "--config", str(cfg))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("configuration error: ")
+    assert "Traceback" not in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # dump
 # ---------------------------------------------------------------------------

@@ -64,16 +64,6 @@ def test_product_adds_sector_labels():
     assert sorted(prod.sectors) == [F(-1)]
 
 
-def test_relabel_reflect():
-    p = PuiseuxSeries.one(TR)
-    fs = FourierSeries.single(p, F(1)) + FourierSeries.single(p.scale(2), F(-2))
-    r = fs.relabel(F(1, 2))
-    assert sorted(r.sectors) == [F(-3, 2), F(3, 2)]
-    refl = fs.reflect()
-    assert sorted(refl.sectors) == [F(-1), F(2)]
-    assert refl.sector(F(2)).coeff(F(0)).rational_value() == G(2)
-
-
 def test_leading_and_inverse():
     p = PuiseuxSeries({F(0): SymExpr.one(), F(1): SymExpr.coerce(3)}, TR)
     fs = FourierSeries.single(p, F(0)) + FourierSeries.single(

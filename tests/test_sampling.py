@@ -16,7 +16,6 @@ def test_sample_is_frozen_and_hashable():
 
 def test_derived_exponents():
     s = ParameterSample(t=F(1, 3), dq=8, sigma=F(1, 4))
-    assert s.q_exp == 8
     assert s.u_exp == 2 * 8 * F(1, 4)
 
 
