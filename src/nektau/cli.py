@@ -5,8 +5,9 @@ Subcommands
 list    print the identity catalog (id, status, anchor formula).
 verify  run catalog checks and write a deterministic JSON/CSV report.
         Exit code 0 iff every theorem- and derived-status check passed, 1
-        when one of them failed, 2 on a configuration error (found before
-        any computation, e.g. a config-file value of the wrong type, an
+        when one of them failed (--fail-fast stops at the first such
+        failure), 2 on a configuration error (found before any computation,
+        e.g. a config-file value of the wrong type, an empty selection, an
         order below an entry's lowest meaningful order or more samples than
         its pool holds).  Conjecture-status outcomes are recorded in the
         report but never affect the exit code.
@@ -17,14 +18,17 @@ dump    print an exact truncated series (tau function, partition function,
 oracle  run the two-route coefficient recursion cross-check.
 
 Checks run one after another in this process, in one run context
-(identities.Context): instanton coefficients and tau functions built by one
-check are reused by the later checks of the same run, and are dropped when
-the run ends.  --corrupt-coefficient sets the context's corruption setting:
-the central series of a few theorem entries gains +1 at that z-exponent
-before it is compared, so those checks must fail.  Hirota derivatives D^k
-(series.hirota) are the alpha-expansion of f(e^{w1 alpha} z) g(e^{w2 alpha} z)
-at weights (w1, w2) = (1, -1); the 4d blowup entries use the same expansion at
-other weights.
+(identities.Context): instanton coefficients, tau functions and tau-pair
+moment tables built by one check are reused by the later checks of the same
+run, and are dropped when the run ends.  --corrupt-coefficient sets the
+context's corruption setting: the central series of a few theorem entries
+gains +1 at that z-exponent before it is compared, so those checks must fail.
+Hirota derivatives D^k (series.hirota) are the alpha-expansion of
+f(e^{w1 alpha} z) g(e^{w2 alpha} z) at weights (w1, w2) = (1, -1), that is
+sum (x - y)^k f_x g_y; the 4d blowup entries use the same expansion at other
+weights.  Every expansion comes from one pass over coefficient pairs, the
+pair's moment table (series.bilinear_moments); a run keeps one table per
+tau pair, so D^1..D^4 of one pair multiply its coefficients once.
 
 Determinism: the seed fully determines the sample sequence; timing data is
 quarantined in a separate report section so residual sections are diffable.
@@ -159,6 +163,8 @@ def build_config(args) -> RunConfig:
         ids = _known_ids()
     if isinstance(ids, str):
         ids = [ids]
+    if not ids:
+        raise ConfigError("no identity selected")
     known = set(_known_ids())
     unknown = [i for i in ids if i not in known]
     if unknown:
@@ -207,8 +213,13 @@ def _run_one(id: str, sample, order, ctx):
     return idmod.verify(id, sample=sample, E=order, ctx=ctx)
 
 
+def _fails_run(rep) -> bool:
+    """A failed theorem or derived check: it sets exit code 1."""
+    return rep.status in ("theorem", "derived") and not rep.ok
+
+
 def run_verify(cfg: RunConfig):
-    """Execute the configured checks; returns (exit_code, report_dict)."""
+    """Execute the configured checks; returns (exit_code, report, results)."""
     jobs = []
     for id in cfg.identities:
         domain = _domain_of(id)
@@ -222,13 +233,10 @@ def run_verify(cfg: RunConfig):
     for id, _, sample in jobs:
         rep = _run_one(id, sample, cfg.order, ctx)
         results.append(rep)
-        if cfg.fail_fast and rep.status == "theorem" and not rep.ok:
+        if cfg.fail_fast and _fails_run(rep):
             break
     jobs = jobs[: len(results)]
 
-    theorem_fail = any(
-        r.status in ("theorem", "derived") and not r.ok for r in results
-    )
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
@@ -243,7 +251,7 @@ def run_verify(cfg: RunConfig):
             }
         },
     }
-    return (1 if theorem_fail else 0), report, results
+    return (1 if any(_fails_run(r) for r in results) else 0), report, results
 
 
 def _report_csv(report) -> str:

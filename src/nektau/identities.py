@@ -18,9 +18,10 @@ Statuses:
               failing coefficient, and never fail the suite
   derived     relative-normalization slice or direct consequence
 
-Every check runs in a Context, which holds the instanton coefficients and
-tau functions its run has built and an optional corrupted coefficient.  One
-Context lives for one run; nothing is kept at module level.
+Every check runs in a Context, which holds the instanton coefficients, tau
+functions and tau-pair moment tables its run has built and an optional
+corrupted coefficient.  One Context lives for one run; nothing is kept at
+module level.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .nekrasov import (
 from .qseries import PochhammerSpec, pochhammer_series
 from .rationals import GaussianRational
 from .sampling import ParameterSample
-from .series import PuiseuxSeries, weighted_theta_expand
+from .series import PuiseuxSeries, bilinear_moments, weighted_theta_expand
 from .symbols import SymExpr, rational_power
 from .tau import TauSystem4d, TauSystemQ, build_tau, backlund, g_function, zeta_from_tau
 
@@ -148,8 +149,9 @@ class Context:
     corrupt: if set, the central series of a few theorem entries gains +1 at
              this z-exponent (in sector 0 for taus) before it is compared, a
              probe that the catalog is not vacuous.
-    memo:    instanton coefficients and tau sets built so far, keyed by
-             their arguments, so that checks on the same sums share them.
+    memo:    instanton coefficients, tau sets and tau-pair moment tables
+             built so far, keyed by their arguments, so that checks on the
+             same sums share them.
     """
 
     corrupt: Frac | None = None
@@ -185,6 +187,15 @@ class Context:
                 "bm": build_tau(replace(kiev, k_offset=(0, -1)), EB),
             }
         return self.memo[key]
+
+    def hirota_4d(self, sigma: Frac, EB: Frac, k: int, f: str, g: str):
+        """D^k of the taus_4d(sigma, EB) entries named f and g, through the
+        pair's moment table, which is built once per run."""
+        d = self.taus_4d(sigma, EB)
+        key = ("moments", sigma, EB, f, g)
+        if key not in self.memo:
+            self.memo[key] = bilinear_moments(d[f], d[g])
+        return hirota(k, d[f], d[g], moments=self.memo[key])
 
     def taus_q(self, sample: ParameterSample, m: int, EB: Frac):
         key = ("taus_q", sample, m, EB)
@@ -391,9 +402,9 @@ def run_NYtau01(sigma, E, ctx):
 
 
 def run_NYD2diff(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
-    mid = hirota(2, d["tp"], d["tm"])
-    lhs = hirota(2, d["t0"], d["t0"]) + hirota(2, d["t1"], d["t1"])
+    mid = ctx.hirota_4d(sigma, E + 1, 2, "tp", "tm")
+    lhs = (ctx.hirota_4d(sigma, E + 1, 2, "t0", "t0")
+           + ctx.hirota_4d(sigma, E + 1, 2, "t1", "t1"))
     zero = FourierSeries.zero(mid.trunc)
     return [
         ("parity form equals short form", _fseq(lhs, mid, E)),
@@ -403,8 +414,9 @@ def run_NYD2diff(sigma, E, ctx):
 
 def run_NYD4diff(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    mid = hirota(4, d["tp"], d["tm"])
-    lhs = hirota(4, d["t0"], d["t0"]) + hirota(4, d["t1"], d["t1"])
+    mid = ctx.hirota_4d(sigma, E + 1, 4, "tp", "tm")
+    lhs = (ctx.hirota_4d(sigma, E + 1, 4, "t0", "t0")
+           + ctx.hirota_4d(sigma, E + 1, 4, "t1", "t1"))
     rhs = d["tau"].shift(1).scale(-2)
     return [
         ("parity form equals short form", _fseq(lhs, mid, E)),
@@ -414,8 +426,8 @@ def run_NYD4diff(sigma, E, ctx):
 
 def run_NYD1diff(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    L = hirota(1, d["t0"], d["t1"])
-    M = hirota(1, d["tp"], d["tm"])
+    L = ctx.hirota_4d(sigma, E + 1, 1, "t0", "t1")
+    M = ctx.hirota_4d(sigma, E + 1, 1, "tp", "tm")
     rhs = d["tau1"].shift(QUARTER).scale(OMEGA)
     return [
         ("parity form equals (i/2) short form", _fseq(L, M.scale(I_HALF), E)),
@@ -425,8 +437,8 @@ def run_NYD1diff(sigma, E, ctx):
 
 def run_NYD3diff(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    L = hirota(3, d["t0"], d["t1"])
-    M = hirota(3, d["tp"], d["tm"])
+    L = ctx.hirota_4d(sigma, E + 1, 3, "t0", "t1")
+    M = ctx.hirota_4d(sigma, E + 1, 3, "tp", "tm")
     # the displayed z d/dz acts on the absolute tau_1 = z^{sigma^2} (...);
     # on the relative series this is sigma^2 + theta
     s2 = (sigma * sigma)
@@ -439,8 +451,8 @@ def run_NYD3diff(sigma, E, ctx):
 
 def run_NYdiffIS(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    D2 = hirota(2, d["tp"], d["tm"])
-    D4 = hirota(4, d["tp"], d["tm"])
+    D2 = ctx.hirota_4d(sigma, E + 1, 2, "tp", "tm")
+    D4 = ctx.hirota_4d(sigma, E + 1, 4, "tp", "tm")
     rhs = d["tau"].shift(1).scale(-2)
     return [
         ("degree-2 sector-0 slice vanishes",
@@ -453,7 +465,7 @@ def run_NYdiffIS(sigma, E, ctx):
 
 def run_NYdiffHIS1(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    D1 = hirota(1, d["tp"], d["tm"])
+    D1 = ctx.hirota_4d(sigma, E + 1, 1, "tp", "tm")
     rhs = d["tau1"].shift(QUARTER).scale(OMEGA)
     return [("degree-1 half sector slice",
              ps_equal_to_order(D1.sector(HALF).truncate(E),
@@ -462,7 +474,7 @@ def run_NYdiffHIS1(sigma, E, ctx):
 
 def run_NYdiffHIS3(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    D3 = hirota(3, d["tp"], d["tm"])
+    D3 = ctx.hirota_4d(sigma, E + 1, 3, "tp", "tm")
     s2 = sigma * sigma
     rhs = (d["tau1"].theta() + d["tau1"].scale(s2)).shift(QUARTER).scale(OMEGA)
     return [("degree-3 half sector slice",
@@ -472,7 +484,7 @@ def run_NYdiffHIS3(sigma, E, ctx):
 
 def run_Todasg(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = hirota(2, d["tau"], d["tau"])
+    lhs = ctx.hirota_4d(sigma, E + 1, 2, "tau", "tau")
     rhs = (d["bp"] * d["bm"]).shift(HALF).scale(-2)
     return [("D^2(tau,tau) equals -2 z^{1/2} tau(+1/2) tau(-1/2)",
              _fseq(lhs, rhs, E))]
@@ -480,8 +492,8 @@ def run_Todasg(sigma, E, ctx):
 
 def run_doubleprop(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = hirota(2, d["tau"], d["tau"])
-    D1 = hirota(1, d["tp"], d["tm"])
+    lhs = ctx.hirota_4d(sigma, E + 1, 2, "tau", "tau")
+    D1 = ctx.hirota_4d(sigma, E + 1, 1, "tp", "tm")
     rhs1 = (D1 * D1).scale(-2)
     rhs2 = (d["tau1"] * d["tau1"]).shift(HALF).scale(-2)
     return [
@@ -522,7 +534,7 @@ def run_zeta3(sigma, E, ctx):
 def run_KZsq(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
     tau = d["tau"]
-    D1 = hirota(1, d["t0"], d["t1"])
+    D1 = ctx.hirota_4d(sigma, E + 1, 1, "t0", "t1")
     lhs = (D1 * D1).scale(4)
     # zeta' tau^2 = theta^2(tau) tau - theta(tau)^2, the constant drops
     rhs = tau.theta().theta() * tau - tau.theta() * tau.theta()

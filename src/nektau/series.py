@@ -9,9 +9,10 @@ operations track the bound conservatively.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
+from .rationals import GaussianRational
 from .symbols import NonInvertible, SymExpr, _frac, rational_power
 
 Frac = Fraction
@@ -250,29 +251,141 @@ def solve_recurrence(steps, bound, divide=False):
     return b
 
 
-def weighted_theta_expand(f, g, w1, w2, k):
+@dataclass(frozen=True)
+class BilinearMoments:
+    """Coefficient products of two series, summed per (sector, x, y).
+
+    terms[(s, x, y)] = sum over k1 + k2 = s of f_{k1,x} g_{k2,y}, as
+    (monomial, re, im) rows of its SymExpr terms, kept for x + y up to the
+    product bound min(f.trunc + v(g), g.trunc + v(f)); a PuiseuxSeries is
+    the single sector 0.  For f is g the table is
+    symmetric, M[s,y,x] = M[s,x,y], and only x <= y is kept.  Every
+    theta-weighted expansion of the pair is a sum over these terms (see
+    `weighted_theta_expand`).
+
+    The bounds are those of the products theta^j f * theta^i g.  They
+    depend only on whether j and i are zero, since theta drops the z^0
+    term and nothing else: bounds[(a, b)] is the bound of that product with
+    a = min(j, 1), b = min(i, 1), and sector_bounds[s][(a, b)] the least
+    bound of the sector pairs of s whose two theta-factors are nonzero.
+    """
+
+    terms: dict
+    symmetric: bool
+    bounds: dict
+    sector_bounds: dict
+
+
+def _sectors(f):
+    return {ZERO: f} if isinstance(f, PuiseuxSeries) else f.sectors
+
+
+def _valuations(sectors, trunc):
+    """(v(f), v(theta f)): the least exponent of f and the least nonzero
+    one, each trunc when there is none (the valuation of a zero series)."""
+    v = min((ps.min_exp() for ps in sectors), default=trunc)
+    v_theta = min((e for ps in sectors for e in ps.coeffs if e), default=trunc)
+    return v, v_theta
+
+
+def _theta_bounds(f_trunc, f_vals, g_trunc, g_vals):
+    """{(a, b): bound of theta^a f * theta^b g} for a, b in {0, 1}."""
+    return {(a, b): min(f_trunc + g_vals[b], g_trunc + f_vals[a])
+            for a in (0, 1) for b in (0, 1)}
+
+
+def bilinear_moments(f, g):
+    """The BilinearMoments of f and g (both PuiseuxSeries or both
+    FourierSeries), one coefficient product per pair of terms."""
+    fs, gs = _sectors(f), _sectors(g)
+    symmetric = f is g
+    bounds = _theta_bounds(f.trunc, _valuations(fs.values(), f.trunc),
+                           g.trunc, _valuations(gs.values(), g.trunc))
+    top = bounds[0, 0]
+    terms = {}
+    sector_bounds = {}
+    for k1, p in fs.items():
+        p_vals = _valuations((p,), p.trunc)
+        p_theta = any(p.coeffs)  # theta p is nonzero: p has a z^e, e != 0
+        for k2, q in gs.items():
+            s = k1 + k2
+            q_theta = any(q.coeffs)
+            sb = sector_bounds.setdefault(s, {})
+            pair = _theta_bounds(p.trunc, p_vals, q.trunc, _valuations((q,), q.trunc))
+            for (a, b), bound in pair.items():
+                if (p_theta or not a) and (q_theta or not b):
+                    sb[a, b] = min(sb.get((a, b), bound), bound)
+            for x, c in p.coeffs.items():
+                for y, d in q.coeffs.items():
+                    if x + y > top or (symmetric and x > y):
+                        continue
+                    key = (s, x, y)
+                    cd = c * d
+                    n = terms.get(key)
+                    n = cd if n is None else n + cd
+                    if n:
+                        terms[key] = n
+                    else:
+                        terms.pop(key, None)
+    # a table can live for a run (identities.Context): keep each sum as
+    # (monomial, re, im) rows, with one object per monomial (the products
+    # repeat a few)
+    monos = {}
+    terms = {key: tuple((monos.setdefault(m, m), v.re, v.im)
+                        for m, v in c.terms.items())
+             for key, c in terms.items()}
+    return BilinearMoments(terms, symmetric, bounds, sector_bounds)
+
+
+def weighted_theta_expand(f, g, w1, w2, k, moments=None):
     """Coefficient of alpha^k/k! in f(e^{w1 alpha} z) g(e^{w2 alpha} z).
 
-    Equals sum_j C(k,j) w1^j w2^{k-j} theta^j f * theta^{k-j} g.  Only theta,
-    products, scale and sums are used, so f and g may be PuiseuxSeries or
-    FourierSeries (where the product convolves sectors).
+    f(e^{w1 alpha} z) g(e^{w2 alpha} z) sends z^x z^y to
+    e^{(w1 x + w2 y) alpha} z^{x+y}, so the coefficient is
+    sum (w1 x + w2 y)^k f_x g_y, one Fraction weight per term of the
+    pair's BilinearMoments (0^0 = 1: k = 0 is the product).  moments, if
+    given, is bilinear_moments(f, g), shared by expansions of one pair.
+
+    The bounds are those of sum_j C(k,j) w1^j w2^{k-j} theta^j f *
+    theta^{k-j} g: the overall one is the least over all j, and a
+    sector's the least over the j of nonzero weight, capped at the
+    overall one.  f and g may be PuiseuxSeries or FourierSeries.
     """
+    m = bilinear_moments(f, g) if moments is None else moments
     w1, w2 = _frac(w1), _frac(w2)
-    thf = [f]
-    thg = [g]
-    for _ in range(k):
-        thf.append(thf[-1].theta())
-        thg.append(thg[-1].theta())
-    out = None
-    for j in range(k + 1):
-        term = (thf[j] * thg[k - j]).scale(Frac(comb(k, j)) * w1**j * w2 ** (k - j))
-        out = term if out is None else out + term
-    return out
+    thetas = {(min(j, 1), min(k - j, 1)) for j in range(k + 1)}
+    trunc = min(m.bounds[ab] for ab in thetas)
+    live = [(a, b) for a, b in thetas if (w1 or not a) and (w2 or not b)]
+    sums = {}  # sector -> exponent -> monomial -> (re, im)
+    for (s, x, y), rows in m.terms.items():
+        e = x + y
+        if e > trunc:
+            continue
+        w = (w1 * x + w2 * y) ** k
+        if m.symmetric and x != y:
+            w += (w1 * y + w2 * x) ** k
+        acc = sums.setdefault(s, {}).setdefault(e, {})
+        for mono, re, im in rows:
+            r, i = acc.get(mono, (0, 0))
+            acc[mono] = (r + re * w, i + im * w)
+    out = {s: {e: SymExpr({mono: GaussianRational(r, i)
+                           for mono, (r, i) in acc.items() if r or i})
+               for e, acc in by_e.items()}
+           for s, by_e in sums.items()}
+    if isinstance(f, PuiseuxSeries):
+        return PuiseuxSeries(out.get(ZERO, {}), trunc)
+    sectors = {}
+    for s, coeffs in out.items():
+        sb = m.sector_bounds[s]
+        bound = min((sb[ab] for ab in live if ab in sb), default=trunc)
+        sectors[s] = PuiseuxSeries(coeffs, bound)
+    return type(f)(sectors, trunc)  # caps every sector bound at trunc
 
 
-def hirota(k, f, g):
+def hirota(k, f, g, moments=None):
     """Hirota derivative D^k in log z, k <= 4: the alpha-expansion above at
-    weights (1, -1)."""
+    weights (1, -1), sum (x - y)^k f_x g_y (Hirota, The Direct Method in
+    Soliton Theory, CUP 2004)."""
     if k > 4:
         raise ValueError("Hirota order limited to 4")
-    return weighted_theta_expand(f, g, 1, -1, k)
+    return weighted_theta_expand(f, g, 1, -1, k, moments)

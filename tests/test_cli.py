@@ -141,6 +141,30 @@ def test_conjectures_never_affect_exit_code(tmp_path, monkeypatch):
         assert res["status"] == status and res["ok"] is False
 
 
+@pytest.mark.parametrize("status", ["theorem", "derived"])
+def test_fail_fast_stops_after_any_failure_that_exits_one(monkeypatch, status):
+    # a derived-status failure used to let the run go on
+    bad = [("stub", EqualityReport(False, F(1), [(F(0), F(1), 1, "(1)")]))]
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
+        idmod.CATALOG["halfpow"], status=status, run=lambda sample, E, ctx: bad))
+    cfg = RunConfig(identities=["halfpow", "NYtaupm"], order=F(1))
+    code, _, results = run_verify(cfg)
+    assert code == 1 and [r.id for r in results] == ["halfpow", "NYtaupm"]
+    code, report, results = run_verify(dataclasses.replace(cfg, fail_fast=True))
+    assert code == 1 and [r.id for r in results] == ["halfpow"]
+    assert len(report["results"]) == 1
+
+
+def test_empty_selection_exit_two(tmp_path):
+    # an empty list used to run nothing and exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identities": []}))
+    r = run_cli("verify", "--config", str(cfg))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["configuration error: no identity selected"]
+
+
 def test_corrupt_run_leaves_no_mutation_behind():
     cfg = RunConfig(identities=["NY", "qNY1", "NYtaupm"], order=F(1),
                     corrupt=F(1))
@@ -170,6 +194,39 @@ def test_one_run_computes_each_coefficient_once(monkeypatch):
     calls.clear()
     assert run_verify(cfg)[0] == 0
     assert Counter(calls) == first
+
+
+def test_one_run_builds_each_moment_table_once(monkeypatch):
+    # the 4d-tau checks take D^1..D^4 of five tau pairs: one run builds each
+    # pair's moment table once, and the next run builds them again
+    calls, tau_sets = [], []
+    real_moments, real_taus = idmod.bilinear_moments, idmod.Context.taus_4d
+
+    def moments(f, g):
+        calls.append((f, g))
+        return real_moments(f, g)
+
+    def taus(self, *args):
+        tau_sets.append(real_taus(self, *args))
+        return tau_sets[-1]
+
+    monkeypatch.setattr(idmod, "bilinear_moments", moments)
+    monkeypatch.setattr(idmod.Context, "taus_4d", taus)
+
+    def built():
+        name = {id(v): k for k, v in tau_sets[-1].items()}
+        return Counter((name[id(f)], name[id(g)]) for f, g in calls)
+
+    ids = ["NYD2diff", "NYD4diff", "NYD1diff", "NYD3diff", "NYdiffIS",
+           "NYdiffHIS1", "NYdiffHIS3", "Todasg", "doubleprop", "KZsq"]
+    cfg = RunConfig(identities=ids, order=F(1))
+    want = Counter([("tp", "tm"), ("t0", "t0"), ("t1", "t1"), ("tau", "tau"),
+                    ("t0", "t1")])
+    assert run_verify(cfg)[0] == 0
+    assert built() == want
+    calls.clear()
+    assert run_verify(cfg)[0] == 0
+    assert built() == want
 
 
 def test_run_writes_no_module_state():

@@ -1,14 +1,16 @@
 """Truncated Puiseux-series ring: arithmetic, exp/inverse, theta, Hirota."""
 
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nektau.fourier import FourierSeries
+from nektau.identities import POOL_4D_EPS, POOL_SIGMA, Context
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
-from nektau.series import PuiseuxSeries, hirota, weighted_theta_expand
+from nektau.series import PuiseuxSeries, bilinear_moments, hirota, weighted_theta_expand
 from nektau.symbols import NonInvertible, SymExpr, rational_power
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -311,3 +313,149 @@ def test_dump_sorted_and_exact():
     rows = a.dump()
     assert [r["exponent"] for r in rows] == [[1, 2], [3, 2]]
     assert all(isinstance(r["coefficient"], str) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# the moment-table expansion against the theta-product route it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_weighted_theta_expand(f, g, w1, w2, k):
+    """Test-only copy of the theta-product route: the alpha^k/k! coefficient
+    as sum_j C(k,j) w1^j w2^{k-j} theta^j f * theta^{k-j} g, built from k+1
+    full products of theta-derivatives."""
+    w1, w2 = F(w1), F(w2)
+    thf = [f]
+    thg = [g]
+    for _ in range(k):
+        thf.append(thf[-1].theta())
+        thg.append(thg[-1].theta())
+    out = None
+    for j in range(k + 1):
+        term = (thf[j] * thg[k - j]).scale(F(comb(k, j)) * w1**j * w2 ** (k - j))
+        out = term if out is None else out + term
+    return out
+
+
+E1, E2, _ = POOL_4D_EPS[0]
+WEIGHTS = [(F(1), F(-1)), (F(2), F(5)), (F(0), F(3)), (-2 * E1, -2 * E2)]
+
+
+def assert_identical(new, ref):
+    """Same type, coefficients, overall bound and every sector's bound."""
+    assert type(new) is type(ref)
+    assert new.trunc == ref.trunc
+    if isinstance(ref, PuiseuxSeries):
+        assert new.coeffs == ref.coeffs
+    else:
+        assert new.sectors == ref.sectors  # PuiseuxSeries ==: coeffs and bound
+
+
+def assert_expansions_identical(f, g):
+    table = bilinear_moments(f, g)
+    for w1, w2 in WEIGHTS:
+        for k in range(5):
+            ref = ref_weighted_theta_expand(f, g, w1, w2, k)
+            assert_identical(weighted_theta_expand(f, g, w1, w2, k), ref)
+            assert_identical(weighted_theta_expand(f, g, w1, w2, k, table), ref)
+            if (w1, w2) == (1, -1):
+                assert_identical(hirota(k, f, g, moments=table), ref)
+
+
+@st.composite
+def bounded_series(draw):
+    """A series with its own bound, with z^0 and negative exponents."""
+    trunc = draw(st.sampled_from([F(1), F(3, 2), F(5, 2)]))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        e = draw(st.fractions(min_value=-1, max_value=trunc, max_denominator=4))
+        c = draw(coef)
+        if c:
+            terms[e] = SymExpr.coerce(c)
+    return PuiseuxSeries(terms, trunc)
+
+
+@st.composite
+def bounded_fourier(draw, max_sectors=3):
+    """A FourierSeries whose sectors have unequal bounds."""
+    sectors = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_sectors))):
+        sectors[draw(st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2)]))] = \
+            draw(bounded_series())
+    return FourierSeries(sectors, draw(st.sampled_from([F(3, 2), F(2)])))
+
+
+@given(bounded_series(), bounded_series(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_moment_expansion_is_the_theta_product_route(f, g, same):
+    assert_expansions_identical(f, f if same else g)
+
+
+@given(bounded_fourier(), bounded_fourier(max_sectors=1))
+@settings(max_examples=40, deadline=None)
+def test_moment_expansion_is_the_theta_product_route_on_sectors(f, g):
+    # g has one sector, so no two sector pairs meet in one product sector
+    # and no sector of a theta-product cancels (see the test below)
+    assert_expansions_identical(f, g)
+    assert_expansions_identical(g, f)
+
+
+def _fs(rows, trunc):
+    """FourierSeries from {sector: (bound, {exponent: coefficient})}."""
+    return FourierSeries({F(s): PuiseuxSeries(
+        {F(e): SymExpr.coerce(c) for e, c in terms.items()}, F(b))
+        for s, (b, terms) in rows.items()}, F(trunc))
+
+
+SQRT3 = rational_power(F(3), F(1, 2))
+# sector bounds 2, 3/2 and 5/2 under the overall 5/2; sector -1 holds only
+# z^0, which theta drops; Gaussian and two-term coefficients
+F_UNEQUAL = _fs({0: (2, {0: 1, F(1, 2): G(3, -1)}),
+                 F(1, 2): (F(3, 2), {F(1, 4): -2, 1: SQRT3 + 1}),
+                 -1: (F(5, 2), {0: 7})}, F(5, 2))
+G_UNEQUAL = _fs({0: (2, {F(1, 2): G(0, 2), 1: -1}),
+                 F(-1, 2): (F(3, 2), {0: SQRT3 * 3, F(3, 4): 1})}, F(5, 2))
+
+
+# theta drops the one sector of F_Z0 (bound 1, under the overall 3); its
+# pair bounds with G_Z0 would lower the sector bound to 1 through
+# theta F_Z0 * G_Z0, a product with no terms
+F_Z0 = _fs({0: (1, {0: 1})}, 3)
+G_Z0 = _fs({0: (5, {0: 1, 1: 1})}, 5)
+
+
+@pytest.mark.parametrize("f,g", [
+    (F_UNEQUAL, G_UNEQUAL),
+    (F_Z0, G_Z0),
+    (F_UNEQUAL, F_UNEQUAL),
+    (G_UNEQUAL, G_UNEQUAL),
+    (F_UNEQUAL, FourierSeries.zero(F(2))),
+    (FourierSeries.zero(F(2)), FourierSeries.zero(F(3))),
+    (PuiseuxSeries({F(0): SymExpr.coerce(4)}, F(2)), PuiseuxSeries.zero(F(3, 2))),
+], ids=["unequal bounds", "z^0-only sector", "f is g", "f is g, z^0 term", "times zero", "zero",
+        "z^0 only times zero"])
+def test_moment_expansion_cases(f, g):
+    assert_expansions_identical(f, g)
+
+
+@pytest.mark.parametrize("f,g", [("tp", "tm"), ("t0", "t0"), ("t1", "t1"),
+                                 ("tau", "tau"), ("t0", "t1")])
+def test_moment_expansion_on_4d_taus(f, g):
+    d = Context().taus_4d(POOL_SIGMA[0], F(3))
+    assert_expansions_identical(d[f], d[g])
+
+
+def test_moment_expansion_keeps_the_bound_of_a_cancelled_term():
+    # in D^1 = theta f * g - f * theta g, sector 0 of theta f * g is
+    # theta f_0 g_0 + theta f_1 g_{-1} = -4 z^2 + 4 z^2 through its bound
+    # z^2 (f_1 is known to z^2 and g_{-1} has a z^0 term).  The
+    # theta-product route drops that cancelled sector and its bound with it,
+    # so it claims sector 0 through z^3; the true bound is z^2
+    f = _fs({0: (2, {1: -2, 2: 2}), 1: (2, {2: -2})}, 3)
+    g = _fs({0: (2, {1: 2}), -1: (3, {0: -1, 2: 2})}, 3)
+    new, ref = hirota(1, f, g), ref_weighted_theta_expand(f, g, 1, -1, 1)
+    assert new.trunc == ref.trunc == 3
+    assert (new.sector(0).trunc, ref.sector(0).trunc) == (2, 3)
+    assert new.sector(0).coeffs == ref.sector(0).truncate(2).coeffs
+    assert {s: ps for s, ps in new.sectors.items() if s} == \
+        {s: ps for s, ps in ref.sectors.items() if s}
