@@ -172,12 +172,15 @@ class EqualityReport:
 
 
 def fs_equal_to_order(a: FourierSeries, b: FourierSeries, E) -> EqualityReport:
-    """Structural residual test: a - b must vanish for exponents <= E."""
+    """Structural residual test: a - b must vanish for exponents <= E.
+
+    Raises ValueError when either series, or any sector it stores, is
+    known only below E.
+    """
     E = _frac(E)
-    if a.trunc < E or b.trunc < E:
-        raise ValueError(
-            f"series only known to {min(a.trunc, b.trunc)}, asked to compare to {E}"
-        )
+    known = min(ps.trunc for s in (a, b) for ps in (s, *s.sectors.values()))
+    if known < E:
+        raise ValueError(f"series only known to {known}, asked to compare to {E}")
     diff = a - b
     residuals = []
     for k in sorted(diff.sectors):

@@ -51,7 +51,7 @@ from .nekrasov import (
 from .qseries import PochhammerSpec, pochhammer_series
 from .rationals import GaussianRational
 from .sampling import ParameterSample
-from .series import PuiseuxSeries, bilinear_moments, weighted_theta_expand
+from .series import PuiseuxSeries, bilinear_moments, theta_products, weighted_theta_expand
 from .symbols import SymExpr, rational_power
 from .tau import TauSystem4d, TauSystemQ, build_tau, backlund, g_function, zeta_from_tau
 
@@ -149,9 +149,9 @@ class Context:
     corrupt: if set, the central series of a few theorem entries gains +1 at
              this z-exponent (in sector 0 for taus) before it is compared, a
              probe that the catalog is not vacuous.
-    memo:    instanton coefficients, tau sets and tau-pair moment tables
-             built so far, keyed by their arguments, so that checks on the
-             same sums share them.
+    memo:    instanton coefficients, tau sets, tau-pair moment tables and
+             the zeta series with its theta-products built so far, keyed by
+             their arguments, so that checks on the same sums share them.
     """
 
     corrupt: Frac | None = None
@@ -196,6 +196,25 @@ class Context:
         if key not in self.memo:
             self.memo[key] = bilinear_moments(d[f], d[g])
         return hirota(k, d[f], d[g], moments=self.memo[key])
+
+    def zeta_4d(self, sigma: Frac, EB: Frac):
+        """zeta = theta(tau)/tau of the taus_4d(sigma, EB) entry "tau" (the
+        relative series, without the classical constant sigma^2), and the
+        theta-products of zeta that zetac and zeta3 take, formed once per
+        run: P = (theta zeta)^2, Q = (theta^2 zeta)^2 - theta zeta
+        theta^3 zeta and R = (theta^2 zeta - theta zeta)^2 from one pass over
+        the coefficient pairs of (zeta, zeta), P theta zeta and P zeta from
+        one pass over those of (P, zeta)."""
+        key = ("zeta_4d", sigma, EB)
+        if key not in self.memo:
+            z = zeta_from_tau(self.taus_4d(sigma, EB)["tau"])
+            P, Q, R = theta_products(z, z, [{(1, 1): 1},
+                                            {(2, 2): 1, (1, 3): -1},
+                                            {(2, 2): 1, (2, 1): -2, (1, 1): 1}])
+            P_dz, P_z = theta_products(P, z, [{(0, 1): 1}, {(0, 0): 1}])
+            self.memo[key] = {"zeta": z, "P": P, "Q": Q, "R": R,
+                              "P dzeta": P_dz, "P zeta": P_z}
+        return self.memo[key]
 
     def taus_q(self, sample: ParameterSample, m: int, EB: Frac):
         key = ("taus_q", sample, m, EB)
@@ -389,14 +408,15 @@ def run_NY1(sample, E, ctx):
 
 def run_NYtaupm(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = d["tp"] * d["tm"]
+    lhs = ctx.hirota_4d(sigma, E + 1, 0, "tp", "tm")
     return [("product of short taus equals the full tau",
              _fseq(lhs, ctx.corrupted(d["tau"]), E))]
 
 
 def run_NYtau01(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = d["t0"] * d["t0"] + d["t1"] * d["t1"]
+    lhs = (ctx.hirota_4d(sigma, E + 1, 0, "t0", "t0")
+           + ctx.hirota_4d(sigma, E + 1, 0, "t1", "t1"))
     return [("sum of squared parity taus equals the full tau",
              _fseq(lhs, d["tau"], E))]
 
@@ -502,42 +522,45 @@ def run_doubleprop(sigma, E, ctx):
     ]
 
 
-def _zeta_pair(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
-    zr = zeta_from_tau(d["tau"])
-    # relative series drop the classical z^{sigma^2}; restore the constant
-    const = FourierSeries.single(
-        PuiseuxSeries({Frac(0): SymExpr.coerce(sigma * sigma)}, zr.trunc))
-    return zr, zr + const
+def _zetac_sides(sigma, E, ctx):
+    """-2 (theta zeta)^3 + (theta^2 zeta)^2 - theta zeta theta^3 zeta
+    + 2 z theta zeta, and zero; theta drops the constant that the relative
+    zeta lacks."""
+    zs = ctx.zeta_4d(sigma, E + 1)
+    zp = zs["zeta"].theta()
+    lhs = zs["P dzeta"].scale(-2) + zs["Q"] + zp.shift(1).scale(2)
+    return lhs, FourierSeries.zero(lhs.trunc)
+
+
+def _zeta3_sides(sigma, E, ctx):
+    """(theta^2 Z - theta Z)^2 and 4 (theta Z)^2 (Z - theta Z) - 4 z theta Z
+    for Z = zeta + sigma^2 (relative series drop the classical
+    z^{sigma^2}), with (theta Z)^2 Z = P zeta + sigma^2 P."""
+    zs = ctx.zeta_4d(sigma, E + 1)
+    zp = zs["zeta"].theta()
+    P = zs["P"]
+    rhs = ((zs["P zeta"] + P.scale(sigma * sigma) - zs["P dzeta"]).scale(4)
+           - zp.shift(1).scale(4))
+    return zs["R"], rhs
 
 
 def run_zetac(sigma, E, ctx):
-    zr, _ = _zeta_pair(sigma, E, ctx)
-    zp = zr.theta()
-    zpp = zp.theta()
-    zppp = zpp.theta()
-    lhs = (zp * zp * zp).scale(-2) + zpp * zpp - zp * zppp + zp.shift(1).scale(2)
-    return [("constant-free third order form vanishes",
-             _fseq(lhs, FourierSeries.zero(lhs.trunc), E))]
+    lhs, rhs = _zetac_sides(sigma, E, ctx)
+    return [("constant-free third order form vanishes", _fseq(lhs, rhs, E))]
 
 
 def run_zeta3(sigma, E, ctx):
-    _, z = _zeta_pair(sigma, E, ctx)
-    zp = z.theta()
-    zpp = zp.theta()
-    lhs = (zpp - zp) * (zpp - zp)
-    rhs = (zp * zp * (z - zp)).scale(4) - zp.shift(1).scale(4)
+    lhs, rhs = _zeta3_sides(sigma, E, ctx)
     return [("cleared second order form with constant sigma^2",
              _fseq(lhs, rhs, E))]
 
 
 def run_KZsq(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
-    tau = d["tau"]
     D1 = ctx.hirota_4d(sigma, E + 1, 1, "t0", "t1")
     lhs = (D1 * D1).scale(4)
-    # zeta' tau^2 = theta^2(tau) tau - theta(tau)^2, the constant drops
-    rhs = tau.theta().theta() * tau - tau.theta() * tau.theta()
+    # zeta' tau^2 = theta^2(tau) tau - theta(tau)^2 = D^2(tau,tau)/2, the
+    # constant drops
+    rhs = ctx.hirota_4d(sigma, E + 1, 2, "tau", "tau").scale(HALF)
     return [("4 D^1(tau0,tau1)^2 equals zeta' tau^2", _fseq(lhs, rhs, E))]
 
 

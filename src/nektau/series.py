@@ -9,8 +9,10 @@ operations track the bound conservatively.
 from __future__ import annotations
 
 import heapq
+from itertools import groupby
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from .rationals import GaussianRational
 from .symbols import NonInvertible, SymExpr, _frac, rational_power
@@ -253,15 +255,16 @@ def solve_recurrence(steps, bound, divide=False):
 
 @dataclass(frozen=True)
 class BilinearMoments:
-    """Coefficient products of two series, summed per (sector, x, y).
+    """Coefficient products of two series, summed per (x, y, sector).
 
-    terms[(s, x, y)] = sum over k1 + k2 = s of f_{k1,x} g_{k2,y}, as
-    (monomial, re, im) rows of its SymExpr terms, kept for x + y up to the
+    terms[(x, y, s)] = sum over k1 + k2 = s of f_{k1,x} g_{k2,y}, as
+    (monomial, re, im) rows of its SymExpr terms, with the keys of one
+    (x, y) next to each other, kept for x + y up to the
     product bound min(f.trunc + v(g), g.trunc + v(f)); a PuiseuxSeries is
     the single sector 0.  For f is g the table is
     symmetric, M[s,y,x] = M[s,x,y], and only x <= y is kept.  Every
-    theta-weighted expansion of the pair is a sum over these terms (see
-    `weighted_theta_expand`).
+    theta-product of the pair is a weighted sum over these terms (see
+    `theta_products`).
 
     The bounds are those of the products theta^j f * theta^i g.  They
     depend only on whether j and i are zero, since theta drops the z^0
@@ -294,47 +297,177 @@ def _theta_bounds(f_trunc, f_vals, g_trunc, g_vals):
             for a in (0, 1) for b in (0, 1)}
 
 
-def bilinear_moments(f, g):
-    """The BilinearMoments of f and g (both PuiseuxSeries or both
-    FourierSeries), one coefficient product per pair of terms."""
+def _product_bounds(f, g):
+    """The bounds and sector_bounds of BilinearMoments(f, g)."""
     fs, gs = _sectors(f), _sectors(g)
-    symmetric = f is g
     bounds = _theta_bounds(f.trunc, _valuations(fs.values(), f.trunc),
                            g.trunc, _valuations(gs.values(), g.trunc))
-    top = bounds[0, 0]
-    terms = {}
+    # per sector: (sector, bound, valuations, theta of it is nonzero: it
+    # has a z^e with e != 0)
+    fv, gv = ([(k, p.trunc, _valuations((p,), p.trunc), any(p.coeffs))
+               for k, p in h.items()] for h in (fs, gs))
     sector_bounds = {}
-    for k1, p in fs.items():
-        p_vals = _valuations((p,), p.trunc)
-        p_theta = any(p.coeffs)  # theta p is nonzero: p has a z^e, e != 0
-        for k2, q in gs.items():
-            s = k1 + k2
-            q_theta = any(q.coeffs)
-            sb = sector_bounds.setdefault(s, {})
-            pair = _theta_bounds(p.trunc, p_vals, q.trunc, _valuations((q,), q.trunc))
+    for k1, p_trunc, p_vals, p_theta in fv:
+        for k2, q_trunc, q_vals, q_theta in gv:
+            sb = sector_bounds.setdefault(k1 + k2, {})
+            pair = _theta_bounds(p_trunc, p_vals, q_trunc, q_vals)
             for (a, b), bound in pair.items():
                 if (p_theta or not a) and (q_theta or not b):
                     sb[a, b] = min(sb.get((a, b), bound), bound)
-            for x, c in p.coeffs.items():
-                for y, d in q.coeffs.items():
-                    if x + y > top or (symmetric and x > y):
-                        continue
-                    key = (s, x, y)
-                    cd = c * d
-                    n = terms.get(key)
-                    n = cd if n is None else n + cd
-                    if n:
-                        terms[key] = n
-                    else:
-                        terms.pop(key, None)
-    # a table can live for a run (identities.Context): keep each sum as
-    # (monomial, re, im) rows, with one object per monomial (the products
-    # repeat a few)
+    return bounds, sector_bounds
+
+
+def _by_exponent(f):
+    """[(x, [(sector, f_{sector,x}), ...]), ...] in increasing x."""
+    out = {}
+    for k, ps in _sectors(f).items():
+        for x, c in ps.coeffs.items():
+            out.setdefault(x, []).append((k, c))
+    return sorted(out.items())
+
+
+def _pair_products(f, g, top):
+    """(x, y, products) for every pair of exponents x of f and y of g with
+    x + y <= top, and x <= y when f is g.  products yields (k1 + k2, rows)
+    over the sector pairs, rows the (monomial, re, im) terms of
+    f_{k1,x} g_{k2,y}; it forms those products only when it is read."""
+    fx = _by_exponent(f)
+    gy = fx if f is g else _by_exponent(g)
+    for i, (x, cs) in enumerate(fx):
+        for y, ds in (gy[i:] if f is g else gy):
+            if x + y > top:
+                break
+            yield x, y, ((k1 + k2, [(m, v.re, v.im) for m, v in (c * d).terms.items()])
+                         for k1, c in cs for k2, d in ds)
+
+
+def bilinear_moments(f, g):
+    """The BilinearMoments of f and g (both PuiseuxSeries or both
+    FourierSeries), one coefficient product per pair of terms."""
+    bounds, sector_bounds = _product_bounds(f, g)
+    terms = {}
+    # a table can live for a run (identities.Context): one object per
+    # monomial, since the products repeat a few
     monos = {}
-    terms = {key: tuple((monos.setdefault(m, m), v.re, v.im)
-                        for m, v in c.terms.items())
-             for key, c in terms.items()}
-    return BilinearMoments(terms, symmetric, bounds, sector_bounds)
+    for x, y, products in _pair_products(f, g, bounds[0, 0]):
+        sums = {}
+        for s, rows in products:
+            acc = sums.setdefault(s, {})
+            for mono, re, im in rows:
+                r, i = acc.get(mono, (0, 0))
+                acc[monos.setdefault(mono, mono)] = (r + re, i + im)
+        for s, acc in sums.items():
+            rows = tuple((mono, r, i) for mono, (r, i) in acc.items() if r or i)
+            if rows:
+                terms[x, y, s] = rows
+    return BilinearMoments(terms, f is g, bounds, sector_bounds)
+
+
+def _theta_pattern(ab):
+    """(min(a, 1), min(b, 1)): the bounds of theta^a f * theta^b g."""
+    return min(ab[0], 1), min(ab[1], 1)
+
+
+def _integer_poly(poly, L):
+    """The weight sum c x^a y^b of a poly in integers: for x = X/L and
+    y = Y/L it is sum n X^a Y^b / den over the rows (a, b, n)."""
+    top = max(a + b for a, b in poly)
+    den = lcm(*(Fraction(c).denominator for c in poly.values()))
+    rows = [(a, b, int(c * den) * L ** (top - a - b)) for (a, b), c in poly.items() if c]
+    return rows, den * L**top
+
+
+def theta_products(f, g, polys, moments=None):
+    """sum c theta^a f * theta^b g over {(a, b): c}, for each poly of polys.
+
+    theta^a f * theta^b g sends f_x g_y to x^a y^b f_x g_y at z^{x+y}, so
+    an output is sum W(x, y) f_x g_y with W = sum c x^a y^b (0^0 = 1).
+    One pass over the exponent pairs of f and g forms each coefficient
+    product once and weighs it into every output that keeps its exponent
+    at a nonzero weight; when f is g only x <= y is walked, at weight
+    W(x, y) + W(y, x) off the diagonal.  moments, if given, is
+    bilinear_moments(f, g), whose sums stand in for the products; it holds
+    them through the bound of f * g, so it serves the polys whose bound is
+    no higher (every expansion of weighted_theta_expand), and others raise
+    ValueError.  The sums run per (sector, exponent, monomial) in
+    Fractions, weighted by the integer numerator of W over the exponents'
+    common denominator and divided by W's denominator once at the end.
+
+    The bounds are those of the sum of the products theta^a f * theta^b g:
+    the overall one is the least over all entries of the poly, zero
+    coefficients included, and a sector's the least over the entries of
+    nonzero coefficient, capped at the overall one.  f and g may be
+    PuiseuxSeries or FourierSeries.
+    """
+    if moments is None:
+        bounds, sector_bounds = _product_bounds(f, g)
+        symmetric = f is g
+    else:
+        bounds, sector_bounds = moments.bounds, moments.sector_bounds
+        symmetric = moments.symmetric
+    truncs = [min(bounds[_theta_pattern(ab)] for ab in poly) for poly in polys]
+    if moments is None:
+        pairs = _pair_products(f, g, max(truncs))
+    elif max(truncs) > bounds[0, 0]:
+        raise ValueError(f"the moment table stops at z^{bounds[0, 0]}, "
+                         f"asked for z^{max(truncs)}")
+    else:
+        pairs = ((x, y, ((key[2], rows) for key, rows in group))
+                 for (x, y), group in groupby(moments.terms.items(), lambda kv: kv[0][:2]))
+    L = lcm(*(e.denominator for h in (f, g) for ps in _sectors(h).values() for e in ps.coeffs))
+    weights = [_integer_poly(poly, L) for poly in polys]
+    degree = max(n for poly in polys for ab in poly for n in ab)
+    powers = {}  # x -> [X^0, ..., X^degree] for X = x L
+
+    def power(x):
+        p = powers.get(x)
+        if p is None:
+            X = x.numerator * (L // x.denominator)
+            p = powers[x] = [X**n for n in range(degree + 1)]
+        return p
+
+    sums = [{} for _ in polys]  # exponent -> sector -> monomial -> den (re, im)
+    for x, y, products in pairs:
+        e = x + y
+        px, py = power(x), power(y)
+        live = []
+        for (rows, _), trunc, out in zip(weights, truncs, sums):
+            if e <= trunc:
+                n = sum(c * px[a] * py[b] for a, b, c in rows)
+                if symmetric and x != y:
+                    n += sum(c * py[a] * px[b] for a, b, c in rows)
+                if n:
+                    live.append((n, out.setdefault(e, {})))
+        if not live:
+            continue
+        for s, rows in products:
+            for n, by_s in live:
+                acc = by_s.setdefault(s, {})
+                for mono, re, im in rows:
+                    r, i = acc.get(mono, (0, 0))
+                    acc[mono] = (r + re * n, i + im * n if im else i)
+    return [_assemble(f, out, den, trunc, {_theta_pattern(ab) for ab, c in poly.items() if c},
+                      sector_bounds)
+            for out, (_, den), trunc, poly in zip(sums, weights, truncs, polys)]
+
+
+def _assemble(f, sums, den, trunc, live, sector_bounds):
+    """One output of theta_products, its sums divided by den: bound trunc,
+    and each sector's bound the least over its live theta-patterns."""
+    out = {}
+    for e, by_s in sums.items():
+        for s, acc in by_s.items():
+            out.setdefault(s, {})[e] = SymExpr({
+                mono: GaussianRational(Fraction(r, den), Fraction(i, den))
+                for mono, (r, i) in acc.items() if r or i})
+    if isinstance(f, PuiseuxSeries):
+        return PuiseuxSeries(out.get(ZERO, {}), trunc)
+    sectors = {}
+    for s, coeffs in out.items():
+        sb = sector_bounds[s]
+        bound = min((sb[ab] for ab in live if ab in sb), default=trunc)
+        sectors[s] = PuiseuxSeries(coeffs, bound)
+    return type(f)(sectors, trunc)  # caps every sector bound at trunc
 
 
 def weighted_theta_expand(f, g, w1, w2, k, moments=None):
@@ -342,44 +475,15 @@ def weighted_theta_expand(f, g, w1, w2, k, moments=None):
 
     f(e^{w1 alpha} z) g(e^{w2 alpha} z) sends z^x z^y to
     e^{(w1 x + w2 y) alpha} z^{x+y}, so the coefficient is
-    sum (w1 x + w2 y)^k f_x g_y, one Fraction weight per term of the
-    pair's BilinearMoments (0^0 = 1: k = 0 is the product).  moments, if
-    given, is bilinear_moments(f, g), shared by expansions of one pair.
-
-    The bounds are those of sum_j C(k,j) w1^j w2^{k-j} theta^j f *
-    theta^{k-j} g: the overall one is the least over all j, and a
-    sector's the least over the j of nonzero weight, capped at the
-    overall one.  f and g may be PuiseuxSeries or FourierSeries.
+    sum (w1 x + w2 y)^k f_x g_y = sum_j C(k,j) w1^j w2^{k-j}
+    theta^j f * theta^{k-j} g: the theta_products of that poly
+    (k = 0 is the product).  moments, if given, is bilinear_moments(f, g),
+    shared by expansions of one pair.  f and g may be PuiseuxSeries or
+    FourierSeries.
     """
-    m = bilinear_moments(f, g) if moments is None else moments
     w1, w2 = _frac(w1), _frac(w2)
-    thetas = {(min(j, 1), min(k - j, 1)) for j in range(k + 1)}
-    trunc = min(m.bounds[ab] for ab in thetas)
-    live = [(a, b) for a, b in thetas if (w1 or not a) and (w2 or not b)]
-    sums = {}  # sector -> exponent -> monomial -> (re, im)
-    for (s, x, y), rows in m.terms.items():
-        e = x + y
-        if e > trunc:
-            continue
-        w = (w1 * x + w2 * y) ** k
-        if m.symmetric and x != y:
-            w += (w1 * y + w2 * x) ** k
-        acc = sums.setdefault(s, {}).setdefault(e, {})
-        for mono, re, im in rows:
-            r, i = acc.get(mono, (0, 0))
-            acc[mono] = (r + re * w, i + im * w)
-    out = {s: {e: SymExpr({mono: GaussianRational(r, i)
-                           for mono, (r, i) in acc.items() if r or i})
-               for e, acc in by_e.items()}
-           for s, by_e in sums.items()}
-    if isinstance(f, PuiseuxSeries):
-        return PuiseuxSeries(out.get(ZERO, {}), trunc)
-    sectors = {}
-    for s, coeffs in out.items():
-        sb = m.sector_bounds[s]
-        bound = min((sb[ab] for ab in live if ab in sb), default=trunc)
-        sectors[s] = PuiseuxSeries(coeffs, bound)
-    return type(f)(sectors, trunc)  # caps every sector bound at trunc
+    poly = {(j, k - j): comb(k, j) * w1**j * w2 ** (k - j) for j in range(k + 1)}
+    return theta_products(f, g, [poly], moments)[0]
 
 
 def hirota(k, f, g, moments=None):

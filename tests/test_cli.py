@@ -229,6 +229,46 @@ def test_one_run_builds_each_moment_table_once(monkeypatch):
     assert built() == want
 
 
+def test_one_run_forms_the_zeta_products_once(monkeypatch):
+    # zetac, zeta3 and the zetac probe of a failing zeta3 share one zeta and
+    # its two passes over coefficient pairs per run; the next run forms them
+    # again
+    passes, zetas = [], []
+    real_products, real_zeta = idmod.theta_products, idmod.zeta_from_tau
+
+    def products(f, g, polys, moments=None):
+        passes.append((f, g, len(polys)))
+        return real_products(f, g, polys, moments)
+
+    def zeta(tau):
+        zetas.append(real_zeta(tau))
+        return zetas[-1]
+
+    monkeypatch.setattr(idmod, "theta_products", products)
+    monkeypatch.setattr(idmod, "zeta_from_tau", zeta)
+
+    def formed_once():
+        (z,) = zetas
+        (z1, z2, n), (P, z3, m) = passes
+        return z1 is z2 is z3 is z and P is not z and (n, m) == (3, 2)
+
+    cfg = RunConfig(identities=["zetac", "zeta3"], order=F(1))
+    for _ in range(2):
+        passes.clear()
+        zetas.clear()
+        code, report, _ = run_verify(cfg)
+        assert code == 0 and formed_once()
+    real_zeta3 = idmod.CATALOG["zeta3"]
+    bad = ("stub", EqualityReport(False, F(1), [(F(0), F(0), 1, "(1)")], ""))
+    monkeypatch.setitem(idmod.CATALOG, "zeta3", dataclasses.replace(
+        real_zeta3, run=lambda *args: real_zeta3.run(*args) + [bad]))
+    passes.clear()
+    zetas.clear()
+    code, report, _ = run_verify(RunConfig(identities=["zeta3"], order=F(1)))
+    assert code == 1 and "diagnosis" in report["results"][0]["note"]
+    assert formed_once()
+
+
 def test_run_writes_no_module_state():
     mods = [m for name, m in sys.modules.items() if name.startswith("nektau.")]
 

@@ -270,6 +270,17 @@ def test_equality_raises_beyond_truncation():
         ps_equal_to_order(p, p, F(2))
 
 
+def test_equality_raises_beyond_a_sector_bound():
+    # known through z^3 overall, but sector 1/2 only through z^1
+    a = FourierSeries({F(0): PuiseuxSeries.one(F(3)),
+                       F(1, 2): PuiseuxSeries({F(1): SymExpr.coerce(2)}, F(1))}, F(3))
+    zero = FourierSeries.zero(F(3))
+    assert fs_equal_to_order(a, a, F(1)).ok
+    for x, y in ((a, a), (a, zero), (zero, a)):
+        with pytest.raises(ValueError, match="only known to 1,"):
+            fs_equal_to_order(x, y, F(2))
+
+
 def test_dump_is_sector_major_sorted():
     p0 = PuiseuxSeries({F(1): SymExpr.coerce(1), F(0): SymExpr.coerce(2)}, TR)
     fs = FourierSeries.single(p0, F(1)) + FourierSeries.single(p0, F(-1))

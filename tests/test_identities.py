@@ -8,7 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 import nektau.identities as idmod
-from nektau.fourier import EqualityReport
+from nektau.fourier import EqualityReport, FourierSeries
+from nektau.series import PuiseuxSeries
+from nektau.symbols import SymExpr
+from nektau.tau import zeta_from_tau
 
 THEOREM_IDS = [
     id for id, e in idmod.CATALOG.items() if e.status in ("theorem", "derived")
@@ -154,6 +157,42 @@ def test_context_shares_taus_within_itself_only():
     assert ctx.taus_4d(sigma, F(2)) is taus
     assert ctx.taus_4d(sigma, F(3)) is not taus
     assert idmod.Context().taus_4d(sigma, F(2)) is not taus
+
+
+def ref_zeta_products(sigma, E, ctx):
+    """Test-only copy of the product route zetac and zeta3 took before
+    their theta-products came from one pass: full products of the
+    theta-derivatives of zeta, and of z = zeta + sigma^2 for zeta3.
+    Returns the pieces of Context.zeta_4d and the sides of both checks."""
+    zr = zeta_from_tau(ctx.taus_4d(sigma, E + 1)["tau"])
+    zp = zr.theta()
+    zpp = zp.theta()
+    zppp = zpp.theta()
+    pieces = {"P": zp * zp, "Q": zpp * zpp - zp * zppp, "R": (zpp - zp) * (zpp - zp),
+              "P dzeta": zp * zp * zp, "P zeta": zp * zp * zr}
+    zetac = (zp * zp * zp).scale(-2) + zpp * zpp - zp * zppp + zp.shift(1).scale(2)
+    z = zr + FourierSeries.single(
+        PuiseuxSeries({F(0): SymExpr.coerce(sigma * sigma)}, zr.trunc))
+    zp = z.theta()
+    zpp = zp.theta()
+    zeta3 = ((zpp - zp) * (zpp - zp),
+             (zp * zp * (z - zp)).scale(4) - zp.shift(1).scale(4))
+    return pieces, (zetac, FourierSeries.zero(zetac.trunc)), zeta3
+
+
+@pytest.mark.parametrize("sigma", idmod.POOL_SIGMA)
+def test_zeta_products_are_the_product_route(sigma):
+    ctx = idmod.Context()
+    pieces, zetac, zeta3 = ref_zeta_products(sigma, F(3), ctx)
+    zs = ctx.zeta_4d(sigma, F(4))
+    pairs = [(zs[k], ref) for k, ref in pieces.items()]
+    pairs += zip(idmod._zetac_sides(sigma, F(3), ctx), zetac)
+    pairs += zip(idmod._zeta3_sides(sigma, F(3), ctx), zeta3)
+    for new, ref in pairs:
+        # coefficients, overall bound and every sector's bound
+        assert (new.trunc, new.sectors) == (ref.trunc, ref.sectors)
+    # none is vacuous but zetac's sides, which vanish
+    assert all(new.sectors for new, _ in pairs[:5] + pairs[7:])
 
 
 def test_determ_recursion_singular_sample():

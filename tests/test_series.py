@@ -10,7 +10,13 @@ from nektau.fourier import FourierSeries
 from nektau.identities import POOL_4D_EPS, POOL_SIGMA, Context
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
-from nektau.series import PuiseuxSeries, bilinear_moments, hirota, weighted_theta_expand
+from nektau.series import (
+    PuiseuxSeries,
+    bilinear_moments,
+    hirota,
+    theta_products,
+    weighted_theta_expand,
+)
 from nektau.symbols import NonInvertible, SymExpr, rational_power
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -459,3 +465,110 @@ def test_moment_expansion_keeps_the_bound_of_a_cancelled_term():
     assert new.sector(0).coeffs == ref.sector(0).truncate(2).coeffs
     assert {s: ps for s, ps in new.sectors.items() if s} == \
         {s: ps for s, ps in ref.sectors.items() if s}
+
+
+# ---------------------------------------------------------------------------
+# theta_products: several theta-weighted products from one pass over the
+# coefficient pairs, against full products of theta-derivatives
+# ---------------------------------------------------------------------------
+
+
+def ref_theta_products(f, g, poly):
+    """Test-only theta-product route: sum c theta^a f * theta^b g over the
+    poly {(a, b): c}, one full product per entry."""
+    out = None
+    for (a, b), c in poly.items():
+        fa, gb = f, g
+        for _ in range(a):
+            fa = fa.theta()
+        for _ in range(b):
+            gb = gb.theta()
+        term = (fa * gb).scale(F(c))
+        out = term if out is None else out + term
+    return out
+
+
+# the zeta products of identities.Context.zeta_4d, D^1, and polys with
+# zero-coefficient entries and no symmetry under a <-> b
+POLYS = [
+    {(1, 1): 1},
+    {(2, 2): 1, (1, 3): -1},
+    {(2, 2): 1, (2, 1): -2, (1, 1): 1},
+    {(0, 1): 1},
+    {(0, 0): 1},
+    {(1, 0): 1, (0, 1): -1},
+    {(1, 0): 0, (0, 0): 3},
+    {(3, 0): F(2, 3), (0, 2): 0, (1, 2): -1},
+    {(2, 0): 0, (1, 1): 0},
+]
+
+
+def assert_theta_products_identical(f, g, polys=POLYS):
+    refs = [ref_theta_products(f, g, poly) for poly in polys]
+    table = bilinear_moments(f, g)
+    if max(ref.trunc for ref in refs) > table.bounds[0, 0]:
+        # the table holds the sums through the bound of f * g only
+        with pytest.raises(ValueError, match="moment table stops"):
+            theta_products(f, g, polys, table)
+        table = None
+    for moments in (None, table):
+        outs = theta_products(f, g, polys, moments)
+        assert len(outs) == len(refs)
+        for new, ref in zip(outs, refs):
+            assert_identical(new, ref)
+
+
+polys_st = st.lists(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                    st.sampled_from([F(0), F(1), F(-2), F(3, 5)]),
+                    min_size=1, max_size=3),
+    min_size=1, max_size=3)
+
+
+@given(bounded_series(), bounded_series(), st.booleans(), polys_st)
+@settings(max_examples=30, deadline=None)
+def test_theta_products_are_the_theta_product_route(f, g, same, polys):
+    assert_theta_products_identical(f, f if same else g, polys)
+
+
+@given(bounded_fourier(), bounded_fourier(max_sectors=1), polys_st)
+@settings(max_examples=20, deadline=None)
+def test_theta_products_are_the_theta_product_route_on_sectors(f, g, polys):
+    # g has one sector, so no sector of a theta-product cancels (see
+    # test_moment_expansion_keeps_the_bound_of_a_cancelled_term)
+    assert_theta_products_identical(f, g, polys)
+    assert_theta_products_identical(g, f, polys)
+
+
+@pytest.mark.parametrize("f,g", [
+    (F_UNEQUAL, G_UNEQUAL),
+    (G_UNEQUAL, F_UNEQUAL),
+    (F_Z0, G_Z0),
+    (F_UNEQUAL, F_UNEQUAL),
+    (G_UNEQUAL, G_UNEQUAL),
+    (F_UNEQUAL, FourierSeries.zero(F(2))),
+    (FourierSeries.zero(F(2)), FourierSeries.zero(F(3))),
+    (PuiseuxSeries({F(0): SymExpr.coerce(4)}, F(2)), PuiseuxSeries.zero(F(3, 2))),
+], ids=["unequal bounds", "unequal bounds, swapped", "z^0-only sector", "f is g",
+        "f is g, z^0 term", "times zero", "zero", "z^0 only times zero"])
+def test_theta_products_cases(f, g):
+    assert_theta_products_identical(f, g)
+
+
+def test_theta_products_on_zeta():
+    # the series identities.Context.zeta_4d multiplies, at z^3
+    ctx = Context()
+    z = ctx.zeta_4d(POOL_SIGMA[0], F(3))["zeta"]
+    P = ref_theta_products(z, z, POLYS[0])
+    assert_theta_products_identical(z, z, POLYS[:3])
+    assert_theta_products_identical(P, z, POLYS[3:5])
+
+
+def test_theta_products_keep_the_bound_of_a_cancelled_term():
+    # the case of test_moment_expansion_keeps_the_bound_of_a_cancelled_term,
+    # as the poly of D^1 among others in one pass
+    f = _fs({0: (2, {1: -2, 2: 2}), 1: (2, {2: -2})}, 3)
+    g = _fs({0: (2, {1: 2}), -1: (3, {0: -1, 2: 2})}, 3)
+    d1 = theta_products(f, g, [{(0, 0): 1}, {(1, 0): 1, (0, 1): -1}])[1]
+    assert_identical(d1, hirota(1, f, g))
+    assert d1.sector(0).trunc == 2
