@@ -5,11 +5,15 @@ Subcommands
 list    print the identity catalog (id, status, anchor formula).
 verify  run catalog checks and write a deterministic JSON/CSV report.
         Exit code 0 iff every theorem- and derived-status check passed, 1
-        when one of them failed (--fail-fast stops at the first such
-        failure), 2 on a configuration error (found before any computation,
-        e.g. a config-file value of the wrong type, an empty selection, an
-        order below an entry's lowest meaningful order or more samples than
-        its pool holds).  Conjecture-status outcomes are recorded in the
+        when one of them failed, 2 on a configuration error (found before
+        any computation, e.g. a config-file value of the wrong type, an
+        empty selection, an order below an entry's lowest meaningful order
+        or more samples than its pool holds), 3 on an internal error: an
+        exception raised inside a check (Resonance, ZeroFactor,
+        NonInvertible, ...) becomes an error result that carries the
+        exception's type and message, whatever the check's status, and 3
+        wins over 1.  --fail-fast stops at the first result that sets a
+        nonzero exit code.  Conjecture-status outcomes are recorded in the
         report but never affect the exit code.
 dump    print an exact truncated series (tau function, partition function,
         or closed-form fixture) as JSON.  Byte-identical across runs with
@@ -49,8 +53,11 @@ import io
 import json
 import os
 import sys
+import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
+from functools import partial
 
 from . import identities as idmod
 from .nekrasov import Theory4d, Theory5d, inst_series_4d, inst_series_5d
@@ -213,14 +220,33 @@ def build_config(args) -> RunConfig:
 
 
 def _run_one(id: str, sample, order, ctx):
+    """One check's report; an exception raised inside the check becomes an
+    error result that carries its type and message, with the traceback on
+    stderr."""
     if id == "m1chain":
-        return idmod.m1_identity_check(sample=sample, E=order or Frac(2), ctx=ctx)
-    return idmod.verify(id, sample=sample, E=order, ctx=ctx)
+        status, E = "theorem", order or Frac(2)
+        run = partial(idmod.m1_identity_check, sample=sample, E=E, ctx=ctx)
+    else:
+        entry = idmod.CATALOG[id]
+        status, E = entry.status, order or entry.default_order
+        run = partial(idmod.verify, id, sample=sample, E=E, ctx=ctx)
+    t0 = time.monotonic()
+    try:
+        return run()
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        return idmod.VerificationReport(
+            id=id, status=status, ok=False, order=E,
+            sample=idmod.describe_sample(_domain_of(id), sample), parts=[],
+            elapsed=time.monotonic() - t0, error=(type(exc).__name__, str(exc)))
 
 
-def _fails_run(rep) -> bool:
-    """A failed theorem or derived check: it sets exit code 1."""
-    return rep.status in ("theorem", "derived") and not rep.ok
+def _exit_code(rep) -> int:
+    """3 for a check that raised, 1 for a failed theorem or derived check,
+    else 0."""
+    if rep.error is not None:
+        return 3
+    return 1 if rep.status in ("theorem", "derived") and not rep.ok else 0
 
 
 def run_verify(cfg: RunConfig):
@@ -238,7 +264,7 @@ def run_verify(cfg: RunConfig):
     for id, _, sample in jobs:
         rep = _run_one(id, sample, cfg.order, ctx)
         results.append(rep)
-        if cfg.fail_fast and _fails_run(rep):
+        if cfg.fail_fast and _exit_code(rep):
             break
     jobs = jobs[: len(results)]
 
@@ -256,7 +282,7 @@ def run_verify(cfg: RunConfig):
             }
         },
     }
-    return (1 if any(_fails_run(r) for r in results) else 0), report, results
+    return max(map(_exit_code, results), default=0), report, results
 
 
 def _report_csv(report) -> str:
@@ -266,9 +292,13 @@ def _report_csv(report) -> str:
                 "ok", "failed_parts", "note"])
     for r in report["results"]:
         failed = ";".join(p["name"] for p in r["parts"] if not p["ok"])
+        note = r["note"]
+        if "error" in r:
+            error = f"error: {r['error']['type']}: {r['error']['message']}"
+            note = f"{note}; {error}" if note else error
         w.writerow([r["id"], r["status"], r["sample_index"],
                     r["order"][0], r["order"][1],
-                    int(r["ok"]), failed, r["note"]])
+                    int(r["ok"]), failed, note])
     return buf.getvalue()
 
 
@@ -293,6 +323,8 @@ def cmd_verify(args) -> int:
     _emit_report(report, cfg)
     for r in results:
         print(r.summary())
+        if r.error is not None:
+            print(f"  error: {r.error[0]}: {r.error[1]}")
         if not r.ok:
             for name, part in r.parts:
                 if not part.ok:

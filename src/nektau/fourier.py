@@ -26,7 +26,9 @@ class FourierSeries:
         clean = {}
         for k, ps in sectors.items():
             ps = ps.truncate(trunc) if ps.trunc > trunc else ps
-            if not ps.is_zero():
+            # a zero sector is kept while its own bound is below trunc, so
+            # sector(k) does not claim it is zero through trunc
+            if not ps.is_zero() or ps.trunc < trunc:
                 clean[_frac(k)] = ps
         object.__setattr__(self, "sectors", clean)
         object.__setattr__(self, "trunc", trunc)
@@ -100,9 +102,9 @@ class FourierSeries:
         exponent are rejected, since the inverse would then not have a
         single leading monomial; ties above it do not matter.
         """
-        if not self.sectors:
+        mins = {k: ps.min_exp() for k, ps in self.sectors.items() if not ps.is_zero()}
+        if not mins:
             raise ZeroDivisionError("inverse of zero series")
-        mins = {k: ps.min_exp() for k, ps in self.sectors.items()}
         e = min(mins.values())
         at_min = [k for k, v in mins.items() if v == e]
         if len(at_min) > 1:

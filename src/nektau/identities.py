@@ -251,9 +251,10 @@ class VerificationReport:
     parts: list  # [(name, EqualityReport)]
     note: str = ""
     elapsed: float = 0  # wall seconds; only run_verify's timing block reads it
+    error: tuple | None = None  # (exception type, message) of a check that raised
 
     def to_dict(self):
-        return {
+        out = {
             "id": self.id,
             "status": self.status,
             "ok": self.ok,
@@ -270,9 +271,12 @@ class VerificationReport:
             ],
             "note": self.note,
         }
+        if self.error is not None:
+            out["error"] = {"type": self.error[0], "message": self.error[1]}
+        return out
 
     def summary(self):
-        flag = "pass" if self.ok else "FAIL"
+        flag = "ERROR" if self.error else "pass" if self.ok else "FAIL"
         return f"{self.id} [{self.status}] order {self.order}: {flag}"
 
 

@@ -139,6 +139,26 @@ def pochhammer_series(spec: PochhammerSpec, t: Frac, E, route: str = "shift") ->
 # ---------------------------------------------------------------------------
 
 
+def _tree_product(factors, trunc) -> PuiseuxSeries:
+    """The product of an iterable of series, multiplied pairwise in a
+    balanced tree; PuiseuxSeries.one(trunc) for none.  A stack keeps the
+    partial products, the top two merged while they hold equally many
+    factors, so only about log2 of them are alive at once."""
+    stack = []  # [(number of factors, their product)]
+    for f in factors:
+        n = 1
+        while stack and stack[-1][0] == n:
+            m, g = stack.pop()
+            f, n = g * f, n + m
+        stack.append((n, f))
+    if not stack:
+        return PuiseuxSeries.one(trunc)
+    out = stack.pop()[1]
+    while stack:
+        out = stack.pop()[1] * out
+    return out
+
+
 def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
                    route: str = "product") -> PuiseuxSeries:
     """theta(w; p) with w = arg_coeff z^{arg_zpow}, p = base_coeff z^{base_zpow}.
@@ -162,24 +182,24 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
             + [(k + 1) * r - a for k in range(int(max(0, a) / r) + 1)]
         )
         bound = E - neg_val
+        # binomials 1 - c z^e: c = cw cp^k at e = a + k r and cp^(k+1)/cw
+        # at e = (k+1) r - a, from running powers of cp; a constant factor
+        # (e = 0) is folded into one scalar
+        starts = [(a, cw)]
+        if r - a <= bound:
+            starts.append((r - a, cp * cw.inverse()))
         factors = []
-        k = 0
-        while a + k * r <= bound:
-            factors.append((a + k * r, cw * cp**k))
-            k += 1
-        k = 0
-        while (k + 1) * r - a <= bound:
-            factors.append(((k + 1) * r - a, cp ** (k + 1) * cw.inverse()))
-            k += 1
-        trunc = bound
-        out = PuiseuxSeries.one(trunc)
-        for e, c in factors:
-            if e == 0:
-                # constant factor: the two dict keys would collide
-                out = out.scale(SymExpr.one() - c)
-            else:
-                out = out * PuiseuxSeries({Frac(0): SymExpr.one(), e: -c}, trunc)
-        return out.truncate(E)
+        scalar = SymExpr.one()
+        for e, c in starts:
+            while e <= bound:
+                if e == 0:
+                    scalar = scalar * (SymExpr.one() - c)
+                else:
+                    factors.append((e, c))
+                e += r
+                c = c * cp
+        binomials = (PuiseuxSeries({Frac(0): SymExpr.one(), e: -c}, bound) for e, c in factors)
+        return _tree_product(binomials, bound).scale(scalar).truncate(E)
     if route == "jacobi":
         # (p;p)_inf^{-1} sum_k (-1)^k p^{k(k-1)/2} w^k; the exponent
         # e(k) = k a + k(k-1)/2 r grows quadratically in both directions

@@ -4,6 +4,12 @@ A PuiseuxSeries stores a finite map {rational exponent -> SymExpr} plus an
 inclusive truncation bound: every exponent <= trunc with a nonzero
 coefficient is present and exact; nothing is claimed above trunc.  All
 operations track the bound conservatively.
+
+Products run on integers, whatever the coefficients hold: each operand is
+split by monomial into Gaussian-integer numerators over one denominator per
+monomial, at integer exponents on the lattice (1/L)Z, so a product costs
+one mono_mul per pair of monomials, an integer convolution per pair, and
+one pair of Fractions per output coefficient.
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ import heapq
 from itertools import groupby
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, floor, lcm
 
 from .rationals import GaussianRational
-from .symbols import NonInvertible, SymExpr, _frac, rational_power
+from .symbols import NonInvertible, SymExpr, _frac, mono_mul, rational_power
 
 Frac = Fraction
 ZERO = Frac(0)
@@ -111,25 +117,56 @@ class PuiseuxSeries:
         return PuiseuxSeries({e + de: c for e, c in self.coeffs.items()}, self.trunc + de)
 
     def __mul__(self, other):
+        """The product, known through min(trunc + v(other), other.trunc + v).
+
+        One integer kernel serves every coefficient kind.  Each operand is
+        split by monomial (`_split`): Gaussian-integer numerators (re, im)
+        over one denominator per monomial, at integer exponents X = e L, L
+        the lcm of both operands' exponent denominators.  A pair of
+        monomials costs one mono_mul; its numerator pairs are convolved in
+        increasing X, stopping past floor(trunc L).  The sums of one output
+        monomial are put over one denominator, so each output coefficient
+        is built as one pair of Fractions.
+        """
         if isinstance(other, (int, Frac, SymExpr)):
             return self.scale(other)
         trunc = min(self.trunc + other.min_exp(), other.trunc + self.min_exp())
+        L = lcm(*(e.denominator for h in (self, other) for e in h.coeffs))
+        top = floor(trunc * L)
+        g_split = _split(other, L)
+        by_mono = {}  # output monomial -> [(cofactor numerator, denominator, rows, rows)]
+        for m1, (d1, *rows1) in _split(self, L).items():
+            for m2, (d2, *rows2) in g_split.items():
+                if rows1[0][0] + rows2[0][0] <= top:
+                    mono, cof = mono_mul(m1, m2)
+                    by_mono.setdefault(mono, []).append(
+                        (cof.numerator, cof.denominator * d1 * d2, rows1, rows2))
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e > trunc:
-                    continue
-                c = c1 * c2
-                if not c:
-                    continue
-                n = out.get(e)
-                n = c if n is None else n + c
-                if n:
-                    out[e] = n
-                else:
-                    out.pop(e, None)
-        return PuiseuxSeries(out, trunc)
+        for mono, pairs in by_mono.items():
+            den = lcm(*(pair_den for _, pair_den, _, _ in pairs))
+            acc = {}  # X -> [re, im] over den
+            for n, pair_den, rows1, rows2 in pairs:
+                w = n * (den // pair_den)
+                low = rows2[0][0]
+                for X1, a, b in zip(*rows1):
+                    if X1 + low > top:
+                        break
+                    if w != 1:
+                        a, b = a * w, b * w
+                    for X2, c, d in zip(*rows2):
+                        X = X1 + X2
+                        if X > top:
+                            break
+                        s = acc.get(X)
+                        if s is None:
+                            acc[X] = [a * c - b * d, a * d + b * c]
+                        else:
+                            s[0] += a * c - b * d
+                            s[1] += a * d + b * c
+            for X, (re, im) in acc.items():
+                if re or im:
+                    out.setdefault(X, {})[mono] = GaussianRational(Frac(re, den), Frac(im, den))
+        return PuiseuxSeries({Frac(X, L): SymExpr(terms) for X, terms in out.items()}, trunc)
 
     __rmul__ = __mul__
 
@@ -205,6 +242,28 @@ class PuiseuxSeries:
         ]
 
 
+def _split(f, L):
+    """{monomial: (D, Xs, res, ims)}: the terms of f with that monomial as
+    Gaussian integers (re + i im)/D, D the lcm of their denominators, at
+    integer exponents X = e L, in increasing X (parallel lists, so no
+    tuple per term)."""
+    rows = {}
+    for X, c in sorted((e.numerator * (L // e.denominator), c) for e, c in f.coeffs.items()):
+        for m, v in c.terms.items():
+            r = rows.get(m)
+            if r is None:
+                r = rows[m] = ([], [], [])
+            r[0].append(X)
+            r[1].append(v.re)
+            r[2].append(v.im)
+    out = {}
+    for m, (Xs, res, ims) in rows.items():
+        D = lcm(*(x.denominator for x in res), *(x.denominator for x in ims))
+        out[m] = (D, Xs, [x.numerator * (D // x.denominator) for x in res],
+                  [x.numerator * (D // x.denominator) for x in ims])
+    return out
+
+
 def solve_recurrence(steps, bound, divide=False):
     """Coefficients of the series b with b_0 = 1 and, for n > 0,
 
@@ -270,7 +329,8 @@ class BilinearMoments:
     depend only on whether j and i are zero, since theta drops the z^0
     term and nothing else: bounds[(a, b)] is the bound of that product with
     a = min(j, 1), b = min(i, 1), and sector_bounds[s][(a, b)] the least
-    bound of the sector pairs of s whose two theta-factors are nonzero.
+    bound of the sector pairs of s whose two theta-factors are sectors of
+    theta^a f and theta^b g: nonzero, or zero below the series' bound.
     """
 
     terms: dict
@@ -285,9 +345,11 @@ def _sectors(f):
 
 def _valuations(sectors, trunc):
     """(v(f), v(theta f)): the least exponent of f and the least nonzero
-    one, each trunc when there is none (the valuation of a zero series)."""
+    one.  A sector with none counts its own bound (the valuation of a zero
+    series), and trunc stands for no sector."""
     v = min((ps.min_exp() for ps in sectors), default=trunc)
-    v_theta = min((e for ps in sectors for e in ps.coeffs if e), default=trunc)
+    v_theta = min((min((e for e in ps.coeffs if e), default=ps.trunc) for ps in sectors),
+                  default=trunc)
     return v, v_theta
 
 
@@ -302,10 +364,10 @@ def _product_bounds(f, g):
     fs, gs = _sectors(f), _sectors(g)
     bounds = _theta_bounds(f.trunc, _valuations(fs.values(), f.trunc),
                            g.trunc, _valuations(gs.values(), g.trunc))
-    # per sector: (sector, bound, valuations, theta of it is nonzero: it
-    # has a z^e with e != 0)
-    fv, gv = ([(k, p.trunc, _valuations((p,), p.trunc), any(p.coeffs))
-               for k, p in h.items()] for h in (fs, gs))
+    # per sector: (sector, bound, valuations, theta of it is a sector of
+    # theta h: it has a z^e with e != 0, or its bound is below h's)
+    fv, gv = ([(k, p.trunc, _valuations((p,), p.trunc), any(p.coeffs) or p.trunc < h.trunc)
+               for k, p in hs.items()] for h, hs in ((f, fs), (g, gs)))
     sector_bounds = {}
     for k1, p_trunc, p_vals, p_theta in fv:
         for k2, q_trunc, q_vals, q_theta in gv:
@@ -395,9 +457,10 @@ def theta_products(f, g, polys, moments=None):
 
     The bounds are those of the sum of the products theta^a f * theta^b g:
     the overall one is the least over all entries of the poly, zero
-    coefficients included, and a sector's the least over the entries of
-    nonzero coefficient, capped at the overall one.  f and g may be
-    PuiseuxSeries or FourierSeries.
+    coefficients included, and a sector's likewise, capped at the overall
+    one.  A sector that is zero below the overall bound is kept with its
+    bound, as FourierSeries keeps it.  f and g may be PuiseuxSeries or
+    FourierSeries.
     """
     if moments is None:
         bounds, sector_bounds = _product_bounds(f, g)
@@ -446,14 +509,15 @@ def theta_products(f, g, polys, moments=None):
                 for mono, re, im in rows:
                     r, i = acc.get(mono, (0, 0))
                     acc[mono] = (r + re * n, i + im * n if im else i)
-    return [_assemble(f, out, den, trunc, {_theta_pattern(ab) for ab, c in poly.items() if c},
-                      sector_bounds)
+    return [_assemble(f, out, den, trunc, {_theta_pattern(ab) for ab in poly}, sector_bounds)
             for out, (_, den), trunc, poly in zip(sums, weights, truncs, polys)]
 
 
-def _assemble(f, sums, den, trunc, live, sector_bounds):
+def _assemble(f, sums, den, trunc, patterns, sector_bounds):
     """One output of theta_products, its sums divided by den: bound trunc,
-    and each sector's bound the least over its live theta-patterns."""
+    and each sector's bound the least over the poly's theta-patterns.  A
+    sector no term reaches is zero; it is kept while that bound is below
+    trunc."""
     out = {}
     for e, by_s in sums.items():
         for s, acc in by_s.items():
@@ -463,10 +527,10 @@ def _assemble(f, sums, den, trunc, live, sector_bounds):
     if isinstance(f, PuiseuxSeries):
         return PuiseuxSeries(out.get(ZERO, {}), trunc)
     sectors = {}
-    for s, coeffs in out.items():
-        sb = sector_bounds[s]
-        bound = min((sb[ab] for ab in live if ab in sb), default=trunc)
-        sectors[s] = PuiseuxSeries(coeffs, bound)
+    for s, sb in sector_bounds.items():
+        bounds = [sb[ab] for ab in patterns if ab in sb]
+        if bounds:
+            sectors[s] = PuiseuxSeries(out.get(s, {}), min(bounds))
     return type(f)(sectors, trunc)  # caps every sector bound at trunc
 
 

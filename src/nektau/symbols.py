@@ -264,8 +264,16 @@ class SymExpr:
             return SymExpr()
         out = {}
         for m1, c1 in self.terms.items():
+            one1 = m1.is_one()
             for m2, c2 in other.terms.items():
-                mono, cof = mono_mul(m1, m2)
+                # a canonical monomial times the unit is itself; is_one, not
+                # `is MONO_ONE`, since mono_mul builds fresh unit monomials
+                if one1:
+                    mono, cof = m2, 1
+                elif m2.is_one():
+                    mono, cof = m1, 1
+                else:
+                    mono, cof = mono_mul(m1, m2)
                 c = c1 * c2
                 if cof != 1:
                     c = c * cof

@@ -13,8 +13,17 @@ import pytest
 
 import nektau.identities as idmod
 from nektau import nekrasov
-from nektau.cli import ConfigError, RunConfig, build_config, main, make_parser, run_verify
+from nektau.cli import (
+    ConfigError,
+    RunConfig,
+    _report_csv,
+    build_config,
+    main,
+    make_parser,
+    run_verify,
+)
 from nektau.fourier import EqualityReport
+from nektau.symbols import NonInvertible, Resonance, ZeroFactor
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -153,6 +162,52 @@ def test_fail_fast_stops_after_any_failure_that_exits_one(monkeypatch, status):
     code, report, results = run_verify(dataclasses.replace(cfg, fail_fast=True))
     assert code == 1 and [r.id for r in results] == ["halfpow"]
     assert len(report["results"]) == 1
+
+
+@pytest.mark.parametrize("status", ["theorem", "conjecture"])
+@pytest.mark.parametrize("exc", [Resonance, ZeroFactor, NonInvertible])
+def test_an_exception_in_a_check_is_an_error_result(tmp_path, monkeypatch, capsys, status, exc):
+    # a stub that raises in place of the halfpow runner: the exception used
+    # to escape as a traceback with exit 1, which reads as a theorem failure
+    def boom(sample, E, ctx):
+        raise exc("resonant sample")
+
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
+        idmod.CATALOG["halfpow"], status=status, run=boom))
+    rp = tmp_path / "report.json"
+    argv = ["verify", "--id", "halfpow", "--id", "NYtaupm", "--order", "1", "--report", str(rp)]
+    assert main(argv) == 3
+    err, ok = json.loads(rp.read_text())["results"]  # the run goes on
+    assert err["id"] == "halfpow" and err["status"] == status
+    assert err["ok"] is False and err["parts"] == [] and err["order"] == [1, 1]
+    assert err["error"] == {"type": exc.__name__, "message": "resonant sample"}
+    assert ok["id"] == "NYtaupm" and ok["ok"] and "error" not in ok
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"halfpow [{status}] order 1: ERROR",
+                       f"  error: {exc.__name__}: resonant sample"]
+    assert out[-1] == "2 check(s), 1 failure(s); exit 3"
+
+
+def test_an_error_result_wins_over_a_failure_and_stops_fail_fast(monkeypatch):
+    bad = [("stub", EqualityReport(False, F(1), [(F(0), F(1), 1, "(1)")]))]
+
+    def boom(sample, E, ctx):
+        raise Resonance("pole")
+
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
+        idmod.CATALOG["halfpow"], status="theorem", run=lambda sample, E, ctx: bad))
+    monkeypatch.setitem(idmod.CATALOG, "qG", dataclasses.replace(
+        idmod.CATALOG["qG"], run=boom))
+    cfg = RunConfig(identities=["halfpow", "qG", "NYtaupm"], order=F(1))
+    code, report, results = run_verify(cfg)
+    assert code == 3 and [r.id for r in results] == ["halfpow", "qG", "NYtaupm"]
+    assert [r.error for r in results] == [None, ("Resonance", "pole"), None]
+    code, report, results = run_verify(dataclasses.replace(cfg, identities=["qG", "halfpow"],
+                                                           fail_fast=True))
+    assert code == 3 and [r.id for r in results] == ["qG"]
+    csv_cfg = dataclasses.replace(cfg, identities=["qG"], format="csv")
+    row = _report_csv(run_verify(csv_cfg)[1]).splitlines()[1]
+    assert row.endswith(",0,,error: Resonance: pole")
 
 
 def test_empty_selection_exit_two(tmp_path):

@@ -281,6 +281,39 @@ def test_equality_raises_beyond_a_sector_bound():
             fs_equal_to_order(x, y, F(2))
 
 
+def _fs(rows, trunc):
+    """FourierSeries from {sector: (bound, {exponent: coefficient})}."""
+    return FourierSeries({F(k): PuiseuxSeries(
+        {F(e): SymExpr.coerce(c) for e, c in terms.items()}, F(b))
+        for k, (b, terms) in rows.items()}, F(trunc))
+
+
+def test_a_zero_sector_keeps_its_own_bound():
+    # sector 0 of D^1, sum (x - y) f_x g_y over the sector pairs (0, 0)
+    # and (1, -1), is known only through z^1 (f_0 is), where it is
+    # 2z - 2z = 0.  It used to be dropped, and sector(0) then read 0
+    # through the overall z^3
+    f = _fs({0: (1, {1: 1}), 1: (3, {1: 1, 2: -1})}, 3)
+    g = _fs({0: (2, {0: 2, 2: -1}), -1: (2, {0: -2})}, 3)
+    d1 = hirota(1, f, g)
+    assert d1.trunc == 3
+    assert d1.sector(0) == PuiseuxSeries.zero(F(1))
+    assert F(0) in d1.sectors and d1.sectors[F(0)].is_zero()
+    zero = FourierSeries.zero(F(3))
+    assert fs_equal_to_order(d1.truncate(1), zero, F(1)).ok is False  # sector 1 is not zero
+    with pytest.raises(ValueError, match="only known to 1,"):
+        fs_equal_to_order(d1, zero, F(2))
+    # the zero sector is no term: leading() and the inverse skip it
+    h = _fs({0: (1, {}), 1: (3, {1: 2, 2: 1})}, 3)
+    assert F(0) in h.sectors
+    assert h.leading() == (F(1), F(1), SymExpr.coerce(2))
+    inv = h.inverse()
+    assert inv.sector(-1).coeff(F(-1)) == SymExpr.coerce(F(1, 2))
+    # a zero sector known through the overall bound is dropped as before
+    assert not _fs({0: (3, {}), 1: (3, {1: 2})}, 3).sector(0).coeffs
+    assert F(0) not in _fs({0: (3, {}), 1: (3, {1: 2})}, 3).sectors
+
+
 def test_dump_is_sector_major_sorted():
     p0 = PuiseuxSeries({F(1): SymExpr.coerce(1), F(0): SymExpr.coerce(2)}, TR)
     fs = FourierSeries.single(p0, F(1)) + FourierSeries.single(p0, F(-1))

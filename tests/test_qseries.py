@@ -214,6 +214,69 @@ def test_jacobi_triple_product_far_argument(cw, a, cp):
     assert ps_equal_to_order(lhs, rhs, order).ok
 
 
+def ref_theta_product(arg_coeff, arg_zpow, base_coeff, base_zpow, E):
+    """Test-only copy of the old product route: the factors with cp**k,
+    multiplied one after another, a constant factor by scaling."""
+    E, a, r = F(E), F(arg_zpow), F(base_zpow)
+    cw, cp = SymExpr.coerce(arg_coeff), SymExpr.coerce(base_coeff)
+    neg_val = sum(
+        min(e, 0) for e in
+        [a + k * r for k in range(int(max(0, -a) / r) + 1)]
+        + [(k + 1) * r - a for k in range(int(max(0, a) / r) + 1)]
+    )
+    bound = E - neg_val
+    factors = []
+    k = 0
+    while a + k * r <= bound:
+        factors.append((a + k * r, cw * cp**k))
+        k += 1
+    k = 0
+    while (k + 1) * r - a <= bound:
+        factors.append(((k + 1) * r - a, cp ** (k + 1) * cw.inverse()))
+        k += 1
+    out = PuiseuxSeries.one(bound)
+    for e, c in factors:
+        if e == 0:
+            out = out.scale(SymExpr.one() - c)
+        else:
+            out = out * PuiseuxSeries({F(0): SymExpr.one(), e: -c}, bound)
+    return out.truncate(E)
+
+
+# the (a, r) grid and coefficients of the benchmark's qseries workload
+THETA_A = (F(-6), F(-5, 2), F(-3, 4), F(1, 4), F(7, 4), F(4))
+THETA_R = (F(1, 2), F(1), F(3, 2), F(2))
+THETA_COEFFS = (F(1), F(-1), F(2), F(-1, 3), G(0, 1))
+THETA_GRID = [(THETA_COEFFS[i % 5], a, THETA_COEFFS[(2 * i + 1) % 5], r)
+              for i, (r, a) in enumerate((r, a) for r in THETA_R for a in THETA_A)]
+# a constant factor: a = 0 r (zero when cw = 1) and a = 2 r (cp^2 / cw,
+# zero when cw = cp^2)
+THETA_CONSTANT = [(F(1), F(0), F(2), F(1, 2)), (F(2), F(0), G(0, 1), F(1)),
+                  (F(4), F(2), F(2), F(1)), (F(-1, 3), F(3), G(0, 1), F(3, 2))]
+
+
+@pytest.mark.parametrize("order", [F(2), F(4)])
+def test_theta_product_route_is_the_sequential_loop(order):
+    for cw, a, cp, r in THETA_GRID + THETA_CONSTANT:
+        new = theta_z_series(cw, a, cp, r, order, route="product")
+        ref = ref_theta_product(cw, a, cp, r, order)
+        assert (new.coeffs, new.trunc) == (ref.coeffs, ref.trunc), (cw, a, cp, r)
+
+
+def test_theta_product_inverts_cw_only_for_the_second_product():
+    # at a = -1, r = 5/2, z^2 the factors cp^(k+1)/cw start at z^(7/2),
+    # past the inner bound 3, so a cw with no inverse is never inverted
+    cw = SymExpr.one() + rational_power(F(2), F(1, 2))
+    new = theta_z_series(cw, F(-1), F(2), F(5, 2), F(2), route="product")
+    assert new.coeffs and new == ref_theta_product(cw, F(-1), F(2), F(5, 2), F(2))
+
+
+def test_theta_with_a_vanishing_constant_factor_is_zero():
+    # theta(1; p) has the factor 1 - w = 0
+    new = theta_z_series(F(1), F(0), F(2), F(1, 2), E, route="product")
+    assert new.is_zero() and new.trunc == E
+
+
 def test_theta_needs_positive_base_weight():
     with pytest.raises(UnsupportedRegion):
         theta_z_series(F(1), F(1), F(1), F(0), E)

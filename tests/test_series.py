@@ -17,7 +17,7 @@ from nektau.series import (
     theta_products,
     weighted_theta_expand,
 )
-from nektau.symbols import NonInvertible, SymExpr, rational_power
+from nektau.symbols import NonInvertible, SymExpr, gamma_value, pi_power, rational_power
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
 coef = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -322,6 +322,104 @@ def test_dump_sorted_and_exact():
 
 
 # ---------------------------------------------------------------------------
+# the integer product kernel against the coefficient-pair loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(f, g):
+    """Test-only copy of the old PuiseuxSeries product: one SymExpr product
+    per pair of terms, summed per exponent."""
+    trunc = min(f.trunc + g.min_exp(), g.trunc + f.min_exp())
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = e1 + e2
+            if e > trunc:
+                continue
+            c = c1 * c2
+            if not c:
+                continue
+            n = out.get(e)
+            n = c if n is None else n + c
+            if n:
+                out[e] = n
+            else:
+                out.pop(e, None)
+    return PuiseuxSeries(out, trunc)
+
+
+def assert_product_is_the_pair_loop(f, g):
+    new, ref = f * g, ref_mul(f, g)
+    assert new.coeffs == ref.coeffs
+    assert new.trunc == ref.trunc
+
+
+# products of these fold radicals into the cofactor (2^(1/2) 2^(1/2) = 2,
+# 3^(-1/2) 3^(-1/2) = 1/3, (2/3)^(1/4) = 2^(1/4) 3^(3/4) / 3) and meet one
+# monomial from several pairs (Gamma(2/3) = pi / (sin(pi/3) Gamma(1/3)))
+ATOMS = [SymExpr.one(), SQRT2, rational_power(F(3), F(-1, 2)),
+         rational_power(F(2, 3), F(1, 4)), gamma_value(F(1, 3)),
+         gamma_value(F(2, 3)), pi_power(F(1, 2)), pi_power(F(-1))]
+
+
+@st.composite
+def symbolic_series(draw):
+    """A series with negative and fractional exponents, its own bound, and
+    coefficients of several monomials over Gaussian numbers."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        c = SymExpr.zero()
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            im = draw(st.sampled_from([F(0), F(0), F(1, 3), F(-2)]))
+            c = c + draw(st.sampled_from(ATOMS)) * G(draw(coef), im)
+        terms[draw(st.fractions(min_value=-2, max_value=3, max_denominator=4))] = c
+    return PuiseuxSeries(terms, draw(st.fractions(min_value=-1, max_value=3, max_denominator=3)))
+
+
+@given(symbolic_series(), symbolic_series())
+@settings(max_examples=80, deadline=None)
+def test_product_is_the_pair_loop(f, g):
+    assert_product_is_the_pair_loop(f, g)
+    assert_product_is_the_pair_loop(f, f)
+
+
+@given(series(), series())
+@settings(max_examples=40)
+def test_product_of_rational_series_is_the_pair_loop(f, g):
+    assert_product_is_the_pair_loop(f, g)
+
+
+# ((1+i) 2^(1/2) z^(1/2) + 3^(1/2) z) ((1-i) 2^(1/2) z^(1/2) + i 3^(1/2) z):
+# 2^(1/2) 3^(1/2) comes from two monomial pairs at z^(3/2) and cancels
+# there, (1+i) i + (1-i) = 0; the unit monomial comes from two pairs of
+# unequal cofactors, 2 at z^1 and 3 at z^2
+SQRT3 = rational_power(F(3), F(1, 2))
+ROOTS = PuiseuxSeries({F(1, 2): SQRT2 * G(1, 1), F(1): SQRT3}, F(4))
+ROOTS_CONJ = PuiseuxSeries({F(1, 2): SQRT2 * G(1, -1), F(1): SQRT3 * G(0, 1)}, F(4))
+
+
+@pytest.mark.parametrize("f,g", [
+    (ROOTS, ROOTS_CONJ),
+    (ROOTS_CONJ, ROOTS),
+    (ps({F(-3, 2): SQRT2, 0: 1, F(1, 3): G(0, 1)}), ps({F(-1, 2): SQRT2, F(1, 4): 1})),
+    (ps({0: 1, 1: 1}), ps({0: 1, 1: -1})),
+    (PuiseuxSeries.zero(F(2)), ROOTS),
+    (ROOTS, PuiseuxSeries.zero(F(-1, 2))),
+    (PuiseuxSeries.zero(F(1)), PuiseuxSeries.zero(F(3, 2))),
+], ids=["cancel across pairs", "swapped", "negative exponents", "cancel in one pair",
+        "zero times", "times zero", "zero"])
+def test_product_cases(f, g):
+    assert_product_is_the_pair_loop(f, g)
+
+
+def test_product_cancels_across_monomial_pairs():
+    p = ROOTS * ROOTS_CONJ
+    assert p.coeff(F(3, 2)) == G(0)  # the two 6^(1/2) terms cancel
+    assert F(3, 2) not in p.coeffs
+    assert p.coeff(F(1)) == G(4) and p.coeff(F(2)) == G(0, 3)
+
+
+# ---------------------------------------------------------------------------
 # the moment-table expansion against the theta-product route it replaced
 # ---------------------------------------------------------------------------
 
@@ -397,11 +495,11 @@ def test_moment_expansion_is_the_theta_product_route(f, g, same):
     assert_expansions_identical(f, f if same else g)
 
 
-@given(bounded_fourier(), bounded_fourier(max_sectors=1))
+@given(bounded_fourier(), bounded_fourier())
 @settings(max_examples=40, deadline=None)
 def test_moment_expansion_is_the_theta_product_route_on_sectors(f, g):
-    # g has one sector, so no two sector pairs meet in one product sector
-    # and no sector of a theta-product cancels (see the test below)
+    # a sector of a theta-product may cancel to zero below the overall
+    # bound; both routes keep it with its bound (see the test below)
     assert_expansions_identical(f, g)
     assert_expansions_identical(g, f)
 
@@ -413,7 +511,6 @@ def _fs(rows, trunc):
         for s, (b, terms) in rows.items()}, F(trunc))
 
 
-SQRT3 = rational_power(F(3), F(1, 2))
 # sector bounds 2, 3/2 and 5/2 under the overall 5/2; sector -1 holds only
 # z^0, which theta drops; Gaussian and two-term coefficients
 F_UNEQUAL = _fs({0: (2, {0: 1, F(1, 2): G(3, -1)}),
@@ -423,9 +520,9 @@ G_UNEQUAL = _fs({0: (2, {F(1, 2): G(0, 2), 1: -1}),
                  F(-1, 2): (F(3, 2), {0: SQRT3 * 3, F(3, 4): 1})}, F(5, 2))
 
 
-# theta drops the one sector of F_Z0 (bound 1, under the overall 3); its
-# pair bounds with G_Z0 would lower the sector bound to 1 through
-# theta F_Z0 * G_Z0, a product with no terms
+# theta F_Z0 is zero, but its one sector is known only through z^1, under
+# the overall 3, so it stays a sector of theta F_Z0 and theta F_Z0 * G_Z0,
+# a product with no terms, lowers the sector bound to 1
 F_Z0 = _fs({0: (1, {0: 1})}, 3)
 G_Z0 = _fs({0: (5, {0: 1, 1: 1})}, 5)
 
@@ -454,17 +551,15 @@ def test_moment_expansion_on_4d_taus(f, g):
 def test_moment_expansion_keeps_the_bound_of_a_cancelled_term():
     # in D^1 = theta f * g - f * theta g, sector 0 of theta f * g is
     # theta f_0 g_0 + theta f_1 g_{-1} = -4 z^2 + 4 z^2 through its bound
-    # z^2 (f_1 is known to z^2 and g_{-1} has a z^0 term).  The
-    # theta-product route drops that cancelled sector and its bound with it,
-    # so it claims sector 0 through z^3; the true bound is z^2
+    # z^2 (f_1 is known to z^2 and g_{-1} has a z^0 term).  A FourierSeries
+    # keeps that zero sector with its bound, so the theta-product route no
+    # longer claims sector 0 through z^3: both routes claim z^2
     f = _fs({0: (2, {1: -2, 2: 2}), 1: (2, {2: -2})}, 3)
     g = _fs({0: (2, {1: 2}), -1: (3, {0: -1, 2: 2})}, 3)
     new, ref = hirota(1, f, g), ref_weighted_theta_expand(f, g, 1, -1, 1)
     assert new.trunc == ref.trunc == 3
-    assert (new.sector(0).trunc, ref.sector(0).trunc) == (2, 3)
-    assert new.sector(0).coeffs == ref.sector(0).truncate(2).coeffs
-    assert {s: ps for s, ps in new.sectors.items() if s} == \
-        {s: ps for s, ps in ref.sectors.items() if s}
+    assert (new.sector(0).trunc, ref.sector(0).trunc) == (2, 2)
+    assert_identical(new, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +626,10 @@ def test_theta_products_are_the_theta_product_route(f, g, same, polys):
     assert_theta_products_identical(f, f if same else g, polys)
 
 
-@given(bounded_fourier(), bounded_fourier(max_sectors=1), polys_st)
+@given(bounded_fourier(), bounded_fourier(), polys_st)
 @settings(max_examples=20, deadline=None)
 def test_theta_products_are_the_theta_product_route_on_sectors(f, g, polys):
-    # g has one sector, so no sector of a theta-product cancels (see
+    # sectors may cancel (see
     # test_moment_expansion_keeps_the_bound_of_a_cancelled_term)
     assert_theta_products_identical(f, g, polys)
     assert_theta_products_identical(g, f, polys)

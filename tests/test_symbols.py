@@ -8,10 +8,13 @@ from hypothesis import assume, given, strategies as st
 
 from nektau.rationals import GaussianRational as G
 from nektau.symbols import (
+    MONO_ONE,
     NonInvertible,
     Resonance,
+    SymbolMonomial,
     SymExpr,
     gamma_value,
+    mono_mul,
     pi_power,
     poch_value,
     rational_power,
@@ -59,6 +62,23 @@ def test_noninvertible_sum():
     two_terms = SymExpr.one() + rational_power(2, F(1, 2))
     with pytest.raises(NonInvertible):
         two_terms.inverse()
+
+
+def test_unit_monomial_product_is_the_mono_mul_route():
+    # SymExpr.__mul__ skips mono_mul for a unit monomial; a freshly built
+    # unit is equal to MONO_ONE but not the same object
+    fresh = SymbolMonomial()
+    assert fresh == MONO_ONE and fresh is not MONO_ONE
+    unit = SymExpr({fresh: G(3, -1)})
+    radical = rational_power(F(12), F(-3, 2)) * G(0, 2)  # 3^(1/2) / 72, a radical monomial
+    for other in (radical, radical + gamma_value(F(1, 3)), SymExpr({fresh: G(-2)})):
+        ref = SymExpr.zero()
+        for m1, c1 in unit.terms.items():
+            for m2, c2 in other.terms.items():
+                mono, cof = mono_mul(m1, m2)
+                ref = ref + SymExpr({mono: c1 * c2 * cof})
+        assert (unit * other).terms == ref.terms
+        assert (other * unit).terms == ref.terms
 
 
 # ---------------------------------------------------------------------------
