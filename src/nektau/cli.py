@@ -22,22 +22,20 @@ dump    print an exact truncated series (tau function, partition function,
 oracle  run the two-route coefficient recursion cross-check.
 
 Checks run one after another in this process, in one run context
-(identities.Context): instanton coefficients, tau functions, tau-pair
-moment tables and the zeta series with its theta-products built by one check
-are reused by the later checks of the same run, and are dropped when the run
-ends.  --corrupt-coefficient sets the
-context's corruption setting: the central series of a few theorem entries
-gains +1 at that z-exponent before it is compared, so those checks must fail.
+(identities.Context): instanton coefficients, tau functions and the zeta
+series with its theta-products built by one check are reused by the later
+checks of the same run, and are dropped when the run ends.
+--corrupt-coefficient sets the context's corruption setting: the central
+series of a few theorem entries gains +1 at that z-exponent before it is
+compared, so those checks must fail.
 Hirota derivatives D^k (series.hirota) are the alpha-expansion of
 f(e^{w1 alpha} z) g(e^{w2 alpha} z) at weights (w1, w2) = (1, -1), that is
 sum (x - y)^k f_x g_y; the 4d blowup entries use the same expansion at other
-weights.  Every expansion comes from one pass over coefficient pairs
-(series.theta_products); the 4d tau checks read it from the pair's moment
-table (series.bilinear_moments), and a run keeps one table per tau pair, so
-D^1..D^4 of one pair multiply its coefficients once.  zeta = theta(tau)/tau
-is formed once per run, and zetac and zeta3 take their sides from its
-theta-products, which come from one pass over its coefficient pairs and one
-over those of (theta zeta)^2 and zeta, with no table kept.
+weights.  Every expansion is a sum of products of theta-derivatives
+(series.theta_products), each formed once per expansion on the product
+kernel that Puiseux and Fourier series share.  zeta = theta(tau)/tau is
+formed once per run, and zetac and zeta3 take their sides from its
+theta-products.
 
 Determinism: the seed fully determines the sample sequence; timing data is
 quarantined in a separate report section so residual sections are diffable.

@@ -1,10 +1,10 @@
 """Fourier-graded series: finite maps sector k in (1/2)Z -> PuiseuxSeries.
 
 The sector index is the formal s-power of a tau function; products convolve
-sectors, so the Hirota derivative of series.py, re-exported here, is
-sector-bilinear on FourierSeries.  Equality testing produces a structural
-report (which sector, which exponent, what residual) rather than a bare
-boolean.
+sectors on the integer kernel of series.py, so the Hirota derivative of
+series.py, re-exported here, is sector-bilinear on FourierSeries.  Equality
+testing produces a structural report (which sector, which exponent, what
+residual) rather than a bare boolean.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import PuiseuxSeries, hirota, solve_recurrence  # noqa: F401  (hirota re-exported)
+from .series import PuiseuxSeries, hirota, sector_product, solve_recurrence  # noqa: F401  (hirota re-exported)
 from .symbols import NonInvertible, SymExpr, _frac
 
 Frac = Fraction
@@ -68,19 +68,14 @@ class FourierSeries:
         return FourierSeries({k: ps.shift(de) for k, ps in self.sectors.items()}, self.trunc + _frac(de))
 
     def __mul__(self, other):
+        """The product, known through min over cross valuations; sector s
+        through the least bound of its sector pairs (`sector_product`)."""
         if isinstance(other, (int, Frac, SymExpr)):
             return self.scale(other)
-        # conservative bound: min over cross valuations
         v_self = min((ps.min_exp() for ps in self.sectors.values()), default=self.trunc)
         v_other = min((ps.min_exp() for ps in other.sectors.values()), default=other.trunc)
         trunc = min(self.trunc + v_other, other.trunc + v_self)
-        out = {}
-        for k1, p1 in self.sectors.items():
-            for k2, p2 in other.sectors.items():
-                prod = p1 * p2
-                k = k1 + k2
-                out[k] = out[k] + prod if k in out else prod
-        return FourierSeries(out, trunc)
+        return FourierSeries(sector_product(self.sectors, other.sectors, trunc), trunc)
 
     __rmul__ = __mul__
 

@@ -19,8 +19,8 @@ Statuses:
   derived     relative-normalization slice or direct consequence
 
 Every check runs in a Context, which holds the instanton coefficients, tau
-functions and tau-pair moment tables its run has built and an optional
-corrupted coefficient.  One Context lives for one run; nothing is kept at
+functions and zeta series its run has built and an optional corrupted
+coefficient.  One Context lives for one run; nothing is kept at
 module level.
 """
 
@@ -51,7 +51,7 @@ from .nekrasov import (
 from .qseries import PochhammerSpec, pochhammer_series
 from .rationals import GaussianRational
 from .sampling import ParameterSample
-from .series import PuiseuxSeries, bilinear_moments, theta_products, weighted_theta_expand
+from .series import PuiseuxSeries, theta_products, weighted_theta_expand
 from .symbols import SymExpr, rational_power
 from .tau import TauSystem4d, TauSystemQ, build_tau, backlund, g_function, zeta_from_tau
 
@@ -149,9 +149,9 @@ class Context:
     corrupt: if set, the central series of a few theorem entries gains +1 at
              this z-exponent (in sector 0 for taus) before it is compared, a
              probe that the catalog is not vacuous.
-    memo:    instanton coefficients, tau sets, tau-pair moment tables and
-             the zeta series with its theta-products built so far, keyed by
-             their arguments, so that checks on the same sums share them.
+    memo:    instanton coefficients, tau sets and the zeta series with its
+             theta-products built so far, keyed by their arguments, so
+             that checks on the same sums share them.
     """
 
     corrupt: Frac | None = None
@@ -188,23 +188,14 @@ class Context:
             }
         return self.memo[key]
 
-    def hirota_4d(self, sigma: Frac, EB: Frac, k: int, f: str, g: str):
-        """D^k of the taus_4d(sigma, EB) entries named f and g, through the
-        pair's moment table, which is built once per run."""
-        d = self.taus_4d(sigma, EB)
-        key = ("moments", sigma, EB, f, g)
-        if key not in self.memo:
-            self.memo[key] = bilinear_moments(d[f], d[g])
-        return hirota(k, d[f], d[g], moments=self.memo[key])
-
     def zeta_4d(self, sigma: Frac, EB: Frac):
         """zeta = theta(tau)/tau of the taus_4d(sigma, EB) entry "tau" (the
         relative series, without the classical constant sigma^2), and the
         theta-products of zeta that zetac and zeta3 take, formed once per
         run: P = (theta zeta)^2, Q = (theta^2 zeta)^2 - theta zeta
-        theta^3 zeta and R = (theta^2 zeta - theta zeta)^2 from one pass over
-        the coefficient pairs of (zeta, zeta), P theta zeta and P zeta from
-        one pass over those of (P, zeta)."""
+        theta^3 zeta and R = (theta^2 zeta - theta zeta)^2 from one
+        theta_products call on (zeta, zeta), P theta zeta and P zeta from one
+        on (P, zeta)."""
         key = ("zeta_4d", sigma, EB)
         if key not in self.memo:
             z = zeta_from_tau(self.taus_4d(sigma, EB)["tau"])
@@ -412,23 +403,24 @@ def run_NY1(sample, E, ctx):
 
 def run_NYtaupm(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = ctx.hirota_4d(sigma, E + 1, 0, "tp", "tm")
+    lhs = hirota(0, d["tp"], d["tm"])
     return [("product of short taus equals the full tau",
              _fseq(lhs, ctx.corrupted(d["tau"]), E))]
 
 
 def run_NYtau01(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = (ctx.hirota_4d(sigma, E + 1, 0, "t0", "t0")
-           + ctx.hirota_4d(sigma, E + 1, 0, "t1", "t1"))
+    lhs = (hirota(0, d["t0"], d["t0"])
+           + hirota(0, d["t1"], d["t1"]))
     return [("sum of squared parity taus equals the full tau",
              _fseq(lhs, d["tau"], E))]
 
 
 def run_NYD2diff(sigma, E, ctx):
-    mid = ctx.hirota_4d(sigma, E + 1, 2, "tp", "tm")
-    lhs = (ctx.hirota_4d(sigma, E + 1, 2, "t0", "t0")
-           + ctx.hirota_4d(sigma, E + 1, 2, "t1", "t1"))
+    d = ctx.taus_4d(sigma, E + 1)
+    mid = hirota(2, d["tp"], d["tm"])
+    lhs = (hirota(2, d["t0"], d["t0"])
+           + hirota(2, d["t1"], d["t1"]))
     zero = FourierSeries.zero(mid.trunc)
     return [
         ("parity form equals short form", _fseq(lhs, mid, E)),
@@ -438,9 +430,9 @@ def run_NYD2diff(sigma, E, ctx):
 
 def run_NYD4diff(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    mid = ctx.hirota_4d(sigma, E + 1, 4, "tp", "tm")
-    lhs = (ctx.hirota_4d(sigma, E + 1, 4, "t0", "t0")
-           + ctx.hirota_4d(sigma, E + 1, 4, "t1", "t1"))
+    mid = hirota(4, d["tp"], d["tm"])
+    lhs = (hirota(4, d["t0"], d["t0"])
+           + hirota(4, d["t1"], d["t1"]))
     rhs = d["tau"].shift(1).scale(-2)
     return [
         ("parity form equals short form", _fseq(lhs, mid, E)),
@@ -450,8 +442,8 @@ def run_NYD4diff(sigma, E, ctx):
 
 def run_NYD1diff(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    L = ctx.hirota_4d(sigma, E + 1, 1, "t0", "t1")
-    M = ctx.hirota_4d(sigma, E + 1, 1, "tp", "tm")
+    L = hirota(1, d["t0"], d["t1"])
+    M = hirota(1, d["tp"], d["tm"])
     rhs = d["tau1"].shift(QUARTER).scale(OMEGA)
     return [
         ("parity form equals (i/2) short form", _fseq(L, M.scale(I_HALF), E)),
@@ -461,8 +453,8 @@ def run_NYD1diff(sigma, E, ctx):
 
 def run_NYD3diff(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    L = ctx.hirota_4d(sigma, E + 1, 3, "t0", "t1")
-    M = ctx.hirota_4d(sigma, E + 1, 3, "tp", "tm")
+    L = hirota(3, d["t0"], d["t1"])
+    M = hirota(3, d["tp"], d["tm"])
     # the displayed z d/dz acts on the absolute tau_1 = z^{sigma^2} (...);
     # on the relative series this is sigma^2 + theta
     s2 = (sigma * sigma)
@@ -475,8 +467,8 @@ def run_NYD3diff(sigma, E, ctx):
 
 def run_NYdiffIS(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    D2 = ctx.hirota_4d(sigma, E + 1, 2, "tp", "tm")
-    D4 = ctx.hirota_4d(sigma, E + 1, 4, "tp", "tm")
+    D2 = hirota(2, d["tp"], d["tm"])
+    D4 = hirota(4, d["tp"], d["tm"])
     rhs = d["tau"].shift(1).scale(-2)
     return [
         ("degree-2 sector-0 slice vanishes",
@@ -489,7 +481,7 @@ def run_NYdiffIS(sigma, E, ctx):
 
 def run_NYdiffHIS1(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    D1 = ctx.hirota_4d(sigma, E + 1, 1, "tp", "tm")
+    D1 = hirota(1, d["tp"], d["tm"])
     rhs = d["tau1"].shift(QUARTER).scale(OMEGA)
     return [("degree-1 half sector slice",
              ps_equal_to_order(D1.sector(HALF).truncate(E),
@@ -498,7 +490,7 @@ def run_NYdiffHIS1(sigma, E, ctx):
 
 def run_NYdiffHIS3(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    D3 = ctx.hirota_4d(sigma, E + 1, 3, "tp", "tm")
+    D3 = hirota(3, d["tp"], d["tm"])
     s2 = sigma * sigma
     rhs = (d["tau1"].theta() + d["tau1"].scale(s2)).shift(QUARTER).scale(OMEGA)
     return [("degree-3 half sector slice",
@@ -508,7 +500,7 @@ def run_NYdiffHIS3(sigma, E, ctx):
 
 def run_Todasg(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = ctx.hirota_4d(sigma, E + 1, 2, "tau", "tau")
+    lhs = hirota(2, d["tau"], d["tau"])
     rhs = (d["bp"] * d["bm"]).shift(HALF).scale(-2)
     return [("D^2(tau,tau) equals -2 z^{1/2} tau(+1/2) tau(-1/2)",
              _fseq(lhs, rhs, E))]
@@ -516,8 +508,8 @@ def run_Todasg(sigma, E, ctx):
 
 def run_doubleprop(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = ctx.hirota_4d(sigma, E + 1, 2, "tau", "tau")
-    D1 = ctx.hirota_4d(sigma, E + 1, 1, "tp", "tm")
+    lhs = hirota(2, d["tau"], d["tau"])
+    D1 = hirota(1, d["tp"], d["tm"])
     rhs1 = (D1 * D1).scale(-2)
     rhs2 = (d["tau1"] * d["tau1"]).shift(HALF).scale(-2)
     return [
@@ -560,11 +552,12 @@ def run_zeta3(sigma, E, ctx):
 
 
 def run_KZsq(sigma, E, ctx):
-    D1 = ctx.hirota_4d(sigma, E + 1, 1, "t0", "t1")
+    d = ctx.taus_4d(sigma, E + 1)
+    D1 = hirota(1, d["t0"], d["t1"])
     lhs = (D1 * D1).scale(4)
     # zeta' tau^2 = theta^2(tau) tau - theta(tau)^2 = D^2(tau,tau)/2, the
     # constant drops
-    rhs = ctx.hirota_4d(sigma, E + 1, 2, "tau", "tau").scale(HALF)
+    rhs = hirota(2, d["tau"], d["tau"]).scale(HALF)
     return [("4 D^1(tau0,tau1)^2 equals zeta' tau^2", _fseq(lhs, rhs, E))]
 
 
@@ -1227,7 +1220,7 @@ CATALOG = {
                "q-painleve", 3, run_20equiv(-1, 1)),
         _entry("determlemma", "theorem",
                r"q_1^{-k}-1 & q_2^{-k}-1",
-               "5d-generic", 3, run_determlemma),
+               "5d-generic", 3, run_determlemma, min_order=1),
         _entry("prdx", "conjecture",
                r"(-qz^{1/2};q,q)^2_{\infty}\mathcal{Z}_{inst}",
                "q-painleve", 5, run_prdx, min_order=HALF),

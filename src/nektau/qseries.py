@@ -202,36 +202,44 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
         return _tree_product(binomials, bound).scale(scalar).truncate(E)
     if route == "jacobi":
         # (p;p)_inf^{-1} sum_k (-1)^k p^{k(k-1)/2} w^k; the exponent
-        # e(k) = k a + k(k-1)/2 r grows quadratically in both directions
+        # e(k) = k a + k(k-1)/2 r grows quadratically in both directions.
+        # Each direction steps k by one with running powers: w^k gains
+        # w^{+-1}, and p^{k(k-1)/2} gains p^k upward and p^{1-k} downward;
+        # w^{-1} is formed at the first kept term with k < 0
         neg_val = Frac(0)
         terms = {}
         for direction in (1, -1):
-            k = 0 if direction == 1 else -1
+            if direction == 1:
+                k, wk, w_step, pk, p_step = 0, SymExpr.one(), cw, SymExpr.one(), SymExpr.one()
+            else:
+                k, wk, w_step, pk, p_step = -1, None, None, cp, cp * cp
             while True:
                 e = k * a + Frac(k * (k - 1), 2) * r
                 if e <= E:
-                    cwk = cw**k if k >= 0 else cw.inverse() ** (-k)
-                    pk = Frac(k * (k - 1), 2)
-                    cpk = cp ** pk.numerator if pk.denominator == 1 else None
-                    if cpk is None:
-                        raise UnsupportedRegion("half-integer base power in Jacobi sum")
-                    c = SymExpr.from_rational(Frac((-1) ** k)) * cwk * cpk
-                    terms[e] = terms.get(e, SymExpr.zero()) + c
+                    if wk is None:
+                        w_step = cw.inverse()
+                        wk = w_step ** -k
+                    c = wk * pk
+                    terms[e] = terms.get(e, SymExpr.zero()) + (-c if k % 2 else c)
                     neg_val = min(neg_val, e)
                 elif (2 * k - 1) * r * direction > 2 * (abs(a) + 1):
                     # past the parabola vertex and above the bound: done
                     break
                 k += direction
+                if wk is not None:
+                    wk = wk * w_step
+                pk = pk * p_step
+                p_step = p_step * cp
         summ = PuiseuxSeries(terms, E)
         # (p;p)_inf: argument equals the base, z-weighted, finite product
-        pp = PuiseuxSeries.one(E - neg_val)
-        j = 1
-        while j * r <= E - neg_val:
-            pp = pp * PuiseuxSeries(
-                {Frac(0): SymExpr.one(), j * r: -(cp**j)}, E - neg_val
-            )
-            j += 1
-        return (summ * pp.inverse()).truncate(E)
+        # of the binomials 1 - p^j z^{j r}, from running powers of cp
+        bound = E - neg_val
+        binomials = []
+        j, c = 1, cp
+        while j * r <= bound:
+            binomials.append(PuiseuxSeries({Frac(0): SymExpr.one(), j * r: -c}, bound))
+            j, c = j + 1, c * cp
+        return (summ * _tree_product(binomials, bound).inverse()).truncate(E)
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -86,6 +86,7 @@ def test_verify_bad_order_exit_two():
 @pytest.mark.parametrize("id,order,lowest", [
     ("prdx", "1/3", "1/2"),  # used to raise an uncaught ValueError (exit 1)
     ("NY1", "1/8", "1/4"),   # used to report a theorem FAIL (exit 1)
+    ("determlemma", "1/2", "1"),  # used to pass on the level-0 seed alone
 ])
 def test_verify_below_lowest_meaningful_order_exit_two(id, order, lowest):
     r = run_cli("verify", "--id", id, "--order", order)
@@ -251,49 +252,15 @@ def test_one_run_computes_each_coefficient_once(monkeypatch):
     assert Counter(calls) == first
 
 
-def test_one_run_builds_each_moment_table_once(monkeypatch):
-    # the 4d-tau checks take D^1..D^4 of five tau pairs: one run builds each
-    # pair's moment table once, and the next run builds them again
-    calls, tau_sets = [], []
-    real_moments, real_taus = idmod.bilinear_moments, idmod.Context.taus_4d
-
-    def moments(f, g):
-        calls.append((f, g))
-        return real_moments(f, g)
-
-    def taus(self, *args):
-        tau_sets.append(real_taus(self, *args))
-        return tau_sets[-1]
-
-    monkeypatch.setattr(idmod, "bilinear_moments", moments)
-    monkeypatch.setattr(idmod.Context, "taus_4d", taus)
-
-    def built():
-        name = {id(v): k for k, v in tau_sets[-1].items()}
-        return Counter((name[id(f)], name[id(g)]) for f, g in calls)
-
-    ids = ["NYD2diff", "NYD4diff", "NYD1diff", "NYD3diff", "NYdiffIS",
-           "NYdiffHIS1", "NYdiffHIS3", "Todasg", "doubleprop", "KZsq"]
-    cfg = RunConfig(identities=ids, order=F(1))
-    want = Counter([("tp", "tm"), ("t0", "t0"), ("t1", "t1"), ("tau", "tau"),
-                    ("t0", "t1")])
-    assert run_verify(cfg)[0] == 0
-    assert built() == want
-    calls.clear()
-    assert run_verify(cfg)[0] == 0
-    assert built() == want
-
-
 def test_one_run_forms_the_zeta_products_once(monkeypatch):
     # zetac, zeta3 and the zetac probe of a failing zeta3 share one zeta and
-    # its two passes over coefficient pairs per run; the next run forms them
-    # again
+    # its two theta_products calls per run; the next run forms them again
     passes, zetas = [], []
     real_products, real_zeta = idmod.theta_products, idmod.zeta_from_tau
 
-    def products(f, g, polys, moments=None):
+    def products(f, g, polys):
         passes.append((f, g, len(polys)))
-        return real_products(f, g, polys, moments)
+        return real_products(f, g, polys)
 
     def zeta(tau):
         zetas.append(real_zeta(tau))

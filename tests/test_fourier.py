@@ -15,6 +15,7 @@ from nektau.fourier import (
 from nektau.rationals import GaussianRational as G
 from nektau.series import PuiseuxSeries, weighted_theta_expand
 from nektau.symbols import NonInvertible, SymExpr, rational_power
+from test_series import ref_mul, symbolic_series
 
 TR = F(3)
 
@@ -312,6 +313,69 @@ def test_a_zero_sector_keeps_its_own_bound():
     # a zero sector known through the overall bound is dropped as before
     assert not _fs({0: (3, {}), 1: (3, {1: 2})}, 3).sector(0).coeffs
     assert F(0) not in _fs({0: (3, {}), 1: (3, {1: 2})}, 3).sectors
+
+
+# ---------------------------------------------------------------------------
+# the sector product kernel against the per-sector-pair loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_fs_mul(f, g):
+    """Test-only copy of the old FourierSeries product: one PuiseuxSeries
+    product (the pair loop ref_mul) and one series sum per sector pair."""
+    v_f = min((ps.min_exp() for ps in f.sectors.values()), default=f.trunc)
+    v_g = min((ps.min_exp() for ps in g.sectors.values()), default=g.trunc)
+    trunc = min(f.trunc + v_g, g.trunc + v_f)
+    out = {}
+    for k1, p1 in f.sectors.items():
+        for k2, p2 in g.sectors.items():
+            prod = ref_mul(p1, p2)
+            k = k1 + k2
+            out[k] = out[k] + prod if k in out else prod
+    return FourierSeries(out, trunc)
+
+
+def assert_product_is_the_sector_pair_loop(f, g):
+    new, ref = f * g, ref_fs_mul(f, g)
+    assert new.trunc == ref.trunc
+    assert new.sectors == ref.sectors  # PuiseuxSeries ==: coeffs and bound
+
+
+@st.composite
+def symbolic_fourier(draw):
+    """Up to three sectors, each with its own bound, negative and fractional
+    exponents and coefficients over one small set of monomials, so the
+    sectors share monomials."""
+    keys = draw(st.lists(st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1)]),
+                         max_size=3, unique=True))
+    return FourierSeries({k: draw(symbolic_series()) for k in keys},
+                         draw(st.sampled_from([F(0), F(1), F(5, 2)])))
+
+
+@given(symbolic_fourier(), symbolic_fourier())
+@settings(max_examples=60, deadline=None)
+def test_product_is_the_sector_pair_loop(f, g):
+    assert_product_is_the_sector_pair_loop(f, g)
+    assert_product_is_the_sector_pair_loop(f, f)
+
+
+@given(symbolic_series(), symbolic_series(), st.sampled_from([F(1), F(3)]))
+@settings(max_examples=40, deadline=None)
+def test_product_keeps_a_cancelled_sector(p, q, trunc):
+    # sector 0 of f * g is p q - q p: zero, kept with its bound while that
+    # is below the product's
+    f = FourierSeries({0: p, 1: q}, trunc)
+    g = FourierSeries({0: q, -1: -p}, trunc)
+    assert not (f * g).sector(0).coeffs
+    assert_product_is_the_sector_pair_loop(f, g)
+    assert_product_is_the_sector_pair_loop(g, f)
+
+
+@pytest.mark.parametrize("name,fs", FS_CASES, ids=[c[0] for c in FS_CASES])
+def test_product_cases(name, fs):
+    assert_product_is_the_sector_pair_loop(fs, fs)
+    for _, other in FS_CASES:
+        assert_product_is_the_sector_pair_loop(fs, other)
 
 
 def test_dump_is_sector_major_sorted():

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nektau import qseries
 from nektau.fourier import ps_equal_to_order
 from nektau.qseries import (
     PochhammerSpec,
@@ -269,6 +270,63 @@ def test_theta_product_inverts_cw_only_for_the_second_product():
     cw = SymExpr.one() + rational_power(F(2), F(1, 2))
     new = theta_z_series(cw, F(-1), F(2), F(5, 2), F(2), route="product")
     assert new.coeffs and new == ref_theta_product(cw, F(-1), F(2), F(5, 2), F(2))
+
+
+def ref_theta_jacobi(arg_coeff, arg_zpow, base_coeff, base_zpow, E):
+    """Test-only copy of the old Jacobi route: every power of cw and cp by
+    repeated squaring, (p;p)_inf multiplied one factor after another."""
+    E, a, r = F(E), F(arg_zpow), F(base_zpow)
+    cw, cp = SymExpr.coerce(arg_coeff), SymExpr.coerce(base_coeff)
+    neg_val = F(0)
+    terms = {}
+    for direction in (1, -1):
+        k = 0 if direction == 1 else -1
+        while True:
+            e = k * a + F(k * (k - 1), 2) * r
+            if e <= E:
+                cwk = cw**k if k >= 0 else cw.inverse() ** (-k)
+                c = cwk * cp ** (k * (k - 1) // 2) * (-1 if k % 2 else 1)
+                terms[e] = terms.get(e, SymExpr.zero()) + c
+                neg_val = min(neg_val, e)
+            elif (2 * k - 1) * r * direction > 2 * (abs(a) + 1):
+                break
+            k += direction
+    pp = PuiseuxSeries.one(E - neg_val)
+    j = 1
+    while j * r <= E - neg_val:
+        pp = pp * PuiseuxSeries({F(0): SymExpr.one(), j * r: -(cp**j)}, E - neg_val)
+        j += 1
+    return (PuiseuxSeries(terms, E) * pp.inverse()).truncate(E)
+
+
+@pytest.mark.parametrize("order", [F(2), F(4)])
+def test_theta_jacobi_route_is_the_power_loop(order):
+    for cw, a, cp, r in THETA_GRID + THETA_CONSTANT:
+        new = theta_z_series(cw, a, cp, r, order, route="jacobi")
+        ref = ref_theta_jacobi(cw, a, cp, r, order)
+        assert (new.coeffs, new.trunc) == (ref.coeffs, ref.trunc), (cw, a, cp, r)
+
+
+def test_theta_jacobi_inverts_cw_only_for_a_kept_term_below_k_0():
+    # at a = -1, r = 5/2, z^2 the terms k < 0 start at z^(7/2), past the
+    # bound, so a cw with no inverse is never inverted
+    cw = SymExpr.one() + rational_power(F(2), F(1, 2))
+    new = theta_z_series(cw, F(-1), F(2), F(5, 2), F(2), route="jacobi")
+    assert new.coeffs and new == ref_theta_jacobi(cw, F(-1), F(2), F(5, 2), F(2))
+
+
+def test_theta_jacobi_passes_no_float_to_fraction(monkeypatch):
+    # the sign (-1)^k of the Jacobi sum was Frac((-1) ** k), a float for
+    # k < 0; a > 0 keeps terms with k < 0 below the bound
+    def exact(*args):
+        assert not any(isinstance(x, float) for x in args), args
+        return F(*args)
+
+    monkeypatch.setattr(qseries, "Frac", exact)
+    new = theta_z_series(1, 4, 2, F(1, 2), 4, route="jacobi")
+    monkeypatch.undo()
+    assert new == ref_theta_jacobi(1, 4, 2, F(1, 2), 4)
+    assert any(e < 0 for e in new.coeffs)
 
 
 def test_theta_with_a_vanishing_constant_factor_is_zero():

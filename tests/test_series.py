@@ -10,14 +10,9 @@ from nektau.fourier import FourierSeries
 from nektau.identities import POOL_4D_EPS, POOL_SIGMA, Context
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
-from nektau.series import (
-    PuiseuxSeries,
-    bilinear_moments,
-    hirota,
-    theta_products,
-    weighted_theta_expand,
-)
+from nektau.series import PuiseuxSeries, hirota, theta_products, weighted_theta_expand
 from nektau.symbols import NonInvertible, SymExpr, gamma_value, pi_power, rational_power
+from pair_walk import pair_walk_theta_products
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
 coef = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -420,7 +415,8 @@ def test_product_cancels_across_monomial_pairs():
 
 
 # ---------------------------------------------------------------------------
-# the moment-table expansion against the theta-product route it replaced
+# weighted_theta_expand and hirota against the theta-product route, written
+# out; their bounds too, in every sector
 # ---------------------------------------------------------------------------
 
 
@@ -456,14 +452,12 @@ def assert_identical(new, ref):
 
 
 def assert_expansions_identical(f, g):
-    table = bilinear_moments(f, g)
     for w1, w2 in WEIGHTS:
         for k in range(5):
             ref = ref_weighted_theta_expand(f, g, w1, w2, k)
             assert_identical(weighted_theta_expand(f, g, w1, w2, k), ref)
-            assert_identical(weighted_theta_expand(f, g, w1, w2, k, table), ref)
             if (w1, w2) == (1, -1):
-                assert_identical(hirota(k, f, g, moments=table), ref)
+                assert_identical(hirota(k, f, g), ref)
 
 
 @st.composite
@@ -563,8 +557,9 @@ def test_moment_expansion_keeps_the_bound_of_a_cancelled_term():
 
 
 # ---------------------------------------------------------------------------
-# theta_products: several theta-weighted products from one pass over the
-# coefficient pairs, against full products of theta-derivatives
+# theta_products against full products of theta-derivatives, one per entry,
+# and against the one-pass walk over coefficient pairs it replaced
+# (pair_walk.py)
 # ---------------------------------------------------------------------------
 
 
@@ -600,14 +595,7 @@ POLYS = [
 
 def assert_theta_products_identical(f, g, polys=POLYS):
     refs = [ref_theta_products(f, g, poly) for poly in polys]
-    table = bilinear_moments(f, g)
-    if max(ref.trunc for ref in refs) > table.bounds[0, 0]:
-        # the table holds the sums through the bound of f * g only
-        with pytest.raises(ValueError, match="moment table stops"):
-            theta_products(f, g, polys, table)
-        table = None
-    for moments in (None, table):
-        outs = theta_products(f, g, polys, moments)
+    for outs in (theta_products(f, g, polys), pair_walk_theta_products(f, g, polys)):
         assert len(outs) == len(refs)
         for new, ref in zip(outs, refs):
             assert_identical(new, ref)
@@ -661,7 +649,7 @@ def test_theta_products_on_zeta():
 
 def test_theta_products_keep_the_bound_of_a_cancelled_term():
     # the case of test_moment_expansion_keeps_the_bound_of_a_cancelled_term,
-    # as the poly of D^1 among others in one pass
+    # as the poly of D^1 among others in one call
     f = _fs({0: (2, {1: -2, 2: 2}), 1: (2, {2: -2})}, 3)
     g = _fs({0: (2, {1: 2}), -1: (3, {0: -1, 2: 2})}, 3)
     d1 = theta_products(f, g, [{(0, 0): 1}, {(1, 0): 1, (0, 1): -1}])[1]
