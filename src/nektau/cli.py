@@ -19,7 +19,8 @@ dump    print an exact truncated series (tau function, partition function,
         or closed-form fixture) as JSON.  Byte-identical across runs with
         the same arguments; a higher-order dump extends a lower-order one
         per sector.
-oracle  run the two-route coefficient recursion cross-check.
+oracle  run the two-route coefficient recursion cross-check to depth k >= 1
+        (a lower depth is a configuration error, exit 2).
 
 Checks run one after another in this process, in one run context
 (identities.Context): instanton coefficients, tau functions and the zeta
@@ -31,11 +32,12 @@ compared, so those checks must fail.
 Hirota derivatives D^k (series.hirota) are the alpha-expansion of
 f(e^{w1 alpha} z) g(e^{w2 alpha} z) at weights (w1, w2) = (1, -1), that is
 sum (x - y)^k f_x g_y; the 4d blowup entries use the same expansion at other
-weights.  Every expansion is a sum of products of theta-derivatives
-(series.theta_products), each formed once per expansion on the product
-kernel that Puiseux and Fourier series share.  zeta = theta(tau)/tau is
-formed once per run, and zetac and zeta3 take their sides from its
-theta-products.
+weights.  Every expansion is a theta-combination of the basis products
+B_j = theta^j f * g (series.theta_products), formed on the product kernel
+that Puiseux and Fourier series share.  A run forms each D^k of a pair of
+4d taus once, and each B_j of that pair once for all its D^k
+(identities.Context.hirota_4d).  zeta = theta(tau)/tau is formed once per
+run, and zetac and zeta3 take their sides from its theta-products.
 
 Determinism: the seed fully determines the sample sequence; timing data is
 quarantined in a separate report section so residual sections are diffable.
@@ -437,8 +439,9 @@ def cmd_dump(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         kmax = int(args.order) if args.order else 2
-        if kmax < 0:
-            raise ConfigError("oracle depth must be >= 0")
+        if kmax < 1:
+            # depth 0 checks only the level-0 seed
+            raise ConfigError("oracle depth must be >= 1")
         seed = _seed(args.seed or 0)
     except (ValueError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -497,7 +500,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="run the coefficient-recursion "
                                        "cross-check")
-    po.add_argument("--order", help="maximum recursion depth k (default 2)")
+    po.add_argument("--order", help="maximum recursion depth k, at least 1 (default 2)")
     po.add_argument("--seed", type=int, help="sample choice seed")
     po.add_argument("--report", help="write the result to this path")
     return p

@@ -149,9 +149,12 @@ class Context:
     corrupt: if set, the central series of a few theorem entries gains +1 at
              this z-exponent (in sector 0 for taus) before it is compared, a
              probe that the catalog is not vacuous.
-    memo:    instanton coefficients, tau sets and the zeta series with its
-             theta-products built so far, keyed by their arguments, so
-             that checks on the same sums share them.
+    memo:    instanton coefficients, tau sets, the zeta series with its
+             theta-products, and for each pair of taus_4d entries its
+             Hirota derivatives D^k with the basis products theta^j f * g
+             they are built from (one store per pair, see
+             series.theta_products), keyed by their arguments, so that
+             checks on the same sums share them.
     """
 
     corrupt: Frac | None = None
@@ -187,6 +190,22 @@ class Context:
                 "bm": build_tau(replace(kiev, k_offset=(0, -1)), EB),
             }
         return self.memo[key]
+
+    def hirota_4d(self, sigma: Frac, EB: Frac):
+        """D: (k, f, g) -> D^k of the taus_4d(sigma, EB) entries named f
+        and g.  Each D^k is formed once per run, on one store of basis
+        products theta^j f * g per pair, which its D^k share."""
+        d = self.taus_4d(sigma, EB)
+
+        def D(k, f, g):
+            pair = (("taus_4d", sigma, EB), f, g)
+            key = ("hirota", pair, k)
+            if key not in self.memo:
+                store = self.memo.setdefault(("theta basis", pair), {})
+                self.memo[key] = hirota(k, d[f], d[g], memo=store)
+            return self.memo[key]
+
+        return D
 
     def zeta_4d(self, sigma: Frac, EB: Frac):
         """zeta = theta(tau)/tau of the taus_4d(sigma, EB) entry "tau" (the
@@ -403,24 +422,24 @@ def run_NY1(sample, E, ctx):
 
 def run_NYtaupm(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = hirota(0, d["tp"], d["tm"])
+    D = ctx.hirota_4d(sigma, E + 1)
+    lhs = D(0, "tp", "tm")
     return [("product of short taus equals the full tau",
              _fseq(lhs, ctx.corrupted(d["tau"]), E))]
 
 
 def run_NYtau01(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = (hirota(0, d["t0"], d["t0"])
-           + hirota(0, d["t1"], d["t1"]))
+    D = ctx.hirota_4d(sigma, E + 1)
+    lhs = D(0, "t0", "t0") + D(0, "t1", "t1")
     return [("sum of squared parity taus equals the full tau",
              _fseq(lhs, d["tau"], E))]
 
 
 def run_NYD2diff(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
-    mid = hirota(2, d["tp"], d["tm"])
-    lhs = (hirota(2, d["t0"], d["t0"])
-           + hirota(2, d["t1"], d["t1"]))
+    D = ctx.hirota_4d(sigma, E + 1)
+    mid = D(2, "tp", "tm")
+    lhs = D(2, "t0", "t0") + D(2, "t1", "t1")
     zero = FourierSeries.zero(mid.trunc)
     return [
         ("parity form equals short form", _fseq(lhs, mid, E)),
@@ -430,9 +449,9 @@ def run_NYD2diff(sigma, E, ctx):
 
 def run_NYD4diff(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    mid = hirota(4, d["tp"], d["tm"])
-    lhs = (hirota(4, d["t0"], d["t0"])
-           + hirota(4, d["t1"], d["t1"]))
+    D = ctx.hirota_4d(sigma, E + 1)
+    mid = D(4, "tp", "tm")
+    lhs = D(4, "t0", "t0") + D(4, "t1", "t1")
     rhs = d["tau"].shift(1).scale(-2)
     return [
         ("parity form equals short form", _fseq(lhs, mid, E)),
@@ -442,8 +461,9 @@ def run_NYD4diff(sigma, E, ctx):
 
 def run_NYD1diff(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    L = hirota(1, d["t0"], d["t1"])
-    M = hirota(1, d["tp"], d["tm"])
+    D = ctx.hirota_4d(sigma, E + 1)
+    L = D(1, "t0", "t1")
+    M = D(1, "tp", "tm")
     rhs = d["tau1"].shift(QUARTER).scale(OMEGA)
     return [
         ("parity form equals (i/2) short form", _fseq(L, M.scale(I_HALF), E)),
@@ -453,8 +473,9 @@ def run_NYD1diff(sigma, E, ctx):
 
 def run_NYD3diff(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    L = hirota(3, d["t0"], d["t1"])
-    M = hirota(3, d["tp"], d["tm"])
+    D = ctx.hirota_4d(sigma, E + 1)
+    L = D(3, "t0", "t1")
+    M = D(3, "tp", "tm")
     # the displayed z d/dz acts on the absolute tau_1 = z^{sigma^2} (...);
     # on the relative series this is sigma^2 + theta
     s2 = (sigma * sigma)
@@ -467,8 +488,9 @@ def run_NYD3diff(sigma, E, ctx):
 
 def run_NYdiffIS(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    D2 = hirota(2, d["tp"], d["tm"])
-    D4 = hirota(4, d["tp"], d["tm"])
+    D = ctx.hirota_4d(sigma, E + 1)
+    D2 = D(2, "tp", "tm")
+    D4 = D(4, "tp", "tm")
     rhs = d["tau"].shift(1).scale(-2)
     return [
         ("degree-2 sector-0 slice vanishes",
@@ -481,7 +503,8 @@ def run_NYdiffIS(sigma, E, ctx):
 
 def run_NYdiffHIS1(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    D1 = hirota(1, d["tp"], d["tm"])
+    D = ctx.hirota_4d(sigma, E + 1)
+    D1 = D(1, "tp", "tm")
     rhs = d["tau1"].shift(QUARTER).scale(OMEGA)
     return [("degree-1 half sector slice",
              ps_equal_to_order(D1.sector(HALF).truncate(E),
@@ -490,7 +513,8 @@ def run_NYdiffHIS1(sigma, E, ctx):
 
 def run_NYdiffHIS3(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    D3 = hirota(3, d["tp"], d["tm"])
+    D = ctx.hirota_4d(sigma, E + 1)
+    D3 = D(3, "tp", "tm")
     s2 = sigma * sigma
     rhs = (d["tau1"].theta() + d["tau1"].scale(s2)).shift(QUARTER).scale(OMEGA)
     return [("degree-3 half sector slice",
@@ -500,7 +524,8 @@ def run_NYdiffHIS3(sigma, E, ctx):
 
 def run_Todasg(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = hirota(2, d["tau"], d["tau"])
+    D = ctx.hirota_4d(sigma, E + 1)
+    lhs = D(2, "tau", "tau")
     rhs = (d["bp"] * d["bm"]).shift(HALF).scale(-2)
     return [("D^2(tau,tau) equals -2 z^{1/2} tau(+1/2) tau(-1/2)",
              _fseq(lhs, rhs, E))]
@@ -508,8 +533,9 @@ def run_Todasg(sigma, E, ctx):
 
 def run_doubleprop(sigma, E, ctx):
     d = ctx.taus_4d(sigma, E + 1)
-    lhs = hirota(2, d["tau"], d["tau"])
-    D1 = hirota(1, d["tp"], d["tm"])
+    D = ctx.hirota_4d(sigma, E + 1)
+    lhs = D(2, "tau", "tau")
+    D1 = D(1, "tp", "tm")
     rhs1 = (D1 * D1).scale(-2)
     rhs2 = (d["tau1"] * d["tau1"]).shift(HALF).scale(-2)
     return [
@@ -552,12 +578,12 @@ def run_zeta3(sigma, E, ctx):
 
 
 def run_KZsq(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
-    D1 = hirota(1, d["t0"], d["t1"])
+    D = ctx.hirota_4d(sigma, E + 1)
+    D1 = D(1, "t0", "t1")
     lhs = (D1 * D1).scale(4)
     # zeta' tau^2 = theta^2(tau) tau - theta(tau)^2 = D^2(tau,tau)/2, the
     # constant drops
-    rhs = hirota(2, d["tau"], d["tau"]).scale(HALF)
+    rhs = D(2, "tau", "tau").scale(HALF)
     return [("4 D^1(tau0,tau1)^2 equals zeta' tau^2", _fseq(lhs, rhs, E))]
 
 

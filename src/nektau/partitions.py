@@ -54,14 +54,6 @@ def conjugate(lam):
     return tuple(out)
 
 
-def arm_leg(lam, box):
-    """(arm, leg) of box (i, j) (1-based) relative to lam; may be negative."""
-    i, j = box
-    row = lam[i - 1] if i <= len(lam) else 0
-    col = sum(1 for p in lam if p >= j)
-    return row - j, col - i
-
-
 def boxes(lam):
     for i, p in enumerate(lam, start=1):
         for j in range(1, p + 1):
@@ -73,10 +65,20 @@ def pair_offsets(lam, mu):
 
     The factor at a box has weight a + e2 p + e1 q in 4d and u q2^p q1^q in
     5d.  A lam-box has p = -(arm_mu + 1), q = leg_lam; a mu-box has
-    p = arm_lam, q = -(leg_mu + 1).  lam-boxes come first, row by row.
+    p = arm_lam, q = -(leg_mu + 1).  lam-boxes come first, row by row.  At
+    box (i, j) the arm against nu is nu_i - j and the leg nu'_j - i, with
+    nu' the conjugate and rows past the end of nu empty.
     """
-    out = [(-arm_leg(mu, s)[0] - 1, arm_leg(lam, s)[1]) for s in boxes(lam)]
-    out += [(arm_leg(lam, s)[0], -arm_leg(mu, s)[1] - 1) for s in boxes(mu)]
+    lam_c, mu_c = conjugate(lam), conjugate(mu)
+
+    def row(nu, i):
+        return nu[i] if i < len(nu) else 0
+
+    # 0-based rows i and columns j: box (i + 1, j + 1)
+    out = [(j - row(mu, i), lam_c[j] - i - 1)
+           for i, r in enumerate(lam) for j in range(r)]
+    out += [(row(lam, i) - j - 1, i - mu_c[j])
+            for i, r in enumerate(mu) for j in range(r)]
     return out
 
 

@@ -11,9 +11,11 @@ is split by monomial into Gaussian-integer numerators over one denominator
 per monomial, at integer exponents on the lattice (1/L)Z, so a product
 costs one mono_mul per pair of monomials, an integer convolution per pair
 of monomials and sectors, and one pair of Fractions per output
-coefficient.  Every theta-weighted bilinear product (`theta_products`,
-`weighted_theta_expand`, `hirota`) is a sum of such products of
-theta-derivatives.
+coefficient.  Every theta-weighted bilinear form of a pair (f, g)
+(`theta_products`, `weighted_theta_expand`, `hirota`) is a
+theta-combination of the basis products B_j = theta^j f * g, since
+x^a y^b = x^a ((x + y) - x)^b; a caller may keep the B_j of a pair across
+calls (`memo=`), so that forms of one pair share them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .symbols import NonInvertible, SymExpr, _frac, mono_mul, rational_power
 
 Frac = Fraction
 ZERO = Frac(0)
+HALF = Frac(1, 2)
 
 
 class PuiseuxSeries:
@@ -344,63 +347,151 @@ def solve_recurrence(steps, bound, divide=False):
     return b
 
 
-def theta_products(f, g, polys):
+def theta_products(f, g, polys, *, memo=None):
     """sum c theta^a f * theta^b g over {(a, b): c}, for each poly of polys.
 
-    Each theta-power of f and g, and each distinct product theta^a f *
-    theta^b g, is formed once per call (when f is g, theta^a f * theta^b f
-    and theta^b f * theta^a f are one product); each output adds its
-    products scaled by c.  An entry with c = 0 still adds its product's
-    bounds, so the bounds of an output are those of the sum of its full
-    products, in every sector.  f and g may be PuiseuxSeries or
-    FourierSeries.
-    """
-    def powers(h, n):
-        out = [h]
-        for _ in range(n):
-            out.append(out[-1].theta())
-        return out
+    Since x^a y^b = x^a ((x + y) - x)^b and theta acts on a product as
+    x + y, each form is a theta-combination of the basis products
+    B_j = theta^{alpha+j} f * theta^beta g:
 
-    a_top = max(a for poly in polys for a, _ in poly)
-    b_top = max(b for poly in polys for _, b in poly)
-    if f is g:
-        thf = thg = powers(f, max(a_top, b_top))
-    else:
-        thf, thg = powers(f, a_top), powers(g, b_top)
-    products = {}
+        theta^a f * theta^b g = sum_i C(b', i) (-1)^i theta^{b'-i} B_{a'+i}
+
+    with a' = a - alpha, b' = b - beta; a poly is applied by Horner in
+    theta.  (alpha, beta) is the least (a, b) of the poly set, but beta is
+    the poly's own least b where g has a z^0 term, which theta drops: each
+    B_j is then known at least as far as every product of the poly (see
+    `_product_bounds`).  When f is g and alpha = beta, only the even B_j
+    are products; an odd one is 2 B_n = sum_{i<n} C(n,i) (-1)^i
+    theta^{n-i} B_i.
+
+    Each B_j is formed once per call, or once per memo: a dict of the B_j
+    of the pair (f, g) that the caller keeps across calls (one
+    verification run's, see identities.Context).  Each output is cut to
+    the bounds of the sum of its full products theta^a f * theta^b g, in
+    every sector; an entry with c = 0 still lowers them.  f and g may be
+    PuiseuxSeries or FourierSeries.
+    """
+    basis = {} if memo is None else memo
+    thf = [f]
+    thg = thf if f is g else [g]
+
+    def power(ths, n):
+        while len(ths) <= n:
+            ths.append(ths[-1].theta())
+        return ths[n]
+
+    def product(alpha, beta, j):
+        B = basis.get((alpha, beta, j))
+        if B is None:
+            if f is g and alpha == beta and j % 2:
+                B = product(alpha, beta, 0)
+                for i in range(1, j):
+                    B = B.theta() + product(alpha, beta, i).scale(comb(j, i) * (-1) ** i)
+                B = B.theta().scale(HALF)
+            else:
+                B = power(thf, alpha + j) * power(thg, beta)
+            basis[alpha, beta, j] = B
+        return B
+
+    alpha = min(a for poly in polys for a, _ in poly)
+    b0 = min(b for poly in polys for _, b in poly)
     outs = []
     for poly in polys:
-        out = None
+        a_min = min(a for a, _ in poly)
+        b_min = min(b for _, b in poly)
+        beta = b0 if b0 or not _has_z0(g) else b_min
+        terms = {}  # (j, m) -> coefficient of theta^m B_j
         for (a, b), c in poly.items():
-            key = (min(a, b), max(a, b)) if f is g else (a, b)
-            p = products.get(key)
-            if p is None:
-                p = products[key] = thf[key[0]] * thg[key[1]]
-            term = p if c == 1 else p.scale(c)
-            out = term if out is None else out + term
-        outs.append(out)
+            for i in range(b - beta + 1):
+                jm = (a - alpha + i, b - beta - i)
+                terms[jm] = terms.get(jm, 0) + c * comb(b - beta, i) * (-1) ** i
+        out = None
+        for m in range(max(m for _, m in terms), -1, -1):
+            if out is not None:
+                out = out.theta()
+            for (j, mj), d in sorted(terms.items()):
+                if mj == m and d:
+                    term = product(alpha, beta, j)
+                    term = term if d == 1 else term.scale(d)
+                    out = term if out is None else out + term
+        outs.append(_cut(f, out, *_product_bounds(f, g, a_min, b_min)))
     return outs
 
 
-def weighted_theta_expand(f, g, w1, w2, k):
+def _sectors(h):
+    """{sector: PuiseuxSeries} of h; a PuiseuxSeries is the single sector 0."""
+    return {ZERO: h} if isinstance(h, PuiseuxSeries) else h.sectors
+
+
+def _has_z0(h):
+    return any(ZERO in p.coeffs for p in _sectors(h).values())
+
+
+def _product_bounds(f, g, a, b):
+    """The bound of theta^a f * theta^b g and of each of its sectors, as
+    the product gives them: sector s is known through the least
+    min(p.trunc + v(q), q.trunc + v(p)) of its sector pairs, capped at
+    min(f.trunc + v(theta^b g), g.trunc + v(theta^a f)), v the valuation.
+
+    Theta keeps bounds and drops z^0 terms only, so the valuations, and
+    these bounds, are the same for every a >= 1 (b >= 1) and least at a = 0
+    (b = 0): those of a sum over a poly are those at its least a and b.
+    Every basis product B_j = theta^{alpha+j} f * theta^beta g that a poly
+    of `theta_products` takes is known at least as far: alpha + j >= a_min,
+    and beta = b_min, or beta < b_min and theta^beta g has no z^0 term, so
+    that its valuations do not grow under theta.  So is an odd B_n formed
+    from B_0 when f is g and alpha = beta: either theta^alpha f has no z^0
+    term, or b_min = 0 and, as sector s sums both pairs (k1, k2) and
+    (k2, k1), the poly's bounds are those at a = b = 0, the bounds of B_0.
+    """
+    def valuations(h, n):
+        return {k: (p.trunc, min((e for e in p.coeffs if e or not n), default=p.trunc))
+                for k, p in _sectors(h).items()}
+
+    fv, gv = valuations(f, a), valuations(g, b)
+    trunc = min(f.trunc + min((v for _, v in gv.values()), default=g.trunc),
+                g.trunc + min((v for _, v in fv.values()), default=f.trunc))
+    bounds = {}
+    for k1, (t1, v1) in fv.items():
+        for k2, (t2, v2) in gv.items():
+            s = k1 + k2
+            bounds[s] = min(bounds.get(s, trunc), t1 + v2, t2 + v1)
+    return trunc, bounds
+
+
+def _cut(like, h, trunc, bounds):
+    """h (None for zero) cut to the bound trunc and to the sector bounds,
+    as a series of the type of like; a sector h lacks is zero through its
+    bound."""
+    sectors = {} if h is None else _sectors(h)
+    zero = PuiseuxSeries({}, trunc)
+    if isinstance(like, PuiseuxSeries):
+        return PuiseuxSeries(sectors.get(ZERO, zero).coeffs, trunc)
+    return type(like)({s: PuiseuxSeries(sectors.get(s, zero).coeffs, b)
+                       for s, b in bounds.items()}, trunc)
+
+
+def weighted_theta_expand(f, g, w1, w2, k, *, memo=None):
     """Coefficient of alpha^k/k! in f(e^{w1 alpha} z) g(e^{w2 alpha} z).
 
     f(e^{w1 alpha} z) g(e^{w2 alpha} z) sends z^x z^y to
     e^{(w1 x + w2 y) alpha} z^{x+y}, so the coefficient is
     sum (w1 x + w2 y)^k f_x g_y = sum_j C(k,j) w1^j w2^{k-j}
     theta^j f * theta^{k-j} g: the theta_products of that poly
-    (k = 0 is the product).  f and g may be PuiseuxSeries or
-    FourierSeries.
+    (k = 0 is the product), on the B_j of memo if given.  f and g may be
+    PuiseuxSeries or FourierSeries.
     """
     w1, w2 = _frac(w1), _frac(w2)
     poly = {(j, k - j): comb(k, j) * w1**j * w2 ** (k - j) for j in range(k + 1)}
-    return theta_products(f, g, [poly])[0]
+    return theta_products(f, g, [poly], memo=memo)[0]
 
 
-def hirota(k, f, g):
+def hirota(k, f, g, *, memo=None):
     """Hirota derivative D^k in log z, k <= 4: the alpha-expansion above at
     weights (1, -1), sum (x - y)^k f_x g_y (Hirota, The Direct Method in
-    Soliton Theory, CUP 2004)."""
+    Soliton Theory, CUP 2004).  As x - y = 2x - (x + y), this is
+    sum_j C(k,j) 2^j (-theta)^{k-j} B_j over B_j = theta^j f * g, applied
+    by Horner in theta; memo keeps the B_j of the pair across k."""
     if k > 4:
         raise ValueError("Hirota order limited to 4")
-    return weighted_theta_expand(f, g, 1, -1, k)
+    return weighted_theta_expand(f, g, 1, -1, k, memo=memo)

@@ -22,7 +22,7 @@ from nektau.cli import (
     make_parser,
     run_verify,
 )
-from nektau.fourier import EqualityReport
+from nektau.fourier import EqualityReport, FourierSeries
 from nektau.symbols import NonInvertible, Resonance, ZeroFactor
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -291,6 +291,46 @@ def test_one_run_forms_the_zeta_products_once(monkeypatch):
     assert formed_once()
 
 
+HIROTA_IDS = ["NYtaupm", "NYtau01", "NYD2diff", "NYD4diff", "NYD1diff", "NYD3diff",
+              "NYdiffIS", "NYdiffHIS1", "NYdiffHIS3", "Todasg", "doubleprop", "KZsq"]
+
+
+def test_one_run_forms_each_hirota_basis_product_once(monkeypatch):
+    # the 4d-tau checks take D^k of five tau pairs.  One run forms each D^k
+    # once, on one store per pair, and each basis product theta^j f * g of
+    # a pair once (only the even j when f is g); the next run forms them
+    # again
+    calls = []  # (f, g, k, store, FourierSeries products made)
+    products = []
+    real_hirota, real_mul = idmod.hirota, FourierSeries.__mul__
+
+    def hirota(k, f, g, *, memo):
+        n = len(products)
+        out = real_hirota(k, f, g, memo=memo)
+        calls.append((id(f), id(g), k, id(memo), len(products) - n))
+        return out
+
+    def mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(idmod, "hirota", hirota)
+    monkeypatch.setattr(FourierSeries, "__mul__", mul)
+    cfg = RunConfig(identities=HIROTA_IDS, order=F(1))
+    for _ in range(2):
+        calls.clear()
+        assert run_verify(cfg)[0] == 0
+        pairs = {}
+        for f, g, k, store, n in calls:
+            pairs.setdefault((f, g), []).append((k, store, n))
+        formed = sorted((tuple(sorted(k for k, _, _ in ks)), f == g,
+                         len({store for _, store, _ in ks}), sum(n for _, _, n in ks))
+                        for (f, g), ks in pairs.items())
+        assert formed == [((0, 1, 2, 3, 4), False, 1, 5), ((0, 2, 4), True, 1, 3),
+                          ((0, 2, 4), True, 1, 3), ((1, 3), False, 1, 4),
+                          ((2,), True, 1, 2)]
+
+
 def test_run_writes_no_module_state():
     mods = [m for name, m in sys.modules.items() if name.startswith("nektau.")]
 
@@ -481,5 +521,7 @@ def test_oracle_runs():
 
 
 def test_oracle_bad_depth():
-    r = run_cli("oracle", "--order", "-1")
-    assert r.returncode == 2
+    # depth 0 would check only the level-0 seed
+    for depth in ("-1", "0"):
+        r = run_cli("oracle", "--order", depth)
+        assert r.returncode == 2, depth

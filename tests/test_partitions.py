@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 import nektau.identities as idmod
 from nektau.nekrasov import _inst_coeff_5d, inst_coeff_4d, inst_coeff_matter
 from nektau.partitions import (
-    arm_leg,
     boxes,
     conjugate,
     cs_weight,
     enumerate_pairs,
     n_factor_4d,
     n_factor_5d,
+    pair_offsets,
     partitions_of,
 )
 from nektau.rationals import GaussianRational as G
@@ -72,6 +72,15 @@ def test_conjugate_examples():
     assert conjugate((2, 2)) == (2, 2)
 
 
+def arm_leg(lam, box):
+    """Test-only reference: (arm, leg) of box (i, j) (1-based) relative to
+    lam, by scanning lam; may be negative."""
+    i, j = box
+    row = lam[i - 1] if i <= len(lam) else 0
+    col = sum(1 for p in lam if p >= j)
+    return row - j, col - i
+
+
 def test_arm_leg_inside_own_diagram():
     lam = (4, 3, 1)
     # box (1,1): arm = 3, leg = 2
@@ -83,6 +92,16 @@ def test_arm_leg_inside_own_diagram():
 def test_arm_leg_relative_negative():
     # box of a larger diagram measured against the empty diagram
     assert arm_leg((), (1, 2)) == (-2, -1)
+
+
+def test_pair_offsets_are_the_arm_leg_offsets():
+    # the offsets from row lengths and conjugates, in box order, against
+    # arm_leg per box
+    for d in range(11):
+        for lam, mu in enumerate_pairs(d):
+            ref = [(-arm_leg(mu, s)[0] - 1, arm_leg(lam, s)[1]) for s in boxes(lam)]
+            ref += [(arm_leg(lam, s)[0], -arm_leg(mu, s)[1] - 1) for s in boxes(mu)]
+            assert pair_offsets(lam, mu) == ref, (lam, mu)
 
 
 def test_boxes_count():

@@ -12,7 +12,6 @@ from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
 from nektau.series import PuiseuxSeries, hirota, theta_products, weighted_theta_expand
 from nektau.symbols import NonInvertible, SymExpr, gamma_value, pi_power, rational_power
-from pair_walk import pair_walk_theta_products
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
 coef = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -452,10 +451,12 @@ def assert_identical(new, ref):
 
 
 def assert_expansions_identical(f, g):
+    store = {}  # the basis products of (f, g), shared by every weight and k
     for w1, w2 in WEIGHTS:
         for k in range(5):
             ref = ref_weighted_theta_expand(f, g, w1, w2, k)
             assert_identical(weighted_theta_expand(f, g, w1, w2, k), ref)
+            assert_identical(weighted_theta_expand(f, g, w1, w2, k, memo=store), ref)
             if (w1, w2) == (1, -1):
                 assert_identical(hirota(k, f, g), ref)
 
@@ -483,13 +484,31 @@ def bounded_fourier(draw, max_sectors=3):
     return FourierSeries(sectors, draw(st.sampled_from([F(3, 2), F(2)])))
 
 
-@given(bounded_series(), bounded_series(), st.booleans())
+@st.composite
+def maybe_z0(draw, strategy):
+    """A series of strategy, at times with a z^0 term, which theta drops,
+    added in one of its sectors (if it has any)."""
+    h = draw(strategy)
+    if not draw(st.booleans()):
+        return h
+    c = SymExpr.coerce(draw(coef.filter(bool)))
+    if isinstance(h, PuiseuxSeries):
+        return h + PuiseuxSeries.monomial(0, c, h.trunc)
+    if not h.sectors:
+        return h
+    k = draw(st.sampled_from(sorted(h.sectors)))
+    sectors = dict(h.sectors)
+    sectors[k] = sectors[k] + PuiseuxSeries.monomial(0, c, sectors[k].trunc)
+    return FourierSeries(sectors, h.trunc)
+
+
+@given(maybe_z0(bounded_series()), maybe_z0(bounded_series()), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_moment_expansion_is_the_theta_product_route(f, g, same):
     assert_expansions_identical(f, f if same else g)
 
 
-@given(bounded_fourier(), bounded_fourier())
+@given(maybe_z0(bounded_fourier()), maybe_z0(bounded_fourier()))
 @settings(max_examples=40, deadline=None)
 def test_moment_expansion_is_the_theta_product_route_on_sectors(f, g):
     # a sector of a theta-product may cancel to zero below the overall
@@ -557,9 +576,7 @@ def test_moment_expansion_keeps_the_bound_of_a_cancelled_term():
 
 
 # ---------------------------------------------------------------------------
-# theta_products against full products of theta-derivatives, one per entry,
-# and against the one-pass walk over coefficient pairs it replaced
-# (pair_walk.py)
+# theta_products against full products of theta-derivatives, one per entry
 # ---------------------------------------------------------------------------
 
 
@@ -595,10 +612,14 @@ POLYS = [
 
 def assert_theta_products_identical(f, g, polys=POLYS):
     refs = [ref_theta_products(f, g, poly) for poly in polys]
-    for outs in (theta_products(f, g, polys), pair_walk_theta_products(f, g, polys)):
-        assert len(outs) == len(refs)
-        for new, ref in zip(outs, refs):
-            assert_identical(new, ref)
+    outs = theta_products(f, g, polys)
+    assert len(outs) == len(refs)
+    for new, ref in zip(outs, refs):
+        assert_identical(new, ref)
+    # one poly per call on one store of basis products: the same outputs
+    store = {}
+    for poly, ref in zip(polys, refs):
+        assert_identical(theta_products(f, g, [poly], memo=store)[0], ref)
 
 
 polys_st = st.lists(
@@ -608,19 +629,29 @@ polys_st = st.lists(
     min_size=1, max_size=3)
 
 
-@given(bounded_series(), bounded_series(), st.booleans(), polys_st)
+@st.composite
+def factored_polys(draw):
+    """Polys sharing a common theta-power (a0, b0)."""
+    a0, b0 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return [{(a + a0, b + b0): c for (a, b), c in poly.items()}
+            for poly in draw(polys_st)]
+
+
+@given(maybe_z0(bounded_series()), maybe_z0(bounded_series()), st.booleans(),
+       factored_polys())
 @settings(max_examples=30, deadline=None)
 def test_theta_products_are_the_theta_product_route(f, g, same, polys):
     assert_theta_products_identical(f, f if same else g, polys)
 
 
-@given(bounded_fourier(), bounded_fourier(), polys_st)
-@settings(max_examples=20, deadline=None)
+@given(maybe_z0(bounded_fourier()), maybe_z0(bounded_fourier()), factored_polys())
+@settings(max_examples=30, deadline=None)
 def test_theta_products_are_the_theta_product_route_on_sectors(f, g, polys):
     # sectors may cancel (see
     # test_moment_expansion_keeps_the_bound_of_a_cancelled_term)
     assert_theta_products_identical(f, g, polys)
     assert_theta_products_identical(g, f, polys)
+    assert_theta_products_identical(f, f, polys)
 
 
 @pytest.mark.parametrize("f,g", [
@@ -655,3 +686,71 @@ def test_theta_products_keep_the_bound_of_a_cancelled_term():
     d1 = theta_products(f, g, [{(0, 0): 1}, {(1, 0): 1, (0, 1): -1}])[1]
     assert_identical(d1, hirota(1, f, g))
     assert d1.sector(0).trunc == 2
+
+
+# polys with a common theta-factor; the last has only zero coefficients
+FACTORED_POLYS = [
+    {(1, 1): 1},
+    {(2, 2): 1, (1, 3): -1},
+    {(2, 2): 1, (2, 1): -2, (1, 1): 1},
+    {(1, 2): 0, (3, 1): F(1, 2)},
+    {(2, 1): 0},
+]
+
+
+@pytest.mark.parametrize("f,g", [
+    (F_UNEQUAL, G_UNEQUAL),
+    (F_Z0, G_Z0),
+    (G_Z0, F_Z0),
+    (F_UNEQUAL, F_UNEQUAL),
+    (G_Z0, G_Z0),
+], ids=["unequal bounds", "z^0-only sector", "z^0-only sector, swapped", "f is g",
+        "f is g, z^0 terms"])
+def test_theta_products_with_a_common_factor(f, g):
+    assert_theta_products_identical(f, g, FACTORED_POLYS)
+
+
+def counting_products(monkeypatch):
+    """The list that each PuiseuxSeries product appends to."""
+    calls = []
+    real = PuiseuxSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("same", [False, True])
+def test_hirota_forms_each_basis_product_once_per_store(monkeypatch, same):
+    # D^0..D^4 of one pair on one store take the basis products
+    # theta^j f * g, j <= 4, each formed once; when f is g only the even
+    # ones are products.  Without a store each call forms its own.
+    f = PuiseuxSeries({F(0): SymExpr.one(), F(1, 2): SymExpr.coerce(3),
+                       F(1): SymExpr.coerce(F(-2, 5))}, F(3))
+    g = f if same else PuiseuxSeries({F(0): SymExpr.coerce(2),
+                                      F(3, 4): SymExpr.coerce(-1)}, F(5, 2))
+    refs = {k: ref_weighted_theta_expand(f, g, 1, -1, k) for k in range(5)}
+    calls = counting_products(monkeypatch)
+    store = {}
+    for k in (2, 0, 4, 1, 3):
+        assert_identical(hirota(k, f, g, memo=store), refs[k])
+    assert sorted(store) == [(0, 0, j) for j in range(5)]
+    assert len(calls) == (3 if same else 5)
+    calls.clear()
+    assert_identical(hirota(4, f, g), refs[4])
+    assert len(calls) == (3 if same else 5)
+
+
+def test_theta_products_factor_out_the_common_theta_power(monkeypatch):
+    # the zeta products of identities.Context.zeta_4d: (theta f)^2 and
+    # theta^3 f * theta f are the only products
+    f = PuiseuxSeries({F(1, 2): SymExpr.coerce(3), F(1): SymExpr.coerce(-2),
+                       F(2): SymExpr.coerce(F(1, 7))}, F(3))
+    refs = [ref_theta_products(f, f, poly) for poly in POLYS[:3]]
+    calls = counting_products(monkeypatch)
+    for new, ref in zip(theta_products(f, f, POLYS[:3]), refs):
+        assert_identical(new, ref)
+    assert len(calls) == 2
