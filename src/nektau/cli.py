@@ -6,9 +6,11 @@ list    print the identity catalog (id, status, anchor formula).
 verify  run catalog checks and write a deterministic JSON/CSV report.
         Exit code 0 iff every theorem- and derived-status check passed, 1
         when one of them failed, 2 on a configuration error (found before
-        any computation, e.g. a config-file value of the wrong type, an
-        empty selection, an order below an entry's lowest meaningful order
-        or more samples than its pool holds), 3 on an internal error: an
+        any computation, e.g. a config-file key that is not a flag's, a
+        value of the wrong type, an empty selection, an order below an
+        entry's lowest meaningful order, more samples than its pool holds
+        or a report path in a directory that does not exist; the same
+        holds for dump and oracle), 3 on an internal error: an
         exception raised inside a check (Resonance, ZeroFactor,
         NonInvertible, ...) becomes an error result that carries the
         exception's type and message, whatever the check's status, and 3
@@ -19,9 +21,12 @@ dump    print an exact truncated series (tau function, partition function,
         or closed-form fixture) as JSON.  Byte-identical across runs with
         the same arguments; a higher-order dump extends a lower-order one
         per sector.
-oracle  run the two-route coefficient recursion cross-check to depth k >= 1
-        (a lower depth is a configuration error, exit 2).
+oracle  run the catalog entry determlemma, the two-route coefficient
+        recursion cross-check, to depth k >= 1 (a lower depth is a
+        configuration error, exit 2).
 
+Every id that verify accepts is a catalog entry (identities.CATALOG): each
+returns the sides of its parts and identities.verify compares them.
 Checks run one after another in this process, in one run context
 (identities.Context): instanton coefficients, tau functions and the zeta
 series with its theta-products built by one check are reused by the later
@@ -57,7 +62,6 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from functools import partial
 
 from . import identities as idmod
 from .nekrasov import Theory4d, Theory5d, inst_series_4d, inst_series_5d
@@ -65,9 +69,6 @@ from .qseries import algebraic_fixture
 from .tau import TauSystem4d, TauSystemQ, build_tau
 
 SCHEMA_VERSION = 1
-
-# ids accepted by `verify`: the catalog plus the assembled m=1 chain check
-_EXTRA_IDS = {"m1chain": "q-painleve"}
 
 
 class ConfigError(Exception):
@@ -109,22 +110,6 @@ def _parse_order(text: str) -> Frac:
     return v
 
 
-def _known_ids():
-    return list(idmod.CATALOG) + list(_EXTRA_IDS)
-
-
-def _domain_of(id: str) -> str:
-    if id in idmod.CATALOG:
-        return idmod.CATALOG[id].domain
-    return _EXTRA_IDS[id]
-
-
-def _min_order_of(id: str) -> Frac:
-    if id in idmod.CATALOG:
-        return idmod.CATALOG[id].min_order
-    return Frac(0)
-
-
 def _seed(default) -> int:
     """NEKTAU_SEED if set and non-empty, else default, as an int."""
     seed = os.environ.get("NEKTAU_SEED") or default
@@ -149,8 +134,20 @@ _CONFIG_TYPES = {
     "samples": ("an integer", _is_int),
     "seed": ("an integer", _is_int),
     "report": ("a string", lambda v: isinstance(v, str)),
+    "format": ("a string", lambda v: isinstance(v, str)),
     "failFast": ("a boolean", lambda v: isinstance(v, bool)),
 }
+
+
+def _check_report_path(path):
+    """Reject a report path that cannot be written, before any computation."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"report path {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"report directory {parent!r} does not exist")
 
 
 def build_config(args) -> RunConfig:
@@ -164,6 +161,10 @@ def build_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(data) - set(_CONFIG_TYPES))
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}; "
+                              f"choose from: {', '.join(_CONFIG_TYPES)}")
         for key, (want, ok) in _CONFIG_TYPES.items():
             if key in data and not ok(data[key]):
                 raise ConfigError(f"config {key!r} must be {want}, got {data[key]!r}")
@@ -172,13 +173,12 @@ def build_config(args) -> RunConfig:
     if args.id:
         ids = args.id
     if ids == "all" or ids == ["all"]:
-        ids = _known_ids()
+        ids = list(idmod.CATALOG)
     if isinstance(ids, str):
         ids = [ids]
     if not ids:
         raise ConfigError("no identity selected")
-    known = set(_known_ids())
-    unknown = [i for i in ids if i not in known]
+    unknown = [i for i in ids if i not in idmod.CATALOG]
     if unknown:
         raise ConfigError(f"unknown identity id(s): {', '.join(unknown)}")
     cfg.identities = list(ids)
@@ -190,20 +190,22 @@ def build_config(args) -> RunConfig:
             order = f"{order[0]}/{order[1]}"
         cfg.order = _parse_order(str(order))
         for id in cfg.identities:
-            if cfg.order < _min_order_of(id):
+            lowest = idmod.CATALOG[id].min_order
+            if cfg.order < lowest:
                 raise ConfigError(
                     f"order {cfg.order} is below the lowest meaningful order "
-                    f"{_min_order_of(id)} of {id}")
+                    f"{lowest} of {id}")
     cfg.samples = args.samples if args.samples is not None else data.get("samples", 1)
     if cfg.samples < 1:
         raise ConfigError("--samples must be >= 1")
-    for domain in sorted({_domain_of(id) for id in cfg.identities}):
+    for domain in sorted({idmod.CATALOG[id].domain for id in cfg.identities}):
         try:
             idmod.default_samples(domain, cfg.samples)
         except ValueError as exc:
             raise ConfigError(f"--samples {cfg.samples}: {exc}") from exc
     cfg.seed = _seed(args.seed if args.seed is not None else data.get("seed", 0))
     cfg.report = args.report if args.report else data.get("report")
+    _check_report_path(cfg.report)
     fmt = args.format if args.format else data.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}")
@@ -223,21 +225,16 @@ def _run_one(id: str, sample, order, ctx):
     """One check's report; an exception raised inside the check becomes an
     error result that carries its type and message, with the traceback on
     stderr."""
-    if id == "m1chain":
-        status, E = "theorem", order or Frac(2)
-        run = partial(idmod.m1_identity_check, sample=sample, E=E, ctx=ctx)
-    else:
-        entry = idmod.CATALOG[id]
-        status, E = entry.status, order or entry.default_order
-        run = partial(idmod.verify, id, sample=sample, E=E, ctx=ctx)
+    entry = idmod.CATALOG[id]
+    E = order or entry.default_order
     t0 = time.monotonic()
     try:
-        return run()
+        return idmod.verify(id, sample=sample, E=E, ctx=ctx)
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
         return idmod.VerificationReport(
-            id=id, status=status, ok=False, order=E,
-            sample=idmod.describe_sample(_domain_of(id), sample), parts=[],
+            id=id, status=entry.status, ok=False, order=E,
+            sample=idmod.describe_sample(entry.domain, sample), parts=[],
             elapsed=time.monotonic() - t0, error=(type(exc).__name__, str(exc)))
 
 
@@ -253,7 +250,7 @@ def run_verify(cfg: RunConfig):
     """Execute the configured checks; returns (exit_code, report, results)."""
     jobs = []
     for id in cfg.identities:
-        domain = _domain_of(id)
+        domain = idmod.CATALOG[id].domain
         samples = idmod.default_samples(domain, cfg.samples, seed=cfg.seed)
         for k, sample in enumerate(samples):
             jobs.append((id, k, sample))
@@ -410,6 +407,7 @@ def cmd_dump(args) -> int:
     try:
         order = _parse_order(args.order) if args.order else Frac(2)
         seed = _seed(args.seed or 0)
+        _check_report_path(args.report)
         sample, rows = _resolve_dump(args.selector, order, seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -443,12 +441,13 @@ def cmd_oracle(args) -> int:
             # depth 0 checks only the level-0 seed
             raise ConfigError("oracle depth must be >= 1")
         seed = _seed(args.seed or 0)
+        _check_report_path(args.report)
     except (ValueError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     sample = idmod.default_samples("5d-generic", 1, seed=seed)[0]
     try:
-        rep = idmod.determ_recursion(kmax, sample=sample)
+        rep = idmod.verify("determlemma", sample=sample, E=kmax)
     except idmod.SingularSystem as exc:
         print(f"configuration error: singular sample: {exc}", file=sys.stderr)
         return 2

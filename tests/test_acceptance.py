@@ -114,11 +114,11 @@ def test_criterion_6_bilinear_and_zeta():
 
 def test_criterion_7_chern_simons():
     def run():
-        _assert_ok(idmod.m1_identity_check(E=F(2)))
+        _assert_ok(idmod.verify("m1chain", E=F(2)))
         _assert_ok(idmod.verify("qTodaCSsg", E=F(2)))
         for id in ("20equiv1", "20equiv2", "20equiv12"):
             _assert_ok(idmod.verify(id, E=F(3)))
-        _assert_ok(idmod.determ_recursion(3))
+        _assert_ok(idmod.verify("determlemma", E=F(3)))
 
     _timed(7, 300, run)
 

@@ -440,6 +440,7 @@ def test_build_config_all_expands():
 @pytest.mark.parametrize("data", [
     {"samples": "two"}, {"seed": None}, {"seed": [1]}, {"identities": 5},
     {"order": [1]}, {"samples": 2.5}, {"failFast": "no"}, {"report": 5},
+    {"format": 5},
 ], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 def test_malformed_config_value_exit_two(tmp_path, data):
     # these used to crash with exit 1 or be read as some other value
@@ -450,6 +451,58 @@ def test_malformed_config_value_exit_two(tmp_path, data):
     assert r.stdout == ""
     assert r.stderr.startswith("configuration error: ")
     assert "Traceback" not in r.stderr
+
+
+def test_unknown_config_key_exit_two(tmp_path):
+    # a misspelt key used to be ignored: {"identity": "NY"} ran every check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identity": "NY", "order": 1}))
+    r = run_cli("verify", "--config", str(cfg))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    [line] = r.stderr.splitlines()
+    assert line.startswith("configuration error: unknown config key(s): identity;")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--id", "NYtaupm", "--order", "1"],
+    ["verify", "--id", "NYtaupm", "--order", "1", "--config", "{config}"],
+    ["dump", "Z4d", "--order", "1"],
+    ["oracle", "--order", "1"],
+], ids=["verify", "verify-config", "dump", "oracle"])
+def test_report_in_a_missing_directory_exit_two(tmp_path, command):
+    # the run used to finish its computation, then crash with exit 1
+    missing = tmp_path / "missing" / "r.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"report": str(missing)}))
+    argv = [a.format(config=cfg) for a in command]
+    if "--config" not in argv:
+        argv += ["--report", str(missing)]
+    r = run_cli(*argv)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"configuration error: report directory {str(missing.parent)!r} "
+        "does not exist"]
+
+
+def test_report_path_that_is_a_directory_exit_two(tmp_path):
+    r = run_cli("verify", "--id", "NYtaupm", "--order", "1", "--report", str(tmp_path))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"configuration error: report path {str(tmp_path)!r} is a directory"]
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
+def test_default_report_matches_golden(corrupt):
+    # the full default run on seed 0, minus its timing block, is
+    # byte-identical to the recorded report
+    argv = ["verify", "--seed", "0"] + ["--corrupt-coefficient"] * corrupt
+    code, report, _ = run_verify(build_config(make_parser().parse_args(argv)))
+    assert code == int(corrupt)
+    golden = GOLDEN / ("verify_seed0_corrupt.json" if corrupt else "verify_seed0.json")
+    assert json.dumps(_strip_timing(report), indent=2) + "\n" == golden.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import nektau.identities as idmod
+from nektau.cli import main
 from nektau.fourier import EqualityReport, FourierSeries
 from nektau.series import PuiseuxSeries
 from nektau.symbols import SymExpr
@@ -67,7 +68,7 @@ def test_conjectures_hold_at_low_order(id):
 
 def test_m1_chain_passes_at_two_orders():
     for E in (F(1), F(2)):
-        rep = idmod.m1_identity_check(E=E)
+        rep = idmod.verify("m1chain", E=E)
         assert rep.ok and rep.id == "m1chain"
 
 
@@ -125,6 +126,62 @@ def test_report_serialization_quarantines_timing():
 def _stub_entry(id, status, parts):
     base = idmod.CATALOG[id]
     return dataclasses.replace(base, run=lambda sample, E, ctx: parts, status=status)
+
+
+def _fs(coeffs, trunc, sector=F(0)):
+    """A one-sector FourierSeries with rational coefficients."""
+    return FourierSeries.single(PuiseuxSeries(
+        {F(e): SymExpr.coerce(F(c)) for e, c in coeffs.items()}, trunc), sector)
+
+
+def test_sides_of_a_failing_part_report_sector_and_exponent(monkeypatch):
+    # a run_* returns (name, lhs, rhs); verify compares them and the report
+    # points at the first differing (sector, exponent) through z^E only
+    lhs = _fs({0: 1, 1: 2, 3: 5}, F(4), F(1, 2))
+    rhs = _fs({0: 1, 1: 3}, F(4), F(1, 2))
+    monkeypatch.setitem(idmod.CATALOG, "NYtaupm",
+                        _stub_entry("NYtaupm", "theorem", [("stub", lhs, rhs)]))
+    rep = idmod.verify("NYtaupm", E=F(2))
+    assert not rep.ok
+    [(name, part)] = rep.parts
+    assert name == "stub" and part.checked_order == 2
+    assert [r[:2] for r in part.residuals] == [(F(1, 2), F(1))]
+
+
+def test_puiseux_and_fourier_sides_both_compare(monkeypatch):
+    ps = PuiseuxSeries({F(0): SymExpr.one(), F(1, 2): SymExpr.coerce(F(3))}, F(2))
+    parts = [("puiseux", ps, ps),
+             ("fourier", FourierSeries.single(ps, F(1, 2)),
+              FourierSeries.single(ps, F(1, 2))),
+             ("decided", EqualityReport(True, F(0)))]
+    monkeypatch.setitem(idmod.CATALOG, "NYtaupm",
+                        _stub_entry("NYtaupm", "theorem", parts))
+    rep = idmod.verify("NYtaupm", E=F(1))
+    assert rep.ok
+    assert [(n, p.summary()) for n, p in rep.parts] == [
+        ("puiseux", "pass (exact through z^1)"),
+        ("fourier", "pass (exact through z^1)"),
+        ("decided", "pass (exact through z^0)")]
+    bad = [("puiseux", ps, ps.shift(F(1, 2)))]
+    monkeypatch.setitem(idmod.CATALOG, "NYtaupm",
+                        _stub_entry("NYtaupm", "theorem", bad))
+    [(_, part)] = idmod.verify("NYtaupm", E=F(1)).parts
+    assert [r[:2] for r in part.residuals] == [(0, 0), (0, F(1, 2)), (0, 1)]
+
+
+def test_a_side_known_below_the_order_is_an_error_result(monkeypatch, tmp_path, capsys):
+    # a side built through z^{1/2} cannot decide a comparison through z^1:
+    # the run records an error result and exits 3, never a pass or a FAIL
+    short = PuiseuxSeries({F(0): SymExpr.one()}, F(1, 2))
+    monkeypatch.setitem(idmod.CATALOG, "NYtaupm", _stub_entry(
+        "NYtaupm", "theorem", [("stub", short, PuiseuxSeries.one(F(2)))]))
+    rp = tmp_path / "r.json"
+    assert main(["verify", "--id", "NYtaupm", "--order", "1", "--report", str(rp)]) == 3
+    [res] = json.loads(rp.read_text())["results"]
+    assert res["ok"] is False and res["parts"] == []
+    assert res["error"] == {"type": "ValueError",
+                            "message": "series only known to 1/2, asked to compare to 1"}
+    assert "NYtaupm [theorem] order 1: ERROR" in capsys.readouterr().out
 
 
 def test_zeta3_failure_reports_normalization_diagnosis(monkeypatch):
@@ -186,8 +243,9 @@ def test_zeta_products_are_the_product_route(sigma):
     pieces, zetac, zeta3 = ref_zeta_products(sigma, F(3), ctx)
     zs = ctx.zeta_4d(sigma, F(4))
     pairs = [(zs[k], ref) for k, ref in pieces.items()]
-    pairs += zip(idmod._zetac_sides(sigma, F(3), ctx), zetac)
-    pairs += zip(idmod._zeta3_sides(sigma, F(3), ctx), zeta3)
+    for run, ref in ((idmod.run_zetac, zetac), (idmod.run_zeta3, zeta3)):
+        [(_, *sides)] = run(sigma, F(3), ctx)
+        pairs += zip(sides, ref)
     for new, ref in pairs:
         # coefficients, overall bound and every sector's bound
         assert (new.trunc, new.sectors) == (ref.trunc, ref.sectors)
@@ -197,10 +255,10 @@ def test_zeta_products_are_the_product_route(sigma):
 
 def test_determ_recursion_singular_sample():
     with pytest.raises(idmod.SingularSystem):
-        idmod.determ_recursion(2, sample=(F(1, 2), F(4), F(4), F(2)))
+        idmod.verify("determlemma", sample=(F(1, 2), F(4), F(4), F(2)), E=2)
 
 
 def test_determ_recursion_seed_level():
-    rep = idmod.determ_recursion(0)
+    rep = idmod.verify("determlemma", E=0)
     assert rep.ok
     assert any("level-0" in name or "seed" in name for name, _ in rep.parts)
