@@ -28,21 +28,14 @@ oracle  run the catalog entry determlemma, the two-route coefficient
 Every id that verify accepts is a catalog entry (identities.CATALOG): each
 returns the sides of its parts and identities.verify compares them.
 Checks run one after another in this process, in one run context
-(identities.Context): instanton coefficients, tau functions and the zeta
+(identities.Context) whose memo is the only cache: the instanton
+coefficients, relative modes, one-loop cocycles, tau sets, Hirota
+derivatives D^k (with their basis products theta^j f * g) and the zeta
 series with its theta-products built by one check are reused by the later
-checks of the same run, and are dropped when the run ends.
---corrupt-coefficient sets the context's corruption setting: the central
-series of a few theorem entries gains +1 at that z-exponent before it is
-compared, so those checks must fail.
-Hirota derivatives D^k (series.hirota) are the alpha-expansion of
-f(e^{w1 alpha} z) g(e^{w2 alpha} z) at weights (w1, w2) = (1, -1), that is
-sum (x - y)^k f_x g_y; the 4d blowup entries use the same expansion at other
-weights.  Every expansion is a theta-combination of the basis products
-B_j = theta^j f * g (series.theta_products), formed on the product kernel
-that Puiseux and Fourier series share.  A run forms each D^k of a pair of
-4d taus once, and each B_j of that pair once for all its D^k
-(identities.Context.hirota_4d).  zeta = theta(tau)/tau is formed once per
-run, and zetac and zeta3 take their sides from its theta-products.
+checks of the same run, each made once, and are dropped when the run ends.
+dump keeps no memo.  --corrupt-coefficient sets the context's corruption setting: the
+central series of a few theorem entries gains +1 at that z-exponent before
+it is compared, so those checks must fail.
 
 Determinism: the seed fully determines the sample sequence; timing data is
 quarantined in a separate report section so residual sections are diffable.
@@ -190,11 +183,10 @@ def build_config(args) -> RunConfig:
             order = f"{order[0]}/{order[1]}"
         cfg.order = _parse_order(str(order))
         for id in cfg.identities:
-            lowest = idmod.CATALOG[id].min_order
-            if cfg.order < lowest:
-                raise ConfigError(
-                    f"order {cfg.order} is below the lowest meaningful order "
-                    f"{lowest} of {id}")
+            try:
+                idmod.check_order(id, cfg.order)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     cfg.samples = args.samples if args.samples is not None else data.get("samples", 1)
     if cfg.samples < 1:
         raise ConfigError("--samples must be >= 1")
@@ -437,9 +429,7 @@ def cmd_dump(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         kmax = int(args.order) if args.order else 2
-        if kmax < 1:
-            # depth 0 checks only the level-0 seed
-            raise ConfigError("oracle depth must be >= 1")
+        idmod.check_order("determlemma", kmax)
         seed = _seed(args.seed or 0)
         _check_report_path(args.report)
     except (ValueError, ConfigError) as exc:

@@ -22,10 +22,10 @@ Statuses:
               failing coefficient, and never fail the suite
   derived     relative-normalization slice or direct consequence
 
-Every check runs in a Context, which holds the instanton coefficients, tau
-functions and zeta series its run has built and an optional corrupted
-coefficient.  One Context lives for one run; nothing is kept at
-module level.
+Every check runs in a Context, which holds the memo of everything its run
+has built (instanton coefficients, modes, cocycles, tau sets, zeta
+series) and an optional corrupted coefficient.  One Context lives for one
+run; nothing is kept at module level.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .nekrasov import (
     inst_series_4d,
     inst_series_5d,
     inst_series_matter,
+    memoized,
 )
 from .qseries import PochhammerSpec, pochhammer_series
 from .rationals import GaussianRational
@@ -153,12 +154,14 @@ class Context:
     corrupt: if set, the central series of a few theorem entries gains +1 at
              this z-exponent (in sector 0 for taus) before it is compared, a
              probe that the catalog is not vacuous.
-    memo:    instanton coefficients, tau sets, the zeta series with its
-             theta-products, and for each pair of taus_4d entries its
-             Hirota derivatives D^k with the basis products theta^j f * g
-             they are built from (one store per pair, see
-             series.theta_products), keyed by their arguments, so that
-             checks on the same sums share them.
+    memo:    everything the checks share, each value made once through
+             nekrasov.memoized under a kind name and the arguments it
+             depends on: the instanton coefficients of the series checks
+             ask for, relative modes and their cocycles, tau sets, the zeta
+             series with its theta-products, and for each pair of taus_4d
+             entries its Hirota derivatives D^k with the store of basis
+             products theta^j f * g they are built from (see
+             series.theta_products).  It is the only cache a run keeps.
     """
 
     corrupt: Frac | None = None
@@ -178,12 +181,10 @@ class Context:
         return PuiseuxSeries(coeffs, x.trunc)
 
     def taus_4d(self, sigma: Frac, EB: Frac):
-        key = ("taus_4d", sigma, EB)
-        if key not in self.memo:
+        def build():
             sysm = TauSystem4d(sigma, memo=self.memo)
             kiev = sysm.kiev()
-            self.memo[key] = {
-                "sys": sysm,
+            return {
                 "tau": build_tau(kiev, EB),
                 "tau1": build_tau(sysm.kiev_half(), EB),
                 "tp": build_tau(sysm.short(+1), EB),
@@ -193,7 +194,8 @@ class Context:
                 "bp": build_tau(replace(kiev, k_offset=(0, 1)), EB),
                 "bm": build_tau(replace(kiev, k_offset=(0, -1)), EB),
             }
-        return self.memo[key]
+
+        return memoized(self.memo, ("taus_4d", sigma, EB), build)
 
     def hirota_4d(self, sigma: Frac, EB: Frac):
         """D: (k, f, g) -> D^k of the taus_4d(sigma, EB) entries named f
@@ -202,12 +204,9 @@ class Context:
         d = self.taus_4d(sigma, EB)
 
         def D(k, f, g):
-            pair = (("taus_4d", sigma, EB), f, g)
-            key = ("hirota", pair, k)
-            if key not in self.memo:
-                store = self.memo.setdefault(("theta basis", pair), {})
-                self.memo[key] = hirota(k, d[f], d[g], memo=store)
-            return self.memo[key]
+            pair = (sigma, EB, f, g)
+            return memoized(self.memo, ("hirota", *pair, k), lambda: hirota(
+                k, d[f], d[g], memo=memoized(self.memo, ("theta basis", *pair), dict)))
 
         return D
 
@@ -219,23 +218,21 @@ class Context:
         theta^3 zeta and R = (theta^2 zeta - theta zeta)^2 from one
         theta_products call on (zeta, zeta), P theta zeta and P zeta from one
         on (P, zeta)."""
-        key = ("zeta_4d", sigma, EB)
-        if key not in self.memo:
+
+        def build():
             z = zeta_from_tau(self.taus_4d(sigma, EB)["tau"])
             P, Q, R = theta_products(z, z, [{(1, 1): 1},
                                             {(2, 2): 1, (1, 3): -1},
                                             {(2, 2): 1, (2, 1): -2, (1, 1): 1}])
             P_dz, P_z = theta_products(P, z, [{(0, 1): 1}, {(0, 0): 1}])
-            self.memo[key] = {"zeta": z, "P": P, "Q": Q, "R": R,
-                              "P dzeta": P_dz, "P zeta": P_z}
-        return self.memo[key]
+            return {"zeta": z, "P": P, "Q": Q, "R": R, "P dzeta": P_dz, "P zeta": P_z}
+
+        return memoized(self.memo, ("zeta_4d", sigma, EB), build)
 
     def taus_q(self, sample: ParameterSample, m: int, EB: Frac):
-        key = ("taus_q", sample, m, EB)
-        if key not in self.memo:
+        def build():
             sysm = TauSystemQ(sample, m=m, memo=self.memo)
-            self.memo[key] = {
-                "sys": sysm,
+            return {
                 "tau": build_tau(sysm.kiev(0), EB),
                 "tau1": build_tau(sysm.kiev(1), EB),
                 "tp": build_tau(sysm.short(+1), EB),
@@ -243,7 +240,8 @@ class Context:
                 "up": build_tau(sysm.u_shifted_kiev(1), EB),
                 "um": build_tau(sysm.u_shifted_kiev(-1), EB),
             }
-        return self.memo[key]
+
+        return memoized(self.memo, ("taus_q", sample, m, EB), build)
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +638,7 @@ def run_qNYD12diff(smp, E, ctx):
     dq = smp.dq
     E1, E2 = Frac(-dq), Frac(dq)
     Lu = smp.u_exp
-    A = RelativeZ5d(Theory5d(E1, E2 - E1), Lu, smp, memo=ctx.memo)
-    B = RelativeZ5d(Theory5d(E1 - E2, E2), Lu, smp, memo=ctx.memo)
+    A, B, _ = _pair_5d(smp.t, E1, E2, Lu, ctx.memo)
     ZC = inst_series_5d(Theory5d(E1, E2), Lu, smp, E, memo=ctx.memo)
     return [(f"z^{{j/4}} Z at offset j={j}", ZC.shift(Frac(j, 4)),
              _mode_sum(A, B, E, Frac(j, 2), _dilated(smp.t, -E1, -E2)))
@@ -710,7 +707,7 @@ def run_qG(smp, E, ctx):
 def run_cdsystem(smp, E, ctx):
     d = ctx.taus_q(smp, 0, E + 1)
     t0p, t0m = d["tp"], d["tm"]
-    sysm = d["sys"]
+    sysm = TauSystemQ(smp, memo=ctx.memo)
     t1p = build_tau(backlund(sysm.short(+1), "u_q"), E + 1)
     t1m = build_tau(backlund(sysm.short(-1), "u_q"), E + 1)
     p01 = (t1p * t1m).shift(QUARTER)
@@ -1179,16 +1176,26 @@ def _compare(lhs, rhs, E) -> EqualityReport:
     return fs_equal_to_order(fourier(lhs), fourier(rhs), E)
 
 
+def check_order(id: str, E):
+    """Raise ValueError when E lies below the entry's min_order."""
+    lowest = CATALOG[id].min_order
+    if E < lowest:
+        raise ValueError(
+            f"order {E} is below the lowest meaningful order {lowest} of {id}")
+
+
 def verify(id: str, sample=None, E=None, ctx=None) -> VerificationReport:
     """Run one catalog entry at a sample and order in ctx (by default a
     fresh Context) and compare the sides of each part it returns through
-    z^E; see module docstring."""
+    z^E; see module docstring.  An order below the entry's min_order raises
+    ValueError."""
     if id not in CATALOG:
         raise KeyError(f"unknown identity {id!r}")
     entry = CATALOG[id]
     if sample is None:
         sample = default_samples(entry.domain, 1)[0]
     E = entry.default_order if E is None else Frac(E)
+    check_order(id, E)
     ctx = Context() if ctx is None else ctx
     t0 = time.monotonic()
     parts = [(name, _compare(*sides, E) if len(sides) == 2 else sides[0])

@@ -12,9 +12,12 @@ Conventions: the series variable z carries four units of the mass scale
 (scale^4 = z), all multiplicative parameters are powers of the sample base
 t, and 4d equivariant parameters are literal rationals.
 
-Instanton coefficients are memoised only in a dict the caller passes as
-``memo`` (one verification run's, see identities.Context); without one,
-nothing is kept.
+Values are memoised only in a dict the caller passes as ``memo`` (one
+verification run's, see identities.Context), each through ``memoized``
+under a kind name and the arguments the value depends on: the instanton
+coefficients of the series a caller asks for, and each relative mode and
+cocycle.  A mode's instanton series lives only in the mode.  Without a
+memo nothing is kept.
 """
 
 from __future__ import annotations
@@ -73,14 +76,21 @@ class Theory5d:
     m: int = 0
 
 
-def _memo_call(memo, fn, *args):
-    """fn(*args), computed once per memo dict; memo None keeps nothing."""
+def memoized(memo, key, build):
+    """build(), made once per memo dict and kept under key: a kind name
+    followed by the arguments the value depends on.  memo None keeps
+    nothing."""
     if memo is None:
-        return fn(*args)
-    key = (fn.__name__, *args)
+        return build()
     if key not in memo:
-        memo[key] = fn(*args)
+        memo[key] = build()
     return memo[key]
+
+
+def _series(order, coeff) -> PuiseuxSeries:
+    """The sum of coeff(d) z^d over d <= order, exact through z^order."""
+    order = Frac(order)
+    return PuiseuxSeries({Frac(d): coeff(d) for d in range(int(order) + 1)}, order)
 
 
 def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int) -> Frac:
@@ -105,13 +115,8 @@ def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int) -> Frac:
 
 
 def inst_series_4d(th: Theory4d, a: Frac, order, *, memo=None) -> PuiseuxSeries:
-    order = Frac(order)
-    coeffs = {}
-    for d in range(int(order) + 1):
-        c = _memo_call(memo, inst_coeff_4d, th.e1, th.e2, a, d)
-        if c:
-            coeffs[Frac(d)] = SymExpr.from_rational(c)
-    return PuiseuxSeries(coeffs, order)
+    return _series(order, lambda d: memoized(
+        memo, ("inst_coeff_4d", th, a, d), lambda: inst_coeff_4d(th.e1, th.e2, a, d)))
 
 
 def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> SymExpr:
@@ -134,13 +139,10 @@ def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> Sym
 
 def inst_series_5d(th: Theory5d, Lu: Frac, sample: ParameterSample, order, *,
                    memo=None) -> PuiseuxSeries:
-    order = Frac(order)
-    coeffs = {}
-    for d in range(int(order) + 1):
-        c = _memo_call(memo, _inst_coeff_5d, th.E1, th.E2, th.m, Lu, sample.t, d)
-        if c:
-            coeffs[Frac(d)] = c
-    return PuiseuxSeries(coeffs, order)
+    t = sample.t
+    return _series(order, lambda d: memoized(
+        memo, ("inst_coeff_5d", th, Lu, t, d),
+        lambda: _inst_coeff_5d(th.E1, th.E2, th.m, Lu, t, d)))
 
 
 def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int) -> SymExpr:
@@ -191,13 +193,7 @@ def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int) -> SymEx
 
 
 def inst_series_matter(vs, sigma: Frac, sample: ParameterSample, order) -> PuiseuxSeries:
-    order = Frac(order)
-    coeffs = {}
-    for d in range(int(order) + 1):
-        c = inst_coeff_matter(vs, sigma, sample, d)
-        if c:
-            coeffs[Frac(d)] = c
-    return PuiseuxSeries(coeffs, order)
+    return _series(order, lambda d: inst_coeff_matter(vs, sigma, sample, d))
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +283,15 @@ class RelativeZ4d:
     """All mode data of one 4d theory relative to a reference point a0.
 
     mode(k1, k2, order) returns z^{gap} * cocycle * instanton-series for
-    the point a0 + k1 e1 + k2 e2, exact through z^order.
+    the point a0 + k1 e1 + k2 e2, exact through z^order.  Cocycles are
+    kept in memo under ("cocycle", theory, a0, k1, k2) and modes under
+    ("mode", theory, a0, k1, k2, order), so objects on one memo share them.
     """
 
     def __init__(self, th: Theory4d, a0: Frac, *, memo=None):
         self.th = th
         self.a0 = Frac(a0)
         self.memo = memo
-        self._cache = {}
 
     def classical_gap(self, k1: int, k2: int) -> Frac:
         a = self.a0 + k1 * self.th.e1 + k2 * self.th.e2
@@ -303,21 +300,24 @@ class RelativeZ4d:
         )
 
     def cocycle(self, k1: int, k2: int) -> SymExpr:
-        return z1loop_ratio_4d(self.th.e1, self.th.e2, self.a0, k1, k2)
+        return memoized(self.memo, ("cocycle", self.th, self.a0, k1, k2),
+                        lambda: z1loop_ratio_4d(self.th.e1, self.th.e2, self.a0, k1, k2))
 
     def mode(self, k1: int, k2: int, order) -> PuiseuxSeries:
         order = Frac(order)
-        key = (k1, k2, order)
-        if key not in self._cache:
+
+        def build():
             gap = self.classical_gap(k1, k2)
             a = self.a0 + k1 * self.th.e1 + k2 * self.th.e2
-            inst = inst_series_4d(self.th, a, order - gap, memo=self.memo)
-            self._cache[key] = inst.shift(gap).scale(self.cocycle(k1, k2))
-        return self._cache[key]
+            inst = inst_series_4d(self.th, a, order - gap)
+            return inst.shift(gap).scale(self.cocycle(k1, k2))
+
+        return memoized(self.memo, ("mode", self.th, self.a0, k1, k2, order), build)
 
 
 class RelativeZ5d:
-    """All mode data of one 5d theory relative to a reference weight Lu0."""
+    """All mode data of one 5d theory relative to a reference weight Lu0,
+    kept in memo as RelativeZ4d's are, with the sample's base t after Lu0."""
 
     def __init__(self, th: Theory5d, Lu0: Frac, sample: ParameterSample, *,
                  memo=None):
@@ -325,7 +325,6 @@ class RelativeZ5d:
         self.Lu0 = Frac(Lu0)
         self.sample = sample
         self.memo = memo
-        self._cache = {}
 
     def classical_gap(self, k1: int, k2: int) -> Frac:
         """z-exponent gap of the classical factor."""
@@ -335,21 +334,24 @@ class RelativeZ5d:
         return P1 - P0
 
     def cocycle(self, k1: int, k2: int) -> SymExpr:
-        return q_z1loop_ratio(self.th.E1, self.th.E2, self.Lu0, k1, k2, self.sample.t)
+        th, t = self.th, self.sample.t
+        return memoized(self.memo, ("cocycle", th, self.Lu0, t, k1, k2),
+                        lambda: q_z1loop_ratio(th.E1, th.E2, self.Lu0, k1, k2, t))
 
     def mode(self, k1: int, k2: int, order) -> PuiseuxSeries:
         order = Frac(order)
-        key = (k1, k2, order)
-        if key not in self._cache:
+
+        def build():
             zgap = self.classical_gap(k1, k2)
             # t-exponent gap: -(E1 + E2) per unit of z-gap (classical_exp_5d)
             tgap = -(self.th.E1 + self.th.E2) * zgap
             Lu = self.Lu0 + k1 * self.th.E1 + k2 * self.th.E2
-            inst = inst_series_5d(self.th, Lu, self.sample, order - zgap,
-                                  memo=self.memo)
+            inst = inst_series_5d(self.th, Lu, self.sample, order - zgap)
             coeff = self.cocycle(k1, k2) * rational_power(self.sample.t, tgap)
-            self._cache[key] = inst.shift(zgap).scale(coeff)
-        return self._cache[key]
+            return inst.shift(zgap).scale(coeff)
+
+        return memoized(self.memo,
+                        ("mode", self.th, self.Lu0, self.sample.t, k1, k2, order), build)
 
 
 def blowup_modes(order, gap_fn, offset: Frac = Frac(0)):

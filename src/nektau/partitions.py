@@ -8,7 +8,6 @@ lengths are evaluated with the conjugate-profile rule and may be negative
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .rationals import GaussianRational
@@ -17,7 +16,6 @@ from .symbols import SymExpr, ZeroFactor, rational_power
 Frac = Fraction
 
 
-@lru_cache(maxsize=None)
 def partitions_of(n: int):
     """All partitions of n as sorted tuples, lexicographically descending."""
     if n == 0:
@@ -39,9 +37,10 @@ def partitions_of(n: int):
 
 def enumerate_pairs(d: int):
     """All partition pairs with total size d, ordered by (|first|, first, second)."""
+    parts = [partitions_of(n) for n in range(d + 1)]
     for d1 in range(d + 1):
-        for lam1 in partitions_of(d1):
-            for lam2 in partitions_of(d - d1):
+        for lam1 in parts[d1]:
+            for lam2 in parts[d - d1]:
                 yield (lam1, lam2)
 
 

@@ -252,6 +252,36 @@ def test_one_run_computes_each_coefficient_once(monkeypatch):
     assert Counter(calls) == first
 
 
+def test_one_run_telescopes_each_cocycle_once_and_builds_each_mode_once(monkeypatch):
+    # the 4d and 5d blowup checks sum over the same relative modes, and
+    # cd-system's Backlund shorts over modes of its tau set's theories: one
+    # run telescopes each cocycle once and builds each mode (its instanton
+    # series) once, and the next run starts afresh
+    cocycles, modes = [], []
+
+    def counting(calls, real):
+        def wrapped(*args, **kwargs):
+            # a 5d series depends on its sample through the base t only
+            calls.append(tuple(getattr(a, "t", a) for a in args))
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("z1loop_ratio_4d", "q_z1loop_ratio"):
+        monkeypatch.setattr(nekrasov, name, counting(cocycles, getattr(nekrasov, name)))
+    for name in ("inst_series_4d", "inst_series_5d"):
+        monkeypatch.setattr(nekrasov, name, counting(modes, getattr(nekrasov, name)))
+    cfg = RunConfig(identities=["NY", "NY2", "NY4", "NY1", "qNY1", "qNY2", "qNY3",
+                                "cd-system"], order=F(2))
+    assert run_verify(cfg)[0] == 0
+    first = Counter(cocycles), Counter(modes)
+    for calls in first:
+        assert calls and set(calls.values()) == {1}
+    cocycles.clear()
+    modes.clear()
+    assert run_verify(cfg)[0] == 0
+    assert (Counter(cocycles), Counter(modes)) == first
+
+
 def test_one_run_forms_the_zeta_products_once(monkeypatch):
     # zetac, zeta3 and the zetac probe of a failing zeta3 share one zeta and
     # its two theta_products calls per run; the next run forms them again
@@ -525,6 +555,19 @@ def test_dump_matches_golden_tau(tmp_path):
     assert out.read_bytes() == (GOLDEN / "tauq_kiev0_order1.json").read_bytes()
 
 
+@pytest.mark.parametrize("selector,golden", [
+    ("tau4d:kiev", "tau4d_kiev_order3.json"),
+    ("Z5d", "Z5d_order3.json"),
+])
+def test_dump_matches_golden_without_memo(selector, golden, tmp_path):
+    # dump keeps no run memo: its modes, cocycles and instanton
+    # coefficients are built afresh and kept nowhere
+    out = tmp_path / "d.json"
+    r = run_cli("dump", selector, "--order", "3", "--report", str(out))
+    assert r.returncode == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_dump_prefix_extension_per_sector():
     lo = json.loads(run_cli("dump", "tau4d:kiev", "--order", "1").stdout)
     hi = json.loads(run_cli("dump", "tau4d:kiev", "--order", "2").stdout)
@@ -578,3 +621,13 @@ def test_oracle_bad_depth():
     for depth in ("-1", "0"):
         r = run_cli("oracle", "--order", depth)
         assert r.returncode == 2, depth
+
+
+def test_oracle_depth_follows_the_catalog_lowest_order():
+    # oracle applies determlemma's lowest meaningful order, the rule verify
+    # and the library share
+    r = run_cli("oracle", "--order", "0")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "configuration error: order 0 is below the lowest meaningful order 1 "
+        "of determlemma"]

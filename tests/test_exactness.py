@@ -1,4 +1,5 @@
-"""The package computes exactly: no float and no numeric library in src/nektau."""
+"""The package computes exactly, with no float and no numeric library in
+src/nektau, and keeps no cache of its own outside a run's memo."""
 
 import ast
 from pathlib import Path
@@ -29,5 +30,36 @@ def test_package_has_no_float_or_mpmath():
         f"{path.name}:{line}: {what}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line, what in _inexact_nodes(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+#: functools' caching decorators; a run keeps its values only in its memo
+#: (identities.Context.memo, reached through nekrasov.memoized)
+CACHING = {"cache", "cached_property", "lru_cache"}
+
+
+def _cache_nodes(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in CACHING:
+                    yield node.lineno, f"from functools import {alias.name}"
+        if isinstance(node, ast.Attribute):
+            if (node.attr in CACHING and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"):
+                yield node.lineno, f"functools.{node.attr}"
+            if node.attr == "_cache" and isinstance(node.ctx, ast.Store):
+                yield node.lineno, "assignment to a _cache attribute"
+        if (isinstance(node, ast.Call) and any(
+                isinstance(a, ast.Constant) and a.value == "_cache" for a in node.args)):
+            yield node.lineno, "_cache set by name"
+
+
+def test_package_keeps_no_cache_outside_the_run_memo():
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, what in _cache_nodes(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []

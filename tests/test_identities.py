@@ -259,6 +259,10 @@ def test_determ_recursion_singular_sample():
 
 
 def test_determ_recursion_seed_level():
-    rep = idmod.verify("determlemma", E=0)
+    # the seed is checked along with level 1; order 0 would check the seed
+    # alone, which is below the entry's lowest meaningful order
+    rep = idmod.verify("determlemma", E=1)
     assert rep.ok
     assert any("level-0" in name or "seed" in name for name, _ in rep.parts)
+    with pytest.raises(ValueError, match="below the lowest meaningful order 1"):
+        idmod.verify("determlemma", E=0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nektau.nekrasov import (
     IncompleteModeRange,
     RelativeZ4d,
+    RelativeZ5d,
     Theory4d,
     Theory5d,
     blowup_modes,
@@ -166,6 +167,24 @@ def test_relative_mode_reference_is_plain_series():
     m = rz.mode(0, 0, F(2))
     ref = inst_series_4d(th, A, F(2))
     assert all(not (m.coeff(e) - c) for e, c in ref.items())
+
+
+def test_relative_modes_are_shared_through_the_memo():
+    # objects on one memo return the same mode and cocycle objects; without
+    # a memo nothing is kept, so each call builds afresh
+    memo = {}
+    th4 = Theory4d(F(1), F(-2))
+    A, B = (RelativeZ4d(th4, F(2, 5), memo=memo) for _ in range(2))
+    assert A.mode(2, 0, 2) is B.mode(2, 0, F(2))
+    assert A.cocycle(2, 0) is B.cocycle(2, 0)
+    assert A.mode(2, 0, 3) is not A.mode(2, 0, 2)
+    smp = ParameterSample(t=F(1, 2), dq=4)
+    th5 = Theory5d(F(4), F(-16))
+    C, D = (RelativeZ5d(th5, F(2), smp, memo=memo) for _ in range(2))
+    assert C.mode(0, 2, 1) is D.mode(0, 2, F(1))
+    lone = RelativeZ4d(th4, F(2, 5))
+    assert lone.mode(2, 0, 2) is not lone.mode(2, 0, 2)
+    assert lone.mode(2, 0, 2).coeffs == A.mode(2, 0, 2).coeffs
 
 
 def test_blowup_modes_quadratic():
