@@ -8,9 +8,10 @@ verify  run catalog checks and write a deterministic JSON/CSV report.
         when one of them failed, 2 on a configuration error (found before
         any computation, e.g. a config-file key that is not a flag's, a
         value of the wrong type, an empty selection, an order below an
-        entry's lowest meaningful order, more samples than its pool holds
-        or a report path in a directory that does not exist; the same
-        holds for dump and oracle), 3 on an internal error: an
+        entry's lowest meaningful order, a --corrupt-coefficient exponent
+        above the order of every selected check, more samples than its
+        pool holds or a report path in a directory that does not exist;
+        the same holds for dump and oracle), 3 on an internal error: an
         exception raised inside a check (Resonance, ZeroFactor,
         NonInvertible, ...) becomes an error result that carries the
         exception's type and message, whatever the check's status, and 3
@@ -22,8 +23,8 @@ dump    print an exact truncated series (tau function, partition function,
         the same arguments; a higher-order dump extends a lower-order one
         per sector.
 oracle  run the catalog entry determlemma, the two-route coefficient
-        recursion cross-check, to depth k >= 1 (a lower depth is a
-        configuration error, exit 2).
+        recursion cross-check, to an integer depth k >= 1 (any other depth
+        is a configuration error, exit 2).
 
 Every id that verify accepts is a catalog entry (identities.CATALOG): each
 returns the sides of its parts and identities.verify compares them.
@@ -93,13 +94,17 @@ class RunConfig:
         }
 
 
-def _parse_order(text: str) -> Frac:
+def _parse_fraction(text: str, name: str) -> Frac:
     try:
-        v = Frac(text)
+        return Frac(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad order {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {name} {text!r}: {exc}") from exc
+
+
+def _parse_order(text: str, name: str = "order") -> Frac:
+    v = _parse_fraction(text, name)
     if v <= 0:
-        raise ConfigError(f"order must be positive, got {text!r}")
+        raise ConfigError(f"{name} must be positive, got {text!r}")
     return v
 
 
@@ -204,7 +209,12 @@ def build_config(args) -> RunConfig:
     cfg.format = fmt
     cfg.fail_fast = args.fail_fast or data.get("failFast", False)
     if getattr(args, "corrupt_coefficient", None) is not None:
-        cfg.corrupt = _parse_order(args.corrupt_coefficient)
+        cfg.corrupt = _parse_order(args.corrupt_coefficient, "--corrupt-coefficient")
+        top = max(cfg.order or idmod.CATALOG[id].default_order for id in cfg.identities)
+        if cfg.corrupt > top:
+            raise ConfigError(
+                f"--corrupt-coefficient {cfg.corrupt} lies above {top}, the highest "
+                "order of the selected checks: no check would compare it")
     return cfg
 
 
@@ -380,8 +390,7 @@ def _resolve_dump(selector: str, order: Frac, seed: int):
         return idmod.describe_sample("4d-eps", (e1, e2, a)), ps.dump()
     if selector == "Z5d":
         t, E1, E2, Lu = idmod.default_samples("5d-generic", 1, seed=seed)[0]
-        smp = idmod.ParameterSample(t=t, dq=4)
-        ps = inst_series_5d(Theory5d(E1, E2), Lu, smp, order)
+        ps = inst_series_5d(Theory5d(E1, E2), Lu, t, order)
         return idmod.describe_sample("5d-generic", (t, E1, E2, Lu)), ps.dump()
     if selector.startswith("fixture:"):
         name = selector.split(":", 1)[1]
@@ -428,7 +437,10 @@ def cmd_dump(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
-        kmax = int(args.order) if args.order else 2
+        # determlemma's lowest order, not positivity, bounds the depth
+        kmax = _parse_fraction(args.order or "2", "--order")
+        if kmax.denominator != 1:
+            raise ConfigError(f"--order must be an integer depth, got {args.order!r}")
         idmod.check_order("determlemma", kmax)
         seed = _seed(args.seed or 0)
         _check_report_path(args.report)

@@ -58,7 +58,7 @@ from .rationals import GaussianRational
 from .sampling import ParameterSample
 from .series import PuiseuxSeries, theta_products, weighted_theta_expand
 from .symbols import SymExpr, rational_power
-from .tau import TauSystem4d, TauSystemQ, build_tau, backlund, g_function, zeta_from_tau
+from .tau import TauSystem4d, TauSystemQ, build_tau, g_function, zeta_from_tau
 
 Frac = Fraction
 HALF = Frac(1, 2)
@@ -314,10 +314,9 @@ def _pair_4d(e1, e2, a, memo):
 
 
 def _pair_5d(t, E1, E2, Lu, memo, m=0):
-    sm = ParameterSample(t=t, dq=4)
-    A = RelativeZ5d(Theory5d(E1, E2 - E1, m), Lu, sm, memo=memo)
-    B = RelativeZ5d(Theory5d(E1 - E2, E2, m), Lu, sm, memo=memo)
-    return A, B, sm
+    A = RelativeZ5d(Theory5d(E1, E2 - E1, m), Lu, t, memo=memo)
+    B = RelativeZ5d(Theory5d(E1 - E2, E2, m), Lu, t, memo=memo)
+    return A, B
 
 
 def _mode_sum(A, B, E, offset, pair):
@@ -568,8 +567,8 @@ def run_KZsq(sigma, E, ctx):
 
 def run_qNY1(sample, E, ctx):
     t, E1, E2, Lu = sample
-    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo)
-    ZC = ctx.corrupted(inst_series_5d(Theory5d(E1, E2), Lu, sm, E, memo=ctx.memo))
+    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo)
+    ZC = ctx.corrupted(inst_series_5d(Theory5d(E1, E2), Lu, t, E, memo=ctx.memo))
     return [(f"half-unit downward dilation, offset j={j}",
              ZC.shift(Frac(j, 4)).scale(rational_power(t, -Frac(j) * (E1 + E2) / 4)),
              _mode_sum(A, B, E, Frac(j, 2), _dilated(t, -E1, -E2)))
@@ -578,8 +577,8 @@ def run_qNY1(sample, E, ctx):
 
 def run_qNY2(sample, E, ctx):
     t, E1, E2, Lu = sample
-    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo)
-    ZC = ctx.corrupted(inst_series_5d(Theory5d(E1, E2), Lu, sm, E, memo=ctx.memo))
+    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo)
+    ZC = ctx.corrupted(inst_series_5d(Theory5d(E1, E2), Lu, t, E, memo=ctx.memo))
     return [(f"undilated sum, offset j={j}", ZC.scale(Frac(1 - j)),
              _mode_sum(A, B, E, Frac(j, 2), _dilated(t, Frac(0), Frac(0))))
             for j in (0, 1)]
@@ -587,8 +586,8 @@ def run_qNY2(sample, E, ctx):
 
 def run_qNY3(sample, E, ctx):
     t, E1, E2, Lu = sample
-    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo)
-    ZC = inst_series_5d(Theory5d(E1, E2), Lu, sm, E, memo=ctx.memo)
+    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo)
+    ZC = inst_series_5d(Theory5d(E1, E2), Lu, t, E, memo=ctx.memo)
     return [(f"half-unit upward dilation, offset j={j}",
              ZC.shift(Frac(j, 4)).scale(
                  rational_power(t, Frac(j) * (E1 + E2) / 4) * Frac((-1) ** j)),
@@ -604,8 +603,8 @@ def run_qNYCS(base_x):
         t, E1, E2, Lu = sample
         parts = []
         for m in (1, 2):
-            A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo, m=m)
-            ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, sm, E, memo=ctx.memo)
+            A, B = _pair_5d(t, E1, E2, Lu, ctx.memo, m=m)
+            ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, t, E, memo=ctx.memo)
             x = base_x(m)
             S = _mode_sum(A, B, E, Frac(0), _dilated(t, 4 * x * E1, 4 * x * E2))
             parts.append((f"level m={m}", ZC, S))
@@ -617,8 +616,8 @@ def run_qNYCS(base_x):
 def run_qNYCShi(sample, E, ctx):
     m = 1
     t, E1, E2, Lu = sample
-    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo, m=m)
-    ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, sm, E, memo=ctx.memo)
+    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo, m=m)
+    ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, t, E, memo=ctx.memo)
     return [(name, ZC.shift(QUARTER).scale(c),
              _mode_sum(A, B, E, HALF, _dilated(t, 4 * x * E1, 4 * x * E2)))
             for name, x, c in (
@@ -638,8 +637,8 @@ def run_qNYD12diff(smp, E, ctx):
     dq = smp.dq
     E1, E2 = Frac(-dq), Frac(dq)
     Lu = smp.u_exp
-    A, B, _ = _pair_5d(smp.t, E1, E2, Lu, ctx.memo)
-    ZC = inst_series_5d(Theory5d(E1, E2), Lu, smp, E, memo=ctx.memo)
+    A, B = _pair_5d(smp.t, E1, E2, Lu, ctx.memo)
+    ZC = inst_series_5d(Theory5d(E1, E2), Lu, smp.t, E, memo=ctx.memo)
     return [(f"z^{{j/4}} Z at offset j={j}", ZC.shift(Frac(j, 4)),
              _mode_sum(A, B, E, Frac(j, 2), _dilated(smp.t, -E1, -E2)))
             for j in (0, 1)]
@@ -708,8 +707,8 @@ def run_cdsystem(smp, E, ctx):
     d = ctx.taus_q(smp, 0, E + 1)
     t0p, t0m = d["tp"], d["tm"]
     sysm = TauSystemQ(smp, memo=ctx.memo)
-    t1p = build_tau(backlund(sysm.short(+1), "u_q"), E + 1)
-    t1m = build_tau(backlund(sysm.short(-1), "u_q"), E + 1)
+    t1p = build_tau(sysm.short_uq(+1), E + 1)
+    t1m = build_tau(sysm.short_uq(-1), E + 1)
     p01 = (t1p * t1m).shift(QUARTER)
     p10 = (t0p * t0m).shift(QUARTER)
     return [(name, lhs, base + quarter.scale(sgn * OMEGA))
@@ -757,8 +756,8 @@ def run_20equiv(E1_mult, E2_mult):
         dq = smp.dq
         E1, E2 = Frac(E1_mult * dq), Frac(E2_mult * dq)
         Lu = smp.u_exp
-        lhs = inst_series_5d(Theory5d(E1, E2, 2), Lu, smp, E, memo=ctx.memo)
-        z0 = inst_series_5d(Theory5d(E1, E2, 0), Lu, smp, E, memo=ctx.memo)
+        lhs = inst_series_5d(Theory5d(E1, E2, 2), Lu, smp.t, E, memo=ctx.memo)
+        z0 = inst_series_5d(Theory5d(E1, E2, 0), Lu, smp.t, E, memo=ctx.memo)
         poch = pochhammer_series(
             PochhammerSpec(Frac(1), 1, (E1, E2)), smp.t, E)
         return [("level-2 series equals the Pochhammer-dressed level-0 series",
@@ -807,7 +806,7 @@ def run_prdx(smp, E, ctx):
     E = Frac(E)
     Ew = ceil(2 * E)
     dq = smp.dq
-    rhs = inst_series_5d(Theory5d(Frac(-dq), Frac(2 * dq)), smp.u_exp, smp, E,
+    rhs = inst_series_5d(Theory5d(Frac(-dq), Frac(2 * dq)), smp.u_exp, smp.t, E,
                          memo=ctx.memo)
     parts = []
     for p in (HALF, -HALF):
@@ -852,7 +851,7 @@ def run_determlemma(sample, E, ctx):
         if not (k * E1 and k * E2 and k * (E1 - E2)):
             raise SingularSystem(
                 f"determinant vanishes at level {k}: E1={E1}, E2={E2}")
-    A, B, sm = _pair_5d(t, E1, E2, Lu, ctx.memo, m=2)
+    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo, m=2)
     xs = (Frac(-1, 2), Frac(-1, 4), Frac(0))
     parts = [("seed: both level-0 coefficients are 1",
               bool_report(

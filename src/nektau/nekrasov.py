@@ -9,8 +9,9 @@ q-Pochhammer symbols, so the whole object lives in the exact coefficient
 algebra.
 
 Conventions: the series variable z carries four units of the mass scale
-(scale^4 = z), all multiplicative parameters are powers of the sample base
-t, and 4d equivariant parameters are literal rationals.
+(scale^4 = z), all multiplicative parameters are powers of one rational base
+t (the 5d series and modes take t itself), and 4d equivariant parameters
+are literal rationals.
 
 Values are memoised only in a dict the caller passes as ``memo`` (one
 verification run's, see identities.Context), each through ``memoized``
@@ -137,9 +138,7 @@ def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> Sym
     return total * rational_power(t, -(E1 + E2) * d)
 
 
-def inst_series_5d(th: Theory5d, Lu: Frac, sample: ParameterSample, order, *,
-                   memo=None) -> PuiseuxSeries:
-    t = sample.t
+def inst_series_5d(th: Theory5d, Lu: Frac, t: Frac, order, *, memo=None) -> PuiseuxSeries:
     return _series(order, lambda d: memoized(
         memo, ("inst_coeff_5d", th, Lu, t, d),
         lambda: _inst_coeff_5d(th.E1, th.E2, th.m, Lu, t, d)))
@@ -206,14 +205,9 @@ def classical_exp_4d(e1: Frac, e2: Frac, a: Frac) -> Frac:
     return -a * a / (4 * e1 * e2)
 
 
-def classical_exp_5d(E1: Frac, E2: Frac, Lu: Frac):
-    """(z-exponent, t-exponent) of the 5d classical factor.
-
-    The base of the classical power is (q1 q2)^{-1} z, hence the extra
-    t-cofactor -(E1+E2) per unit of the z-exponent.
-    """
-    P = Frac(-Lu * Lu, 1) / (4 * E1 * E2)
-    return P, -(E1 + E2) * P
+def classical_exp_5d(E1: Frac, E2: Frac, Lu: Frac) -> Frac:
+    """z-exponent of the 5d classical factor."""
+    return Frac(-Lu * Lu) / (4 * E1 * E2)
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +310,23 @@ class RelativeZ4d:
 
 
 class RelativeZ5d:
-    """All mode data of one 5d theory relative to a reference weight Lu0,
-    kept in memo as RelativeZ4d's are, with the sample's base t after Lu0."""
+    """All mode data of one 5d theory relative to a reference weight Lu0 at
+    base t, kept in memo as RelativeZ4d's are, with t after Lu0."""
 
-    def __init__(self, th: Theory5d, Lu0: Frac, sample: ParameterSample, *,
-                 memo=None):
+    def __init__(self, th: Theory5d, Lu0: Frac, t: Frac, *, memo=None):
         self.th = th
         self.Lu0 = Frac(Lu0)
-        self.sample = sample
+        self.t = t
         self.memo = memo
 
     def classical_gap(self, k1: int, k2: int) -> Frac:
         """z-exponent gap of the classical factor."""
         Lu = self.Lu0 + k1 * self.th.E1 + k2 * self.th.E2
-        P1, _ = classical_exp_5d(self.th.E1, self.th.E2, Lu)
-        P0, _ = classical_exp_5d(self.th.E1, self.th.E2, self.Lu0)
-        return P1 - P0
+        return (classical_exp_5d(self.th.E1, self.th.E2, Lu)
+                - classical_exp_5d(self.th.E1, self.th.E2, self.Lu0))
 
     def cocycle(self, k1: int, k2: int) -> SymExpr:
-        th, t = self.th, self.sample.t
+        th, t = self.th, self.t
         return memoized(self.memo, ("cocycle", th, self.Lu0, t, k1, k2),
                         lambda: q_z1loop_ratio(th.E1, th.E2, self.Lu0, k1, k2, t))
 
@@ -343,15 +335,14 @@ class RelativeZ5d:
 
         def build():
             zgap = self.classical_gap(k1, k2)
-            # t-exponent gap: -(E1 + E2) per unit of z-gap (classical_exp_5d)
+            # the classical base (q1 q2)^{-1} z: -(E1 + E2) t-units per z-unit
             tgap = -(self.th.E1 + self.th.E2) * zgap
             Lu = self.Lu0 + k1 * self.th.E1 + k2 * self.th.E2
-            inst = inst_series_5d(self.th, Lu, self.sample, order - zgap)
-            coeff = self.cocycle(k1, k2) * rational_power(self.sample.t, tgap)
+            inst = inst_series_5d(self.th, Lu, self.t, order - zgap)
+            coeff = self.cocycle(k1, k2) * rational_power(self.t, tgap)
             return inst.shift(zgap).scale(coeff)
 
-        return memoized(self.memo,
-                        ("mode", self.th, self.Lu0, self.sample.t, k1, k2, order), build)
+        return memoized(self.memo, ("mode", self.th, self.Lu0, self.t, k1, k2, order), build)
 
 
 def blowup_modes(order, gap_fn, offset: Frac = Frac(0)):

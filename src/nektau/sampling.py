@@ -2,12 +2,11 @@
 
 Every multiplicative parameter of a computation (q, q^{1/2}, q^{1/4}, u,
 Lambda-shifts) is a power of a single rational t with 0 < t < 1, so all
-exponent arithmetic is exact rational arithmetic.  4d samples additionally
-fix literal rational (eps1, eps2, a).  The expansion variable's formal power
-s is never sampled; it stays a formal Fourier grading.
+exponent arithmetic is exact rational arithmetic.  The expansion variable's
+formal power s is never sampled; it stays a formal Fourier grading.
 
-The samples a run uses come from the fixed pools of identities.py, chosen
-away from the Gamma, sine and Pochhammer zero and pole loci.
+The samples a run uses come from the fixed q-Painleve pool of identities.py,
+chosen away from the Gamma, sine and Pochhammer zero and pole loci.
 """
 
 from __future__ import annotations
@@ -25,16 +24,11 @@ class ParameterSample:
     t:     global base, 0 < t < 1
     dq:    q = t^dq with dq a positive multiple of 4 (so q^{1/4} is a t-power)
     sigma: num/den with den | dq, so u = q^{2 sigma} has integer t-exponent
-    eps1, eps2, a: 4d equivariant parameters (literal rationals)
     """
 
     t: Frac
     dq: int = 4
     sigma: Frac = Frac(1, 4)
-    eps1: Frac = Frac(1)
-    eps2: Frac = Frac(-1)
-    a: Frac = None
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.t < 1):
@@ -42,8 +36,6 @@ class ParameterSample:
         if not (self.dq > 0 and self.dq % 4 == 0
                 and self.dq % self.sigma.denominator == 0):
             raise ValueError("dq must be a positive multiple of 4 and of den(sigma)")
-        if self.a is None:
-            object.__setattr__(self, "a", -2 * self.sigma * self.eps1)
 
     @property
     def u_exp(self) -> Frac:
@@ -51,12 +43,15 @@ class ParameterSample:
         return Frac(2 * self.dq) * self.sigma
 
     def describe(self):
+        # reports also carry fixed fields: the 4d point of the self-dual
+        # theory, eps = (1, -1) and a = -2 sigma, and seed 0
+        a = -2 * self.sigma
         return {
             "t": [self.t.numerator, self.t.denominator],
             "dq": self.dq,
             "sigma": [self.sigma.numerator, self.sigma.denominator],
-            "eps1": [self.eps1.numerator, self.eps1.denominator],
-            "eps2": [self.eps2.numerator, self.eps2.denominator],
-            "a": [self.a.numerator, self.a.denominator],
-            "seed": self.seed,
+            "eps1": [1, 1],
+            "eps2": [-1, 1],
+            "a": [a.numerator, a.denominator],
+            "seed": 0,
         }

@@ -12,8 +12,11 @@ monomial is a product of canonical symbols:
 All arguments are rational, all exponents rational (the half-integer ones the
 pipelines produce are a subset).  Symbols are canonicalized eagerly at
 construction time, so monomial multiplication is pure exponent addition (with
-integer radical overflow folded back into the coefficient) and zero-testing
-of a SymExpr is emptiness of its term map.
+integer radical overflow folded back into the coefficient).  An empty term
+map is zero, but the canonical form is not unique: values related only by
+product identities such as (x;q) = (x;q^2)(xq;q^2) or Gauss's
+multiplication formula for Gamma keep different term maps, so two equal
+values may compare unequal.
 
 Canonicalization rules:
 

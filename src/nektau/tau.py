@@ -10,6 +10,12 @@ relative series.
 The central 4d system fixes eps = (1, -1) for the self-dual theory and the
 pair (1, -2) / (2, -1) for the two decoupled halves; the q-system fixes
 q1 = q^{-1}, q2 = q and the halves (q^{-1}, q^2) / (q, q^{-2}).
+
+The Backlund moves sigma -> sigma + 1/2 (4d: a -> a - 1) and u -> u q
+(q-system: Lu -> Lu + dq) are fixed shifts of the mode lattice, written out
+in each recipe as a k_offset with the half-sector fourier_offset.  The
+lattice path is part of the recipe: another (k1, k2) reaching the same
+point telescopes a different (equal-valued) cocycle expression.
 """
 
 from __future__ import annotations
@@ -37,26 +43,13 @@ class NonInvertibleLeading(NonInvertible):
     """Series division needs a single-monomial leading coefficient."""
 
 
-def _unit_shift(steps, target):
-    """Small integer (k1, k2) with k1*steps[0] + k2*steps[1] == target."""
-    e1, e2 = steps
-    for k1 in sorted(range(-8, 9), key=abs):
-        rem = target - k1 * e1
-        if e2 and Frac(rem, e2).denominator == 1:
-            k2 = int(Frac(rem, e2))
-            if abs(k2) <= 8:
-                return (k1, k2)
-    raise ValueError(f"shift {target} not on the lattice {steps}")
-
-
 @dataclass(frozen=True)
 class TauSpec:
     """Recipe for one tau function.
 
     Mode index j runs over Z; mode j sits in sector
     fourier_offset + j*sector_step and uses the lattice point
-    k_offset + j*k_step of the underlying relative theory.  Backlund
-    half-shifts are encoded in k_offset / fourier_offset.
+    k_offset + j*k_step of the underlying relative theory.
     """
 
     base: object
@@ -71,12 +64,6 @@ class TauSpec:
             self.k_offset[0] + j * self.k_step[0],
             self.k_offset[1] + j * self.k_step[1],
         )
-
-    def theory_steps(self):
-        th = self.base.th
-        if isinstance(th, Theory4d):
-            return (th.e1, th.e2)
-        return (th.E1, th.E2)
 
 
 def build_tau(spec: TauSpec, E) -> FourierSeries:
@@ -99,31 +86,6 @@ def build_tau(spec: TauSpec, E) -> FourierSeries:
         k = spec.fourier_offset + j * spec.sector_step
         sectors[k] = sectors[k] + ps if k in sectors else ps
     return FourierSeries(sectors, E)
-
-
-def backlund(spec: TauSpec, kind: str) -> TauSpec:
-    """Backlund-transformed recipe.
-
-    kinds:
-      sigma_half  sigma -> sigma + 1/2 with the s^{1/2} sector shift folded in
-      u_q         u -> u q with the s^{1/4} sector shift folded in
-    """
-    steps = spec.theory_steps()
-    if isinstance(spec.base, RelativeZ4d):
-        # a = -2 sigma, so d(sigma) = 1/2 means d(a) = -1
-        targets = {"sigma_half": Frac(-1), "u_q": None}
-    else:
-        dq = spec.base.sample.dq
-        # Lu = 2 sigma dq, so d(sigma) = 1/2 means d(Lu) = dq; u -> uq ditto
-        targets = {"sigma_half": Frac(dq), "u_q": Frac(dq)}
-    if kind not in targets or targets[kind] is None:
-        raise ValueError(f"unknown Backlund kind {kind!r} for this system")
-    dk1, dk2 = _unit_shift(steps, targets[kind])
-    return replace(
-        spec,
-        k_offset=(spec.k_offset[0] + dk1, spec.k_offset[1] + dk2),
-        fourier_offset=spec.fourier_offset + spec.sector_step / 2,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +114,8 @@ class TauSystem4d:
         return TauSpec(self.rc, k_step=(0, 2))
 
     def kiev_half(self) -> TauSpec:
-        """The s^{1/2}-shifted companion (sigma + 1/2, half-integer sectors)."""
-        return backlund(self.kiev(), "sigma_half")
+        """The s^{1/2}-shifted companion at sigma + 1/2: a = a0 + e2 = a0 - 1."""
+        return TauSpec(self.rc, k_step=(0, 2), k_offset=(0, 1), fourier_offset=HALF)
 
     def short(self, sign: int) -> TauSpec:
         """Half-theory taus: sector n/2 carries the mode at sigma + n."""
@@ -187,14 +149,10 @@ class TauSystemQ:
     """
 
     def __init__(self, sample: ParameterSample, m: int = 0, *, memo=None):
-        self.sample = sample
-        dq = sample.dq
-        Lu0 = sample.u_exp
-        self.Lu0 = Lu0
-        self.m = m
-        self.rc = RelativeZ5d(Theory5d(Frac(-dq), Frac(dq), m), Lu0, sample, memo=memo)
-        self.rp = RelativeZ5d(Theory5d(Frac(-dq), Frac(2 * dq), m), Lu0, sample, memo=memo)
-        self.rm = RelativeZ5d(Theory5d(Frac(dq), Frac(-2 * dq), m), Lu0, sample, memo=memo)
+        dq, Lu0, t = sample.dq, sample.u_exp, sample.t
+        self.rc = RelativeZ5d(Theory5d(Frac(-dq), Frac(dq), m), Lu0, t, memo=memo)
+        self.rp = RelativeZ5d(Theory5d(Frac(-dq), Frac(2 * dq), m), Lu0, t, memo=memo)
+        self.rm = RelativeZ5d(Theory5d(Frac(dq), Frac(-2 * dq), m), Lu0, t, memo=memo)
 
     def kiev(self, j: int = 0) -> TauSpec:
         """Self-dual tau: sector n in Z + j/2 carries the mode at u q^{2n}."""
@@ -207,6 +165,12 @@ class TauSystemQ:
         if sign > 0:
             return TauSpec(self.rp, k_step=(0, 1), sector_step=HALF)
         return TauSpec(self.rm, k_step=(0, -1), sector_step=HALF)
+
+    def short_uq(self, sign: int) -> TauSpec:
+        """Half-theory taus at u q on s^{1/4}-shifted sectors: Lu0 + dq is
+        Lu0 - E1 of the (q^{-1}, q^2) half and Lu0 - E1 - E2 of the other."""
+        return replace(self.short(sign), k_offset=(-1, 0) if sign > 0 else (-1, -1),
+                       fourier_offset=HALF / 2)
 
     def u_shifted_kiev(self, shift: int) -> TauSpec:
         """Self-dual tau at u q^{shift} with unchanged sector grading."""

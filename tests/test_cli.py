@@ -117,6 +117,34 @@ def test_verify_corrupted_coefficient_exit_one(tmp_path):
     assert any(not p["ok"] and p["residual_count"] >= 1 for p in res["parts"])
 
 
+@pytest.mark.parametrize("argv,top", [
+    (["--id", "NYtaupm", "--corrupt-coefficient", "4"], "2"),
+    (["--id", "NYtaupm", "--order", "3", "--corrupt-coefficient", "7/2"], "3"),
+    (["--id", "NY", "--id", "NYtaupm", "--corrupt-coefficient", "4"], "3"),
+], ids=["default-order", "given-order", "highest-default"])
+def test_corruption_no_check_compares_exit_two(argv, top):
+    # the +1 used to land above every compared order: the run read pass, exit 0
+    r = run_cli("verify", *argv)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    c = argv[-1]
+    assert r.stderr.splitlines() == [
+        f"configuration error: --corrupt-coefficient {c} lies above {top}, "
+        "the highest order of the selected checks: no check would compare it"]
+
+
+def test_corruption_at_the_highest_compared_order_fails_the_check():
+    r = run_cli("verify", "--id", "NYtaupm", "--corrupt-coefficient", "2")
+    assert r.returncode == 1, r.stdout + r.stderr
+
+
+def test_corrupt_coefficient_zero_names_the_flag():
+    r = run_cli("verify", "--id", "NY", "--corrupt-coefficient", "0")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "configuration error: --corrupt-coefficient must be positive, got '0'"]
+
+
 def test_verify_fractional_order():
     r = run_cli("verify", "--id", "halfpow", "--order", "3/2")
     assert r.returncode == 0
@@ -254,15 +282,14 @@ def test_one_run_computes_each_coefficient_once(monkeypatch):
 
 def test_one_run_telescopes_each_cocycle_once_and_builds_each_mode_once(monkeypatch):
     # the 4d and 5d blowup checks sum over the same relative modes, and
-    # cd-system's Backlund shorts over modes of its tau set's theories: one
+    # cd-system's u -> uq shorts over modes of its tau set's theories: one
     # run telescopes each cocycle once and builds each mode (its instanton
     # series) once, and the next run starts afresh
     cocycles, modes = [], []
 
     def counting(calls, real):
         def wrapped(*args, **kwargs):
-            # a 5d series depends on its sample through the base t only
-            calls.append(tuple(getattr(a, "t", a) for a in args))
+            calls.append(args)
             return real(*args, **kwargs)
         return wrapped
 
@@ -621,6 +648,17 @@ def test_oracle_bad_depth():
     for depth in ("-1", "0"):
         r = run_cli("oracle", "--order", depth)
         assert r.returncode == 2, depth
+
+
+@pytest.mark.parametrize("depth,message", [
+    ("3/2", "--order must be an integer depth, got '3/2'"),
+    ("x", "bad --order 'x': Invalid literal for Fraction: 'x'"),
+], ids=["fraction", "not-a-number"])
+def test_oracle_depth_that_is_not_an_integer_exit_two(depth, message):
+    # int() used to leak its own message: invalid literal for int() ...
+    r = run_cli("oracle", "--order", depth)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.splitlines() == [f"configuration error: {message}"]
 
 
 def test_oracle_depth_follows_the_catalog_lowest_order():

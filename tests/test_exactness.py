@@ -1,5 +1,6 @@
 """The package computes exactly, with no float and no numeric library in
-src/nektau, and keeps no cache of its own outside a run's memo."""
+src/nektau, keeps no cache of its own outside a run's memo, and builds
+parameter samples only in its q-Painleve pool."""
 
 import ast
 from pathlib import Path
@@ -61,5 +62,32 @@ def test_package_keeps_no_cache_outside_the_run_memo():
         f"{path.name}:{line}: {what}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line, what in _cache_nodes(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def _sample_constructions(tree, pool_ok):
+    """Lines that call ParameterSample, outside the POOL_QP assignment when
+    pool_ok."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if pool_ok and isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "POOL_QP" for t in node.targets):
+            exempt |= {id(n) for n in ast.walk(node.value)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in exempt:
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "ParameterSample":
+                yield node.lineno
+
+
+def test_package_builds_samples_only_in_the_q_painleve_pool():
+    # a 5d series or mode takes the base t, so no code needs a stand-in sample
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _sample_constructions(ast.parse(path.read_text(), str(path)),
+                                          pool_ok=path.name == "identities.py")
     ]
     assert found == []

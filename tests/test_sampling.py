@@ -23,6 +23,8 @@ def test_describe_is_json_ready():
     d = ParameterSample(t=F(1, 3), dq=8, sigma=F(3, 8)).describe()
     assert d["t"] == [1, 3]
     assert d["dq"] == 8
+    # the fixed 4d fields of the self-dual point, a = -2 sigma
+    assert (d["eps1"], d["eps2"], d["a"], d["seed"]) == ([1, 1], [-1, 1], [-3, 4], 0)
 
 
 @pytest.mark.parametrize("dq", [0, 6, -8])

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from nektau.fourier import FourierSeries, fs_equal_to_order
+from nektau.identities import POOL_QP, POOL_SIGMA
 from nektau.qseries import algebraic_fixture
 from nektau.sampling import ParameterSample
 from nektau.series import PuiseuxSeries
@@ -14,7 +15,6 @@ from nektau.tau import (
     NonInvertibleLeading,
     TauSystem4d,
     TauSystemQ,
-    backlund,
     build_tau,
     g_function,
     zeta_from_tau,
@@ -71,11 +71,26 @@ def test_backlund_is_half_sector_shifted():
     assert all(k.denominator == 2 for k in tau1.sectors)
 
 
+def _twice(spec):
+    """spec's half step (its k_offset and fourier_offset) taken twice."""
+    return dataclasses.replace(spec, k_offset=tuple(2 * k for k in spec.k_offset),
+                               fourier_offset=2 * spec.fourier_offset)
+
+
+def _relabelled(tau, by):
+    return FourierSeries({k + by: ps for k, ps in tau.sectors.items()}, tau.trunc)
+
+
 def test_double_backlund_returns_tau():
+    # two half steps are one k_step: the lattice moved alone gives tau with
+    # its sectors relabelled down by one, and the sector offset moves them back
     s4 = TauSystem4d(SIGMA)
     tau = build_tau(s4.kiev(), E)
-    twice = build_tau(backlund(s4.kiev_half(), "sigma_half"), E)
-    assert fs_eq(twice, tau)
+    twice = _twice(s4.kiev_half())
+    assert twice.k_offset == s4.kiev().k_step
+    assert fs_eq(build_tau(dataclasses.replace(twice, fourier_offset=F(0)), E),
+                 _relabelled(tau, -1))
+    assert fs_eq(build_tau(twice, E), tau)
 
 
 def test_fourier_offset_equals_relabel():
@@ -91,16 +106,46 @@ def test_fourier_offset_equals_relabel():
 def test_q_double_backlund_returns_tau():
     sq = TauSystemQ(SMP)
     tau = build_tau(sq.kiev(0), E)
-    twice = build_tau(backlund(backlund(sq.kiev(0), "u_q"), "u_q"), E)
-    assert fs_eq(twice, tau)
+    twice = _twice(sq.kiev(1))
+    assert twice.k_offset == sq.kiev(0).k_step
+    assert fs_eq(build_tau(dataclasses.replace(twice, fourier_offset=F(0)), E),
+                 _relabelled(tau, -1))
+    assert fs_eq(build_tau(twice, E), tau)
 
 
-def test_lattice_and_theory_steps():
-    spec = TauSystem4d(SIGMA).kiev()
+def test_lattice_steps_from_the_offset():
+    spec = TauSystem4d(SIGMA).kiev_half()
     assert spec.lattice(0) == spec.k_offset
     k1, k2 = spec.lattice(1)
     assert (k1 - spec.k_offset[0], k2 - spec.k_offset[1]) == spec.k_step
-    assert spec.theory_steps()
+
+
+@pytest.mark.parametrize("sigma", POOL_SIGMA)
+def test_4d_half_step_is_sigma_plus_half(sigma):
+    # a = -2 sigma: sigma -> sigma + 1/2 is a -> a - 1, one step (0, 1) of
+    # eps2 = -1, on the half-integer sectors
+    spec = TauSystem4d(sigma).kiev_half()
+    (k1, k2), th = spec.k_offset, spec.base.th
+    assert (spec.k_offset, spec.fourier_offset) == ((0, 1), F(1, 2))
+    assert k1 * th.e1 + k2 * th.e2 == -1
+
+
+@pytest.mark.parametrize("smp", POOL_QP, ids=["qp0", "qp1", "qp2"])
+def test_q_half_steps_are_u_times_q(smp):
+    # u = q^{2 sigma}: sigma -> sigma + 1/2 and u -> u q both move Lu by dq;
+    # each recipe writes out its own lattice path to that point
+    sq = TauSystemQ(smp)
+    recipes = {"kiev(1)": (sq.kiev(1), (0, 1), F(1, 2)),
+               "short_uq(+1)": (sq.short_uq(+1), (-1, 0), F(1, 4)),
+               "short_uq(-1)": (sq.short_uq(-1), (-1, -1), F(1, 4))}
+    for name, (spec, offset, sector) in recipes.items():
+        (k1, k2), th = spec.k_offset, spec.base.th
+        assert (spec.k_offset, spec.fourier_offset) == (offset, sector), name
+        assert k1 * th.E1 + k2 * th.E2 == smp.dq, name
+    for sign in (1, -1):
+        short, uq = sq.short(sign), sq.short_uq(sign)
+        assert (uq.base, uq.k_step, uq.sector_step) == (
+            short.base, short.k_step, short.sector_step)
 
 
 # ---------------------------------------------------------------------------
