@@ -7,7 +7,8 @@ verify  run catalog checks and write a deterministic JSON/CSV report.
         Exit code 0 iff every theorem- and derived-status check passed, 1
         when one of them failed, 2 on a configuration error (found before
         any computation, e.g. a config-file key that is not a flag's, a
-        value of the wrong type, an empty selection, an order below an
+        value of the wrong type, an empty selection, a repeated id, an
+        unknown dump selector, an order below an
         entry's lowest meaningful order, a --corrupt-coefficient exponent
         above the order of every selected check, more samples than its
         pool holds or a report path in a directory that does not exist;
@@ -15,11 +16,14 @@ verify  run catalog checks and write a deterministic JSON/CSV report.
         exception raised inside a check (Resonance, ZeroFactor,
         NonInvertible, ...) becomes an error result that carries the
         exception's type and message, whatever the check's status, and 3
-        wins over 1.  --fail-fast stops at the first result that sets a
+        wins over 1; an exception that escapes any command (dump and
+        oracle included) prints its traceback to stderr and exits 3
+        too.  --fail-fast stops at the first result that sets a
         nonzero exit code.  Conjecture-status outcomes are recorded in the
         report but never affect the exit code.
-dump    print an exact truncated series (tau function, partition function,
-        or closed-form fixture) as JSON.  Byte-identical across runs with
+dump    print an exact truncated series (a tau named in tau.py's recipe
+        tables as tau4d:<name> or tauq:<name>, a partition function, or a
+        closed-form fixture) as JSON.  Byte-identical across runs with
         the same arguments; a higher-order dump extends a lower-order one
         per sector.
 oracle  run the catalog entry determlemma, the two-route coefficient
@@ -30,7 +34,7 @@ Every id that verify accepts is a catalog entry (identities.CATALOG): each
 returns the sides of its parts and identities.verify compares them.
 Checks run one after another in this process, in one run context
 (identities.Context) whose memo is the only cache: the instanton
-coefficients, relative modes, one-loop cocycles, tau sets, Hirota
+coefficients, relative modes, one-loop cocycles, taus, Hirota
 derivatives D^k (with their basis products theta^j f * g) and the zeta
 series with its theta-products built by one check are reused by the later
 checks of the same run, each made once, and are dropped when the run ends.
@@ -60,7 +64,7 @@ from fractions import Fraction as Frac
 from . import identities as idmod
 from .nekrasov import Theory4d, Theory5d, inst_series_4d, inst_series_5d
 from .qseries import algebraic_fixture
-from .tau import TauSystem4d, TauSystemQ, build_tau
+from .tau import TauSystem4d, TauSystemQ
 
 SCHEMA_VERSION = 1
 
@@ -179,6 +183,9 @@ def build_config(args) -> RunConfig:
     unknown = [i for i in ids if i not in idmod.CATALOG]
     if unknown:
         raise ConfigError(f"unknown identity id(s): {', '.join(unknown)}")
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ConfigError(f"repeated identity id(s): {', '.join(repeated)}")
     cfg.identities = list(ids)
     order = data.get("order")
     if args.order is not None:
@@ -313,11 +320,7 @@ def _emit_report(report, cfg: RunConfig):
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    cfg = build_config(args)
     code, report, results = run_verify(cfg)
     _emit_report(report, cfg)
     for r in results:
@@ -354,9 +357,12 @@ def cmd_list(args) -> int:
 # dump
 # ---------------------------------------------------------------------------
 
+#: dump prefix -> (sample domain, tau system on one sample of it)
+_TAU_DUMPS = {"tau4d": ("4d-tau", TauSystem4d), "tauq": ("q-painleve", TauSystemQ)}
+
 DUMP_SELECTORS = [
-    "tau4d:kiev", "tau4d:plus", "tau4d:minus", "tau4d:long0", "tau4d:long1",
-    "tauq:kiev0", "tauq:kiev1", "tauq:plus", "tauq:minus",
+    *(f"{prefix}:{name}" for prefix, (domain, system) in _TAU_DUMPS.items()
+      for name in system(idmod.default_samples(domain, 1)[0]).recipes),
     "Z4d", "Z5d",
     "fixture:P3_tau_minus", "fixture:P3_tau_plus_branch", "fixture:P3_taupm",
     "fixture:qP3_tau", "fixture:qP3_taupm",
@@ -365,25 +371,15 @@ DUMP_SELECTORS = [
 
 def _resolve_dump(selector: str, order: Frac, seed: int):
     """Build the requested series; returns (sample_descriptor, dump_rows)."""
-    if selector.startswith("tau4d:"):
-        sigma = idmod.default_samples("4d-tau", 1, seed=seed)[0]
-        sys4 = TauSystem4d(sigma)
-        spec = {
-            "kiev": sys4.kiev, "plus": lambda: sys4.short(+1),
-            "minus": lambda: sys4.short(-1), "long0": lambda: sys4.long(0),
-            "long1": lambda: sys4.long(1),
-        }[selector.split(":", 1)[1]]()
-        fs = build_tau(spec, order)
-        return idmod.describe_sample("4d-tau", sigma), fs.dump()
-    if selector.startswith("tauq:"):
-        smp = idmod.default_samples("q-painleve", 1, seed=seed)[0]
-        sysq = TauSystemQ(smp)
-        spec = {
-            "kiev0": lambda: sysq.kiev(0), "kiev1": lambda: sysq.kiev(1),
-            "plus": lambda: sysq.short(+1), "minus": lambda: sysq.short(-1),
-        }[selector.split(":", 1)[1]]()
-        fs = build_tau(spec, order)
-        return idmod.describe_sample("q-painleve", smp), fs.dump()
+    if selector not in DUMP_SELECTORS:
+        raise ConfigError(f"unknown dump selector {selector!r}; "
+                          f"choose from: {', '.join(DUMP_SELECTORS)}")
+    prefix, _, name = selector.partition(":")
+    if prefix in _TAU_DUMPS:
+        domain, system = _TAU_DUMPS[prefix]
+        sample = idmod.default_samples(domain, 1, seed=seed)[0]
+        fs = system(sample).tau(name, order)
+        return idmod.describe_sample(domain, sample), fs.dump()
     if selector == "Z4d":
         e1, e2, a = idmod.default_samples("4d-eps", 1, seed=seed)[0]
         ps = inst_series_4d(Theory4d(e1, e2), a, order)
@@ -392,27 +388,18 @@ def _resolve_dump(selector: str, order: Frac, seed: int):
         t, E1, E2, Lu = idmod.default_samples("5d-generic", 1, seed=seed)[0]
         ps = inst_series_5d(Theory5d(E1, E2), Lu, t, order)
         return idmod.describe_sample("5d-generic", (t, E1, E2, Lu)), ps.dump()
-    if selector.startswith("fixture:"):
-        name = selector.split(":", 1)[1]
-        if name.startswith("qP3"):
-            smp = idmod.default_samples("q-painleve", 1, seed=seed)[0]
-            ps = algebraic_fixture(name, order, sample=smp)
-            return idmod.describe_sample("q-painleve", smp), ps.dump()
-        ps = algebraic_fixture(name, order)
-        return {}, ps.dump()
-    raise ConfigError(f"unknown dump selector {selector!r}; "
-                      f"choose from: {', '.join(DUMP_SELECTORS)}")
+    if name.startswith("qP3"):
+        smp = idmod.default_samples("q-painleve", 1, seed=seed)[0]
+        ps = algebraic_fixture(name, order, sample=smp)
+        return idmod.describe_sample("q-painleve", smp), ps.dump()
+    return {}, algebraic_fixture(name, order).dump()
 
 
 def cmd_dump(args) -> int:
-    try:
-        order = _parse_order(args.order) if args.order else Frac(2)
-        seed = _seed(args.seed or 0)
-        _check_report_path(args.report)
-        sample, rows = _resolve_dump(args.selector, order, seed)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    order = _parse_order(args.order) if args.order else Frac(2)
+    seed = _seed(args.seed or 0)
+    _check_report_path(args.report)
+    sample, rows = _resolve_dump(args.selector, order, seed)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "selector": args.selector,
@@ -436,23 +423,21 @@ def cmd_dump(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # determlemma's lowest order, not positivity, bounds the depth
+    kmax = _parse_fraction(args.order or "2", "--order")
+    if kmax.denominator != 1:
+        raise ConfigError(f"--order must be an integer depth, got {args.order!r}")
     try:
-        # determlemma's lowest order, not positivity, bounds the depth
-        kmax = _parse_fraction(args.order or "2", "--order")
-        if kmax.denominator != 1:
-            raise ConfigError(f"--order must be an integer depth, got {args.order!r}")
         idmod.check_order("determlemma", kmax)
-        seed = _seed(args.seed or 0)
-        _check_report_path(args.report)
-    except (ValueError, ConfigError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    seed = _seed(args.seed or 0)
+    _check_report_path(args.report)
     sample = idmod.default_samples("5d-generic", 1, seed=seed)[0]
     try:
         rep = idmod.verify("determlemma", sample=sample, E=kmax)
     except idmod.SingularSystem as exc:
-        print(f"configuration error: singular sample: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"singular sample: {exc}") from exc
     print(rep.summary())
     for name, part in rep.parts:
         print(f"  {name}: {part.summary()}")
@@ -515,7 +500,14 @@ def main(argv=None) -> int:
         "dump": cmd_dump,
         "oracle": cmd_oracle,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

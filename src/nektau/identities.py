@@ -12,7 +12,7 @@ constant exactly 1.
 
 Branch convention: quarter powers of z are checked after the single global
 substitution z^{1/4} -> OMEGA * z^{1/4} with OMEGA = -1, together with the
-odd-mode Gaussian unit kappa = -i of the parity tau (tau.py long(1)).  Under
+odd-mode Gaussian unit kappa = -i of the parity tau (tau.py "long1").  Under
 this one choice every displayed quarter-power identity holds literally;
 entries touched by it record omega in their notes.
 
@@ -23,7 +23,7 @@ Statuses:
   derived     relative-normalization slice or direct consequence
 
 Every check runs in a Context, which holds the memo of everything its run
-has built (instanton coefficients, modes, cocycles, tau sets, zeta
+has built (instanton coefficients, modes, cocycles, taus, zeta
 series) and an optional corrupted coefficient.  One Context lives for one
 run; nothing is kept at module level.
 """
@@ -31,7 +31,7 @@ run; nothing is kept at module level.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
@@ -58,7 +58,7 @@ from .rationals import GaussianRational
 from .sampling import ParameterSample
 from .series import PuiseuxSeries, theta_products, weighted_theta_expand
 from .symbols import SymExpr, rational_power
-from .tau import TauSystem4d, TauSystemQ, build_tau, g_function, zeta_from_tau
+from .tau import TauSystem4d, TauSystemQ, g_function, zeta_from_tau
 
 Frac = Fraction
 HALF = Frac(1, 2)
@@ -157,11 +157,12 @@ class Context:
     memo:    everything the checks share, each value made once through
              nekrasov.memoized under a kind name and the arguments it
              depends on: the instanton coefficients of the series checks
-             ask for, relative modes and their cocycles, tau sets, the zeta
-             series with its theta-products, and for each pair of taus_4d
-             entries its Hirota derivatives D^k with the store of basis
-             products theta^j f * g they are built from (see
-             series.theta_products).  It is the only cache a run keeps.
+             ask for, relative modes and their cocycles, each tau a check
+             reads (see tau.TauSystem), the zeta series with its
+             theta-products, and for each pair of 4d taus its Hirota
+             derivatives D^k with the store of basis products theta^j f * g
+             they are built from (see series.theta_products).  It is the
+             only cache a run keeps.
     """
 
     corrupt: Frac | None = None
@@ -181,37 +182,25 @@ class Context:
         return PuiseuxSeries(coeffs, x.trunc)
 
     def taus_4d(self, sigma: Frac, EB: Frac):
-        def build():
-            sysm = TauSystem4d(sigma, memo=self.memo)
-            kiev = sysm.kiev()
-            return {
-                "tau": build_tau(kiev, EB),
-                "tau1": build_tau(sysm.kiev_half(), EB),
-                "tp": build_tau(sysm.short(+1), EB),
-                "tm": build_tau(sysm.short(-1), EB),
-                "t0": build_tau(sysm.long(0), EB),
-                "t1": build_tau(sysm.long(1), EB),
-                "bp": build_tau(replace(kiev, k_offset=(0, 1)), EB),
-                "bm": build_tau(replace(kiev, k_offset=(0, -1)), EB),
-            }
-
-        return memoized(self.memo, ("taus_4d", sigma, EB), build)
+        """name -> the tau of TauSystem4d(sigma) named so, through z^EB,
+        built once per run on first use."""
+        return lambda name: TauSystem4d(sigma, memo=self.memo).tau(name, EB)
 
     def hirota_4d(self, sigma: Frac, EB: Frac):
-        """D: (k, f, g) -> D^k of the taus_4d(sigma, EB) entries named f
+        """D: (k, f, g) -> D^k of the taus_4d(sigma, EB) taus named f
         and g.  Each D^k is formed once per run, on one store of basis
         products theta^j f * g per pair, which its D^k share."""
-        d = self.taus_4d(sigma, EB)
+        tau = self.taus_4d(sigma, EB)
 
         def D(k, f, g):
             pair = (sigma, EB, f, g)
             return memoized(self.memo, ("hirota", *pair, k), lambda: hirota(
-                k, d[f], d[g], memo=memoized(self.memo, ("theta basis", *pair), dict)))
+                k, tau(f), tau(g), memo=memoized(self.memo, ("theta basis", *pair), dict)))
 
         return D
 
     def zeta_4d(self, sigma: Frac, EB: Frac):
-        """zeta = theta(tau)/tau of the taus_4d(sigma, EB) entry "tau" (the
+        """zeta = theta(tau)/tau of the taus_4d(sigma, EB) tau "kiev" (the
         relative series, without the classical constant sigma^2), and the
         theta-products of zeta that zetac and zeta3 take, formed once per
         run: P = (theta zeta)^2, Q = (theta^2 zeta)^2 - theta zeta
@@ -220,7 +209,7 @@ class Context:
         on (P, zeta)."""
 
         def build():
-            z = zeta_from_tau(self.taus_4d(sigma, EB)["tau"])
+            z = zeta_from_tau(self.taus_4d(sigma, EB)("kiev"))
             P, Q, R = theta_products(z, z, [{(1, 1): 1},
                                             {(2, 2): 1, (1, 3): -1},
                                             {(2, 2): 1, (2, 1): -2, (1, 1): 1}])
@@ -230,18 +219,9 @@ class Context:
         return memoized(self.memo, ("zeta_4d", sigma, EB), build)
 
     def taus_q(self, sample: ParameterSample, m: int, EB: Frac):
-        def build():
-            sysm = TauSystemQ(sample, m=m, memo=self.memo)
-            return {
-                "tau": build_tau(sysm.kiev(0), EB),
-                "tau1": build_tau(sysm.kiev(1), EB),
-                "tp": build_tau(sysm.short(+1), EB),
-                "tm": build_tau(sysm.short(-1), EB),
-                "up": build_tau(sysm.u_shifted_kiev(1), EB),
-                "um": build_tau(sysm.u_shifted_kiev(-1), EB),
-            }
-
-        return memoized(self.memo, ("taus_q", sample, m, EB), build)
+        """name -> the tau of TauSystemQ(sample, m) named so, through z^EB,
+        built once per run on first use."""
+        return lambda name: TauSystemQ(sample, m, memo=self.memo).tau(name, EB)
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +402,24 @@ def run_NY1(sample, E, ctx):
 
 
 def run_NYtaupm(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    lhs = D(0, "tp", "tm")
+    lhs = D(0, "plus", "minus")
     return [("product of short taus equals the full tau",
-             lhs, ctx.corrupted(d["tau"]))]
+             lhs, ctx.corrupted(taus("kiev")))]
 
 
 def run_NYtau01(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    lhs = D(0, "t0", "t0") + D(0, "t1", "t1")
-    return [("sum of squared parity taus equals the full tau", lhs, d["tau"])]
+    lhs = D(0, "long0", "long0") + D(0, "long1", "long1")
+    return [("sum of squared parity taus equals the full tau", lhs, taus("kiev"))]
 
 
 def run_NYD2diff(sigma, E, ctx):
     D = ctx.hirota_4d(sigma, E + 1)
-    mid = D(2, "tp", "tm")
-    lhs = D(2, "t0", "t0") + D(2, "t1", "t1")
+    mid = D(2, "plus", "minus")
+    lhs = D(2, "long0", "long0") + D(2, "long1", "long1")
     return [
         ("parity form equals short form", lhs, mid),
         ("short form vanishes", mid, FourierSeries.zero(mid.trunc)),
@@ -447,11 +427,11 @@ def run_NYD2diff(sigma, E, ctx):
 
 
 def run_NYD4diff(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    mid = D(4, "tp", "tm")
-    lhs = D(4, "t0", "t0") + D(4, "t1", "t1")
-    rhs = d["tau"].shift(1).scale(-2)
+    mid = D(4, "plus", "minus")
+    lhs = D(4, "long0", "long0") + D(4, "long1", "long1")
+    rhs = taus("kiev").shift(1).scale(-2)
     return [
         ("parity form equals short form", lhs, mid),
         ("short form equals -2 z tau", mid, rhs),
@@ -459,34 +439,34 @@ def run_NYD4diff(sigma, E, ctx):
 
 
 def run_NYD1diff(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    L = D(1, "t0", "t1")
-    M = D(1, "tp", "tm")
+    L = D(1, "long0", "long1")
+    M = D(1, "plus", "minus")
     return [
         ("parity form equals (i/2) short form", L, M.scale(I_HALF)),
-        ("short form equals z^{1/4} tau_1", M, _quarter_tau1(d["tau1"])),
+        ("short form equals z^{1/4} tau_1", M, _quarter_tau1(taus("half"))),
     ]
 
 
 def run_NYD3diff(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    L = D(3, "t0", "t1")
-    M = D(3, "tp", "tm")
+    L = D(3, "long0", "long1")
+    M = D(3, "plus", "minus")
     return [
         ("parity form equals (i/2) short form", L, M.scale(I_HALF)),
         ("short form equals z^{1/4} (sigma^2 + theta) tau_1",
-         M, _quarter_tau1(d["tau1"], sigma)),
+         M, _quarter_tau1(taus("half"), sigma)),
     ]
 
 
 def run_NYdiffIS(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    D2 = D(2, "tp", "tm")
-    D4 = D(4, "tp", "tm")
-    rhs = d["tau"].shift(1).scale(-2)
+    D2 = D(2, "plus", "minus")
+    D4 = D(4, "plus", "minus")
+    rhs = taus("kiev").shift(1).scale(-2)
     return [
         ("degree-2 sector-0 slice vanishes", D2.sector(0), PuiseuxSeries({}, E)),
         ("degree-4 sector-0 slice equals -2 z Z", D4.sector(0), rhs.sector(0)),
@@ -494,36 +474,36 @@ def run_NYdiffIS(sigma, E, ctx):
 
 
 def run_NYdiffHIS1(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    D1 = D(1, "tp", "tm")
+    D1 = D(1, "plus", "minus")
     return [("degree-1 half sector slice",
-             D1.sector(HALF), _quarter_tau1(d["tau1"]).sector(HALF))]
+             D1.sector(HALF), _quarter_tau1(taus("half")).sector(HALF))]
 
 
 def run_NYdiffHIS3(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    D3 = D(3, "tp", "tm")
+    D3 = D(3, "plus", "minus")
     return [("degree-3 half sector slice",
-             D3.sector(HALF), _quarter_tau1(d["tau1"], sigma).sector(HALF))]
+             D3.sector(HALF), _quarter_tau1(taus("half"), sigma).sector(HALF))]
 
 
 def run_Todasg(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    lhs = D(2, "tau", "tau")
-    rhs = (d["bp"] * d["bm"]).shift(HALF).scale(-2)
+    lhs = D(2, "kiev", "kiev")
+    rhs = (taus("up") * taus("down")).shift(HALF).scale(-2)
     return [("D^2(tau,tau) equals -2 z^{1/2} tau(+1/2) tau(-1/2)", lhs, rhs)]
 
 
 def run_doubleprop(sigma, E, ctx):
-    d = ctx.taus_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E + 1)
     D = ctx.hirota_4d(sigma, E + 1)
-    lhs = D(2, "tau", "tau")
-    D1 = D(1, "tp", "tm")
+    lhs = D(2, "kiev", "kiev")
+    D1 = D(1, "plus", "minus")
     rhs1 = (D1 * D1).scale(-2)
-    rhs2 = (d["tau1"] * d["tau1"]).shift(HALF).scale(-2)
+    rhs2 = (taus("half") * taus("half")).shift(HALF).scale(-2)
     return [
         ("D^2(tau,tau) equals -2 D^1(tau+,tau-)^2", lhs, rhs1),
         ("D^2(tau,tau) equals -2 z^{1/2} tau_1^2", lhs, rhs2),
@@ -552,11 +532,11 @@ def run_zeta3(sigma, E, ctx):
 
 def run_KZsq(sigma, E, ctx):
     D = ctx.hirota_4d(sigma, E + 1)
-    D1 = D(1, "t0", "t1")
+    D1 = D(1, "long0", "long1")
     lhs = (D1 * D1).scale(4)
     # zeta' tau^2 = theta^2(tau) tau - theta(tau)^2 = D^2(tau,tau)/2, the
     # constant drops
-    rhs = D(2, "tau", "tau").scale(HALF)
+    rhs = D(2, "kiev", "kiev").scale(HALF)
     return [("4 D^1(tau0,tau1)^2 equals zeta' tau^2", lhs, rhs)]
 
 
@@ -645,57 +625,52 @@ def run_qNYD12diff(smp, E, ctx):
 
 
 def run_qNYtaupm(smp, E, ctx):
-    d = ctx.taus_q(smp, 0, E + 1)
+    taus = ctx.taus_q(smp, 0, E + 1)
     return [("product of short q-taus equals the full q-tau",
-             d["tp"] * d["tm"], ctx.corrupted(d["tau"]))]
+             taus("plus") * taus("minus"), ctx.corrupted(taus("kiev0")))]
 
 
-def _qpm_dilated(d, smp, a):
-    return (d["tp"].dilate(a, smp) * d["tm"].dilate(-a, smp),
-            d["tp"].dilate(-a, smp) * d["tm"].dilate(a, smp))
+def _qpm_dilated(taus, smp, a):
+    return (taus("plus").dilate(a, smp) * taus("minus").dilate(-a, smp),
+            taus("plus").dilate(-a, smp) * taus("minus").dilate(a, smp))
 
 
 def run_qNYD2diff(smp, E, ctx):
-    d = ctx.taus_q(smp, 0, E + 1)
-    Apl, Bpl = _qpm_dilated(d, smp, 1)
+    taus = ctx.taus_q(smp, 0, E + 1)
+    Apl, Bpl = _qpm_dilated(taus, smp, 1)
     return [("symmetric unit dilation sum equals 2 tau",
-             Apl + Bpl, d["tau"].scale(2))]
+             Apl + Bpl, taus("kiev0").scale(2))]
 
 
-def run_qNYD1diff(smp, E, ctx):
-    d = ctx.taus_q(smp, 0, E + 1)
-    Apl, Bpl = _qpm_dilated(d, smp, 1)
-    rhs = d["tau1"].shift(QUARTER).scale(-2 * OMEGA)
-    return [("antisymmetric unit dilation sum equals -2 z^{1/4} tau_1",
-             Apl - Bpl, rhs)]
+def run_qD1(m, name):
+    """The antisymmetric unit dilation sum of the level-m half taus equals
+    -2 z^{1/4} tau_{1;m}."""
+
+    def run(smp, E, ctx):
+        taus = ctx.taus_q(smp, m, E + 1)
+        A, B = _qpm_dilated(taus, smp, 1)
+        return [(name, A - B, taus("kiev1").shift(QUARTER).scale(-2 * OMEGA))]
+
+    return run
 
 
 def run_qNYD2diffp(smp, E, ctx):
-    d = ctx.taus_q(smp, 0, E + 1)
-    Apl, Bpl = _qpm_dilated(d, smp, 1)
+    taus = ctx.taus_q(smp, 0, E + 1)
+    Apl, Bpl = _qpm_dilated(taus, smp, 1)
     return [("symmetric unit dilation sum equals 2 tau+ tau-",
-             Apl + Bpl, (d["tp"] * d["tm"]).scale(2))]
+             Apl + Bpl, (taus("plus") * taus("minus")).scale(2))]
 
 
 def run_qNYD4diff(smp, E, ctx):
-    d = ctx.taus_q(smp, 0, E + 1)
-    A2, B2 = _qpm_dilated(d, smp, 2)
-    rhs = d["tau"].scale(2) - d["tau"].shift(1).scale(2)
+    taus = ctx.taus_q(smp, 0, E + 1)
+    A2, B2 = _qpm_dilated(taus, smp, 2)
+    rhs = taus("kiev0").scale(2) - taus("kiev0").shift(1).scale(2)
     return [("symmetric double dilation sum equals 2 (1 - z) tau", A2 + B2, rhs)]
 
 
-def run_qTodasg(smp, E, ctx):
-    d = ctx.taus_q(smp, 0, E + 1)
-    tau = d["tau"]
-    lhs = tau.dilate(1, smp) * tau.dilate(-1, smp)
-    rhs = tau * tau - (d["up"] * d["um"]).shift(HALF)
-    return [("tau(qz) tau(q^{-1}z) equals tau^2 - z^{1/2} tau(uq) tau(uq^{-1})",
-             lhs, rhs)]
-
-
 def run_qG(smp, E, ctx):
-    d = ctx.taus_q(smp, 0, E + 2)
-    G = g_function(d["tau"], d["tau1"])
+    taus = ctx.taus_q(smp, 0, E + 2)
+    G = g_function(taus("kiev0"), taus("kiev1"))
     one = FourierSeries.single(PuiseuxSeries.one(G.trunc))
     z1 = one.shift(1)
     lhs = (G.dilate(1, smp) * G.dilate(-1, smp)) * ((G - one) * (G - one))
@@ -704,11 +679,8 @@ def run_qG(smp, E, ctx):
 
 
 def run_cdsystem(smp, E, ctx):
-    d = ctx.taus_q(smp, 0, E + 1)
-    t0p, t0m = d["tp"], d["tm"]
-    sysm = TauSystemQ(smp, memo=ctx.memo)
-    t1p = build_tau(sysm.short_uq(+1), E + 1)
-    t1m = build_tau(sysm.short_uq(-1), E + 1)
+    taus = ctx.taus_q(smp, 0, E + 1)
+    t0p, t0m, t1p, t1m = map(taus, ("plus", "minus", "plus_uq", "minus_uq"))
     p01 = (t1p * t1m).shift(QUARTER)
     p10 = (t0p * t0m).shift(QUARTER)
     return [(name, lhs, base + quarter.scale(sgn * OMEGA))
@@ -725,30 +697,30 @@ def run_cdsystem(smp, E, ctx):
 
 
 def run_qNYDCS2diff(smp, E, ctx):
-    d = ctx.taus_q(smp, 1, E + 1)
-    lhs = d["tau"].scale(2)
+    taus = ctx.taus_q(smp, 1, E + 1)
+    lhs = taus("kiev0").scale(2)
     return [(f"{name} dilation mix equals 2 tau_{{1;0}}", A + B, lhs)
-            for name, (A, B) in (("half", _qpm_dilated(d, smp, HALF)),
-                                 ("three-half", _qpm_dilated(d, smp, Frac(3, 2))))]
+            for name, (A, B) in (("half", _qpm_dilated(taus, smp, HALF)),
+                                 ("three-half", _qpm_dilated(taus, smp, Frac(3, 2))))]
 
 
-def run_qNYDCS1diff(smp, E, ctx):
-    d = ctx.taus_q(smp, 1, E + 1)
-    A, B = _qpm_dilated(d, smp, 1)
-    rhs = d["tau1"].shift(QUARTER).scale(-2 * OMEGA)
-    return [("antisymmetric unit dilation equals -2 z^{1/4} tau_{1;1}", A - B, rhs)]
+def run_qToda(names):
+    """tau(qz) tau(q^{-1}z) = tau^2 - z^{1/2} tau(uq|q^{m/2}z)
+    tau(uq^{-1}|q^{-m/2}z) at each level m of names, {m: part name}; at
+    m = 0 (qTodasg) the q^{m/2} dilations are the identity."""
 
+    def run(smp, E, ctx):
+        parts = []
+        for m, name in names.items():
+            taus = ctx.taus_q(smp, m, E + 1)
+            tau = taus("kiev0")
+            lhs = tau.dilate(1, smp) * tau.dilate(-1, smp)
+            bp = taus("up").dilate(Frac(m, 2), smp)
+            bm = taus("down").dilate(-Frac(m, 2), smp)
+            parts.append((name, lhs, tau * tau - (bp * bm).shift(HALF)))
+        return parts
 
-def run_qTodaCSsg(smp, E, ctx):
-    parts = []
-    for m in (1, 2):
-        d = ctx.taus_q(smp, m, E + 1)
-        tau = d["tau"]
-        lhs = tau.dilate(1, smp) * tau.dilate(-1, smp)
-        bp = d["up"].dilate(Frac(m, 2), smp)
-        bm = d["um"].dilate(-Frac(m, 2), smp)
-        parts.append((f"level m={m}", lhs, tau * tau - (bp * bm).shift(HALF)))
-    return parts
+    return run
 
 
 def run_20equiv(E1_mult, E2_mult):
@@ -944,11 +916,11 @@ def run_m1chain(smp, E, ctx):
     consequence, and a sign-flip mutation that must fail."""
     lhs, rhs = _plus_position_expansion()
     book_ok = all(lhs.get(k, 0) == rhs.get(k, 0) for k in set(lhs) | set(rhs))
-    d = ctx.taus_q(smp, 1, E + 1)
-    Ah, Bh = _qpm_dilated(d, smp, HALF)
+    taus = ctx.taus_q(smp, 1, E + 1)
+    Ah, Bh = _qpm_dilated(taus, smp, HALF)
     T10 = (Ah + Bh).scale(HALF)
     lhs_s = T10.dilate(1, smp) * T10.dilate(-1, smp)
-    A1, B1 = _qpm_dilated(d, smp, 1)
+    A1, B1 = _qpm_dilated(taus, smp, 1)
 
     def rhs_s(C):
         # tau_{1;1} = -omega z^{-1/4} C / 2
@@ -1097,7 +1069,8 @@ CATALOG = {
                "q-painleve", 2, run_qNYD2diff),
         _entry("qNYD1diff", "theorem",
                r"-2z^{1/4}\tau_1",
-               "q-painleve", 2, run_qNYD1diff,
+               "q-painleve", 2,
+               run_qD1(0, "antisymmetric unit dilation sum equals -2 z^{1/4} tau_1"),
                note="omega = -1"),
         _entry("qNYD2diffp", "theorem",
                r"=2\uptau^+\uptau^-",
@@ -1107,7 +1080,8 @@ CATALOG = {
                "q-painleve", 2, run_qNYD4diff),
         _entry("qTodasg", "theorem",
                r"\tau^2(u,s|z)-z^{1/2}\tau(uq,s|z)\tau(uq^{-1},s|z)",
-               "q-painleve", 2, run_qTodasg),
+               "q-painleve", 2, run_qToda({0: "tau(qz) tau(q^{-1}z) equals tau^2 - "
+                                              "z^{1/2} tau(uq) tau(uq^{-1})"})),
         _entry("qG", "theorem",
                r"\overline{G}\underline{G}=\frac{(G-z)^2}{(G-1)^2}",
                "q-painleve", 2, run_qG,
@@ -1121,11 +1095,12 @@ CATALOG = {
                "q-painleve", 2, run_qNYDCS2diff),
         _entry("qNYDCS1diff", "theorem",
                r"-q_1q_2\Lambda\mathcal{Z}_m(u;q_1,q_2|\Lambda)",
-               "q-painleve", 2, run_qNYDCS1diff,
+               "q-painleve", 2,
+               run_qD1(1, "antisymmetric unit dilation equals -2 z^{1/4} tau_{1;1}"),
                note="omega = -1"),
         _entry("qTodaCSsg", "theorem",
                r"z^{1/2}\tau_{m}(uq|q^{m/2}z)\tau_{m}(uq^{-1}|q^{-m/2}z)",
-               "q-painleve", 2, run_qTodaCSsg),
+               "q-painleve", 2, run_qToda({1: "level m=1", 2: "level m=2"})),
         _entry("20equiv1", "theorem",
                r"(z;q^{-1},q)_{\infty}\mathcal{Z}_0(u;q^{-1},q|z)",
                "q-painleve", 3, run_20equiv(-2, 1)),

@@ -415,6 +415,7 @@ def theta_products(f, g, polys, *, memo=None):
                     term = term if d == 1 else term.scale(d)
                     out = term if out is None else out + term
         outs.append(_cut(f, out, *_product_bounds(f, g, a_min, b_min)))
+    del product  # it refers to itself; free this call's theta powers now
     return outs
 
 

@@ -9,7 +9,9 @@ relative series.
 
 The central 4d system fixes eps = (1, -1) for the self-dual theory and the
 pair (1, -2) / (2, -1) for the two decoupled halves; the q-system fixes
-q1 = q^{-1}, q2 = q and the halves (q^{-1}, q^2) / (q, q^{-2}).
+q1 = q^{-1}, q2 = q and the halves (q^{-1}, q^2) / (q, q^{-2}).  Each
+system writes its taus once, as one name -> TauSpec table (recipes), and
+builds one through tau(name, E) on first use, once per memo.
 
 The Backlund moves sigma -> sigma + 1/2 (4d: a -> a - 1) and u -> u q
 (q-system: Lu -> Lu + dq) are fixed shifts of the mode lattice, written out
@@ -30,6 +32,7 @@ from .nekrasov import (
     Theory4d,
     Theory5d,
     blowup_modes,
+    memoized,
 )
 from .rationals import GaussianRational
 from .sampling import ParameterSample
@@ -96,7 +99,18 @@ def build_tau(spec: TauSpec, E) -> FourierSeries:
 KAPPA = SymExpr.from_rational(GaussianRational(0, -1))
 
 
-class TauSystem4d:
+class TauSystem:
+    """A family of taus on common theories, set up by each subclass:
+    recipes maps each name to its TauSpec, key names the system, and
+    tau(name, E) builds the tau named so through z^E once per memo."""
+
+    def tau(self, name: str, E) -> FourierSeries:
+        """The tau named so, kept in memo under ("tau", *key, name, E)."""
+        return memoized(self.memo, ("tau", *self.key, name, E),
+                        lambda: build_tau(self.recipes[name], E))
+
+
+class TauSystem4d(TauSystem):
     """The 4d tau functions at a common reference sigma (eps1 = 1).
 
     All recipes share the reference a0 = -2 sigma, so products of the two
@@ -105,43 +119,33 @@ class TauSystem4d:
 
     def __init__(self, sigma: Frac, *, memo=None):
         a0 = -2 * _frac(sigma)
-        self.rc = RelativeZ4d(Theory4d(Frac(1), Frac(-1)), a0, memo=memo)
-        self.rp = RelativeZ4d(Theory4d(Frac(1), Frac(-2)), a0, memo=memo)
-        self.rm = RelativeZ4d(Theory4d(Frac(2), Frac(-1)), a0, memo=memo)
-
-    def kiev(self) -> TauSpec:
-        """Self-dual tau: sector n carries the mode at sigma + n."""
-        return TauSpec(self.rc, k_step=(0, 2))
-
-    def kiev_half(self) -> TauSpec:
-        """The s^{1/2}-shifted companion at sigma + 1/2: a = a0 + e2 = a0 - 1."""
-        return TauSpec(self.rc, k_step=(0, 2), k_offset=(0, 1), fourier_offset=HALF)
-
-    def short(self, sign: int) -> TauSpec:
-        """Half-theory taus: sector n/2 carries the mode at sigma + n."""
-        if sign > 0:
-            return TauSpec(self.rp, k_step=(0, 1), sector_step=HALF)
-        return TauSpec(self.rm, k_step=(-1, 0), sector_step=HALF)
-
-    def long(self, i: int) -> TauSpec:
-        """Parity taus: sector n in Z + i/2 carries the mode at sigma + 2n.
-
-        Only the (1, -2) half-theory appears; the trig normalizer of the
-        other half is divided out, leaving a Gaussian unit on the odd
-        lattice.  Its sign is the branch of the square root: KAPPA = -i.
-        """
-        if i == 0:
-            return TauSpec(self.rp, k_step=(0, 2))
-        return TauSpec(
-            self.rp,
-            k_step=(0, 2),
-            k_offset=(0, 1),
-            fourier_offset=HALF,
-            prefactor=KAPPA,
-        )
+        rc = RelativeZ4d(Theory4d(Frac(1), Frac(-1)), a0, memo=memo)
+        rp = RelativeZ4d(Theory4d(Frac(1), Frac(-2)), a0, memo=memo)
+        rm = RelativeZ4d(Theory4d(Frac(2), Frac(-1)), a0, memo=memo)
+        kiev = TauSpec(rc, k_step=(0, 2))
+        self.key, self.memo = ("4d", sigma), memo
+        self.recipes = {
+            # self-dual tau: sector n carries the mode at sigma + n
+            "kiev": kiev,
+            # its s^{1/2}-shifted companion at sigma + 1/2: a = a0 + e2 = a0 - 1
+            "half": replace(kiev, k_offset=(0, 1), fourier_offset=HALF),
+            # half-theory taus: sector n/2 carries the mode at sigma + n
+            "plus": TauSpec(rp, k_step=(0, 1), sector_step=HALF),
+            "minus": TauSpec(rm, k_step=(-1, 0), sector_step=HALF),
+            # parity taus: sector n in Z + i/2 carries the mode at sigma + 2n.
+            # Only the (1, -2) half-theory appears; the trig normalizer of the
+            # other half is divided out, leaving a Gaussian unit on the odd
+            # lattice.  Its sign is the branch of the square root: KAPPA = -i.
+            "long0": TauSpec(rp, k_step=(0, 2)),
+            "long1": TauSpec(rp, k_step=(0, 2), k_offset=(0, 1), fourier_offset=HALF,
+                             prefactor=KAPPA),
+            # tau at sigma +/- 1/2 with unchanged sector grading
+            "up": replace(kiev, k_offset=(0, 1)),
+            "down": replace(kiev, k_offset=(0, -1)),
+        }
 
 
-class TauSystemQ:
+class TauSystemQ(TauSystem):
     """The q-deformed tau functions at a common reference u = q^{2 sigma}.
 
     The sample fixes q = t^{dq}; the self-dual theory is (q^{-1}, q) with
@@ -150,31 +154,28 @@ class TauSystemQ:
 
     def __init__(self, sample: ParameterSample, m: int = 0, *, memo=None):
         dq, Lu0, t = sample.dq, sample.u_exp, sample.t
-        self.rc = RelativeZ5d(Theory5d(Frac(-dq), Frac(dq), m), Lu0, t, memo=memo)
-        self.rp = RelativeZ5d(Theory5d(Frac(-dq), Frac(2 * dq), m), Lu0, t, memo=memo)
-        self.rm = RelativeZ5d(Theory5d(Frac(dq), Frac(-2 * dq), m), Lu0, t, memo=memo)
-
-    def kiev(self, j: int = 0) -> TauSpec:
-        """Self-dual tau: sector n in Z + j/2 carries the mode at u q^{2n}."""
-        if j == 0:
-            return TauSpec(self.rc, k_step=(0, 2))
-        return TauSpec(self.rc, k_step=(0, 2), k_offset=(0, 1), fourier_offset=HALF)
-
-    def short(self, sign: int) -> TauSpec:
-        """Half-theory taus: sector n/2 carries the mode at u q^{2n}."""
-        if sign > 0:
-            return TauSpec(self.rp, k_step=(0, 1), sector_step=HALF)
-        return TauSpec(self.rm, k_step=(0, -1), sector_step=HALF)
-
-    def short_uq(self, sign: int) -> TauSpec:
-        """Half-theory taus at u q on s^{1/4}-shifted sectors: Lu0 + dq is
-        Lu0 - E1 of the (q^{-1}, q^2) half and Lu0 - E1 - E2 of the other."""
-        return replace(self.short(sign), k_offset=(-1, 0) if sign > 0 else (-1, -1),
-                       fourier_offset=HALF / 2)
-
-    def u_shifted_kiev(self, shift: int) -> TauSpec:
-        """Self-dual tau at u q^{shift} with unchanged sector grading."""
-        return replace(self.kiev(), k_offset=(0, shift))
+        rc = RelativeZ5d(Theory5d(Frac(-dq), Frac(dq), m), Lu0, t, memo=memo)
+        rp = RelativeZ5d(Theory5d(Frac(-dq), Frac(2 * dq), m), Lu0, t, memo=memo)
+        rm = RelativeZ5d(Theory5d(Frac(dq), Frac(-2 * dq), m), Lu0, t, memo=memo)
+        kiev0 = TauSpec(rc, k_step=(0, 2))
+        plus = TauSpec(rp, k_step=(0, 1), sector_step=HALF)
+        minus = TauSpec(rm, k_step=(0, -1), sector_step=HALF)
+        self.key, self.memo = ("q", sample, m), memo
+        self.recipes = {
+            # self-dual taus: sector n in Z + j/2 carries the mode at u q^{2n}
+            "kiev0": kiev0,
+            "kiev1": replace(kiev0, k_offset=(0, 1), fourier_offset=HALF),
+            # half-theory taus: sector n/2 carries the mode at u q^{2n}
+            "plus": plus,
+            "minus": minus,
+            # the self-dual tau at u q^{+/-1} with unchanged sector grading
+            "up": replace(kiev0, k_offset=(0, 1)),
+            "down": replace(kiev0, k_offset=(0, -1)),
+            # half-theory taus at u q on s^{1/4}-shifted sectors: Lu0 + dq is
+            # Lu0 - E1 of the (q^{-1}, q^2) half and Lu0 - E1 - E2 of the other
+            "plus_uq": replace(plus, k_offset=(-1, 0), fourier_offset=HALF / 2),
+            "minus_uq": replace(minus, k_offset=(-1, -1), fourier_offset=HALF / 2),
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import nektau.identities as idmod
-from nektau import nekrasov
+from nektau import nekrasov, tau
 from nektau.cli import (
+    DUMP_SELECTORS,
     ConfigError,
     RunConfig,
     _report_csv,
@@ -76,6 +77,19 @@ def test_verify_unknown_id_exit_two():
     r = run_cli("verify", "--id", "bogus")
     assert r.returncode == 2
     assert "unknown identity" in r.stderr
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_verify_repeated_id_exit_two(tmp_path, source):
+    # a repeated id ran twice but kept one timing entry
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identities": ["NYtaupm", "NY", "NYtaupm"]}))
+    argv = (["--id", "NYtaupm", "--id", "NY", "--id", "NYtaupm"] if source == "flags"
+            else ["--config", str(cfg)])
+    r = run_cli("verify", *argv)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["configuration error: repeated identity id(s): NYtaupm"]
 
 
 def test_verify_bad_order_exit_two():
@@ -307,6 +321,27 @@ def test_one_run_telescopes_each_cocycle_once_and_builds_each_mode_once(monkeypa
     modes.clear()
     assert run_verify(cfg)[0] == 0
     assert (Counter(cocycles), Counter(modes)) == first
+
+
+@pytest.mark.parametrize("ids,builds", [(list(idmod.CATALOG), 27), (["qG"], 2),
+                                        (["qTodaCSsg"], 6)],
+                         ids=["catalog", "qG", "qTodaCSsg"])
+def test_a_run_builds_only_the_taus_its_checks_read(monkeypatch, ids, builds):
+    # each tau is built on first use: a seed-0 catalog run used to build
+    # 34, with qG's four unread taus at z^4 and qTodaCSsg's three unread
+    # level-2 ones
+    specs = []
+    real = tau.build_tau
+
+    def counting(spec, E):
+        specs.append((spec, E))
+        return real(spec, E)
+
+    monkeypatch.setattr(tau, "build_tau", counting)
+    assert run_verify(RunConfig(identities=ids))[0] == 0
+    assert len(specs) == builds
+    assert len({(id(spec.base), spec.k_offset, spec.fourier_offset, E)
+                for spec, E in specs}) == builds
 
 
 def test_one_run_forms_the_zeta_products_once(monkeypatch):
@@ -614,6 +649,48 @@ def test_dump_prefix_extension_per_sector():
 def test_dump_unknown_selector_exit_two():
     r = run_cli("dump", "nope")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("selector", ["tau4d:nope", "tauq:nope", "tau4d:", "fixture:nope"])
+def test_dump_unknown_name_lists_the_selectors_exit_two(selector, capsys):
+    # these used to end in a KeyError or ValueError traceback, exit 1
+    assert main(["dump", selector]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"configuration error: unknown dump selector {selector!r}; "
+                                f"choose from: {', '.join(DUMP_SELECTORS)}"]
+
+
+@pytest.mark.parametrize("selector", [s for s in DUMP_SELECTORS if s.startswith("tau")])
+def test_every_recipe_table_name_dumps(selector, tmp_path):
+    # the tau selectors are the names of tau.py's recipe tables
+    out = tmp_path / "d.json"
+    assert main(["dump", selector, "--order", "1", "--report", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["selector"] == selector and doc["series"]
+
+
+def test_the_tau_selectors_in_use_keep_their_names():
+    assert {"tau4d:kiev", "tau4d:plus", "tau4d:minus", "tau4d:long0", "tau4d:long1",
+            "tauq:kiev0", "tauq:kiev1", "tauq:plus", "tauq:minus"} <= set(DUMP_SELECTORS)
+
+
+@pytest.mark.parametrize("argv", [["dump", "tau4d:kiev", "--order", "5000"], ["oracle"]],
+                         ids=["dump", "oracle"])
+def test_an_exception_escaping_a_command_exits_three(argv, monkeypatch, capsys):
+    # an exception outside verify's checks used to exit 1, the theorem-failure
+    # code: dump's mode scan gives up at this order, and oracle's check is
+    # made to raise
+    def boom(*args, **kwargs):
+        raise ZeroFactor("resonant sample")
+
+    monkeypatch.setattr(idmod, "verify", boom)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1].split(":")[0].endswith(
+        "IncompleteModeRange" if argv[0] == "dump" else "ZeroFactor")
 
 
 @pytest.mark.parametrize("command", [["dump", "Z4d"], ["oracle", "--order", "1"]])

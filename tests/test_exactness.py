@@ -1,6 +1,7 @@
 """The package computes exactly, with no float and no numeric library in
-src/nektau, keeps no cache of its own outside a run's memo, and builds
-parameter samples only in its q-Painleve pool."""
+src/nektau, keeps no cache of its own outside a run's memo, builds
+parameter samples only in its q-Painleve pool, and writes and builds taus
+only in tau.py."""
 
 import ast
 from pathlib import Path
@@ -66,28 +67,42 @@ def test_package_keeps_no_cache_outside_the_run_memo():
     assert found == []
 
 
-def _sample_constructions(tree, pool_ok):
-    """Lines that call ParameterSample, outside the POOL_QP assignment when
-    pool_ok."""
-    exempt = set()
-    for node in ast.walk(tree):
-        if pool_ok and isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "POOL_QP" for t in node.targets):
-            exempt |= {id(n) for n in ast.walk(node.value)}
+def _calls(tree, names, exempt=()):
+    """Lines that call one of names, outside the nodes in exempt."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and id(node) not in exempt:
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "ParameterSample":
-                yield node.lineno
+            if name in names:
+                yield node.lineno, name
+
+
+def _pool_nodes(tree):
+    """The nodes of the POOL_QP assignment."""
+    return {id(n) for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "POOL_QP" for t in node.targets)
+            for n in ast.walk(node.value)}
 
 
 def test_package_builds_samples_only_in_the_q_painleve_pool():
     # a 5d series or mode takes the base t, so no code needs a stand-in sample
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        exempt = _pool_nodes(tree) if path.name == "identities.py" else set()
+        found += [f"{path.name}:{line}" for line, _ in
+                  _calls(tree, {"ParameterSample"}, exempt)]
+    assert found == []
+
+
+def test_package_writes_and_builds_taus_only_in_tau_py():
+    # one place for the recipes (each system's table) and one memoised build
+    # (TauSystem.tau) that every check and dump goes through
     found = [
-        f"{path.name}:{line}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line in _sample_constructions(ast.parse(path.read_text(), str(path)),
-                                          pool_ok=path.name == "identities.py")
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "tau.py"
+        for line, name in _calls(ast.parse(path.read_text(), str(path)),
+                                 {"TauSpec", "build_tau"})
     ]
     assert found == []

@@ -210,10 +210,11 @@ def test_conjecture_failure_reports_minimal_coefficient(monkeypatch):
 def test_context_shares_taus_within_itself_only():
     sigma = idmod.POOL_SIGMA[0]
     ctx = idmod.Context()
-    taus = ctx.taus_4d(sigma, F(2))
-    assert ctx.taus_4d(sigma, F(2)) is taus
-    assert ctx.taus_4d(sigma, F(3)) is not taus
-    assert idmod.Context().taus_4d(sigma, F(2)) is not taus
+    tau = ctx.taus_4d(sigma, F(2))("kiev")
+    assert ctx.taus_4d(sigma, F(2))("kiev") is tau
+    assert ctx.taus_4d(sigma, F(3))("kiev") is not tau
+    assert ctx.taus_4d(sigma, F(2))("half") is not tau
+    assert idmod.Context().taus_4d(sigma, F(2))("kiev") is not tau
 
 
 def ref_zeta_products(sigma, E, ctx):
@@ -221,7 +222,7 @@ def ref_zeta_products(sigma, E, ctx):
     their theta-products came from one pass: full products of the
     theta-derivatives of zeta, and of z = zeta + sigma^2 for zeta3.
     Returns the pieces of Context.zeta_4d and the sides of both checks."""
-    zr = zeta_from_tau(ctx.taus_4d(sigma, E + 1)["tau"])
+    zr = zeta_from_tau(ctx.taus_4d(sigma, E + 1)("kiev"))
     zp = zr.theta()
     zpp = zp.theta()
     zppp = zpp.theta()

@@ -1,5 +1,6 @@
 """Truncated Puiseux-series ring: arithmetic, exp/inverse, theta, Hirota."""
 
+import gc
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -554,11 +555,12 @@ def test_moment_expansion_cases(f, g):
     assert_expansions_identical(f, g)
 
 
-@pytest.mark.parametrize("f,g", [("tp", "tm"), ("t0", "t0"), ("t1", "t1"),
-                                 ("tau", "tau"), ("t0", "t1")])
+@pytest.mark.parametrize("f,g", [("plus", "minus"), ("long0", "long0"), ("long1", "long1"),
+                                 ("kiev", "kiev"), ("long0", "long1")],
+                         ids=["tp-tm", "t0-t0", "t1-t1", "tau-tau", "t0-t1"])
 def test_moment_expansion_on_4d_taus(f, g):
-    d = Context().taus_4d(POOL_SIGMA[0], F(3))
-    assert_expansions_identical(d[f], d[g])
+    taus = Context().taus_4d(POOL_SIGMA[0], F(3))
+    assert_expansions_identical(taus(f), taus(g))
 
 
 def test_moment_expansion_keeps_the_bound_of_a_cancelled_term():
@@ -686,6 +688,19 @@ def test_theta_products_keep_the_bound_of_a_cancelled_term():
     d1 = theta_products(f, g, [{(0, 0): 1}, {(1, 0): 1, (0, 1): -1}])[1]
     assert_identical(d1, hirota(1, f, g))
     assert d1.sector(0).trunc == 2
+
+
+def test_theta_products_leave_no_reference_cycle():
+    # the recursive product closure used to keep each call's theta powers
+    # of f and g alive until a full garbage collection
+    f = _fs({0: (2, {1: -2, 2: 2}), 1: (2, {2: -2})}, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        theta_products(f, f, POLYS[:3])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # polys with a common theta-factor; the last has only zero coefficients

@@ -10,8 +10,11 @@ from nektau.identities import POOL_QP, POOL_SIGMA
 from nektau.qseries import algebraic_fixture
 from nektau.sampling import ParameterSample
 from nektau.series import PuiseuxSeries
+from nektau import tau as taumod
+from nektau.nekrasov import Theory4d, Theory5d
 from nektau.symbols import SymExpr
 from nektau.tau import (
+    KAPPA,
     NonInvertibleLeading,
     TauSystem4d,
     TauSystemQ,
@@ -31,8 +34,64 @@ def fs_eq(a, b, order=E):
                              min(order, a.trunc, b.trunc)).ok
 
 
+H = F(1, 2)
+#: name: (theory, k_step, k_offset, fourier_offset, sector_step, prefactor);
+#: 5d theories in units of dq at level 1
+RECIPES_4D = {
+    "kiev": ((1, -1), (0, 2), (0, 0), 0, 1, None),
+    "half": ((1, -1), (0, 2), (0, 1), H, 1, None),
+    "plus": ((1, -2), (0, 1), (0, 0), 0, H, None),
+    "minus": ((2, -1), (-1, 0), (0, 0), 0, H, None),
+    "long0": ((1, -2), (0, 2), (0, 0), 0, 1, None),
+    "long1": ((1, -2), (0, 2), (0, 1), H, 1, KAPPA),
+    "up": ((1, -1), (0, 2), (0, 1), 0, 1, None),
+    "down": ((1, -1), (0, 2), (0, -1), 0, 1, None),
+}
+RECIPES_Q = {
+    "kiev0": ((-1, 1), (0, 2), (0, 0), 0, 1, None),
+    "kiev1": ((-1, 1), (0, 2), (0, 1), H, 1, None),
+    "plus": ((-1, 2), (0, 1), (0, 0), 0, H, None),
+    "minus": ((1, -2), (0, -1), (0, 0), 0, H, None),
+    "up": ((-1, 1), (0, 2), (0, 1), 0, 1, None),
+    "down": ((-1, 1), (0, 2), (0, -1), 0, 1, None),
+    "plus_uq": ((-1, 2), (0, 1), (-1, 0), H / 2, H, None),
+    "minus_uq": ((1, -2), (0, -1), (-1, -1), H / 2, H, None),
+}
+
+
+@pytest.mark.parametrize("system,recipes,theory", [
+    (TauSystem4d(SIGMA), RECIPES_4D, lambda e1, e2: Theory4d(F(e1), F(e2))),
+    (TauSystemQ(SMP, 1), RECIPES_Q, lambda e1, e2: Theory5d(F(8 * e1), F(8 * e2), 1)),
+], ids=["4d", "q"])
+def test_each_recipe_is_written_once_in_its_table(system, recipes, theory):
+    # every lattice path is pinned: another path to the same point would
+    # telescope another cocycle expression and change the dumps
+    assert list(system.recipes) == list(recipes)
+    for name, (th, *fields) in recipes.items():
+        spec = system.recipes[name]
+        assert spec.base.th == theory(*th), name
+        assert [spec.k_step, spec.k_offset, spec.fourier_offset, spec.sector_step,
+                spec.prefactor] == fields, name
+
+
+def test_a_tau_is_built_once_per_memo(monkeypatch):
+    built = []
+    real = taumod.build_tau
+    monkeypatch.setattr(taumod, "build_tau", lambda spec, E: built.append(E) or real(spec, E))
+    memo = {}
+    tau = TauSystem4d(SIGMA, memo=memo).tau("kiev", E)
+    assert TauSystem4d(SIGMA, memo=memo).tau("kiev", E) is tau
+    assert TauSystem4d(SIGMA, memo=memo).tau("half", E) is not tau
+    assert TauSystemQ(SMP, memo=memo).tau("kiev0", E) is not tau
+    assert len(built) == 3
+    # without a memo nothing is kept
+    s4 = TauSystem4d(SIGMA)
+    assert s4.tau("kiev", E) is not s4.tau("kiev", E)
+    assert len(built) == 5
+
+
 def test_kiev_sector_structure():
-    tau = build_tau(TauSystem4d(SIGMA).kiev(), E)
+    tau = TauSystem4d(SIGMA).tau("kiev", E)
     assert all(k.denominator == 1 for k in tau.sectors)
     assert F(0) in tau.sectors
     # the reference sector starts at z^0 with coefficient 1
@@ -41,33 +100,28 @@ def test_kiev_sector_structure():
 
 def test_stability_under_extension():
     s4 = TauSystem4d(SIGMA)
-    lo = build_tau(s4.kiev(), E)
-    hi = build_tau(s4.kiev(), E + 1)
+    lo = s4.tau("kiev", E)
+    hi = s4.tau("kiev", E + 1)
     assert fs_eq(hi.truncate(E), lo)
 
 
 def test_splitting_into_short_taus():
     s4 = TauSystem4d(SIGMA)
-    tau = build_tau(s4.kiev(), EB)
-    tp = build_tau(s4.short(+1), EB)
-    tm = build_tau(s4.short(-1), EB)
-    assert fs_eq(tau, tp * tm)
+    assert fs_eq(s4.tau("kiev", EB), s4.tau("plus", EB) * s4.tau("minus", EB))
 
 
 def test_half_offset_product_has_integer_sectors():
     # parity bookkeeping: two half-integer-offset factors convolve to
     # integer-offset sectors only
     s4 = TauSystem4d(SIGMA)
-    tp = build_tau(s4.short(+1), E)
-    tm = build_tau(s4.short(-1), E)
+    tp, tm = s4.tau("plus", E), s4.tau("minus", E)
     assert any(k.denominator == 2 for k in tp.sectors)
     prod = tp * tm
     assert all(k.denominator == 1 for k in prod.sectors)
 
 
 def test_backlund_is_half_sector_shifted():
-    s4 = TauSystem4d(SIGMA)
-    tau1 = build_tau(s4.kiev_half(), E)
+    tau1 = TauSystem4d(SIGMA).tau("half", E)
     assert all(k.denominator == 2 for k in tau1.sectors)
 
 
@@ -85,17 +139,16 @@ def test_double_backlund_returns_tau():
     # two half steps are one k_step: the lattice moved alone gives tau with
     # its sectors relabelled down by one, and the sector offset moves them back
     s4 = TauSystem4d(SIGMA)
-    tau = build_tau(s4.kiev(), E)
-    twice = _twice(s4.kiev_half())
-    assert twice.k_offset == s4.kiev().k_step
+    tau = s4.tau("kiev", E)
+    twice = _twice(s4.recipes["half"])
+    assert twice.k_offset == s4.recipes["kiev"].k_step
     assert fs_eq(build_tau(dataclasses.replace(twice, fourier_offset=F(0)), E),
                  _relabelled(tau, -1))
     assert fs_eq(build_tau(twice, E), tau)
 
 
 def test_fourier_offset_equals_relabel():
-    s4 = TauSystem4d(SIGMA)
-    spec = s4.kiev()
+    spec = TauSystem4d(SIGMA).recipes["kiev"]
     tau = build_tau(spec, E)
     off = build_tau(dataclasses.replace(
         spec, fourier_offset=spec.fourier_offset + 1), E)
@@ -105,16 +158,16 @@ def test_fourier_offset_equals_relabel():
 
 def test_q_double_backlund_returns_tau():
     sq = TauSystemQ(SMP)
-    tau = build_tau(sq.kiev(0), E)
-    twice = _twice(sq.kiev(1))
-    assert twice.k_offset == sq.kiev(0).k_step
+    tau = sq.tau("kiev0", E)
+    twice = _twice(sq.recipes["kiev1"])
+    assert twice.k_offset == sq.recipes["kiev0"].k_step
     assert fs_eq(build_tau(dataclasses.replace(twice, fourier_offset=F(0)), E),
                  _relabelled(tau, -1))
     assert fs_eq(build_tau(twice, E), tau)
 
 
 def test_lattice_steps_from_the_offset():
-    spec = TauSystem4d(SIGMA).kiev_half()
+    spec = TauSystem4d(SIGMA).recipes["half"]
     assert spec.lattice(0) == spec.k_offset
     k1, k2 = spec.lattice(1)
     assert (k1 - spec.k_offset[0], k2 - spec.k_offset[1]) == spec.k_step
@@ -124,7 +177,7 @@ def test_lattice_steps_from_the_offset():
 def test_4d_half_step_is_sigma_plus_half(sigma):
     # a = -2 sigma: sigma -> sigma + 1/2 is a -> a - 1, one step (0, 1) of
     # eps2 = -1, on the half-integer sectors
-    spec = TauSystem4d(sigma).kiev_half()
+    spec = TauSystem4d(sigma).recipes["half"]
     (k1, k2), th = spec.k_offset, spec.base.th
     assert (spec.k_offset, spec.fourier_offset) == ((0, 1), F(1, 2))
     assert k1 * th.e1 + k2 * th.e2 == -1
@@ -134,16 +187,16 @@ def test_4d_half_step_is_sigma_plus_half(sigma):
 def test_q_half_steps_are_u_times_q(smp):
     # u = q^{2 sigma}: sigma -> sigma + 1/2 and u -> u q both move Lu by dq;
     # each recipe writes out its own lattice path to that point
-    sq = TauSystemQ(smp)
-    recipes = {"kiev(1)": (sq.kiev(1), (0, 1), F(1, 2)),
-               "short_uq(+1)": (sq.short_uq(+1), (-1, 0), F(1, 4)),
-               "short_uq(-1)": (sq.short_uq(-1), (-1, -1), F(1, 4))}
-    for name, (spec, offset, sector) in recipes.items():
+    recipes = TauSystemQ(smp).recipes
+    for name, offset, sector in (("kiev1", (0, 1), F(1, 2)),
+                                 ("plus_uq", (-1, 0), F(1, 4)),
+                                 ("minus_uq", (-1, -1), F(1, 4))):
+        spec = recipes[name]
         (k1, k2), th = spec.k_offset, spec.base.th
         assert (spec.k_offset, spec.fourier_offset) == (offset, sector), name
         assert k1 * th.E1 + k2 * th.E2 == smp.dq, name
-    for sign in (1, -1):
-        short, uq = sq.short(sign), sq.short_uq(sign)
+    for short in ("plus", "minus"):
+        short, uq = recipes[short], recipes[short + "_uq"]
         assert (uq.base, uq.k_step, uq.sector_step) == (
             short.base, short.k_step, short.sector_step)
 
@@ -155,7 +208,7 @@ def test_q_half_steps_are_u_times_q(smp):
 
 def test_zeta_of_scaled_tau_adds_constant():
     # multiplying tau by z^K adds K to zeta = theta(tau)/tau
-    tau = build_tau(TauSystem4d(SIGMA).kiev(), EB)
+    tau = TauSystem4d(SIGMA).tau("kiev", EB)
     z0 = zeta_from_tau(tau)
     zK = zeta_from_tau(tau.shift(F(5, 3)))
     K = FourierSeries.single(
