@@ -7,8 +7,8 @@ verify  run catalog checks and write a deterministic JSON/CSV report.
         Exit code 0 iff every theorem- and derived-status check passed, 1
         when one of them failed, 2 on a configuration error (found before
         any computation, e.g. a config-file key that is not a flag's, a
-        value of the wrong type, an empty selection, a repeated id, an
-        unknown dump selector, an order below an
+        value of the wrong type, an empty selection, a repeated id, `all`
+        beside other ids, an unknown dump selector, an order below an
         entry's lowest meaningful order, a --corrupt-coefficient exponent
         above the order of every selected check, more samples than its
         pool holds or a report path in a directory that does not exist;
@@ -178,6 +178,8 @@ def build_config(args) -> RunConfig:
         ids = list(idmod.CATALOG)
     if isinstance(ids, str):
         ids = [ids]
+    if "all" in ids:
+        raise ConfigError("`all` must be the only id")
     if not ids:
         raise ConfigError("no identity selected")
     unknown = [i for i in ids if i not in idmod.CATALOG]

@@ -13,6 +13,10 @@ Conventions: the series variable z carries four units of the mass scale
 t (the 5d series and modes take t itself), and 4d equivariant parameters
 are literal rationals.
 
+Each instanton coefficient is a partitions.pair_sum over tables of
+per-diagram factors.  A 4d or 5d coefficient builds its tables for itself;
+the four-flavour series builds one matter_kernel for all its degrees.
+
 Values are memoised only in a dict the caller passes as ``memo`` (one
 verification run's, see identities.Context), each through ``memoized``
 under a kind name and the arguments the value depends on: the instanton
@@ -30,11 +34,14 @@ from math import lcm
 from .partitions import (
     BinomialTable,
     BoxWeights,
-    cs_weight,
-    enumerate_pairs,
-    gaussian_ratio,
+    attempt,
+    cs_exponent,
+    diagram_entry,
+    diagram_tables,
     mul_factors_4d,
     mul_factors_5d,
+    pair_sum,
+    partition_table,
 )
 from .rationals import GaussianRational
 from .sampling import ParameterSample
@@ -105,14 +112,20 @@ def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int) -> Frac:
     L = lcm(a.denominator, e1.denominator, e2.denominator)
     A = int(a * L)
     weights = BoxWeights(e1 * L, e2 * L)
-    total = Frac(0)
-    for lam1, lam2 in enumerate_pairs(d):
-        den = mul_factors_4d(1, lam1, lam1, weights, 0)
-        den = mul_factors_4d(den, lam1, lam2, weights, A)
-        den = mul_factors_4d(den, lam2, lam1, weights, -A)
-        den = mul_factors_4d(den, lam2, lam2, weights, 0)
-        total += Frac(1, den)
-    return total * L ** (4 * d)
+
+    def inverse_diagonal(lam):
+        return 1, 0, mul_factors_4d(1, lam, lam, weights, 0)
+
+    def entries(lam):
+        inv = attempt(inverse_diagonal, lam)
+        return diagram_entry(0, [inv], []), diagram_entry(0, [], [inv])
+
+    def factor(acc, lam, mu, s):
+        return mul_factors_4d(acc[0], lam, mu, weights, A if s == 1 else -A), 0, 1
+
+    parts = partition_table(d)
+    sums = pair_sum(d, parts, *diagram_tables(parts, entries), factor)
+    return sums[0][0] * L ** (4 * d)
 
 
 def inst_series_4d(th: Theory4d, a: Frac, order, *, memo=None) -> PuiseuxSeries:
@@ -120,22 +133,43 @@ def inst_series_4d(th: Theory4d, a: Frac, order, *, memo=None) -> PuiseuxSeries:
         memo, ("inst_coeff_4d", th, a, d), lambda: inst_coeff_4d(th.e1, th.e2, a, d)))
 
 
+_ONE = (1, 0, 1)
+
+
+def _inverse_diagonal_5d(lam, weights: BoxWeights, table: BinomialTable):
+    """1 / N_{lam lam} at u = 1 as a triple; a table of coefficient 1 keeps
+    the factor real."""
+    re, _, den = mul_factors_5d(_ONE, lam, lam, weights, table, 0)
+    return den, 0, re
+
+
 def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> SymExpr:
-    one = GaussianRational(1)
-    weights, table = BoxWeights(E1, E2), BinomialTable(one, t)
+    weights, table = BoxWeights(E1, E2), BinomialTable(GaussianRational(1), t)
+    half = Lu / 2
+
+    def entries(lam):
+        inv = attempt(_inverse_diagonal_5d, lam, weights, table)
+        # the Chern-Simons weight of each diagram is a power of t: its key
+        return (diagram_entry(cs_exponent(lam, m, half, E1, E2), [inv], []),
+                diagram_entry(cs_exponent(lam, m, -half, E1, E2), [], [inv]))
+
+    def factor(acc, lam, mu, s):
+        return mul_factors_5d(acc, lam, mu, weights, table, Lu if s == 1 else -Lu)
+
+    parts = partition_table(d)
+    sums = pair_sum(d, parts, *diagram_tables(parts, entries), factor)
+    # the degree-d weight carries (q1 q2)^{-d}; integer powers of t are
+    # rational and add up as Fractions
+    base = -(E1 + E2) * d
+    rational = Frac(0)
     total = SymExpr.zero()
-    for lam1, lam2 in enumerate_pairs(d):
-        den = mul_factors_5d((1, 0, 1), lam1, lam1, weights, table, 0)
-        den = mul_factors_5d(den, lam1, lam2, weights, table, Lu)
-        den = mul_factors_5d(den, lam2, lam1, weights, table, -Lu)
-        den = mul_factors_5d(den, lam2, lam2, weights, table, 0)
-        term = SymExpr.from_rational(gaussian_ratio((1, 0, 1), den))
-        if m:
-            term = term * cs_weight(lam1, m, one, Lu / 2, E1, E2, t)
-            term = term * cs_weight(lam2, m, one, -Lu / 2, E1, E2, t)
-        total = total + term
-    # the degree-d weight carries (q1 q2)^{-d}
-    return total * rational_power(t, -(E1 + E2) * d)
+    for e, (re, _) in sums.items():
+        e += base
+        if e.denominator == 1:
+            rational += re * t ** e.numerator
+        else:
+            total = total + rational_power(t, e) * re
+    return total + SymExpr.from_rational(rational)
 
 
 def inst_series_5d(th: Theory5d, Lu: Frac, t: Frac, order, *, memo=None) -> PuiseuxSeries:
@@ -144,8 +178,10 @@ def inst_series_5d(th: Theory5d, Lu: Frac, t: Frac, order, *, memo=None) -> Puis
         lambda: _inst_coeff_5d(th.E1, th.E2, th.m, Lu, t, d)))
 
 
-def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int) -> SymExpr:
-    """Coefficient of z^d of the four-flavour sum with bases (q^{-1}, q).
+def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
+    """The four-flavour pair sum through z^order: (parts, first, second,
+    factor) for pair_sum.  Each diagram's eight numerator products and its
+    N_{lam lam} are made once here; a pair adds only N_{lam1 lam2} N_{lam2 lam1}.
 
     vs: mapping with keys "0", "t", "1", "inf"; each value is a pair
     (coef: GaussianRational, p: Frac) encoding the multiplicative weight
@@ -153,7 +189,8 @@ def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int) -> SymEx
     """
     dq = sample.dq
     t = sample.t
-    E1, E2 = Frac(-dq), Frac(dq)
+    weights = BoxWeights(Frac(-dq), Frac(dq))
+    one_tab = BinomialTable(GaussianRational(1), t)
     c0, p0 = vs["0"]
     ct, pt = vs["t"]
     c1, p1 = vs["1"]
@@ -162,37 +199,54 @@ def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int) -> SymEx
     def gpow(c: GaussianRational, k: int) -> GaussianRational:
         return c ** k if k >= 0 else c.inverse() ** (-k)
 
-    one_tab = BinomialTable(GaussianRational(1), t)
-    weights = BoxWeights(E1, E2)
-    # per sign pair (eps, epsp): the a- and b-type numerator factors, with
-    # their coefficient tables and t-exponents, and the denominator exponent
-    signs = [
-        (eps, epsp,
-         BinomialTable(gpow(cinf, eps) * c1.inverse(), t),
-         dq * (eps * pinf - p1 - epsp * sigma),
-         BinomialTable(gpow(c0, -eps) * ct.inverse(), t),
-         dq * (epsp * sigma - pt - eps * p0),
-         dq * (eps - epsp) * sigma)
+    # per sign pair (eps, epsp): the a- and b-type numerator factors of the
+    # epsp diagram, with their coefficient tables and t-exponents
+    signs = {
+        (eps, epsp): (BinomialTable(gpow(cinf, eps) * c1.inverse(), t),
+                      dq * (eps * pinf - p1 - epsp * sigma),
+                      BinomialTable(gpow(c0, -eps) * ct.inverse(), t),
+                      dq * (epsp * sigma - pt - eps * p0))
         for eps in (1, -1) for epsp in (1, -1)
-    ]
+    }
 
-    total_re, total_im = Frac(0), Frac(0)
-    for lam1, lam2 in enumerate_pairs(d):
-        diagrams = {1: lam1, -1: lam2}
-        num = den = (1, 0, 1)
-        for eps, epsp, a_tab, a_texp, b_tab, b_texp, d_texp in signs:
-            mu = diagrams[epsp]
-            num = mul_factors_5d(num, (), mu, weights, a_tab, a_texp)
-            num = mul_factors_5d(num, mu, (), weights, b_tab, b_texp)
-            den = mul_factors_5d(den, diagrams[eps], mu, weights, one_tab, d_texp)
-        term = gaussian_ratio(num, den)
-        total_re += term.re
-        total_im += term.im
-    return SymExpr.from_rational(GaussianRational(total_re, total_im))
+    def numerator(lam, a_tab, a_texp, b_tab, b_texp):
+        num = mul_factors_5d(_ONE, (), lam, weights, a_tab, a_texp)
+        return mul_factors_5d(num, lam, (), weights, b_tab, b_texp)
+
+    def entries(lam):
+        num = {sign: attempt(numerator, lam, *tabs) for sign, tabs in signs.items()}
+        inv = attempt(_inverse_diagonal_5d, lam, weights, one_tab)
+        # the box-by-box order is sign (1, 1), (1, -1), (-1, 1), (-1, -1),
+        # each sign's a and b factors then its N; (1, -1) and (-1, 1) hold
+        # the pair factors
+        return (diagram_entry(0, [num[1, 1], inv], [num[-1, 1]]),
+                diagram_entry(0, [num[1, -1]], [num[-1, -1], inv]))
+
+    # N_{lam1 lam2} at sign (1, -1) and N_{lam2 lam1} at (-1, 1)
+    u = 2 * dq * sigma
+
+    def factor(acc, lam, mu, s):
+        return mul_factors_5d(acc, lam, mu, weights, one_tab, u if s == 1 else -u)
+
+    parts = partition_table(order)
+    return (parts, *diagram_tables(parts, entries), factor)
+
+
+def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int,
+                      kernel=None) -> SymExpr:
+    """Coefficient of z^d of the four-flavour sum with bases (q^{-1}, q).
+
+    kernel: a matter_kernel of these inputs through some order >= d, made
+    here through d if not given.
+    """
+    parts, first, second, factor = kernel or matter_kernel(vs, sigma, sample, d)
+    ((re, im),) = pair_sum(d, parts, first, second, factor).values()
+    return SymExpr.from_rational(GaussianRational(re, im))
 
 
 def inst_series_matter(vs, sigma: Frac, sample: ParameterSample, order) -> PuiseuxSeries:
-    return _series(order, lambda d: inst_coeff_matter(vs, sigma, sample, d))
+    kernel = matter_kernel(vs, sigma, sample, int(Frac(order)))
+    return _series(order, lambda d: inst_coeff_matter(vs, sigma, sample, d, kernel))
 
 
 # ---------------------------------------------------------------------------

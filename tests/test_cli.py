@@ -92,6 +92,20 @@ def test_verify_repeated_id_exit_two(tmp_path, source):
     assert r.stderr.splitlines() == ["configuration error: repeated identity id(s): NYtaupm"]
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_verify_all_with_other_ids_exit_two(tmp_path, source):
+    # `all` was accepted only as the whole selection, and reported as an
+    # unknown id beside others
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identities": ["NY", "all"]}))
+    argv = (["--id", "all", "--id", "NY"] if source == "flags"
+            else ["--config", str(cfg)])
+    r = run_cli("verify", *argv)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["configuration error: `all` must be the only id"]
+
+
 def test_verify_bad_order_exit_two():
     r = run_cli("verify", "--id", "NY", "--order", "0")
     assert r.returncode == 2

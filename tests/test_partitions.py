@@ -1,5 +1,6 @@
 """Young-diagram combinatorics and per-box weight factors."""
 
+import gc
 import time
 from fractions import Fraction as F
 
@@ -7,16 +8,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nektau.identities as idmod
-from nektau.nekrasov import _inst_coeff_5d, inst_coeff_4d, inst_coeff_matter
+from nektau import nekrasov
+from nektau.nekrasov import (
+    _inst_coeff_5d,
+    inst_coeff_4d,
+    inst_coeff_matter,
+    inst_series_matter,
+)
 from nektau.partitions import (
+    BoxWeights,
+    Vanished,
     boxes,
     conjugate,
-    cs_weight,
+    cs_exponent,
     enumerate_pairs,
     n_factor_4d,
     n_factor_5d,
-    pair_offsets,
-    partitions_of,
+    pair_sum,
+    partition_table,
 )
 from nektau.rationals import GaussianRational as G
 from nektau.symbols import SymExpr, ZeroFactor, rational_power
@@ -26,18 +35,37 @@ PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
 def test_partition_counts():
-    for n, want in enumerate(PARTITION_COUNTS):
-        assert len(partitions_of(n)) == want
+    parts = partition_table(10)
+    assert [len(row) for row in parts] == PARTITION_COUNTS
+    assert partition_table(0) == [((),)]
 
 
 def test_partitions_are_valid():
+    parts = partition_table(8)
     for n in range(8):
-        for lam in partitions_of(n):
+        # a table of a lower order is the same prefix
+        assert partition_table(n) == parts[:n + 1]
+        row = parts[n]
+        assert list(row) == sorted(row, reverse=True)
+        for lam in row:
             assert sum(lam) == n
             assert all(a >= b for a, b in zip(lam, lam[1:]))
             assert all(p > 0 for p in lam)
     # no duplicates
-    assert len(set(partitions_of(7))) == len(partitions_of(7))
+    assert len(set(parts[7])) == len(parts[7])
+
+
+def test_partition_table_leaves_no_reference_cycle():
+    # the recursive builder it replaced left each call's closure in a
+    # cycle with its output list until a full garbage collection
+    gc.collect()
+    gc.disable()
+    try:
+        partition_table(8)
+        list(enumerate_pairs(6))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pair_count():
@@ -61,7 +89,7 @@ def test_pair_enumeration_size6_under_one_second():
 
 @given(st.integers(min_value=0, max_value=8))
 def test_conjugate_involution(n):
-    for lam in partitions_of(n):
+    for lam in partition_table(n)[n]:
         assert conjugate(conjugate(lam)) == lam
         assert sum(conjugate(lam)) == sum(lam)
 
@@ -95,13 +123,15 @@ def test_arm_leg_relative_negative():
 
 
 def test_pair_offsets_are_the_arm_leg_offsets():
-    # the offsets from row lengths and conjugates, in box order, against
-    # arm_leg per box
+    # the box weights from row lengths and conjugates, in box order, against
+    # arm_leg per box; at (e1, e2) = (1, 100) a weight 100 p + q with |q| < 50
+    # stands for its offsets (p, q)
+    weights = BoxWeights(F(1), F(100))
     for d in range(11):
         for lam, mu in enumerate_pairs(d):
             ref = [(-arm_leg(mu, s)[0] - 1, arm_leg(lam, s)[1]) for s in boxes(lam)]
             ref += [(arm_leg(lam, s)[0], -arm_leg(mu, s)[1] - 1) for s in boxes(mu)]
-            assert pair_offsets(lam, mu) == ref, (lam, mu)
+            assert weights(lam, mu) == [100 * p + q for p, q in ref], (lam, mu)
 
 
 def test_boxes_count():
@@ -158,18 +188,19 @@ def test_n_factor_5d_integer_exponent_guard():
 
 
 def test_cs_weight_levels():
-    assert cs_weight((2, 1), 0, G(1), F(0), F(1), F(2), F(1, 3)).rational_value() == G(1)
-    assert cs_weight((), 2, G(1), F(0), F(1), F(2), F(1, 3)).rational_value() == G(1)
+    assert cs_exponent((2, 1), 0, F(0), F(1), F(2)) == 0
+    assert cs_exponent((), 2, F(0), F(1), F(2)) == 0
     with pytest.raises(ValueError):
-        cs_weight((1,), 3, G(1), F(0), F(1), F(2), F(1, 3))
+        cs_exponent((1,), 3, F(0), F(1), F(2))
 
 
 def test_cs_weight_multiplicative_in_level():
     lam = (2, 1)
-    args = (G(1, 1), F(2), F(4), F(-8), F(1, 3))
-    w1 = cs_weight(lam, 1, *args)
-    w2 = cs_weight(lam, 2, *args)
-    assert (w2 - w1 * w1).is_zero()
+    args = (F(2), F(4), F(-8))
+    assert cs_exponent(lam, 2, *args) == 2 * cs_exponent(lam, 1, *args)
+    assert cs_exponent(lam, 1, *args) == \
+        sum(-args[0] + args[1] * (1 - i) + args[2] * (1 - j) for i, j in boxes(lam)) \
+        - F(3, 2) * (args[1] + args[2])
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +327,128 @@ def test_n_factor_4d_matches_per_factor_route(a, e1, e2, kinds):
     assert seen == kinds
 
 
+def ref_inst_coeff_4d(e1, e2, a, d):
+    return sum((1 / (ref_n_factor_4d(l1, l1, F(0), e1, e2)
+                     * ref_n_factor_4d(l1, l2, a, e1, e2)
+                     * ref_n_factor_4d(l2, l1, -a, e1, e2)
+                     * ref_n_factor_4d(l2, l2, F(0), e1, e2))
+                for l1, l2 in enumerate_pairs(d)), F(0))
+
+
+def ref_cs_weight(lam, m, u_texp, E1, E2, t):
+    """T_lam(u)^m (q1 q2)^{-m|lam|/2}, one box at a time."""
+    out = rational_power(t, -(E1 + E2) * m * sum(lam) / 2)
+    for i, j in boxes(lam):
+        out = out * rational_power(t, m * (-u_texp + E1 * (1 - i) + E2 * (1 - j)))
+    return out
+
+
+def ref_inst_coeff_5d(E1, E2, m, Lu, t, d):
+    want = SymExpr.zero()
+    for l1, l2 in enumerate_pairs(d):
+        den = (ref_n_factor_5d(l1, l1, G(1), F(0), E1, E2, t)
+               * ref_n_factor_5d(l1, l2, G(1), Lu, E1, E2, t)
+               * ref_n_factor_5d(l2, l1, G(1), -Lu, E1, E2, t)
+               * ref_n_factor_5d(l2, l2, G(1), F(0), E1, E2, t))
+        want = want + (SymExpr.from_rational(den.inverse())
+                       * ref_cs_weight(l1, m, Lu / 2, E1, E2, t)
+                       * ref_cs_weight(l2, m, -Lu / 2, E1, E2, t))
+    return want * rational_power(t, -(E1 + E2) * d)
+
+
 def test_pair_sums_match_per_factor_route():
     for e1, e2, a in idmod.POOL_4D_EPS[:2]:
         for d in range(5):
-            want = sum((1 / (ref_n_factor_4d(l1, l1, F(0), e1, e2)
-                             * ref_n_factor_4d(l1, l2, a, e1, e2)
-                             * ref_n_factor_4d(l2, l1, -a, e1, e2)
-                             * ref_n_factor_4d(l2, l2, F(0), e1, e2))
-                        for l1, l2 in enumerate_pairs(d)), F(0))
-            assert inst_coeff_4d(e1, e2, a, d) == want
+            assert inst_coeff_4d(e1, e2, a, d) == ref_inst_coeff_4d(e1, e2, a, d)
     t, E1, E2, Lu = idmod.POOL_5D[0]
     for d in range(5):
-        want = SymExpr.zero()
-        for l1, l2 in enumerate_pairs(d):
-            den = (ref_n_factor_5d(l1, l1, G(1), F(0), E1, E2, t)
-                   * ref_n_factor_5d(l1, l2, G(1), Lu, E1, E2, t)
-                   * ref_n_factor_5d(l2, l1, G(1), -Lu, E1, E2, t)
-                   * ref_n_factor_5d(l2, l2, G(1), F(0), E1, E2, t))
-            want = want + SymExpr.from_rational(den.inverse())
-        want = want * rational_power(t, -(E1 + E2) * d)
-        assert _inst_coeff_5d(E1, E2, 0, Lu, t, d) == want
+        assert _inst_coeff_5d(E1, E2, 0, Lu, t, d) == ref_inst_coeff_5d(E1, E2, 0, Lu, t, d)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("row", [*idmod.POOL_5D[:2], (F(1, 3), F(2), F(-4), F(1))])
+def test_inst_coeff_5d_matches_per_factor_route_at_cs_levels(m, row):
+    # the Chern-Simons weights group a coefficient's pairs by t-exponent; at
+    # an odd Lu, level 1 and an odd degree the exponents are half-integers
+    t, E1, E2, Lu = row
+    for d in range(5):
+        got = _inst_coeff_5d(E1, E2, m, Lu, t, d)
+        assert got == ref_inst_coeff_5d(E1, E2, m, Lu, t, d), d
+        if d:
+            assert got != _inst_coeff_5d(E1, E2, 0, Lu, t, d)
+            assert (got.rational_value() is None) == (Lu == 1 and m == 1 and d % 2 == 1)
+
+
+# each row names the outcomes it must produce at d <= 3
+@pytest.mark.parametrize("kernel,ref,args,kinds", [
+    (inst_coeff_4d, ref_inst_coeff_4d, (F(1), F(-1), F(1)), ["value", "ZeroFactor"]),
+    (inst_coeff_4d, ref_inst_coeff_4d, (F(2), F(-1), F(1)), ["value", "ZeroFactor"]),
+    (inst_coeff_4d, ref_inst_coeff_4d, (F(1), F(-2), F(-3)), ["value", "ZeroFactor"]),
+    (_inst_coeff_5d, ref_inst_coeff_5d, (F(1), F(-1), 1, F(2), F(1, 3)),
+     ["value", "ZeroFactor"]),
+    (_inst_coeff_5d, ref_inst_coeff_5d, (F(2), F(-1), 0, F(-1), F(2, 5)),
+     ["value", "ZeroFactor"]),
+    (_inst_coeff_5d, ref_inst_coeff_5d, (F(1), F(2), 2, F(1, 2), F(1, 3)),
+     ["value", "ValueError"]),
+])
+def test_pair_sums_raise_the_first_failing_factor(kernel, ref, args, kinds):
+    # a vanishing or non-integral factor raises with the box the pair-by-pair
+    # product meets first
+    seen = []
+    for d in range(4):
+        got = _outcome(kernel, *args, d)
+        assert got == _outcome(ref, *args, d), d
+        seen.append(_kind(got))
+    assert sorted(set(seen)) == sorted(kinds)
+
+
+def test_pair_sum_groups_by_key_and_divides_by_the_pair_factors():
+    # values (re + im i) / den at a key; each pair factor is 2 or 3 here
+    parts = partition_table(1)
+    first = {(): (0, 1, 0, 1), (1,): (1, 1, 2, 3)}
+    second = {(): (F(1, 2), 5, 0, 1), (1,): (0, 0, -1, 2)}
+
+    def factor(acc, lam, mu, s):
+        return acc[0] * (2 if s == 1 else 3), 0, acc[2]
+
+    # ((), (1,)): 1 * (-i/2) / 6 at key 0; ((1,), ()): (1 + 2i)/3 * 5 / 6 at key 3/2
+    assert pair_sum(1, parts, first, second, factor) == {
+        0: [0, F(-1, 12)], F(3, 2): [F(5, 18), F(10, 18)]}
+    assert pair_sum(0, parts, first, second, factor) == {F(1, 2): [F(5, 6), 0]}
+
+
+def test_pair_sum_raises_in_box_by_box_order():
+    # in the pair ((1,), (1,)) a failure can sit in lam1's or lam2's own
+    # factors ahead of the pair factors (b1, b2), in N_{lam1 lam2} (N12), in
+    # lam1's own factors after it (a1), in N_{lam2 lam1} (N21) or in lam2's
+    # own factors after that (a2); the first of them in that order is raised
+    order = ["b1", "b2", "N12", "a1", "N21", "a2"]
+    parts = partition_table(2)
+    plain = (0, 1, 0, 1)
+
+    def entry(exc, before, after):
+        if before in exc:
+            return Vanished(exc[before], None)
+        return Vanished(None, exc[after]) if after in exc else plain
+
+    for mask in range(1, 2 ** len(order)):
+        failing = [name for k, name in enumerate(order) if mask >> k & 1]
+        exc = {name: ZeroFactor(name) for name in failing}
+        first = {lam: plain for row in parts for lam in row}
+        second = dict(first)
+        first[1,] = entry(exc, "b1", "a1")
+        second[1,] = entry(exc, "b2", "a2")
+
+        def factor(acc, lam, mu, s):
+            name = "N12" if s == 1 else "N21"
+            if name in exc and (lam, mu) == ((1,), (1,)):
+                raise exc[name]
+            return acc
+
+        # ((), (2,)), ((), (1, 1)) and then ((1,), (1,))
+        with pytest.raises(ZeroFactor) as info:
+            pair_sum(2, parts, first, second, factor)
+        assert str(info.value) == failing[0]
 
 
 def _matter_inputs():
@@ -336,6 +469,41 @@ def test_inst_coeff_matter_matches_per_factor_route(vs):
             ref_inst_coeff_matter(vs, smp.sigma, smp, d)
 
 
+@pytest.mark.parametrize("k", range(len(idmod.POOL_QP)))
+def test_matter_series_matches_per_factor_route_on_every_sample(k):
+    # one kernel per series, made through its order, serves each degree; the
+    # last input has non-real numerator factors
+    smp = idmod.POOL_QP[k]
+    complex_vs = {"0": (G(F(2, 3), F(1, 5)), F(0)), "t": (G(1, -2), F(0)),
+                  "1": (G(F(-3, 2)), F(1)), "inf": (G(0, F(5, 3)), F(1, 2))}
+    for vs in _matter_inputs() + [complex_vs]:
+        series = inst_series_matter(vs, smp.sigma, smp, F(5))
+        for d in range(6):
+            assert series.coeff(F(d)) == ref_inst_coeff_matter(vs, smp.sigma, smp, d), d
+
+
+def test_matter_coefficient_multiplies_two_pair_factors_per_pair(monkeypatch):
+    calls = []
+    real = nekrasov.mul_factors_5d
+
+    def counting(acc, lam, mu, *args):
+        calls.append((lam, mu))
+        return real(acc, lam, mu, *args)
+
+    monkeypatch.setattr(nekrasov, "mul_factors_5d", counting)
+    smp = idmod.POOL_QP[0]
+    inst_coeff_matter(_matter_inputs()[0], smp.sigma, smp, 6)
+    pairs = list(enumerate_pairs(6))
+    diagrams = [lam for row in partition_table(6) for lam in row]
+    # per diagram: the a- and b-type numerators of four signs and N_{lam lam}
+    assert len(calls) == 2 * len(pairs) + 9 * len(diagrams)
+    # the calls on two non-empty diagrams: each pair's two pair factors and
+    # each diagram's N_{lam lam}
+    want = [p for l1, l2 in pairs if l1 and l2 for p in ((l1, l2), (l2, l1))]
+    want += [(lam, lam) for lam in diagrams if lam]
+    assert sorted(c for c in calls if c[0] and c[1]) == sorted(want)
+
+
 def test_inst_coeff_matter_guards_match_per_factor_route():
     i1 = G(0, 1)
     smp = idmod.POOL_QP[0]
@@ -354,3 +522,18 @@ def test_inst_coeff_matter_guards_match_per_factor_route():
             assert got == _outcome(ref_inst_coeff_matter, vs, sigma, smp, d)
             kinds.append(_kind(got))
         assert kinds == ["value", kind, kind]
+
+
+def test_inst_coeff_matter_raises_the_first_failing_factor():
+    # at sigma = 1/2, N_{() (2,)} vanishes at box (1, 2) in the pair
+    # ((), (2,)), whose later numerator (1 - c0/ct t^{-4}) vanishes at box
+    # (1, 1) of (2,)/() too: the pair factor comes first
+    smp = idmod.POOL_QP[0]
+    t = smp.t
+    vs = {"0": (G(t ** 5), F(0)), "t": (G(t), F(0)), "1": (G(1), F(0)),
+          "inf": (G(1), F(0))}
+    got = [_outcome(inst_coeff_matter, vs, F(1, 2), smp, d) for d in range(4)]
+    assert got == [_outcome(ref_inst_coeff_matter, vs, F(1, 2), smp, d) for d in range(4)]
+    assert got[1:3] == [("ZeroFactor", "5d factor vanished at box (1, 1) of (1,)/()"),
+                        ("ZeroFactor", "5d factor vanished at box (1, 2) of ()/(2,)")]
+
