@@ -10,6 +10,11 @@ All tau-level checks run in relative normalization (see tau.py), where the
 shared absolute normalizers cancel and each bilinear identity holds with
 constant exactly 1.
 
+The eight 5d blowup entries (qNY1-3, qNYCS1-3, qNYCShi, qNYD12diff) list
+parts (name, m, x, j) of one relation, run by run_q_blowup: at Chern-Simons
+level m, with q_i = t^{E_i} and A_n, B_n the modes of the level-m pair,
+(-sgn x)^j (q1 q2)^{jx} z^{j/4} Z_m = sum_{n in Z + j/2} A_n(q1^{4x} z) B_n(q2^{4x} z).
+
 Branch convention: quarter powers of z are checked after the single global
 substitution z^{1/4} -> OMEGA * z^{1/4} with OMEGA = -1, together with the
 odd-mode Gaussian unit kappa = -i of the parity tau (tau.py "long1").  Under
@@ -293,7 +298,7 @@ def _pair_4d(e1, e2, a, memo):
     return A, B
 
 
-def _pair_5d(t, E1, E2, Lu, memo, m=0):
+def _pair_5d(t, E1, E2, Lu, memo, m):
     A = RelativeZ5d(Theory5d(E1, E2 - E1, m), Lu, t, memo=memo)
     B = RelativeZ5d(Theory5d(E1 - E2, E2, m), Lu, t, memo=memo)
     return A, B
@@ -545,67 +550,27 @@ def run_KZsq(sigma, E, ctx):
 # ---------------------------------------------------------------------------
 
 
-def run_qNY1(sample, E, ctx):
-    t, E1, E2, Lu = sample
-    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo)
-    ZC = ctx.corrupted(inst_series_5d(Theory5d(E1, E2), Lu, t, E, memo=ctx.memo))
-    return [(f"half-unit downward dilation, offset j={j}",
-             ZC.shift(Frac(j, 4)).scale(rational_power(t, -Frac(j) * (E1 + E2) / 4)),
-             _mode_sum(A, B, E, Frac(j, 2), _dilated(t, -E1, -E2)))
-            for j in (0, 1)]
-
-
-def run_qNY2(sample, E, ctx):
-    t, E1, E2, Lu = sample
-    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo)
-    ZC = ctx.corrupted(inst_series_5d(Theory5d(E1, E2), Lu, t, E, memo=ctx.memo))
-    return [(f"undilated sum, offset j={j}", ZC.scale(Frac(1 - j)),
-             _mode_sum(A, B, E, Frac(j, 2), _dilated(t, Frac(0), Frac(0))))
-            for j in (0, 1)]
-
-
-def run_qNY3(sample, E, ctx):
-    t, E1, E2, Lu = sample
-    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo)
-    ZC = inst_series_5d(Theory5d(E1, E2), Lu, t, E, memo=ctx.memo)
-    return [(f"half-unit upward dilation, offset j={j}",
-             ZC.shift(Frac(j, 4)).scale(
-                 rational_power(t, Frac(j) * (E1 + E2) / 4) * Frac((-1) ** j)),
-             _mode_sum(A, B, E, Frac(j, 2), _dilated(t, E1, E2)))
-            for j in (0, 1)]
-
-
-def run_qNYCS(base_x):
-    """One of the three level-m dilation relations; base_x(m) gives the
-    dilation weight exponent x with Lambda -> q_i^x Lambda."""
+def run_q_blowup(parts, corrupt=False):
+    """The 5d blowup relation of the module docstring, one part per
+    (name, m, x, j), at a 5d-generic sample.  With corrupt, ctx's
+    corruption lands on Z_m before its shift and scale."""
 
     def run(sample, E, ctx):
         t, E1, E2, Lu = sample
-        parts = []
-        for m in (1, 2):
-            A, B = _pair_5d(t, E1, E2, Lu, ctx.memo, m=m)
-            ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, t, E, memo=ctx.memo)
-            x = base_x(m)
-            S = _mode_sum(A, B, E, Frac(0), _dilated(t, 4 * x * E1, 4 * x * E2))
-            parts.append((f"level m={m}", ZC, S))
-        return parts
+        Z = {m: inst_series_5d(Theory5d(E1, E2, m), Lu, t, E, memo=ctx.memo)
+             for m in dict.fromkeys(m for _, m, _, _ in parts)}
+        out = []
+        for name, m, x, j in parts:
+            lhs = ctx.corrupted(Z[m]) if corrupt else Z[m]
+            if j:  # (-sgn x)^j (q1 q2)^{jx} z^{j/4}
+                c = rational_power(t, j * x * (E1 + E2)) * Frac((x < 0) - (x > 0)) ** j
+                lhs = lhs.shift(Frac(j, 4)).scale(c)
+            A, B = _pair_5d(t, E1, E2, Lu, ctx.memo, m)
+            out.append((name, lhs, _mode_sum(A, B, E, Frac(j, 2),
+                                             _dilated(t, 4 * x * E1, 4 * x * E2))))
+        return out
 
     return run
-
-
-def run_qNYCShi(sample, E, ctx):
-    m = 1
-    t, E1, E2, Lu = sample
-    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo, m=m)
-    ZC = inst_series_5d(Theory5d(E1, E2, m), Lu, t, E, memo=ctx.memo)
-    return [(name, ZC.shift(QUARTER).scale(c),
-             _mode_sum(A, B, E, HALF, _dilated(t, 4 * x * E1, 4 * x * E2)))
-            for name, x, c in (
-                ("downward quarter dilation",
-                 Frac(-1, 4), rational_power(t, -(E1 + E2) / 4)),
-                ("upward quarter dilation",
-                 Frac(1, 4), rational_power(t, (E1 + E2) / 4) * Frac(-1)),
-            )]
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +578,9 @@ def run_qNYCShi(sample, E, ctx):
 # ---------------------------------------------------------------------------
 
 
-def run_qNYD12diff(smp, E, ctx):
-    dq = smp.dq
-    E1, E2 = Frac(-dq), Frac(dq)
-    Lu = smp.u_exp
-    A, B = _pair_5d(smp.t, E1, E2, Lu, ctx.memo)
-    ZC = inst_series_5d(Theory5d(E1, E2), Lu, smp.t, E, memo=ctx.memo)
-    return [(f"z^{{j/4}} Z at offset j={j}", ZC.shift(Frac(j, 4)),
-             _mode_sum(A, B, E, Frac(j, 2), _dilated(smp.t, -E1, -E2)))
-            for j in (0, 1)]
+def _at_5d_point(run):
+    """run, a 5d-generic check, at q1 = q^{-1}, q2 = q, u = q^{2 sigma}."""
+    return lambda smp, E, ctx: run((smp.t, Frac(-smp.dq), Frac(smp.dq), smp.u_exp), E, ctx)
 
 
 def run_qNYtaupm(smp, E, ctx):
@@ -823,7 +782,7 @@ def run_determlemma(sample, E, ctx):
         if not (k * E1 and k * E2 and k * (E1 - E2)):
             raise SingularSystem(
                 f"determinant vanishes at level {k}: E1={E1}, E2={E2}")
-    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo, m=2)
+    A, B = _pair_5d(t, E1, E2, Lu, ctx.memo, 2)
     xs = (Frac(-1, 2), Frac(-1, 4), Frac(0))
     parts = [("seed: both level-0 coefficients are 1",
               bool_report(
@@ -1035,32 +994,44 @@ CATALOG = {
                "4d-tau", 2, run_KZsq),
         _entry("qNY1", "theorem",
                r"(q_1^{-1/4}q_2^{-1/4}\Lambda)^{j}",
-               "5d-generic", 3, run_qNY1),
+               "5d-generic", 3, run_q_blowup(
+                   [(f"half-unit downward dilation, offset j={j}", 0, -QUARTER, j)
+                    for j in (0, 1)], corrupt=True)),
         _entry("qNY2", "theorem",
                r"(q_1^{-1/4}q_2^{-1/4}\Lambda)^{j}",
-               "5d-generic", 3, run_qNY2),
+               "5d-generic", 3, run_q_blowup(
+                   [(f"undilated sum, offset j={j}", 0, Frac(0), j) for j in (0, 1)],
+                   corrupt=True)),
         _entry("qNY3", "theorem",
                r"(q_1^{-1/4}q_2^{-1/4}\Lambda)^{j}",
-               "5d-generic", 3, run_qNY3),
+               "5d-generic", 3, run_q_blowup(
+                   [(f"half-unit upward dilation, offset j={j}", 0, QUARTER, j)
+                    for j in (0, 1)])),
         _entry("qNYCS1", "theorem",
                r"q_1^{-\frac14-\frac{m}8}\Lambda",
-               "5d-generic", 2, run_qNYCS(lambda m: Frac(-1, 4) - Frac(m, 8))),
+               "5d-generic", 2, run_q_blowup(
+                   [(f"level m={m}", m, -QUARTER - Frac(m, 8), 0) for m in (1, 2)])),
         _entry("qNYCS2", "theorem",
                r"q_1^{-\frac14-\frac{m}8}\Lambda",
-               "5d-generic", 2, run_qNYCS(lambda m: -Frac(m, 8))),
+               "5d-generic", 2, run_q_blowup(
+                   [(f"level m={m}", m, -Frac(m, 8), 0) for m in (1, 2)])),
         _entry("qNYCS3", "theorem",
                r"q_1^{-\frac14-\frac{m}8}\Lambda",
-               "5d-generic", 2, run_qNYCS(lambda m: Frac(1, 4) - Frac(m, 8))),
+               "5d-generic", 2, run_q_blowup(
+                   [(f"level m={m}", m, QUARTER - Frac(m, 8), 0) for m in (1, 2)])),
         _entry("qNYCShi", "theorem",
                r"-q_1q_2\Lambda\mathcal{Z}_m(u;q_1,q_2|\Lambda)",
-               "5d-generic", 2, run_qNYCShi,
+               "5d-generic", 2, run_q_blowup(
+                   [("downward quarter dilation", 1, -QUARTER, 1),
+                    ("upward quarter dilation", 1, QUARTER, 1)]),
                note="checked for level m=1 with prefactors (q1 q2)^{-1/4} "
                     "Lambda and -(q1 q2)^{1/4} Lambda, the half-offset "
                     "analogues of the integer-offset dilation weights; at "
                     "q1 q2 = 1 these reduce to the displayed +/- Lambda"),
         _entry("qNYD12diff", "theorem",
                r"z^{j/4}\mathcal{Z}(u;q^{-1},q|z)",
-               "q-painleve", 3, run_qNYD12diff),
+               "q-painleve", 3, _at_5d_point(run_q_blowup(
+                   [(f"z^{{j/4}} Z at offset j={j}", 0, -QUARTER, j) for j in (0, 1)]))),
         _entry("qNYtaupm", "theorem",
                r"\tau(\sg,s|z)=\uptau^+(\sg,s|z)\uptau^-(\sg,s|z)",
                "q-painleve", 2, run_qNYtaupm),

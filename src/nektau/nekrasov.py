@@ -196,15 +196,12 @@ def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
     c1, p1 = vs["1"]
     cinf, pinf = vs["inf"]
 
-    def gpow(c: GaussianRational, k: int) -> GaussianRational:
-        return c ** k if k >= 0 else c.inverse() ** (-k)
-
     # per sign pair (eps, epsp): the a- and b-type numerator factors of the
     # epsp diagram, with their coefficient tables and t-exponents
     signs = {
-        (eps, epsp): (BinomialTable(gpow(cinf, eps) * c1.inverse(), t),
+        (eps, epsp): (BinomialTable(cinf ** eps * c1.inverse(), t),
                       dq * (eps * pinf - p1 - epsp * sigma),
-                      BinomialTable(gpow(c0, -eps) * ct.inverse(), t),
+                      BinomialTable(c0 ** -eps * ct.inverse(), t),
                       dq * (epsp * sigma - pt - eps * p0))
         for eps in (1, -1) for epsp in (1, -1)
     }

@@ -36,14 +36,10 @@ from .nekrasov import (
 )
 from .rationals import GaussianRational
 from .sampling import ParameterSample
-from .symbols import NonInvertible, SymExpr, _frac
+from .symbols import SymExpr, _frac
 
 Frac = Fraction
 HALF = Frac(1, 2)
-
-
-class NonInvertibleLeading(NonInvertible):
-    """Series division needs a single-monomial leading coefficient."""
 
 
 @dataclass(frozen=True)
@@ -185,11 +181,7 @@ class TauSystemQ(TauSystem):
 
 def g_function(tau0: FourierSeries, tau1: FourierSeries) -> FourierSeries:
     """z^{1/2} tau0^2 / tau1^2."""
-    try:
-        inv = (tau1 * tau1).inverse()
-    except NonInvertible as exc:
-        raise NonInvertibleLeading(str(exc)) from exc
-    return ((tau0 * tau0) * inv).shift(HALF)
+    return ((tau0 * tau0) * (tau1 * tau1).inverse()).shift(HALF)
 
 
 def zeta_from_tau(tau: FourierSeries) -> FourierSeries:
@@ -198,8 +190,4 @@ def zeta_from_tau(tau: FourierSeries) -> FourierSeries:
     Series built relative to the n=0 normalization miss the reference
     classical exponent; callers add that rational offset themselves.
     """
-    try:
-        inv = tau.inverse()
-    except NonInvertible as exc:
-        raise NonInvertibleLeading(str(exc)) from exc
-    return tau.theta() * inv
+    return tau.theta() * tau.inverse()

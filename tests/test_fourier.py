@@ -147,7 +147,7 @@ def test_inverse_matches_geometric_sum(name, fs):
 
 
 @given(fseries())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_inverse_matches_geometric_sum_random(fs):
     try:
         want = ref_fs_inverse(fs)
@@ -353,14 +353,14 @@ def symbolic_fourier(draw):
 
 
 @given(symbolic_fourier(), symbolic_fourier())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_product_is_the_sector_pair_loop(f, g):
     assert_product_is_the_sector_pair_loop(f, g)
     assert_product_is_the_sector_pair_loop(f, f)
 
 
 @given(symbolic_series(), symbolic_series(), st.sampled_from([F(1), F(3)]))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_product_keeps_a_cancelled_sector(p, q, trunc):
     # sector 0 of f * g is p q - q p: zero, kept with its bound while that
     # is below the product's

@@ -96,6 +96,30 @@ def test_mutation_failure_localizes_residual():
     assert n_terms >= 1 and isinstance(rendered, str)
 
 
+#: the j = 1 parts of the q-blowup entries whose left side is not zero
+#: (qNY2's is: there the half-offset sum itself vanishes, so a sign flip
+#: cannot show); --corrupt-coefficient reaches only qNY1's
+HALF_OFFSET_PARTS = {
+    "qNY1": ["half-unit downward dilation, offset j=1"],
+    "qNY3": ["half-unit upward dilation, offset j=1"],
+    "qNYCShi": ["downward quarter dilation", "upward quarter dilation"],
+    "qNYD12diff": ["z^{j/4} Z at offset j=1"],
+}
+
+
+@pytest.mark.parametrize("id,k", [(id, k) for id in HALF_OFFSET_PARTS
+                                  for k in range(3)])
+def test_negated_half_offset_side_fails(id, k):
+    entry = idmod.CATALOG[id]
+    sample = idmod._POOLS[entry.domain][k]
+    E = entry.default_order
+    sides = {name: rest for name, *rest in entry.run(sample, E, idmod.Context())}
+    for name in HALF_OFFSET_PARTS[id]:
+        lhs, rhs = sides[name]
+        assert idmod._compare(lhs, rhs, E).ok
+        assert not idmod._compare(lhs.scale(-1), rhs, E).ok, name
+
+
 # ---------------------------------------------------------------------------
 # verify() plumbing
 # ---------------------------------------------------------------------------

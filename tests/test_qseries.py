@@ -55,7 +55,7 @@ def specs(draw, n_bases=(1, 2), positive_only=False):
 
 
 @given(specs())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_route_equivalence(spec_t):
     spec, t = spec_t
     assert ps_eq(pochhammer_series(spec, t, E, route="shift"),
@@ -105,7 +105,7 @@ def test_negative_bases_match_inversion_per_base(bases, route):
 
 
 @given(specs())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_qshift(spec_t):
     # (w; q1, rest) = (w q1; q1, rest) * (w; rest)
     spec, t = spec_t
@@ -119,7 +119,7 @@ def test_qshift(spec_t):
 
 
 @given(specs(), st.sampled_from([2, 3]))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_permult(spec_t, n):
     # prod_{i=0}^{n-1} (w q1^i; q1^n, rest) = (w; q1, rest)
     spec, t = spec_t
@@ -135,7 +135,7 @@ def test_permult(spec_t, n):
 
 
 @given(specs())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_sqmult(spec_t):
     # (w^2; q1^2, ..) = (w; q1, ..) * (-w; q1, ..)
     spec, t = spec_t
@@ -148,7 +148,7 @@ def test_sqmult(spec_t):
 
 
 @given(specs())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_qtrans_against_exponential_formula(spec_t):
     """Negative bases are resolved through the inversion rule; the
     exponential formula handles them directly, giving an independent route."""
@@ -176,7 +176,7 @@ theta_coeffs = st.sampled_from([F(1), F(-1), F(2), F(-1, 3), G(0, 1)])
 
 
 @given(theta_coeffs, theta_args, theta_coeffs, theta_bases, ts)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_jacobi_triple_product(cw, a, cp, r, t):
     # double-product route == bilateral Jacobi-sum route
     lhs = theta_z_series(cw, a, cp, r, E, route="product")
@@ -185,7 +185,7 @@ def test_jacobi_triple_product(cw, a, cp, r, t):
 
 
 @given(theta_coeffs, theta_args, theta_coeffs, theta_bases)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_tshift(cw, a, cp, r):
     # theta(p w; p) = -w^{-1} theta(w; p)
     lhs = theta_z_series(SymExpr.coerce(cw) * SymExpr.coerce(cp), a + r,
@@ -196,7 +196,7 @@ def test_tshift(cw, a, cp, r):
 
 
 @given(theta_coeffs, theta_args, theta_coeffs, theta_bases)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_theta_inversion(cw, a, cp, r):
     # theta(w^{-1}; p) = theta(p w; p)
     lhs = theta_z_series(SymExpr.coerce(cw).inverse(), -a, cp, r, E)

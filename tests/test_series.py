@@ -211,7 +211,7 @@ mixed_coef = st.sampled_from(
 
 
 @given(st.dictionaries(mixed_exps, mixed_coef, max_size=4))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_inverse_and_exp_match_old_routes(terms):
     f = PuiseuxSeries({e: SymExpr.coerce(c) for e, c in terms.items()}, F(5, 2))
     if f.coeffs and f.coeffs[f.min_exp()].rational_value() is not None:
@@ -372,7 +372,7 @@ def symbolic_series(draw):
 
 
 @given(symbolic_series(), symbolic_series())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_product_is_the_pair_loop(f, g):
     assert_product_is_the_pair_loop(f, g)
     assert_product_is_the_pair_loop(f, f)
@@ -504,13 +504,13 @@ def maybe_z0(draw, strategy):
 
 
 @given(maybe_z0(bounded_series()), maybe_z0(bounded_series()), st.booleans())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_moment_expansion_is_the_theta_product_route(f, g, same):
     assert_expansions_identical(f, f if same else g)
 
 
 @given(maybe_z0(bounded_fourier()), maybe_z0(bounded_fourier()))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_moment_expansion_is_the_theta_product_route_on_sectors(f, g):
     # a sector of a theta-product may cancel to zero below the overall
     # bound; both routes keep it with its bound (see the test below)
@@ -641,13 +641,13 @@ def factored_polys(draw):
 
 @given(maybe_z0(bounded_series()), maybe_z0(bounded_series()), st.booleans(),
        factored_polys())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_theta_products_are_the_theta_product_route(f, g, same, polys):
     assert_theta_products_identical(f, f if same else g, polys)
 
 
 @given(maybe_z0(bounded_fourier()), maybe_z0(bounded_fourier()), factored_polys())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_theta_products_are_the_theta_product_route_on_sectors(f, g, polys):
     # sectors may cancel (see
     # test_moment_expansion_keeps_the_bound_of_a_cancelled_term)
