@@ -131,10 +131,7 @@ class BinomialTable(dict):
 
     def __init__(self, coef: GaussianRational, t: Frac):
         super().__init__()
-        re, im = coef.re, coef.im
-        self.cd = lcm(re.denominator, im.denominator)
-        self.cr = re.numerator * (self.cd // re.denominator)
-        self.ci = im.numerator * (self.cd // im.denominator)
+        self.cr, self.ci, self.cd = coef.a, coef.b, coef.d
         self.P, self.R = t.numerator, t.denominator
 
     def __missing__(self, e: int):
@@ -187,7 +184,7 @@ def n_factor_5d(lam, mu, u_coef: GaussianRational, u_texp: Frac,
     re, im, den = mul_factors_5d(
         (1, 0, 1), lam, mu, BoxWeights(E1, E2),
         BinomialTable(GaussianRational.coerce(u_coef), t), u_texp)
-    return GaussianRational(Frac(re, den), Frac(im, den))
+    return GaussianRational.from_ints(re, im, den)
 
 
 def cs_exponent(lam, m: int, u_texp: Frac, E1: Frac, E2: Frac) -> Frac:

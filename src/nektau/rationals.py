@@ -1,31 +1,41 @@
 """Exact Gaussian-rational arithmetic: the base coefficient field Q(i).
 
-Values are pairs of arbitrary-precision rationals (re, im) with (0, 0) the
-unique zero.  All operations are exact; there is no floating point anywhere
-in this module.
+A value (a + b i)/d is three ints with d > 0 and gcd(a, b, d) = 1.  The form
+is unique, so equality compares the ints, and (0, 0, 1) is the zero.  Every
+operation works on the ints and reduces once: a sum over equal denominators
+adds the numerators, a product with a real factor takes Henrici's cross gcds
+(its result needs no further reduction), and a product of two non-real
+factors divides by one gcd of the three ints.  The integer kernels read and
+write the triple directly (`from_ints`); `re` and `im` are Fractions made on
+demand.  All operations are exact; there is no floating point anywhere in
+this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x):
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class GaussianRational:
-    """An element re + im*i of Q(i), stored in lowest terms."""
+    """An element (a + b i)/d of Q(i), d > 0 and gcd(a, b, d) = 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        d = q * s // gcd(q, s)
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -33,29 +43,60 @@ class GaussianRational:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_ints(a: int, b: int, d: int) -> "GaussianRational":
+        """(a + b i)/d for ints with d != 0, brought to lowest terms."""
+        if d <= 0:
+            if not d:
+                raise ZeroDivisionError("Gaussian rational with denominator 0")
+            a, b, d = -a, -b, -d
+        return _reduced(a, b, d)
+
+    @staticmethod
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(_frac(x))
+        n, d = _ratio(x)
+        return _make(n, 0, d)
+
+    # -- parts -------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.a != 0 or self.b != 0
 
     # -- ring/field operations ----------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, d = self.a, self.b, self.d
+        c, e, f = other.a, other.b, other.d
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        g = gcd(d, f)
+        if g == 1:
+            return _make(a * f + c * d, b * f + e * d, d * f)
+        d //= g
+        a, b = a * (f // g) + c * d, b * (f // g) + e * d
+        g = gcd(a, b, g)
+        return _make(a // g, b // g, d * (f // g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-GaussianRational.coerce(other))
@@ -64,22 +105,30 @@ class GaussianRational:
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, d = self.a, self.b, self.d
+        c, e, f = other.a, other.b, other.d
+        if e:
+            if b:
+                return _reduced(a * c - b * e, a * e + b * c, d * f)
+            a, b, d, c, f = c, e, f, a, d
+        # (a + b i)/d times the real c/f: cross gcds leave lowest terms
+        g, h = gcd(c, d), gcd(a, b, f)
+        c //= g
+        return _make(a // h * c, b // h * c, d // g * (f // h))
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of Gaussian-rational zero")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -104,24 +153,47 @@ class GaussianRational:
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.coerce(other)
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        if not self.im:
+        if not self.b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
-        if not self.im:
-            return f"{self.re}"
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if not im:
+            return f"{re}"
+        if not re:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}*i)"
+
+
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
+
+
+def _make(a, b, d):
+    """The value (a + b i)/d of ints already in lowest terms, d > 0."""
+    x = object.__new__(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a, b, d):
+    """The value (a + b i)/d of ints with d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
 
 
 ZERO = GaussianRational(0)

@@ -10,12 +10,12 @@ Products of Puiseux and Fourier series alike run on one integer kernel,
 is split by monomial into Gaussian-integer numerators over one denominator
 per monomial, at integer exponents on the lattice (1/L)Z, so a product
 costs one mono_mul per pair of monomials, an integer convolution per pair
-of monomials and sectors, and one pair of Fractions per output
-coefficient.  Every theta-weighted bilinear form of a pair (f, g)
-(`theta_products`, `weighted_theta_expand`, `hirota`) is a
-theta-combination of the basis products B_j = theta^j f * g, since
-x^a y^b = x^a ((x + y) - x)^b; a caller may keep the B_j of a pair across
-calls (`memo=`), so that forms of one pair share them.
+of monomials and sectors, and one gcd reduction per output coefficient.
+Every theta-weighted bilinear form of a pair (f, g) (`theta_products`,
+`weighted_theta_expand`, `hirota`) is a theta-combination of the basis
+products B_j = theta^j f * g, since x^a y^b = x^a ((x + y) - x)^b; a
+caller may keep the B_j of a pair across calls (`memo=`), so that forms of
+one pair share them.
 """
 
 from __future__ import annotations
@@ -218,13 +218,16 @@ def sector_product(fs, gs, trunc):
     numerator pairs are convolved in increasing X, stopping past
     floor(bound L) of the output sector.  The sums of one output
     (sector, monomial) are put over one denominator, so each output
-    coefficient is built as one pair of Fractions.
+    coefficient is one integer triple, reduced once (`from_ints`).  Each
+    operand sector's valuation is taken once, not once per sector pair.
     """
     L = lcm(*(e.denominator for hs in (fs, gs) for p in hs.values() for e in p.coeffs))
+    f_vals = [(k, p.trunc, p.min_exp()) for k, p in fs.items()]
+    g_vals = [(k, q.trunc, q.min_exp()) for k, q in gs.items()]
     bounds = {}
-    for k1, p in fs.items():
-        for k2, q in gs.items():
-            b = min(p.trunc + q.min_exp(), q.trunc + p.min_exp(), trunc)
+    for k1, p_trunc, p_val in f_vals:
+        for k2, q_trunc, q_val in g_vals:
+            b = min(p_trunc + q_val, q_trunc + p_val, trunc)
             s = k1 + k2
             bounds[s] = min(bounds.get(s, b), b)
     tops = {s: floor(b * L) for s, b in bounds.items()}
@@ -246,6 +249,7 @@ def sector_product(fs, gs, trunc):
                         groups.setdefault((s, mono), []).append(
                             (cof.numerator, cof.denominator * d1 * d2, rows1, rows2))
     out = {s: {} for s in bounds}  # sector -> X -> monomial -> coefficient
+    from_ints = GaussianRational.from_ints
     for (s, mono), pairs in groups.items():
         top = tops[s]
         den = lcm(*(pair_den for _, pair_den, _, _ in pairs))
@@ -271,7 +275,7 @@ def sector_product(fs, gs, trunc):
         by_X = out[s]
         for X, (re, im) in acc.items():
             if re or im:
-                by_X.setdefault(X, {})[mono] = GaussianRational(Frac(re, den), Frac(im, den))
+                by_X.setdefault(X, {})[mono] = from_ints(re, im, den)
     return {s: PuiseuxSeries({Frac(X, L): SymExpr(terms) for X, terms in out[s].items()},
                              bounds[s])
             for s in bounds}
@@ -279,23 +283,22 @@ def sector_product(fs, gs, trunc):
 
 def _split(f, L):
     """{monomial: (D, Xs, res, ims)}: the terms of f with that monomial as
-    Gaussian integers (re + i im)/D, D the lcm of their denominators, at
-    integer exponents X = e L, in increasing X (parallel lists, so no
-    tuple per term)."""
+    Gaussian integers (re + i im)/D, at integer exponents X = e L, in
+    increasing X (parallel lists, so no tuple per term).  D is the lcm of
+    the terms' denominators d, and each term (a + b i)/d gives
+    re = a D/d, im = b D/d."""
     rows = {}
     for X, c in sorted((e.numerator * (L // e.denominator), c) for e, c in f.coeffs.items()):
         for m, v in c.terms.items():
             r = rows.get(m)
             if r is None:
-                r = rows[m] = ([], [], [])
+                r = rows[m] = ([], [])
             r[0].append(X)
-            r[1].append(v.re)
-            r[2].append(v.im)
+            r[1].append(v)
     out = {}
-    for m, (Xs, res, ims) in rows.items():
-        D = lcm(*(x.denominator for x in res), *(x.denominator for x in ims))
-        out[m] = (D, Xs, [x.numerator * (D // x.denominator) for x in res],
-                  [x.numerator * (D // x.denominator) for x in ims])
+    for m, (Xs, vs) in rows.items():
+        D = lcm(*(v.d for v in vs))
+        out[m] = (D, Xs, [v.a * (D // v.d) for v in vs], [v.b * (D // v.d) for v in vs])
     return out
 
 

@@ -2,16 +2,18 @@
 
 import gc
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_pair import ref_split
 from nektau.fourier import FourierSeries
 from nektau.identities import POOL_4D_EPS, POOL_SIGMA, Context
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
-from nektau.series import PuiseuxSeries, hirota, theta_products, weighted_theta_expand
+from nektau.series import (PuiseuxSeries, _split, hirota, theta_products,
+                           weighted_theta_expand)
 from nektau.symbols import NonInvertible, SymExpr, gamma_value, pi_power, rational_power
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -52,6 +54,20 @@ def test_ring_axioms(a, b, c):
     assert ps_eq(a * b, b * a)
     assert ps_eq(a * (b + c), a * b + a * c)
     assert ps_eq((a * b) * c, a * (b * c))
+
+
+@given(st.lists(st.tuples(exps, coef, coef, st.booleans()), max_size=8))
+def test_split_matches_fraction_pair_route(terms):
+    # complex coefficients over mixed denominators, on two monomials
+    sqrt2 = rational_power(2, F(1, 2))
+    coeffs = {F(1, 3): SymExpr.from_rational(G(F(1, 2), F(-5, 3))) + sqrt2 * F(7, 4),
+              F(5, 2): SymExpr.from_rational(G(0, F(5, 6)))}
+    for e, x, y, radical in terms:
+        c = SymExpr.from_rational(G(x, y))
+        coeffs[e] = coeffs.get(e, SymExpr.zero()) + (c * sqrt2 if radical else c)
+    f = PuiseuxSeries(coeffs, F(3))
+    L = 2 * lcm(*(e.denominator for e in f.coeffs))
+    assert _split(f, L) == ref_split(f, L)
 
 
 @given(series())

@@ -1,9 +1,16 @@
 """The benchmark's layer tracer still finds the layer entry points it wraps."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
+
+from hypothesis import given, strategies as st
+
+from fraction_pair import FractionPair
+from nektau.rationals import GaussianRational
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,3 +68,25 @@ def test_traced_run_records_inverse_and_exp_spans(tmp_path):
     assert metrics["series.inverse.calls"] > 0
     for key in ("series.inverse.s", "series.exp.s", "fourier.inverse.s"):
         assert metrics[key] > 0, key
+
+
+def load_tracing():
+    """perfbench/tracing.py as a module, without installing its wrappers."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bits = load_tracing()._bits
+parts = st.one_of(st.just(F(0)),
+                  st.builds(F, st.integers(-2**220, 2**220), st.integers(1, 2**220)))
+
+
+@given(parts, parts, parts, parts)
+def test_bits_read_the_triple_as_the_fraction_pair(a, b, c, d):
+    # rationals.mul.bits_max and nekrasov.coeff_bits_max read _bits
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    p, q = FractionPair(a, b), FractionPair(c, d)
+    for g, r in ((x, p), (x * y, p * q), (x + y, p + q)):
+        assert bits(g) == bits(r)
