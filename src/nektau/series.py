@@ -292,13 +292,16 @@ def _split(f, L):
         for m, v in c.terms.items():
             r = rows.get(m)
             if r is None:
-                r = rows[m] = ([], [])
+                r = rows[m] = ([], [], [], [])
             r[0].append(X)
-            r[1].append(v)
+            r[1].append(v.a)
+            r[2].append(v.b)
+            r[3].append(v.d)
     out = {}
-    for m, (Xs, vs) in rows.items():
-        D = lcm(*(v.d for v in vs))
-        out[m] = (D, Xs, [v.a * (D // v.d) for v in vs], [v.b * (D // v.d) for v in vs])
+    for m, (Xs, res, ims, ds) in rows.items():
+        D = lcm(*ds)
+        out[m] = (D, Xs, [a * (D // d) for a, d in zip(res, ds)],
+                  [b * (D // d) for b, d in zip(ims, ds)])
     return out
 
 
