@@ -88,6 +88,7 @@ class GaussianRational:
         g = gcd(d, f)
         if g == 1:
             return _make(a * f + c * d, b * f + e * d, d * f)
+        # only a factor of g = gcd(d, f) can divide the sum (Knuth 4.5.1)
         d //= g
         a, b = a * (f // g) + c * d, b * (f // g) + e * d
         g = gcd(a, b, g)
