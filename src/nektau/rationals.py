@@ -14,7 +14,7 @@ this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _ratio(x):
@@ -32,7 +32,7 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         p, q = _ratio(re)
         r, s = _ratio(im)
-        d = q * s // gcd(q, s)
+        d = lcm(q, s)
         _set_a(self, p * (d // q))
         _set_b(self, r * (d // s))
         _set_d(self, d)
