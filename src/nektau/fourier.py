@@ -165,7 +165,10 @@ class EqualityReport:
             f"sector {s} exponent {e}: {n} residual term(s)" for s, e, n, _ in head
         )
         more = "" if len(self.residuals) <= 4 else f" (+{len(self.residuals)-4} more)"
-        return f"FAIL through z^{self.checked_order}: {bits}{more}"
+        # a report with no residuals (bool_report) says why only in its note
+        detail = "; ".join(d for d in (bits + more, self.note) if d)
+        fail = f"FAIL through z^{self.checked_order}"
+        return f"{fail}: {detail}" if detail else fail
 
 
 def fs_equal_to_order(a: FourierSeries, b: FourierSeries, E) -> EqualityReport:

@@ -1,18 +1,21 @@
 """Canonical transcendental-symbol algebra over Q(i).
 
 A SymExpr is a finite Q(i)-linear combination of SymbolMonomial values.  A
-monomial is a product of canonical symbols:
+monomial is one exponent map, a sorted tuple of (symbol, exponent) pairs.  A
+symbol is (kind, argument), its kinds numbered in render order:
 
-  * prime radicals        p^e            with e in (0,1), p prime
-  * pi^e
-  * gamma symbols         Gamma(y)^e     with y rational in (0, 1/2)
-  * sine symbols          sin(pi*y)^e    with y rational in (0, 1/2)
-  * Pochhammer symbols    (t^E; t^B)_inf^e    with 0 < E <= B
+  * RADICAL   prime radicals        p^e            with e in (0,1), p prime
+  * PI        pi^e                                 (argument None)
+  * GAMMA     gamma symbols         Gamma(y)^e     with y rational in (0, 1/2)
+  * SIN       sine symbols          sin(pi*y)^e    with y rational in (0, 1/2)
+  * POCH      Pochhammer symbols    (t^E; t^B)_inf^e    with 0 < E <= B
 
 All arguments are rational, all exponents rational (the half-integer ones the
-pipelines produce are a subset).  Symbols are canonicalized eagerly at
-construction time, so monomial multiplication is pure exponent addition (with
-integer radical overflow folded back into the coefficient).  An empty term
+pipelines produce are a subset).  Symbol arguments are canonicalized eagerly
+by the constructors below.  Every monomial is then made by one routine,
+`canonical(exps) -> (monomial, cofactor)`, which drops zero exponents and
+folds the integer part of each radical exponent into the rational cofactor;
+products add exponent maps and inverses negate them before it.  An empty term
 map is zero, but the canonical form is not unique: values related only by
 product identities such as (x;q) = (x;q^2)(xq;q^2) or Gauss's
 multiplication formula for Gamma keep different term maps, so two equal
@@ -70,63 +73,40 @@ def _factorint(n: int):
     return out
 
 
+#: symbol kinds, numbered in render order; a symbol is (kind, argument)
+RADICAL, PI, GAMMA, SIN, POCH = range(5)
+_RENDER = ("{}^({})", "pi^({1})", "Gamma({})^({})", "sin(pi*{})^({})",
+           "poch(t^{0[0]};t^{0[1]})^({1})")
+
+
 class SymbolMonomial:
-    """Immutable canonical symbol monomial (see module docstring)."""
+    """Immutable canonical symbol monomial: `factors` is the sorted tuple of
+    its (symbol, exponent) pairs.  Built by `canonical` (see module
+    docstring)."""
 
-    __slots__ = ("rad", "pi_exp", "gam", "sn", "poch", "_hash")
+    __slots__ = ("factors", "_hash")
 
-    def __init__(self, rad=(), pi_exp=Frac(0), gam=(), sn=(), poch=()):
-        object.__setattr__(self, "rad", tuple(sorted(rad)))
-        object.__setattr__(self, "pi_exp", pi_exp)
-        object.__setattr__(self, "gam", tuple(sorted(gam)))
-        object.__setattr__(self, "sn", tuple(sorted(sn)))
-        object.__setattr__(self, "poch", tuple(sorted(poch)))
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.rad, self.pi_exp, self.gam, self.sn, self.poch)),
-        )
+    def __init__(self, factors=()):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_hash", hash(factors))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolMonomial is immutable")
 
     def is_one(self):
-        return not (self.rad or self.pi_exp or self.gam or self.sn or self.poch)
+        return not self.factors
 
     def __eq__(self, other):
         if not isinstance(other, SymbolMonomial):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.rad == other.rad
-            and self.pi_exp == other.pi_exp
-            and self.gam == other.gam
-            and self.sn == other.sn
-            and self.poch == other.poch
-        )
+        return self._hash == other._hash and self.factors == other.factors
 
     def __hash__(self):
         return self._hash
 
-    def inverse_key(self):
-        neg = lambda pairs: tuple((k, -e) for k, e in pairs)
-        return SymbolMonomial(
-            neg(self.rad), -self.pi_exp, neg(self.gam), neg(self.sn), neg(self.poch)
-        )
-
     def render(self) -> str:
-        bits = []
-        for p, e in self.rad:
-            bits.append(f"{p}^({e})")
-        if self.pi_exp:
-            bits.append(f"pi^({self.pi_exp})")
-        for y, e in self.gam:
-            bits.append(f"Gamma({y})^({e})")
-        for y, e in self.sn:
-            bits.append(f"sin(pi*{y})^({e})")
-        for (a, b), e in self.poch:
-            bits.append(f"poch(t^{a};t^{b})^({e})")
-        return "*".join(bits) if bits else "1"
+        return "*".join(_RENDER[k].format(arg, e)
+                        for (k, arg), e in self.factors) or "1"
 
     def __repr__(self):
         return f"<mono {self.render()}>"
@@ -135,42 +115,30 @@ class SymbolMonomial:
 MONO_ONE = SymbolMonomial()
 
 
-def _merge_pairs(p1, p2):
-    """Add exponent maps given as sorted (key, exp) tuples, dropping zeros."""
-    out = dict(p1)
-    for k, e in p2:
-        ne = out.get(k, Frac(0)) + e
-        if ne:
-            out[k] = ne
-        else:
-            out.pop(k, None)
-    return tuple(sorted(out.items()))
+def canonical(exps):
+    """The monomial of an exponent map {symbol: exponent}, and its rational
+    cofactor: zero exponents are dropped and the integer part (floor) of each
+    radical exponent is folded into the cofactor, leaving it in (0, 1)."""
+    cof = Frac(1)
+    factors = []
+    for sym, e in sorted(exps.items()):
+        if sym[0] == RADICAL:
+            k = e.numerator // e.denominator
+            if k:
+                cof *= Frac(sym[1]) ** k
+                e -= k
+        if e:
+            factors.append((sym, e))
+    return (SymbolMonomial(tuple(factors)) if factors else MONO_ONE), cof
 
 
 def mono_mul(m1: SymbolMonomial, m2: SymbolMonomial):
-    """Product of canonical monomials: (monomial, rational cofactor).
-
-    Exponent addition keeps every argument canonical; the only normalization
-    needed afterwards is folding integer radical exponents into the cofactor.
-    """
-    rad = _merge_pairs(m1.rad, m2.rad)
-    cof = Frac(1)
-    fixed = []
-    for p, e in rad:
-        k = e.numerator // e.denominator  # floor
-        fe = e - k
-        if k:
-            cof *= Frac(p) ** k
-        if fe:
-            fixed.append((p, fe))
-    mono = SymbolMonomial(
-        tuple(fixed),
-        m1.pi_exp + m2.pi_exp,
-        _merge_pairs(m1.gam, m2.gam),
-        _merge_pairs(m1.sn, m2.sn),
-        _merge_pairs(m1.poch, m2.poch),
-    )
-    return mono, cof
+    """Product of canonical monomials: (monomial, rational cofactor)."""
+    exps = dict(m1.factors)
+    for sym, e in m2.factors:
+        e1 = exps.get(sym)
+        exps[sym] = e if e1 is None else e1 + e
+    return canonical(exps)
 
 
 class SymExpr:
@@ -296,10 +264,7 @@ class SymExpr:
         if len(self.terms) != 1:
             raise NonInvertible(f"cannot invert {len(self.terms)}-term SymExpr")
         ((m, c),) = self.terms.items()
-        inv_m = m.inverse_key()
-        # inverse_key may leave non-canonical radical exponents (in (-1,0));
-        # run them through mono_mul with the unit to refold.
-        mono, cof = mono_mul(inv_m, MONO_ONE)
+        mono, cof = canonical({sym: -e for sym, e in m.factors})
         cc = c.inverse()
         if cof != 1:
             cc = cc * cof
@@ -371,28 +336,23 @@ def rational_power(r, e) -> SymExpr:
         r = -r
     if e == 0 or r == 1:
         return SymExpr.from_rational(coeff)
-    exps = {}
-    for p, k in _factorint(r.numerator).items():
-        exps[p] = exps.get(p, Frac(0)) + k * e
+    exps = {(RADICAL, p): k * e for p, k in _factorint(r.numerator).items()}
     for p, k in _factorint(r.denominator).items():
-        exps[p] = exps.get(p, Frac(0)) - k * e
-    rat = Frac(1)
-    rad = []
-    for p, pe in exps.items():
-        k = pe.numerator // pe.denominator
-        fe = pe - k
-        if k:
-            rat *= Frac(p) ** k
-        if fe:
-            rad.append((p, fe))
-    return SymExpr.monomial(SymbolMonomial(rad=tuple(rad)), coeff * rat)
+        exps[RADICAL, p] = -k * e
+    return _monomial(exps, coeff)
+
+
+def _monomial(exps, coeff=1) -> SymExpr:
+    """coeff times the canonical monomial of the exponent map exps."""
+    mono, cof = canonical(exps)
+    return SymExpr.monomial(mono, coeff * cof)
 
 
 def pi_power(e) -> SymExpr:
     e = _frac(e)
     if not e:
         return SymExpr.one()
-    return SymExpr.monomial(SymbolMonomial(pi_exp=e))
+    return _monomial({(PI, None): e})
 
 
 def gamma_value(y) -> SymExpr:
@@ -418,9 +378,9 @@ def gamma_value(y) -> SymExpr:
     if y > Frac(1, 2):
         # reflection: Gamma(y) = pi / (sin(pi y) Gamma(1-y)), sin arg mirrored
         y1 = 1 - y
-        mono = SymbolMonomial(pi_exp=Frac(1), gam=((y1, Frac(-1)),), sn=((y1, Frac(-1)),))
-        return SymExpr.monomial(mono, c)
-    return SymExpr.monomial(SymbolMonomial(gam=((y, Frac(1)),)), c)
+        return _monomial({(PI, None): Frac(1), (GAMMA, y1): Frac(-1),
+                          (SIN, y1): Frac(-1)}, c)
+    return _monomial({(GAMMA, y): Frac(1)}, c)
 
 
 def poch_value(E, B, t) -> SymExpr:
@@ -452,4 +412,4 @@ def poch_value(E, B, t) -> SymExpr:
         # (z; q)_inf = (1 - z)(z q; q)_inf
         expr = expr * one_minus_t_pow(E)
         E += B
-    return expr * SymExpr.monomial(SymbolMonomial(poch=(((E, B), Frac(1)),)))
+    return expr * _monomial({(POCH, (E, B)): Frac(1)})

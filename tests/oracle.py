@@ -12,7 +12,7 @@ from fractions import Fraction as Frac
 import mpmath as mp
 
 from nektau.nekrasov import gamma1_exp
-from nektau.symbols import Resonance, SymbolMonomial, SymExpr
+from nektau.symbols import GAMMA, PI, POCH, RADICAL, SIN, Resonance, SymExpr, canonical
 
 
 def _mpf(x: Frac):
@@ -26,22 +26,15 @@ def numeric_value(expr: SymExpr, t: Frac, dps=60):
         total = mp.mpc(0)
         for m, c in expr.terms.items():
             v = mp.mpc(_mpf(c.re), _mpf(c.im))
-            for p, e in m.rad:
-                v *= mp.power(p, _mpf(e))
-            if m.pi_exp:
-                v *= mp.power(mp.pi, _mpf(m.pi_exp))
-            for y, e in m.gam:
-                v *= mp.power(mp.gamma(_mpf(y)), _mpf(e))
-            for y, e in m.sn:
-                v *= mp.power(mp.sin(mp.pi * _mpf(y)), _mpf(e))
-            for (a, b), e in m.poch:
-                v *= mp.power(_poch_num(tt, a, b), _mpf(e))
+            for (kind, arg), e in m.factors:
+                v *= mp.power(_symbol_num[kind](tt, arg), _mpf(e))
             total += v
         return total
 
 
-def _poch_num(tt, a, b):
+def _poch_num(tt, ab):
     """(tt^a; tt^b)_inf by its product, to the working precision."""
+    a, b = ab
     z = mp.power(tt, _mpf(a))
     q = mp.power(tt, _mpf(b))
     out = mp.mpf(1)
@@ -49,6 +42,16 @@ def _poch_num(tt, a, b):
         out *= (1 - z)
         z *= q
     return out
+
+
+#: the value of each symbol kind at the base tt, by its argument
+_symbol_num = {
+    RADICAL: lambda tt, p: mp.mpf(p),
+    PI: lambda tt, _: +mp.pi,
+    GAMMA: lambda tt, y: mp.gamma(_mpf(y)),
+    SIN: lambda tt, y: mp.sin(mp.pi * _mpf(y)),
+    POCH: _poch_num,
+}
 
 
 def sin_pi(y) -> SymExpr:
@@ -63,7 +66,7 @@ def sin_pi(y) -> SymExpr:
         return SymExpr.from_rational(sign)
     if y > Frac(1, 2):
         y = 1 - y
-    return SymExpr.monomial(SymbolMonomial(sn=((y, Frac(1)),)), sign)
+    return SymExpr.monomial(canonical({(SIN, y): Frac(1)})[0], sign)
 
 
 def z1loop_negation_ratio(e1: Frac, e2: Frac, a: Frac) -> SymExpr:

@@ -1,7 +1,7 @@
 """The package computes exactly, with no float and no numeric library in
 src/nektau, keeps no cache of its own outside a run's memo, builds
-parameter samples only in its q-Painleve pool, and writes and builds taus
-only in tau.py."""
+parameter samples only in its q-Painleve pool, writes and builds taus
+only in tau.py, and builds and reads symbol monomials only in symbols.py."""
 
 import ast
 from pathlib import Path
@@ -105,4 +105,19 @@ def test_package_writes_and_builds_taus_only_in_tau_py():
         for line, name in _calls(ast.parse(path.read_text(), str(path)),
                                  {"TauSpec", "build_tau"})
     ]
+    assert found == []
+
+
+def test_package_builds_and_reads_monomials_only_in_symbols_py():
+    # the monomial's exponent map stays behind symbols.canonical, so a new
+    # normal form (a q-Pochhammer base change, say) has one place to go
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "symbols.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line}: {name}" for line, name in
+                  _calls(tree, {"SymbolMonomial"})]
+        found += [f"{path.name}:{node.lineno}: .factors" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "factors"]
     assert found == []

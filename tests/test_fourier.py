@@ -262,6 +262,18 @@ def test_equality_report_pass_and_fail():
     assert "FAIL" in bad.summary()
 
 
+def test_failed_report_ends_with_its_note():
+    # bool_report parts (NY1's constant, determlemma levels, m1chain) fail
+    # with no residuals; their note is the only detail they carry
+    assert (EqualityReport(False, F(2), [], "constant = (3)").summary()
+            == "FAIL through z^2: constant = (3)")
+    assert EqualityReport(False, F(2)).summary() == "FAIL through z^2"
+    residual = (F(0), F(1), 1, "(1)")
+    assert (EqualityReport(False, F(3), [residual], "why").summary()
+            == "FAIL through z^3: sector 0 exponent 1: 1 residual term(s); why")
+    assert EqualityReport(True, F(2), [], "why").summary() == "pass (exact through z^2)"
+
+
 def test_equality_raises_beyond_truncation():
     a = FourierSeries.single(PuiseuxSeries.one(F(1)))
     with pytest.raises(ValueError):

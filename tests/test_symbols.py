@@ -8,17 +8,24 @@ from hypothesis import assume, given, strategies as st
 
 from nektau.rationals import GaussianRational as G
 from nektau.symbols import (
+    GAMMA,
     MONO_ONE,
+    PI,
+    POCH,
+    RADICAL,
+    SIN,
     NonInvertible,
     Resonance,
     SymbolMonomial,
     SymExpr,
+    canonical,
     gamma_value,
     mono_mul,
     pi_power,
     poch_value,
     rational_power,
 )
+from monomial_fields import FieldMonomial, ref_inverse, ref_mono_mul, ref_rational_power
 from oracle import numeric_value, sin_pi
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -79,6 +86,53 @@ def test_unit_monomial_product_is_the_mono_mul_route():
                 ref = ref + SymExpr({mono: c1 * c2 * cof})
         assert (unit * other).terms == ref.terms
         assert (other * unit).terms == ref.terms
+
+
+# the five-field route: a monomial per kind in a field of its own
+# (monomial_fields.py); small argument pools so symbols meet and cancel
+_exps = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+_atoms = st.one_of(
+    st.tuples(st.just(RADICAL),
+              st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
+              _exps),
+    st.tuples(st.just(PI), st.none(), _exps),
+    st.tuples(st.sampled_from((GAMMA, SIN)),
+              st.sampled_from((F(1, 3), F(1, 4), F(2, 5))), _exps),
+    st.tuples(st.just(POCH),
+              st.sampled_from(((F(1), F(2)), (F(2), F(2)), (F(1, 2), F(3, 2)))), _exps),
+)
+_FIELD = {PI: "pi_exp", GAMMA: "gam", SIN: "sn", POCH: "poch"}
+
+
+def _both_routes(atom):
+    """The atom's canonical monomial and its five-field reference."""
+    kind, arg, e = atom
+    if kind == RADICAL:
+        ((mono, c),) = rational_power(arg, e).terms.items()
+        ref, rat = ref_rational_power(arg, e)
+        assert c == G(rat)
+        return mono, ref
+    mono, cof = canonical({(kind, arg): e})
+    assert cof == 1
+    return mono, FieldMonomial(**{_FIELD[kind]: e if kind == PI else ((arg, e),)})
+
+
+@given(st.lists(_atoms, min_size=1, max_size=6))
+def test_monomials_match_the_five_field_route(atoms):
+    mono, ref = _both_routes(atoms[0])
+    for i, atom in enumerate(atoms):
+        if i:
+            other, other_ref = _both_routes(atom)
+            mono, cof = mono_mul(mono, other)
+            ref, ref_cof = ref_mono_mul(ref, other_ref)
+            assert cof == ref_cof
+        assert mono.render() == ref.render()
+        assert mono.is_one() == (ref.render() == "1")
+        ((inv, c),) = SymExpr.monomial(mono).inverse().terms.items()
+        inv_ref, inv_cof = ref_inverse(ref)
+        assert inv.render() == inv_ref.render() and c == G(inv_cof)
+        # m * (1/m) = 1: the inverse's own cofactor undoes the refold
+        assert mono_mul(mono, inv) == (MONO_ONE, 1 / inv_cof)
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +258,13 @@ def test_render_deterministic():
     e = gamma_value(F(2, 5)) * sin_pi(F(1, 5)) + rational_power(3, F(1, 2))
     assert e.render() == e.render()
     assert isinstance(e.render(), str) and e.render()
+    # dumps and the benchmark digests serialise this text: one monomial with
+    # all five kinds, in kind order, and its inverse, which refolds 2^(-1/3)
+    e = (rational_power(F(12, 5), F(1, 2)) * rational_power(2, F(1, 3))
+         * gamma_value(F(3, 5)) * poch_value(1, 2, T) * G(2, 1) * pi_power(F(1, 3)))
+    assert e.render() == (
+        "((4/5+2/5*i))*2^(1/3)*3^(1/2)*5^(1/2)*pi^(4/3)*Gamma(2/5)^(-1)"
+        "*sin(pi*2/5)^(-1)*poch(t^1;t^2)^(1)")
+    assert e.inverse().render() == (
+        "((1/30-1/60*i))*2^(2/3)*3^(1/2)*5^(1/2)*pi^(-4/3)*Gamma(2/5)^(1)"
+        "*sin(pi*2/5)^(1)*poch(t^1;t^2)^(-1)")
