@@ -2,17 +2,22 @@
 
 The sector index is the formal s-power of a tau function; products convolve
 sectors on the integer kernel of series.py, so the Hirota derivative of
-series.py, re-exported here, is sector-bilinear on FourierSeries.  Equality
-testing produces a structural report (which sector, which exponent, what
-residual) rather than a bare boolean.
+series.py, re-exported here, is sector-bilinear on FourierSeries.  Sector
+keys are Fractions; the product and the inverse work on ints instead, each
+sector label k as k M on the lattice (1/M)Z, M the lcm of the sector
+denominators, and each exponent on the series' integer lattice (1/L)Z.
+Equality testing produces a structural report (which sector, which
+exponent, what residual) rather than a bare boolean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .series import PuiseuxSeries, hirota, sector_product, solve_recurrence  # noqa: F401  (hirota re-exported)
+from .series import (PuiseuxSeries, _top, hirota, on_lattice,  # noqa: F401  (hirota re-exported)
+                     sector_product, solve_recurrence)
 from .symbols import NonInvertible, SymExpr, _frac
 
 Frac = Fraction
@@ -112,25 +117,33 @@ class FourierSeries:
 
         With series = c0 s^{k0} z^{e0} (1 + R), the coefficients of
         1/(1 + R) follow the recurrence of `PuiseuxSeries.inverse`
-        (Brent-Kung, JACM 1978) over (exponent, sector) keys:
+        (Brent-Kung, JACM 1978) over (exponent, sector) keys, as int pairs:
         b_n = -sum_{x in supp R, x <= n} R_x b_{n-x}.
         """
         k0, e0, c0 = self.leading()
         c0_inv = c0.inverse()
         rel_trunc = self.trunc - e0
+        # exponents on (1/L)Z and sector labels on (1/M)Z, both as ints;
+        # e0 and k0 lie on them, so _top is exact
+        L = lcm(*(ps.L for ps in self.sectors.values()))
+        M = lcm(*(k.denominator for k in self.sectors))
+        X0, K0 = _top(e0, L), _top(k0, M)
         steps = {}
         for k, ps in self.sectors.items():
-            for e, c in ps.coeffs.items():
-                if not (k == k0 and e == e0):
-                    steps[(e - e0, k - k0)] = -(c * c0_inv)
-        if any(e <= 0 for e, _ in steps):
+            K, step = _top(k, M), L // ps.L
+            for X, c in ps.xterms.items():
+                X *= step
+                if not (K == K0 and X == X0):
+                    steps[(X - X0, K - K0)] = -(c * c0_inv)
+        if any(X <= 0 for X, _ in steps):
             raise NonInvertible("non-leading term at the leading exponent")
         out = {}
-        for (n, k), c in solve_recurrence(steps, rel_trunc).items():
-            out.setdefault(k - k0, {})[n - e0] = c * c0_inv
+        for (n, K), c in solve_recurrence(steps, _top(rel_trunc, L)).items():
+            if c := c * c0_inv:
+                out.setdefault(K - K0, {})[n - X0] = c
         trunc = rel_trunc - e0
         return FourierSeries(
-            {k: PuiseuxSeries(coeffs, trunc) for k, coeffs in out.items()}, trunc
+            {Frac(K, M): on_lattice(L, xterms, trunc) for K, xterms in out.items()}, trunc
         )
 
     def __repr__(self):

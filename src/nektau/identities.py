@@ -282,16 +282,6 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _dilz(ps: PuiseuxSeries, t: Frac, texp: Frac) -> PuiseuxSeries:
-    """z -> t^texp z on a plain series."""
-    if not texp:
-        return ps
-    return PuiseuxSeries(
-        {e: c * rational_power(t, texp * e) for e, c in ps.coeffs.items()},
-        ps.trunc,
-    )
-
-
 def _pair_4d(e1, e2, a, memo):
     A = RelativeZ4d(Theory4d(e1, e2 - e1), a, memo=memo)
     B = RelativeZ4d(Theory4d(e1 - e2, e2), a, memo=memo)
@@ -332,7 +322,7 @@ def _expand(k_alpha, w1, w2):
 
 def _dilated(t, texpA, texpB):
     """Pair term with per-factor z -> t^texp z dilations."""
-    return lambda n, f, g: _dilz(f, t, texpA) * _dilz(g, t, texpB)
+    return lambda n, f, g: f.dilate_t(t, texpA) * g.dilate_t(t, texpB)
 
 
 def _quarter_tau1(tau1, sigma=None):

@@ -1,9 +1,16 @@
 """Truncated Puiseux series with exact SymExpr coefficients.
 
-A PuiseuxSeries stores a finite map {rational exponent -> SymExpr} plus an
-inclusive truncation bound: every exponent <= trunc with a nonzero
-coefficient is present and exact; nothing is claimed above trunc.  All
-operations track the bound conservatively.
+A PuiseuxSeries stores its terms on one integer exponent lattice: a positive
+int L and a map {int X: SymExpr} (`xterms`), the term at X being the
+coefficient of z^(X/L), plus an inclusive truncation bound `trunc` (a
+Fraction): every exponent <= trunc with a nonzero coefficient is present and
+exact; nothing is claimed above trunc.  All operations track the bound
+conservatively.  L need not be least: two series are equal when their terms
+agree on the lcm of their lattices.  `coeffs` is a read-only
+{Fraction exponent: SymExpr} view, built on demand; `on_lattice` is the
+trusted constructor that the kernels here and in fourier.py use, and no
+other module reads or writes xterms.  Every operation works on the
+ints, and cuts a lattice at a bound b by floor(b L).
 
 Products of Puiseux and Fourier series alike run on one integer kernel,
 `sector_product`, whatever the coefficients hold: each sector of an operand
@@ -22,7 +29,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import comb, floor, lcm
+from math import comb, lcm
+from types import MappingProxyType
 
 from .rationals import GaussianRational
 from .symbols import NonInvertible, SymExpr, _frac, mono_mul, rational_power
@@ -30,20 +38,25 @@ from .symbols import NonInvertible, SymExpr, _frac, mono_mul, rational_power
 Frac = Fraction
 ZERO = Frac(0)
 HALF = Frac(1, 2)
+from_ints = GaussianRational.from_ints
 
 
 class PuiseuxSeries:
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("L", "xterms", "trunc")
 
     def __init__(self, coeffs, trunc):
+        """The series of coeffs {exponent: coefficient}, known through trunc;
+        zero coefficients and terms above trunc are dropped."""
         trunc = _frac(trunc)
-        clean = {}
+        kept = []
         for e, c in coeffs.items():
             c = SymExpr.coerce(c)
             if c and e <= trunc:
-                clean[_frac(e)] = c
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "trunc", trunc)
+                kept.append((_frac(e), c))
+        L = lcm(*(e.denominator for e, _ in kept))
+        _set_L(self, L)
+        _set_xterms(self, {e.numerator * (L // e.denominator): c for e, c in kept})
+        _set_trunc(self, trunc)
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -64,25 +77,34 @@ class PuiseuxSeries:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """{exponent: coefficient}, a read-only view made on each call."""
+        L = self.L
+        return MappingProxyType({Frac(X, L): c for X, c in self.xterms.items()})
+
     def is_zero(self):
-        return not self.coeffs
+        return not self.xterms
 
     def min_exp(self):
         """Smallest stored exponent; for the zero series the bound itself
         (the valuation is then known only to exceed trunc)."""
-        return min(self.coeffs) if self.coeffs else self.trunc
+        return Frac(min(self.xterms), self.L) if self.xterms else self.trunc
 
     def coeff(self, e) -> SymExpr:
-        return self.coeffs.get(_frac(e), SymExpr.zero())
+        e = _frac(e)
+        X, r = divmod(e.numerator * self.L, e.denominator)
+        return SymExpr.zero() if r else self.xterms.get(X, SymExpr.zero())
 
     def items(self):
-        return sorted(self.coeffs.items())
+        L, xterms = self.L, self.xterms
+        return [(Frac(X, L), xterms[X]) for X in sorted(xterms)]
 
     def truncate(self, E):
         E = _frac(E)
         if E >= self.trunc:
-            return PuiseuxSeries(self.coeffs, min(E, self.trunc))
-        return PuiseuxSeries({e: c for e, c in self.coeffs.items() if e <= E}, E)
+            return on_lattice(self.L, self.xterms, self.trunc)
+        return _with_bound(self, E)
 
     # -- ring operations ---------------------------------------------------
 
@@ -90,20 +112,22 @@ class PuiseuxSeries:
         if isinstance(other, (int, Frac, SymExpr)):
             other = PuiseuxSeries({Frac(0): SymExpr.coerce(other)}, self.trunc)
         trunc = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            n = out.get(e)
+        L = lcm(self.L, other.L)
+        top = _top(trunc, L)
+        out = dict(_terms(self, L, top))
+        for X, c in _terms(other, L, top):
+            n = out.get(X)
             n = c if n is None else n + c
             if n:
-                out[e] = n
+                out[X] = n
             else:
-                out.pop(e, None)
-        return PuiseuxSeries(out, trunc)
+                out.pop(X, None)
+        return on_lattice(L, out, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries({e: -c for e, c in self.coeffs.items()}, self.trunc)
+        return on_lattice(self.L, {X: -c for X, c in self.xterms.items()}, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, (int, Frac, SymExpr)):
@@ -112,22 +136,23 @@ class PuiseuxSeries:
 
     def scale(self, c):
         c = SymExpr.coerce(c)
-        if not c:
-            return PuiseuxSeries({}, self.trunc)
-        return PuiseuxSeries({e: cc * c for e, cc in self.coeffs.items()}, self.trunc)
+        return on_lattice(self.L, _nonzero((X, cc * c) for X, cc in self.xterms.items()),
+                          self.trunc)
 
     def shift(self, de):
         """Multiply by z^de (exact monomial shift; bound shifts too)."""
         de = _frac(de)
-        return PuiseuxSeries({e + de: c for e, c in self.coeffs.items()}, self.trunc + de)
+        L = lcm(self.L, de.denominator)
+        m, dX = L // self.L, de.numerator * (L // de.denominator)
+        return on_lattice(L, {X * m + dX: c for X, c in self.xterms.items()},
+                          self.trunc + de)
 
     def __mul__(self, other):
         """The product, known through min(trunc + v(other), other.trunc + v):
         `sector_product` on the single sector 0."""
         if isinstance(other, (int, Frac, SymExpr)):
             return self.scale(other)
-        trunc = min(self.trunc + other.min_exp(), other.trunc + self.min_exp())
-        return sector_product({ZERO: self}, {ZERO: other}, trunc)[ZERO]
+        return sector_product({ZERO: self}, {ZERO: other})[ZERO]
 
     __rmul__ = __mul__
 
@@ -135,20 +160,22 @@ class PuiseuxSeries:
 
     def theta(self):
         """Logarithmic derivative z d/dz: acts on the FULL exponent."""
-        return PuiseuxSeries(
-            {e: c * e for e, c in self.coeffs.items() if e}, self.trunc
-        )
+        L = self.L
+        return on_lattice(L, {X: c * from_ints(X, 0, L)
+                              for X, c in self.xterms.items() if X}, self.trunc)
 
     def dilate(self, q_exp, sample):
         """z -> q^{q_exp} z with q = t^{dq}: coefficient at z^e gains t^{dq*q_exp*e}."""
-        q_exp = _frac(q_exp)
-        if not q_exp:
+        return self.dilate_t(sample.t, sample.dq * _frac(q_exp))
+
+    def dilate_t(self, t, texp):
+        """z -> t^texp z: the coefficient at z^e gains t^{texp*e}."""
+        texp = _frac(texp)
+        if not texp:
             return self
-        t, dq = sample.t, sample.dq
-        return PuiseuxSeries(
-            {e: c * rational_power(t, dq * q_exp * e) for e, c in self.coeffs.items()},
-            self.trunc,
-        )
+        L = self.L
+        return on_lattice(L, _nonzero((X, c * rational_power(t, texp * Frac(X, L)))
+                                      for X, c in self.xterms.items()), self.trunc)
 
     def exp(self):
         """exp(series); requires strictly positive exponents.
@@ -159,11 +186,12 @@ class PuiseuxSeries:
         series", JACM 1978; Knuth, TAOCP vol. 2, 4.7), solved by
         `solve_recurrence` over the exponents of f.
         """
-        if any(e <= 0 for e in self.coeffs):
+        L = self.L
+        if any(X <= 0 for X in self.xterms):
             raise NonInvertible("exp needs strictly positive exponents")
-        steps = {(e, ZERO): c * e for e, c in self.coeffs.items()}
-        b = solve_recurrence(steps, self.trunc, divide=True)
-        return PuiseuxSeries({n: c for (n, _), c in b.items()}, self.trunc)
+        steps = {(X, 0): c * from_ints(X, 0, L) for X, c in self.xterms.items()}
+        b = solve_recurrence(steps, _top(self.trunc, L), divide=L)
+        return on_lattice(L, {n: c for (n, _), c in b.items()}, self.trunc)
 
     def inverse(self):
         """1/series for a series whose leading coefficient is invertible.
@@ -172,23 +200,26 @@ class PuiseuxSeries:
         and b_n = -sum_{x in supp r, x <= n} r_x b_{n-x} (Brent-Kung, JACM
         1978), solved by `solve_recurrence` over the exponents of r.
         """
-        if not self.coeffs:
+        if not self.xterms:
             raise ZeroDivisionError("inverse of zero series")
-        e0 = self.min_exp()
-        c0 = self.coeffs[e0]
-        c0_inv = c0.inverse()  # raises NonInvertible for multi-term leading
-        rel_trunc = self.trunc - e0
-        steps = {(e - e0, ZERO): -(c * c0_inv)
-                 for e, c in self.coeffs.items() if e != e0}
-        b = solve_recurrence(steps, rel_trunc)
-        return PuiseuxSeries(
-            {n - e0: c * c0_inv for (n, _), c in b.items()}, rel_trunc - e0
-        )
+        L = self.L
+        X0 = min(self.xterms)
+        c0_inv = self.xterms[X0].inverse()  # raises NonInvertible for multi-term leading
+        rel_trunc = self.trunc - Frac(X0, L)
+        steps = {(X - X0, 0): -(c * c0_inv)
+                 for X, c in self.xterms.items() if X != X0}
+        b = solve_recurrence(steps, _top(rel_trunc, L))
+        return on_lattice(L, _nonzero((n - X0, c * c0_inv) for (n, _), c in b.items()),
+                          rel_trunc - Frac(X0, L))
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.trunc == other.trunc
+        if self.trunc != other.trunc or len(self.xterms) != len(other.xterms):
+            return False
+        L = lcm(self.L, other.L)
+        top = _top(self.trunc, L)
+        return dict(_terms(self, L, top)) == dict(_terms(other, L, top))
 
     def __repr__(self):
         bits = [f"z^({e})*[{c.render()}]" for e, c in self.items()]
@@ -203,42 +234,78 @@ class PuiseuxSeries:
         ]
 
 
-def sector_product(fs, gs, trunc):
+_set_L = PuiseuxSeries.L.__set__
+_set_xterms = PuiseuxSeries.xterms.__set__
+_set_trunc = PuiseuxSeries.trunc.__set__
+
+
+def on_lattice(L, xterms, trunc):
+    """The series with terms {X: c} at exponents X/L, known through trunc,
+    taken as given: L is a positive int, trunc a Fraction, and every c is a
+    nonzero SymExpr with X/L <= trunc."""
+    p = object.__new__(PuiseuxSeries)
+    _set_L(p, L)
+    _set_xterms(p, xterms)
+    _set_trunc(p, trunc)
+    return p
+
+
+def _top(b, L):
+    """floor(b L): the largest X with X/L <= b, for a Fraction b."""
+    return b.numerator * L // b.denominator
+
+
+def _terms(p, L, top):
+    """The terms (X, c) of p on the lattice (1/L)Z, L a multiple of p.L,
+    with X <= top."""
+    m = L // p.L
+    return ((X * m, c) for X, c in p.xterms.items() if X * m <= top)
+
+
+def _nonzero(terms):
+    """{X: c} of the terms (X, c) with c nonzero."""
+    return {X: c for X, c in terms if c}
+
+
+def _with_bound(p, b):
+    """p known through b: its terms at exponents <= b, with bound b."""
+    top = _top(b, p.L)
+    return on_lattice(p.L, {X: c for X, c in p.xterms.items() if X <= top}, b)
+
+
+def sector_product(fs, gs, trunc=None):
     """The product of two {sector: PuiseuxSeries} maps, as one such map.
 
     Sector s of the product is the sum of p * q over the sector pairs
     (k1: p, k2: q) with k1 + k2 = s, known through the least bound
-    min(p.trunc + v(q), q.trunc + v(p)) of those pairs, capped at trunc.
+    min(p.trunc + v(q), q.trunc + v(p)) of those pairs, capped at trunc if
+    given.  The bounds are found on ints (`_pair_bounds`) and made
+    Fractions once per output sector.
 
     One integer kernel serves every coefficient kind.  Each sector is split
     once by monomial (`_split`): Gaussian-integer numerators (re, im) over
-    one denominator per monomial, at integer exponents X = e L, L the lcm
-    of every exponent denominator of both operands.  A pair of monomials
-    costs one mono_mul, shared by all sector pairs that meet it; its
-    numerator pairs are convolved in increasing X, stopping past
-    floor(bound L) of the output sector.  The sums of one output
-    (sector, monomial) are put over one denominator, so each output
-    coefficient is one integer triple, reduced once (`from_ints`).  Each
-    operand sector's valuation is taken once, not once per sector pair.
+    one denominator per monomial, at integer exponents on (1/L)Z, L the lcm
+    of the lattices of both operands.  A pair of monomials costs one
+    mono_mul, shared by all sector pairs that meet it; its numerator pairs
+    are convolved in increasing X, stopping past floor(bound L) of the
+    output sector.  The sums of one output (sector, monomial) are put over
+    one denominator, so each output coefficient is one integer triple,
+    reduced once (`from_ints`).
     """
-    L = lcm(*(e.denominator for hs in (fs, gs) for p in hs.values() for e in p.coeffs))
-    f_vals = [(k, p.trunc, p.min_exp()) for k, p in fs.items()]
-    g_vals = [(k, q.trunc, q.min_exp()) for k, q in gs.items()]
-    bounds = {}
-    for k1, p_trunc, p_val in f_vals:
-        for k2, q_trunc, q_val in g_vals:
-            b = min(p_trunc + q_val, q_trunc + p_val, trunc)
-            s = k1 + k2
-            bounds[s] = min(bounds.get(s, b), b)
-    tops = {s: floor(b * L) for s, b in bounds.items()}
-    f_split = [(k, _split(p, L)) for k, p in fs.items()]
-    g_split = [(k, _split(q, L)) for k, q in gs.items()]
+    L = lcm(*(p.L for hs in (fs, gs) for p in hs.values()))
+    T, M = _lattices(fs, gs, () if trunc is None else (trunc,))
+    fv, gv = _valuations(fs, T, M), _valuations(gs, T, M)
+    bounds = _pair_bounds(fv, gv, None if trunc is None else _top(trunc, T))
+    step = T // L
+    tops = {S: B // step for S, B in bounds.items()}
+    f_split = [(K, _split(p, L)) for (K, _, _), p in zip(fv, fs.values())]
+    g_split = [(K, _split(q, L)) for (K, _, _), q in zip(gv, gs.values())]
     monos = {}  # (m1, m2) -> mono_mul(m1, m2)
     groups = {}  # (sector, monomial) -> [(cofactor numerator, denominator, rows, rows)]
-    for k1, split1 in f_split:
-        for k2, split2 in g_split:
-            s = k1 + k2
-            top = tops[s]
+    for K1, split1 in f_split:
+        for K2, split2 in g_split:
+            S = K1 + K2
+            top = tops[S]
             for m1, (d1, *rows1) in split1.items():
                 for m2, (d2, *rows2) in split2.items():
                     if rows1[0][0] + rows2[0][0] <= top:
@@ -246,12 +313,11 @@ def sector_product(fs, gs, trunc):
                         if mc is None:
                             mc = monos[m1, m2] = mono_mul(m1, m2)
                         mono, cof = mc
-                        groups.setdefault((s, mono), []).append(
+                        groups.setdefault((S, mono), []).append(
                             (cof.numerator, cof.denominator * d1 * d2, rows1, rows2))
-    out = {s: {} for s in bounds}  # sector -> X -> monomial -> coefficient
-    from_ints = GaussianRational.from_ints
-    for (s, mono), pairs in groups.items():
-        top = tops[s]
+    out = {S: {} for S in bounds}  # sector -> X -> monomial -> coefficient
+    for (S, mono), pairs in groups.items():
+        top = tops[S]
         den = lcm(*(pair_den for _, pair_den, _, _ in pairs))
         acc = {}  # X -> [re, im] over den
         for n, pair_den, rows1, rows2 in pairs:
@@ -272,23 +338,65 @@ def sector_product(fs, gs, trunc):
                     else:
                         t[0] += a * c - b * d
                         t[1] += a * d + b * c
-        by_X = out[s]
+        by_X = out[S]
         for X, (re, im) in acc.items():
             if re or im:
                 by_X.setdefault(X, {})[mono] = from_ints(re, im, den)
-    return {s: PuiseuxSeries({Frac(X, L): SymExpr(terms) for X, terms in out[s].items()},
-                             bounds[s])
-            for s in bounds}
+    return {Frac(S, M): on_lattice(L, {X: SymExpr(terms) for X, terms in out[S].items()},
+                                   Frac(B, T))
+            for S, B in bounds.items()}
+
+
+def _lattices(fs, gs, truncs):
+    """(T, M) for two {sector: PuiseuxSeries} maps: T the lcm of their
+    lattices and of the denominators of their bounds and of truncs, M the
+    lcm of their sectors' denominators."""
+    ps = [*fs.values(), *gs.values()]
+    T = lcm(*(p.L for p in ps), *(p.trunc.denominator for p in ps),
+            *(t.denominator for t in truncs))
+    M = lcm(*(k.denominator for hs in (fs, gs) for k in hs))
+    return T, M
+
+
+def _valuations(hs, T, M, drop0=False):
+    """[(k M, p.trunc T, v T)] over the sectors k: p of hs, v the least
+    exponent of p (above 0 if drop0), or p.trunc if it has none: all ints,
+    on the lattices of `_lattices`."""
+    out = []
+    for k, p in hs.items():
+        t = _top(p.trunc, T)
+        xs = [X for X in p.xterms if X] if drop0 else p.xterms
+        out.append((k.numerator * (M // k.denominator), t,
+                    min(xs) * (T // p.L) if xs else t))
+    return out
+
+
+def _pair_bounds(fv, gv, cap):
+    """{S: bound} over the sector sums S = K1 + K2 of two `_valuations`
+    lists: the least min(t1 + v2, t2 + v1) of the pairs, and at most cap
+    unless cap is None."""
+    bounds = {}
+    for K1, t1, v1 in fv:
+        for K2, t2, v2 in gv:
+            S = K1 + K2
+            b = min(t1 + v2, t2 + v1)
+            if b < bounds.get(S, b + 1):
+                bounds[S] = b
+    if cap is not None:
+        bounds = {S: min(b, cap) for S, b in bounds.items()}
+    return bounds
 
 
 def _split(f, L):
     """{monomial: (D, Xs, res, ims)}: the terms of f with that monomial as
-    Gaussian integers (re + i im)/D, at integer exponents X = e L, in
-    increasing X (parallel lists, so no tuple per term).  D is the lcm of
-    the terms' denominators d, and each term (a + b i)/d gives
-    re = a D/d, im = b D/d."""
+    Gaussian integers (re + i im)/D, at integer exponents X on (1/L)Z, L a
+    multiple of f.L, in increasing X (parallel lists, so no tuple per
+    term).  D is the lcm of the terms' denominators d, and each term
+    (a + b i)/d gives re = a D/d, im = b D/d."""
+    step = L // f.L
     rows = {}
-    for X, c in sorted((e.numerator * (L // e.denominator), c) for e, c in f.coeffs.items()):
+    for X, c in sorted(f.xterms.items()):
+        X *= step
         for m, v in c.terms.items():
             r = rows.get(m)
             if r is None:
@@ -305,25 +413,25 @@ def _split(f, L):
     return out
 
 
-def solve_recurrence(steps, bound, divide=False):
+def solve_recurrence(steps, top, divide=0):
     """Coefficients of the series b with b_0 = 1 and, for n > 0,
 
         b_n = w_n * sum_{x in steps, x <= n} s_x b_{n-x},
 
     where w_n = 1/n (the exponent of n) if divide, else 1.
 
-    Keys are (exponent, sector) pairs and add componentwise; every step
-    key needs a positive exponent.  The keys n run over the additive
-    closure of the step keys with exponent <= bound, popped from a heap in
-    increasing order, so each b_{n-x} is known before b_n; no dense grid
-    at the lcm of the denominators is formed.  A key is pushed only from a
-    nonzero coefficient, which reaches every nonzero b_n.  Returns
-    {key: b_n} for the nonzero b_n.
+    Keys are (X, K) pairs of ints, an exponent X/L and a sector label, and
+    add componentwise; every step key needs X > 0.  The keys n run over
+    the additive closure of the step keys and (0, 0) with X <= top, popped from a heap
+    in increasing order, so each b_{n-x} is known before b_n; no dense grid
+    is formed.  divide is the exponent lattice's L, so that 1/n = L/X, or
+    0 for w_n = 1.  A key is pushed only from a nonzero coefficient, which
+    reaches every nonzero b_n.  Returns {key: b_n} for the nonzero b_n.
     """
     order = sorted(steps.items())
-    root = (ZERO, ZERO)
+    root = (0, 0)
     b = {}
-    heap = [root]
+    heap = [root] if top >= 0 else []
     seen = {root}
     while heap:
         n = heapq.heappop(heap)
@@ -339,13 +447,13 @@ def solve_recurrence(steps, bound, divide=False):
                 if prev is not None:
                     c = c + s * prev
             if c and divide:
-                c = c * (1 / ne)
+                c = c * from_ints(divide, 0, ne)
             if not c:
                 continue
         b[n] = c
         for (xe, xk), _ in order:
             m = (ne + xe, nk + xk)
-            if m[0] > bound:
+            if m[0] > top:
                 break
             if m not in seen:
                 seen.add(m)
@@ -431,7 +539,7 @@ def _sectors(h):
 
 
 def _has_z0(h):
-    return any(ZERO in p.coeffs for p in _sectors(h).values())
+    return any(0 in p.xterms for p in _sectors(h).values())
 
 
 def _product_bounds(f, g, a, b):
@@ -451,19 +559,14 @@ def _product_bounds(f, g, a, b):
     term, or b_min = 0 and, as sector s sums both pairs (k1, k2) and
     (k2, k1), the poly's bounds are those at a = b = 0, the bounds of B_0.
     """
-    def valuations(h, n):
-        return {k: (p.trunc, min((e for e in p.coeffs if e or not n), default=p.trunc))
-                for k, p in _sectors(h).items()}
-
-    fv, gv = valuations(f, a), valuations(g, b)
-    trunc = min(f.trunc + min((v for _, v in gv.values()), default=g.trunc),
-                g.trunc + min((v for _, v in fv.values()), default=f.trunc))
-    bounds = {}
-    for k1, (t1, v1) in fv.items():
-        for k2, (t2, v2) in gv.items():
-            s = k1 + k2
-            bounds[s] = min(bounds.get(s, trunc), t1 + v2, t2 + v1)
-    return trunc, bounds
+    fs, gs = _sectors(f), _sectors(g)
+    T, M = _lattices(fs, gs, (f.trunc, g.trunc))
+    fv, gv = _valuations(fs, T, M, a > 0), _valuations(gs, T, M, b > 0)
+    ft, gt = _top(f.trunc, T), _top(g.trunc, T)
+    trunc = min(ft + min((v for _, _, v in gv), default=gt),
+                gt + min((v for _, _, v in fv), default=ft))
+    bounds = _pair_bounds(fv, gv, trunc)
+    return Frac(trunc, T), {Frac(S, M): Frac(B, T) for S, B in bounds.items()}
 
 
 def _cut(like, h, trunc, bounds):
@@ -471,10 +574,10 @@ def _cut(like, h, trunc, bounds):
     as a series of the type of like; a sector h lacks is zero through its
     bound."""
     sectors = {} if h is None else _sectors(h)
-    zero = PuiseuxSeries({}, trunc)
+    zero = on_lattice(1, {}, trunc)
     if isinstance(like, PuiseuxSeries):
-        return PuiseuxSeries(sectors.get(ZERO, zero).coeffs, trunc)
-    return type(like)({s: PuiseuxSeries(sectors.get(s, zero).coeffs, b)
+        return _with_bound(sectors.get(ZERO, zero), trunc)
+    return type(like)({s: _with_bound(sectors.get(s, zero), b)
                        for s, b in bounds.items()}, trunc)
 
 
