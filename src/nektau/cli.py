@@ -9,10 +9,12 @@ verify  run catalog checks and write a deterministic JSON/CSV report.
         any computation, e.g. a config-file key that is not a flag's, a
         value of the wrong type, an empty selection, a repeated id, `all`
         beside other ids, an unknown dump selector, an order below an
-        entry's lowest meaningful order, a --corrupt-coefficient exponent
-        above the order of every selected check, more samples than its
-        pool holds or a report path in a directory that does not exist;
-        the same holds for dump and oracle), 3 on an internal error: an
+        entry's lowest meaningful order or past the order at which a 4d
+        theory of a sample would meet a vanishing factor, a
+        --corrupt-coefficient exponent above the order of every selected
+        check, more samples than its pool holds or a report path in a
+        directory that does not exist; the same holds for dump and
+        oracle), 3 on an internal error: an
         exception raised inside a check (Resonance, ZeroFactor,
         NonInvertible, ...) becomes an error result that carries the
         exception's type and message, whatever the check's status, and 3
@@ -196,11 +198,6 @@ def build_config(args) -> RunConfig:
         if isinstance(order, list):
             order = f"{order[0]}/{order[1]}"
         cfg.order = _parse_order(str(order))
-        for id in cfg.identities:
-            try:
-                idmod.check_order(id, cfg.order)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
     cfg.samples = args.samples if args.samples is not None else data.get("samples", 1)
     if cfg.samples < 1:
         raise ConfigError("--samples must be >= 1")
@@ -210,6 +207,13 @@ def build_config(args) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"--samples {cfg.samples}: {exc}") from exc
     cfg.seed = _seed(args.seed if args.seed is not None else data.get("seed", 0))
+    for id in cfg.identities:
+        entry = idmod.CATALOG[id]
+        try:
+            idmod.check_order(id, cfg.order or entry.default_order,
+                              idmod.default_samples(entry.domain, cfg.samples, cfg.seed))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     cfg.report = args.report if args.report else data.get("report")
     _check_report_path(cfg.report)
     fmt = args.format if args.format else data.get("format", "json")

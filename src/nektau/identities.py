@@ -52,6 +52,7 @@ from .nekrasov import (
     RelativeZ5d,
     Theory4d,
     Theory5d,
+    admissible_degree_4d,
     blowup_modes,
     inst_series_4d,
     inst_series_5d,
@@ -294,24 +295,28 @@ def _pair_5d(t, E1, E2, Lu, memo, m):
     return A, B
 
 
-def _mode_sum(A, B, E, offset, pair):
-    """Blowup sum over n in Z + offset of pair(n, A-mode, B-mode), exact
-    through z^E.
-
-    The modes sit at lattice points (2n, 0) of A and (0, 2n) of B; each is
-    built through E minus the partner's negative classical gap.
-    """
+def _mode_orders(A, B, E, offset):
+    """(n, k, A order, B order) for each mode n = k/2 in Z + offset of a
+    blowup sum through z^E: the modes sit at lattice points (k, 0) of A and
+    (0, k) of B, each built through E minus the partner's negative classical
+    gap."""
 
     def gap(n):
         k = int(2 * n)
         return A.classical_gap(k, 0) + B.classical_gap(0, k)
 
-    out = PuiseuxSeries({}, E)
     for n in blowup_modes(E, gap, offset):
         k = int(2 * n)
-        f = A.mode(k, 0, E - min(Frac(0), B.classical_gap(0, k)))
-        g = B.mode(0, k, E - min(Frac(0), A.classical_gap(k, 0)))
-        out = out + pair(n, f, g)
+        yield (n, k, E - min(Frac(0), B.classical_gap(0, k)),
+               E - min(Frac(0), A.classical_gap(k, 0)))
+
+
+def _mode_sum(A, B, E, offset, pair):
+    """Blowup sum over n in Z + offset of pair(n, A-mode, B-mode), exact
+    through z^E (modes as `_mode_orders` gives them)."""
+    out = PuiseuxSeries({}, E)
+    for n, k, f_order, g_order in _mode_orders(A, B, E, offset):
+        out = out + pair(n, A.mode(k, 0, f_order), B.mode(0, k, g_order))
     return out.truncate(E)
 
 
@@ -901,11 +906,14 @@ class IdentityCheck:
     note: str = ""
     #: orders below this compare nothing the identity constrains
     min_order: Frac = Frac(0)
+    #: a 4d-eps check's blowup sum runs over Z + mode_offset
+    mode_offset: Frac | None = None
 
 
-def _entry(id, status, anchor, domain, order, run, note="", min_order=0):
+def _entry(id, status, anchor, domain, order, run, note="", min_order=0,
+           mode_offset=None):
     return IdentityCheck(id, status, anchor, domain, Frac(order), run, note,
-                         Frac(min_order))
+                         Frac(min_order), mode_offset)
 
 
 CATALOG = {
@@ -913,13 +921,13 @@ CATALOG = {
     for e in [
         _entry("NY", "theorem",
                r"\mathcal{Z}(a+2\epsilon_1 n;\epsilon_1,\epsilon_2-\epsilon_1|\Lambda)",
-               "4d-eps", 3, run_NY),
+               "4d-eps", 3, run_NY, mode_offset=Frac(0)),
         _entry("NY2", "theorem",
                r"\left(\frac{\epsilon_1+\epsilon_2}{4}\right)^4-2\Lambda^4",
-               "4d-eps", 2, run_NY2),
+               "4d-eps", 2, run_NY2, mode_offset=Frac(0)),
         _entry("NY4", "theorem",
                r"\left(\frac{\epsilon_1+\epsilon_2}{4}\right)^4-2\Lambda^4",
-               "4d-eps", 2, run_NY4),
+               "4d-eps", 2, run_NY4, mode_offset=Frac(0)),
         _entry("NY1", "theorem",
                r"i\alpha\Lambda\mathcal{Z}(a;\epsilon_1,\epsilon_2|\Lambda)",
                "4d-eps", 2, run_NY1,
@@ -931,7 +939,7 @@ CATALOG = {
                     "only through its graded bilinear consequence, which is "
                     "verified verbatim",
                # the constant is read off the z^{1/4} coefficient
-               min_order=QUARTER),
+               min_order=QUARTER, mode_offset=HALF),
         _entry("NYdiffIS", "derived",
                r"D^4_{[\log z]}(\uptau^+,\uptau^-)=-2z\tau",
                "4d-tau", 2, run_NYdiffIS,
@@ -1111,18 +1119,36 @@ def _compare(lhs, rhs, E) -> EqualityReport:
     return fs_equal_to_order(fourier(lhs), fourier(rhs), E)
 
 
-def check_order(id: str, E):
-    """Raise ValueError when E lies below the entry's min_order."""
-    lowest = CATALOG[id].min_order
-    if E < lowest:
+def check_order(id: str, E, samples=()):
+    """Raise ValueError when E lies below the entry's min_order, or when at
+    one of samples a 4d theory of the check would be asked for an instanton
+    degree past `nekrasov.admissible_degree_4d`: the central series through
+    z^E and every mode of the blowup sum."""
+    entry = CATALOG[id]
+    if E < entry.min_order:
         raise ValueError(
-            f"order {E} is below the lowest meaningful order {lowest} of {id}")
+            f"order {E} is below the lowest meaningful order {entry.min_order} of {id}")
+    if entry.mode_offset is None:
+        return
+    for e1, e2, a in samples:
+        A, B = _pair_4d(e1, e2, a, None)
+        degrees = {Theory4d(e1, e2): int(E), A.th: 0, B.th: 0}
+        for _, k, f_order, g_order in _mode_orders(A, B, Frac(E), entry.mode_offset):
+            degrees[A.th] = max(degrees[A.th], int(f_order - A.classical_gap(k, 0)))
+            degrees[B.th] = max(degrees[B.th], int(g_order - B.classical_gap(0, k)))
+        for th, d in degrees.items():
+            top = admissible_degree_4d(th.e1, th.e2)
+            if top is not None and d > top:
+                raise ValueError(
+                    f"{id} at order {E} needs instanton degree {d} of the 4d theory "
+                    f"({th.e1}, {th.e2}), admissible only through degree {top} at "
+                    f"the sample ({e1}, {e2}, {a})")
 
 
 def verify(id: str, sample=None, E=None, ctx=None) -> VerificationReport:
     """Run one catalog entry at a sample and order in ctx (by default a
     fresh Context) and compare the sides of each part it returns through
-    z^E; see module docstring.  An order below the entry's min_order raises
+    z^E; see module docstring.  An order that `check_order` rejects raises
     ValueError."""
     if id not in CATALOG:
         raise KeyError(f"unknown identity {id!r}")
@@ -1130,7 +1156,7 @@ def verify(id: str, sample=None, E=None, ctx=None) -> VerificationReport:
     if sample is None:
         sample = default_samples(entry.domain, 1)[0]
     E = entry.default_order if E is None else Frac(E)
-    check_order(id, E)
+    check_order(id, E, [sample])
     ctx = Context() if ctx is None else ctx
     t0 = time.monotonic()
     parts = [(name, _compare(*sides, E) if len(sides) == 2 else sides[0])

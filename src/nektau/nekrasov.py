@@ -21,8 +21,9 @@ Values are memoised only in a dict the caller passes as ``memo`` (one
 verification run's, see identities.Context), each through ``memoized``
 under a kind name and the arguments the value depends on: the instanton
 coefficients of the series a caller asks for, and each relative mode and
-cocycle.  A mode's instanton series lives only in the mode.  Without a
-memo nothing is kept.
+cocycle.  A 4d coefficient is keyed by the normal form of its point under
+the mirror symmetries of the sum, so mirrored modes share it; a 5d mode's
+instanton series lives only in the mode.  Without a memo nothing is kept.
 """
 
 from __future__ import annotations
@@ -128,9 +129,36 @@ def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int) -> Frac:
     return sums[0][0] * L ** (4 * d)
 
 
+def admissible_degree_4d(e1: Frac, e2: Frac):
+    """The highest degree d at which no inst_coeff_4d(e1, e2, a, d) meets a
+    vanishing diagonal factor, or None for no such bound.
+
+    N_{lam lam} has the factors e1 leg - e2 (arm + 1) and e2 arm -
+    e1 (leg + 1) over its boxes.  With e1/e2 = p/q > 0 in lowest terms one
+    vanishes at a box of hook length k (p + q), first in the hook diagram of
+    size p + q, and from degree p + q on some pair of each degree holds that
+    diagram.  A negative ratio never makes one vanish.
+    """
+    r = e1 / e2
+    return r.numerator + r.denominator - 1 if r > 0 else None
+
+
+def mirror_form_4d(e1: Frac, e2: Frac, a: Frac):
+    """The normal form of (e1, e2, a) under the symmetries of every
+    inst_coeff_4d: Z_d(e1, e2, a) = Z_d(e2, e1, a) (transpose every
+    diagram) = Z_d(-e1, -e2, a) (negate all 4d box factors, then swap each
+    pair) = Z_d(e1, e2, -a) (swap each pair)."""
+    return min((e1, e2), (e2, e1), (-e1, -e2), (-e2, -e1)) + (abs(a),)
+
+
 def inst_series_4d(th: Theory4d, a: Frac, order, *, memo=None) -> PuiseuxSeries:
+    """The 4d instanton series through z^order.  Its coefficients are kept
+    in memo under the normal form of (e1, e2, a) (`mirror_form_4d`), so
+    mirrored points share them; each is made from this call's own
+    arguments."""
+    key = mirror_form_4d(th.e1, th.e2, a)
     return _series(order, lambda d: memoized(
-        memo, ("inst_coeff_4d", th, a, d), lambda: inst_coeff_4d(th.e1, th.e2, a, d)))
+        memo, ("inst_coeff_4d", *key, d), lambda: inst_coeff_4d(th.e1, th.e2, a, d)))
 
 
 _ONE = (1, 0, 1)
@@ -265,7 +293,12 @@ def classical_exp_5d(E1: Frac, E2: Frac, Lu: Frac) -> Frac:
 # one-loop cocycles
 # ---------------------------------------------------------------------------
 
-_SQRT_2PI = rational_power(2, HALF) * pi_power(HALF)
+def _gamma1_free(eps: Frac, x: Frac) -> SymExpr:
+    """gamma1_exp(eps, x) without its factor sqrt(2 pi)^(-sgn eps), which
+    cancels from a ratio of two values at one eps."""
+    if eps < 0:
+        return rational_power(-eps, -x / eps - HALF) * gamma_value(-x / eps)
+    return rational_power(eps, -x / eps - HALF) / gamma_value(1 + x / eps)
 
 
 def gamma1_exp(eps: Frac, x: Frac) -> SymExpr:
@@ -273,10 +306,12 @@ def gamma1_exp(eps: Frac, x: Frac) -> SymExpr:
 
     For eps < 0 this is (-eps)^{-x/eps-1/2} Gamma(-x/eps) / sqrt(2 pi);
     for eps > 0 it is eps^{-x/eps-1/2} sqrt(2 pi) / Gamma(1 + x/eps).
+    sqrt(2 pi) is made per call: a module constant's monomial would keep
+    the products of a run in its table (see symbols.mono_mul).
     """
-    if eps < 0:
-        return rational_power(-eps, -x / eps - HALF) * gamma_value(-x / eps) / _SQRT_2PI
-    return rational_power(eps, -x / eps - HALF) * _SQRT_2PI / gamma_value(1 + x / eps)
+    sqrt_2pi = rational_power(2, HALF) * pi_power(HALF)
+    g = _gamma1_free(eps, x)
+    return g / sqrt_2pi if eps < 0 else g * sqrt_2pi
 
 
 def z1loop_ratio_4d(e1: Frac, e2: Frac, a0: Frac, k1: int, k2: int) -> SymExpr:
@@ -284,17 +319,18 @@ def z1loop_ratio_4d(e1: Frac, e2: Frac, a0: Frac, k1: int, k2: int) -> SymExpr:
     over reference a0, built by telescoping unit shifts.
 
     A unit shift of the first argument by +e1 multiplies the pair
-    exp(-gamma(x)) exp(-gamma(-x)) by g1(e2, -x) / g1(e2, x + e1).
+    exp(-gamma(x)) exp(-gamma(-x)) by g1(e2, -x) / g1(e2, x + e1), a
+    ratio at one eps, from which sqrt(2 pi) cancels (`_gamma1_free`).
     """
     out = SymExpr.one()
     x = a0
     for estep, epartner, count in ((e1, e2, k1), (e2, e1, k2)):
         for _ in range(abs(count)):
             if count > 0:
-                out = out * gamma1_exp(epartner, -x) / gamma1_exp(epartner, x + estep)
+                out = out * _gamma1_free(epartner, -x) / _gamma1_free(epartner, x + estep)
                 x += estep
             else:
-                out = out * gamma1_exp(epartner, x) / gamma1_exp(epartner, -x + estep)
+                out = out * _gamma1_free(epartner, x) / _gamma1_free(epartner, -x + estep)
                 x -= estep
     return out
 
@@ -354,7 +390,7 @@ class RelativeZ4d:
         def build():
             gap = self.classical_gap(k1, k2)
             a = self.a0 + k1 * self.th.e1 + k2 * self.th.e2
-            inst = inst_series_4d(self.th, a, order - gap)
+            inst = inst_series_4d(self.th, a, order - gap, memo=self.memo)
             return inst.shift(gap).scale(self.cocycle(k1, k2))
 
         return memoized(self.memo, ("mode", self.th, self.a0, k1, k2, order), build)

@@ -20,7 +20,8 @@ costs one mono_mul per pair of monomials, an integer convolution per pair
 of monomials and sectors, and one gcd reduction per output coefficient.
 Every theta-weighted bilinear form of a pair (f, g) (`theta_products`,
 `weighted_theta_expand`, `hirota`) is a theta-combination of the basis
-products B_j = theta^j f * g, since x^a y^b = x^a ((x + y) - x)^b; a
+products B_j = theta^j f * g, since x^a y^b = x^a ((x + y) - x)^b, made in
+one integer pass over the B_j (theta weighs the term at X by X/L); a
 caller may keep the B_j of a pair across calls (`memo=`), so that forms of
 one pair share them.
 """
@@ -300,7 +301,6 @@ def sector_product(fs, gs, trunc=None):
     tops = {S: B // step for S, B in bounds.items()}
     f_split = [(K, _split(p, L)) for (K, _, _), p in zip(fv, fs.values())]
     g_split = [(K, _split(q, L)) for (K, _, _), q in zip(gv, gs.values())]
-    monos = {}  # (m1, m2) -> mono_mul(m1, m2)
     groups = {}  # (sector, monomial) -> [(cofactor numerator, denominator, rows, rows)]
     for K1, split1 in f_split:
         for K2, split2 in g_split:
@@ -309,10 +309,7 @@ def sector_product(fs, gs, trunc=None):
             for m1, (d1, *rows1) in split1.items():
                 for m2, (d2, *rows2) in split2.items():
                     if rows1[0][0] + rows2[0][0] <= top:
-                        mc = monos.get((m1, m2))
-                        if mc is None:
-                            mc = monos[m1, m2] = mono_mul(m1, m2)
-                        mono, cof = mc
+                        mono, cof = mono_mul(m1, m2)
                         groups.setdefault((S, mono), []).append(
                             (cof.numerator, cof.denominator * d1 * d2, rows1, rows2))
     out = {S: {} for S in bounds}  # sector -> X -> monomial -> coefficient
@@ -462,7 +459,8 @@ def solve_recurrence(steps, top, divide=0):
 
 
 def theta_products(f, g, polys, *, memo=None):
-    """sum c theta^a f * theta^b g over {(a, b): c}, for each poly of polys.
+    """sum c theta^a f * theta^b g over {(a, b): c}, c rational, for each
+    poly of polys.
 
     Since x^a y^b = x^a ((x + y) - x)^b and theta acts on a product as
     x + y, each form is a theta-combination of the basis products
@@ -470,20 +468,22 @@ def theta_products(f, g, polys, *, memo=None):
 
         theta^a f * theta^b g = sum_i C(b', i) (-1)^i theta^{b'-i} B_{a'+i}
 
-    with a' = a - alpha, b' = b - beta; a poly is applied by Horner in
-    theta.  (alpha, beta) is the least (a, b) of the poly set, but beta is
-    the poly's own least b where g has a z^0 term, which theta drops: each
-    B_j is then known at least as far as every product of the poly (see
-    `_product_bounds`).  When f is g and alpha = beta, only the even B_j
-    are products; an odd one is 2 B_n = sum_{i<n} C(n,i) (-1)^i
-    theta^{n-i} B_i.
+    with a' = a - alpha, b' = b - beta: a poly is sum_j W_j(theta) B_j, a
+    polynomial W_j per basis product, made in one integer pass over the B_j
+    (`_theta_sum`).  (alpha, beta) is the least (a, b) of the poly set, but
+    beta is the poly's own least b where g has a z^0 term, which theta
+    drops: each B_j is then known at least as far as every product of the
+    poly (see `_product_bounds`).  When f is g and alpha = beta, only the
+    even B_j are products; an odd one is 2 B_n = sum_{i<n} C(n,i) (-1)^i
+    theta^{n-i} B_i, made by the same pass over the B_i, through the least
+    bounds of the B_i (`_least_bounds`).
 
     Each B_j is formed once per call, or once per memo: a dict of the B_j
     of the pair (f, g) that the caller keeps across calls (one
-    verification run's, see identities.Context).  Each output is cut to
-    the bounds of the sum of its full products theta^a f * theta^b g, in
-    every sector; an entry with c = 0 still lowers them.  f and g may be
-    PuiseuxSeries or FourierSeries.
+    verification run's, see identities.Context).  Each output is known
+    through the bounds of the sum of its full products theta^a f *
+    theta^b g, in every sector; an entry with c = 0 still lowers them.  f
+    and g may be PuiseuxSeries or FourierSeries.
     """
     basis = {} if memo is None else memo
     thf = [f]
@@ -498,10 +498,9 @@ def theta_products(f, g, polys, *, memo=None):
         B = basis.get((alpha, beta, j))
         if B is None:
             if f is g and alpha == beta and j % 2:
-                B = product(alpha, beta, 0)
-                for i in range(1, j):
-                    B = B.theta() + product(alpha, beta, i).scale(comb(j, i) * (-1) ** i)
-                B = B.theta().scale(HALF)
+                lower = [product(alpha, beta, i) for i in range(j)]
+                B = _theta_form(f, [(B_i, {j - i: HALF * comb(j, i) * (-1) ** i})
+                                    for i, B_i in enumerate(lower)], *_least_bounds(lower))
             else:
                 B = power(thf, alpha + j) * power(thg, beta)
             basis[alpha, beta, j] = B
@@ -514,23 +513,88 @@ def theta_products(f, g, polys, *, memo=None):
         a_min = min(a for a, _ in poly)
         b_min = min(b for _, b in poly)
         beta = b0 if b0 or not _has_z0(g) else b_min
-        terms = {}  # (j, m) -> coefficient of theta^m B_j
+        weights = {}  # j -> {m: coefficient of theta^m B_j}
         for (a, b), c in poly.items():
             for i in range(b - beta + 1):
-                jm = (a - alpha + i, b - beta - i)
-                terms[jm] = terms.get(jm, 0) + c * comb(b - beta, i) * (-1) ** i
-        out = None
-        for m in range(max(m for _, m in terms), -1, -1):
-            if out is not None:
-                out = out.theta()
-            for (j, mj), d in sorted(terms.items()):
-                if mj == m and d:
-                    term = product(alpha, beta, j)
-                    term = term if d == 1 else term.scale(d)
-                    out = term if out is None else out + term
-        outs.append(_cut(f, out, *_product_bounds(f, g, a_min, b_min)))
+                w = weights.setdefault(a - alpha + i, {})
+                m = b - beta - i
+                w[m] = w.get(m, 0) + c * comb(b - beta, i) * (-1) ** i
+        parts = []
+        for j, w in sorted(weights.items()):
+            w = {m: c for m, c in w.items() if c}
+            if w:
+                parts.append((product(alpha, beta, j), w))
+        outs.append(_theta_form(f, parts, *_product_bounds(f, g, a_min, b_min)))
     del product  # it refers to itself; free this call's theta powers now
     return outs
+
+
+def _least_bounds(hs):
+    """The bounds of a sum of the series hs: the least bound, and for each
+    sector the least bound of the hs that hold it."""
+    bounds = {}
+    for h in hs:
+        for S, p in _sectors(h).items():
+            bounds[S] = min(bounds.get(S, p.trunc), p.trunc)
+    return min(h.trunc for h in hs), bounds
+
+
+def _theta_form(like, parts, trunc, bounds):
+    """sum W(theta) B over the parts (B, W), known through trunc and
+    through bounds[S] in each sector S, as a series of the type of like
+    (`_theta_sum`); a sector no B holds is zero through its bound."""
+    parts = [(_sectors(B), w) for B, w in parts]
+    if isinstance(like, PuiseuxSeries):
+        return _theta_sum(parts, {ZERO: trunc})[ZERO]
+    return type(like)(_theta_sum(parts, bounds), trunc)
+
+
+def _theta_sum(parts, bounds):
+    """{S: sector S of sum W(theta) B over the parts (B's sectors, W)},
+    through bounds[S] for each sector S of bounds: W is {m: c}, the
+    polynomial sum c theta^m with rational c.
+
+    Theta is e on the term at z^e, so the term at X/L of an output is
+    sum W(X/L) b over the terms b of the B at X/L.  With D the lcm of the
+    denominators of all c and M the highest m, D L^M W(X/L) is an integer:
+    each output term sums these times Gaussian-integer numerators over one
+    denominator, and is reduced once (`from_ints`).  Only the terms at or
+    below the bound are formed.
+    """
+    D = lcm(*(Frac(c).denominator for _, w in parts for c in w.values()))
+    M = max((m for _, w in parts for m in w), default=0)
+    out = {}
+    for S, bound in bounds.items():
+        held = [(hs[S], w) for hs, w in parts if S in hs]
+        L = lcm(*(p.L for p, _ in held))
+        top = _top(bound, L)
+        acc = {}  # X -> monomial -> [(re, im, den)]
+        for p, w in held:
+            w = [(m, int(c * D) * L ** (M - m)) for m, c in w.items()]
+            step = L // p.L
+            for X, c in p.xterms.items():
+                X *= step
+                if X > top:
+                    continue
+                n = sum(k * X ** m for m, k in w)
+                if n:
+                    by_mono = acc.setdefault(X, {})
+                    for m, v in c.terms.items():
+                        by_mono.setdefault(m, []).append((n * v.a, n * v.b, v.d))
+        scale = D * L ** M
+        xterms = {}
+        for X, by_mono in acc.items():
+            terms = {}
+            for m, nums in by_mono.items():
+                den = lcm(*(d for _, _, d in nums))
+                re = sum(a * (den // d) for a, _, d in nums)
+                im = sum(b * (den // d) for _, b, d in nums)
+                if re or im:
+                    terms[m] = from_ints(re, im, den * scale)
+            if terms:
+                xterms[X] = SymExpr(terms)
+        out[S] = on_lattice(L, xterms, bound)
+    return out
 
 
 def _sectors(h):
@@ -567,18 +631,6 @@ def _product_bounds(f, g, a, b):
                 gt + min((v for _, _, v in fv), default=ft))
     bounds = _pair_bounds(fv, gv, trunc)
     return Frac(trunc, T), {Frac(S, M): Frac(B, T) for S, B in bounds.items()}
-
-
-def _cut(like, h, trunc, bounds):
-    """h (None for zero) cut to the bound trunc and to the sector bounds,
-    as a series of the type of like; a sector h lacks is zero through its
-    bound."""
-    sectors = {} if h is None else _sectors(h)
-    zero = on_lattice(1, {}, trunc)
-    if isinstance(like, PuiseuxSeries):
-        return _with_bound(sectors.get(ZERO, zero), trunc)
-    return type(like)({s: _with_bound(sectors.get(s, zero), b)
-                       for s, b in bounds.items()}, trunc)
 
 
 def weighted_theta_expand(f, g, w1, w2, k, *, memo=None):

@@ -15,7 +15,10 @@ pipelines produce are a subset).  Symbol arguments are canonicalized eagerly
 by the constructors below.  Every monomial is then made by one routine,
 `canonical(exps) -> (monomial, cofactor)`, which drops zero exponents and
 folds the integer part of each radical exponent into the rational cofactor;
-products add exponent maps and inverses negate them before it.  An empty term
+products add exponent maps and inverses negate them before it.  It returns
+the one live monomial of its factors, from a weak table that keeps none
+alive, and `mono_mul` keeps each product in a table on its first factor, so
+a product of two monomials is made once while they live.  An empty term
 map is zero, but the canonical form is not unique: values related only by
 product identities such as (x;q) = (x;q^2)(xq;q^2) or Gauss's
 multiplication formula for Gamma keep different term maps, so two equal
@@ -37,6 +40,7 @@ pools are chosen so that no check reaches one.
 from __future__ import annotations
 
 from fractions import Fraction
+from weakref import WeakValueDictionary
 
 from .rationals import GaussianRational
 
@@ -81,14 +85,16 @@ _RENDER = ("{}^({})", "pi^({1})", "Gamma({})^({})", "sin(pi*{})^({})",
 
 class SymbolMonomial:
     """Immutable canonical symbol monomial: `factors` is the sorted tuple of
-    its (symbol, exponent) pairs.  Built by `canonical` (see module
+    its (symbol, exponent) pairs; `_products` is its table of products, made
+    by `mono_mul` on first use.  Built by `canonical` (see module
     docstring)."""
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors", "_hash", "_products", "__weakref__")
 
     def __init__(self, factors=()):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_hash", hash(factors))
+        object.__setattr__(self, "_products", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolMonomial is immutable")
@@ -97,6 +103,8 @@ class SymbolMonomial:
         return not self.factors
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SymbolMonomial):
             return NotImplemented
         return self._hash == other._hash and self.factors == other.factors
@@ -113,13 +121,18 @@ class SymbolMonomial:
 
 
 MONO_ONE = SymbolMonomial()
+_ONE = Frac(1)
+
+#: factors tuple -> the live monomial of those factors; it keeps none alive
+_INTERN = WeakValueDictionary()
 
 
 def canonical(exps):
     """The monomial of an exponent map {symbol: exponent}, and its rational
     cofactor: zero exponents are dropped and the integer part (floor) of each
-    radical exponent is folded into the cofactor, leaving it in (0, 1)."""
-    cof = Frac(1)
+    radical exponent is folded into the cofactor, leaving it in (0, 1).
+    Equal factors give one monomial object, and a cofactor 1 is `_ONE`."""
+    cof = _ONE
     factors = []
     for sym, e in sorted(exps.items()):
         if sym[0] == RADICAL:
@@ -129,16 +142,36 @@ def canonical(exps):
                 e -= k
         if e:
             factors.append((sym, e))
-    return (SymbolMonomial(tuple(factors)) if factors else MONO_ONE), cof
+    if not factors:
+        return MONO_ONE, cof
+    factors = tuple(factors)
+    mono = _INTERN.get(factors)
+    if mono is None:
+        mono = _INTERN[factors] = SymbolMonomial(factors)
+    return mono, cof
 
 
 def mono_mul(m1: SymbolMonomial, m2: SymbolMonomial):
-    """Product of canonical monomials: (monomial, rational cofactor)."""
-    exps = dict(m1.factors)
-    for sym, e in m2.factors:
-        e1 = exps.get(sym)
-        exps[sym] = e if e1 is None else e1 + e
-    return canonical(exps)
+    """Product of canonical monomials: (monomial, rational cofactor).
+
+    A unit factor gives the other back and touches no table; any other
+    product is made once and kept in m1's table of products."""
+    if not m1.factors:
+        return m2, _ONE
+    if not m2.factors:
+        return m1, _ONE
+    table = m1._products
+    if table is None:
+        table = {}
+        object.__setattr__(m1, "_products", table)
+    out = table.get(m2)
+    if out is None:
+        exps = dict(m1.factors)
+        for sym, e in m2.factors:
+            e1 = exps.get(sym)
+            exps[sym] = e if e1 is None else e1 + e
+        out = table[m2] = canonical(exps)
+    return out
 
 
 class SymExpr:
@@ -235,18 +268,10 @@ class SymExpr:
             return SymExpr()
         out = {}
         for m1, c1 in self.terms.items():
-            one1 = m1.is_one()
             for m2, c2 in other.terms.items():
-                # a canonical monomial times the unit is itself; is_one, not
-                # `is MONO_ONE`, since mono_mul builds fresh unit monomials
-                if one1:
-                    mono, cof = m2, 1
-                elif m2.is_one():
-                    mono, cof = m1, 1
-                else:
-                    mono, cof = mono_mul(m1, m2)
+                mono, cof = mono_mul(m1, m2)
                 c = c1 * c2
-                if cof != 1:
+                if cof is not _ONE:
                     c = c * cof
                 nc = out.get(mono)
                 nc = c if nc is None else nc + c
@@ -266,7 +291,7 @@ class SymExpr:
         ((m, c),) = self.terms.items()
         mono, cof = canonical({sym: -e for sym, e in m.factors})
         cc = c.inverse()
-        if cof != 1:
+        if cof is not _ONE:
             cc = cc * cof
         return SymExpr({mono: cc})
 

@@ -125,6 +125,44 @@ def test_verify_below_lowest_meaningful_order_exit_two(id, order, lowest):
         f"order {lowest} of {id}"]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_4d_eps_checks_at_z6_never_exit_three(seed, capsys):
+    # pool point 2, (1, 2/5, 3/8), has the blowup theory (3/5, 2/5), whose
+    # N_{lam lam} vanishes from degree 5 on: z^6 is a configuration error
+    # there, found before any check runs, and passes on the other two
+    ids = [arg for id in ("NY", "NY1", "NY2", "NY4") for arg in ("--id", id)]
+    code = main(["verify", *ids, "--order", "6", "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    assert code == (2 if seed == 2 else 0), out + err
+    if code == 2:
+        assert out == "" and "admissible only through degree 4" in err
+
+
+def test_inadmissible_orders_are_exactly_those_that_meet_a_vanishing_factor():
+    # below the rule's bound the check runs; above it, run unguarded, it
+    # raises ZeroFactor
+    sample = idmod.POOL_4D_EPS[2]
+    for id in ("NY", "NY1", "NY2", "NY4"):
+        for E in (F(k, 8) for k in range(16, 33)):
+            try:
+                idmod.check_order(id, E, [sample])
+                admissible = True
+            except ValueError:
+                admissible = False
+            try:
+                idmod.CATALOG[id].run(sample, E, idmod.Context())
+                ran = True
+            except ZeroFactor:
+                ran = False
+            assert admissible == ran, (id, E)
+    with pytest.raises(ValueError, match="admissible only through degree 4"):
+        idmod.verify("NY", sample, 4)
+    for sample in idmod.POOL_4D_EPS[:2]:
+        for id in ("NY", "NY1", "NY2", "NY4"):
+            idmod.check_order(id, 12, [sample])
+
+
 def test_verify_more_samples_than_pool_exit_two():
     # the 4d-eps pool holds three samples; five used to repeat two of them
     r = run_cli("verify", "--id", "NY", "--order", "1", "--samples", "5")

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nektau.nekrasov import (
     IncompleteModeRange,
@@ -12,15 +12,19 @@ from nektau.nekrasov import (
     RelativeZ5d,
     Theory4d,
     Theory5d,
+    admissible_degree_4d,
     blowup_modes,
     classical_exp_4d,
     classical_exp_5d,
+    gamma1_exp,
     inst_coeff_4d,
     inst_series_4d,
     inst_series_5d,
+    mirror_form_4d,
     z1loop_ratio_4d,
 )
 from nektau.rationals import GaussianRational as G
+from nektau.symbols import SymExpr, ZeroFactor
 from oracle import numeric_value, z1loop_negation_ratio
 
 E1, E2, A = F(1), F(-3, 7), F(2, 5)
@@ -56,6 +60,45 @@ def test_inst_coeff_4d_symmetries():
     for d in (1, 2):
         assert inst_coeff_4d(E1, E2, A, d) == inst_coeff_4d(E1, E2, -A, d)
         assert inst_coeff_4d(E1, E2, A, d) == inst_coeff_4d(E2, E1, A, d)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+
+
+@given(_small, _small, _small, st.integers(1, 4))
+@settings(max_examples=40)
+def test_inst_coeff_4d_mirror_symmetries(e1, e2, a, d):
+    # the moves that mirror_form_4d quotients by: swap, total sign flip and
+    # a -> -a; a point on a pole raises ZeroFactor at all its images alike
+    images = [(e2, e1, a), (-e1, -e2, a), (e1, e2, -a), (-e2, -e1, -a)]
+    try:
+        z = inst_coeff_4d(e1, e2, a, d)
+    except ZeroFactor:
+        for image in images:
+            with pytest.raises(ZeroFactor):
+                inst_coeff_4d(*image, d)
+        assume(False)
+    for image in images:
+        assert inst_coeff_4d(*image, d) == z
+        assert mirror_form_4d(*image) == mirror_form_4d(e1, e2, a)
+
+
+def test_mirrored_series_share_coefficients_and_keep_their_own_errors():
+    # (3/5, 2/5) has e-ratio 3/2: N_{lam lam} vanishes from degree 5 on
+    assert admissible_degree_4d(F(3, 5), F(2, 5)) == 4
+    assert admissible_degree_4d(F(2, 5), F(-3, 5)) is None
+    th, a = Theory4d(F(3, 5), F(2, 5)), F(3, 8)
+    mirror = Theory4d(F(2, 5), F(3, 5))
+    memo = {}
+    with pytest.raises(ZeroFactor, match=r"of \(4, 1\)/\(4, 1\)"):
+        inst_series_4d(th, a, 5, memo=memo)
+    assert sorted(key[-1] for key in memo) == [0, 1, 2, 3, 4]
+    # the mirrored caller reads degrees 0..4 from the memo and makes degree 5
+    # from its own arguments, so it raises its own message
+    with pytest.raises(ZeroFactor, match=r"of \(3, 1, 1\)/\(3, 1, 1\)"):
+        inst_series_4d(mirror, -a, 5, memo=memo)
+    assert len(memo) == 5
+    assert inst_series_4d(mirror, -a, 4, memo=memo) == inst_series_4d(th, a, 4)
 
 
 def test_inst_coeff_4d_homogeneity():
@@ -130,6 +173,24 @@ def test_cocycle_telescoping():
     one_then_one = z1loop_ratio_4d(e1, e2, a0, 1, 0) * z1loop_ratio_4d(
         e1, e2, a0 + e1, 1, 0)
     assert (two - one_then_one).is_zero()
+
+
+@pytest.mark.parametrize("e1,e2,a0,k1,k2", [
+    (F(1), F(-3, 7), F(2, 5), 2, -1), (F(1), F(-1), F(-7, 12), -2, 3),
+    (F(-5, 3), F(2), F(3, 7), 1, 2)])
+def test_cocycle_is_the_telescoped_gamma1_ratios(e1, e2, a0, k1, k2):
+    # sqrt(2 pi) cancels from each step's ratio at one eps, so the cocycle
+    # is the telescoped ratios of gamma1_exp, term for term
+    ref, x = SymExpr.one(), a0
+    for estep, epartner, count in ((e1, e2, k1), (e2, e1, k2)):
+        for _ in range(abs(count)):
+            if count > 0:
+                ref = ref * gamma1_exp(epartner, -x) / gamma1_exp(epartner, x + estep)
+                x += estep
+            else:
+                ref = ref * gamma1_exp(epartner, x) / gamma1_exp(epartner, -x + estep)
+                x -= estep
+    assert z1loop_ratio_4d(e1, e2, a0, k1, k2).terms == ref.terms
 
 
 def test_cocycle_inverse_shift():

@@ -1,11 +1,13 @@
 """Canonical monomial symbol algebra: exact values, reductions, resonances."""
 
+import gc
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from nektau import symbols
 from nektau.rationals import GaussianRational as G
 from nektau.symbols import (
     GAMMA,
@@ -72,8 +74,9 @@ def test_noninvertible_sum():
 
 
 def test_unit_monomial_product_is_the_mono_mul_route():
-    # SymExpr.__mul__ skips mono_mul for a unit monomial; a freshly built
-    # unit is equal to MONO_ONE but not the same object
+    # mono_mul gives a unit's partner back without a product table; a
+    # freshly built unit (canonical never makes one) is equal to MONO_ONE
+    # but not the same object, and takes the same shortcut
     fresh = SymbolMonomial()
     assert fresh == MONO_ONE and fresh is not MONO_ONE
     unit = SymExpr({fresh: G(3, -1)})
@@ -86,6 +89,61 @@ def test_unit_monomial_product_is_the_mono_mul_route():
                 ref = ref + SymExpr({mono: c1 * c2 * cof})
         assert (unit * other).terms == ref.terms
         assert (other * unit).terms == ref.terms
+
+
+# ---------------------------------------------------------------------------
+# interning: one live monomial per factors tuple, one product per pair
+# ---------------------------------------------------------------------------
+
+
+def _live_table():
+    gc.collect()
+    return len(symbols._INTERN)
+
+
+def test_canonical_returns_one_object_per_factors_tuple():
+    exps = {(GAMMA, F(1, 3)): F(1), (RADICAL, 2): F(5, 2), (PI, None): F(-1, 2)}
+    m, cof = canonical(exps)
+    assert cof == 4
+    assert canonical(dict(m.factors))[0] is m
+    assert canonical(dict(reversed(list(exps.items()))))[0] is m
+    assert canonical({})[0] is MONO_ONE and canonical({(PI, None): F(0)})[0] is MONO_ONE
+
+
+def test_repeated_mono_mul_returns_identical_objects():
+    a, b = gamma_value(F(1, 3)), rational_power(6, F(3, 2)) * pi_power(F(1, 2))
+    ((m1, _),), ((m2, _),) = a.terms.items(), b.terms.items()
+    first = mono_mul(m1, m2)
+    again = mono_mul(m1, m2)
+    assert again is first and again[0] is first[0]
+    # the same product by the route of the five-field reference
+    ref, ref_cof = ref_mono_mul(FieldMonomial(gam=((F(1, 3), F(1)),)),
+                                FieldMonomial(rad=((2, F(1, 2)), (3, F(1, 2))),
+                                              pi_exp=F(1, 2)))
+    assert first[0].render() == ref.render() and first[1] == ref_cof
+    assert mono_mul(m2, m1)[0] is first[0]
+
+
+def test_the_intern_table_keeps_no_monomial_alive():
+    # Gamma arguments no other test makes, so no monomial that outlives
+    # this test holds these products in its table
+    before = _live_table()
+    xs = [gamma_value(F(1, k)) * pi_power(F(k, 7)) for k in range(53, 59)]
+    prods = [x * y for x in xs for y in xs]
+    assert _live_table() > before
+    del xs, prods
+    assert _live_table() == before
+
+
+def test_unit_products_leave_the_unit_table_empty():
+    g = gamma_value(F(2, 7))
+    for x in (SymExpr.one(), SymExpr.from_rational(G(2, -3)), g):
+        for y in (SymExpr.from_rational(F(5)), g):
+            x * y
+            y * x
+    ((m, _),) = g.terms.items()
+    assert mono_mul(MONO_ONE, m) == (m, 1) and mono_mul(m, MONO_ONE) == (m, 1)
+    assert MONO_ONE._products is None
 
 
 # the five-field route: a monomial per kind in a field of its own
