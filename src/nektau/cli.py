@@ -14,7 +14,8 @@ verify  run catalog checks and write a deterministic JSON/CSV report.
         --corrupt-coefficient exponent above the order of every selected
         check, more samples than its pool holds or a report path in a
         directory that does not exist; the same holds for dump and
-        oracle), 3 on an internal error: an
+        oracle, and a dump of Z4d past the sample's admissible degree),
+        3 on an internal error: an
         exception raised inside a check (Resonance, ZeroFactor,
         NonInvertible, ...) becomes an error result that carries the
         exception's type and message, whatever the check's status, and 3
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 
 from . import identities as idmod
-from .nekrasov import Theory4d, Theory5d, inst_series_4d, inst_series_5d
+from .nekrasov import Theory4d, Theory5d, admissible_degree_4d, inst_series_4d, inst_series_5d
 from .qseries import algebraic_fixture
 from .tau import TauSystem4d, TauSystemQ
 
@@ -388,6 +389,12 @@ def _resolve_dump(selector: str, order: Frac, seed: int):
         return idmod.describe_sample(domain, sample), fs.dump()
     if selector == "Z4d":
         e1, e2, a = idmod.default_samples("4d-eps", 1, seed=seed)[0]
+        top = admissible_degree_4d(e1, e2)
+        if top is not None and int(order) > top:
+            raise ConfigError(
+                f"Z4d at order {order} needs instanton degree {int(order)} of the 4d "
+                f"theory ({e1}, {e2}), admissible only through degree {top} at "
+                f"the sample ({e1}, {e2}, {a})")
         ps = inst_series_4d(Theory4d(e1, e2), a, order)
         return idmod.describe_sample("4d-eps", (e1, e2, a)), ps.dump()
     if selector == "Z5d":

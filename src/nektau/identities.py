@@ -771,6 +771,9 @@ def run_determlemma(sample, E, ctx):
     Raises SingularSystem at a resonant sample (q1, q2 or q1/q2 a root of
     unity, i.e. k E1, k E2 or k (E1 - E2) = 0).
     """
+    # The unknowns, the mode-0 coefficients at z^k, enter only the n = 0
+    # pair term, times a t-power and the partner's z^0 coefficient (1, as
+    # the seed part checks), so a level takes three mode sums.
     kmax = int(E)
     t, E1, E2, Lu = sample
     for k in range(1, kmax + 1):
@@ -779,34 +782,40 @@ def run_determlemma(sample, E, ctx):
                 f"determinant vanishes at level {k}: E1={E1}, E2={E2}")
     A, B = _pair_5d(t, E1, E2, Lu, ctx.memo, 2)
     xs = (Frac(-1, 2), Frac(-1, 4), Frac(0))
+    f0 = A.mode(0, 0, Frac(0)).coeff(Frac(0))
+    g0 = B.mode(0, 0, Frac(0)).coeff(Frac(0))
     parts = [("seed: both level-0 coefficients are 1",
               bool_report(
-                  A.mode(0, 0, Frac(0)).coeff(Frac(0)).rational_value()
-                  == GaussianRational(1)
-                  and B.mode(0, 0, Frac(0)).coeff(Frac(0)).rational_value()
-                  == GaussianRational(1), 0))]
+                  f0.rational_value() == GaussianRational(1)
+                  and g0.rational_value() == GaussianRational(1), 0))]
     for k in range(1, kmax + 1):
         Ek = Frac(k)
         true1 = A.mode(0, 0, Ek).coeff(Ek)
         true2 = B.mode(0, 0, Ek).coeff(Ek)
 
-        def coeff_sum(x, c1, c2):
+        def coeff_sum(x):
             dilated = _dilated(t, 4 * x * E1, 4 * x * E2)
 
             def pair(n, f, g):
-                if n == 0:  # the unknowns: mode-0 coefficients at z^Ek
-                    f = PuiseuxSeries({**f.coeffs, Ek: SymExpr.coerce(c1)}, Ek)
-                    g = PuiseuxSeries({**g.coeffs, Ek: SymExpr.coerce(c2)}, Ek)
+                if n == 0:  # without the unknowns, the mode-0 coefficients at z^Ek
+                    f = PuiseuxSeries({**f.coeffs, Ek: 0}, Ek)
+                    g = PuiseuxSeries({**g.coeffs, Ek: 0}, Ek)
                 return dilated(n, f, g)
 
             return _mode_sum(A, B, Ek, Frac(0), pair).coeff(Ek)
 
         rows = []
         rhs = []
+        sums = {}
         for xa, xb in ((xs[1], xs[2]), (xs[0], xs[2])):
-            base = coeff_sum(xa, 0, 0) - coeff_sum(xb, 0, 0)
-            a = (coeff_sum(xa, 1, 0) - coeff_sum(xb, 1, 0) - base).rational_value()
-            b = (coeff_sum(xa, 0, 1) - coeff_sum(xb, 0, 1) - base).rational_value()
+            for x in (xa, xb):
+                if x not in sums:
+                    sums[x] = coeff_sum(x)
+            base = sums[xa] - sums[xb]
+            a = ((rational_power(t, 4 * xa * E1 * Ek) - rational_power(t, 4 * xb * E1 * Ek))
+                 * g0).rational_value()
+            b = ((rational_power(t, 4 * xa * E2 * Ek) - rational_power(t, 4 * xb * E2 * Ek))
+                 * f0).rational_value()
             if a is None or b is None:
                 raise SingularSystem("non-numeric system coefficients")
             rows.append((a, b))

@@ -13,9 +13,11 @@ Conventions: the series variable z carries four units of the mass scale
 t (the 5d series and modes take t itself), and 4d equivariant parameters
 are literal rationals.
 
-Each instanton coefficient is a partitions.pair_sum over tables of
-per-diagram factors.  A 4d or 5d coefficient builds its tables for itself;
-the four-flavour series builds one matter_kernel for all its degrees.
+Each instanton coefficient is a partitions.pair_sum over a kernel: a
+partition table, tables of per-diagram factors and the one-pass pair factor
+(kernel_4d, kernel_5d, matter_kernel).  Each series builds one kernel for
+all its degrees, each diagram's entry on first use; a coefficient called on
+its own builds one through its degree.
 
 Values are memoised only in a dict the caller passes as ``memo`` (one
 verification run's, see identities.Context), each through ``memoized``
@@ -39,8 +41,11 @@ from .partitions import (
     cs_exponent,
     diagram_entry,
     diagram_tables,
+    mul_binomials,
     mul_factors_4d,
     mul_factors_5d,
+    pair_4d,
+    pair_5d,
     pair_sum,
     partition_table,
 )
@@ -102,13 +107,13 @@ def _series(order, coeff) -> PuiseuxSeries:
     return PuiseuxSeries({Frac(d): coeff(d) for d in range(int(order) + 1)}, order)
 
 
-def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int) -> Frac:
-    """Coefficient of z^d: sum over partition pairs of the inverse
-    product of the four pair factors at arguments (0, a, -a, 0).
+def kernel_4d(e1: Frac, e2: Frac, a: Frac, order: int):
+    """The 4d pair sum through z^order at (0, a, -a, 0): (parts, first,
+    second, factor, pair) for pair_sum.
 
     Over L = lcm of the denominators of (a, e1, e2) each factor is an
-    integer over L, and the four factors of a pair hold 4d boxes, so the
-    sum of the inverse integer products is scaled by L^{4d}.
+    integer over L; the tables hold each diagram's inverse integer N_{lam
+    lam}.
     """
     L = lcm(a.denominator, e1.denominator, e2.denominator)
     A = int(a * L)
@@ -124,8 +129,21 @@ def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int) -> Frac:
     def factor(acc, lam, mu, s):
         return mul_factors_4d(acc[0], lam, mu, weights, A if s == 1 else -A), 0, 1
 
-    parts = partition_table(d)
-    sums = pair_sum(d, parts, *diagram_tables(parts, entries), factor)
+    return (partition_table(order), *diagram_tables(entries), factor,
+            pair_4d(weights, A, factor))
+
+
+def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int, kernel=None) -> Frac:
+    """Coefficient of z^d: sum over partition pairs of the inverse
+    product of the four pair factors at arguments (0, a, -a, 0).
+
+    The four factors of a pair hold 4d boxes, each an integer over L (see
+    kernel_4d), so the sum of the inverse integer products is scaled by
+    L^{4d}.  kernel: a kernel_4d of these inputs through some order >= d,
+    made here through d if not given.
+    """
+    L = lcm(a.denominator, e1.denominator, e2.denominator)
+    sums = pair_sum(d, *(kernel or kernel_4d(e1, e2, a, d)))
     return sums[0][0] * L ** (4 * d)
 
 
@@ -155,10 +173,12 @@ def inst_series_4d(th: Theory4d, a: Frac, order, *, memo=None) -> PuiseuxSeries:
     """The 4d instanton series through z^order.  Its coefficients are kept
     in memo under the normal form of (e1, e2, a) (`mirror_form_4d`), so
     mirrored points share them; each is made from this call's own
-    arguments."""
+    arguments, on one kernel_4d."""
     key = mirror_form_4d(th.e1, th.e2, a)
+    kernel = kernel_4d(th.e1, th.e2, a, int(Frac(order)))
     return _series(order, lambda d: memoized(
-        memo, ("inst_coeff_4d", *key, d), lambda: inst_coeff_4d(th.e1, th.e2, a, d)))
+        memo, ("inst_coeff_4d", *key, d),
+        lambda: inst_coeff_4d(th.e1, th.e2, a, d, kernel)))
 
 
 _ONE = (1, 0, 1)
@@ -171,7 +191,9 @@ def _inverse_diagonal_5d(lam, weights: BoxWeights, table: BinomialTable):
     return den, 0, re
 
 
-def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> SymExpr:
+def kernel_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, order: int):
+    """The 5d pair sum through z^order at u = t^Lu and Chern-Simons level
+    m: (parts, first, second, factor, pair) for pair_sum."""
     weights, table = BoxWeights(E1, E2), BinomialTable(GaussianRational(1), t)
     half = Lu / 2
 
@@ -184,8 +206,15 @@ def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> Sym
     def factor(acc, lam, mu, s):
         return mul_factors_5d(acc, lam, mu, weights, table, Lu if s == 1 else -Lu)
 
-    parts = partition_table(d)
-    sums = pair_sum(d, parts, *diagram_tables(parts, entries), factor)
+    return (partition_table(order), *diagram_tables(entries), factor,
+            pair_5d(weights, t, Lu, factor))
+
+
+def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int,
+                   kernel=None) -> SymExpr:
+    """kernel: a kernel_5d of these inputs through some order >= d, made
+    here through d if not given."""
+    sums = pair_sum(d, *(kernel or kernel_5d(E1, E2, m, Lu, t, d)))
     # the degree-d weight carries (q1 q2)^{-d}; integer powers of t are
     # rational and add up as Fractions
     base = -(E1 + E2) * d
@@ -201,15 +230,17 @@ def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int) -> Sym
 
 
 def inst_series_5d(th: Theory5d, Lu: Frac, t: Frac, order, *, memo=None) -> PuiseuxSeries:
+    kernel = kernel_5d(th.E1, th.E2, th.m, Lu, t, int(Frac(order)))
     return _series(order, lambda d: memoized(
         memo, ("inst_coeff_5d", th, Lu, t, d),
-        lambda: _inst_coeff_5d(th.E1, th.E2, th.m, Lu, t, d)))
+        lambda: _inst_coeff_5d(th.E1, th.E2, th.m, Lu, t, d, kernel)))
 
 
 def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
     """The four-flavour pair sum through z^order: (parts, first, second,
-    factor) for pair_sum.  Each diagram's eight numerator products and its
-    N_{lam lam} are made once here; a pair adds only N_{lam1 lam2} N_{lam2 lam1}.
+    factor, pair) for pair_sum.  Each diagram's eight numerator products
+    and its N_{lam lam} are made once, on first use, from its two numerator
+    weight lists; a pair adds only N_{lam1 lam2} N_{lam2 lam1}.
 
     vs: mapping with keys "0", "t", "1", "inf"; each value is a pair
     (coef: GaussianRational, p: Frac) encoding the multiplicative weight
@@ -234,12 +265,13 @@ def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
         for eps in (1, -1) for epsp in (1, -1)
     }
 
-    def numerator(lam, a_tab, a_texp, b_tab, b_texp):
-        num = mul_factors_5d(_ONE, (), lam, weights, a_tab, a_texp)
-        return mul_factors_5d(num, lam, (), weights, b_tab, b_texp)
+    def numerator(lam, a_ws, b_ws, a_tab, a_texp, b_tab, b_texp):
+        num = mul_binomials(_ONE, (), lam, a_ws, weights.integral, a_tab, a_texp)
+        return mul_binomials(num, lam, (), b_ws, weights.integral, b_tab, b_texp)
 
     def entries(lam):
-        num = {sign: attempt(numerator, lam, *tabs) for sign, tabs in signs.items()}
+        ws = weights((), lam), weights(lam, ())
+        num = {sign: attempt(numerator, lam, *ws, *tabs) for sign, tabs in signs.items()}
         inv = attempt(_inverse_diagonal_5d, lam, weights, one_tab)
         # the box-by-box order is sign (1, 1), (1, -1), (-1, 1), (-1, -1),
         # each sign's a and b factors then its N; (1, -1) and (-1, 1) hold
@@ -253,8 +285,8 @@ def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
     def factor(acc, lam, mu, s):
         return mul_factors_5d(acc, lam, mu, weights, one_tab, u if s == 1 else -u)
 
-    parts = partition_table(order)
-    return (parts, *diagram_tables(parts, entries), factor)
+    return (partition_table(order), *diagram_tables(entries), factor,
+            pair_5d(weights, t, u, factor))
 
 
 def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int,
@@ -264,8 +296,7 @@ def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int,
     kernel: a matter_kernel of these inputs through some order >= d, made
     here through d if not given.
     """
-    parts, first, second, factor = kernel or matter_kernel(vs, sigma, sample, d)
-    ((re, im),) = pair_sum(d, parts, first, second, factor).values()
+    ((re, im),) = pair_sum(d, *(kernel or matter_kernel(vs, sigma, sample, d))).values()
     return SymExpr.from_rational(GaussianRational(re, im))
 
 
@@ -335,6 +366,16 @@ def z1loop_ratio_4d(e1: Frac, e2: Frac, a0: Frac, k1: int, k2: int) -> SymExpr:
     return out
 
 
+def _q_step(out: SymExpr, Lu: Frac, Estep: Frac, Epartner: Frac, up: bool,
+            t: Frac) -> SymExpr:
+    """out times the one-loop ratio of one q-step of u = t^Lu along Estep,
+    up (one S(-Lu - Estep; Epartner) / S(Lu; Epartner), see q_z1loop_ratio)
+    or down."""
+    if up:
+        return out * poch_value(-Lu - Estep, Epartner, t) / poch_value(Lu, Epartner, t)
+    return out * poch_value(Lu - Estep, Epartner, t) / poch_value(-Lu, Epartner, t)
+
+
 def q_z1loop_ratio(E1: Frac, E2: Frac, Lu0: Frac, k1: int, k2: int, t: Frac) -> SymExpr:
     """Ratio of 5d one-loop factors: u shifted by q1^{k1} q2^{k2} over u.
 
@@ -346,12 +387,8 @@ def q_z1loop_ratio(E1: Frac, E2: Frac, Lu0: Frac, k1: int, k2: int, t: Frac) -> 
     Lu = Lu0
     for Estep, Epartner, count in ((E1, E2, k1), (E2, E1, k2)):
         for _ in range(abs(count)):
-            if count > 0:
-                out = out * poch_value(-Lu - Estep, Epartner, t) / poch_value(Lu, Epartner, t)
-                Lu += Estep
-            else:
-                out = out * poch_value(Lu - Estep, Epartner, t) / poch_value(-Lu, Epartner, t)
-                Lu -= Estep
+            out = _q_step(out, Lu, Estep, Epartner, count > 0, t)
+            Lu += Estep if count > 0 else -Estep
     return out
 
 
@@ -413,9 +450,23 @@ class RelativeZ5d:
                 - classical_exp_5d(self.th.E1, self.th.E2, self.Lu0))
 
     def cocycle(self, k1: int, k2: int) -> SymExpr:
+        """With a memo, a cocycle on one axis is one telescoping step from
+        the memoised one at its neighbour towards 0, the same products in
+        the same order as q_z1loop_ratio."""
         th, t = self.th, self.t
-        return memoized(self.memo, ("cocycle", th, self.Lu0, t, k1, k2),
-                        lambda: q_z1loop_ratio(th.E1, th.E2, self.Lu0, k1, k2, t))
+
+        def build():
+            if self.memo is None or bool(k1) == bool(k2):
+                return q_z1loop_ratio(th.E1, th.E2, self.Lu0, k1, k2, t)
+            step = 1 if (k1 or k2) > 0 else -1
+            if k1:
+                prev, k, Estep, Epartner = self.cocycle(k1 - step, 0), k1, th.E1, th.E2
+            else:
+                prev, k, Estep, Epartner = self.cocycle(0, k2 - step), k2, th.E2, th.E1
+            return _q_step(prev, self.Lu0 + (k - step) * Estep, Estep, Epartner,
+                           step > 0, t)
+
+        return memoized(self.memo, ("cocycle", th, self.Lu0, t, k1, k2), build)
 
     def mode(self, k1: int, k2: int, order) -> PuiseuxSeries:
         order = Frac(order)

@@ -5,21 +5,28 @@ Partitions are tuples of weakly decreasing positive integers.  Arm/leg
 lengths are evaluated with the conjugate-profile rule and may be negative
 (boxes of one diagram measured against another diagram's profile).
 
-An instanton coefficient sums over pairs of diagrams.  pair_sum takes each
-diagram's own factors from a table built once for every diagram up to the
-order, and multiplies only the two pair factors N_{lam1 lam2} N_{lam2 lam1}
-per pair.
+An instanton coefficient sums over pairs of diagrams.  pair_sum reads each
+diagram's own factors from tables made once per series, each entry on first
+use, and forms per pair only its pair factor N_{lam1 lam2}(u) N_{lam2 lam1}(-u).
+Each box of N_{lam2 lam1}(-u) has the weight -w - (e1 + e2), where w is the
+weight of the same box in N_{lam1 lam2}(u), so the pair interface (pair_4d,
+pair_5d) forms that real product in one pass over one BoxWeights list.  A
+vanishing product, or non-integral weights or u, takes the box-by-box route
+of two factor calls, which raises what that product meets first.  The terms
+of one key are summed as integer triples (re, im, den), merged pairwise in a
+balanced tree, and made into one Fraction per key at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .rationals import GaussianRational
 from .symbols import ZeroFactor
 
 Frac = Fraction
+_ONE = (1, 0, 1)
 
 
 def partition_table(n: int):
@@ -154,9 +161,16 @@ def mul_factors_5d(acc, lam, mu, weights: BoxWeights, table: BinomialTable,
     coefficient c and the base t are those of table.  Every exponent must be
     an integer: with integral weights that holds exactly when u_texp is one.
     """
+    return mul_binomials(acc, lam, mu, weights(lam, mu), weights.integral,
+                         table, u_texp)
+
+
+def mul_binomials(acc, lam, mu, ws, integral: bool, table: BinomialTable,
+                  u_texp: Frac):
+    """mul_factors_5d on the weights ws of N_{lam mu}, made once by the
+    caller; integral: whether the BoxWeights that made them is."""
     re, im, den = acc
-    ws = weights(lam, mu)
-    if weights.integral:
+    if integral:
         if ws and u_texp.denominator != 1:
             _integer_exponent(u_texp + ws[0])
         u = int(u_texp)
@@ -182,7 +196,7 @@ def n_factor_5d(lam, mu, u_coef: GaussianRational, u_texp: Frac,
     exact Gaussian rational.
     """
     re, im, den = mul_factors_5d(
-        (1, 0, 1), lam, mu, BoxWeights(E1, E2),
+        _ONE, lam, mu, BoxWeights(E1, E2),
         BinomialTable(GaussianRational.coerce(u_coef), t), u_texp)
     return GaussianRational.from_ints(re, im, den)
 
@@ -244,43 +258,180 @@ def diagram_entry(key, before, after):
     return key, re, im, den
 
 
-def diagram_tables(parts, entries):
-    """The first- and second-diagram tables of pair_sum over every diagram
-    of a partition_table: entries(lam) is lam's pair of entries."""
-    first, second = {}, {}
-    for row in parts:
-        for lam in row:
-            first[lam], second[lam] = entries(lam)
+class _Lazy(dict):
+    """key -> make(key), made on first use."""
+
+    __slots__ = ("make",)
+
+    def __missing__(self, key):
+        val = self[key] = self.make(key)
+        return val
+
+
+def diagram_tables(entries):
+    """The first- and second-diagram tables of pair_sum: entries(lam) is
+    lam's pair of entries, made on first use of either side and kept as
+    long as the tables."""
+    both, first, second = _Lazy(), _Lazy(), _Lazy()
+    both.make = entries
+    first.make = lambda lam: both[lam][0]
+    second.make = lambda lam: both[lam][1]
     return first, second
 
 
-def pair_sum(d: int, parts, first, second, factor):
+def box_by_box_pair(factor):
+    """The pair factor N_{lam1 lam2} N_{lam2 lam1} as (num, den) from two
+    factor calls (see pair_sum): the route that raises what the box-by-box
+    product meets first."""
+
+    def pair(lam1, lam2):
+        num, _, den = factor(factor(_ONE, lam1, lam2, 1), lam2, lam1, -1)
+        return num, den
+
+    return pair
+
+
+def pair_4d(weights: BoxWeights, A: int, factor):
+    """The 4d pair factor N_{lam1 lam2}(A) N_{lam2 lam1}(-A) over integral
+    weights, as (num, 1): a box of weight w in the first gives A + w and
+    the same box in the second -(A + w + e1 + e2).  A zero product takes
+    the route of factor, the 4d box-by-box one."""
+    S = weights.e1 + weights.e2
+    fallback = box_by_box_pair(factor)
+
+    def pair(lam1, lam2):
+        ws = weights(lam1, lam2)
+        num = 1
+        for w in ws:
+            f = A + w
+            num *= f * (f + S)
+        if not num:
+            return fallback(lam1, lam2)
+        return (-num if len(ws) & 1 else num), 1
+
+    return pair
+
+
+class PairBinomials(dict):
+    """Exponent e -> (1 - t^e)(1 - t^{-e-S}) as an integer triple (num, r,
+    p) for num / (R^r P^p), with t = P / R in lowest terms.  Entries are
+    made on first use and live as long as the table."""
+
+    def __init__(self, t: Frac, S: int):
+        super().__init__()
+        self.P, self.R, self.S = t.numerator, t.denominator, S
+
+    def _binomial(self, e):
+        P, R = self.P, self.R
+        return (R ** e - P ** e, e, 0) if e >= 0 else (P ** -e - R ** -e, 0, -e)
+
+    def __missing__(self, e: int):
+        n1, r1, p1 = self._binomial(e)
+        n2, r2, p2 = self._binomial(-e - self.S)
+        val = self[e] = (n1 * n2, r1 + r2, p1 + p2)
+        return val
+
+
+def pair_5d(weights: BoxWeights, t: Frac, u: Frac, factor):
+    """The 5d pair factor N_{lam1 lam2}(t^u) N_{lam2 lam1}(t^-u) at the
+    coefficient 1, as (num, den): a box of weight w gives (1 - t^e)(1 -
+    t^{-e-e1-e2}) with e = u + w.  Non-integral weights or u, or a zero
+    product, take the route of factor, the 5d box-by-box one."""
+    fallback = box_by_box_pair(factor)
+    if not weights.integral or u.denominator != 1:
+        return fallback
+    table = PairBinomials(t, weights.e1 + weights.e2)
+    P, R, u = t.numerator, t.denominator, int(u)
+
+    def pair(lam1, lam2):
+        num, r, p = 1, 0, 0
+        for w in weights(lam1, lam2):
+            n, dr, dp = table[u + w]
+            num *= n
+            r += dr
+            p += dp
+        if not num:
+            return fallback(lam1, lam2)
+        return num, R ** r * P ** p
+
+    return pair
+
+
+def _add(x, y):
+    """The sum of two triples (re, im, den) over the lcm of their
+    denominators, with one gcd."""
+    a, b, m = x
+    c, e, n = y
+    if m == n:
+        return a + c, b + e, m
+    g = gcd(m, n)
+    if g == 1:
+        return a * n + c * m, (b * n + e * m if b or e else 0), m * n
+    mg, ng = m // g, n // g
+    return a * ng + c * mg, (b * ng + e * mg if b or e else 0), m * ng
+
+
+def _push(stack, term):
+    """Add term to a balanced binary counter: the top two partial sums are
+    merged while they hold equally many terms."""
+    n = 1
+    while stack and stack[-1][0] == n:
+        m, other = stack.pop()
+        term, n = _add(other, term), n + m
+    stack.append((n, term))
+
+
+def _total(stack):
+    """The sum of a counter's partial sums."""
+    total = stack.pop()[1]
+    while stack:
+        total = _add(stack.pop()[1], total)
+    return total
+
+
+def pair_sum(d: int, parts, first, second, factor, pair):
     """Sums over the pairs (lam1, lam2) of total size d of
     first[lam1] * second[lam2] / (N_{lam1 lam2} N_{lam2 lam1}), by key.
 
     first and second map each diagram of parts to (key, re, im, den), for
-    the value (re + im i) / den, or to a Vanished.  factor(acc, lam, mu, s)
-    is the triple acc times N_{lam mu}, with s = 1 for the first pair factor
-    and -1 for the second; pair factors must be real.  Returns
-    {key1 + key2: [re, im]} as Fractions.  A pair with a Vanished diagram
-    raises what the box-by-box product meets first.
+    the value (re + im i) / den, or to a Vanished.  pair(lam1, lam2) is the
+    real pair factor as (num, den) (pair_4d, pair_5d, box_by_box_pair);
+    factor(acc, lam, mu, s), the box-by-box route, is the triple acc times
+    N_{lam mu}, with s = 1 for the first pair factor and -1 for the second.
+
+    The terms are integer triples, merged in balanced binary counters (one
+    gcd per merge, so about log2 of the terms stay alive): those of one
+    lam1 by key2 first, each total then times first[lam1] by key1 + key2.
+    Returns {key1 + key2: [re, im]}, one Fraction each, in the order the
+    pairs first meet the keys.  A pair with a Vanished diagram raises what
+    the box-by-box product meets first.
     """
-    one = (1, 0, 1)
+    stacks = {}  # key -> counter of the terms
+    for d1 in range(d + 1):
+        for lam1 in parts[d1]:
+            x = first[lam1]
+            groups = {}  # key2 -> counter of lam1's terms without first[lam1]
+            for lam2 in parts[d - d1]:
+                y = second[lam2]
+                if x.__class__ is Vanished or y.__class__ is Vanished:
+                    _raise_first(x, y, lam1, lam2, factor)
+                k2, r2, i2, n2 = y
+                nr, nd = pair(lam1, lam2)
+                stack = groups.get(k2)
+                if stack is None:
+                    stack = groups[k2] = []
+                _push(stack, (r2 * nd, i2 * nd, n2 * nr))
+            k1, r1, i1, n1 = x
+            for k2, stack in groups.items():
+                re, im, den = _total(stack)
+                stack = stacks.get(k1 + k2)
+                if stack is None:
+                    stack = stacks[k1 + k2] = []
+                _push(stack, (r1 * re - i1 * im, r1 * im + i1 * re, n1 * den))
     sums = {}
-    for lam1, lam2 in enumerate_pairs(d, parts):
-        x, y = first[lam1], second[lam2]
-        if x.__class__ is Vanished or y.__class__ is Vanished:
-            _raise_first(x, y, lam1, lam2, factor)
-        k1, r1, i1, n1 = x
-        k2, r2, i2, n2 = y
-        nr, _, nd = factor(factor(one, lam1, lam2, 1), lam2, lam1, -1)
-        den = n1 * n2 * nr
-        acc = sums.get(k1 + k2)
-        if acc is None:
-            acc = sums[k1 + k2] = [Frac(0), Frac(0)]
-        acc[0] += Frac((r1 * r2 - i1 * i2) * nd, den)
-        if i1 or i2:
-            acc[1] += Frac((r1 * i2 + i1 * r2) * nd, den)
+    for key, stack in stacks.items():
+        re, im, den = _total(stack)
+        sums[key] = [Frac(re, den), Frac(im, den)]
     return sums
 
 
@@ -293,7 +444,7 @@ def _raise_first(x, y, lam1, lam2, factor):
     for exc in (b1, b2):
         if exc is not None:
             raise exc
-    acc = factor((1, 0, 1), lam1, lam2, 1)
+    acc = factor(_ONE, lam1, lam2, 1)
     if a1 is not None:
         raise a1
     factor(acc, lam2, lam1, -1)

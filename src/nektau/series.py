@@ -170,13 +170,19 @@ class PuiseuxSeries:
         return self.dilate_t(sample.t, sample.dq * _frac(q_exp))
 
     def dilate_t(self, t, texp):
-        """z -> t^texp z: the coefficient at z^e gains t^{texp*e}."""
+        """z -> t^texp z: the coefficient at z^e gains t^{texp*e}, the
+        Fraction t^{texp*e} itself at an integer exponent."""
         texp = _frac(texp)
         if not texp:
             return self
-        L = self.L
-        return on_lattice(L, _nonzero((X, c * rational_power(t, texp * Frac(X, L)))
-                                      for X, c in self.xterms.items()), self.trunc)
+        t, L = _frac(t), self.L
+
+        def power(X):
+            e = texp * Frac(X, L)
+            return t ** e.numerator if e.denominator == 1 else rational_power(t, e)
+
+        return on_lattice(L, _nonzero((X, c * power(X)) for X, c in self.xterms.items()),
+                          self.trunc)
 
     def exp(self):
         """exp(series); requires strictly positive exponents.

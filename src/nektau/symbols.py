@@ -353,7 +353,7 @@ def rational_power(r, e) -> SymExpr:
     coeff = GaussianRational(1)
     if r < 0:
         if e.denominator == 1:
-            coeff = GaussianRational((-1) ** e.numerator)
+            coeff = GaussianRational(-1 if e.numerator % 2 else 1)
         elif e.denominator == 2:
             coeff = GaussianRational(0, 1) ** (2 * e % 4).numerator
         else:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import nektau.cli as climod
 import nektau.identities as idmod
 from nektau import nekrasov, tau
 from nektau.cli import (
@@ -332,7 +333,7 @@ def test_one_run_computes_each_coefficient_once(monkeypatch):
     real = nekrasov._inst_coeff_5d
 
     def counting(*args):
-        calls.append(args)
+        calls.append(args[:6])  # (E1, E2, m, Lu, t, d); the kernel follows
         return real(*args)
 
     monkeypatch.setattr(nekrasov, "_inst_coeff_5d", counting)
@@ -711,6 +712,22 @@ def test_dump_unknown_name_lists_the_selectors_exit_two(selector, capsys):
     assert out == ""
     assert err.splitlines() == [f"configuration error: unknown dump selector {selector!r}; "
                                 f"choose from: {', '.join(DUMP_SELECTORS)}"]
+
+
+def test_dump_z4d_past_the_admissible_degree_exit_two(monkeypatch, capsys):
+    # 4d-eps pool sample 2, (1, 2/5, 3/8), has an N_{lam lam} that vanishes
+    # at degree 7: the dump used to end in a ZeroFactor traceback, exit 3
+    built, real = [], nekrasov.inst_series_4d
+    monkeypatch.setattr(climod, "inst_series_4d",
+                        lambda *args, **kwargs: built.append(args) or real(*args, **kwargs))
+    assert main(["dump", "Z4d", "--seed", "2", "--order", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not built
+    assert err.splitlines() == [
+        "configuration error: Z4d at order 7 needs instanton degree 7 of the 4d theory "
+        "(1, 2/5), admissible only through degree 6 at the sample (1, 2/5, 3/8)"]
+    assert main(["dump", "Z4d", "--seed", "2", "--order", "6"]) == 0
+    assert len(built) == 1 and json.loads(capsys.readouterr().out)["series"]
 
 
 @pytest.mark.parametrize("selector", [s for s in DUMP_SELECTORS if s.startswith("tau")])

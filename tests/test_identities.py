@@ -10,6 +10,7 @@ import pytest
 import nektau.identities as idmod
 from nektau.cli import main
 from nektau.fourier import EqualityReport, FourierSeries
+from nektau.rationals import GaussianRational
 from nektau.series import PuiseuxSeries
 from nektau.symbols import SymExpr
 from nektau.tau import zeta_from_tau
@@ -291,3 +292,60 @@ def test_determ_recursion_seed_level():
     assert any("level-0" in name or "seed" in name for name, _ in rep.parts)
     with pytest.raises(ValueError, match="below the lowest meaningful order 1"):
         idmod.verify("determlemma", E=0)
+
+
+def ref_run_determlemma(sample, E, ctx):
+    """Test-only copy of the determining recursion's old route: each level
+    takes twelve mode sums, with the unknowns set to 0 and 1 in turn."""
+    t, E1, E2, Lu = sample
+    A, B = idmod._pair_5d(t, E1, E2, Lu, ctx.memo, 2)
+    xs = (F(-1, 2), F(-1, 4), F(0))
+    parts = [("seed: both level-0 coefficients are 1",
+              idmod.bool_report(
+                  A.mode(0, 0, F(0)).coeff(F(0)).rational_value() == GaussianRational(1)
+                  and B.mode(0, 0, F(0)).coeff(F(0)).rational_value()
+                  == GaussianRational(1), 0))]
+    for k in range(1, int(E) + 1):
+        Ek = F(k)
+        true1 = A.mode(0, 0, Ek).coeff(Ek)
+        true2 = B.mode(0, 0, Ek).coeff(Ek)
+
+        def coeff_sum(x, c1, c2):
+            dilated = idmod._dilated(t, 4 * x * E1, 4 * x * E2)
+
+            def pair(n, f, g):
+                if n == 0:
+                    f = PuiseuxSeries({**f.coeffs, Ek: SymExpr.coerce(c1)}, Ek)
+                    g = PuiseuxSeries({**g.coeffs, Ek: SymExpr.coerce(c2)}, Ek)
+                return dilated(n, f, g)
+
+            return idmod._mode_sum(A, B, Ek, F(0), pair).coeff(Ek)
+
+        rows, rhs = [], []
+        for xa, xb in ((xs[1], xs[2]), (xs[0], xs[2])):
+            base = coeff_sum(xa, 0, 0) - coeff_sum(xb, 0, 0)
+            a = (coeff_sum(xa, 1, 0) - coeff_sum(xb, 1, 0) - base).rational_value()
+            b = (coeff_sum(xa, 0, 1) - coeff_sum(xb, 0, 1) - base).rational_value()
+            rows.append((a, b))
+            rhs.append(SymExpr.zero() - base)
+        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        inv = SymExpr.from_rational(det.inverse())
+        c1 = (rhs[0] * rows[1][1] - rhs[1] * rows[0][1]) * inv
+        c2 = (rhs[1] * rows[0][0] - rhs[0] * rows[1][0]) * inv
+        parts.append((f"level {k}: first half-theory coefficient",
+                      idmod.bool_report(not (c1 - true1), k)))
+        parts.append((f"level {k}: second half-theory coefficient",
+                      idmod.bool_report(not (c2 - true2), k)))
+    return parts
+
+
+@pytest.mark.parametrize("sample", idmod.POOL_5D)
+def test_determ_recursion_matches_the_twelve_sum_solve(sample):
+    # the unknowns enter one pair term at t-power weights, so three mode
+    # sums per level give the system the twelve sums gave
+    ctx = idmod.Context()
+    for E in range(2, 6):
+        got = idmod.run_determlemma(sample, F(E), ctx)
+        want = ref_run_determlemma(sample, F(E), ctx)
+        assert got == want
+        assert all(r.ok for _, r in got)

@@ -93,6 +93,24 @@ def test_dilations(p, x, t):
     assert same(new, old)
 
 
+@pytest.mark.parametrize("t,texps", [
+    (F(2, 3), [F(1), F(-2), F(1, 2), F(2, 3)]),
+    (F(-3, 5), [F(1), F(-2), F(3)]),
+])
+def test_dilate_t_scales_by_the_fraction_power_at_integer_exponents(t, texps):
+    # terms at z^-1, z^(1/2), z^1 and z^(3/2), each with two monomials: an
+    # integer t-exponent scales by the Fraction t^e, any other one by the
+    # rational_power of the reference; the terms and their order agree
+    two = SymExpr.one() * F(2, 7) + ATOMS[1] * G(1, -3)
+    p = PuiseuxSeries({F(-1): two, F(1, 2): two * ATOMS[2], F(1): two * ATOMS[4],
+                       F(3, 2): ATOMS[6]}, F(2))
+    for texp in texps:
+        new, old = p.dilate_t(t, texp), ref.ref_dilate_t(ref_of(p), t, texp)
+        assert same(new, old)
+        assert [list(c.terms.items()) for c in new.coeffs.values()] == \
+            [list(c.terms.items()) for c in old.coeffs.values()]
+
+
 @given(lattice_series(), st.sampled_from([F(0), F(1, 3), F(3, 2)]))
 @settings(max_examples=40)
 def test_exp_and_inverse(p, top):

@@ -21,6 +21,7 @@ from nektau.nekrasov import (
     inst_series_4d,
     inst_series_5d,
     mirror_form_4d,
+    q_z1loop_ratio,
     z1loop_ratio_4d,
 )
 from nektau.rationals import GaussianRational as G
@@ -191,6 +192,21 @@ def test_cocycle_is_the_telescoped_gamma1_ratios(e1, e2, a0, k1, k2):
                 ref = ref * gamma1_exp(epartner, x) / gamma1_exp(epartner, -x + estep)
                 x -= estep
     assert z1loop_ratio_4d(e1, e2, a0, k1, k2).terms == ref.terms
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_memoised_cocycles_telescope_from_their_neighbour(axis):
+    # with a memo a cocycle on one axis is one step from the memoised one
+    # next to it, made first when missing; it is the direct product, term
+    # for term and in the same order
+    th, Lu0, t = Theory5d(F(4), F(-12)), F(2), F(1, 2)
+    rz = RelativeZ5d(th, Lu0, t, memo={})
+    for k in (2, -3, 4, 1, 0, -4, 3, -1, -2):
+        k1, k2 = (k, 0) if axis == 0 else (0, k)
+        want = q_z1loop_ratio(th.E1, th.E2, Lu0, k1, k2, t)
+        assert list(rz.cocycle(k1, k2).terms.items()) == list(want.terms.items())
+    assert list(rz.cocycle(1, 1).terms.items()) == \
+        list(q_z1loop_ratio(th.E1, th.E2, Lu0, 1, 1, t).terms.items())
 
 
 def test_cocycle_inverse_shift():

@@ -3,6 +3,7 @@
 import gc
 import time
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,14 +15,21 @@ from nektau.nekrasov import (
     inst_coeff_4d,
     inst_coeff_matter,
     inst_series_matter,
+    kernel_4d,
+    kernel_5d,
+    matter_kernel,
 )
 from nektau.partitions import (
+    BinomialTable,
     BoxWeights,
     Vanished,
+    box_by_box_pair,
     boxes,
     conjugate,
     cs_exponent,
     enumerate_pairs,
+    mul_factors_4d,
+    mul_factors_5d,
     n_factor_4d,
     n_factor_5d,
     pair_sum,
@@ -412,9 +420,10 @@ def test_pair_sum_groups_by_key_and_divides_by_the_pair_factors():
         return acc[0] * (2 if s == 1 else 3), 0, acc[2]
 
     # ((), (1,)): 1 * (-i/2) / 6 at key 0; ((1,), ()): (1 + 2i)/3 * 5 / 6 at key 3/2
-    assert pair_sum(1, parts, first, second, factor) == {
+    pair = box_by_box_pair(factor)
+    assert pair_sum(1, parts, first, second, factor, pair) == {
         0: [0, F(-1, 12)], F(3, 2): [F(5, 18), F(10, 18)]}
-    assert pair_sum(0, parts, first, second, factor) == {F(1, 2): [F(5, 6), 0]}
+    assert pair_sum(0, parts, first, second, factor, pair) == {F(1, 2): [F(5, 6), 0]}
 
 
 def test_pair_sum_raises_in_box_by_box_order():
@@ -447,7 +456,7 @@ def test_pair_sum_raises_in_box_by_box_order():
 
         # ((), (2,)), ((), (1, 1)) and then ((1,), (1,))
         with pytest.raises(ZeroFactor) as info:
-            pair_sum(2, parts, first, second, factor)
+            pair_sum(2, parts, first, second, factor, box_by_box_pair(factor))
         assert str(info.value) == failing[0]
 
 
@@ -483,23 +492,25 @@ def test_matter_series_matches_per_factor_route_on_every_sample(k):
 
 
 def test_matter_coefficient_multiplies_two_pair_factors_per_pair(monkeypatch):
+    # every product of box factors reads one BoxWeights list; the one-pass
+    # pair factor forms N_{lam1 lam2} N_{lam2 lam1} from the list of the first
     calls = []
-    real = nekrasov.mul_factors_5d
+    real = BoxWeights.__call__
 
-    def counting(acc, lam, mu, *args):
+    def counting(self, lam, mu):
         calls.append((lam, mu))
-        return real(acc, lam, mu, *args)
+        return real(self, lam, mu)
 
-    monkeypatch.setattr(nekrasov, "mul_factors_5d", counting)
+    monkeypatch.setattr(BoxWeights, "__call__", counting)
     smp = idmod.POOL_QP[0]
     inst_coeff_matter(_matter_inputs()[0], smp.sigma, smp, 6)
     pairs = list(enumerate_pairs(6))
     diagrams = [lam for row in partition_table(6) for lam in row]
-    # per diagram: the a- and b-type numerators of four signs and N_{lam lam}
-    assert len(calls) == 2 * len(pairs) + 9 * len(diagrams)
-    # the calls on two non-empty diagrams: each pair's two pair factors and
-    # each diagram's N_{lam lam}
-    want = [p for l1, l2 in pairs if l1 and l2 for p in ((l1, l2), (l2, l1))]
+    # per diagram: the a- and b-type numerator lists and N_{lam lam}
+    assert len(calls) == len(pairs) + 3 * len(diagrams)
+    # the calls on two non-empty diagrams: each pair's pair factor and each
+    # diagram's N_{lam lam}
+    want = [(l1, l2) for l1, l2 in pairs if l1 and l2]
     want += [(lam, lam) for lam in diagrams if lam]
     assert sorted(c for c in calls if c[0] and c[1]) == sorted(want)
 
@@ -537,3 +548,113 @@ def test_inst_coeff_matter_raises_the_first_failing_factor():
     assert got[1:3] == [("ZeroFactor", "5d factor vanished at box (1, 1) of (1,)/()"),
                         ("ZeroFactor", "5d factor vanished at box (1, 2) of ()/(2,)")]
 
+
+# ---------------------------------------------------------------------------
+# the one-pass pair factor and the integer merge against the routes they replaced
+# ---------------------------------------------------------------------------
+
+
+def old_pair_4d(e1, e2, a):
+    """N_{lam1 lam2}(a) N_{lam2 lam1}(-a) as two box-by-box products over L."""
+    L = lcm(a.denominator, e1.denominator, e2.denominator)
+    weights, A = BoxWeights(e1 * L, e2 * L), int(a * L)
+    return lambda l1, l2: F(mul_factors_4d(mul_factors_4d(1, l1, l2, weights, A),
+                                           l2, l1, weights, -A))
+
+
+def old_pair_5d(E1, E2, u, t):
+    """N_{lam1 lam2}(t^u) N_{lam2 lam1}(t^-u) at the coefficient 1 as two
+    box-by-box products."""
+    weights, table = BoxWeights(E1, E2), BinomialTable(G(1), t)
+
+    def pair(l1, l2):
+        acc = mul_factors_5d((1, 0, 1), l1, l2, weights, table, u)
+        re, im, den = mul_factors_5d(acc, l2, l1, weights, table, -u)
+        assert im == 0
+        return F(re, den)
+
+    return pair
+
+
+def _kernel_pair(kernel):
+    pair = kernel[4]
+    return lambda l1, l2: F(*pair(l1, l2))
+
+
+PAIRS_TO_6 = [pair for n in range(7) for pair in enumerate_pairs(n)]
+QP = idmod.POOL_QP[0]
+
+
+# each row names the outcomes it must produce over PAIRS_TO_6
+@pytest.mark.parametrize("kernel,old,kinds", [
+    (kernel_4d(F(1), F(-3, 7), F(2, 5), 6), old_pair_4d(F(1), F(-3, 7), F(2, 5)),
+     {"value"}),
+    (kernel_4d(F(1), F(1), F(0), 6), old_pair_4d(F(1), F(1), F(0)),
+     {"value", "ZeroFactor"}),
+    (kernel_4d(F(2), F(-1), F(1), 6), old_pair_4d(F(2), F(-1), F(1)),
+     {"value", "ZeroFactor"}),
+    *[(kernel_5d(E1, E2, 0, Lu, t, 6), old_pair_5d(E1, E2, Lu, t), {"value"})
+      for t, E1, E2, Lu in idmod.POOL_5D],
+    (kernel_5d(F(1), F(-1), 0, F(2), F(1, 3), 6), old_pair_5d(F(1), F(-1), F(2), F(1, 3)),
+     {"value", "ZeroFactor"}),
+    # non-integral u, then non-integral weights: the box-by-box route
+    (kernel_5d(F(2), F(4), 0, F(1, 2), F(1, 3), 6), old_pair_5d(F(2), F(4), F(1, 2), F(1, 3)),
+     {"value", "ValueError"}),
+    (kernel_5d(F(1, 3), F(2, 3), 0, F(0), F(5, 2), 6),
+     old_pair_5d(F(1, 3), F(2, 3), F(0), F(5, 2)), {"value", "ValueError", "ZeroFactor"}),
+    (matter_kernel(_matter_inputs()[0], QP.sigma, QP, 6),
+     old_pair_5d(F(-QP.dq), F(QP.dq), 2 * QP.dq * QP.sigma, QP.t), {"value"}),
+    (matter_kernel(_matter_inputs()[0], F(1, 2), QP, 6),
+     old_pair_5d(F(-QP.dq), F(QP.dq), F(QP.dq), QP.t), {"value", "ZeroFactor"}),
+    (matter_kernel(_matter_inputs()[0], F(1, 32), QP, 6),
+     old_pair_5d(F(-QP.dq), F(QP.dq), F(QP.dq, 16), QP.t), {"value", "ValueError"}),
+], ids=["4d", "4d-a0", "4d-zero", "5d-0", "5d-1", "5d-2", "5d-zero", "5d-u", "5d-weights",
+        "matter", "matter-zero", "matter-u"])
+def test_one_pass_pair_factor_matches_two_box_by_box_products(kernel, old, kinds):
+    # a vanishing or non-integral product raises what the box-by-box route
+    # meets first, with the same type and message
+    new = _kernel_pair(kernel)
+    seen = set()
+    for lam1, lam2 in PAIRS_TO_6:
+        got = _outcome(new, lam1, lam2)
+        assert got == _outcome(old, lam1, lam2), (lam1, lam2)
+        seen.add(_kind(got))
+    assert seen == kinds
+
+
+def _entries(draw, parts, keys):
+    """A first- or second-diagram table: (key, re, im, den) per diagram,
+    with zero parts and equal or negative denominators among them."""
+    small = st.integers(-3, 3)
+    dens = st.sampled_from([1, -1, 2, -2, 3, 6, -6, 35, 12])
+    return {lam: (draw(st.sampled_from(keys)), draw(small), draw(small), draw(dens))
+            for row in parts for lam in row}
+
+
+@given(st.data(), st.integers(0, 4))
+def test_integer_merge_is_the_fraction_sum(data, d):
+    parts = partition_table(d)
+    keys = [F(0), F(1, 2)]
+    first, second = (_entries(data.draw, parts, keys) for _ in range(2))
+    pairs = {p: data.draw(st.sampled_from([(1, 1), (-2, 1), (3, -4), (5, 6), (1, 12)]))
+             for p in enumerate_pairs(d, parts)}
+    want = {}
+    for lam1, lam2 in enumerate_pairs(d, parts):
+        (k1, r1, i1, n1), (k2, r2, i2, n2) = first[lam1], second[lam2]
+        num, den = pairs[lam1, lam2]
+        acc = want.setdefault(k1 + k2, [F(0), F(0)])
+        acc[0] += F(r1, n1) * F(r2, n2) * F(den, num) - F(i1, n1) * F(i2, n2) * F(den, num)
+        acc[1] += (F(r1, n1) * F(i2, n2) + F(i1, n1) * F(r2, n2)) * F(den, num)
+    got = pair_sum(d, parts, first, second, None, lambda l1, l2: pairs[l1, l2])
+    assert got == want
+
+
+def test_integer_merge_keeps_a_one_sided_imaginary_part():
+    # five terms at one key: 1/6 over 6, 1/6 over -6, (1 + 2i)/-9 with the
+    # imaginary part from the first diagram only, 0, and 1/3 over 6
+    parts = partition_table(2)
+    first = {(): (0, 1, 0, 1), (1,): (0, 1, 2, -3), (2,): (0, 0, 0, 5), (1, 1): (0, 2, 0, 6)}
+    second = {(): (0, 1, 0, 1), (1,): (0, 1, 0, 3), (2,): (0, 1, 0, 6),
+              (1, 1): (0, -1, 0, -6)}
+    got = pair_sum(2, parts, first, second, None, lambda l1, l2: (1, 1))
+    assert got == {0: [F(5, 9), F(-2, 9)]}

@@ -210,6 +210,9 @@ def test_rational_power_homomorphism(r, e):
 def test_rational_power_negative_base():
     assert rational_power(-2, 2).rational_value() == G(4)
     assert rational_power(-1, F(1, 2)).rational_value() == G(0, 1)
+    # a negative integer exponent used to form the sign as a float
+    assert rational_power(F(-3, 5), -1).rational_value() == G(F(-5, 3))
+    assert rational_power(-2, -2).rational_value() == G(F(1, 4))
     with pytest.raises(NonInvertible):
         rational_power(-2, F(1, 3))
     with pytest.raises(ZeroDivisionError):
