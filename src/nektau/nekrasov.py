@@ -19,6 +19,11 @@ partition table, tables of per-diagram factors and the one-pass pair factor
 all its degrees, each diagram's entry on first use; a coefficient called on
 its own builds one through its degree.
 
+Exponents are kept on ints where they are made per mode and per diagram: a
+classical gap is one Fraction from ints fixed per relative object (see
+_classical_gap), and a 5d diagram's key is its Chern-Simons t-exponent on
+(1/D)Z, D = cs_unit(E1, E2, Lu), an int.
+
 Values are memoised only in a dict the caller passes as ``memo`` (one
 verification run's, see identities.Context), each through ``memoized``
 under a kind name and the arguments the value depends on: the instanton
@@ -38,7 +43,6 @@ from .partitions import (
     BinomialTable,
     BoxWeights,
     attempt,
-    cs_exponent,
     diagram_entry,
     diagram_tables,
     mul_binomials,
@@ -90,15 +94,19 @@ class Theory5d:
     m: int = 0
 
 
+_MISSING = object()
+
+
 def memoized(memo, key, build):
     """build(), made once per memo dict and kept under key: a kind name
     followed by the arguments the value depends on.  memo None keeps
     nothing."""
     if memo is None:
         return build()
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    val = memo.get(key, _MISSING)
+    if val is _MISSING:
+        val = memo[key] = build()
+    return val
 
 
 def _series(order, coeff) -> PuiseuxSeries:
@@ -191,17 +199,44 @@ def _inverse_diagonal_5d(lam, weights: BoxWeights, table: BinomialTable):
     return den, 0, re
 
 
+def _on(x: Frac, D: int) -> int:
+    """x D, for D a multiple of the denominator of x."""
+    return x.numerator * (D // x.denominator)
+
+
+def cs_unit(E1: Frac, E2: Frac, Lu: Frac) -> int:
+    """D = 2 lcm of the denominators of (E1, E2, Lu): every Chern-Simons
+    t-exponent of kernel_5d, and the degree weight, lies on (1/D)Z."""
+    return 2 * lcm(E1.denominator, E2.denominator, Lu.denominator)
+
+
 def kernel_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, order: int):
     """The 5d pair sum through z^order at u = t^Lu and Chern-Simons level
-    m: (parts, first, second, factor, pair) for pair_sum."""
+    m: (parts, first, second, factor, pair) for pair_sum.
+
+    A diagram's key is D times the t-exponent of its Chern-Simons weight
+    T_lam(u)^m (q1 q2)^{-m|lam|/2}, an int (D = cs_unit(E1, E2, Lu)), where
+    T_lam = prod over boxes (i, j) of u^-1 q1^{1-i} q2^{1-j}, q_i = t^{E_i},
+    and u = t^{Lu/2} for the first diagram of a pair, t^{-Lu/2} for the
+    second.
+    """
+    if not 0 <= m <= 2:
+        raise ValueError("Chern-Simons level must be 0, 1 or 2")
     weights, table = BoxWeights(E1, E2), BinomialTable(GaussianRational(1), t)
-    half = Lu / 2
+    D = cs_unit(E1, E2, Lu)
+    b1, b2, half, S = _on(E1, D), _on(E2, D), _on(Lu, D // 2), _on(E1 + E2, D // 2)
 
     def entries(lam):
         inv = attempt(_inverse_diagonal_5d, lam, weights, table)
-        # the Chern-Simons weight of each diagram is a power of t: its key
-        return (diagram_entry(cs_exponent(lam, m, half, E1, E2), [inv], []),
-                diagram_entry(cs_exponent(lam, m, -half, E1, E2), [], [inv]))
+        key = shift = 0
+        if m and lam:
+            # over the boxes: sum (1 - i) = s1 and sum (1 - j) = s2
+            size = sum(lam)
+            s1 = -sum(i * p for i, p in enumerate(lam))
+            s2 = -sum(p * (p - 1) // 2 for p in lam)
+            key, shift = m * (b1 * s1 + b2 * s2 - size * S), m * size * half
+        return (diagram_entry(key - shift, [inv], []),
+                diagram_entry(key + shift, [], [inv]))
 
     def factor(acc, lam, mu, s):
         return mul_factors_5d(acc, lam, mu, weights, table, Lu if s == 1 else -Lu)
@@ -215,17 +250,19 @@ def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int,
     """kernel: a kernel_5d of these inputs through some order >= d, made
     here through d if not given."""
     sums = pair_sum(d, *(kernel or kernel_5d(E1, E2, m, Lu, t, d)))
-    # the degree-d weight carries (q1 q2)^{-d}; integer powers of t are
-    # rational and add up as Fractions
-    base = -(E1 + E2) * d
+    # keys are t-exponents times D; the degree-d weight carries
+    # (q1 q2)^{-d}; integer powers of t are rational and add up as Fractions
+    D = cs_unit(E1, E2, Lu)
+    base = -_on(E1 + E2, D) * d
     rational = Frac(0)
     total = SymExpr.zero()
-    for e, (re, _) in sums.items():
-        e += base
-        if e.denominator == 1:
-            rational += re * t ** e.numerator
+    for key, (re, _) in sums.items():
+        e = key + base
+        k, r = divmod(e, D)
+        if r:
+            total = total + rational_power(t, Frac(e, D)) * re
         else:
-            total = total + rational_power(t, e) * re
+            rational += re * t ** k
     return total + SymExpr.from_rational(rational)
 
 
@@ -310,14 +347,21 @@ def inst_series_matter(vs, sigma: Frac, sample: ParameterSample, order) -> Puise
 # ---------------------------------------------------------------------------
 
 
-def classical_exp_4d(e1: Frac, e2: Frac, a: Frac) -> Frac:
-    """z-exponent of the classical factor (z carries 4 scale units)."""
-    return -a * a / (4 * e1 * e2)
+def _gap_form(x0: Frac, e1: Frac, e2: Frac):
+    """(a, b1, b2, 4 b1 b2) with x0 = a/D and e_i = b_i/D, over D the lcm of
+    their denominators (see _classical_gap)."""
+    D = lcm(x0.denominator, e1.denominator, e2.denominator)
+    b1, b2 = _on(e1, D), _on(e2, D)
+    return _on(x0, D), b1, b2, 4 * b1 * b2
 
 
-def classical_exp_5d(E1: Frac, E2: Frac, Lu: Frac) -> Frac:
-    """z-exponent of the 5d classical factor."""
-    return Frac(-Lu * Lu) / (4 * E1 * E2)
+def _classical_gap(form, k1: int, k2: int) -> Frac:
+    """The gap of the classical z-exponent -x^2 / (4 e1 e2) (z carries four
+    scale units) from x0 to x = x0 + k1 e1 + k2 e2, for form = _gap_form(x0,
+    e1, e2): (a^2 - n^2) / (4 b1 b2) with x = n/D, D cancelling."""
+    a, b1, b2, den = form
+    n = a + k1 * b1 + k2 * b2
+    return Frac(a * a - n * n, den)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +454,11 @@ class RelativeZ4d:
         self.th = th
         self.a0 = Frac(a0)
         self.memo = memo
+        self._gap = _gap_form(self.a0, th.e1, th.e2)
 
     def classical_gap(self, k1: int, k2: int) -> Frac:
-        a = self.a0 + k1 * self.th.e1 + k2 * self.th.e2
-        return classical_exp_4d(self.th.e1, self.th.e2, a) - classical_exp_4d(
-            self.th.e1, self.th.e2, self.a0
-        )
+        """z-exponent gap of the classical factor."""
+        return _classical_gap(self._gap, k1, k2)
 
     def cocycle(self, k1: int, k2: int) -> SymExpr:
         return memoized(self.memo, ("cocycle", self.th, self.a0, k1, k2),
@@ -442,12 +485,11 @@ class RelativeZ5d:
         self.Lu0 = Frac(Lu0)
         self.t = t
         self.memo = memo
+        self._gap = _gap_form(self.Lu0, th.E1, th.E2)
 
     def classical_gap(self, k1: int, k2: int) -> Frac:
         """z-exponent gap of the classical factor."""
-        Lu = self.Lu0 + k1 * self.th.E1 + k2 * self.th.E2
-        return (classical_exp_5d(self.th.E1, self.th.E2, Lu)
-                - classical_exp_5d(self.th.E1, self.th.E2, self.Lu0))
+        return _classical_gap(self._gap, k1, k2)
 
     def cocycle(self, k1: int, k2: int) -> SymExpr:
         """With a memo, a cocycle on one axis is one telescoping step from

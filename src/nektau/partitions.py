@@ -201,20 +201,6 @@ def n_factor_5d(lam, mu, u_coef: GaussianRational, u_texp: Frac,
     return GaussianRational.from_ints(re, im, den)
 
 
-def cs_exponent(lam, m: int, u_texp: Frac, E1: Frac, E2: Frac) -> Frac:
-    """The t-exponent of T_lam(u)^m (q1 q2)^{-m|lam|/2}, where
-    T_lam = prod over boxes (i, j) of u^-1 q1^{1-i} q2^{1-j}, u = t^{u_texp}
-    and q_i = t^{E_i}."""
-    if not (0 <= m <= 2):
-        raise ValueError("Chern-Simons level must be 0, 1 or 2")
-    if m == 0 or not lam:
-        return Frac(0)
-    size = sum(lam)
-    s1 = sum(1 - i for i, _ in boxes(lam))
-    s2 = sum(1 - j for _, j in boxes(lam))
-    return m * (-size * u_texp + E1 * s1 + E2 * s2) - Frac(m * size, 2) * (E1 + E2)
-
-
 # ---------------------------------------------------------------------------
 # the pair-sum kernel
 # ---------------------------------------------------------------------------

@@ -170,18 +170,27 @@ class PuiseuxSeries:
         return self.dilate_t(sample.t, sample.dq * _frac(q_exp))
 
     def dilate_t(self, t, texp):
-        """z -> t^texp z: the coefficient at z^e gains t^{texp*e}, the
-        Fraction t^{texp*e} itself at an integer exponent."""
+        """z -> t^texp z: the coefficient at z^e gains t^{texp*e}.  With
+        texp = p/q the term at X gains t^k t^(r/(q L)) for (k, r) =
+        divmod(p X, q L): the Fraction t^k alone at r = 0, else times one
+        rational_power per residue r."""
         texp = _frac(texp)
         if not texp:
             return self
-        t, L = _frac(t), self.L
+        t = _frac(t)
+        p, m = texp.numerator, texp.denominator * self.L
+        roots = {}
 
         def power(X):
-            e = texp * Frac(X, L)
-            return t ** e.numerator if e.denominator == 1 else rational_power(t, e)
+            k, r = divmod(p * X, m)
+            if not r:
+                return t ** k
+            root = roots.get(r)
+            if root is None:
+                root = roots[r] = rational_power(t, Frac(r, m))
+            return root * t ** k if k else root
 
-        return on_lattice(L, _nonzero((X, c * power(X)) for X, c in self.xterms.items()),
+        return on_lattice(self.L, _nonzero((X, c * power(X)) for X, c in self.xterms.items()),
                           self.trunc)
 
     def exp(self):

@@ -13,16 +13,18 @@ symbol is (kind, argument), its kinds numbered in render order:
 All arguments are rational, all exponents rational (the half-integer ones the
 pipelines produce are a subset).  Symbol arguments are canonicalized eagerly
 by the constructors below.  Every monomial is then made by one routine,
-`canonical(exps) -> (monomial, cofactor)`, which drops zero exponents and
-folds the integer part of each radical exponent into the rational cofactor;
-products add exponent maps and inverses negate them before it.  It returns
-the one live monomial of its factors, from a weak table that keeps none
-alive, and `mono_mul` keeps each product in a table on its first factor, so
-a product of two monomials is made once while they live.  An empty term
-map is zero, but the canonical form is not unique: values related only by
-product identities such as (x;q) = (x;q^2)(xq;q^2) or Gauss's
-multiplication formula for Gamma keep different term maps, so two equal
-values may compare unequal.
+`canonical(exps) -> (monomial, cofactor)`, which drops zero exponents,
+folds the integer part of each radical exponent into the rational cofactor,
+and stores every integral exponent and Pochhammer argument as an int (an
+int hashes, compares and renders as the equal Fraction does, and hashes
+without a Python-level call); products add exponent maps and inverses
+negate them before it.  It returns the one live monomial of its factors,
+from a weak table that keeps none alive, and `mono_mul` keeps each product
+in a table on its first factor, so a product of two monomials is made once
+while they live.  An empty term map is zero, but the canonical form is not
+unique: values related only by product identities such as
+(x;q) = (x;q^2)(xq;q^2) or Gauss's multiplication formula for Gamma keep
+different term maps, so two equal values may compare unequal.
 
 Canonicalization rules:
 
@@ -129,18 +131,24 @@ _INTERN = WeakValueDictionary()
 
 def canonical(exps):
     """The monomial of an exponent map {symbol: exponent}, and its rational
-    cofactor: zero exponents are dropped and the integer part (floor) of each
-    radical exponent is folded into the cofactor, leaving it in (0, 1).
+    cofactor: zero exponents are dropped, the integer part (floor) of each
+    radical exponent is folded into the cofactor, leaving it in (0, 1), and
+    every integral exponent and Pochhammer argument is stored as an int.
     Equal factors give one monomial object, and a cofactor 1 is `_ONE`."""
     cof = _ONE
     factors = []
     for sym, e in sorted(exps.items()):
-        if sym[0] == RADICAL:
+        kind = sym[0]
+        if kind == RADICAL:
             k = e.numerator // e.denominator
             if k:
                 cof *= Frac(sym[1]) ** k
                 e -= k
+        elif e.__class__ is Frac and e.denominator == 1:
+            e = e.numerator
         if e:
+            if kind == POCH and any(map(_integral_fraction, sym[1])):
+                sym = POCH, tuple(map(_integral, sym[1]))
             factors.append((sym, e))
     if not factors:
         return MONO_ONE, cof
@@ -149,6 +157,15 @@ def canonical(exps):
     if mono is None:
         mono = _INTERN[factors] = SymbolMonomial(factors)
     return mono, cof
+
+
+def _integral_fraction(x):
+    return x.__class__ is Frac and x.denominator == 1
+
+
+def _integral(x):
+    """x, as an int when it is an integral Fraction."""
+    return x.numerator if _integral_fraction(x) else x
 
 
 def mono_mul(m1: SymbolMonomial, m2: SymbolMonomial):
@@ -341,25 +358,26 @@ class SymExpr:
 
 
 def rational_power(r, e) -> SymExpr:
-    """r^e for rational r != 0 as a canonical SymExpr.
+    """r^e for rational r != 0 as a canonical SymExpr: the rational r^e
+    itself at an integer e.
 
     Negative r is supported for integer and half-integer e (the latter via
     the Gaussian unit); deeper roots of negative rationals never arise.
     """
     r = _frac(r)
-    e = _frac(e)
     if not r:
         raise ZeroDivisionError("0 cannot be raised to a symbolic power")
+    if e.denominator == 1:
+        return SymExpr.from_rational(r ** e.numerator)
+    e = _frac(e)
     coeff = GaussianRational(1)
     if r < 0:
-        if e.denominator == 1:
-            coeff = GaussianRational(-1 if e.numerator % 2 else 1)
-        elif e.denominator == 2:
+        if e.denominator == 2:
             coeff = GaussianRational(0, 1) ** (2 * e % 4).numerator
         else:
             raise NonInvertible(f"unsupported root (-)^{e}")
         r = -r
-    if e == 0 or r == 1:
+    if r == 1:
         return SymExpr.from_rational(coeff)
     exps = {(RADICAL, p): k * e for p, k in _factorint(r.numerator).items()}
     for p, k in _factorint(r.denominator).items():
@@ -374,7 +392,6 @@ def _monomial(exps, coeff=1) -> SymExpr:
 
 
 def pi_power(e) -> SymExpr:
-    e = _frac(e)
     if not e:
         return SymExpr.one()
     return _monomial({(PI, None): e})
@@ -403,9 +420,8 @@ def gamma_value(y) -> SymExpr:
     if y > Frac(1, 2):
         # reflection: Gamma(y) = pi / (sin(pi y) Gamma(1-y)), sin arg mirrored
         y1 = 1 - y
-        return _monomial({(PI, None): Frac(1), (GAMMA, y1): Frac(-1),
-                          (SIN, y1): Frac(-1)}, c)
-    return _monomial({(GAMMA, y): Frac(1)}, c)
+        return _monomial({(PI, None): 1, (GAMMA, y1): -1, (SIN, y1): -1}, c)
+    return _monomial({(GAMMA, y): 1}, c)
 
 
 def poch_value(E, B, t) -> SymExpr:
@@ -437,4 +453,4 @@ def poch_value(E, B, t) -> SymExpr:
         # (z; q)_inf = (1 - z)(z q; q)_inf
         expr = expr * one_minus_t_pow(E)
         E += B
-    return expr * _monomial({(POCH, (E, B)): Frac(1)})
+    return expr * _monomial({(POCH, (_integral(E), _integral(B))): 1})

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_series as ref
 from fraction_series import ref_of, same
+from nektau import series
 from nektau.fourier import FourierSeries
 from nektau.rationals import GaussianRational as G
 from nektau.series import PuiseuxSeries, on_lattice, theta_products
-from nektau.symbols import NonInvertible, SymExpr
+from nektau.symbols import NonInvertible, SymExpr, rational_power
 from test_series import ATOMS, POLYS, factored_polys, maybe_z0, symbolic_series
 
 
@@ -109,6 +110,38 @@ def test_dilate_t_scales_by_the_fraction_power_at_integer_exponents(t, texps):
         assert same(new, old)
         assert [list(c.terms.items()) for c in new.coeffs.values()] == \
             [list(c.terms.items()) for c in old.coeffs.values()]
+
+
+@pytest.mark.parametrize("t,texp,exponents", [
+    # terms on L = 6: texp 1/3 makes t-exponents 1/18 + {0, 1} at z^(1/6)
+    # and z^(19/6), 1/9 + {0, 1} at z^(1/3) and z^(10/3), and integers at
+    # z^0 and z^3; texp -1/2 pairs z^(-5/6) with z^(7/6) and z^(1/6) with
+    # z^(13/6)
+    (F(2, 3), F(1, 3), [F(-5, 6), F(0), F(1, 6), F(1, 3), F(3), F(19, 6), F(10, 3)]),
+    (F(12, 7), F(-1, 2), [F(-5, 6), F(0), F(1, 6), F(1, 3), F(7, 6), F(13, 6), F(3)]),
+    (F(2, 3), F(-4, 3), [F(-1), F(1, 2), F(3, 2), F(5, 2), F(2)]),
+    (F(5, 2), F(2), [F(-1, 3), F(2, 3), F(5, 3), F(1)]),
+    # a negative base: half-integer exponents through the Gaussian unit
+    (F(-3, 5), F(1, 2), [F(-1), F(0), F(1), F(3), F(4)]),
+    (F(-3, 5), F(-3, 2), [F(-2), F(1), F(3)]),
+])
+def test_dilate_t_makes_one_root_per_residue(monkeypatch, t, texp, exponents):
+    # term for term, and in order, the per-term rational_power(t, texp e)
+    # route; with texp = p/q each residue of p X mod q L makes one root
+    two = SymExpr.one() * F(2, 7) + ATOMS[1] * G(1, -3)
+    p = PuiseuxSeries({e: two * ATOMS[k % 3] for k, e in enumerate(exponents)}, F(4))
+    calls = []
+    monkeypatch.setattr(series, "rational_power",
+                        lambda *args: calls.append(args) or rational_power(*args))
+    new = p.dilate_t(t, texp)
+    monkeypatch.undo()
+    old = ref.ref_dilate_t(ref_of(p), t, texp)
+    assert same(new, old)
+    assert [list(c.terms.items()) for c in new.coeffs.values()] == \
+        [list(c.terms.items()) for c in old.coeffs.values()]
+    m = texp.denominator * p.L
+    residues = {texp.numerator * X % m for X in p.xterms} - {0}
+    assert sorted(args[1] for args in calls) == [F(r, m) for r in sorted(residues)]
 
 
 @given(lattice_series(), st.sampled_from([F(0), F(1, 3), F(3, 2)]))

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fraction_exponents import classical_exp_4d, classical_exp_5d
 from nektau.nekrasov import (
     IncompleteModeRange,
     RelativeZ4d,
@@ -14,12 +15,11 @@ from nektau.nekrasov import (
     Theory5d,
     admissible_degree_4d,
     blowup_modes,
-    classical_exp_4d,
-    classical_exp_5d,
     gamma1_exp,
     inst_coeff_4d,
     inst_series_4d,
     inst_series_5d,
+    memoized,
     mirror_form_4d,
     q_z1loop_ratio,
     z1loop_ratio_4d,
@@ -152,6 +152,19 @@ def test_classical_exponents():
     assert classical_exp_5d(F(4), F(-12), F(2)) == -F(4) / (4 * F(4) * F(-12))
 
 
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@given(_rationals, _rationals.filter(bool), _rationals.filter(bool),
+       st.integers(-6, 6), st.integers(-6, 6))
+def test_classical_gap_is_the_difference_of_the_fraction_exponents(x0, e1, e2, k1, k2):
+    x = x0 + k1 * e1 + k2 * e2
+    assert RelativeZ4d(Theory4d(e1, e2), x0).classical_gap(k1, k2) == \
+        classical_exp_4d(e1, e2, x) - classical_exp_4d(e1, e2, x0)
+    assert RelativeZ5d(Theory5d(e1, e2), x0, F(2, 3)).classical_gap(k1, k2) == \
+        classical_exp_5d(e1, e2, x) - classical_exp_5d(e1, e2, x0)
+
+
 def test_classical_gap_is_quadratic_in_modes():
     th = Theory4d(F(1), F(-2))
     rz = RelativeZ4d(th, F(2, 5))
@@ -257,6 +270,25 @@ def test_relative_modes_are_shared_through_the_memo():
     lone = RelativeZ4d(th4, F(2, 5))
     assert lone.mode(2, 0, 2) is not lone.mode(2, 0, 2)
     assert lone.mode(2, 0, 2).coeffs == A.mode(2, 0, 2).coeffs
+
+
+class _CountedKey:
+    """A memo key that counts how often it is hashed."""
+
+    def __init__(self):
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return 1
+
+
+def test_memoized_hashes_a_key_once_per_hit():
+    memo, key, builds = {}, _CountedKey(), []
+    build = lambda: builds.append(1) or len(builds)
+    assert memoized(memo, key, build) == 1 and key.hashes == 2
+    assert memoized(memo, key, build) == 1 and key.hashes == 3
+    assert builds == [1] and memo == {key: 1}
 
 
 def test_blowup_modes_quadratic():

@@ -8,12 +8,15 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from fraction_exponents import cs_exponent
 import nektau.identities as idmod
 from nektau import nekrasov
 from nektau.nekrasov import (
+    Theory5d,
     _inst_coeff_5d,
     inst_coeff_4d,
     inst_coeff_matter,
+    inst_series_5d,
     inst_series_matter,
     kernel_4d,
     kernel_5d,
@@ -26,7 +29,6 @@ from nektau.partitions import (
     box_by_box_pair,
     boxes,
     conjugate,
-    cs_exponent,
     enumerate_pairs,
     mul_factors_4d,
     mul_factors_5d,
@@ -209,6 +211,28 @@ def test_cs_weight_multiplicative_in_level():
     assert cs_exponent(lam, 1, *args) == \
         sum(-args[0] + args[1] * (1 - i) + args[2] * (1 - j) for i, j in boxes(lam)) \
         - F(3, 2) * (args[1] + args[2])
+
+
+@pytest.mark.parametrize("m", [3, -1])
+def test_a_5d_series_past_level_two_raises(m):
+    with pytest.raises(ValueError, match="^Chern-Simons level must be 0, 1 or 2$"):
+        inst_series_5d(Theory5d(F(1), F(-1), m), F(1), F(2, 3), 2)
+
+
+@pytest.mark.parametrize("E1,E2", [(F(1), F(-1)), (F(2), F(-3)), (F(-1), F(4))])
+@pytest.mark.parametrize("Lu", [F(3), F(-1, 2), F(5, 3), F(-7, 6)])
+def test_chern_simons_keys_are_the_fraction_exponents_over_D(E1, E2, Lu):
+    # every diagram of size <= 8 at each level: the first diagram of a pair
+    # at u = t^(Lu/2), the second at t^(-Lu/2); opposite signs of E1 and E2
+    # keep every diagonal factor nonzero, so every entry holds its key
+    D = nekrasov.cs_unit(E1, E2, Lu)
+    for m in (0, 1, 2):
+        parts, first, second, _, _ = kernel_5d(E1, E2, m, Lu, F(2, 3), 8)
+        for lam in (lam for row in parts for lam in row):
+            for table, u in ((first, Lu / 2), (second, -Lu / 2)):
+                key = table[lam][0]
+                assert type(key) is int
+                assert key == D * cs_exponent(lam, m, u, E1, E2)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,34 @@ def test_monomials_match_the_five_field_route(atoms):
         assert mono_mul(mono, inv) == (MONO_ONE, 1 / inv_cof)
 
 
+def _integral_fraction(x):
+    return isinstance(x, F) and x.denominator == 1
+
+
+def _fraction_held(mono):
+    """The factors of mono holding an integral Fraction as their exponent or
+    as a Pochhammer argument."""
+    return [(sym, e) for sym, e in mono.factors if _integral_fraction(e)
+            or sym[0] == POCH and any(map(_integral_fraction, sym[1]))]
+
+
+@given(st.lists(_atoms, min_size=1, max_size=4))
+def test_integral_exponents_and_pochhammer_arguments_are_ints(atoms):
+    # ints and Fractions hash and render alike; ints hash cheaply
+    made = [_both_routes(atom)[0] for atom in atoms]
+    for value in (gamma_value(F(3, 4)), gamma_value(F(-5, 3)), pi_power(F(2)),
+                  poch_value(F(7), F(2), T), poch_value(F(-1), F(-2), T),
+                  poch_value(F(1, 2), F(3, 2), T),
+                  rational_power(F(12, 5), F(7, 2))):
+        made += [m for m in value.terms if not m.is_one()]
+    for x in made:
+        assert _fraction_held(x) == []
+        for y in made:
+            assert _fraction_held(mono_mul(x, y)[0]) == []
+        ((inv, _),) = SymExpr.monomial(x).inverse().terms.items()
+        assert _fraction_held(inv) == []
+
+
 # ---------------------------------------------------------------------------
 # rational powers
 # ---------------------------------------------------------------------------
@@ -217,6 +245,20 @@ def test_rational_power_negative_base():
         rational_power(-2, F(1, 3))
     with pytest.raises(ZeroDivisionError):
         rational_power(0, F(1, 2))
+
+
+@pytest.mark.parametrize("r", [F(-3, 5), F(-2), F(1), F(12, 7)])
+@pytest.mark.parametrize("e", [0, 1, -1, 3, F(-2)])
+def test_rational_power_at_an_integer_exponent_is_the_canonical_route(r, e):
+    # the rational r^e itself: the sign of r by the parity of e, times the
+    # cofactor of the canonical monomial of |r|^e, which is the unit
+    exps = {(RADICAL, p): k * e for p, k in symbols._factorint(abs(r.numerator)).items()}
+    for p, k in symbols._factorint(r.denominator).items():
+        exps[RADICAL, p] = -k * e
+    mono, cof = canonical(exps)
+    sign = -1 if r < 0 and e % 2 else 1
+    assert mono is MONO_ONE
+    assert rational_power(r, e).terms == {MONO_ONE: G(sign * cof)}
 
 
 def test_rational_power_merges_radicals():
