@@ -35,15 +35,23 @@ oracle  run the catalog entry determlemma, the two-route coefficient
 
 Every id that verify accepts is a catalog entry (identities.CATALOG): each
 returns the sides of its parts and identities.verify compares them.
-Checks run one after another in this process, in one run context
-(identities.Context) whose memo is the only cache: the instanton
-coefficients, relative modes, one-loop cocycles, taus, Hirota
-derivatives D^k (with their basis products theta^j f * g) and the zeta
-series with its theta-products built by one check are reused by the later
-checks of the same run, each made once, and are dropped when the run ends.
-dump keeps no memo.  --corrupt-coefficient sets the context's corruption setting: the
-central series of a few theorem entries gains +1 at that z-exponent before
-it is compared, so those checks must fail.
+Checks run in run contexts (identities.Context) whose memo is the only
+cache: the instanton coefficients, relative modes, one-loop cocycles, taus,
+Hirota derivatives D^k (with their basis products theta^j f * g) and the
+zeta series with its theta-products built by one check are reused by the
+later checks of its family (IdentityCheck.family) in the same run, each
+made once, and are dropped when the run ends.  Two families share no memo
+value, so the (family, sample index) groups of a run are shared out
+between this process and forked workers, one process per usable CPU
+(os.sched_getaffinity) and at most one per group, each with its own
+context; the reports come back in job order, so the report, stdout and exit
+code are those of one process.  A run of one group, a run under
+--fail-fast (which stops in job order) or a platform without os.fork runs
+in this process alone; a worker that dies makes verify exit 3.  dump and
+oracle never fork and keep no memo.  --corrupt-coefficient sets the
+contexts' corruption setting: the central series of a few theorem entries
+gains +1 at that z-exponent before it is compared, so those checks must
+fail.
 
 Determinism: the seed fully determines the sample sequence; timing data is
 quarantined in a separate report section so residual sections are diffable.
@@ -262,8 +270,110 @@ def _exit_code(rep) -> int:
     return 1 if rep.status in ("theorem", "derived") and not rep.ok else 0
 
 
+#: ms that the checks of each family (IdentityCheck.family) take together
+#: at their default orders on one sample (the report's timing, seed 0); a
+#: forked run hands out the heaviest groups first
+FAMILY_MS = {
+    "doubled-base": 91, "q-painleve": 53, "4d-tau": 30, "q-chern-simons": 28,
+    "5d-chern-simons": 22, "4d-eps": 15, "5d-generic": 13, "halfpow": 8,
+    "20equiv1": 2,
+}
+_RECORD = 4  # bytes of one group index in the work queue
+
+
+def _groups(jobs):
+    """The job indices of each (family, sample index) pair, heaviest family
+    first, then in job order."""
+    groups = {}
+    for i, (id, k, _) in enumerate(jobs):
+        groups.setdefault((idmod.CATALOG[id].family, k), []).append(i)
+    order = sorted(groups, key=lambda g: -FAMILY_MS[g[0]])
+    return [groups[g] for g in order]
+
+
+def _workers(cfg: RunConfig, n_groups: int) -> int:
+    """Processes for a run: one per usable CPU, at most one per group; one
+    under --fail-fast, which stops in job order, or without os.fork."""
+    if cfg.fail_fast or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_groups)
+
+
+def _run_forked(jobs, groups, order, ctx, n):
+    """(job index, report) for every job, the groups shared out between
+    this process and n - 1 forked workers.
+
+    The group indices go into one pipe, heaviest first, and every process
+    pulls from it until it is empty; this process takes the first before
+    any worker starts.  Each worker runs its groups in its own copy of ctx
+    and sends back its pairs, pickled, on a pipe of its own.  A worker that
+    dies or sends back short makes this raise."""
+
+    def run(g):
+        return [(i, _run_one(jobs[i][0], jobs[i][2], order, ctx)) for i in groups[g]]
+
+    def pull():
+        while record := os.read(queue, _RECORD):
+            yield int.from_bytes(record, "little")
+
+    # imported here, so that runs in one process and dump do not pay for
+    # it in set-up time and memory
+    import pickle
+
+    queue, w = os.pipe()
+    os.write(w, b"".join(g.to_bytes(_RECORD, "little") for g in range(len(groups))))
+    os.close(w)
+    share = pull()
+    first = next(share)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    readers, statuses, sent = {}, {}, []
+    try:
+        for _ in range(n - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    for f in readers.values():  # the earlier workers' pipes
+                        f.close()
+                    data = pickle.dumps([pair for g in share for pair in run(g)])
+                    with os.fdopen(w, "wb") as f:
+                        f.write(data)
+                    status = 0
+                except Exception:
+                    traceback.print_exc(file=sys.stderr)
+                finally:
+                    sys.stderr.flush()
+                    os._exit(status)
+            os.close(w)
+            readers[pid] = os.fdopen(r, "rb")
+        results = run(first) + [pair for g in share for pair in run(g)]
+        sent = [(pid, f.read()) for pid, f in readers.items()]
+    finally:
+        os.close(queue)
+        for pid, f in readers.items():
+            f.close()
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    for pid, data in sent:
+        if statuses[pid]:
+            raise RuntimeError(f"verify worker {pid} ended with exit code "
+                               f"{os.waitstatus_to_exitcode(statuses[pid])}")
+        results += pickle.loads(data)
+    if len(results) != len(jobs):
+        raise RuntimeError(f"verify workers returned {len(results)} of {len(jobs)} results")
+    return results
+
+
 def run_verify(cfg: RunConfig):
-    """Execute the configured checks; returns (exit_code, report, results)."""
+    """Execute the configured checks, in forked workers too (see module
+    docstring); returns (exit_code, report, results)."""
     jobs = []
     for id in cfg.identities:
         domain = idmod.CATALOG[id].domain
@@ -271,14 +381,21 @@ def run_verify(cfg: RunConfig):
         for k, sample in enumerate(samples):
             jobs.append((id, k, sample))
 
-    # one context per run: its checks share instanton sums and taus
+    # one context per process: the checks of a family share instanton sums
+    # and taus, and two families share nothing
     ctx = idmod.Context(corrupt=cfg.corrupt)
-    results = []
-    for id, _, sample in jobs:
-        rep = _run_one(id, sample, cfg.order, ctx)
-        results.append(rep)
-        if cfg.fail_fast and _exit_code(rep):
-            break
+    groups = _groups(jobs)
+    n = _workers(cfg, len(groups))
+    if n > 1:
+        results = [rep for _, rep in sorted(_run_forked(jobs, groups, cfg.order, ctx, n),
+                                            key=lambda pair: pair[0])]
+    else:
+        results = []
+        for id, _, sample in jobs:
+            rep = _run_one(id, sample, cfg.order, ctx)
+            results.append(rep)
+            if cfg.fail_fast and _exit_code(rep):
+                break
     jobs = jobs[: len(results)]
 
     report = {

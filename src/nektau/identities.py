@@ -917,12 +917,20 @@ class IdentityCheck:
     min_order: Frac = Frac(0)
     #: a 4d-eps check's blowup sum runs over Z + mode_offset
     mode_offset: Frac | None = None
+    #: checks that may read one another's memo values; two checks of
+    #: different families share none, so cli.run_verify may run them in two
+    #: processes.  None means the domain; set only where a domain splits.
+    family: str | None = None
+
+    def __post_init__(self):
+        if self.family is None:
+            object.__setattr__(self, "family", self.domain)
 
 
 def _entry(id, status, anchor, domain, order, run, note="", min_order=0,
-           mode_offset=None):
+           mode_offset=None, family=None):
     return IdentityCheck(id, status, anchor, domain, Frac(order), run, note,
-                         Frac(min_order), mode_offset)
+                         Frac(min_order), mode_offset, family)
 
 
 CATALOG = {
@@ -1017,20 +1025,24 @@ CATALOG = {
         _entry("qNYCS1", "theorem",
                r"q_1^{-\frac14-\frac{m}8}\Lambda",
                "5d-generic", 2, run_q_blowup(
-                   [(f"level m={m}", m, -QUARTER - Frac(m, 8), 0) for m in (1, 2)])),
+                   [(f"level m={m}", m, -QUARTER - Frac(m, 8), 0) for m in (1, 2)]),
+               family="5d-chern-simons"),
         _entry("qNYCS2", "theorem",
                r"q_1^{-\frac14-\frac{m}8}\Lambda",
                "5d-generic", 2, run_q_blowup(
-                   [(f"level m={m}", m, -Frac(m, 8), 0) for m in (1, 2)])),
+                   [(f"level m={m}", m, -Frac(m, 8), 0) for m in (1, 2)]),
+               family="5d-chern-simons"),
         _entry("qNYCS3", "theorem",
                r"q_1^{-\frac14-\frac{m}8}\Lambda",
                "5d-generic", 2, run_q_blowup(
-                   [(f"level m={m}", m, QUARTER - Frac(m, 8), 0) for m in (1, 2)])),
+                   [(f"level m={m}", m, QUARTER - Frac(m, 8), 0) for m in (1, 2)]),
+               family="5d-chern-simons"),
         _entry("qNYCShi", "theorem",
                r"-q_1q_2\Lambda\mathcal{Z}_m(u;q_1,q_2|\Lambda)",
                "5d-generic", 2, run_q_blowup(
                    [("downward quarter dilation", 1, -QUARTER, 1),
                     ("upward quarter dilation", 1, QUARTER, 1)]),
+               family="5d-chern-simons",
                note="checked for level m=1 with prefactors (q1 q2)^{-1/4} "
                     "Lambda and -(q1 q2)^{1/4} Lambda, the half-offset "
                     "analogues of the integer-offset dilation weights; at "
@@ -1070,36 +1082,40 @@ CATALOG = {
                note="omega = -1"),
         _entry("qNYDCS2diff", "theorem",
                r"\uptau^+(q^{3/2}z)\uptau^-(q^{-3/2}z)",
-               "q-painleve", 2, run_qNYDCS2diff),
+               "q-painleve", 2, run_qNYDCS2diff, family="q-chern-simons"),
         _entry("qNYDCS1diff", "theorem",
                r"-q_1q_2\Lambda\mathcal{Z}_m(u;q_1,q_2|\Lambda)",
                "q-painleve", 2,
                run_qD1(1, "antisymmetric unit dilation equals -2 z^{1/4} tau_{1;1}"),
-               note="omega = -1"),
+               note="omega = -1", family="q-chern-simons"),
         _entry("qTodaCSsg", "theorem",
                r"z^{1/2}\tau_{m}(uq|q^{m/2}z)\tau_{m}(uq^{-1}|q^{-m/2}z)",
-               "q-painleve", 2, run_qToda({1: "level m=1", 2: "level m=2"})),
+               "q-painleve", 2, run_qToda({1: "level m=1", 2: "level m=2"}),
+               family="q-chern-simons"),
         _entry("20equiv1", "theorem",
                r"(z;q^{-1},q)_{\infty}\mathcal{Z}_0(u;q^{-1},q|z)",
-               "q-painleve", 3, run_20equiv(-2, 1)),
+               "q-painleve", 3, run_20equiv(-2, 1), family="20equiv1"),
         _entry("20equiv2", "theorem",
                r"(z;q^{-1},q)_{\infty}\mathcal{Z}_0(u;q^{-1},q|z)",
-               "q-painleve", 3, run_20equiv(-1, 2)),
+               "q-painleve", 3, run_20equiv(-1, 2), family="doubled-base"),
         _entry("20equiv12", "theorem",
                r"(z;q^{-1},q)_{\infty}\mathcal{Z}_0(u;q^{-1},q|z)",
                "q-painleve", 3, run_20equiv(-1, 1)),
         _entry("determlemma", "theorem",
                r"q_1^{-k}-1 & q_2^{-k}-1",
-               "5d-generic", 3, run_determlemma, min_order=1),
+               "5d-generic", 3, run_determlemma, min_order=1,
+               family="5d-chern-simons"),
         _entry("prdx", "conjecture",
                r"(-qz^{1/2};q,q)^2_{\infty}\mathcal{Z}_{inst}",
-               "q-painleve", 5, run_prdx, min_order=HALF),
+               "q-painleve", 5, run_prdx, min_order=HALF,
+               family="doubled-base"),
         _entry("halfpow", "conjecture",
                r"up to $z^{7/2}$ analytically",
-               "q-painleve", Frac(7, 2), run_halfpow, min_order=HALF),
+               "q-painleve", Frac(7, 2), run_halfpow, min_order=HALF,
+               family="halfpow"),
         _entry("m1chain", "theorem",
                r"z^{1/2}\tau_{m}(uq|q^{m/2}z)\tau_{m}(uq^{-1}|q^{-m/2}z)",
-               "q-painleve", 2, run_m1chain),
+               "q-painleve", 2, run_m1chain, family="q-chern-simons"),
     ]
 }
 

@@ -59,7 +59,6 @@ from .series import PuiseuxSeries
 from .symbols import (
     SymExpr,
     gamma_value,
-    pi_power,
     poch_value,
     rational_power,
 )
@@ -369,24 +368,13 @@ def _classical_gap(form, k1: int, k2: int) -> Frac:
 # ---------------------------------------------------------------------------
 
 def _gamma1_free(eps: Frac, x: Frac) -> SymExpr:
-    """gamma1_exp(eps, x) without its factor sqrt(2 pi)^(-sgn eps), which
-    cancels from a ratio of two values at one eps."""
+    """The single-parameter one-loop exponential without its factor
+    sqrt(2 pi)^(-sgn eps), which cancels from a ratio of two values at one
+    eps: (-eps)^{-x/eps-1/2} Gamma(-x/eps) for eps < 0 and
+    eps^{-x/eps-1/2} / Gamma(1 + x/eps) for eps > 0."""
     if eps < 0:
         return rational_power(-eps, -x / eps - HALF) * gamma_value(-x / eps)
     return rational_power(eps, -x / eps - HALF) / gamma_value(1 + x / eps)
-
-
-def gamma1_exp(eps: Frac, x: Frac) -> SymExpr:
-    """Closed form of the single-parameter one-loop exponential.
-
-    For eps < 0 this is (-eps)^{-x/eps-1/2} Gamma(-x/eps) / sqrt(2 pi);
-    for eps > 0 it is eps^{-x/eps-1/2} sqrt(2 pi) / Gamma(1 + x/eps).
-    sqrt(2 pi) is made per call: a module constant's monomial would keep
-    the products of a run in its table (see symbols.mono_mul).
-    """
-    sqrt_2pi = rational_power(2, HALF) * pi_power(HALF)
-    g = _gamma1_free(eps, x)
-    return g / sqrt_2pi if eps < 0 else g * sqrt_2pi
 
 
 def z1loop_ratio_4d(e1: Frac, e2: Frac, a0: Frac, k1: int, k2: int) -> SymExpr:

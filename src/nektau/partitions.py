@@ -39,19 +39,6 @@ def partition_table(n: int):
     return parts
 
 
-def enumerate_pairs(d: int, parts=None):
-    """All partition pairs with total size d, ordered by (|first|, first, second).
-
-    parts: a partition_table of order >= d, made here if not given.
-    """
-    if parts is None:
-        parts = partition_table(d)
-    for d1 in range(d + 1):
-        for lam1 in parts[d1]:
-            for lam2 in parts[d - d1]:
-                yield (lam1, lam2)
-
-
 def conjugate(lam):
     out = []
     # the columns that row i reaches and row i + 1 does not have length i

@@ -1,8 +1,9 @@
 """Numeric oracle for the tests: high-precision evaluation of exact values.
 
 The package computes in exact arithmetic only.  The tests cross-check its
-canonical symbols against mpmath here, and build the two exact values whose
-only use is such a cross-check: sin(pi*y) and the one-loop negation ratio.
+canonical symbols against mpmath here, and build the exact values whose
+only use is such a cross-check: sin(pi*y), the single-parameter one-loop
+exponential and the one-loop negation ratio.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from fractions import Fraction as Frac
 
 import mpmath as mp
 
-from nektau.nekrasov import gamma1_exp
-from nektau.symbols import GAMMA, PI, POCH, RADICAL, SIN, Resonance, SymExpr, canonical
+from nektau.nekrasov import _gamma1_free
+from nektau.symbols import (
+    GAMMA, PI, POCH, RADICAL, SIN, Resonance, SymExpr, canonical, pi_power, rational_power,
+)
 
 
 def _mpf(x: Frac):
@@ -67,6 +70,19 @@ def sin_pi(y) -> SymExpr:
     if y > Frac(1, 2):
         y = 1 - y
     return SymExpr.monomial(canonical({(SIN, y): Frac(1)})[0], sign)
+
+
+def gamma1_exp(eps: Frac, x: Frac) -> SymExpr:
+    """Closed form of the single-parameter one-loop exponential.
+
+    For eps < 0 this is (-eps)^{-x/eps-1/2} Gamma(-x/eps) / sqrt(2 pi);
+    for eps > 0 it is eps^{-x/eps-1/2} sqrt(2 pi) / Gamma(1 + x/eps).
+    sqrt(2 pi) is made per call: a module constant's monomial would keep
+    the products of a run in its table (see symbols.mono_mul).
+    """
+    sqrt_2pi = rational_power(2, Frac(1, 2)) * pi_power(Frac(1, 2))
+    g = _gamma1_free(eps, x)
+    return g / sqrt_2pi if eps < 0 else g * sqrt_2pi
 
 
 def z1loop_negation_ratio(e1: Frac, e2: Frac, a: Frac) -> SymExpr:

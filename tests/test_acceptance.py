@@ -5,9 +5,9 @@ import random
 import time
 from fractions import Fraction as F
 
+from diagram_pairs import enumerate_pairs
 import nektau.identities as idmod
 from nektau.fourier import ps_equal_to_order
-from nektau.partitions import enumerate_pairs
 from nektau.qseries import (
     PochhammerSpec,
     _poch_exp_coeffs,

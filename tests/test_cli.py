@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -29,6 +30,33 @@ from nektau.symbols import NonInvertible, Resonance, ZeroFactor
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def pin_cpus(monkeypatch, n):
+    """Make run_verify see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _share_with_a_worker(monkeypatch, tmp_path):
+    """In a forked run, hold each check of this process until a worker has
+    started one, so that a worker always runs a share.  Returns the path of
+    a log of the pid that started each check."""
+    log = tmp_path / "checks.pid"
+    parent, real = os.getpid(), climod._run_one
+
+    def run_one(*args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        deadline = time.monotonic() + 60
+        while (os.getpid() == parent and len(os.sched_getaffinity(0)) > 1
+               and set(log.read_text().split()) == {str(parent)}):
+            if time.monotonic() > deadline:
+                raise TimeoutError("no worker started a check")
+            time.sleep(0.005)
+        return real(*args)
+
+    monkeypatch.setattr(climod, "_run_one", run_one)
+    return log
 
 
 def run_cli(*args, env=None):
@@ -336,6 +364,7 @@ def test_one_run_computes_each_coefficient_once(monkeypatch):
         calls.append(args[:6])  # (E1, E2, m, Lu, t, d); the kernel follows
         return real(*args)
 
+    pin_cpus(monkeypatch, 1)  # counts this process only
     monkeypatch.setattr(nekrasov, "_inst_coeff_5d", counting)
     cfg = RunConfig(identities=["qNY1", "qNY2", "qNY3"])
     code, _, results = run_verify(cfg)
@@ -345,6 +374,9 @@ def test_one_run_computes_each_coefficient_once(monkeypatch):
     calls.clear()
     assert run_verify(cfg)[0] == 0
     assert Counter(calls) == first
+
+
+BLOWUP_IDS = ["NY", "NY2", "NY4", "NY1", "qNY1", "qNY2", "qNY3", "cd-system"]
 
 
 def test_one_run_telescopes_each_cocycle_once_and_builds_each_mode_once(monkeypatch):
@@ -360,12 +392,12 @@ def test_one_run_telescopes_each_cocycle_once_and_builds_each_mode_once(monkeypa
             return real(*args, **kwargs)
         return wrapped
 
+    pin_cpus(monkeypatch, 1)  # counts this process only
     for name in ("z1loop_ratio_4d", "q_z1loop_ratio"):
         monkeypatch.setattr(nekrasov, name, counting(cocycles, getattr(nekrasov, name)))
     for name in ("inst_series_4d", "inst_series_5d"):
         monkeypatch.setattr(nekrasov, name, counting(modes, getattr(nekrasov, name)))
-    cfg = RunConfig(identities=["NY", "NY2", "NY4", "NY1", "qNY1", "qNY2", "qNY3",
-                                "cd-system"], order=F(2))
+    cfg = RunConfig(identities=BLOWUP_IDS, order=F(2))
     assert run_verify(cfg)[0] == 0
     first = Counter(cocycles), Counter(modes)
     for calls in first:
@@ -374,6 +406,95 @@ def test_one_run_telescopes_each_cocycle_once_and_builds_each_mode_once(monkeypa
     modes.clear()
     assert run_verify(cfg)[0] == 0
     assert (Counter(cocycles), Counter(modes)) == first
+
+
+def test_forked_runs_build_each_coefficient_mode_and_cocycle_once(monkeypatch, tmp_path):
+    # the twin of the two counting tests above with two workers: every
+    # process appends what it builds to one O_APPEND file, so the worker's
+    # builds are counted too
+    log = tmp_path / "builds.log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def counting(kind, real, n=None):
+        def wrapped(*args, **kwargs):
+            os.write(fd, f"{os.getpid()}\t{kind}\t{args[:n]!r}\n".encode())
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(nekrasov, "_inst_coeff_5d",
+                        counting("coefficient", nekrasov._inst_coeff_5d, 6))
+    for name in ("z1loop_ratio_4d", "q_z1loop_ratio"):
+        monkeypatch.setattr(nekrasov, name, counting("cocycle", getattr(nekrasov, name)))
+    for name in ("inst_series_4d", "inst_series_5d"):
+        monkeypatch.setattr(nekrasov, name, counting("mode", getattr(nekrasov, name)))
+
+    _share_with_a_worker(monkeypatch, tmp_path)
+
+    def builds(cpus):
+        pin_cpus(monkeypatch, cpus)
+        log.write_text("")
+        assert run_verify(RunConfig(identities=BLOWUP_IDS, order=F(2)))[0] == 0
+        lines = [line.split("\t", 1) for line in log.read_text().splitlines()]
+        return {pid for pid, _ in lines}, Counter(build for _, build in lines)
+
+    try:
+        (parent,), serial = builds(1)
+        pids, forked = builds(2)
+    finally:
+        os.close(fd)
+    assert parent == str(os.getpid()) and len(pids) == 2  # the worker built some
+    assert {line.split("\t")[0] for line in serial} == {"coefficient", "cocycle", "mode"}
+    assert set(forked.values()) == {1} and forked == serial
+
+
+def _check_groups(monkeypatch, cfg):
+    """{(group that built a memo key, group that read it): the keys} for the
+    keys read outside their group in one run of cfg in one process; a group
+    is (family, sample)."""
+    builder, crossed = {}, {}
+    current = [None]
+    real_memoized, real_run_one = nekrasov.memoized, climod._run_one
+
+    def memoized(memo, key, build):
+        if memo is not None:
+            first = builder.setdefault(key, current[0])
+            if first != current[0]:
+                crossed.setdefault((first, current[0]), set()).add(key)
+        return real_memoized(memo, key, build)
+
+    def run_one(id, sample, order, ctx):
+        current[0] = (idmod.CATALOG[id].family, sample)
+        return real_run_one(id, sample, order, ctx)
+
+    pin_cpus(monkeypatch, 1)
+    for mod in (nekrasov, idmod, tau):
+        monkeypatch.setattr(mod, "memoized", memoized)
+    monkeypatch.setattr(climod, "_run_one", run_one)
+    assert run_verify(cfg)[0] == 0
+    return crossed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_memo_value_crosses_a_family_sample_group(monkeypatch, seed):
+    # a forked run gives each worker its own memo, so a value built in one
+    # (family, sample index) group and read in another would be built twice
+    cfg = RunConfig(identities=list(idmod.CATALOG), seed=seed)
+    assert _check_groups(monkeypatch, cfg) == {}
+    assert {e.family for e in idmod.CATALOG.values()} == set(climod.FAMILY_MS)
+
+
+def test_on_three_samples_only_mirrored_4d_coefficients_cross_groups(monkeypatch):
+    # 4d-tau's sigma = 5/24 and 7/24 share their 4d instanton coefficients
+    # through the mirror normal form (nekrasov.mirror_form_4d): the one
+    # value a forked run builds twice
+    cfg = RunConfig(identities=list(idmod.CATALOG), samples=3)
+    sigmas = idmod.default_samples("4d-tau", 3)
+    crossed = _check_groups(monkeypatch, cfg)
+    assert {F(5, 24), F(7, 24)} <= set(sigmas)
+    mirrored = {("4d-tau", F(5, 24)), ("4d-tau", F(7, 24))}
+    assert crossed and all(set(pair) == mirrored for pair in crossed)
+    keys = set().union(*crossed.values())
+    assert {key[0] for key in keys} == {"inst_coeff_4d"} and len(keys) == 18
 
 
 @pytest.mark.parametrize("ids,builds", [(list(idmod.CATALOG), 27), (["qG"], 2),
@@ -390,6 +511,7 @@ def test_a_run_builds_only_the_taus_its_checks_read(monkeypatch, ids, builds):
         specs.append((spec, E))
         return real(spec, E)
 
+    pin_cpus(monkeypatch, 1)  # counts this process only
     monkeypatch.setattr(tau, "build_tau", counting)
     assert run_verify(RunConfig(identities=ids))[0] == 0
     assert len(specs) == builds
@@ -476,7 +598,8 @@ def test_one_run_forms_each_hirota_basis_product_once(monkeypatch):
                           ((2,), True, 1, 2)]
 
 
-def test_run_writes_no_module_state():
+def test_run_writes_no_module_state(monkeypatch):
+    pin_cpus(monkeypatch, 1)  # looks at this process only
     mods = [m for name, m in sys.modules.items() if name.startswith("nektau.")]
 
     def sizes():
@@ -489,6 +612,125 @@ def test_run_writes_no_module_state():
                     order=F(1))
     assert run_verify(cfg)[0] == 0
     assert sizes() == before
+
+
+# ---------------------------------------------------------------------------
+# verify: forked workers
+# ---------------------------------------------------------------------------
+
+
+def _verify(monkeypatch, capsys, tmp_path, cpus, argv):
+    """(exit code, report text minus timing, stdout) of main(verify argv)
+    with cpus usable CPUs."""
+    pin_cpus(monkeypatch, cpus)
+    rp = tmp_path / f"report{cpus}"
+    code = main(["verify", *argv, "--report", str(rp)])
+    text = rp.read_text()
+    if "--format" not in argv:
+        doc = json.loads(text)
+        keys = list(doc.pop("timing")["elapsed_seconds"])
+        assert keys == [f"{r['id']}#{r['sample_index']}" for r in doc["results"]]
+        text = json.dumps(doc, indent=2)
+    return code, text, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--seed", "0"], ["--seed", "1"], ["--seed", "2"],
+                                  ["--samples", "3"], ["--corrupt-coefficient", "1"],
+                                  ["--format", "csv"]],
+                         ids=["seed0", "seed1", "seed2", "samples3", "corrupt", "csv"])
+def test_two_workers_give_the_one_process_report_stdout_and_exit_code(
+        monkeypatch, capsys, tmp_path, argv):
+    one = _verify(monkeypatch, capsys, tmp_path, 1, argv)
+    assert _verify(monkeypatch, capsys, tmp_path, 2, argv) == one
+    assert one[0] == (1 if "--corrupt-coefficient" in argv else 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+def test_more_workers_than_cores_give_the_one_process_report(monkeypatch, capsys, tmp_path):
+    # four processes pull the 27 groups of three samples from one queue
+    argv = ["--samples", "3", "--order", "1"]
+    one = _verify(monkeypatch, capsys, tmp_path, 1, argv)
+    assert _verify(monkeypatch, capsys, tmp_path, 4, argv) == one and one[0] == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fail_fast_runs_in_one_process_and_prints_the_serial_prefix(
+        monkeypatch, capsys, tmp_path):
+    argv = ["--corrupt-coefficient", "1"]
+    code, serial, out = _verify(monkeypatch, capsys, tmp_path, 1, argv)
+    calls = []
+    real = climod._run_one
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    def no_fork():
+        raise AssertionError("--fail-fast forked")
+
+    monkeypatch.setattr(climod, "_run_one", counting)
+    monkeypatch.setattr(os, "fork", no_fork)
+    fast = _verify(monkeypatch, capsys, tmp_path, 2, argv + ["--fail-fast"])
+    assert calls == ["NY"] and fast[0] == code == 1
+    results = json.loads(fast[1])["results"]
+    assert results == json.loads(serial)["results"][:1]
+    head, last = fast[2].splitlines()[:-1], fast[2].splitlines()[-1]
+    assert head == out.splitlines()[:len(head)] and head[0] == "NY [theorem] order 3: FAIL"
+    assert last == "1 check(s), 1 failure(s); exit 1"
+
+
+def test_one_family_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("one family forked")
+
+    pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_verify(RunConfig(identities=HIROTA_IDS, order=F(1)))[0] == 0
+
+
+def test_a_check_that_raises_in_a_worker_is_the_one_process_error_result(
+        monkeypatch, capsys, tmp_path):
+    # halfpow's group is lighter than NYtaupm's, which this process takes
+    # first, so halfpow raises in the worker
+    def boom(sample, E, ctx):
+        raise Resonance("pole")
+
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
+        idmod.CATALOG["halfpow"], run=boom))
+    log = _share_with_a_worker(monkeypatch, tmp_path)
+    argv = ["--id", "halfpow", "--id", "NYtaupm", "--order", "1"]
+    runs = []
+    for cpus in (1, 2):
+        runs.append(_verify(monkeypatch, capsys, tmp_path, cpus, argv))
+        runs.append(len(set(log.read_text().split())))
+        log.unlink()
+    one, one_pids, two, two_pids = runs
+    assert one == two and one[0] == 3 and (one_pids, two_pids) == (1, 2)
+    assert json.loads(one[1])["results"][0]["error"] == {"type": "Resonance", "message": "pole"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_makes_verify_exit_three(monkeypatch, capsys, tmp_path):
+    parent = os.getpid()
+
+    def die(sample, E, ctx):
+        if os.getpid() == parent:
+            raise AssertionError("halfpow ran in this process")
+        os._exit(9)
+
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
+        idmod.CATALOG["halfpow"], run=die))
+    _share_with_a_worker(monkeypatch, tmp_path)
+    pin_cpus(monkeypatch, 2)
+    argv = ["verify", "--id", "halfpow", "--id", "NYtaupm", "--order", "1"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "RuntimeError: verify worker" in err and "exit code 9" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

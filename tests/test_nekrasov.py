@@ -15,7 +15,6 @@ from nektau.nekrasov import (
     Theory5d,
     admissible_degree_4d,
     blowup_modes,
-    gamma1_exp,
     inst_coeff_4d,
     inst_series_4d,
     inst_series_5d,
@@ -26,7 +25,7 @@ from nektau.nekrasov import (
 )
 from nektau.rationals import GaussianRational as G
 from nektau.symbols import SymExpr, ZeroFactor
-from oracle import numeric_value, z1loop_negation_ratio
+from oracle import gamma1_exp, numeric_value, z1loop_negation_ratio
 
 E1, E2, A = F(1), F(-3, 7), F(2, 5)
 

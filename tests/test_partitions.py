@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from diagram_pairs import enumerate_pairs
 from fraction_exponents import cs_exponent
 import nektau.identities as idmod
 from nektau import nekrasov
@@ -29,7 +30,6 @@ from nektau.partitions import (
     box_by_box_pair,
     boxes,
     conjugate,
-    enumerate_pairs,
     mul_factors_4d,
     mul_factors_5d,
     n_factor_4d,
