@@ -62,15 +62,16 @@ configuration error for every command).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 import time
-import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction as Frac
+
+# csv, pickle and traceback are imported in the functions that use them
+# (--format csv, forked runs, the error paths), so that a run without them
+# does not pay for them in set-up time and memory
 
 from . import identities as idmod
 from .nekrasov import Theory4d, Theory5d, admissible_degree_4d, inst_series_4d, inst_series_5d
@@ -84,16 +85,23 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
-    identities: list = field(default_factory=list)
-    order: Frac | None = None
-    samples: int = 1
-    seed: int = 0
-    report: str | None = None
-    format: str = "json"
-    fail_fast: bool = False
-    corrupt: Frac | None = None  # debug: perturb one coefficient at this exponent
+    """The settings of one verify run, as build_config merges them."""
+
+    __slots__ = ("identities", "order", "samples", "seed", "report", "format",
+                 "fail_fast", "corrupt")
+
+    def __init__(self, identities=(), order: Frac | None = None, samples: int = 1,
+                 seed: int = 0, report: str | None = None, format: str = "json",
+                 fail_fast: bool = False, corrupt: Frac | None = None):
+        self.identities = list(identities)
+        self.order = order
+        self.samples = samples
+        self.seed = seed
+        self.report = report
+        self.format = format
+        self.fail_fast = fail_fast
+        self.corrupt = corrupt  # debug: perturb one coefficient at this exponent
 
     def to_dict(self):
         return {
@@ -181,7 +189,6 @@ def build_config(args) -> RunConfig:
         for key, (want, ok) in _CONFIG_TYPES.items():
             if key in data and not ok(data[key]):
                 raise ConfigError(f"config {key!r} must be {want}, got {data[key]!r}")
-    cfg = RunConfig()
     ids = data.get("identities", "all")
     if args.id:
         ids = args.id
@@ -199,45 +206,44 @@ def build_config(args) -> RunConfig:
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     if repeated:
         raise ConfigError(f"repeated identity id(s): {', '.join(repeated)}")
-    cfg.identities = list(ids)
     order = data.get("order")
     if args.order is not None:
         order = args.order
     if order is not None:
         if isinstance(order, list):
             order = f"{order[0]}/{order[1]}"
-        cfg.order = _parse_order(str(order))
-    cfg.samples = args.samples if args.samples is not None else data.get("samples", 1)
-    if cfg.samples < 1:
+        order = _parse_order(str(order))
+    samples = args.samples if args.samples is not None else data.get("samples", 1)
+    if samples < 1:
         raise ConfigError("--samples must be >= 1")
-    for domain in sorted({idmod.CATALOG[id].domain for id in cfg.identities}):
+    for domain in sorted({idmod.CATALOG[id].domain for id in ids}):
         try:
-            idmod.default_samples(domain, cfg.samples)
+            idmod.default_samples(domain, samples)
         except ValueError as exc:
-            raise ConfigError(f"--samples {cfg.samples}: {exc}") from exc
-    cfg.seed = _seed(args.seed if args.seed is not None else data.get("seed", 0))
-    for id in cfg.identities:
+            raise ConfigError(f"--samples {samples}: {exc}") from exc
+    seed = _seed(args.seed if args.seed is not None else data.get("seed", 0))
+    for id in ids:
         entry = idmod.CATALOG[id]
         try:
-            idmod.check_order(id, cfg.order or entry.default_order,
-                              idmod.default_samples(entry.domain, cfg.samples, cfg.seed))
+            idmod.check_order(id, order or entry.default_order,
+                              idmod.default_samples(entry.domain, samples, seed))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    cfg.report = args.report if args.report else data.get("report")
-    _check_report_path(cfg.report)
+    report = args.report if args.report else data.get("report")
+    _check_report_path(report)
     fmt = args.format if args.format else data.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}")
-    cfg.format = fmt
-    cfg.fail_fast = args.fail_fast or data.get("failFast", False)
+    corrupt = None
     if getattr(args, "corrupt_coefficient", None) is not None:
-        cfg.corrupt = _parse_order(args.corrupt_coefficient, "--corrupt-coefficient")
-        top = max(cfg.order or idmod.CATALOG[id].default_order for id in cfg.identities)
-        if cfg.corrupt > top:
+        corrupt = _parse_order(args.corrupt_coefficient, "--corrupt-coefficient")
+        top = max(order or idmod.CATALOG[id].default_order for id in ids)
+        if corrupt > top:
             raise ConfigError(
-                f"--corrupt-coefficient {cfg.corrupt} lies above {top}, the highest "
+                f"--corrupt-coefficient {corrupt} lies above {top}, the highest "
                 "order of the selected checks: no check would compare it")
-    return cfg
+    return RunConfig(ids, order, samples, seed, report, fmt,
+                     args.fail_fast or data.get("failFast", False), corrupt)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +261,8 @@ def _run_one(id: str, sample, order, ctx):
     try:
         return idmod.verify(id, sample=sample, E=E, ctx=ctx)
     except Exception as exc:
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         return idmod.VerificationReport(
             id=id, status=entry.status, ok=False, order=E,
@@ -316,8 +324,6 @@ def _run_forked(jobs, groups, order, ctx, n):
         while record := os.read(queue, _RECORD):
             yield int.from_bytes(record, "little")
 
-    # imported here, so that runs in one process and dump do not pay for
-    # it in set-up time and memory
     import pickle
 
     queue, w = os.pipe()
@@ -348,6 +354,8 @@ def _run_forked(jobs, groups, order, ctx, n):
                         f.write(data)
                     status = 0
                 except Exception:
+                    import traceback
+
                     traceback.print_exc(file=sys.stderr)
                 finally:
                     sys.stderr.flush()
@@ -416,6 +424,8 @@ def run_verify(cfg: RunConfig):
 
 
 def _report_csv(report) -> str:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["id", "status", "sample_index", "order_num", "order_den",
@@ -636,6 +646,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         return 3
 

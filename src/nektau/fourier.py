@@ -12,7 +12,7 @@ exponent, what residual) rather than a bare boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -163,12 +163,12 @@ class FourierSeries:
         return out
 
 
-@dataclass
-class EqualityReport:
-    ok: bool
-    checked_order: Frac
-    residuals: list = field(default_factory=list)  # (sector, exponent, n_terms, render)
-    note: str = ""
+class EqualityReport(namedtuple("EqualityReport", [
+        "ok", "checked_order",
+        "residuals",  # [(sector, exponent, n_terms, render)]; () if not given
+        "note",
+], defaults=((), ""))):
+    __slots__ = ()
 
     def summary(self):
         if self.ok:

@@ -36,7 +36,7 @@ run; nothing is kept at module level.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil
 
@@ -153,7 +153,6 @@ def describe_sample(domain: str, sample):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Context:
     """What the checks of one run share.
 
@@ -171,8 +170,11 @@ class Context:
              only cache a run keeps.
     """
 
-    corrupt: Frac | None = None
-    memo: dict = field(default_factory=dict)
+    __slots__ = ("corrupt", "memo")
+
+    def __init__(self, corrupt: Frac | None = None):
+        self.corrupt = corrupt
+        self.memo = {}
 
     def corrupted(self, x):
         """x (a PuiseuxSeries or FourierSeries), or its corrupted copy."""
@@ -239,17 +241,14 @@ def bool_report(ok: bool, order, note: str = "") -> EqualityReport:
     return EqualityReport(bool(ok), Frac(order), [], note)
 
 
-@dataclass
-class VerificationReport:
-    id: str
-    status: str
-    ok: bool
-    order: Frac
-    sample: dict
-    parts: list  # [(name, EqualityReport)]
-    note: str = ""
-    elapsed: float = 0  # wall seconds; only run_verify's timing block reads it
-    error: tuple | None = None  # (exception type, message) of a check that raised
+class VerificationReport(namedtuple("VerificationReport", [
+        "id", "status", "ok", "order", "sample",
+        "parts",  # [(name, EqualityReport)]
+        "note",
+        "elapsed",  # wall seconds; only run_verify's timing block reads it
+        "error",  # (exception type, message) of a check that raised, or None
+], defaults=("", 0, None))):
+    __slots__ = ()
 
     def to_dict(self):
         out = {
@@ -904,33 +903,34 @@ def run_m1chain(smp, E, ctx):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    id: str
-    status: str  # theorem | conjecture | derived
-    anchor: str  # verbatim display fragment identifying the relation
-    domain: str
-    default_order: Frac
-    run: object = field(compare=False)
-    note: str = ""
-    #: orders below this compare nothing the identity constrains
-    min_order: Frac = Frac(0)
-    #: a 4d-eps check's blowup sum runs over Z + mode_offset
-    mode_offset: Frac | None = None
-    #: checks that may read one another's memo values; two checks of
-    #: different families share none, so cli.run_verify may run them in two
-    #: processes.  None means the domain; set only where a domain splits.
-    family: str | None = None
+class IdentityCheck(namedtuple("IdentityCheck", [
+        "id",
+        "status",  # theorem | conjecture | derived
+        "anchor",  # verbatim display fragment identifying the relation
+        "domain",
+        "default_order",
+        "run",  # run(sample, E, ctx) -> the parts verify compares
+        "note",
+        #: orders below this compare nothing the identity constrains
+        "min_order",
+        #: a 4d-eps check's blowup sum runs over Z + mode_offset
+        "mode_offset",
+        #: checks that may read one another's memo values; two checks of
+        #: different families share none, so cli.run_verify may run them in
+        #: two processes.  _entry makes it the domain unless given; set only
+        #: where a domain splits.
+        "family",
+])):
+    """One catalog entry (built by _entry).  Entries compare by every
+    field, run included; nothing compares them."""
 
-    def __post_init__(self):
-        if self.family is None:
-            object.__setattr__(self, "family", self.domain)
+    __slots__ = ()
 
 
 def _entry(id, status, anchor, domain, order, run, note="", min_order=0,
            mode_offset=None, family=None):
     return IdentityCheck(id, status, anchor, domain, Frac(order), run, note,
-                         Frac(min_order), mode_offset, family)
+                         Frac(min_order), mode_offset, family or domain)
 
 
 CATALOG = {

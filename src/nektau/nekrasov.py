@@ -35,7 +35,7 @@ instanton series lives only in the mode.  Without a memo nothing is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -76,21 +76,16 @@ class IncompleteModeRange(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Theory4d:
+class Theory4d(namedtuple("Theory4d", "e1 e2")):
     """Equivariant parameters of a 4d rank-2 theory."""
 
-    e1: Frac
-    e2: Frac
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Theory5d:
+class Theory5d(namedtuple("Theory5d", "E1 E2 m", defaults=(0,))):
     """Multiplicative parameters q_i = t^{E_i} plus a level-m modifier."""
 
-    E1: Frac
-    E2: Frac
-    m: int = 0
+    __slots__ = ()
 
 
 _MISSING = object()

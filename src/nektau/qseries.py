@@ -9,7 +9,7 @@ rule (w; q^{-1}, ..) = (w q; q, ..)^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .series import PuiseuxSeries
@@ -22,28 +22,26 @@ class UnsupportedRegion(Exception):
     """Base exponent 0 (root of unity) or non-lattice exponent."""
 
 
-@dataclass(frozen=True)
-class PochhammerSpec:
+class PochhammerSpec(namedtuple("PochhammerSpec", "coeff zpow bases")):
     """(coeff * z^zpow ; t^{b_1}, .., t^{b_N})_inf.
 
     coeff is a single-monomial exact coefficient; zpow must be positive so
     that truncation in z is finite; bases are nonzero integer t-exponents.
     """
 
-    coeff: object
-    zpow: Frac
-    bases: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "zpow", _frac(self.zpow))
-        object.__setattr__(self, "bases", tuple(_frac(b) for b in self.bases))
-        if self.zpow <= 0:
+    def __new__(cls, coeff, zpow, bases):
+        zpow = _frac(zpow)
+        bases = tuple(_frac(b) for b in bases)
+        if zpow <= 0:
             raise UnsupportedRegion("need a positive z-power in the argument")
-        for b in self.bases:
+        for b in bases:
             if not b:
                 raise UnsupportedRegion("base exponent 0: base degenerates to 1")
             if b.denominator != 1:
                 raise UnsupportedRegion(f"base t-exponent {b} is not an integer")
+        return super().__new__(cls, coeff, zpow, bases)
 
 
 def _tpow(t: Frac, e: Frac) -> Frac:

@@ -11,14 +11,13 @@ chosen away from the Gamma, sine and Pochhammer zero and pole loci.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 Frac = Fraction
 
 
-@dataclass(frozen=True)
-class ParameterSample:
+class ParameterSample(namedtuple("ParameterSample", "t dq sigma")):
     """Rational sample point; see module docstring.
 
     t:     global base, 0 < t < 1
@@ -26,16 +25,14 @@ class ParameterSample:
     sigma: num/den with den | dq, so u = q^{2 sigma} has integer t-exponent
     """
 
-    t: Frac
-    dq: int = 4
-    sigma: Frac = Frac(1, 4)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.t < 1):
+    def __new__(cls, t: Frac, dq: int = 4, sigma: Frac = Frac(1, 4)):
+        if not (0 < t < 1):
             raise ValueError("need 0 < t < 1")
-        if not (self.dq > 0 and self.dq % 4 == 0
-                and self.dq % self.sigma.denominator == 0):
+        if not (dq > 0 and dq % 4 == 0 and dq % sigma.denominator == 0):
             raise ValueError("dq must be a positive multiple of 4 and of den(sigma)")
+        return super().__new__(cls, t, dq, sigma)
 
     @property
     def u_exp(self) -> Frac:

@@ -22,7 +22,7 @@ point telescopes a different (equal-valued) cocycle expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .fourier import FourierSeries
@@ -42,8 +42,8 @@ Frac = Fraction
 HALF = Frac(1, 2)
 
 
-@dataclass(frozen=True)
-class TauSpec:
+class TauSpec(namedtuple("TauSpec", "base k_step k_offset fourier_offset sector_step prefactor",
+                          defaults=((0, 0), Frac(0), Frac(1), None))):
     """Recipe for one tau function.
 
     Mode index j runs over Z; mode j sits in sector
@@ -51,12 +51,7 @@ class TauSpec:
     k_offset + j*k_step of the underlying relative theory.
     """
 
-    base: object
-    k_step: tuple
-    k_offset: tuple = (0, 0)
-    fourier_offset: Frac = Frac(0)
-    sector_step: Frac = Frac(1)
-    prefactor: object = None
+    __slots__ = ()
 
     def lattice(self, j: int):
         return (
@@ -124,7 +119,7 @@ class TauSystem4d(TauSystem):
             # self-dual tau: sector n carries the mode at sigma + n
             "kiev": kiev,
             # its s^{1/2}-shifted companion at sigma + 1/2: a = a0 + e2 = a0 - 1
-            "half": replace(kiev, k_offset=(0, 1), fourier_offset=HALF),
+            "half": kiev._replace(k_offset=(0, 1), fourier_offset=HALF),
             # half-theory taus: sector n/2 carries the mode at sigma + n
             "plus": TauSpec(rp, k_step=(0, 1), sector_step=HALF),
             "minus": TauSpec(rm, k_step=(-1, 0), sector_step=HALF),
@@ -136,8 +131,8 @@ class TauSystem4d(TauSystem):
             "long1": TauSpec(rp, k_step=(0, 2), k_offset=(0, 1), fourier_offset=HALF,
                              prefactor=KAPPA),
             # tau at sigma +/- 1/2 with unchanged sector grading
-            "up": replace(kiev, k_offset=(0, 1)),
-            "down": replace(kiev, k_offset=(0, -1)),
+            "up": kiev._replace(k_offset=(0, 1)),
+            "down": kiev._replace(k_offset=(0, -1)),
         }
 
 
@@ -160,17 +155,17 @@ class TauSystemQ(TauSystem):
         self.recipes = {
             # self-dual taus: sector n in Z + j/2 carries the mode at u q^{2n}
             "kiev0": kiev0,
-            "kiev1": replace(kiev0, k_offset=(0, 1), fourier_offset=HALF),
+            "kiev1": kiev0._replace(k_offset=(0, 1), fourier_offset=HALF),
             # half-theory taus: sector n/2 carries the mode at u q^{2n}
             "plus": plus,
             "minus": minus,
             # the self-dual tau at u q^{+/-1} with unchanged sector grading
-            "up": replace(kiev0, k_offset=(0, 1)),
-            "down": replace(kiev0, k_offset=(0, -1)),
+            "up": kiev0._replace(k_offset=(0, 1)),
+            "down": kiev0._replace(k_offset=(0, -1)),
             # half-theory taus at u q on s^{1/4}-shifted sectors: Lu0 + dq is
             # Lu0 - E1 of the (q^{-1}, q^2) half and Lu0 - E1 - E2 of the other
-            "plus_uq": replace(plus, k_offset=(-1, 0), fourier_offset=HALF / 2),
-            "minus_uq": replace(minus, k_offset=(-1, -1), fourier_offset=HALF / 2),
+            "plus_uq": plus._replace(k_offset=(-1, 0), fourier_offset=HALF / 2),
+            "minus_uq": minus._replace(k_offset=(-1, -1), fourier_offset=HALF / 2),
         }
 
 

@@ -1,6 +1,5 @@
 """Command-line driver: exit codes, deterministic reports, series dumps."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -59,16 +58,18 @@ def _share_with_a_worker(monkeypatch, tmp_path):
     return log
 
 
-def run_cli(*args, env=None):
+def run_python(*args, env=None):
     e = dict(os.environ)
     e.pop("NEKTAU_SEED", None)
     # the checkout's package, also when it is not installed
     e["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), e.get("PYTHONPATH")]))
     if env:
         e.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "nektau.cli", *args],
-        capture_output=True, text=True, env=e)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=e)
+
+
+def run_cli(*args, env=None):
+    return run_python("-m", "nektau.cli", *args, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +267,8 @@ def test_conjectures_never_affect_exit_code(tmp_path, monkeypatch):
     entry = idmod.CATALOG["halfpow"]
     argv = ["verify", "--id", "halfpow", "--order", "1"]
     for status, code in (("conjecture", 0), ("theorem", 1)):
-        monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
-            entry, status=status, run=lambda sample, E, ctx: bad))
+        monkeypatch.setitem(idmod.CATALOG, "halfpow", entry._replace(
+            status=status, run=lambda sample, E, ctx: bad))
         rp = tmp_path / f"{status}.json"
         assert main(argv + ["--report", str(rp)]) == code
         res = json.loads(rp.read_text())["results"][0]
@@ -278,12 +279,13 @@ def test_conjectures_never_affect_exit_code(tmp_path, monkeypatch):
 def test_fail_fast_stops_after_any_failure_that_exits_one(monkeypatch, status):
     # a derived-status failure used to let the run go on
     bad = [("stub", EqualityReport(False, F(1), [(F(0), F(1), 1, "(1)")]))]
-    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
-        idmod.CATALOG["halfpow"], status=status, run=lambda sample, E, ctx: bad))
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", idmod.CATALOG["halfpow"]._replace(
+        status=status, run=lambda sample, E, ctx: bad))
     cfg = RunConfig(identities=["halfpow", "NYtaupm"], order=F(1))
     code, _, results = run_verify(cfg)
     assert code == 1 and [r.id for r in results] == ["halfpow", "NYtaupm"]
-    code, report, results = run_verify(dataclasses.replace(cfg, fail_fast=True))
+    code, report, results = run_verify(RunConfig(identities=cfg.identities, order=cfg.order,
+                                                 fail_fast=True))
     assert code == 1 and [r.id for r in results] == ["halfpow"]
     assert len(report["results"]) == 1
 
@@ -296,8 +298,8 @@ def test_an_exception_in_a_check_is_an_error_result(tmp_path, monkeypatch, capsy
     def boom(sample, E, ctx):
         raise exc("resonant sample")
 
-    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
-        idmod.CATALOG["halfpow"], status=status, run=boom))
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", idmod.CATALOG["halfpow"]._replace(
+        status=status, run=boom))
     rp = tmp_path / "report.json"
     argv = ["verify", "--id", "halfpow", "--id", "NYtaupm", "--order", "1", "--report", str(rp)]
     assert main(argv) == 3
@@ -318,18 +320,17 @@ def test_an_error_result_wins_over_a_failure_and_stops_fail_fast(monkeypatch):
     def boom(sample, E, ctx):
         raise Resonance("pole")
 
-    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
-        idmod.CATALOG["halfpow"], status="theorem", run=lambda sample, E, ctx: bad))
-    monkeypatch.setitem(idmod.CATALOG, "qG", dataclasses.replace(
-        idmod.CATALOG["qG"], run=boom))
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", idmod.CATALOG["halfpow"]._replace(
+        status="theorem", run=lambda sample, E, ctx: bad))
+    monkeypatch.setitem(idmod.CATALOG, "qG", idmod.CATALOG["qG"]._replace(run=boom))
     cfg = RunConfig(identities=["halfpow", "qG", "NYtaupm"], order=F(1))
     code, report, results = run_verify(cfg)
     assert code == 3 and [r.id for r in results] == ["halfpow", "qG", "NYtaupm"]
     assert [r.error for r in results] == [None, ("Resonance", "pole"), None]
-    code, report, results = run_verify(dataclasses.replace(cfg, identities=["qG", "halfpow"],
-                                                           fail_fast=True))
+    code, report, results = run_verify(RunConfig(identities=["qG", "halfpow"], order=cfg.order,
+                                                 fail_fast=True))
     assert code == 3 and [r.id for r in results] == ["qG"]
-    csv_cfg = dataclasses.replace(cfg, identities=["qG"], format="csv")
+    csv_cfg = RunConfig(identities=["qG"], order=cfg.order, format="csv")
     row = _report_csv(run_verify(csv_cfg)[1]).splitlines()[1]
     assert row.endswith(",0,,error: Resonance: pole")
 
@@ -549,8 +550,8 @@ def test_one_run_forms_the_zeta_products_once(monkeypatch):
         assert code == 0 and formed_once()
     real_zeta3 = idmod.CATALOG["zeta3"]
     bad = ("stub", EqualityReport(False, F(1), [(F(0), F(0), 1, "(1)")], ""))
-    monkeypatch.setitem(idmod.CATALOG, "zeta3", dataclasses.replace(
-        real_zeta3, run=lambda *args: real_zeta3.run(*args) + [bad]))
+    monkeypatch.setitem(idmod.CATALOG, "zeta3", real_zeta3._replace(
+        run=lambda *args: real_zeta3.run(*args) + [bad]))
     passes.clear()
     zetas.clear()
     code, report, _ = run_verify(RunConfig(identities=["zeta3"], order=F(1)))
@@ -697,8 +698,7 @@ def test_a_check_that_raises_in_a_worker_is_the_one_process_error_result(
     def boom(sample, E, ctx):
         raise Resonance("pole")
 
-    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
-        idmod.CATALOG["halfpow"], run=boom))
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", idmod.CATALOG["halfpow"]._replace(run=boom))
     log = _share_with_a_worker(monkeypatch, tmp_path)
     argv = ["--id", "halfpow", "--id", "NYtaupm", "--order", "1"]
     runs = []
@@ -721,8 +721,7 @@ def test_a_worker_that_dies_makes_verify_exit_three(monkeypatch, capsys, tmp_pat
             raise AssertionError("halfpow ran in this process")
         os._exit(9)
 
-    monkeypatch.setitem(idmod.CATALOG, "halfpow", dataclasses.replace(
-        idmod.CATALOG["halfpow"], run=die))
+    monkeypatch.setitem(idmod.CATALOG, "halfpow", idmod.CATALOG["halfpow"]._replace(run=die))
     _share_with_a_worker(monkeypatch, tmp_path)
     pin_cpus(monkeypatch, 2)
     argv = ["verify", "--id", "halfpow", "--id", "NYtaupm", "--order", "1"]
@@ -1057,3 +1056,40 @@ def test_oracle_depth_follows_the_catalog_lowest_order():
     assert r.stderr.splitlines() == [
         "configuration error: order 0 is below the lowest meaningful order 1 "
         "of determlemma"]
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+#: modules that no import of nektau.cli loads: dataclasses (with inspect)
+#: generates code, and csv, traceback and pickle serve --format csv, the
+#: error paths and forked runs only
+NOT_AT_IMPORT = {"dataclasses", "inspect", "csv", "traceback", "pickle"}
+
+
+def test_importing_the_cli_loads_no_module_that_a_run_may_not_need(tmp_path):
+    # site may preload modules, so the import is measured as the modules it
+    # adds; then one erroring check with a CSV report imports csv and
+    # traceback where they are used
+    rp = tmp_path / "r.csv"
+    r = run_python("-c", f"""
+import json, sys
+bare = set(sys.modules)
+import nektau.cli as climod
+print(json.dumps(sorted(set(sys.modules) - bare)))
+from nektau.symbols import Resonance
+def boom(sample, E, ctx):
+    raise Resonance("pole")
+climod.idmod.CATALOG["halfpow"] = climod.idmod.CATALOG["halfpow"]._replace(run=boom)
+sys.exit(climod.main(["verify", "--id", "halfpow", "--order", "1",
+                      "--format", "csv", "--report", {str(rp)!r}]))
+""")
+    added = set(json.loads(r.stdout.splitlines()[0]))
+    assert "nektau.cli" in added and not added & NOT_AT_IMPORT
+    assert r.returncode == 3, r.stderr
+    lines = rp.read_text().splitlines()
+    assert lines[0].startswith("id,status,sample_index,order_num,order_den")
+    assert lines[1].endswith(",0,,error: Resonance: pole")
+    assert r.stderr.startswith("Traceback (most recent call last):")
+    assert r.stderr.endswith("Resonance: pole\n")

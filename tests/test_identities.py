@@ -1,6 +1,5 @@
 """Identity catalog: order/sample stability, mutation sensitivity, reports."""
 
-import dataclasses
 import importlib.resources
 import json
 from fractions import Fraction as F
@@ -150,7 +149,7 @@ def test_report_serialization_quarantines_timing():
 
 def _stub_entry(id, status, parts):
     base = idmod.CATALOG[id]
-    return dataclasses.replace(base, run=lambda sample, E, ctx: parts, status=status)
+    return base._replace(run=lambda sample, E, ctx: parts, status=status)
 
 
 def _fs(coeffs, trunc, sector=F(0)):

@@ -1,6 +1,5 @@
 """Tau assembly: sector structure, splitting, Backlund moves, fixtures."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -126,8 +125,8 @@ def test_backlund_is_half_sector_shifted():
 
 def _twice(spec):
     """spec's half step (its k_offset and fourier_offset) taken twice."""
-    return dataclasses.replace(spec, k_offset=tuple(2 * k for k in spec.k_offset),
-                               fourier_offset=2 * spec.fourier_offset)
+    return spec._replace(k_offset=tuple(2 * k for k in spec.k_offset),
+                         fourier_offset=2 * spec.fourier_offset)
 
 
 def _relabelled(tau, by):
@@ -141,7 +140,7 @@ def test_double_backlund_returns_tau():
     tau = s4.tau("kiev", E)
     twice = _twice(s4.recipes["half"])
     assert twice.k_offset == s4.recipes["kiev"].k_step
-    assert fs_eq(build_tau(dataclasses.replace(twice, fourier_offset=F(0)), E),
+    assert fs_eq(build_tau(twice._replace(fourier_offset=F(0)), E),
                  _relabelled(tau, -1))
     assert fs_eq(build_tau(twice, E), tau)
 
@@ -149,8 +148,7 @@ def test_double_backlund_returns_tau():
 def test_fourier_offset_equals_relabel():
     spec = TauSystem4d(SIGMA).recipes["kiev"]
     tau = build_tau(spec, E)
-    off = build_tau(dataclasses.replace(
-        spec, fourier_offset=spec.fourier_offset + 1), E)
+    off = build_tau(spec._replace(fourier_offset=spec.fourier_offset + 1), E)
     shifted = FourierSeries({k + 1: ps for k, ps in tau.sectors.items()}, tau.trunc)
     assert fs_eq(off, shifted)
 
@@ -160,7 +158,7 @@ def test_q_double_backlund_returns_tau():
     tau = sq.tau("kiev0", E)
     twice = _twice(sq.recipes["kiev1"])
     assert twice.k_offset == sq.recipes["kiev0"].k_step
-    assert fs_eq(build_tau(dataclasses.replace(twice, fourier_offset=F(0)), E),
+    assert fs_eq(build_tau(twice._replace(fourier_offset=F(0)), E),
                  _relabelled(tau, -1))
     assert fs_eq(build_tau(twice, E), tau)
 
