@@ -301,7 +301,8 @@ def _groups(jobs):
 
 def _workers(cfg: RunConfig, n_groups: int) -> int:
     """Processes for a run: one per usable CPU, at most one per group; one
-    under --fail-fast, which stops in job order, or without os.fork."""
+    under --fail-fast, which stops in job order, or without os.fork or
+    os.sched_getaffinity."""
     if cfg.fail_fast or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), n_groups)

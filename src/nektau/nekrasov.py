@@ -21,8 +21,13 @@ its own builds one through its degree.
 
 Exponents are kept on ints where they are made per mode and per diagram: a
 classical gap is one Fraction from ints fixed per relative object (see
-_classical_gap), and a 5d diagram's key is its Chern-Simons t-exponent on
-(1/D)Z, D = cs_unit(E1, E2, Lu), an int.
+_Relative.classical_gap), and a 5d diagram's key is its Chern-Simons
+t-exponent on (1/D)Z, D = cs_unit(E1, E2, Lu), an int.
+
+RelativeZ4d and RelativeZ5d share one cocycle route: the cocycle at a
+lattice point is one unit step (a ratio of Gamma or q-Pochhammer values)
+from the cocycle at its neighbour towards the reference, the k1 steps
+first and the k2 steps after, with or without a memo.
 
 Values are memoised only in a dict the caller passes as ``memo`` (one
 verification run's, see identities.Context), each through ``memoized``
@@ -337,28 +342,6 @@ def inst_series_matter(vs, sigma: Frac, sample: ParameterSample, order) -> Puise
 
 
 # ---------------------------------------------------------------------------
-# classical exponents
-# ---------------------------------------------------------------------------
-
-
-def _gap_form(x0: Frac, e1: Frac, e2: Frac):
-    """(a, b1, b2, 4 b1 b2) with x0 = a/D and e_i = b_i/D, over D the lcm of
-    their denominators (see _classical_gap)."""
-    D = lcm(x0.denominator, e1.denominator, e2.denominator)
-    b1, b2 = _on(e1, D), _on(e2, D)
-    return _on(x0, D), b1, b2, 4 * b1 * b2
-
-
-def _classical_gap(form, k1: int, k2: int) -> Frac:
-    """The gap of the classical z-exponent -x^2 / (4 e1 e2) (z carries four
-    scale units) from x0 to x = x0 + k1 e1 + k2 e2, for form = _gap_form(x0,
-    e1, e2): (a^2 - n^2) / (4 b1 b2) with x = n/D, D cancelling."""
-    a, b1, b2, den = form
-    n = a + k1 * b1 + k2 * b2
-    return Frac(a * a - n * n, den)
-
-
-# ---------------------------------------------------------------------------
 # one-loop cocycles
 # ---------------------------------------------------------------------------
 
@@ -372,59 +355,58 @@ def _gamma1_free(eps: Frac, x: Frac) -> SymExpr:
     return rational_power(eps, -x / eps - HALF) / gamma_value(1 + x / eps)
 
 
-def z1loop_ratio_4d(e1: Frac, e2: Frac, a0: Frac, k1: int, k2: int) -> SymExpr:
-    """Ratio of 4d one-loop factors: shifted point a0 + k1 e1 + k2 e2
-    over reference a0, built by telescoping unit shifts.
-
-    A unit shift of the first argument by +e1 multiplies the pair
-    exp(-gamma(x)) exp(-gamma(-x)) by g1(e2, -x) / g1(e2, x + e1), a
-    ratio at one eps, from which sqrt(2 pi) cancels (`_gamma1_free`).
-    """
-    out = SymExpr.one()
-    x = a0
-    for estep, epartner, count in ((e1, e2, k1), (e2, e1, k2)):
-        for _ in range(abs(count)):
-            if count > 0:
-                out = out * _gamma1_free(epartner, -x) / _gamma1_free(epartner, x + estep)
-                x += estep
-            else:
-                out = out * _gamma1_free(epartner, x) / _gamma1_free(epartner, -x + estep)
-                x -= estep
-    return out
-
-
-def _q_step(out: SymExpr, Lu: Frac, Estep: Frac, Epartner: Frac, up: bool,
-            t: Frac) -> SymExpr:
-    """out times the one-loop ratio of one q-step of u = t^Lu along Estep,
-    up (one S(-Lu - Estep; Epartner) / S(Lu; Epartner), see q_z1loop_ratio)
-    or down."""
-    if up:
-        return out * poch_value(-Lu - Estep, Epartner, t) / poch_value(Lu, Epartner, t)
-    return out * poch_value(Lu - Estep, Epartner, t) / poch_value(-Lu, Epartner, t)
-
-
-def q_z1loop_ratio(E1: Frac, E2: Frac, Lu0: Frac, k1: int, k2: int, t: Frac) -> SymExpr:
-    """Ratio of 5d one-loop factors: u shifted by q1^{k1} q2^{k2} over u.
-
-    One upward q1-step multiplies the double product
-    (u; q1, q2)(u^{-1}; q1, q2) by S(-Lu - E1; E2) / S(Lu; E2) where
-    S(E; B) is the canonical single-base Pochhammer symbol.
-    """
-    out = SymExpr.one()
-    Lu = Lu0
-    for Estep, Epartner, count in ((E1, E2, k1), (E2, E1, k2)):
-        for _ in range(abs(count)):
-            out = _q_step(out, Lu, Estep, Epartner, count > 0, t)
-            Lu += Estep if count > 0 else -Estep
-    return out
-
-
 # ---------------------------------------------------------------------------
 # relative assembly
 # ---------------------------------------------------------------------------
 
 
-class RelativeZ4d:
+class _Relative:
+    """The mode data a 4d and a 5d relative object share, on the lattice
+    x0 + k1 e1 + k2 e2 of one theory th: the classical gap and the one-loop
+    cocycle of each point.  A subclass gives ref, the theory and reference
+    point its memo keys hold after their kind name, its unit step _up and
+    its own mode."""
+
+    def __init__(self, th, x0: Frac, e1: Frac, e2: Frac, ref: tuple, memo):
+        self.th, self.memo = th, memo
+        self._x0, self._e, self._ref = x0, (e1, e2), ref
+        # x0 = a/D and e_i = b_i/D over D the lcm of their denominators
+        D = lcm(x0.denominator, e1.denominator, e2.denominator)
+        b1, b2 = _on(e1, D), _on(e2, D)
+        self._gap = _on(x0, D), b1, b2, 4 * b1 * b2
+
+    def _point(self, k1: int, k2: int) -> Frac:
+        """x0 + k1 e1 + k2 e2."""
+        return self._x0 + k1 * self._e[0] + k2 * self._e[1]
+
+    def classical_gap(self, k1: int, k2: int) -> Frac:
+        """The gap of the classical z-exponent -x^2 / (4 e1 e2) (z carries
+        four scale units) from x0 to x = x0 + k1 e1 + k2 e2:
+        (a^2 - n^2) / (4 b1 b2) with x = n/D, D cancelling."""
+        a, b1, b2, den = self._gap
+        n = a + k1 * b1 + k2 * b2
+        return Frac(a * a - n * n, den)
+
+    def cocycle(self, k1: int, k2: int) -> SymExpr:
+        """The one-loop factor at (k1, k2) over the one at (0, 0), kept in
+        memo under ("cocycle", *_ref, k1, k2): 1 at (0, 0), else one unit
+        step from the cocycle at (k1, k2 -+ 1) if k2 != 0 and at
+        (k1 -+ 1, 0) if not, so the k1 steps come first and the k2 steps
+        after.  A step down from x is a step up from -x."""
+
+        def build():
+            if not (k1 or k2):
+                return SymExpr.one()
+            e1, e2 = self._e
+            s = 1 if (k2 or k1) > 0 else -1
+            j1, j2, estep, epartner = (k1, k2 - s, e2, e1) if k2 else (k1 - s, 0, e1, e2)
+            num, den = self._up(s * self._point(j1, j2), estep, epartner)
+            return self.cocycle(j1, j2) * num / den
+
+        return memoized(self.memo, ("cocycle", *self._ref, k1, k2), build)
+
+
+class RelativeZ4d(_Relative):
     """All mode data of one 4d theory relative to a reference point a0.
 
     mode(k1, k2, order) returns z^{gap} * cocycle * instanton-series for
@@ -434,64 +416,43 @@ class RelativeZ4d:
     """
 
     def __init__(self, th: Theory4d, a0: Frac, *, memo=None):
-        self.th = th
         self.a0 = Frac(a0)
-        self.memo = memo
-        self._gap = _gap_form(self.a0, th.e1, th.e2)
+        super().__init__(th, self.a0, th.e1, th.e2, (th, self.a0), memo)
 
-    def classical_gap(self, k1: int, k2: int) -> Frac:
-        """z-exponent gap of the classical factor."""
-        return _classical_gap(self._gap, k1, k2)
-
-    def cocycle(self, k1: int, k2: int) -> SymExpr:
-        return memoized(self.memo, ("cocycle", self.th, self.a0, k1, k2),
-                        lambda: z1loop_ratio_4d(self.th.e1, self.th.e2, self.a0, k1, k2))
+    @staticmethod
+    def _up(x: Frac, estep: Frac, epartner: Frac):
+        """(numerator, denominator) of a unit step from x up by estep: it
+        multiplies the pair exp(-gamma(x)) exp(-gamma(-x)) by
+        g1(epartner, -x) / g1(epartner, x + estep), a ratio at one eps,
+        from which sqrt(2 pi) cancels (`_gamma1_free`)."""
+        return _gamma1_free(epartner, -x), _gamma1_free(epartner, x + estep)
 
     def mode(self, k1: int, k2: int, order) -> PuiseuxSeries:
         order = Frac(order)
 
         def build():
             gap = self.classical_gap(k1, k2)
-            a = self.a0 + k1 * self.th.e1 + k2 * self.th.e2
-            inst = inst_series_4d(self.th, a, order - gap, memo=self.memo)
+            inst = inst_series_4d(self.th, self._point(k1, k2), order - gap, memo=self.memo)
             return inst.shift(gap).scale(self.cocycle(k1, k2))
 
-        return memoized(self.memo, ("mode", self.th, self.a0, k1, k2, order), build)
+        return memoized(self.memo, ("mode", *self._ref, k1, k2, order), build)
 
 
-class RelativeZ5d:
+class RelativeZ5d(_Relative):
     """All mode data of one 5d theory relative to a reference weight Lu0 at
     base t, kept in memo as RelativeZ4d's are, with t after Lu0."""
 
     def __init__(self, th: Theory5d, Lu0: Frac, t: Frac, *, memo=None):
-        self.th = th
-        self.Lu0 = Frac(Lu0)
-        self.t = t
-        self.memo = memo
-        self._gap = _gap_form(self.Lu0, th.E1, th.E2)
+        self.Lu0, self.t = Frac(Lu0), t
+        super().__init__(th, self.Lu0, th.E1, th.E2, (th, self.Lu0, t), memo)
 
-    def classical_gap(self, k1: int, k2: int) -> Frac:
-        """z-exponent gap of the classical factor."""
-        return _classical_gap(self._gap, k1, k2)
-
-    def cocycle(self, k1: int, k2: int) -> SymExpr:
-        """With a memo, a cocycle on one axis is one telescoping step from
-        the memoised one at its neighbour towards 0, the same products in
-        the same order as q_z1loop_ratio."""
-        th, t = self.th, self.t
-
-        def build():
-            if self.memo is None or bool(k1) == bool(k2):
-                return q_z1loop_ratio(th.E1, th.E2, self.Lu0, k1, k2, t)
-            step = 1 if (k1 or k2) > 0 else -1
-            if k1:
-                prev, k, Estep, Epartner = self.cocycle(k1 - step, 0), k1, th.E1, th.E2
-            else:
-                prev, k, Estep, Epartner = self.cocycle(0, k2 - step), k2, th.E2, th.E1
-            return _q_step(prev, self.Lu0 + (k - step) * Estep, Estep, Epartner,
-                           step > 0, t)
-
-        return memoized(self.memo, ("cocycle", th, self.Lu0, t, k1, k2), build)
+    def _up(self, Lu: Frac, Estep: Frac, Epartner: Frac):
+        """(numerator, denominator) of a unit q-step of u = t^Lu up by
+        Estep: it multiplies the double product (u; q1, q2)(u^{-1}; q1, q2)
+        by S(-Lu - Estep; Epartner) / S(Lu; Epartner), where S(E; B) is the
+        canonical single-base Pochhammer symbol."""
+        return (poch_value(-Lu - Estep, Epartner, self.t),
+                poch_value(Lu, Epartner, self.t))
 
     def mode(self, k1: int, k2: int, order) -> PuiseuxSeries:
         order = Frac(order)
@@ -500,12 +461,11 @@ class RelativeZ5d:
             zgap = self.classical_gap(k1, k2)
             # the classical base (q1 q2)^{-1} z: -(E1 + E2) t-units per z-unit
             tgap = -(self.th.E1 + self.th.E2) * zgap
-            Lu = self.Lu0 + k1 * self.th.E1 + k2 * self.th.E2
-            inst = inst_series_5d(self.th, Lu, self.t, order - zgap)
+            inst = inst_series_5d(self.th, self._point(k1, k2), self.t, order - zgap)
             coeff = self.cocycle(k1, k2) * rational_power(self.t, tgap)
             return inst.shift(zgap).scale(coeff)
 
-        return memoized(self.memo, ("mode", self.th, self.Lu0, self.t, k1, k2, order), build)
+        return memoized(self.memo, ("mode", *self._ref, k1, k2, order), build)
 
 
 def blowup_modes(order, gap_fn, offset: Frac = Frac(0)):

@@ -197,6 +197,4 @@ def _reduced(a, b, d):
     return _make(a // g, b // g, d // g)
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)

@@ -2,9 +2,9 @@
 
 `classical_exp_4d`, `classical_exp_5d` and `cs_exponent` are the classical
 z-exponents and the Chern-Simons t-exponent of a diagram as the package
-computed them before they moved onto ints (`nekrasov._classical_gap`, the
-diagram keys of `nekrasov.kernel_5d`).  The tests compare the package
-against them.
+computed them before they moved onto ints (`classical_gap` of
+`nekrasov.RelativeZ4d/5d`, the diagram keys of `nekrasov.kernel_5d`).  The
+tests compare the package against them.
 """
 
 from __future__ import annotations

@@ -3,7 +3,11 @@
 The package computes in exact arithmetic only.  The tests cross-check its
 canonical symbols against mpmath here, and build the exact values whose
 only use is such a cross-check: sin(pi*y), the single-parameter one-loop
-exponential and the one-loop negation ratio.
+exponential and the one-loop negation ratio.  It also holds the direct
+one-loop cocycle products, z1loop_ratio_4d and q_z1loop_ratio: each
+multiplies the whole chain of unit steps from the reference, k1 steps
+first, and the package's one telescoping route (RelativeZ4d/5d.cocycle)
+is checked against them term for term and in order.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import mpmath as mp
 
 from nektau.nekrasov import _gamma1_free
 from nektau.symbols import (
-    GAMMA, PI, POCH, RADICAL, SIN, Resonance, SymExpr, canonical, pi_power, rational_power,
+    GAMMA, PI, POCH, RADICAL, SIN, Resonance, SymExpr, canonical, pi_power, poch_value,
+    rational_power,
 )
 
 
@@ -97,3 +102,50 @@ def z1loop_negation_ratio(e1: Frac, e2: Frac, a: Frac) -> SymExpr:
         * gamma1_exp(e2, -a)
         * gamma1_exp(e1, -a - e1)
     )
+
+
+def z1loop_ratio_4d(e1: Frac, e2: Frac, a0: Frac, k1: int, k2: int) -> SymExpr:
+    """Ratio of 4d one-loop factors: shifted point a0 + k1 e1 + k2 e2
+    over reference a0, built by telescoping unit shifts.
+
+    A unit shift of the first argument by +e1 multiplies the pair
+    exp(-gamma(x)) exp(-gamma(-x)) by g1(e2, -x) / g1(e2, x + e1), a
+    ratio at one eps, from which sqrt(2 pi) cancels (`_gamma1_free`).
+    """
+    out = SymExpr.one()
+    x = a0
+    for estep, epartner, count in ((e1, e2, k1), (e2, e1, k2)):
+        for _ in range(abs(count)):
+            if count > 0:
+                out = out * _gamma1_free(epartner, -x) / _gamma1_free(epartner, x + estep)
+                x += estep
+            else:
+                out = out * _gamma1_free(epartner, x) / _gamma1_free(epartner, -x + estep)
+                x -= estep
+    return out
+
+
+def _q_step(out: SymExpr, Lu: Frac, Estep: Frac, Epartner: Frac, up: bool,
+            t: Frac) -> SymExpr:
+    """out times the one-loop ratio of one q-step of u = t^Lu along Estep,
+    up (one S(-Lu - Estep; Epartner) / S(Lu; Epartner), see q_z1loop_ratio)
+    or down."""
+    if up:
+        return out * poch_value(-Lu - Estep, Epartner, t) / poch_value(Lu, Epartner, t)
+    return out * poch_value(Lu - Estep, Epartner, t) / poch_value(-Lu, Epartner, t)
+
+
+def q_z1loop_ratio(E1: Frac, E2: Frac, Lu0: Frac, k1: int, k2: int, t: Frac) -> SymExpr:
+    """Ratio of 5d one-loop factors: u shifted by q1^{k1} q2^{k2} over u.
+
+    One upward q1-step multiplies the double product
+    (u; q1, q2)(u^{-1}; q1, q2) by S(-Lu - E1; E2) / S(Lu; E2) where
+    S(E; B) is the canonical single-base Pochhammer symbol.
+    """
+    out = SymExpr.one()
+    Lu = Lu0
+    for Estep, Epartner, count in ((E1, E2, k1), (E2, E1, k2)):
+        for _ in range(abs(count)):
+            out = _q_step(out, Lu, Estep, Epartner, count > 0, t)
+            Lu += Estep if count > 0 else -Estep
+    return out

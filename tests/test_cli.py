@@ -380,6 +380,21 @@ def test_one_run_computes_each_coefficient_once(monkeypatch):
 BLOWUP_IDS = ["NY", "NY2", "NY4", "NY1", "qNY1", "qNY2", "qNY3", "cd-system"]
 
 
+def counting_cocycles(record):
+    """nekrasov.memoized that calls record(key) on each cocycle it builds."""
+    real = nekrasov.memoized
+
+    def memoized(memo, key, build):
+        if key[0] != "cocycle":
+            return real(memo, key, build)
+
+        def recorded():
+            record(key)
+            return build()
+        return real(memo, key, recorded)
+    return memoized
+
+
 def test_one_run_telescopes_each_cocycle_once_and_builds_each_mode_once(monkeypatch):
     # the 4d and 5d blowup checks sum over the same relative modes, and
     # cd-system's u -> uq shorts over modes of its tau set's theories: one
@@ -394,8 +409,7 @@ def test_one_run_telescopes_each_cocycle_once_and_builds_each_mode_once(monkeypa
         return wrapped
 
     pin_cpus(monkeypatch, 1)  # counts this process only
-    for name in ("z1loop_ratio_4d", "q_z1loop_ratio"):
-        monkeypatch.setattr(nekrasov, name, counting(cocycles, getattr(nekrasov, name)))
+    monkeypatch.setattr(nekrasov, "memoized", counting_cocycles(cocycles.append))
     for name in ("inst_series_4d", "inst_series_5d"):
         monkeypatch.setattr(nekrasov, name, counting(modes, getattr(nekrasov, name)))
     cfg = RunConfig(identities=BLOWUP_IDS, order=F(2))
@@ -424,8 +438,8 @@ def test_forked_runs_build_each_coefficient_mode_and_cocycle_once(monkeypatch, t
 
     monkeypatch.setattr(nekrasov, "_inst_coeff_5d",
                         counting("coefficient", nekrasov._inst_coeff_5d, 6))
-    for name in ("z1loop_ratio_4d", "q_z1loop_ratio"):
-        monkeypatch.setattr(nekrasov, name, counting("cocycle", getattr(nekrasov, name)))
+    monkeypatch.setattr(nekrasov, "memoized", counting_cocycles(
+        lambda key: os.write(fd, f"{os.getpid()}\tcocycle\t{key!r}\n".encode())))
     for name in ("inst_series_4d", "inst_series_5d"):
         monkeypatch.setattr(nekrasov, name, counting("mode", getattr(nekrasov, name)))
 

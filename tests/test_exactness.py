@@ -141,3 +141,90 @@ def test_package_reaches_series_lattices_only_in_series_and_fourier():
                   if isinstance(node, ast.ImportFrom)
                   and any(a.name == "on_lattice" for a in node.names)]
     assert found == []
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+#: names read from outside the package and the benchmark: the console
+#: script's entry point (pyproject.toml)
+ENTRY_POINTS = {("cli", "main")}
+
+
+def _definitions(tree):
+    """{name: node} of the module-level functions, classes and constants;
+    dunders such as __version__ are module metadata and left out."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defs[n.id] = node
+    return {name: node for name, node in defs.items() if not name.startswith("__")}
+
+
+def _own_reads(tree, defs):
+    """The names of defs that their module loads outside their definition."""
+    inside = {name: {id(n) for n in ast.walk(node)} for name, node in defs.items()}
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Load) and n.id in defs and id(n) not in inside[n.id]}
+
+
+def _module_aliases(tree, package):
+    """{local name: package module} of the modules a file imports whole."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "nektau" or (node.level and node.module is None)):
+            aliases.update({a.asname or a.name: a.name for a in node.names
+                            if a.name in package})
+        elif isinstance(node, ast.Import):
+            aliases.update({a.asname: a.name.split(".")[1] for a in node.names
+                            if a.asname and a.name.startswith("nektau.")})
+    return aliases
+
+
+def _outside_reads(tree, package):
+    """(module, name) pairs of the package that a file imports by name or
+    reads as an attribute of an imported module; in perfbench a string
+    that names an attribute (a tracer's getattr) counts too."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            module = module.removeprefix("nektau.") if not node.level else module
+            if module in package:
+                reads |= {(module, a.name) for a in node.names}
+    aliases = _module_aliases(tree, package)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            value = node.value
+            if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name) \
+                    and value.value.id == "nektau":
+                reads.add((value.attr, node.attr))
+            elif isinstance(value, ast.Name) and value.id in aliases:
+                reads.add((aliases[value.id], node.attr))
+    return reads
+
+
+def test_every_package_name_has_a_reader():
+    # a module-level function, class or constant that nothing reads is dead
+    # code; names resolve per module (series.ZERO is not rationals.ZERO)
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reads = set(ENTRY_POINTS)
+    for module, tree in trees.items():
+        reads |= {(module, name) for name in _own_reads(tree, _definitions(tree))}
+        reads |= _outside_reads(tree, trees)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reads |= _outside_reads(tree, trees)
+        strings = {n.value for n in ast.walk(tree)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        reads |= {(module, s) for module in _module_aliases(tree, trees).values()
+                  for s in strings}
+    unread = [f"{module}.{name}" for module, tree in trees.items()
+              for name in _definitions(tree) if (module, name) not in reads]
+    assert unread == []

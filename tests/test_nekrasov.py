@@ -20,12 +20,12 @@ from nektau.nekrasov import (
     inst_series_5d,
     memoized,
     mirror_form_4d,
-    q_z1loop_ratio,
-    z1loop_ratio_4d,
 )
 from nektau.rationals import GaussianRational as G
 from nektau.symbols import SymExpr, ZeroFactor
-from oracle import gamma1_exp, numeric_value, z1loop_negation_ratio
+from oracle import (
+    gamma1_exp, numeric_value, q_z1loop_ratio, z1loop_negation_ratio, z1loop_ratio_4d,
+)
 
 E1, E2, A = F(1), F(-3, 7), F(2, 5)
 
@@ -181,10 +181,9 @@ def test_classical_gap_is_quadratic_in_modes():
 def test_cocycle_telescoping():
     # a two-step shift equals the product of the one-step shift and the
     # one-step shift from the shifted reference
-    e1, e2, a0 = F(1), F(-3, 7), F(2, 5)
-    two = z1loop_ratio_4d(e1, e2, a0, 2, 0)
-    one_then_one = z1loop_ratio_4d(e1, e2, a0, 1, 0) * z1loop_ratio_4d(
-        e1, e2, a0 + e1, 1, 0)
+    th, a0 = Theory4d(F(1), F(-3, 7)), F(2, 5)
+    two = RelativeZ4d(th, a0).cocycle(2, 0)
+    one_then_one = RelativeZ4d(th, a0).cocycle(1, 0) * RelativeZ4d(th, a0 + th.e1).cocycle(1, 0)
     assert (two - one_then_one).is_zero()
 
 
@@ -203,28 +202,42 @@ def test_cocycle_is_the_telescoped_gamma1_ratios(e1, e2, a0, k1, k2):
             else:
                 ref = ref * gamma1_exp(epartner, x) / gamma1_exp(epartner, -x + estep)
                 x -= estep
-    assert z1loop_ratio_4d(e1, e2, a0, k1, k2).terms == ref.terms
+    assert RelativeZ4d(Theory4d(e1, e2), a0).cocycle(k1, k2).terms == ref.terms
+
+
+def _route(k1, k2):
+    """The lattice points from (0, 0) to (k1, k2), k1 steps first."""
+    def span(k):
+        return range(min(0, k), max(0, k) + 1)
+    return {(i, 0) for i in span(k1)} | {(k1, j) for j in span(k2)}
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_memoised_cocycles_telescope_from_their_neighbour(axis):
-    # with a memo a cocycle on one axis is one step from the memoised one
-    # next to it, made first when missing; it is the direct product, term
-    # for term and in the same order
-    th, Lu0, t = Theory5d(F(4), F(-12)), F(2), F(1, 2)
-    rz = RelativeZ5d(th, Lu0, t, memo={})
-    for k in (2, -3, 4, 1, 0, -4, 3, -1, -2):
-        k1, k2 = (k, 0) if axis == 0 else (0, k)
-        want = q_z1loop_ratio(th.E1, th.E2, Lu0, k1, k2, t)
-        assert list(rz.cocycle(k1, k2).terms.items()) == list(want.terms.items())
-    assert list(rz.cocycle(1, 1).terms.items()) == \
-        list(q_z1loop_ratio(th.E1, th.E2, Lu0, 1, 1, t).terms.items())
+    # a cocycle is one step from the one next to it, made first when
+    # missing (a memo keeps it): k2 steps from (k1, 0), k1 steps from
+    # (0, 0).  With or without a memo, in either theory, on either axis and
+    # off it (plus_uq's (-1, j)), it is the direct product, term for term
+    # and in the same order, and a memo keeps only the points on the route
+    theories = [
+        (RelativeZ4d, Theory4d(F(1), F(-3, 7)), (F(2, 5),), z1loop_ratio_4d),
+        (RelativeZ5d, Theory5d(F(4), F(-12)), (F(2), F(1, 2)), q_z1loop_ratio),
+    ]
+    points = [(k, 0) if axis == 0 else (0, k) for k in (2, -3, 4, 1, 0, -4, 3, -1, -2)]
+    points += [(-1, j) for j in (2, -1, 0, -3, 1)] + [(1, 1), (3, -2), (-2, 3)]
+    for cls, th, ref, direct in theories:
+        for memo in ({}, None):
+            rz = cls(th, *ref, memo=memo)
+            for k1, k2 in points:
+                want = direct(*th[:2], ref[0], k1, k2, *ref[1:])
+                assert list(rz.cocycle(k1, k2).terms.items()) == list(want.terms.items())
+            if memo is not None:
+                assert {key[-2:] for key in memo} == set().union(*(_route(*p) for p in points))
 
 
 def test_cocycle_inverse_shift():
-    e1, e2, a0 = F(1), F(-3, 7), F(2, 5)
-    prod = z1loop_ratio_4d(e1, e2, a0, 1, 0) * z1loop_ratio_4d(
-        e1, e2, a0 + e1, -1, 0)
+    th, a0 = Theory4d(F(1), F(-3, 7)), F(2, 5)
+    prod = RelativeZ4d(th, a0).cocycle(1, 0) * RelativeZ4d(th, a0 + th.e1).cocycle(-1, 0)
     assert (prod - 1).is_zero() or prod.rational_value() == G(1)
 
 
