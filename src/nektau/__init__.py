@@ -1,3 +1,1 @@
 """nektau: exact symbolic-series verification of instanton/tau identities."""
-
-__version__ = "0.1.0"

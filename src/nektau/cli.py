@@ -41,13 +41,16 @@ Hirota derivatives D^k (with their basis products theta^j f * g) and the
 zeta series with its theta-products built by one check are reused by the
 later checks of its family (IdentityCheck.family) in the same run, each
 made once, and are dropped when the run ends.  Two families share no memo
-value, so the (family, sample index) groups of a run are shared out
-between this process and forked workers, one process per usable CPU
+value but one: the kiev tau, which the 4d-tau and 4d-zeta checks of a
+sample both read, so the 4d-tau domain on one sample runs as two groups.
+The (family, sample index) groups of a run are shared out between this
+process and forked workers, one process per usable CPU
 (os.sched_getaffinity) and at most one per group, each with its own
-context; the reports come back in job order, so the report, stdout and exit
-code are those of one process.  A run of one group, a run under
---fail-fast (which stops in job order) or a platform without os.fork runs
-in this process alone; a worker that dies makes verify exit 3.  dump and
+context, so a shared value is built once in each process that reads it;
+the reports come back in job order, so the report, stdout and exit code
+are those of one process.  A run of one group, a run under --fail-fast
+(which stops in job order) or a platform without os.fork runs in this
+process alone; a worker that dies makes verify exit 3.  dump and
 oracle never fork and keep no memo.  --corrupt-coefficient sets the
 contexts' corruption setting: the central series of a few theorem entries
 gains +1 at that z-exponent before it is compared, so those checks must
@@ -279,12 +282,14 @@ def _exit_code(rep) -> int:
 
 
 #: ms that the checks of each family (IdentityCheck.family) take together
-#: at their default orders on one sample (the report's timing, seed 0); a
-#: forked run hands out the heaviest groups first
+#: at their default orders on one sample: the report's timing of
+#: `taskset -c 0 nektau verify --seed 0 --report r.json`, summed over each
+#: family's checks, median of 5 runs.  A forked run hands out the heaviest
+#: groups first and keeps the first in this process: 4d-tau before 4d-zeta
 FAMILY_MS = {
-    "doubled-base": 91, "q-painleve": 53, "4d-tau": 30, "q-chern-simons": 28,
-    "5d-chern-simons": 22, "4d-eps": 15, "5d-generic": 13, "halfpow": 8,
-    "20equiv1": 2,
+    "doubled-base": 115, "q-painleve": 85, "q-chern-simons": 48, "4d-tau": 38,
+    "5d-chern-simons": 32, "4d-eps": 23, "5d-generic": 20, "4d-zeta": 15,
+    "halfpow": 11, "20equiv1": 3,
 }
 _RECORD = 4  # bytes of one group index in the work queue
 
@@ -391,7 +396,8 @@ def run_verify(cfg: RunConfig):
             jobs.append((id, k, sample))
 
     # one context per process: the checks of a family share instanton sums
-    # and taus, and two families share nothing
+    # and taus, and two families share nothing but the kiev tau of 4d-tau
+    # and 4d-zeta
     ctx = idmod.Context(corrupt=cfg.corrupt)
     groups = _groups(jobs)
     n = _workers(cfg, len(groups))

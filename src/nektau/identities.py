@@ -916,8 +916,9 @@ class IdentityCheck(namedtuple("IdentityCheck", [
         #: a 4d-eps check's blowup sum runs over Z + mode_offset
         "mode_offset",
         #: checks that may read one another's memo values; two checks of
-        #: different families share none, so cli.run_verify may run them in
-        #: two processes.  _entry makes it the domain unless given; set only
+        #: different families share none but the kiev tau that 4d-tau and
+        #: 4d-zeta both read, so cli.run_verify may run them in two
+        #: processes.  _entry makes it the domain unless given; set only
         #: where a domain splits.
         "family",
 ])):
@@ -998,12 +999,12 @@ CATALOG = {
                "4d-tau", 2, run_doubleprop),
         _entry("zetac", "theorem",
                r"-2(\zeta')^3+(\zeta'')^2-\zeta'\zeta'''+2z\zeta'=0",
-               "4d-tau", 2, run_zetac),
+               "4d-tau", 2, run_zetac, family="4d-zeta"),
         _entry("zeta3", "theorem",
                r"(z\ddot\zeta(z))^2=4\dot\zeta(z)^2",
                "4d-tau", 2, run_zeta3,
                note="normalization constant sigma^2 restored on the relative "
-                    "logarithmic derivative"),
+                    "logarithmic derivative", family="4d-zeta"),
         _entry("KZsq", "theorem",
                r"\zeta'=4\left(\frac{D^1_{[\log z]}(\uptau^0,\uptau^1)}{\tau}\right)^2",
                "4d-tau", 2, run_KZsq),

@@ -39,16 +39,16 @@ def pin_cpus(monkeypatch, n):
 def _share_with_a_worker(monkeypatch, tmp_path):
     """In a forked run, hold each check of this process until a worker has
     started one, so that a worker always runs a share.  Returns the path of
-    a log of the pid that started each check."""
+    a log of the pid and id of each check started (see _started)."""
     log = tmp_path / "checks.pid"
     parent, real = os.getpid(), climod._run_one
 
     def run_one(*args):
         with open(log, "a") as f:
-            f.write(f"{os.getpid()}\n")
+            f.write(f"{os.getpid()} {args[0]}\n")
         deadline = time.monotonic() + 60
         while (os.getpid() == parent and len(os.sched_getaffinity(0)) > 1
-               and set(log.read_text().split()) == {str(parent)}):
+               and set(_started(log)) == {str(parent)}):
             if time.monotonic() > deadline:
                 raise TimeoutError("no worker started a check")
             time.sleep(0.005)
@@ -56,6 +56,16 @@ def _share_with_a_worker(monkeypatch, tmp_path):
 
     monkeypatch.setattr(climod, "_run_one", run_one)
     return log
+
+
+def _started(log):
+    """{pid: the ids of the checks it started, in order} of a
+    _share_with_a_worker log."""
+    started = {}
+    for line in log.read_text().splitlines():
+        pid, _, id = line.partition(" ")
+        started.setdefault(pid, []).append(id)
+    return started
 
 
 def run_python(*args, env=None):
@@ -489,26 +499,38 @@ def _check_groups(monkeypatch, cfg):
     return crossed
 
 
+def _kiev_crossings(sigmas):
+    """The one memo value that crosses groups on each sigma: the kiev tau
+    that the 4d-tau checks build and the 4d-zeta checks read."""
+    return {(("4d-tau", sigma), ("4d-zeta", sigma)): {("tau", "4d", sigma, "kiev", F(3))}
+            for sigma in sigmas}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_no_memo_value_crosses_a_family_sample_group(monkeypatch, seed):
     # a forked run gives each worker its own memo, so a value built in one
-    # (family, sample index) group and read in another would be built twice
+    # (family, sample index) group and read in another is built twice: on
+    # one sample only the kiev tau, once in each of the two 4d-tau groups
     cfg = RunConfig(identities=list(idmod.CATALOG), seed=seed)
-    assert _check_groups(monkeypatch, cfg) == {}
+    sigmas = idmod.default_samples("4d-tau", 1, seed=seed)
+    assert _check_groups(monkeypatch, cfg) == _kiev_crossings(sigmas)
     assert {e.family for e in idmod.CATALOG.values()} == set(climod.FAMILY_MS)
 
 
 def test_on_three_samples_only_mirrored_4d_coefficients_cross_groups(monkeypatch):
     # 4d-tau's sigma = 5/24 and 7/24 share their 4d instanton coefficients
-    # through the mirror normal form (nekrasov.mirror_form_4d): the one
-    # value a forked run builds twice
+    # through the mirror normal form (nekrasov.mirror_form_4d): with each
+    # sample's kiev tau, the values a forked run builds twice
     cfg = RunConfig(identities=list(idmod.CATALOG), samples=3)
     sigmas = idmod.default_samples("4d-tau", 3)
     crossed = _check_groups(monkeypatch, cfg)
     assert {F(5, 24), F(7, 24)} <= set(sigmas)
+    kiev = _kiev_crossings(sigmas)
+    coefficients = {pair: keys for pair, keys in crossed.items() if pair not in kiev}
+    assert crossed == coefficients | kiev
     mirrored = {("4d-tau", F(5, 24)), ("4d-tau", F(7, 24))}
-    assert crossed and all(set(pair) == mirrored for pair in crossed)
-    keys = set().union(*crossed.values())
+    assert coefficients and all(set(pair) == mirrored for pair in coefficients)
+    keys = set().union(*coefficients.values())
     assert {key[0] for key in keys} == {"inst_coeff_4d"} and len(keys) == 18
 
 
@@ -705,6 +727,22 @@ def test_one_family_never_forks(monkeypatch):
     assert run_verify(RunConfig(identities=HIROTA_IDS, order=F(1)))[0] == 0
 
 
+def test_the_4d_tau_domain_runs_its_zeta_checks_in_a_worker(monkeypatch, capsys, tmp_path):
+    # the 4d-tau domain on one sample is two groups: this process keeps the
+    # heavier group of Hirota checks, and a worker runs the zeta pair
+    log = _share_with_a_worker(monkeypatch, tmp_path)
+    argv = [arg for id in HIROTA_IDS + ["zetac", "zeta3"] for arg in ("--id", id)]
+    argv += ["--order", "1"]
+    one = _verify(monkeypatch, capsys, tmp_path, 1, argv)
+    log.unlink()
+    assert _verify(monkeypatch, capsys, tmp_path, 2, argv) == one and one[0] == 0
+    started = _started(log)
+    assert started.pop(str(os.getpid())) == HIROTA_IDS
+    assert list(started.values()) == [["zetac", "zeta3"]]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_check_that_raises_in_a_worker_is_the_one_process_error_result(
         monkeypatch, capsys, tmp_path):
     # halfpow's group is lighter than NYtaupm's, which this process takes
@@ -718,7 +756,7 @@ def test_a_check_that_raises_in_a_worker_is_the_one_process_error_result(
     runs = []
     for cpus in (1, 2):
         runs.append(_verify(monkeypatch, capsys, tmp_path, cpus, argv))
-        runs.append(len(set(log.read_text().split())))
+        runs.append(len(_started(log)))
         log.unlink()
     one, one_pids, two, two_pids = runs
     assert one == two and one[0] == 3 and (one_pids, two_pids) == (1, 2)

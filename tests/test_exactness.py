@@ -151,7 +151,7 @@ ENTRY_POINTS = {("cli", "main")}
 
 def _definitions(tree):
     """{name: node} of the module-level functions, classes and constants;
-    dunders such as __version__ are module metadata and left out."""
+    dunders are module metadata and left out."""
     defs = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
