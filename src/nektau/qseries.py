@@ -5,6 +5,16 @@ q_k = t^{b_k} is expanded as an exact PuiseuxSeries by two independent
 routes (exponential formula and base-peeling recursion); bases with
 |q_k| > 1 (negative t-exponent) are first rewritten through the inversion
 rule (w; q^{-1}, ..) = (w q; q, ..)^{-1}.
+
+theta(w; p) = (w; p)_inf (p/w; p)_inf, with w and p monomials in z and p of
+positive z-weight, is expanded by two routes that share no product: the
+finite product of the binomial factors that reach z^E, and the Jacobi
+triple-product sum sum_k (-1)^k p^{k(k-1)/2} w^k divided by (p; p)_inf,
+which Euler's pentagonal theorem gives as sum_k (-1)^k p^{k(3k-1)/2}
+(Andrews, The Theory of Partitions, 1976, ch. 1; Gasper-Rahman, Basic
+Hypergeometric Series, 2nd ed., 2004, ch. 1).  theta vanishes exactly when
+w is in p^Z; either route returns the zero series as soon as it sees this,
+as a zero constant factor or a zero sum, before any series product.
 """
 
 from __future__ import annotations
@@ -192,6 +202,9 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
             while e <= bound:
                 if e == 0:
                     scalar = scalar * (SymExpr.one() - c)
+                    if not scalar:
+                        # w in p^Z: theta vanishes, no product is formed
+                        return PuiseuxSeries.zero(E)
                 else:
                     factors.append((e, c))
                 e += r
@@ -229,15 +242,26 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
                 pk = pk * p_step
                 p_step = p_step * cp
         summ = PuiseuxSeries(terms, E)
-        # (p;p)_inf: argument equals the base, z-weighted, finite product
-        # of the binomials 1 - p^j z^{j r}, from running powers of cp
         bound = E - neg_val
-        binomials = []
-        j, c = 1, cp
-        while j * r <= bound:
-            binomials.append(PuiseuxSeries({Frac(0): SymExpr.one(), j * r: -c}, bound))
-            j, c = j + 1, c * cp
-        return (summ * _tree_product(binomials, bound).inverse()).truncate(E)
+        if summ.is_zero() and bound >= 0:
+            # w in p^Z: the terms cancel in pairs k, 1 - 2m - k (w = p^m),
+            # and (p;p)_inf, 1 at z^0, divides zero to zero
+            return PuiseuxSeries.zero(E)
+        # (p;p)_inf through the bound by Euler's pentagonal theorem,
+        # sum_k (-1)^k p^{k(3k-1)/2}: the terms k = j and k = -j sit at
+        # p^{j(3j-1)/2} and p^{j(3j+1)/2}.  Running powers: p^{j(3j-1)/2}
+        # gains p^{3j-2}, and the k = -j term is it times p^j
+        pent = {Frac(0): SymExpr.one()}
+        j, pn, pj, gain, cp3 = 1, cp, cp, cp, cp * cp * cp
+        while (e := Frac(j * (3 * j - 1), 2) * r) <= bound:
+            sign = -1 if j % 2 else 1
+            pent[e] = pn * sign
+            if e + j * r <= bound:
+                pent[e + j * r] = pn * pj * sign
+            j += 1
+            gain = gain * cp3
+            pn, pj = pn * gain, pj * cp
+        return (summ * PuiseuxSeries(pent, bound).inverse()).truncate(E)
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -1,7 +1,9 @@
 """Identity catalog: order/sample stability, mutation sensitivity, reports."""
 
 import importlib.resources
+import itertools
 import json
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,7 @@ from nektau.rationals import GaussianRational
 from nektau.series import PuiseuxSeries
 from nektau.symbols import SymExpr
 from nektau.tau import zeta_from_tau
+from test_theta_pass import assert_same
 
 THEOREM_IDS = [
     id for id, e in idmod.CATALOG.items() if e.status in ("theorem", "derived")
@@ -348,3 +351,24 @@ def test_determ_recursion_matches_the_twelve_sum_solve(sample):
         want = ref_run_determlemma(sample, F(E), ctx)
         assert got == want
         assert all(r.ok for _, r in got)
+
+
+def test_modes_and_taus_built_deeper_truncate_to_the_shallower():
+    # keeping one mode or tau per point at its deepest order and truncating
+    # on read is sound only if the value built at E equals the value built
+    # at E' > E truncated to E: every catalog id on sample 0 at its default
+    # order and one above, on one memo
+    ctx = idmod.Context()
+    for id, entry in idmod.CATALOG.items():
+        sample = idmod.default_samples(entry.domain, 1)[0]
+        for E in (entry.default_order, entry.default_order + 1):
+            entry.run(sample, E, ctx)
+    by_order = defaultdict(dict)
+    for key, value in ctx.memo.items():
+        if key[0] in ("mode", "tau"):
+            by_order[key[:-1]][key[-1]] = value
+    groups = [orders for orders in by_order.values() if len(orders) > 1]
+    for orders in groups:
+        for lo, hi in itertools.pairwise(sorted(orders)):
+            assert_same(orders[lo], orders[hi].truncate(lo))
+    assert len(groups) >= 20

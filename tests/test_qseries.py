@@ -272,6 +272,17 @@ def test_theta_product_inverts_cw_only_for_the_second_product():
     assert new.coeffs and new == ref_theta_product(cw, F(-1), F(2), F(5, 2), F(2))
 
 
+def ref_euler_product(cp, r, bound):
+    """Test-only (p;p)_inf with p = cp z^r through z^bound: the binomials
+    1 - cp^j z^{j r} multiplied one after another."""
+    pp = PuiseuxSeries.one(bound)
+    j = 1
+    while j * r <= bound:
+        pp = pp * PuiseuxSeries({F(0): SymExpr.one(), j * r: -(cp**j)}, bound)
+        j += 1
+    return pp
+
+
 def ref_theta_jacobi(arg_coeff, arg_zpow, base_coeff, base_zpow, E):
     """Test-only copy of the old Jacobi route: every power of cw and cp by
     repeated squaring, (p;p)_inf multiplied one factor after another."""
@@ -291,16 +302,22 @@ def ref_theta_jacobi(arg_coeff, arg_zpow, base_coeff, base_zpow, E):
             elif (2 * k - 1) * r * direction > 2 * (abs(a) + 1):
                 break
             k += direction
-    pp = PuiseuxSeries.one(E - neg_val)
-    j = 1
-    while j * r <= E - neg_val:
-        pp = pp * PuiseuxSeries({F(0): SymExpr.one(), j * r: -(cp**j)}, E - neg_val)
-        j += 1
+    pp = ref_euler_product(cp, r, E - neg_val)
     return (PuiseuxSeries(terms, E) * pp.inverse()).truncate(E)
 
 
+@pytest.fixture
+def no_tree(monkeypatch):
+    """qseries._tree_product raises: a route that returns built no
+    balanced tree of binomials."""
+    def tree(factors, trunc):
+        raise AssertionError("the binomial tree was built")
+
+    monkeypatch.setattr(qseries, "_tree_product", tree)
+
+
 @pytest.mark.parametrize("order", [F(2), F(4)])
-def test_theta_jacobi_route_is_the_power_loop(order):
+def test_theta_jacobi_route_is_the_power_loop(order, no_tree):
     for cw, a, cp, r in THETA_GRID + THETA_CONSTANT:
         new = theta_z_series(cw, a, cp, r, order, route="jacobi")
         ref = ref_theta_jacobi(cw, a, cp, r, order)
@@ -327,6 +344,79 @@ def test_theta_jacobi_passes_no_float_to_fraction(monkeypatch):
     monkeypatch.undo()
     assert new == ref_theta_jacobi(1, 4, 2, F(1, 2), 4)
     assert any(e < 0 for e in new.coeffs)
+
+
+EULER_CP = (F(1), F(-1), F(2), F(-1, 3), G(0, 1), G(1, 1),
+            rational_power(F(2), F(1, 2)), rational_power(F(3), F(3, 2)))
+
+
+@pytest.mark.parametrize("cp", EULER_CP)
+def test_the_jacobi_route_divides_by_the_euler_product(cp, monkeypatch):
+    # at a = 0 the Jacobi sum has no negative exponent, so the route
+    # inverts (p;p)_inf through z^E: the pentagonal sum must be the product
+    # of its binomials, term for term and in its bound
+    inverted = []
+    inverse = PuiseuxSeries.inverse
+
+    def spy(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(PuiseuxSeries, "inverse", spy)
+    for r in (F(1, 2), F(2, 3), F(1), F(3, 2)):
+        for bound in map(F, range(2, 7)):
+            inverted.clear()
+            theta_z_series(F(2), F(0), cp, r, bound, route="jacobi")
+            (pp,) = inverted
+            ref = ref_euler_product(SymExpr.coerce(cp), r, bound)
+            assert (pp.coeffs, pp.trunc) == (ref.coeffs, ref.trunc), (r, bound)
+
+
+def _theta_zero_points(factor):
+    """(factor cp^(-k), -k r, cp, r): w = factor p^(-k), a point of
+    theta's zero set for factor 1."""
+    return [(SymExpr.coerce(cp) ** -k * factor, -k * r, cp, r)
+            for k in range(-3, 4) for cp in (F(2), F(-1, 3), G(0, 1))
+            for r in (F(1, 2), F(1))]
+
+
+# the points of THETA_GRID with w in p^Z, where theta is zero
+THETA_GRID_ZEROS = [(F(1), F(-6), F(-1), F(1, 2)), (F(1), F(4), F(-1), F(1, 2))]
+
+
+def test_the_benchmark_grid_holds_two_zeros_of_theta():
+    # w = cw z^a lies in p^Z exactly when a = m r and cw = cp^m, m in Z
+    zeros = [(cw, a, cp, r) for cw, a, cp, r in THETA_GRID
+             if (a / r).denominator == 1
+             and SymExpr.coerce(cw) == SymExpr.coerce(cp) ** int(a / r)]
+    assert zeros == THETA_GRID_ZEROS
+
+
+@pytest.mark.parametrize("route", ["product", "jacobi"])
+def test_theta_vanishes_on_p_to_the_z_without_a_product(route, no_tree, monkeypatch):
+    points = _theta_zero_points(1) + THETA_GRID_ZEROS
+    ref = ref_theta_product if route == "product" else ref_theta_jacobi
+    refs = [ref(*point, E) for point in points]
+
+    def formed(*args):
+        raise AssertionError("a series was multiplied or inverted")
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", formed)
+    monkeypatch.setattr(PuiseuxSeries, "inverse", formed)
+    for point, ref in zip(points, refs):
+        new = theta_z_series(*point, E, route=route)
+        assert new.is_zero() and new.trunc == E, point
+        assert (new.coeffs, new.trunc) == (ref.coeffs, ref.trunc), point
+
+
+@pytest.mark.parametrize("route", ["product", "jacobi"])
+def test_theta_off_its_zero_set_is_the_old_route(route, request):
+    if route == "jacobi":
+        request.getfixturevalue("no_tree")
+    for cw, a, cp, r in _theta_zero_points(2):
+        new = theta_z_series(cw, a, cp, r, E, route=route)
+        ref = (ref_theta_product if route == "product" else ref_theta_jacobi)(cw, a, cp, r, E)
+        assert new.coeffs and (new.coeffs, new.trunc) == (ref.coeffs, ref.trunc), (cw, a, cp, r)
 
 
 def test_theta_with_a_vanishing_constant_factor_is_zero():
