@@ -77,7 +77,7 @@ from fractions import Fraction as Frac
 # does not pay for them in set-up time and memory
 
 from . import identities as idmod
-from .nekrasov import Theory4d, Theory5d, admissible_degree_4d, inst_series_4d, inst_series_5d
+from .nekrasov import Theory4d, Theory5d, inst_series_4d, inst_series_5d
 from .qseries import algebraic_fixture
 from .tau import TauSystem4d, TauSystemQ
 
@@ -450,14 +450,14 @@ def _report_csv(report) -> str:
 
 
 def _emit_report(report, cfg: RunConfig):
-    if cfg.format == "csv":
-        text = _report_csv(report)
-    else:
-        text = json.dumps(report, indent=2) + "\n"
     if cfg.report:
-        with open(cfg.report, "w") as f:
-            f.write(text)
-    return text
+        _write_report(cfg.report, _report_csv(report) if cfg.format == "csv"
+                      else json.dumps(report, indent=2) + "\n")
+
+
+def _write_report(path, text):
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -523,13 +523,10 @@ def _resolve_dump(selector: str, order: Frac, seed: int):
         return idmod.describe_sample(domain, sample), fs.dump()
     if selector == "Z4d":
         e1, e2, a = idmod.default_samples("4d-eps", 1, seed=seed)[0]
-        top = admissible_degree_4d(e1, e2)
-        if top is not None and int(order) > top:
-            raise ConfigError(
-                f"Z4d at order {order} needs instanton degree {int(order)} of the 4d "
-                f"theory ({e1}, {e2}), admissible only through degree {top} at "
-                f"the sample ({e1}, {e2}, {a})")
-        ps = inst_series_4d(Theory4d(e1, e2), a, order)
+        th = Theory4d(e1, e2)
+        if msg := idmod.inadmissible(f"Z4d at order {order}", th, int(order), (e1, e2, a)):
+            raise ConfigError(msg)
+        ps = inst_series_4d(th, a, order)
         return idmod.describe_sample("4d-eps", (e1, e2, a)), ps.dump()
     if selector == "Z5d":
         t, E1, E2, Lu = idmod.default_samples("5d-generic", 1, seed=seed)[0]
@@ -557,8 +554,7 @@ def cmd_dump(args) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.report:
-        with open(args.report, "w") as f:
-            f.write(text)
+        _write_report(args.report, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -589,10 +585,8 @@ def cmd_oracle(args) -> int:
     for name, part in rep.parts:
         print(f"  {name}: {part.summary()}")
     if args.report:
-        with open(args.report, "w") as f:
-            json.dump({"schema_version": SCHEMA_VERSION,
-                       "result": rep.to_dict()}, f, indent=2)
-            f.write("\n")
+        _write_report(args.report, json.dumps(
+            {"schema_version": SCHEMA_VERSION, "result": rep.to_dict()}, indent=2) + "\n")
     return 0 if rep.ok else 1
 
 

@@ -1,23 +1,22 @@
 """Fourier-graded series: finite maps sector k in (1/2)Z -> PuiseuxSeries.
 
-The sector index is the formal s-power of a tau function; products convolve
-sectors on the integer kernel of series.py, so the Hirota derivative of
-series.py, re-exported here, is sector-bilinear on FourierSeries.  Sector
-keys are Fractions; the product and the inverse work on ints instead, each
-sector label k as k M on the lattice (1/M)Z, M the lcm of the sector
-denominators, and each exponent on the series' integer lattice (1/L)Z.
-Equality testing produces a structural report (which sector, which
-exponent, what residual) rather than a bare boolean.
+The sector index is the formal s-power of a tau function; products and
+inverses run on the sector kernels of series.py (`sector_product`,
+`sector_inverse`), which alone read the integer lattices of sectors and
+exponents, so the Hirota derivative of series.py, re-exported here, is
+sector-bilinear on FourierSeries.  Sector keys are Fractions.  `==`
+compares bounds and sectors; equality testing through an order produces a
+structural report (which sector, which exponent, what residual) rather
+than a bare boolean.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
-from .series import (PuiseuxSeries, _top, hirota, on_lattice,  # noqa: F401  (hirota re-exported)
-                     sector_product, solve_recurrence)
+from .series import (PuiseuxSeries, hirota,  # noqa: F401  (hirota re-exported)
+                     sector_inverse, sector_product)
 from .symbols import NonInvertible, SymExpr, _frac
 
 Frac = Fraction
@@ -113,38 +112,16 @@ class FourierSeries:
         return k, e, self.sectors[k].coeff(e)
 
     def inverse(self):
-        """1/series when a unique minimal monomial (sector, exponent) exists.
+        """1/series when a unique minimal monomial (sector, exponent) exists:
+        `sector_inverse`, led by `leading`."""
+        trunc, sectors = sector_inverse(self.sectors, *self.leading(), self.trunc)
+        return FourierSeries(sectors, trunc)
 
-        With series = c0 s^{k0} z^{e0} (1 + R), the coefficients of
-        1/(1 + R) follow the recurrence of `PuiseuxSeries.inverse`
-        (Brent-Kung, JACM 1978) over (exponent, sector) keys, as int pairs:
-        b_n = -sum_{x in supp R, x <= n} R_x b_{n-x}.
-        """
-        k0, e0, c0 = self.leading()
-        c0_inv = c0.inverse()
-        rel_trunc = self.trunc - e0
-        # exponents on (1/L)Z and sector labels on (1/M)Z, both as ints;
-        # e0 and k0 lie on them, so _top is exact
-        L = lcm(*(ps.L for ps in self.sectors.values()))
-        M = lcm(*(k.denominator for k in self.sectors))
-        X0, K0 = _top(e0, L), _top(k0, M)
-        steps = {}
-        for k, ps in self.sectors.items():
-            K, step = _top(k, M), L // ps.L
-            for X, c in ps.xterms.items():
-                X *= step
-                if not (K == K0 and X == X0):
-                    steps[(X - X0, K - K0)] = -(c * c0_inv)
-        if any(X <= 0 for X, _ in steps):
-            raise NonInvertible("non-leading term at the leading exponent")
-        out = {}
-        for (n, K), c in solve_recurrence(steps, _top(rel_trunc, L)).items():
-            if c := c * c0_inv:
-                out.setdefault(K - K0, {})[n - X0] = c
-        trunc = rel_trunc - e0
-        return FourierSeries(
-            {Frac(K, M): on_lattice(L, xterms, trunc) for K, xterms in out.items()}, trunc
-        )
+    def __eq__(self, other):
+        """Same bound and sectors, each a PuiseuxSeries with its own bound."""
+        if not isinstance(other, FourierSeries):
+            return NotImplemented
+        return self.trunc == other.trunc and self.sectors == other.sectors
 
     def __repr__(self):
         return f"<FS sectors={sorted(self.sectors)} trunc={self.trunc}>"

@@ -85,7 +85,8 @@ class SingularSystem(Exception):
 # sample pools
 # ---------------------------------------------------------------------------
 
-#: 4d (eps1, eps2, a) with generic rational ratios
+#: 4d (eps1, eps2, a); the third's ratio eps2/eps1 is positive, so its blowup
+#: theory (3/5, 2/5) is admissible only through degree 4 (`check_order`)
 POOL_4D_EPS = [
     (Frac(1), Frac(-3, 7), Frac(2, 5)),
     (Frac(2), Frac(-5, 3), Frac(3, 7)),
@@ -1163,12 +1164,17 @@ def check_order(id: str, E, samples=()):
             degrees[A.th] = max(degrees[A.th], int(f_order - A.classical_gap(k, 0)))
             degrees[B.th] = max(degrees[B.th], int(g_order - B.classical_gap(0, k)))
         for th, d in degrees.items():
-            top = admissible_degree_4d(th.e1, th.e2)
-            if top is not None and d > top:
-                raise ValueError(
-                    f"{id} at order {E} needs instanton degree {d} of the 4d theory "
-                    f"({th.e1}, {th.e2}), admissible only through degree {top} at "
-                    f"the sample ({e1}, {e2}, {a})")
+            if msg := inadmissible(f"{id} at order {E}", th, d, (e1, e2, a)):
+                raise ValueError(msg)
+
+
+def inadmissible(what, th, d, sample):
+    """Why `what` cannot run at the 4d sample if it needs instanton degree d
+    of the 4d theory th (`nekrasov.admissible_degree_4d`), or None."""
+    top = admissible_degree_4d(th.e1, th.e2)
+    if top is not None and d > top:
+        return (f"{what} needs instanton degree {d} of the 4d theory ({th.e1}, {th.e2}), "
+                "admissible only through degree {} at the sample ({}, {}, {})".format(top, *sample))
 
 
 def verify(id: str, sample=None, E=None, ctx=None) -> VerificationReport:

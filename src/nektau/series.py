@@ -8,16 +8,18 @@ exact; nothing is claimed above trunc.  All operations track the bound
 conservatively.  L need not be least: two series are equal when their terms
 agree on the lcm of their lattices.  `coeffs` is a read-only
 {Fraction exponent: SymExpr} view, built on demand; `on_lattice` is the
-trusted constructor that the kernels here and in fourier.py use, and no
-other module reads or writes xterms.  Every operation works on the
-ints, and cuts a lattice at a bound b by floor(b L).
+trusted constructor that the kernels here use, and no other module reads
+or writes xterms or L.  Every operation works on the ints, and cuts a
+lattice at a bound b by floor(b L).
 
-Products of Puiseux and Fourier series alike run on one integer kernel,
-`sector_product`, whatever the coefficients hold: each sector of an operand
-is split by monomial into Gaussian-integer numerators over one denominator
-per monomial, at integer exponents on the lattice (1/L)Z, so a product
-costs one mono_mul per pair of monomials, an integer convolution per pair
-of monomials and sectors, and one gcd reduction per output coefficient.
+Puiseux and Fourier series alike, as {sector: PuiseuxSeries} maps (a
+Puiseux series is sector 0), are inverted by `sector_inverse`, and
+multiplied by one integer kernel, `sector_product`, whatever the
+coefficients hold: each sector of an operand is split by monomial into
+Gaussian-integer numerators over one denominator per monomial, at integer
+exponents on the lattice (1/L)Z, so a product costs one mono_mul per pair
+of monomials, an integer convolution per pair of monomials and sectors,
+and one gcd reduction per output coefficient.
 Every theta-weighted bilinear form of a pair (f, g) (`theta_products`,
 `weighted_theta_expand`, `hirota`) is a theta-combination of the basis
 products B_j = theta^j f * g, since x^a y^b = x^a ((x + y) - x)^b, made in
@@ -210,23 +212,13 @@ class PuiseuxSeries:
         return on_lattice(L, {n: c for (n, _), c in b.items()}, self.trunc)
 
     def inverse(self):
-        """1/series for a series whose leading coefficient is invertible.
-
-        With self = c0 z^{e0} (1 + r), 1/(1 + r) = sum b_n z^n where b_0 = 1
-        and b_n = -sum_{x in supp r, x <= n} r_x b_{n-x} (Brent-Kung, JACM
-        1978), solved by `solve_recurrence` over the exponents of r.
-        """
+        """1/series for a series whose leading coefficient is invertible:
+        `sector_inverse` on the single sector 0, led by its least term."""
         if not self.xterms:
             raise ZeroDivisionError("inverse of zero series")
-        L = self.L
         X0 = min(self.xterms)
-        c0_inv = self.xterms[X0].inverse()  # raises NonInvertible for multi-term leading
-        rel_trunc = self.trunc - Frac(X0, L)
-        steps = {(X - X0, 0): -(c * c0_inv)
-                 for X, c in self.xterms.items() if X != X0}
-        b = solve_recurrence(steps, _top(rel_trunc, L))
-        return on_lattice(L, _nonzero((n - X0, c * c0_inv) for (n, _), c in b.items()),
-                          rel_trunc - Frac(X0, L))
+        return sector_inverse({ZERO: self}, ZERO, Frac(X0, self.L), self.xterms[X0],
+                              self.trunc)[1][ZERO]
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -357,6 +349,36 @@ def sector_product(fs, gs, trunc=None):
     return {Frac(S, M): on_lattice(L, {X: SymExpr(terms) for X, terms in out[S].items()},
                                    Frac(B, T))
             for S, B in bounds.items()}
+
+
+def sector_inverse(hs, k0, e0, c0, trunc):
+    """(bound, sectors) of 1/h, h the {sector: PuiseuxSeries} map hs known
+    through trunc, with leading term c0 s^{k0} z^{e0} and every other term
+    above z^{e0}; the bound is trunc - 2 e0.  With h = c0 s^{k0} z^{e0}
+    (1 + R), 1/(1 + R) = sum b_n, b_0 = 1, b_n = -sum_{x in supp R, x <= n}
+    R_x b_{n-x} (Brent-Kung, JACM 1978), solved over (exponent, sector)
+    keys as ints on (1/L)Z and (1/M)Z, L and M the lcms of the sectors'
+    lattices and of their labels' denominators."""
+    c0_inv = c0.inverse()
+    rel_trunc = trunc - e0
+    L = lcm(*(p.L for p in hs.values()))
+    M = lcm(*(k.denominator for k in hs))
+    X0, K0 = _top(e0, L), _top(k0, M)  # exact: e0 and k0 lie on the lattices
+    steps = {}
+    for k, p in hs.items():
+        K, step = _top(k, M), L // p.L
+        for X, c in p.xterms.items():
+            X *= step
+            if not (K == K0 and X == X0):
+                steps[(X - X0, K - K0)] = -(c * c0_inv)
+    if any(X <= 0 for X, _ in steps):
+        raise NonInvertible("non-leading term at the leading exponent")
+    out = {}
+    for (n, K), c in solve_recurrence(steps, _top(rel_trunc, L)).items():
+        if c := c * c0_inv:
+            out.setdefault(K - K0, {})[n - X0] = c
+    bound = rel_trunc - e0
+    return bound, {Frac(K, M): on_lattice(L, xterms, bound) for K, xterms in out.items()}
 
 
 def _lattices(fs, gs, truncs):

@@ -2,8 +2,7 @@
 src/nektau, keeps no cache of its own outside a run's memo, builds
 parameter samples only in its q-Painleve pool, writes and builds taus
 only in tau.py, builds and reads symbol monomials only in symbols.py, and
-reaches a series' integer exponent lattice only in series.py and
-fourier.py."""
+reaches a series' integer exponent lattice only in series.py."""
 
 import ast
 from pathlib import Path
@@ -125,21 +124,23 @@ def test_package_builds_and_reads_monomials_only_in_symbols_py():
     assert found == []
 
 
-def test_package_reaches_series_lattices_only_in_series_and_fourier():
-    # every other module goes through PuiseuxSeries' public methods and its
-    # Fraction-keyed coeffs view, so the lattice form has two modules to keep
+def test_package_reaches_series_lattices_only_in_series_py():
+    # every other module goes through PuiseuxSeries' public methods, its
+    # Fraction-keyed coeffs view and the sector kernels (sector_product,
+    # sector_inverse), so the lattice form has one module to keep
+    internals = {"on_lattice", "_top", "solve_recurrence"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in ("series.py", "fourier.py"):
+        if path.name == "series.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
         found += [f"{path.name}:{line}: {name}" for line, name in
-                  _calls(tree, {"on_lattice"})]
-        found += [f"{path.name}:{node.lineno}: .xterms" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "xterms"]
-        found += [f"{path.name}:{node.lineno}: import on_lattice" for node in ast.walk(tree)
+                  _calls(tree, internals)]
+        found += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("xterms", "L")]
+        found += [f"{path.name}:{node.lineno}: import {a.name}" for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom)
-                  and any(a.name == "on_lattice" for a in node.names)]
+                  for a in node.names if a.name in internals]
     assert found == []
 
 

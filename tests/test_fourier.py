@@ -12,6 +12,7 @@ from nektau.fourier import (
     hirota,
     ps_equal_to_order,
 )
+from nektau.identities import POOL_SIGMA, Context
 from nektau.rationals import GaussianRational as G
 from nektau.series import PuiseuxSeries, weighted_theta_expand
 from nektau.symbols import NonInvertible, SymExpr, rational_power
@@ -325,6 +326,26 @@ def test_a_zero_sector_keeps_its_own_bound():
     # a zero sector known through the overall bound is dropped as before
     assert not _fs({0: (3, {}), 1: (3, {1: 2})}, 3).sector(0).coeffs
     assert F(0) not in _fs({0: (3, {}), 1: (3, {1: 2})}, 3).sectors
+
+
+def test_equal_taus_built_apart_compare_equal():
+    # == compares the bound and each sector as a PuiseuxSeries, not identity
+    sigma = POOL_SIGMA[0]
+    tau = Context().taus_4d(sigma, F(2))("kiev")
+    again = Context().taus_4d(sigma, F(2))("kiev")
+    assert tau is not again and tau == again and not tau != again
+    k, p = max(tau.sectors.items(), key=lambda kp: len(kp[1].coeffs))
+    e, c = p.items()[0]
+    bumped = PuiseuxSeries({**p.coeffs, e: c + 1}, p.trunc)
+    assert tau != FourierSeries({**tau.sectors, k: bumped}, tau.trunc)
+    # a bound between a sector's top term and the series' bound keeps its terms
+    k, p = next((k, p) for k, p in tau.sectors.items() if p.items()[-1][0] < tau.trunc)
+    lower = p.truncate((p.items()[-1][0] + tau.trunc) / 2)
+    assert lower.coeffs == p.coeffs
+    assert tau != FourierSeries({**tau.sectors, k: lower}, tau.trunc)
+    # as does a zero sector kept at a lower bound
+    assert tau != FourierSeries({**tau.sectors, F(9): PuiseuxSeries.zero(F(1))}, tau.trunc)
+    assert tau != tau.truncate(F(3, 2)) and tau != tau.sector(0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from nektau.fourier import FourierSeries
 from nektau.identities import POOL_4D_EPS, POOL_SIGMA, Context
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
-from nektau.series import (PuiseuxSeries, _split, hirota, theta_products,
-                           weighted_theta_expand)
+from nektau.series import (PuiseuxSeries, _nonzero, _split, _top, hirota, on_lattice,
+                           solve_recurrence, theta_products, weighted_theta_expand)
 from nektau.symbols import NonInvertible, SymExpr, gamma_value, pi_power, rational_power
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -234,6 +234,46 @@ def test_inverse_and_exp_match_old_routes(terms):
         assert f.inverse() == ref_inverse(f)
     pos = PuiseuxSeries({e: c for e, c in f.coeffs.items() if e > 0}, f.trunc)
     assert pos.exp() == ref_exp(pos)
+
+
+def ref_lattice_inverse(f):
+    """Test-only copy of the lattice recurrence PuiseuxSeries.inverse ran on
+    its own before it took sector 0 of `sector_inverse`."""
+    if not f.xterms:
+        raise ZeroDivisionError("inverse of zero series")
+    L = f.L
+    X0 = min(f.xterms)
+    c0_inv = f.xterms[X0].inverse()
+    rel_trunc = f.trunc - F(X0, L)
+    steps = {(X - X0, 0): -(c * c0_inv)
+             for X, c in f.xterms.items() if X != X0}
+    b = solve_recurrence(steps, _top(rel_trunc, L))
+    return on_lattice(L, _nonzero((n - X0, c * c0_inv) for (n, _), c in b.items()),
+                      rel_trunc - F(X0, L))
+
+
+def assert_same_lattice_inverse(f):
+    try:
+        want = ref_lattice_inverse(f)
+    except (ZeroDivisionError, NonInvertible) as exc:
+        with pytest.raises(type(exc)):
+            f.inverse()
+        return
+    got = f.inverse()
+    assert (got.xterms, got.L, got.trunc) == (want.xterms, want.L, want.trunc)
+
+
+@given(series())
+@settings(max_examples=60)
+def test_inverse_is_the_lattice_recurrence(f):
+    assert_same_lattice_inverse(f)
+
+
+@given(st.dictionaries(mixed_exps, mixed_coef, max_size=4))
+@settings(max_examples=60)
+def test_inverse_is_the_lattice_recurrence_on_mixed_series(terms):
+    assert_same_lattice_inverse(
+        PuiseuxSeries({e: SymExpr.coerce(c) for e, c in terms.items()}, F(5, 2)))
 
 
 def test_zero_series_inverse_and_exp():
