@@ -87,9 +87,8 @@ class FourierSeries:
         return FourierSeries({k: ps.theta() for k, ps in self.sectors.items()}, self.trunc)
 
     def dilate(self, q_exp, sample):
-        return FourierSeries(
-            {k: ps.dilate(q_exp, sample) for k, ps in self.sectors.items()}, self.trunc
-        )
+        return FourierSeries({k: ps.dilate(q_exp, sample) for k, ps in self.sectors.items()},
+                             self.trunc)
 
     def truncate(self, E):
         return FourierSeries(self.sectors, min(self.trunc, _frac(E)))
@@ -127,17 +126,10 @@ class FourierSeries:
         return f"<FS sectors={sorted(self.sectors)} trunc={self.trunc}>"
 
     def dump(self):
-        out = []
-        for k in sorted(self.sectors):
-            for e, c in self.sectors[k].items():
-                out.append(
-                    {
-                        "sector": [k.numerator, k.denominator],
-                        "exponent": [e.numerator, e.denominator],
-                        "coefficient": c.render(),
-                    }
-                )
-        return out
+        return [{"sector": [k.numerator, k.denominator],
+                 "exponent": [e.numerator, e.denominator],
+                 "coefficient": c.render()}
+                for k in sorted(self.sectors) for e, c in self.sectors[k].items()]
 
 
 class EqualityReport(namedtuple("EqualityReport", [
@@ -151,9 +143,8 @@ class EqualityReport(namedtuple("EqualityReport", [
         if self.ok:
             return f"pass (exact through z^{self.checked_order})"
         head = self.residuals[:4]
-        bits = ", ".join(
-            f"sector {s} exponent {e}: {n} residual term(s)" for s, e, n, _ in head
-        )
+        bits = ", ".join(f"sector {s} exponent {e}: {n} residual term(s)"
+                         for s, e, n, _ in head)
         more = "" if len(self.residuals) <= 4 else f" (+{len(self.residuals)-4} more)"
         # a report with no residuals (bool_report) says why only in its note
         detail = "; ".join(d for d in (bits + more, self.note) if d)
@@ -162,7 +153,8 @@ class EqualityReport(namedtuple("EqualityReport", [
 
 
 def fs_equal_to_order(a: FourierSeries, b: FourierSeries, E) -> EqualityReport:
-    """Structural residual test: a - b must vanish for exponents <= E.
+    """Structural residual test: a - b must vanish for exponents <= E; a
+    difference is formed only in the sectors where a and b differ.
 
     Raises ValueError when either series, or any sector it stores, is
     known only below E.
@@ -171,12 +163,10 @@ def fs_equal_to_order(a: FourierSeries, b: FourierSeries, E) -> EqualityReport:
     known = min(ps.trunc for s in (a, b) for ps in (s, *s.sectors.values()))
     if known < E:
         raise ValueError(f"series only known to {known}, asked to compare to {E}")
-    diff = a - b
     residuals = []
-    for k in sorted(diff.sectors):
-        for e, c in diff.sectors[k].items():
-            if e <= E and c:
-                residuals.append((k, e, len(c.terms), c.render()))
+    for k in sorted(a.sectors.keys() | b.sectors.keys()):
+        if (p := a.sector(k)) != (q := b.sector(k)):
+            residuals += [(k, e, len(c.terms), c.render()) for e, c in (p - q).items() if e <= E]
     return EqualityReport(not residuals, E, residuals)
 
 

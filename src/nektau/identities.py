@@ -40,25 +40,10 @@ from collections import namedtuple
 from fractions import Fraction
 from math import ceil
 
-from .fourier import (
-    EqualityReport,
-    FourierSeries,
-    fs_equal_to_order,
-    hirota,
-    ps_equal_to_order,
-)
-from .nekrasov import (
-    RelativeZ4d,
-    RelativeZ5d,
-    Theory4d,
-    Theory5d,
-    admissible_degree_4d,
-    blowup_modes,
-    inst_series_4d,
-    inst_series_5d,
-    inst_series_matter,
-    memoized,
-)
+from .fourier import EqualityReport, FourierSeries, fs_equal_to_order, hirota, ps_equal_to_order
+from .nekrasov import (RelativeZ4d, RelativeZ5d, Theory4d, Theory5d, admissible_degree_4d,
+                       blowup_modes, inst_series_4d, inst_series_5d, inst_series_matter,
+                       memoized)
 from .qseries import PochhammerSpec, pochhammer_series
 from .rationals import GaussianRational
 from .sampling import ParameterSample
@@ -1202,22 +1187,12 @@ def verify(id: str, sample=None, E=None, ctx=None) -> VerificationReport:
                 "diagnosis: the constant-free form holds, so the residual "
                 "is a missing z^K normalization constant")
     if entry.status == "conjecture" and not ok:
-        worst = min(
-            (res for _, rep in parts for res in rep.residuals),
-            key=lambda r: (r[1], r[0]),
-            default=None,
-        )
+        worst = min((res for _, rep in parts for res in rep.residuals),
+                    key=lambda r: (r[1], r[0]), default=None)
         if worst is not None:
             note = (note + "; " if note else "") + (
                 f"finding: minimal failing coefficient at sector {worst[0]}, "
                 f"exponent {worst[1]}: {worst[3]}")
-    return VerificationReport(
-        id=id,
-        status=entry.status,
-        ok=ok,
-        order=E,
-        sample=describe_sample(entry.domain, sample),
-        parts=parts,
-        note=note,
-        elapsed=time.monotonic() - t0,
-    )
+    return VerificationReport(id=id, status=entry.status, ok=ok, order=E,
+                              sample=describe_sample(entry.domain, sample), parts=parts,
+                              note=note, elapsed=time.monotonic() - t0)

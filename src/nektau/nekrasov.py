@@ -44,29 +44,13 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .partitions import (
-    BinomialTable,
-    BoxWeights,
-    attempt,
-    diagram_entry,
-    diagram_tables,
-    mul_binomials,
-    mul_factors_4d,
-    mul_factors_5d,
-    pair_4d,
-    pair_5d,
-    pair_sum,
-    partition_table,
-)
+from .partitions import (BinomialTable, BoxWeights, attempt, diagram_entry, diagram_tables,
+                         mul_binomials, mul_factors_4d, mul_factors_5d, pair_4d, pair_5d,
+                         pair_sum, partition_table)
 from .rationals import GaussianRational
 from .sampling import ParameterSample
 from .series import PuiseuxSeries
-from .symbols import (
-    SymExpr,
-    gamma_value,
-    poch_value,
-    rational_power,
-)
+from .symbols import SymExpr, gamma_value, poch_value, rational_power
 
 Frac = Fraction
 HALF = Frac(1, 2)

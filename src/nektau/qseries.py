@@ -21,11 +21,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
+from .rationals import ONE, GaussianRational
 from .series import PuiseuxSeries
 from .symbols import SymExpr, _frac
 
 Frac = Fraction
+from_ints = GaussianRational.from_ints
 
 
 class UnsupportedRegion(Exception):
@@ -63,41 +66,44 @@ def _tpow(t: Frac, e: Frac) -> Frac:
 def _poch_base_coeffs(bases, t: Frac, mmax: int):
     """Coefficients g_0..g_mmax of (w; t^{b_1}, ..)_inf as a w-series,
     for bases with positive exponents, by peeling the first base:
-    (w; q1, rest) = (w; rest) * (w q1; q1, rest)."""
+    (w; q1, rest) = (w; rest) * (w q1; q1, rest), so g_m (1 - q1^m) =
+    sum_{j >= 1} h_j q1^{m-j} g_{m-j}, h the coefficients of (w; rest),
+    each g_m summed on ints (q1 = P/Q) and reduced once."""
     if not bases:
-        return (Frac(1), Frac(-1)) + (Frac(0),) * max(0, mmax - 1)
-    b1, rest = bases[0], bases[1:]
-    h = _poch_base_coeffs(rest, t, mmax)
-    q1 = _tpow(t, b1)
-    g = [Frac(1)]
+        return (ONE, -ONE) + (from_ints(0, 0, 1),) * max(0, mmax - 1)
+    h = _poch_base_coeffs(bases[1:], t, mmax)
+    q1 = _tpow(t, bases[0])
+    P = [q1.numerator ** i for i in range(mmax + 1)]
+    Q = [q1.denominator ** i for i in range(mmax + 1)]
+    g = [ONE]
     for m in range(1, mmax + 1):
-        q1m = q1**m
-        acc = Frac(0)
+        num, den = 0, 1
         for j in range(1, min(m, len(h) - 1) + 1):
             if h[j]:
-                acc += h[j] * q1 ** (m - j) * g[m - j]
-        g.append(acc / (1 - q1m))
+                x, y = h[j], g[m - j]
+                d = x.d * Q[m - j] * y.d
+                num, den = num * d + x.a * P[m - j] * y.a * den, den * d
+        g.append(from_ints(num * Q[m], 0, den * (Q[m] - P[m])))
     return tuple(g)
 
 
 def _poch_exp_coeffs(bases, t: Frac, mmax: int):
     """Same coefficients from the exponential formula
-    log = -sum_m w^m / (m * prod_k (1 - q_k^m))."""
-    if mmax < 1:
-        return (Frac(1),)
+    log = -sum_m w^m / (m * prod_k (1 - q_k^m)): each log coefficient
+    -prod_k Q_k^m / (m prod_k (Q_k^m - P_k^m)), q_k = P_k/Q_k, made on ints
+    and reduced once, and the log exponentiated by PuiseuxSeries.exp."""
+    qs = [_tpow(t, b) for b in bases]
     log_coeffs = {}
     for m in range(1, mmax + 1):
-        denom = Frac(m)
-        for b in bases:
-            qm = _tpow(t, b) ** m
-            if qm == 1:
+        n, d = -1, m
+        for q in qs:
+            Pm, Qm = q.numerator ** m, q.denominator ** m
+            if Pm == Qm:
                 raise UnsupportedRegion("base is a root of unity")
-            denom *= 1 - qm
-        log_coeffs[Frac(m)] = Frac(-1) / denom
-    ps = PuiseuxSeries(log_coeffs, Frac(mmax)).exp()
-    return tuple(
-        c.rational_value() if (c := ps.coeff(m)) else Frac(0) for m in range(mmax + 1)
-    )
+            n, d = n * Qm, d * (Qm - Pm)
+        log_coeffs[m] = from_ints(n, 0, d)
+    ps = PuiseuxSeries(log_coeffs, Frac(max(mmax, 0))).exp()
+    return tuple(ps.coeff(m).rational_value() for m in range(max(mmax, 0) + 1))
 
 
 def pochhammer_series(spec: PochhammerSpec, t: Frac, E, route: str = "shift") -> PuiseuxSeries:
@@ -112,17 +118,10 @@ def pochhammer_series(spec: PochhammerSpec, t: Frac, E, route: str = "shift") ->
     if neg:
         # (w; q^{-1}, ..) = (w q; q, ..)^{-1}, applied per negative base: the
         # argument gains every q, and the inverses cancel in pairs
-        coeff = SymExpr.coerce(spec.coeff)
-        total_shift = Frac(0)
-        for b in neg:
-            total_shift += -b
-        pos = tuple(-b if b < 0 else b for b in spec.bases)
-        coeff = coeff * SymExpr.from_rational(_tpow(t, total_shift))
+        coeff = SymExpr.coerce(spec.coeff) * _tpow(t, -sum(neg))
         inner = pochhammer_series(
-            PochhammerSpec(coeff, spec.zpow, pos), t, E, route
-        )
-        out = inner.inverse() if len(neg) % 2 else inner
-        return out.truncate(E)
+            PochhammerSpec(coeff, spec.zpow, tuple(map(abs, spec.bases))), t, E, route)
+        return (inner.inverse() if len(neg) % 2 else inner).truncate(E)
 
     mmax = int(E / spec.zpow)
     if route == "shift":
@@ -184,11 +183,8 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
         # finite product of exact binomial factors; negative exponents
         # allowed, so collect factors through E minus the total negative
         # valuation (those still reach exponents <= E in the product)
-        neg_val = sum(
-            min(e, 0) for e in
-            [a + k * r for k in range(int(max(0, -a) / r) + 1)]
-            + [(k + 1) * r - a for k in range(int(max(0, a) / r) + 1)]
-        )
+        neg_val = sum(min(e, 0) for e in [a + k * r for k in range(int(max(0, -a) / r) + 1)]
+                      + [(k + 1) * r - a for k in range(int(max(0, a) / r) + 1)])
         bound = E - neg_val
         # binomials 1 - c z^e: c = cw cp^k at e = a + k r and cp^(k+1)/cw
         # at e = (k+1) r - a, from running powers of cp; a constant factor
@@ -212,12 +208,17 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
         binomials = (PuiseuxSeries({Frac(0): SymExpr.one(), e: -c}, bound) for e, c in factors)
         return _tree_product(binomials, bound).scale(scalar).truncate(E)
     if route == "jacobi":
-        # (p;p)_inf^{-1} sum_k (-1)^k p^{k(k-1)/2} w^k; the exponent
-        # e(k) = k a + k(k-1)/2 r grows quadratically in both directions.
-        # Each direction steps k by one with running powers: w^k gains
-        # w^{+-1}, and p^{k(k-1)/2} gains p^k upward and p^{1-k} downward;
-        # w^{-1} is formed at the first kept term with k < 0
-        neg_val = Frac(0)
+        # (p;p)_inf^{-1} sum_k (-1)^k p^{k(k-1)/2} w^k at exponents X/D,
+        # X = k A + k(k-1)/2 R for a = A/D, r = R/D.  X grows past the
+        # vertex k = 1/2 - a/r, where (2k - 1) R + 2A has the sign of the
+        # direction, so a term there above the bound ends it.  Each
+        # direction steps k by one with running powers: w^k gains w^{+-1},
+        # and p^{k(k-1)/2} gains p^k upward and p^{1-k} downward; w^{-1} is
+        # formed at the first kept term with k < 0
+        D = lcm(a.denominator, r.denominator)
+        A, R = a.numerator * (D // a.denominator), r.numerator * (D // r.denominator)
+        top = E.numerator * D // E.denominator
+        low = 0
         terms = {}
         for direction in (1, -1):
             if direction == 1:
@@ -225,43 +226,44 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
             else:
                 k, wk, w_step, pk, p_step = -1, None, None, cp, cp * cp
             while True:
-                e = k * a + Frac(k * (k - 1), 2) * r
-                if e <= E:
+                X = k * A + k * (k - 1) // 2 * R
+                if X <= top:
                     if wk is None:
                         w_step = cw.inverse()
                         wk = w_step ** -k
                     c = wk * pk
-                    terms[e] = terms.get(e, SymExpr.zero()) + (-c if k % 2 else c)
-                    neg_val = min(neg_val, e)
-                elif (2 * k - 1) * r * direction > 2 * (abs(a) + 1):
-                    # past the parabola vertex and above the bound: done
+                    terms[X] = terms.get(X, SymExpr.zero()) + (-c if k % 2 else c)
+                    low = min(low, X)
+                elif ((2 * k - 1) * R + 2 * A) * direction > 0:
                     break
                 k += direction
                 if wk is not None:
                     wk = wk * w_step
                 pk = pk * p_step
                 p_step = p_step * cp
-        summ = PuiseuxSeries(terms, E)
-        bound = E - neg_val
-        if summ.is_zero() and bound >= 0:
+        bound = E - Frac(low, D)
+        if not any(terms.values()) and bound >= 0:
             # w in p^Z: the terms cancel in pairs k, 1 - 2m - k (w = p^m),
             # and (p;p)_inf, 1 at z^0, divides zero to zero
             return PuiseuxSeries.zero(E)
         # (p;p)_inf through the bound by Euler's pentagonal theorem,
         # sum_k (-1)^k p^{k(3k-1)/2}: the terms k = j and k = -j sit at
-        # p^{j(3j-1)/2} and p^{j(3j+1)/2}.  Running powers: p^{j(3j-1)/2}
+        # X = j(3j-1)/2 R and that plus j R.  Running powers: p^{j(3j-1)/2}
         # gains p^{3j-2}, and the k = -j term is it times p^j
-        pent = {Frac(0): SymExpr.one()}
+        top -= low
+        pent = {0: SymExpr.one()}
         j, pn, pj, gain, cp3 = 1, cp, cp, cp, cp * cp * cp
-        while (e := Frac(j * (3 * j - 1), 2) * r) <= bound:
+        while (X := j * (3 * j - 1) // 2 * R) <= top:
             sign = -1 if j % 2 else 1
-            pent[e] = pn * sign
-            if e + j * r <= bound:
-                pent[e + j * r] = pn * pj * sign
+            pent[X] = pn * sign
+            if X + j * R <= top:
+                pent[X + j * R] = pn * pj * sign
             j += 1
             gain = gain * cp3
             pn, pj = pn * gain, pj * cp
-        return (summ * PuiseuxSeries(pent, bound).inverse()).truncate(E)
+        summ = PuiseuxSeries({Frac(X, D): c for X, c in terms.items()}, E)
+        pp = PuiseuxSeries({Frac(X, D): c for X, c in pent.items()}, bound)
+        return (summ * pp.inverse()).truncate(E)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -313,12 +315,8 @@ def algebraic_fixture(name: str, E, *, sample=None, sign: int = 1,
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         num = pochhammer_series(
-            PochhammerSpec(_tpow(t, Frac(dq, 2)), Frac(1, 2), (Frac(dq, 2), Frac(dq))),
-            t, E,
-        )
+            PochhammerSpec(_tpow(t, Frac(dq, 2)), Frac(1, 2), (Frac(dq, 2), Frac(dq))), t, E)
         den = pochhammer_series(
-            PochhammerSpec(Frac(sign) * _tpow(t, Frac(dq, 4)), Frac(1, 4), (Frac(dq, 2),)),
-            t, E,
-        )
+            PochhammerSpec(Frac(sign) * _tpow(t, Frac(dq, 4)), Frac(1, 4), (Frac(dq, 2),)), t, E)
         return (num * den.inverse()).truncate(E).shift(Frac(1, 32))
     raise ValueError(f"unknown fixture {name!r}")

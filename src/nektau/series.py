@@ -12,14 +12,17 @@ trusted constructor that the kernels here use, and no other module reads
 or writes xterms or L.  Every operation works on the ints, and cuts a
 lattice at a bound b by floor(b L).
 
-Puiseux and Fourier series alike, as {sector: PuiseuxSeries} maps (a
-Puiseux series is sector 0), are inverted by `sector_inverse`, and
-multiplied by one integer kernel, `sector_product`, whatever the
-coefficients hold: each sector of an operand is split by monomial into
-Gaussian-integer numerators over one denominator per monomial, at integer
-exponents on the lattice (1/L)Z, so a product costs one mono_mul per pair
-of monomials, an integer convolution per pair of monomials and sectors,
-and one gcd reduction per output coefficient.
+The convolution, the recurrence and the theta pass make one object per
+output coefficient and none per intermediate term: each sums
+Gaussian-integer numerators over one lcm denominator and reduces each
+output coefficient once (`from_ints`).  One
+integer convolution (`_convolve`) multiplies Puiseux series and the
+{sector: PuiseuxSeries} maps of Fourier series (`sector_product`): each
+sector is split by monomial into numerators over one denominator per
+monomial, at integer exponents on (1/L)Z, so a product costs one mono_mul
+per pair of monomials.  Inverses (`sector_inverse`, sector 0 for a Puiseux
+series) and exp solve one recurrence (`solve_recurrence`) on the same
+integer terms.
 Every theta-weighted bilinear form of a pair (f, g) (`theta_products`,
 `weighted_theta_expand`, `hirota`) is a theta-combination of the basis
 products B_j = theta^j f * g, since x^a y^b = x^a ((x + y) - x)^b, made in
@@ -33,10 +36,11 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import comb, lcm
+from operator import itemgetter
 from types import MappingProxyType
 
 from .rationals import GaussianRational
-from .symbols import NonInvertible, SymExpr, _frac, mono_mul, rational_power
+from .symbols import _ONE, NonInvertible, SymExpr, _expr, _frac, mono_mul, rational_power
 
 Frac = Fraction
 ZERO = Frac(0)
@@ -151,11 +155,19 @@ class PuiseuxSeries:
                           self.trunc + de)
 
     def __mul__(self, other):
-        """The product, known through min(trunc + v(other), other.trunc + v):
-        `sector_product` on the single sector 0."""
-        if isinstance(other, (int, Frac, SymExpr)):
+        """The product through min(trunc + v(other), other.trunc + v), v the
+        valuation (the bound, if zero), found on ints over T: the one-sector
+        case of `sector_product`, on its convolution."""
+        if other.__class__ is not PuiseuxSeries and isinstance(other, (int, Frac, SymExpr)):
             return self.scale(other)
-        return sector_product({ZERO: self}, {ZERO: other})[ZERO]
+        L = lcm(self.L, other.L)
+        T = lcm(L, self.trunc.denominator, other.trunc.denominator)
+        t1, t2 = _top(self.trunc, T), _top(other.trunc, T)
+        v1 = min(self.xterms) * (T // self.L) if self.xterms else t1
+        v2 = min(other.xterms) * (T // other.L) if other.xterms else t2
+        B = min(t1 + v2, t2 + v1)
+        return on_lattice(L, _convolve([(_split(self, L), _split(other, L))], B // (T // L)),
+                          Frac(B, T))
 
     __rmul__ = __mul__
 
@@ -288,43 +300,44 @@ def sector_product(fs, gs, trunc=None):
     (k1: p, k2: q) with k1 + k2 = s, known through the least bound
     min(p.trunc + v(q), q.trunc + v(p)) of those pairs, capped at trunc if
     given.  The bounds are found on ints (`_pair_bounds`) and made
-    Fractions once per output sector.
-
-    One integer kernel serves every coefficient kind.  Each sector is split
-    once by monomial (`_split`): Gaussian-integer numerators (re, im) over
-    one denominator per monomial, at integer exponents on (1/L)Z, L the lcm
-    of the lattices of both operands.  A pair of monomials costs one
-    mono_mul, shared by all sector pairs that meet it; its numerator pairs
-    are convolved in increasing X, stopping past floor(bound L) of the
-    output sector.  The sums of one output (sector, monomial) are put over
-    one denominator, so each output coefficient is one integer triple,
-    reduced once (`from_ints`).
+    Fractions once per output sector.  Each sector is split once by
+    monomial (`_split`) on (1/L)Z, L the lcm of the lattices of both
+    operands, and the pairs of each output sector are convolved together
+    (`_convolve`).
     """
     L = lcm(*(p.L for hs in (fs, gs) for p in hs.values()))
     T, M = _lattices(fs, gs, () if trunc is None else (trunc,))
     fv, gv = _valuations(fs, T, M), _valuations(gs, T, M)
     bounds = _pair_bounds(fv, gv, None if trunc is None else _top(trunc, T))
-    step = T // L
-    tops = {S: B // step for S, B in bounds.items()}
-    f_split = [(K, _split(p, L)) for (K, _, _), p in zip(fv, fs.values())]
     g_split = [(K, _split(q, L)) for (K, _, _), q in zip(gv, gs.values())]
-    groups = {}  # (sector, monomial) -> [(cofactor numerator, denominator, rows, rows)]
-    for K1, split1 in f_split:
+    pairs = {S: [] for S in bounds}
+    for (K1, _, _), p in zip(fv, fs.values()):
+        split1 = _split(p, L)
         for K2, split2 in g_split:
-            S = K1 + K2
-            top = tops[S]
-            for m1, (d1, *rows1) in split1.items():
-                for m2, (d2, *rows2) in split2.items():
-                    if rows1[0][0] + rows2[0][0] <= top:
-                        mono, cof = mono_mul(m1, m2)
-                        groups.setdefault((S, mono), []).append(
-                            (cof.numerator, cof.denominator * d1 * d2, rows1, rows2))
-    out = {S: {} for S in bounds}  # sector -> X -> monomial -> coefficient
-    for (S, mono), pairs in groups.items():
-        top = tops[S]
-        den = lcm(*(pair_den for _, pair_den, _, _ in pairs))
+            pairs[K1 + K2].append((split1, split2))
+    step = T // L
+    return {Frac(S, M): on_lattice(L, _convolve(pairs[S], B // step), Frac(B, T))
+            for S, B in bounds.items()}
+
+
+def _convolve(pairs, top):
+    """{X: SymExpr} of the sum of f * g over the pairs (f, g) of `_split`s
+    on one lattice, through X <= top.  A pair of monomials costs one
+    mono_mul; its rows are convolved in increasing X, stopping past top,
+    and the sums of one output monomial are put over one denominator."""
+    groups = {}  # monomial -> [(cofactor numerator, denominator, rows, rows)]
+    for split1, split2 in pairs:
+        for m1, (d1, *rows1) in split1.items():
+            for m2, (d2, *rows2) in split2.items():
+                if rows1[0][0] + rows2[0][0] <= top:
+                    mono, cof = mono_mul(m1, m2)
+                    groups.setdefault(mono, []).append(
+                        (cof.numerator, cof.denominator * d1 * d2, rows1, rows2))
+    by_X = {}  # X -> monomial -> coefficient
+    for mono, group in groups.items():
+        den = lcm(*(pair_den for _, pair_den, _, _ in group))
         acc = {}  # X -> [re, im] over den
-        for n, pair_den, rows1, rows2 in pairs:
+        for n, pair_den, rows1, rows2 in group:
             w = n * (den // pair_den)
             low = rows2[0][0]
             for X1, a, b in zip(*rows1):
@@ -342,13 +355,10 @@ def sector_product(fs, gs, trunc=None):
                     else:
                         t[0] += a * c - b * d
                         t[1] += a * d + b * c
-        by_X = out[S]
         for X, (re, im) in acc.items():
             if re or im:
                 by_X.setdefault(X, {})[mono] = from_ints(re, im, den)
-    return {Frac(S, M): on_lattice(L, {X: SymExpr(terms) for X, terms in out[S].items()},
-                                   Frac(B, T))
-            for S, B in bounds.items()}
+    return {X: _expr(terms) for X, terms in by_X.items()}
 
 
 def sector_inverse(hs, k0, e0, c0, trunc):
@@ -360,6 +370,7 @@ def sector_inverse(hs, k0, e0, c0, trunc):
     keys as ints on (1/L)Z and (1/M)Z, L and M the lcms of the sectors'
     lattices and of their labels' denominators."""
     c0_inv = c0.inverse()
+    minus_c0_inv = -c0_inv
     rel_trunc = trunc - e0
     L = lcm(*(p.L for p in hs.values()))
     M = lcm(*(k.denominator for k in hs))
@@ -370,7 +381,7 @@ def sector_inverse(hs, k0, e0, c0, trunc):
         for X, c in p.xterms.items():
             X *= step
             if not (K == K0 and X == X0):
-                steps[(X - X0, K - K0)] = -(c * c0_inv)
+                steps[(X - X0, K - K0)] = c * minus_c0_inv
     if any(X <= 0 for X, _ in steps):
         raise NonInvertible("non-leading term at the leading exponent")
     out = {}
@@ -461,8 +472,13 @@ def solve_recurrence(steps, top, divide=0):
     is formed.  divide is the exponent lattice's L, so that 1/n = L/X, or
     0 for w_n = 1.  A key is pushed only from a nonzero coefficient, which
     reaches every nonzero b_n.  Returns {key: b_n} for the nonzero b_n.
+
+    The steps are read once into Gaussian-integer terms (a + b i)/d, one
+    per monomial, and the products that make b_n are summed per monomial
+    as integer triples over the lcm of their denominators.
     """
-    order = sorted(steps.items())
+    step_terms = sorted(((x, m, v.a, v.b, v.d) for x, s in steps.items()
+                         for m, v in s.terms.items()), key=itemgetter(0))
     root = (0, 0)
     b = {}
     heap = [root] if top >= 0 else []
@@ -473,23 +489,38 @@ def solve_recurrence(steps, top, divide=0):
         if n == root:
             c = SymExpr.one()
         else:
-            c = SymExpr.zero()
-            for (xe, xk), s in order:
+            acc = {}  # monomial -> [re, im, den]
+            for (xe, xk), m1, sa, sb, sd in step_terms:
                 if xe > ne:
                     break
                 prev = b.get((ne - xe, nk - xk))
-                if prev is not None:
-                    c = c + s * prev
-            if c and divide:
-                c = c * from_ints(divide, 0, ne)
-            if not c:
+                if prev is None:
+                    continue
+                for m2, v in prev.terms.items():
+                    mono, cof = mono_mul(m1, m2)
+                    re, im, den = sa * v.a - sb * v.b, sa * v.b + sb * v.a, sd * v.d
+                    if cof is not _ONE:
+                        re, im, den = re * cof.numerator, im * cof.numerator, den * cof.denominator
+                    t = acc.get(mono)
+                    if t is None:
+                        acc[mono] = [re, im, den]
+                    elif t[2] == den:
+                        t[0] += re
+                        t[1] += im
+                    else:
+                        D = lcm(t[2], den)
+                        u, w = D // t[2], D // den
+                        acc[mono] = [t[0] * u + re * w, t[1] * u + im * w, D]
+            w, n_den = (divide, ne) if divide else (1, 1)
+            out = {m: from_ints(re * w, im * w, den * n_den)
+                   for m, (re, im, den) in acc.items() if re or im}
+            if not out:
                 continue
+            c = _expr(out)
         b[n] = c
-        for (xe, xk), _ in order:
+        for xe, xk in steps:
             m = (ne + xe, nk + xk)
-            if m[0] > top:
-                break
-            if m not in seen:
+            if m[0] <= top and m not in seen:
                 seen.add(m)
                 heapq.heappush(heap, m)
     return b
@@ -629,7 +660,7 @@ def _theta_sum(parts, bounds):
                 if re or im:
                     terms[m] = from_ints(re, im, den * scale)
             if terms:
-                xterms[X] = SymExpr(terms)
+                xterms[X] = _expr(terms)
         out[S] = on_lattice(L, xterms, bound)
     return out
 

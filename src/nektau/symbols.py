@@ -62,7 +62,7 @@ class NonInvertible(Exception):
 
 
 def _frac(x) -> Frac:
-    return x if isinstance(x, Frac) else Frac(x)
+    return x if x.__class__ is Frac else Frac(x)
 
 
 def _factorint(n: int):
@@ -192,12 +192,14 @@ def mono_mul(m1: SymbolMonomial, m2: SymbolMonomial):
 
 
 class SymExpr:
-    """Finite Q(i)-linear combination of canonical symbol monomials."""
+    """Finite Q(i)-linear combination of canonical symbol monomials.  Its
+    term map is never changed once built, so results are built on their
+    fresh maps (`_expr`) and one zero and one unit are shared."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        object.__setattr__(self, "terms", dict(terms) if terms else {})
+        _set_terms(self, dict(terms) if terms else {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SymExpr is immutable")
@@ -206,27 +208,26 @@ class SymExpr:
 
     @staticmethod
     def zero():
-        return SymExpr()
+        return ZERO
 
     @staticmethod
     def one():
-        return SymExpr({MONO_ONE: GaussianRational(1)})
+        return ONE
 
     @staticmethod
     def from_rational(x):
-        c = GaussianRational.coerce(x)
-        return SymExpr({MONO_ONE: c}) if c else SymExpr()
+        return SymExpr.monomial(MONO_ONE, x)
 
     @staticmethod
     def coerce(x):
-        if isinstance(x, SymExpr):
+        if x.__class__ is SymExpr:
             return x
         return SymExpr.from_rational(x)
 
     @staticmethod
     def monomial(mono, coeff=1):
         c = GaussianRational.coerce(coeff)
-        return SymExpr({mono: c}) if c else SymExpr()
+        return _expr({mono: c}) if c else ZERO
 
     # -- predicates --------------------------------------------------------
 
@@ -260,12 +261,12 @@ class SymExpr:
                 terms[m] = nc
             else:
                 terms.pop(m, None)
-        return SymExpr(terms)
+        return _expr(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymExpr({m: -c for m, c in self.terms.items()})
+        return _expr({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-SymExpr.coerce(other))
@@ -274,15 +275,21 @@ class SymExpr:
         return SymExpr.coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Frac, GaussianRational)):
-            c0 = GaussianRational.coerce(other)
-            if not c0:
-                return SymExpr()
-            return SymExpr({m: c * c0 for m, c in self.terms.items()})
-        if not isinstance(other, SymExpr):
-            return NotImplemented
+        if other.__class__ is not SymExpr:
+            if other.__class__ is not GaussianRational:
+                if not isinstance(other, (int, Frac)):
+                    return NotImplemented
+                other = GaussianRational.coerce(other)
+            if not other:
+                return ZERO
+            return _expr({m: c * other for m, c in self.terms.items()})
+        if len(self.terms) == 1 == len(other.terms):
+            ((m1, c1),), ((m2, c2),) = self.terms.items(), other.terms.items()
+            mono, cof = mono_mul(m1, m2)
+            c = c1 * c2
+            return _expr({mono: c if cof is _ONE else c * cof})
         if not self.terms or not other.terms:
-            return SymExpr()
+            return ZERO
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -296,7 +303,7 @@ class SymExpr:
                     out[mono] = nc
                 else:
                     out.pop(mono, None)
-        return SymExpr(out)
+        return _expr(out)
 
     __rmul__ = __mul__
 
@@ -310,7 +317,7 @@ class SymExpr:
         cc = c.inverse()
         if cof is not _ONE:
             cc = cc * cof
-        return SymExpr({mono: cc})
+        return _expr({mono: cc})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Frac, GaussianRational)):
@@ -320,7 +327,7 @@ class SymExpr:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = SymExpr.one()
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -330,10 +337,10 @@ class SymExpr:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Frac, GaussianRational)):
+        if other.__class__ is not SymExpr:
+            if not isinstance(other, (int, Frac, GaussianRational)):
+                return NotImplemented
             other = SymExpr.from_rational(other)
-        if not isinstance(other, SymExpr):
-            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
@@ -350,6 +357,21 @@ class SymExpr:
 
     def __repr__(self):
         return f"<SymExpr {self.render()}>"
+
+
+_set_terms = SymExpr.terms.__set__
+
+
+def _expr(terms):
+    """The SymExpr of a fresh term map {monomial: nonzero coefficient},
+    taken as given: no copy is made, so no caller may keep and change it."""
+    x = object.__new__(SymExpr)
+    _set_terms(x, terms)
+    return x
+
+
+ZERO = _expr({})
+ONE = _expr({MONO_ONE: GaussianRational(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +459,12 @@ def poch_value(E, B, t) -> SymExpr:
         raise ValueError("Pochhammer base exponent must be nonzero")
     if B < 0:
         return poch_value(E - B, -B, t).inverse()
-    expr = SymExpr.one()
-    one = SymExpr.one()
+    expr = ONE
 
     def one_minus_t_pow(e):
         if e == 0:
             raise Resonance(f"Pochhammer value vanishes ((t^{e}) = 1)")
-        return one - rational_power(t, e)
+        return ONE - rational_power(t, e)
 
     while E > B:
         E -= B

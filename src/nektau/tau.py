@@ -26,14 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .fourier import FourierSeries
-from .nekrasov import (
-    RelativeZ4d,
-    RelativeZ5d,
-    Theory4d,
-    Theory5d,
-    blowup_modes,
-    memoized,
-)
+from .nekrasov import RelativeZ4d, RelativeZ5d, Theory4d, Theory5d, blowup_modes, memoized
 from .rationals import GaussianRational
 from .sampling import ParameterSample
 from .symbols import SymExpr, _frac
@@ -54,10 +47,8 @@ class TauSpec(namedtuple("TauSpec", "base k_step k_offset fourier_offset sector_
     __slots__ = ()
 
     def lattice(self, j: int):
-        return (
-            self.k_offset[0] + j * self.k_step[0],
-            self.k_offset[1] + j * self.k_step[1],
-        )
+        return (self.k_offset[0] + j * self.k_step[0],
+                self.k_offset[1] + j * self.k_step[1])
 
 
 def build_tau(spec: TauSpec, E) -> FourierSeries:

@@ -1,8 +1,9 @@
 """The package computes exactly, with no float and no numeric library in
 src/nektau, keeps no cache of its own outside a run's memo, builds
 parameter samples only in its q-Painleve pool, writes and builds taus
-only in tau.py, builds and reads symbol monomials only in symbols.py, and
-reaches a series' integer exponent lattice only in series.py."""
+only in tau.py, builds and reads symbol monomials only in symbols.py,
+reaches a series' integer exponent lattice only in series.py, and never
+changes a SymExpr's term map once it is built."""
 
 import ast
 from pathlib import Path
@@ -142,6 +143,53 @@ def test_package_reaches_series_lattices_only_in_series_py():
                   if isinstance(node, ast.ImportFrom)
                   for a in node.names if a.name in internals]
     assert found == []
+
+
+#: dict methods that change a dict in place
+MUTATORS = {"pop", "update", "setdefault", "clear", "popitem"}
+
+
+def _terms_mutations(tree):
+    """Lines that change a `.terms` map in place: store into or delete an
+    item of it, or call one of MUTATORS on it."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "terms"):
+            yield node.lineno, "del .terms[...]" if isinstance(node.ctx, ast.Del) \
+                else ".terms[...] ="
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "terms"):
+            yield node.lineno, f".terms.{node.func.attr}()"
+
+
+def test_package_never_changes_a_symexpr_after_it_is_built():
+    # SymExpr.one() and zero() are shared values, and results are built on
+    # their fresh term maps without a copy (symbols._expr), so a term map
+    # changed in place would change every value that shares it
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, what in _terms_mutations(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_terms_scan_sees_every_mutation():
+    code = """
+x.terms[m] = c
+x.terms[m] += c
+del y.terms[m]
+x.terms.pop(m)
+x.terms.update(d)
+x.terms.setdefault(m, c)
+x.terms.clear()
+x.terms.popitem()
+c = x.terms[m]
+d = dict(x.terms)
+d.pop(m)
+"""
+    assert [line for line, _ in _terms_mutations(ast.parse(code))] == list(range(2, 10))
 
 
 PERFBENCH = PACKAGE.parents[1] / "perfbench"

@@ -12,7 +12,7 @@ import nektau.identities as idmod
 from nektau.cli import main
 from nektau.fourier import EqualityReport, FourierSeries
 from nektau.rationals import GaussianRational
-from nektau.series import PuiseuxSeries
+from nektau.series import PuiseuxSeries, _sectors
 from nektau.symbols import SymExpr
 from nektau.tau import zeta_from_tau
 from test_theta_pass import assert_same
@@ -353,11 +353,31 @@ def test_determ_recursion_matches_the_twelve_sum_solve(sample):
         assert all(r.ok for _, r in got)
 
 
+def assert_truncates_to(lo, hi):
+    """hi, known at least as far as lo in each sector, equals lo there."""
+    assert lo.trunc <= hi.trunc
+    lo_s, hi_s = _sectors(lo), _sectors(hi)
+    for s in lo_s.keys() | hi_s.keys():
+        p = lo_s.get(s, PuiseuxSeries.zero(lo.trunc))
+        q = hi_s.get(s, PuiseuxSeries.zero(hi.trunc))
+        assert p.trunc <= q.trunc
+        assert q.truncate(p.trunc).coeffs == p.coeffs
+
+
+#: the memo kinds keyed by an order, and the place of the order in the key:
+#: ("mode", ..., order), ("tau", ..., E), ("hirota", sigma, EB, f, g, k),
+#: ("theta basis", sigma, EB, f, g) and ("zeta_4d", sigma, EB)
+ORDER_AT = {"mode": -1, "tau": -1, "hirota": 2, "theta basis": 2, "zeta_4d": 2}
+
+
 def test_modes_and_taus_built_deeper_truncate_to_the_shallower():
-    # keeping one mode or tau per point at its deepest order and truncating
-    # on read is sound only if the value built at E equals the value built
-    # at E' > E truncated to E: every catalog id on sample 0 at its default
-    # order and one above, on one memo
+    # keeping one value per key at its deepest order and truncating on
+    # read is sound only if the value built at E equals the value built at
+    # E' > E truncated to E: every catalog id on sample 0 at its default
+    # order and one above, on one memo.  Modes and taus are truncated to
+    # the shallower order; Hirota derivatives, their stores of basis
+    # products (the entries both orders built) and the zeta series are
+    # compared through each sector's shallower bound
     ctx = idmod.Context()
     for id, entry in idmod.CATALOG.items():
         sample = idmod.default_samples(entry.domain, 1)[0]
@@ -365,10 +385,20 @@ def test_modes_and_taus_built_deeper_truncate_to_the_shallower():
             entry.run(sample, E, ctx)
     by_order = defaultdict(dict)
     for key, value in ctx.memo.items():
-        if key[0] in ("mode", "tau"):
-            by_order[key[:-1]][key[-1]] = value
-    groups = [orders for orders in by_order.values() if len(orders) > 1]
-    for orders in groups:
+        if key[0] in ORDER_AT:
+            i = ORDER_AT[key[0]] % len(key)
+            by_order[key[:i] + key[i + 1:]][key[i]] = value
+    compared = defaultdict(int)
+    for rest, orders in by_order.items():
         for lo, hi in itertools.pairwise(sorted(orders)):
-            assert_same(orders[lo], orders[hi].truncate(lo))
-    assert len(groups) >= 20
+            lo_v, hi_v = orders[lo], orders[hi]
+            if rest[0] in ("mode", "tau"):
+                assert_same(lo_v, hi_v.truncate(lo))
+            elif rest[0] == "hirota":
+                assert_truncates_to(lo_v, hi_v)
+            else:
+                for name in lo_v.keys() & hi_v.keys():
+                    assert_truncates_to(lo_v[name], hi_v[name])
+            compared[rest[0]] += 1
+    assert compared["mode"] + compared["tau"] >= 20
+    assert all(compared[kind] for kind in ("hirota", "theta basis", "zeta_4d")), compared

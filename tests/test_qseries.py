@@ -2,7 +2,9 @@
 shift, period-splitting, square-splitting, inversion, Jacobi-triple-product
 and theta-shift identities, each on >= 100 randomized specs."""
 
+import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,6 +372,143 @@ def test_the_jacobi_route_divides_by_the_euler_product(cp, monkeypatch):
             (pp,) = inverted
             ref = ref_euler_product(SymExpr.coerce(cp), r, bound)
             assert (pp.coeffs, pp.trunc) == (ref.coeffs, ref.trunc), (r, bound)
+
+
+def ref_jacobi_fraction_loop(arg_coeff, arg_zpow, base_coeff, base_zpow, E):
+    """Test-only copy of the Jacobi route with Fraction exponents, stopped
+    by the loose test (2k - 1) r > 2(|a| + 1) in the direction of travel;
+    the running powers and Euler's pentagonal sum are those of the route."""
+    E, a, r = F(E), F(arg_zpow), F(base_zpow)
+    cw, cp = SymExpr.coerce(arg_coeff), SymExpr.coerce(base_coeff)
+    neg_val = F(0)
+    terms = {}
+    for direction in (1, -1):
+        if direction == 1:
+            k, wk, w_step, pk, p_step = 0, SymExpr.one(), cw, SymExpr.one(), SymExpr.one()
+        else:
+            k, wk, w_step, pk, p_step = -1, None, None, cp, cp * cp
+        while True:
+            e = k * a + F(k * (k - 1), 2) * r
+            if e <= E:
+                if wk is None:
+                    w_step = cw.inverse()
+                    wk = w_step ** -k
+                c = wk * pk
+                terms[e] = terms.get(e, SymExpr.zero()) + (-c if k % 2 else c)
+                neg_val = min(neg_val, e)
+            elif (2 * k - 1) * r * direction > 2 * (abs(a) + 1):
+                break
+            k += direction
+            if wk is not None:
+                wk = wk * w_step
+            pk = pk * p_step
+            p_step = p_step * cp
+    summ = PuiseuxSeries(terms, E)
+    bound = E - neg_val
+    if summ.is_zero() and bound >= 0:
+        return PuiseuxSeries.zero(E)
+    pent = {F(0): SymExpr.one()}
+    j, pn, pj, gain, cp3 = 1, cp, cp, cp, cp * cp * cp
+    while (e := F(j * (3 * j - 1), 2) * r) <= bound:
+        sign = -1 if j % 2 else 1
+        pent[e] = pn * sign
+        if e + j * r <= bound:
+            pent[e + j * r] = pn * pj * sign
+        j += 1
+        gain = gain * cp3
+        pn, pj = pn * gain, pj * cp
+    return (summ * PuiseuxSeries(pent, bound).inverse()).truncate(E)
+
+
+# 16 arguments x 4 bases x 5 x 5 coefficient pairs: the benchmark's grid
+# and its two zeros of theta, (1, -6, -1, 1/2) and (1, 4, -1, 1/2), with
+# arguments on both sides of every vertex and on p^Z
+JACOBI_GRID = [(cw, a, cp, r)
+               for a in (F(-6), F(-4), F(-5, 2), F(-3, 2), F(-1), F(-3, 4), F(-1, 2), F(0),
+                         F(1, 4), F(1, 2), F(1), F(3, 2), F(7, 4), F(2), F(3), F(4))
+               for r in THETA_R for cw in THETA_COEFFS for cp in THETA_COEFFS]
+
+
+@pytest.mark.parametrize("order", [F(4), F(-3, 2)])
+def test_jacobi_lattice_loop_is_the_fraction_loop(order):
+    # at a negative order the term at k = 0 is above the bound: a loop that
+    # stopped there, before the vertex, would lose the kept terms past it
+    assert len(JACOBI_GRID) == 1600
+    assert set(THETA_GRID) <= set(JACOBI_GRID)
+    def outcome(route, point):
+        try:
+            p = route(*point, order)
+        except ZeroDivisionError as exc:  # (p;p)_inf known through no z^0
+            return type(exc)
+        return p.dump(), p.trunc
+
+    for point in JACOBI_GRID:
+        assert outcome(partial(theta_z_series, route="jacobi"), point) == \
+            outcome(ref_jacobi_fraction_loop, point), point
+
+
+def ref_poch_base_coeffs(bases, t, mmax):
+    """Test-only copy of qseries._poch_base_coeffs in Fractions."""
+    if not bases:
+        return (F(1), F(-1)) + (F(0),) * max(0, mmax - 1)
+    b1, rest = bases[0], bases[1:]
+    h = ref_poch_base_coeffs(rest, t, mmax)
+    q1 = t ** int(b1)
+    g = [F(1)]
+    for m in range(1, mmax + 1):
+        acc = F(0)
+        for j in range(1, min(m, len(h) - 1) + 1):
+            if h[j]:
+                acc += h[j] * q1 ** (m - j) * g[m - j]
+        g.append(acc / (1 - q1**m))
+    return tuple(g)
+
+
+def ref_poch_exp_coeffs(bases, t, mmax):
+    """Test-only copy of qseries._poch_exp_coeffs in Fractions: the log
+    coefficients, exponentiated by PuiseuxSeries.exp."""
+    if mmax < 1:
+        return (F(1),)
+    log_coeffs = {}
+    for m in range(1, mmax + 1):
+        denom = F(m)
+        for b in bases:
+            qm = t ** int(b * m)
+            if qm == 1:
+                raise UnsupportedRegion("base is a root of unity")
+            denom *= 1 - qm
+        log_coeffs[F(m)] = F(-1) / denom
+    ps = PuiseuxSeries(log_coeffs, F(mmax)).exp()
+    return tuple(c.rational_value() if (c := ps.coeff(m)) else F(0) for m in range(mmax + 1))
+
+
+def criterion_9_specs(n, seed):
+    """(spec, t) drawn as acceptance criterion 9 draws them."""
+    rng = random.Random(seed)
+    coeffs = [F(1), F(-1), F(2), F(-1, 2), F(3, 5), G(0, 1), G(1, 1)]
+    return [(PochhammerSpec(rng.choice(coeffs), rng.choice(THETA_R),
+                            tuple(rng.choice([-3, -2, -1, 1, 2, 3])
+                                  for _ in range(rng.randint(1, 2)))),
+             rng.choice([F(1, 2), F(1, 3), F(2, 5), F(3, 7)])) for _ in range(n)]
+
+
+@pytest.mark.parametrize("order", [F(2), F(4)])
+def test_pochhammer_recursions_on_ints_are_the_fraction_recursions(order, monkeypatch):
+    specs = criterion_9_specs(200, 9)
+    assert any(b < 0 for spec, _ in specs for b in spec.bases)
+    for spec, t in specs:
+        mmax = int(order / spec.zpow)
+        assert qseries._poch_exp_coeffs(spec.bases, t, mmax) == ref_poch_exp_coeffs(
+            spec.bases, t, mmax)
+        pos = tuple(abs(b) for b in spec.bases)
+        assert qseries._poch_base_coeffs(pos, t, mmax) == ref_poch_base_coeffs(pos, t, mmax)
+    new = [pochhammer_series(spec, t, order, route) for spec, t in specs
+           for route in ("shift", "exp")]
+    monkeypatch.setattr(qseries, "_poch_base_coeffs", ref_poch_base_coeffs)
+    monkeypatch.setattr(qseries, "_poch_exp_coeffs", ref_poch_exp_coeffs)
+    ref = [pochhammer_series(spec, t, order, route) for spec, t in specs
+           for route in ("shift", "exp")]
+    assert [(p.dump(), p.trunc) for p in new] == [(p.dump(), p.trunc) for p in ref]
 
 
 def _theta_zero_points(factor):

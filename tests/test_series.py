@@ -1,20 +1,25 @@
 """Truncated Puiseux-series ring: arithmetic, exp/inverse, theta, Hirota."""
 
 import gc
+import heapq
 from fractions import Fraction as F
 from math import comb, factorial, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_pair import ref_split
+import nektau.series as series_module
 from nektau.fourier import FourierSeries
 from nektau.identities import POOL_4D_EPS, POOL_SIGMA, Context
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
 from nektau.series import (PuiseuxSeries, _nonzero, _split, _top, hirota, on_lattice,
-                           solve_recurrence, theta_products, weighted_theta_expand)
-from nektau.symbols import NonInvertible, SymExpr, gamma_value, pi_power, rational_power
+                           sector_product, solve_recurrence, theta_products,
+                           weighted_theta_expand)
+from nektau.symbols import (NonInvertible, SymExpr, gamma_value, mono_mul, pi_power,
+                            rational_power)
 
 exps = st.fractions(min_value=0, max_value=3, max_denominator=4)
 coef = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -236,6 +241,128 @@ def test_inverse_and_exp_match_old_routes(terms):
     assert pos.exp() == ref_exp(pos)
 
 
+def ref_solve_recurrence(steps, top, divide=0):
+    """Test-only copy of series.solve_recurrence as it ran on SymExpr
+    objects: one SymExpr product and one SymExpr sum per step term."""
+    order = sorted(steps.items())
+    root = (0, 0)
+    b = {}
+    heap = [root] if top >= 0 else []
+    seen = {root}
+    while heap:
+        n = heapq.heappop(heap)
+        ne, nk = n
+        if n == root:
+            c = SymExpr.one()
+        else:
+            c = SymExpr.zero()
+            for (xe, xk), s in order:
+                if xe > ne:
+                    break
+                prev = b.get((ne - xe, nk - xk))
+                if prev is not None:
+                    c = c + s * prev
+            if c and divide:
+                c = c * G.from_ints(divide, 0, ne)
+            if not c:
+                continue
+        b[n] = c
+        for (xe, xk), _ in order:
+            m = (ne + xe, nk + xk)
+            if m[0] > top:
+                break
+            if m not in seen:
+                seen.add(m)
+                heapq.heappush(heap, m)
+    return b
+
+
+def recurrence_calls(run):
+    """The (steps, top, divide) of each solve_recurrence call that run()
+    makes, each call checked against the SymExpr reference: the same keys,
+    in the same order, and the same SymExprs."""
+    calls = []
+
+    def checked(steps, top, divide=0):
+        got = solve_recurrence(steps, top, divide)
+        want = ref_solve_recurrence(steps, top, divide)
+        assert list(got) == list(want)
+        assert all(got[key].terms == want[key].terms for key in want)
+        calls.append((steps, top, divide))
+        return got
+
+    with mock.patch.object(series_module, "solve_recurrence", checked):
+        run()
+    return calls
+
+
+# a step whose monomials multiply with a cofactor other than 1:
+# 2^(1/2) 2^(1/2) = 2, 3^(-1/2) 3^(1/2) = 1, Gamma(2/3) = pi/(sin(pi/3) Gamma(1/3))
+COFACTOR_ATOMS = [SQRT2, rational_power(F(3), F(-1, 2)), rational_power(F(3), F(1, 2)),
+                  rational_power(F(2, 3), F(1, 4)), gamma_value(F(1, 3)), gamma_value(F(2, 3))]
+
+
+@st.composite
+def radical_series(draw, lead=True):
+    """A series whose coefficients hold one to three monomials, radicals
+    and Gamma/sin among them, with a single-monomial leading term at z^0
+    if lead."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        c = SymExpr.zero()
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            c = c + draw(st.sampled_from(COFACTOR_ATOMS)) * G(draw(coef), draw(
+                st.sampled_from([F(0), F(0), F(1, 2)])))
+        terms[draw(st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4))] = c
+    if lead:
+        terms[F(0)] = draw(st.sampled_from([SymExpr.one(), SQRT2 * G(1, -1), SymExpr.coerce(F(-3))]))
+    return PuiseuxSeries(terms, F(5, 2))
+
+
+@given(radical_series(lead=False))
+@settings(max_examples=40, deadline=None)
+def test_recurrence_of_exp_is_the_symexpr_recurrence(f):
+    ((_, _, divide),) = recurrence_calls(f.exp)
+    assert divide == f.L
+
+
+@given(radical_series())
+@settings(max_examples=40, deadline=None)
+def test_recurrence_of_the_puiseux_inverse_is_the_symexpr_recurrence(f):
+    ((_, _, divide),) = recurrence_calls(f.inverse)
+    assert divide == 0
+
+
+@given(radical_series(), radical_series(lead=False), st.sampled_from([F(1, 2), F(-1), F(2)]))
+@settings(max_examples=40, deadline=None)
+def test_recurrence_of_the_fourier_inverse_is_the_symexpr_recurrence(f, g, k):
+    ((steps, _, _),) = recurrence_calls(FourierSeries({F(0): f, k: g}, F(5, 2)).inverse)
+    assert g.is_zero() or {K for _, K in steps} != {0}
+
+
+def test_recurrence_of_the_inverse_of_a_4d_tau_is_the_symexpr_recurrence():
+    # the kiev tau at z^6: Gamma/sin monomials over several sectors, the
+    # inverse zeta_from_tau takes
+    tau = Context().taus_4d(POOL_SIGMA[0], F(6))("kiev")
+    ((steps, _, _),) = recurrence_calls(tau.inverse)
+    assert len({m for c in steps.values() for m in c.terms}) == 5
+
+
+def test_recurrence_with_cofactors_is_the_symexpr_recurrence():
+    # steps of two and three monomials whose products fold radicals and
+    # Gamma(2/3) into a cofactor other than 1, on all three callers
+    c1 = SQRT2 * G(1, -1) + COFACTOR_ATOMS[1] * 3
+    c2 = COFACTOR_ATOMS[2] * F(-1, 2) + gamma_value(F(1, 3)) + gamma_value(F(2, 3)) * G(0, 2)
+    f = ps({F(1, 3): c1, F(1, 2): c2, F(3, 2): c1 * c2}, F(4))
+    lead = PuiseuxSeries.one(F(4))
+    runs = [f.exp, (f + lead).inverse,
+            FourierSeries({F(0): f + lead, F(1, 2): f, F(-1): f.shift(F(1, 4))}, F(4)).inverse]
+    for run in runs:
+        ((steps, _, _),) = recurrence_calls(run)
+        monos = {m for c in steps.values() for m in c.terms}
+        assert any(mono_mul(m1, m2)[1] != 1 for m1 in monos for m2 in monos)
+
+
 def ref_lattice_inverse(f):
     """Test-only copy of the lattice recurrence PuiseuxSeries.inverse ran on
     its own before it took sector 0 of `sector_inverse`."""
@@ -247,7 +374,7 @@ def ref_lattice_inverse(f):
     rel_trunc = f.trunc - F(X0, L)
     steps = {(X - X0, 0): -(c * c0_inv)
              for X, c in f.xterms.items() if X != X0}
-    b = solve_recurrence(steps, _top(rel_trunc, L))
+    b = ref_solve_recurrence(steps, _top(rel_trunc, L))
     return on_lattice(L, _nonzero((n - X0, c * c0_inv) for (n, _), c in b.items()),
                       rel_trunc - F(X0, L))
 
@@ -461,6 +588,33 @@ ROOTS_CONJ = PuiseuxSeries({F(1, 2): SQRT2 * G(1, -1), F(1): SQRT3 * G(0, 1)}, F
         "zero times", "times zero", "zero"])
 def test_product_cases(f, g):
     assert_product_is_the_pair_loop(f, g)
+
+
+def assert_product_is_sector_product(f, g):
+    new, ref = f * g, sector_product({F(0): f}, {F(0): g})[F(0)]
+    assert (new.xterms, new.L, new.trunc) == (ref.xterms, ref.L, ref.trunc)
+
+
+@given(symbolic_series(), symbolic_series())
+@settings(max_examples=80)
+def test_product_is_the_one_sector_sector_product(f, g):
+    assert_product_is_sector_product(f, g)
+    assert_product_is_sector_product(f, f)
+
+
+@pytest.mark.parametrize("f,g", [
+    (ROOTS, ROOTS_CONJ),
+    (ps({0: 1, 1: 1}), ps({0: 1, 1: -1})),
+    (PuiseuxSeries.zero(F(2)), ROOTS),
+    (ROOTS, PuiseuxSeries.zero(F(-1, 2))),
+    (PuiseuxSeries.zero(F(1)), PuiseuxSeries.zero(F(3, 2))),
+    (ps({F(-3, 2): SQRT2, 0: 1}, F(5, 3)), ps({F(-1, 2): TWO_TERM, F(1, 4): 1}, F(7, 4))),
+    (ps({1: 1}, F(1)), ps({F(1, 3): -1}, F(1, 3))),
+], ids=["cancel across pairs", "cancel in one pair", "zero times", "times zero", "zero",
+        "non-integer bounds, two monomials", "bound at the only term"])
+def test_product_is_the_one_sector_sector_product_cases(f, g):
+    assert_product_is_sector_product(f, g)
+    assert_product_is_sector_product(g, f)
 
 
 def test_product_cancels_across_monomial_pairs():
