@@ -4,11 +4,15 @@ A multi-base Pochhammer (w; q_1, .., q_N)_inf with w = coeff * z^zpow and
 q_k = t^{b_k} is expanded as an exact PuiseuxSeries by two independent
 routes (exponential formula and base-peeling recursion); bases with
 |q_k| > 1 (negative t-exponent) are first rewritten through the inversion
-rule (w; q^{-1}, ..) = (w q; q, ..)^{-1}.
+rule (w; q^{-1}, ..) = (w q; q, ..)^{-1}.  An odd number of them leaves a
+reciprocal, 1/(x; q)_inf = sum_m x^m/(q; q)_m, which each route builds in
+its own recursion: the peeling from the base case 1/(1 - w) = sum_m w^m in
+place of 1 - w, the exponential formula from negated log coefficients.
 
 theta(w; p) = (w; p)_inf (p/w; p)_inf, with w and p monomials in z and p of
-positive z-weight, is expanded by two routes that share no product: the
-finite product of the binomial factors that reach z^E, and the Jacobi
+positive z-weight, is expanded by two routes that share no series kernel:
+the finite product of the binomial factors that reach z^E, one step each on
+integer rows (series.binomial_product), and the Jacobi
 triple-product sum sum_k (-1)^k p^{k(k-1)/2} w^k divided by (p; p)_inf,
 which Euler's pentagonal theorem gives as sum_k (-1)^k p^{k(3k-1)/2}
 (Andrews, The Theory of Partitions, 1976, ch. 1; Gasper-Rahman, Basic
@@ -24,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 
 from .rationals import ONE, GaussianRational
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, binomial_product
 from .symbols import SymExpr, _frac
 
 Frac = Fraction
@@ -63,15 +67,19 @@ def _tpow(t: Frac, e: Frac) -> Frac:
     return t ** e.numerator
 
 
-def _poch_base_coeffs(bases, t: Frac, mmax: int):
-    """Coefficients g_0..g_mmax of (w; t^{b_1}, ..)_inf as a w-series,
-    for bases with positive exponents, by peeling the first base:
-    (w; q1, rest) = (w; rest) * (w q1; q1, rest), so g_m (1 - q1^m) =
-    sum_{j >= 1} h_j q1^{m-j} g_{m-j}, h the coefficients of (w; rest),
-    each g_m summed on ints (q1 = P/Q) and reduced once."""
+def _poch_base_coeffs(bases, t: Frac, mmax: int, power: int = 1):
+    """Coefficients g_0..g_mmax of (w; t^{b_1}, ..)_inf^power, power 1 or
+    -1, as a w-series, for bases with positive exponents, by peeling the
+    first base: (w; q1, rest)^power = (w; rest)^power (w q1; q1, rest)^power,
+    so g_m (1 - q1^m) = sum_{j >= 1} h_j q1^{m-j} g_{m-j}, h the
+    coefficients of (w; rest)^power, each g_m summed on ints (q1 = P/Q) and
+    reduced once.  With no base left the factor is 1 - w, or its
+    reciprocal sum_m w^m."""
     if not bases:
+        if power == -1:
+            return (ONE,) * (mmax + 1)
         return (ONE, -ONE) + (from_ints(0, 0, 1),) * max(0, mmax - 1)
-    h = _poch_base_coeffs(bases[1:], t, mmax)
+    h = _poch_base_coeffs(bases[1:], t, mmax, power)
     q1 = _tpow(t, bases[0])
     P = [q1.numerator ** i for i in range(mmax + 1)]
     Q = [q1.denominator ** i for i in range(mmax + 1)]
@@ -87,15 +95,16 @@ def _poch_base_coeffs(bases, t: Frac, mmax: int):
     return tuple(g)
 
 
-def _poch_exp_coeffs(bases, t: Frac, mmax: int):
+def _poch_exp_coeffs(bases, t: Frac, mmax: int, power: int = 1):
     """Same coefficients from the exponential formula
-    log = -sum_m w^m / (m * prod_k (1 - q_k^m)): each log coefficient
-    -prod_k Q_k^m / (m prod_k (Q_k^m - P_k^m)), q_k = P_k/Q_k, made on ints
-    and reduced once, and the log exponentiated by PuiseuxSeries.exp."""
+    log = -power sum_m w^m / (m prod_k (1 - q_k^m)): each log coefficient
+    -power prod_k Q_k^m / (m prod_k (Q_k^m - P_k^m)), q_k = P_k/Q_k, made
+    on ints and reduced once, and the log exponentiated by
+    PuiseuxSeries.exp."""
     qs = [_tpow(t, b) for b in bases]
     log_coeffs = {}
     for m in range(1, mmax + 1):
-        n, d = -1, m
+        n, d = -power, m
         for q in qs:
             Pm, Qm = q.numerator ** m, q.denominator ** m
             if Pm == Qm:
@@ -111,26 +120,24 @@ def pochhammer_series(spec: PochhammerSpec, t: Frac, E, route: str = "shift") ->
 
     route: "shift" peels bases by the one-step shift rule; "exp" uses the
     exponential formula.  Bases with negative exponent are rewritten by the
-    inversion rule before either route runs.
+    inversion rule, and each route builds the reciprocal it may leave in
+    its own recursion.
     """
     E = _frac(E)
+    coeff = SymExpr.coerce(spec.coeff)
     neg = [b for b in spec.bases if b < 0]
     if neg:
         # (w; q^{-1}, ..) = (w q; q, ..)^{-1}, applied per negative base: the
         # argument gains every q, and the inverses cancel in pairs
-        coeff = SymExpr.coerce(spec.coeff) * _tpow(t, -sum(neg))
-        inner = pochhammer_series(
-            PochhammerSpec(coeff, spec.zpow, tuple(map(abs, spec.bases))), t, E, route)
-        return (inner.inverse() if len(neg) % 2 else inner).truncate(E)
-
+        coeff = coeff * _tpow(t, -sum(neg))
+    bases, power = tuple(map(abs, spec.bases)), (-1) ** len(neg)
     mmax = int(E / spec.zpow)
     if route == "shift":
-        base_coeffs = _poch_base_coeffs(spec.bases, t, mmax)
+        base_coeffs = _poch_base_coeffs(bases, t, mmax, power)
     elif route == "exp":
-        base_coeffs = _poch_exp_coeffs(spec.bases, t, mmax)
+        base_coeffs = _poch_exp_coeffs(bases, t, mmax, power)
     else:
         raise ValueError(f"unknown route {route!r}")
-    coeff = SymExpr.coerce(spec.coeff)
     out = {}
     cpow = SymExpr.one()
     for m in range(mmax + 1):
@@ -146,26 +153,6 @@ def pochhammer_series(spec: PochhammerSpec, t: Frac, E, route: str = "shift") ->
 # ---------------------------------------------------------------------------
 
 
-def _tree_product(factors, trunc) -> PuiseuxSeries:
-    """The product of an iterable of series, multiplied pairwise in a
-    balanced tree; PuiseuxSeries.one(trunc) for none.  A stack keeps the
-    partial products, the top two merged while they hold equally many
-    factors, so only about log2 of them are alive at once."""
-    stack = []  # [(number of factors, their product)]
-    for f in factors:
-        n = 1
-        while stack and stack[-1][0] == n:
-            m, g = stack.pop()
-            f, n = g * f, n + m
-        stack.append((n, f))
-    if not stack:
-        return PuiseuxSeries.one(trunc)
-    out = stack.pop()[1]
-    while stack:
-        out = stack.pop()[1] * out
-    return out
-
-
 def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
                    route: str = "product") -> PuiseuxSeries:
     """theta(w; p) with w = arg_coeff z^{arg_zpow}, p = base_coeff z^{base_zpow}.
@@ -179,34 +166,30 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
         raise UnsupportedRegion("theta base needs a positive z-weight")
     cw = SymExpr.coerce(arg_coeff)
     cp = SymExpr.coerce(base_coeff)
+    # exponents X/D on the lattice of a = A/D and r = R/D, cut at top/D
+    D = lcm(a.denominator, r.denominator)
+    A, R = a.numerator * (D // a.denominator), r.numerator * (D // r.denominator)
+    top = E.numerator * D // E.denominator
     if route == "product":
-        # finite product of exact binomial factors; negative exponents
-        # allowed, so collect factors through E minus the total negative
-        # valuation (those still reach exponents <= E in the product)
-        neg_val = sum(min(e, 0) for e in [a + k * r for k in range(int(max(0, -a) / r) + 1)]
-                      + [(k + 1) * r - a for k in range(int(max(0, a) / r) + 1)])
-        bound = E - neg_val
-        # binomials 1 - c z^e: c = cw cp^k at e = a + k r and cp^(k+1)/cw
-        # at e = (k+1) r - a, from running powers of cp; a constant factor
-        # (e = 0) is folded into one scalar
-        starts = [(a, cw)]
-        if r - a <= bound:
-            starts.append((r - a, cp * cw.inverse()))
+        # the binomials 1 - c z^{X/D}: c = cw cp^k at X = A + k R and
+        # cp^(k+1)/cw at X = (k+1) R - A, from running powers of cp.  With
+        # negative X allowed, a factor still reaches z^E in the product
+        # while X is at most top minus the sum N of the negative X; a
+        # constant factor (X = 0) with c = 1 is zero
+        N = sum(range(A, 0, R)) + sum(range(R - A, 0, R))
+        starts = [(A, cw)]
+        if R - A <= top - N:
+            starts.append((R - A, cp * cw.inverse()))
         factors = []
-        scalar = SymExpr.one()
-        for e, c in starts:
-            while e <= bound:
-                if e == 0:
-                    scalar = scalar * (SymExpr.one() - c)
-                    if not scalar:
-                        # w in p^Z: theta vanishes, no product is formed
-                        return PuiseuxSeries.zero(E)
-                else:
-                    factors.append((e, c))
-                e += r
+        for X, c in starts:
+            while X <= top - N:
+                if not X and c == SymExpr.one():
+                    # w in p^Z: theta vanishes, no product is formed
+                    return PuiseuxSeries.zero(E)
+                factors.append((X, c))
+                X += R
                 c = c * cp
-        binomials = (PuiseuxSeries({Frac(0): SymExpr.one(), e: -c}, bound) for e, c in factors)
-        return _tree_product(binomials, bound).scale(scalar).truncate(E)
+        return binomial_product(factors, D, E)
     if route == "jacobi":
         # (p;p)_inf^{-1} sum_k (-1)^k p^{k(k-1)/2} w^k at exponents X/D,
         # X = k A + k(k-1)/2 R for a = A/D, r = R/D.  X grows past the
@@ -215,9 +198,6 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
         # direction steps k by one with running powers: w^k gains w^{+-1},
         # and p^{k(k-1)/2} gains p^k upward and p^{1-k} downward; w^{-1} is
         # formed at the first kept term with k < 0
-        D = lcm(a.denominator, r.denominator)
-        A, R = a.numerator * (D // a.denominator), r.numerator * (D // r.denominator)
-        top = E.numerator * D // E.denominator
         low = 0
         terms = {}
         for direction in (1, -1):
@@ -241,11 +221,12 @@ def theta_z_series(arg_coeff, arg_zpow, base_coeff, base_zpow, E,
                     wk = wk * w_step
                 pk = pk * p_step
                 p_step = p_step * cp
-        bound = E - Frac(low, D)
-        if not any(terms.values()) and bound >= 0:
-            # w in p^Z: the terms cancel in pairs k, 1 - 2m - k (w = p^m),
-            # and (p;p)_inf, 1 at z^0, divides zero to zero
+        if not any(terms.values()):
+            # w in p^Z: the terms cancel in pairs k, 1 - 2m - k (w = p^m);
+            # or no term lies at or below E.  (p;p)_inf, 1 at z^0, divides
+            # zero to zero
             return PuiseuxSeries.zero(E)
+        bound = E - Frac(low, D)
         # (p;p)_inf through the bound by Euler's pentagonal theorem,
         # sum_k (-1)^k p^{k(3k-1)/2}: the terms k = j and k = -j sit at
         # X = j(3j-1)/2 R and that plus j R.  Running powers: p^{j(3j-1)/2}

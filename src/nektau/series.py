@@ -12,10 +12,11 @@ trusted constructor that the kernels here use, and no other module reads
 or writes xterms or L.  Every operation works on the ints, and cuts a
 lattice at a bound b by floor(b L).
 
-The convolution, the recurrence and the theta pass make one object per
-output coefficient and none per intermediate term: each sums
-Gaussian-integer numerators over one lcm denominator and reduces each
-output coefficient once (`from_ints`).  One
+The convolution, the recurrence, the theta pass and the product of
+binomials (`binomial_product`, one shift and subtract of a dense row per
+binomial) make one object per output coefficient and none per intermediate
+term: each sums Gaussian-integer numerators over one lcm denominator and
+reduces each output coefficient once (`from_ints`).  One
 integer convolution (`_convolve`) multiplies Puiseux series and the
 {sector: PuiseuxSeries} maps of Fourier series (`sector_product`): each
 sector is split by monomial into numerators over one denominator per
@@ -35,12 +36,13 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
 
 from .rationals import GaussianRational
-from .symbols import _ONE, NonInvertible, SymExpr, _expr, _frac, mono_mul, rational_power
+from .symbols import (MONO_ONE, _ONE, NonInvertible, SymExpr, _expr, _frac, mono_mul,
+                      rational_power)
 
 Frac = Fraction
 ZERO = Frac(0)
@@ -359,6 +361,56 @@ def _convolve(pairs, top):
             if re or im:
                 by_X.setdefault(X, {})[mono] = from_ints(re, im, den)
     return {X: _expr(terms) for X, terms in by_X.items()}
+
+
+def binomial_product(factors, L, trunc):
+    """The product of the binomials 1 - c z^(X/L) over the factors (X, c),
+    X an int of either sign and c a SymExpr, through trunc, on (1/L)Z.
+
+    The product is kept as dense rows of Gaussian integers, one row
+    (den, re, im) per monomial over one denominator, at X from the sum of
+    the negative X through max(floor(trunc L), 0).  The factors are taken
+    in increasing X, so a term above that top never comes back down.  A
+    factor adds to the rows each row shifted by X times -c, one shift and
+    subtract per monomial pair (for c on the unit monomial, one per row).
+    A row is then divided by the gcd of its denominator and its entries:
+    it stays over the least common denominator of its entries, which the
+    product of the factors' denominators far exceeds once terms are cut
+    above the top.  Each output coefficient is reduced once (`from_ints`)."""
+    top = _top(trunc, L)
+    low = sum(X for X, _ in factors if X < 0)
+    n = max(top, 0) - low + 1
+    zeros = [0] * n
+    rows = {MONO_ONE: (1, zeros[:-low] + [1] + zeros[1 - low:], zeros)}
+    for X, c in sorted(factors, key=itemgetter(0)):
+        pad = zeros[:abs(X)]
+        if X > 0:
+            shifted = [(m, d, (pad + re)[:n], (pad + im)[:n]) for m, (d, re, im) in rows.items()]
+        else:
+            shifted = [(m, d, (re + pad)[-X:], (im + pad)[-X:]) for m, (d, re, im) in rows.items()]
+        out = dict(rows)
+        for mc, v in c.terms.items():
+            for m, d, sre, sim in shifted:
+                mono, cof = mono_mul(mc, m)
+                d2 = d * v.d * cof.denominator
+                D, tre, tim = out.get(mono, (d2, zeros, zeros))
+                den = lcm(D, d2)
+                u, w = den // D, den // d2
+                p, q = -w * v.a * cof.numerator, -w * v.b * cof.numerator
+                out[mono] = (den, [u * x + p * y - q * z for x, y, z in zip(tre, sre, sim)],
+                             [u * x + p * z + q * y for x, y, z in zip(tim, sre, sim)])
+        for m, (d, re, im) in out.items():
+            g = gcd(d, *re, *im) if d > 1 else 1
+            if g > 1:
+                out[m] = (d // g, [x // g for x in re], [y // g for y in im])
+        rows = out
+    xterms = {}
+    for i in range(top - low + 1):
+        terms = {m: from_ints(re[i], im[i], d) for m, (d, re, im) in rows.items()
+                 if re[i] or im[i]}
+        if terms:
+            xterms[low + i] = _expr(terms)
+    return on_lattice(L, xterms, trunc)
 
 
 def sector_inverse(hs, k0, e0, c0, trunc):

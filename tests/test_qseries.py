@@ -4,12 +4,12 @@ and theta-shift identities, each on >= 100 randomized specs."""
 
 import random
 from fractions import Fraction as F
-from functools import partial
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nektau import qseries
+from nektau import qseries, series
 from nektau.fourier import ps_equal_to_order
 from nektau.qseries import (
     PochhammerSpec,
@@ -21,8 +21,8 @@ from nektau.qseries import (
 )
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
-from nektau.series import PuiseuxSeries
-from nektau.symbols import SymExpr, rational_power
+from nektau.series import PuiseuxSeries, binomial_product
+from nektau.symbols import SymExpr, gamma_value, rational_power
 
 E = F(3)
 
@@ -83,6 +83,20 @@ def test_leading_terms():
     assert s.coeff(F(1)).rational_value() == G(-2)
 
 
+def ref_inversion_per_base(spec, t, order, route):
+    """Test-only copy of the old negative-base route: the symbol on the
+    absolute bases, its argument times every q, inverted once per negative
+    base by PuiseuxSeries.inverse."""
+    shift = -sum(b for b in spec.bases if b < 0)
+    inner = pochhammer_series(
+        PochhammerSpec(SymExpr.coerce(spec.coeff) * tpow(t, shift), spec.zpow,
+                       tuple(abs(b) for b in spec.bases)), t, order, route)
+    for b in spec.bases:
+        if b < 0:
+            inner = inner.inverse()
+    return inner.truncate(order)
+
+
 @pytest.mark.parametrize("bases", [(-1, -2), (-1, -1, 2), (-2, -1, -3)])
 @pytest.mark.parametrize("route", ["shift", "exp"])
 def test_negative_bases_match_inversion_per_base(bases, route):
@@ -90,15 +104,43 @@ def test_negative_bases_match_inversion_per_base(bases, route):
     # did before the pairs of inverses were cancelled
     spec = PochhammerSpec(G(1, -2), F(1, 2), bases)
     t = F(2, 5)
-    shift = -sum(b for b in bases if b < 0)
-    inner = pochhammer_series(
-        PochhammerSpec(SymExpr.coerce(spec.coeff) * tpow(t, shift), spec.zpow,
-                       tuple(abs(b) for b in bases)), t, E, route)
-    want = inner
-    for b in bases:
-        if b < 0:
-            want = want.inverse()
-    assert pochhammer_series(spec, t, E, route) == want.truncate(E)
+    assert pochhammer_series(spec, t, E, route) == ref_inversion_per_base(spec, t, E, route)
+
+
+def radical_three_base_specs(n, seed):
+    """(spec, t) with radical coefficients and three bases of either sign."""
+    rng = random.Random(seed)
+    coeffs = [rational_power(F(2), F(1, 2)), -rational_power(F(2), F(1, 2)),
+              rational_power(F(3), F(1, 2)) * G(1, 1), rational_power(F(5), F(3, 2))]
+    return [(PochhammerSpec(rng.choice(coeffs), rng.choice(THETA_R),
+                            tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))),
+             rng.choice([F(1, 2), F(1, 3), F(2, 5), F(3, 7)])) for _ in range(n)]
+
+
+@pytest.mark.parametrize("order", [F(2), F(4)])
+def test_negative_bases_match_inversion_per_base_on_criterion_9_specs(order):
+    # each route builds the reciprocal in its own recursion; the old route
+    # inverted the symbol on the absolute bases once per negative base
+    specs = criterion_9_specs(200, 9) + radical_three_base_specs(24, 35)
+    odd = [spec for spec, _ in specs if sum(b < 0 for b in spec.bases) % 2]
+    assert len(odd) > 50 and any(len(spec.bases) == 3 for spec in odd)
+    for spec, t in specs:
+        for route in ("shift", "exp"):
+            new = pochhammer_series(spec, t, order, route)
+            ref = ref_inversion_per_base(spec, t, order, route)
+            assert (new.dump(), new.trunc) == (ref.dump(), ref.trunc), (spec, t, route)
+
+
+def test_pochhammer_routes_invert_no_series(monkeypatch):
+    specs = criterion_9_specs(200, 9) + radical_three_base_specs(24, 35)
+
+    def inverse(self):
+        raise AssertionError("a series was inverted")
+
+    monkeypatch.setattr(PuiseuxSeries, "inverse", inverse)
+    for spec, t in specs:
+        for route in ("shift", "exp"):
+            pochhammer_series(spec, t, F(4), route)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +351,17 @@ def ref_theta_jacobi(arg_coeff, arg_zpow, base_coeff, base_zpow, E):
 
 
 @pytest.fixture
-def no_tree(monkeypatch):
-    """qseries._tree_product raises: a route that returns built no
-    balanced tree of binomials."""
-    def tree(factors, trunc):
-        raise AssertionError("the binomial tree was built")
+def no_binomials(monkeypatch):
+    """qseries.binomial_product raises: a route that returns multiplied no
+    binomials."""
+    def product(factors, L, trunc):
+        raise AssertionError("the binomials were multiplied")
 
-    monkeypatch.setattr(qseries, "_tree_product", tree)
+    monkeypatch.setattr(qseries, "binomial_product", product)
 
 
 @pytest.mark.parametrize("order", [F(2), F(4)])
-def test_theta_jacobi_route_is_the_power_loop(order, no_tree):
+def test_theta_jacobi_route_is_the_power_loop(order, no_binomials):
     for cw, a, cp, r in THETA_GRID + THETA_CONSTANT:
         new = theta_z_series(cw, a, cp, r, order, route="jacobi")
         ref = ref_theta_jacobi(cw, a, cp, r, order)
@@ -432,27 +474,110 @@ JACOBI_GRID = [(cw, a, cp, r)
 @pytest.mark.parametrize("order", [F(4), F(-3, 2)])
 def test_jacobi_lattice_loop_is_the_fraction_loop(order):
     # at a negative order the term at k = 0 is above the bound: a loop that
-    # stopped there, before the vertex, would lose the kept terms past it
+    # stopped there, before the vertex, would lose the kept terms past it.
+    # Where no term lies at or below the order, the Fraction loop inverts
+    # (p;p)_inf known through no z^0 and raises; theta is zero through the
+    # order, and the route returns the product route's zero series
     assert len(JACOBI_GRID) == 1600
     assert set(THETA_GRID) <= set(JACOBI_GRID)
-    def outcome(route, point):
-        try:
-            p = route(*point, order)
-        except ZeroDivisionError as exc:  # (p;p)_inf known through no z^0
-            return type(exc)
-        return p.dump(), p.trunc
-
+    raised = 0
     for point in JACOBI_GRID:
-        assert outcome(partial(theta_z_series, route="jacobi"), point) == \
-            outcome(ref_jacobi_fraction_loop, point), point
+        new = theta_z_series(*point, order, route="jacobi")
+        try:
+            ref = ref_jacobi_fraction_loop(*point, order)
+        except ZeroDivisionError:
+            raised += 1
+            ref = theta_z_series(*point, order, route="product")
+            assert ref.is_zero(), point
+        assert (new.dump(), new.trunc) == (ref.dump(), ref.trunc), point
+    assert raised == (925 if order < 0 else 0)
 
 
-def ref_poch_base_coeffs(bases, t, mmax):
-    """Test-only copy of qseries._poch_base_coeffs in Fractions."""
+# coefficients on more than the unit monomial: a two-term cw (never
+# inverted here), a two-term cp, radicals, Gaussian units and Gamma values
+SQRT2 = rational_power(F(2), F(1, 2))
+THETA_MONOMIALS = [(SymExpr.one() + SQRT2, F(-1), F(2), F(9, 2)),
+                   (F(2), F(1, 2), SymExpr.one() + SQRT2, F(1)),
+                   (SQRT2, F(-3, 2), G(1, 1), F(1, 2)),
+                   (gamma_value(F(1, 3)), F(1, 4), rational_power(F(3), F(1, 2)) * G(0, 1), F(3, 2)),
+                   (G(0, 1), F(-5, 2), SQRT2 - gamma_value(F(1, 4)), F(1))]
+
+
+@pytest.mark.parametrize("order", [F(4), F(-3, 2)])
+def test_theta_product_route_is_the_sequential_loop_on_the_grid(order):
+    for point in JACOBI_GRID + THETA_CONSTANT + THETA_MONOMIALS:
+        new = theta_z_series(*point, order, route="product")
+        ref = ref_theta_product(*point, order)
+        assert (new.dump(), new.trunc) == (ref.dump(), ref.trunc), point
+
+
+def test_theta_product_route_forms_no_series_product(monkeypatch):
+    points = [p for p in THETA_GRID + THETA_CONSTANT + THETA_MONOMIALS
+              if not on_theta_zero_set(*p)]
+
+    def formed(*args):
+        raise AssertionError("a series was built, multiplied or inverted")
+
+    for name in ("__mul__", "inverse", "__init__"):
+        monkeypatch.setattr(PuiseuxSeries, name, formed)
+    for order in (F(4), F(-3, 2)):
+        for point in points:
+            theta_z_series(*point, order, route="product")
+
+
+kernel_coeffs = st.sampled_from(
+    [SymExpr.one(), -SymExpr.one(), SymExpr.coerce(G(1, 1)), SymExpr.coerce(F(-2, 3)), SQRT2,
+     rational_power(F(3), F(1, 2)) * G(0, 1), gamma_value(F(1, 3)) * F(3, 4),
+     SymExpr.one() + SQRT2, gamma_value(F(1, 4)) - rational_power(F(5), F(1, 3))])
+
+
+@given(st.lists(st.tuples(st.integers(-6, 8), kernel_coeffs), max_size=8),
+       st.sampled_from([1, 2, 3]), st.sampled_from([F(-3, 2), F(0), F(1), F(5, 2), F(4)]))
+@settings(max_examples=200)
+def test_binomial_product_is_the_sequential_loop(factors, L, trunc):
+    # the binomials 1 - c z^(X/L) multiplied one after another, through a
+    # bound that every term reaching trunc stays within; a constant one by
+    # scaling
+    neg = sum(F(X, L) for X, _ in factors if X < 0)
+    bound = max([trunc - neg] + [F(X, L) for X, _ in factors])
+    ref = PuiseuxSeries.one(bound)
+    for X, c in factors:
+        if X:
+            ref = ref * PuiseuxSeries({F(0): SymExpr.one(), F(X, L): -c}, bound)
+        else:
+            ref = ref.scale(SymExpr.one() - c)
+    ref = ref.truncate(trunc)
+    new = binomial_product(factors, L, trunc)
+    assert (new.coeffs, new.trunc) == (ref.coeffs, ref.trunc)
+
+
+def test_binomial_rows_stay_over_their_least_denominator(monkeypatch):
+    # with cp = -1/3 at a = -6, r = 1/2 the factors' denominators multiply
+    # to 3^7626 through z^4, while the coefficients kept need far less: the
+    # one row is reduced after each factor, so its denominator is the lcm of
+    # the coefficients' own
+    dens = []
+    from_ints = series.from_ints
+
+    def spy(a, b, d):
+        dens.append(d)
+        return from_ints(a, b, d)
+
+    monkeypatch.setattr(series, "from_ints", spy)
+    p = theta_z_series(F(1), F(-6), F(-1, 3), F(1, 2), F(4), route="product")
+    need = lcm(*(v.d for c in p.coeffs.values() for v in c.terms.values()))
+    assert set(dens) == {need} and need.bit_length() < 500
+
+
+def ref_poch_base_coeffs(bases, t, mmax, power=1):
+    """Test-only copy of qseries._poch_base_coeffs in Fractions: the
+    coefficients of (w; bases)_inf^power, power 1 or -1."""
     if not bases:
+        if power == -1:
+            return (F(1),) * (mmax + 1)
         return (F(1), F(-1)) + (F(0),) * max(0, mmax - 1)
     b1, rest = bases[0], bases[1:]
-    h = ref_poch_base_coeffs(rest, t, mmax)
+    h = ref_poch_base_coeffs(rest, t, mmax, power)
     q1 = t ** int(b1)
     g = [F(1)]
     for m in range(1, mmax + 1):
@@ -464,9 +589,10 @@ def ref_poch_base_coeffs(bases, t, mmax):
     return tuple(g)
 
 
-def ref_poch_exp_coeffs(bases, t, mmax):
+def ref_poch_exp_coeffs(bases, t, mmax, power=1):
     """Test-only copy of qseries._poch_exp_coeffs in Fractions: the log
-    coefficients, exponentiated by PuiseuxSeries.exp."""
+    coefficients of (w; bases)_inf^power, exponentiated by
+    PuiseuxSeries.exp."""
     if mmax < 1:
         return (F(1),)
     log_coeffs = {}
@@ -477,7 +603,7 @@ def ref_poch_exp_coeffs(bases, t, mmax):
             if qm == 1:
                 raise UnsupportedRegion("base is a root of unity")
             denom *= 1 - qm
-        log_coeffs[F(m)] = F(-1) / denom
+        log_coeffs[F(m)] = F(-power) / denom
     ps = PuiseuxSeries(log_coeffs, F(mmax)).exp()
     return tuple(c.rational_value() if (c := ps.coeff(m)) else F(0) for m in range(mmax + 1))
 
@@ -498,10 +624,12 @@ def test_pochhammer_recursions_on_ints_are_the_fraction_recursions(order, monkey
     assert any(b < 0 for spec, _ in specs for b in spec.bases)
     for spec, t in specs:
         mmax = int(order / spec.zpow)
-        assert qseries._poch_exp_coeffs(spec.bases, t, mmax) == ref_poch_exp_coeffs(
-            spec.bases, t, mmax)
         pos = tuple(abs(b) for b in spec.bases)
-        assert qseries._poch_base_coeffs(pos, t, mmax) == ref_poch_base_coeffs(pos, t, mmax)
+        for power in (1, -1):
+            assert qseries._poch_exp_coeffs(spec.bases, t, mmax, power) == \
+                ref_poch_exp_coeffs(spec.bases, t, mmax, power)
+            assert qseries._poch_base_coeffs(pos, t, mmax, power) == \
+                ref_poch_base_coeffs(pos, t, mmax, power)
     new = [pochhammer_series(spec, t, order, route) for spec, t in specs
            for route in ("shift", "exp")]
     monkeypatch.setattr(qseries, "_poch_base_coeffs", ref_poch_base_coeffs)
@@ -523,16 +651,17 @@ def _theta_zero_points(factor):
 THETA_GRID_ZEROS = [(F(1), F(-6), F(-1), F(1, 2)), (F(1), F(4), F(-1), F(1, 2))]
 
 
+def on_theta_zero_set(cw, a, cp, r):
+    """w = cw z^a lies in p^Z exactly when a = m r and cw = cp^m, m in Z."""
+    return (a / r).denominator == 1 and SymExpr.coerce(cw) == SymExpr.coerce(cp) ** int(a / r)
+
+
 def test_the_benchmark_grid_holds_two_zeros_of_theta():
-    # w = cw z^a lies in p^Z exactly when a = m r and cw = cp^m, m in Z
-    zeros = [(cw, a, cp, r) for cw, a, cp, r in THETA_GRID
-             if (a / r).denominator == 1
-             and SymExpr.coerce(cw) == SymExpr.coerce(cp) ** int(a / r)]
-    assert zeros == THETA_GRID_ZEROS
+    assert [point for point in THETA_GRID if on_theta_zero_set(*point)] == THETA_GRID_ZEROS
 
 
 @pytest.mark.parametrize("route", ["product", "jacobi"])
-def test_theta_vanishes_on_p_to_the_z_without_a_product(route, no_tree, monkeypatch):
+def test_theta_vanishes_on_p_to_the_z_without_a_product(route, no_binomials, monkeypatch):
     points = _theta_zero_points(1) + THETA_GRID_ZEROS
     ref = ref_theta_product if route == "product" else ref_theta_jacobi
     refs = [ref(*point, E) for point in points]
@@ -551,7 +680,7 @@ def test_theta_vanishes_on_p_to_the_z_without_a_product(route, no_tree, monkeypa
 @pytest.mark.parametrize("route", ["product", "jacobi"])
 def test_theta_off_its_zero_set_is_the_old_route(route, request):
     if route == "jacobi":
-        request.getfixturevalue("no_tree")
+        request.getfixturevalue("no_binomials")
     for cw, a, cp, r in _theta_zero_points(2):
         new = theta_z_series(cw, a, cp, r, E, route=route)
         ref = (ref_theta_product if route == "product" else ref_theta_jacobi)(cw, a, cp, r, E)

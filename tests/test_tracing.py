@@ -55,14 +55,14 @@ def test_traced_run_records_hirota_and_mode_spans(tmp_path):
 
 
 def test_traced_run_records_inverse_and_exp_spans(tmp_path):
-    # zetac divides by the tau series (fourier.inverse); a Pochhammer symbol
-    # with one negative base inverts once (series.inverse), and its exp
-    # route runs series.exp
+    # zetac divides by the tau series (fourier.inverse); the Jacobi route of
+    # theta divides by (p;p)_inf (series.inverse), and the exp route of a
+    # Pochhammer symbol runs series.exp
     names, metrics = traced(tmp_path, "\n".join([
         'assert identities.verify("zetac", E=1).ok',
+        'qseries.theta_z_series(2, Fraction(1, 2), 3, 1, 3, route="jacobi")',
         "spec = qseries.PochhammerSpec(2, 1, (1, -2))",
-        'for route in ("shift", "exp"):',
-        "    qseries.pochhammer_series(spec, Fraction(1, 3), 3, route)",
+        'qseries.pochhammer_series(spec, Fraction(1, 3), 3, "exp")',
     ]))
     assert {"fourier.inverse", "series.inverse", "series.exp"} <= names
     assert metrics["series.inverse.calls"] > 0
