@@ -3,11 +3,12 @@
 The sector index is the formal s-power of a tau function; products and
 inverses run on the sector kernels of series.py (`sector_product`,
 `sector_inverse`), which alone read the integer lattices of sectors and
-exponents, so the Hirota derivative of series.py, re-exported here, is
-sector-bilinear on FourierSeries.  Sector keys are Fractions.  `==`
-compares bounds and sectors; equality testing through an order produces a
-structural report (which sector, which exponent, what residual) rather
-than a bare boolean.
+exponents and find the bounds of their results (a Puiseux product is the
+one-sector case of the same `sector_product`), so the Hirota derivative of
+series.py, re-exported here, is sector-bilinear on FourierSeries.  Sector
+keys are Fractions.  `==` compares bounds and sectors; equality testing
+through an order produces a structural report (which sector, which
+exponent, what residual) rather than a bare boolean.
 """
 
 from __future__ import annotations
@@ -72,14 +73,12 @@ class FourierSeries:
         return FourierSeries({k: ps.shift(de) for k, ps in self.sectors.items()}, self.trunc + _frac(de))
 
     def __mul__(self, other):
-        """The product, known through min over cross valuations; sector s
-        through the least bound of its sector pairs (`sector_product`)."""
+        """The product: `sector_product`, which finds its bound and each
+        sector's."""
         if isinstance(other, (int, Frac, SymExpr)):
             return self.scale(other)
-        v_self = min((ps.min_exp() for ps in self.sectors.values()), default=self.trunc)
-        v_other = min((ps.min_exp() for ps in other.sectors.values()), default=other.trunc)
-        trunc = min(self.trunc + v_other, other.trunc + v_self)
-        return FourierSeries(sector_product(self.sectors, other.sectors, trunc), trunc)
+        trunc, sectors = sector_product(self, other)
+        return FourierSeries(sectors, trunc)
 
     __rmul__ = __mul__
 

@@ -16,14 +16,14 @@ The convolution, the recurrence, the theta pass and the product of
 binomials (`binomial_product`, one shift and subtract of a dense row per
 binomial) make one object per output coefficient and none per intermediate
 term: each sums Gaussian-integer numerators over one lcm denominator and
-reduces each output coefficient once (`from_ints`).  One
-integer convolution (`_convolve`) multiplies Puiseux series and the
-{sector: PuiseuxSeries} maps of Fourier series (`sector_product`): each
-sector is split by monomial into numerators over one denominator per
-monomial, at integer exponents on (1/L)Z, so a product costs one mono_mul
-per pair of monomials.  Inverses (`sector_inverse`, sector 0 for a Puiseux
-series) and exp solve one recurrence (`solve_recurrence`) on the same
-integer terms.
+reduces each output coefficient once (`from_ints`).  One kernel
+(`sector_product`) multiplies both Puiseux series, as the single sector 0,
+and Fourier series: it finds the product's bounds on ints, then splits each
+sector by monomial into numerators over one denominator per monomial, at
+integer exponents on (1/L)Z, and convolves them (`_convolve`), so a product
+costs one mono_mul per pair of monomials.  Inverses (`sector_inverse`,
+sector 0 for a Puiseux series) and exp solve one recurrence
+(`solve_recurrence`) on the same integer terms.
 Every theta-weighted bilinear form of a pair (f, g) (`theta_products`,
 `weighted_theta_expand`, `hirota`) is a theta-combination of the basis
 products B_j = theta^j f * g, since x^a y^b = x^a ((x + y) - x)^b, made in
@@ -157,19 +157,12 @@ class PuiseuxSeries:
                           self.trunc + de)
 
     def __mul__(self, other):
-        """The product through min(trunc + v(other), other.trunc + v), v the
-        valuation (the bound, if zero), found on ints over T: the one-sector
-        case of `sector_product`, on its convolution."""
-        if other.__class__ is not PuiseuxSeries and isinstance(other, (int, Frac, SymExpr)):
-            return self.scale(other)
-        L = lcm(self.L, other.L)
-        T = lcm(L, self.trunc.denominator, other.trunc.denominator)
-        t1, t2 = _top(self.trunc, T), _top(other.trunc, T)
-        v1 = min(self.xterms) * (T // self.L) if self.xterms else t1
-        v2 = min(other.xterms) * (T // other.L) if other.xterms else t2
-        B = min(t1 + v2, t2 + v1)
-        return on_lattice(L, _convolve([(_split(self, L), _split(other, L))], B // (T // L)),
-                          Frac(B, T))
+        """The product: sector 0 of `sector_product`, which finds its bound."""
+        if other.__class__ is not PuiseuxSeries:
+            if isinstance(other, (int, Frac, SymExpr)):
+                return self.scale(other)
+            return NotImplemented
+        return sector_product(self, other)[1][ZERO]
 
     __rmul__ = __mul__
 
@@ -295,31 +288,30 @@ def _with_bound(p, b):
     return on_lattice(p.L, {X: c for X, c in p.xterms.items() if X <= top}, b)
 
 
-def sector_product(fs, gs, trunc=None):
-    """The product of two {sector: PuiseuxSeries} maps, as one such map.
+def sector_product(f, g):
+    """(bound, sectors) of f * g, f and g each a PuiseuxSeries (the single
+    sector 0) or a FourierSeries.
 
     Sector s of the product is the sum of p * q over the sector pairs
-    (k1: p, k2: q) with k1 + k2 = s, known through the least bound
-    min(p.trunc + v(q), q.trunc + v(p)) of those pairs, capped at trunc if
-    given.  The bounds are found on ints (`_pair_bounds`) and made
+    (k1: p, k2: q) with k1 + k2 = s.  The bounds are those of
+    `_product_bounds` at a = b = 0, found on ints (`_int_bounds`) and made
     Fractions once per output sector.  Each sector is split once by
     monomial (`_split`) on (1/L)Z, L the lcm of the lattices of both
     operands, and the pairs of each output sector are convolved together
     (`_convolve`).
     """
+    fs, gs = _sectors(f), _sectors(g)
+    T, M, top, bounds = _int_bounds(f, g)
     L = lcm(*(p.L for hs in (fs, gs) for p in hs.values()))
-    T, M = _lattices(fs, gs, () if trunc is None else (trunc,))
-    fv, gv = _valuations(fs, T, M), _valuations(gs, T, M)
-    bounds = _pair_bounds(fv, gv, None if trunc is None else _top(trunc, T))
-    g_split = [(K, _split(q, L)) for (K, _, _), q in zip(gv, gs.values())]
+    g_split = [(_top(k, M), _split(q, L)) for k, q in gs.items()]
     pairs = {S: [] for S in bounds}
-    for (K1, _, _), p in zip(fv, fs.values()):
-        split1 = _split(p, L)
+    for k, p in fs.items():
+        K1, split1 = _top(k, M), _split(p, L)
         for K2, split2 in g_split:
             pairs[K1 + K2].append((split1, split2))
     step = T // L
-    return {Frac(S, M): on_lattice(L, _convolve(pairs[S], B // step), Frac(B, T))
-            for S, B in bounds.items()}
+    return Frac(top, T), {Frac(S, M): on_lattice(L, _convolve(pairs[S], B // step), Frac(B, T))
+                          for S, B in bounds.items()}
 
 
 def _convolve(pairs, top):
@@ -442,46 +434,6 @@ def sector_inverse(hs, k0, e0, c0, trunc):
             out.setdefault(K - K0, {})[n - X0] = c
     bound = rel_trunc - e0
     return bound, {Frac(K, M): on_lattice(L, xterms, bound) for K, xterms in out.items()}
-
-
-def _lattices(fs, gs, truncs):
-    """(T, M) for two {sector: PuiseuxSeries} maps: T the lcm of their
-    lattices and of the denominators of their bounds and of truncs, M the
-    lcm of their sectors' denominators."""
-    ps = [*fs.values(), *gs.values()]
-    T = lcm(*(p.L for p in ps), *(p.trunc.denominator for p in ps),
-            *(t.denominator for t in truncs))
-    M = lcm(*(k.denominator for hs in (fs, gs) for k in hs))
-    return T, M
-
-
-def _valuations(hs, T, M, drop0=False):
-    """[(k M, p.trunc T, v T)] over the sectors k: p of hs, v the least
-    exponent of p (above 0 if drop0), or p.trunc if it has none: all ints,
-    on the lattices of `_lattices`."""
-    out = []
-    for k, p in hs.items():
-        t = _top(p.trunc, T)
-        xs = [X for X in p.xterms if X] if drop0 else p.xterms
-        out.append((k.numerator * (M // k.denominator), t,
-                    min(xs) * (T // p.L) if xs else t))
-    return out
-
-
-def _pair_bounds(fv, gv, cap):
-    """{S: bound} over the sector sums S = K1 + K2 of two `_valuations`
-    lists: the least min(t1 + v2, t2 + v1) of the pairs, and at most cap
-    unless cap is None."""
-    bounds = {}
-    for K1, t1, v1 in fv:
-        for K2, t2, v2 in gv:
-            S = K1 + K2
-            b = min(t1 + v2, t2 + v1)
-            if b < bounds.get(S, b + 1):
-                bounds[S] = b
-    if cap is not None:
-        bounds = {S: min(b, cap) for S, b in bounds.items()}
-    return bounds
 
 
 def _split(f, L):
@@ -727,10 +679,12 @@ def _has_z0(h):
 
 
 def _product_bounds(f, g, a, b):
-    """The bound of theta^a f * theta^b g and of each of its sectors, as
-    the product gives them: sector s is known through the least
-    min(p.trunc + v(q), q.trunc + v(p)) of its sector pairs, capped at
-    min(f.trunc + v(theta^b g), g.trunc + v(theta^a f)), v the valuation.
+    """The bound of theta^a f * theta^b g and of each of its sectors:
+    sector s is known through the least min(p.trunc + v(q), q.trunc + v(p))
+    of its sector pairs, capped at min(f.trunc + v(theta^b g), g.trunc +
+    v(theta^a f)), v the valuation (the bound, if zero).  At a = b = 0
+    these are the bounds of f * g, which `sector_product` gives it; both
+    find them on ints (`_int_bounds`).
 
     Theta keeps bounds and drops z^0 terms only, so the valuations, and
     these bounds, are the same for every a >= 1 (b >= 1) and least at a = 0
@@ -743,14 +697,42 @@ def _product_bounds(f, g, a, b):
     term, or b_min = 0 and, as sector s sums both pairs (k1, k2) and
     (k2, k1), the poly's bounds are those at a = b = 0, the bounds of B_0.
     """
+    T, M, top, bounds = _int_bounds(f, g, a, b)
+    return Frac(top, T), {Frac(S, M): Frac(B, T) for S, B in bounds.items()}
+
+
+def _int_bounds(f, g, a=0, b=0):
+    """(T, M, top, {S: B}): the bounds of `_product_bounds` as ints, top and
+    each B on (1/T)Z and each sector S on (1/M)Z; T is the lcm of the
+    lattices and bounds' denominators of f, g and their sectors, M that of
+    the sectors' denominators."""
     fs, gs = _sectors(f), _sectors(g)
-    T, M = _lattices(fs, gs, (f.trunc, g.trunc))
-    fv, gv = _valuations(fs, T, M, a > 0), _valuations(gs, T, M, b > 0)
+    ps = [*fs.values(), *gs.values()]
+    T = lcm(*(p.L for p in ps), *(p.trunc.denominator for p in ps),
+            f.trunc.denominator, g.trunc.denominator)
+    M = lcm(*(k.denominator for hs in (fs, gs) for k in hs))
+
+    def valuations(hs, drop0):
+        # [(k M, p.trunc T, v T)], v the least exponent of p (above 0 if
+        # drop0), or p.trunc if it has none
+        out = []
+        for k, p in hs.items():
+            t = _top(p.trunc, T)
+            xs = [X for X in p.xterms if X] if drop0 else p.xterms
+            out.append((_top(k, M), t, min(xs) * (T // p.L) if xs else t))
+        return out
+
+    fv, gv = valuations(fs, a > 0), valuations(gs, b > 0)
     ft, gt = _top(f.trunc, T), _top(g.trunc, T)
-    trunc = min(ft + min((v for _, _, v in gv), default=gt),
-                gt + min((v for _, _, v in fv), default=ft))
-    bounds = _pair_bounds(fv, gv, trunc)
-    return Frac(trunc, T), {Frac(S, M): Frac(B, T) for S, B in bounds.items()}
+    top = min(ft + min((v for _, _, v in gv), default=gt),
+              gt + min((v for _, _, v in fv), default=ft))
+    bounds = {}
+    for K1, t1, v1 in fv:
+        for K2, t2, v2 in gv:
+            B = min(t1 + v2, t2 + v1, top)
+            if B < bounds.get(K1 + K2, B + 1):
+                bounds[K1 + K2] = B
+    return T, M, top, bounds
 
 
 def weighted_theta_expand(f, g, w1, w2, k, *, memo=None):

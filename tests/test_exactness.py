@@ -2,8 +2,9 @@
 src/nektau, keeps no cache of its own outside a run's memo, builds
 parameter samples only in its q-Painleve pool, writes and builds taus
 only in tau.py, builds and reads symbol monomials only in symbols.py,
-reaches a series' integer exponent lattice only in series.py, and never
-changes a SymExpr's term map once it is built."""
+reaches a series' integer exponent lattice only in series.py, convolves
+series only in series.sector_product, and never changes a SymExpr's term
+map once it is built."""
 
 import ast
 from pathlib import Path
@@ -143,6 +144,36 @@ def test_package_reaches_series_lattices_only_in_series_py():
                   if isinstance(node, ast.ImportFrom)
                   for a in node.names if a.name in internals]
     assert found == []
+
+
+def _callers(tree, name):
+    """The qualified name of the function or class around each call to
+    name, in the order of the calls ("" at module level)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_products_convolve_and_find_their_bounds_in_sector_product_alone():
+    # a Puiseux product is the one-sector case of series.sector_product, the
+    # one caller of the convolution, and a Fourier product wraps its result:
+    # fourier.py reads valuations only to lead an inverse
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert [(module, scope) for module, tree in trees.items()
+            for scope in _callers(tree, "_convolve")] == [("series", "sector_product")]
+    assert _callers(trees["fourier"], "min_exp") == ["FourierSeries.leading"]
 
 
 #: dict methods that change a dict in place

@@ -404,6 +404,13 @@ def test_product_keeps_a_cancelled_sector(p, q, trunc):
     assert_product_is_the_sector_pair_loop(g, f)
 
 
+@given(symbolic_series(), symbolic_fourier())
+@settings(max_examples=30)
+def test_puiseux_times_fourier_is_the_fourier_product(p, f):
+    # either operand order goes through sector_product on every sector of f
+    assert p * f == f * p == f * FourierSeries.single(p)
+
+
 @pytest.mark.parametrize("name,fs", FS_CASES, ids=[c[0] for c in FS_CASES])
 def test_product_cases(name, fs):
     assert_product_is_the_sector_pair_loop(fs, fs)

@@ -15,8 +15,8 @@ from nektau.fourier import FourierSeries
 from nektau.identities import POOL_4D_EPS, POOL_SIGMA, Context
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
-from nektau.series import (PuiseuxSeries, _nonzero, _split, _top, hirota, on_lattice,
-                           sector_product, solve_recurrence, theta_products,
+from nektau.series import (PuiseuxSeries, _convolve, _nonzero, _split, _top, hirota,
+                           on_lattice, sector_product, solve_recurrence, theta_products,
                            weighted_theta_expand)
 from nektau.symbols import (NonInvertible, SymExpr, gamma_value, mono_mul, pi_power,
                             rational_power)
@@ -590,9 +590,23 @@ def test_product_cases(f, g):
     assert_product_is_the_pair_loop(f, g)
 
 
+def ref_one_sector_product(f, g):
+    """Test-only copy of the old one-sector PuiseuxSeries product: its bound
+    found on ints over T, then one `_convolve` of the two `_split`s."""
+    L = lcm(f.L, g.L)
+    T = lcm(L, f.trunc.denominator, g.trunc.denominator)
+    t1, t2 = _top(f.trunc, T), _top(g.trunc, T)
+    v1 = min(f.xterms) * (T // f.L) if f.xterms else t1
+    v2 = min(g.xterms) * (T // g.L) if g.xterms else t2
+    B = min(t1 + v2, t2 + v1)
+    return on_lattice(L, _convolve([(_split(f, L), _split(g, L))], B // (T // L)), F(B, T))
+
+
 def assert_product_is_sector_product(f, g):
-    new, ref = f * g, sector_product({F(0): f}, {F(0): g})[F(0)]
+    # the product is sector 0 of sector_product, with the same bound
+    new, ref = f * g, ref_one_sector_product(f, g)
     assert (new.xterms, new.L, new.trunc) == (ref.xterms, ref.L, ref.trunc)
+    assert sector_product(f, g) == (new.trunc, {F(0): new})
 
 
 @given(symbolic_series(), symbolic_series())

@@ -272,3 +272,46 @@ def test_q_fixture_toda_one_step():
     rhs = tau * tau - (tau * tau).shift(F(1, 2))
     diff = (lhs - rhs).truncate(E)
     assert all(not c for _, c in diff.items())
+
+
+# ---------------------------------------------------------------------------
+# closed-form anchors: at sigma = 1/4 each tau, summed over its sectors at
+# s = 1, is an algebraic fixture without its z^{1/16} or z^{1/32} factor, a
+# value built with no instanton sum
+# ---------------------------------------------------------------------------
+
+#: tau name: (fixture, sign, the fixture's leading power)
+ANCHORS_4D = {"kiev": ("P3_tau_minus", 1, F(1, 16)),
+              "plus": ("P3_taupm", -1, F(1, 32)),
+              "minus": ("P3_taupm", 1, F(1, 32))}
+ANCHORS_Q = {"kiev0": ("qP3_tau", 1, F(1, 16)),
+             "plus": ("qP3_taupm", -1, F(1, 32)),
+             "minus": ("qP3_taupm", 1, F(1, 32))}
+
+
+def at_s_one(tau):
+    """The sum of tau's sectors: tau at s = 1, s^{1/2} = 1."""
+    return sum(tau.sectors.values(), PuiseuxSeries.zero(tau.trunc))
+
+
+def assert_anchor(tau, fixture, lead):
+    got, expected = at_s_one(tau), fixture.shift(-lead)
+    assert got == expected
+    assert len(expected.items()) >= 10  # not a comparison of a few terms
+
+
+@pytest.mark.parametrize("name", ANCHORS_4D)
+def test_4d_tau_at_sigma_one_quarter_is_its_closed_form(name):
+    fixture, sign, lead = ANCHORS_4D[name]
+    E = F(10)
+    assert_anchor(TauSystem4d(F(1, 4)).tau(name, E),
+                  algebraic_fixture(fixture, E, sign=sign), lead)
+
+
+@pytest.mark.parametrize("name", ANCHORS_Q)
+@pytest.mark.parametrize("smp", POOL_QP, ids=["qp0", "qp1", "qp2"])
+def test_q_tau_at_sigma_one_quarter_is_its_closed_form(smp, name):
+    fixture, sign, lead = ANCHORS_Q[name]
+    E, smp = F(5), ParameterSample(smp.t, smp.dq, F(1, 4))
+    assert_anchor(TauSystemQ(smp).tau(name, E),
+                  algebraic_fixture(fixture, E, sample=smp, sign=sign), lead)
