@@ -37,10 +37,10 @@ Every id that verify accepts is a catalog entry (identities.CATALOG): each
 returns the sides of its parts and identities.verify compares them.
 Checks run in run contexts (identities.Context) whose memo is the only
 cache: the instanton coefficients, relative modes, one-loop cocycles, taus,
-Hirota derivatives D^k (with their basis products theta^j f * g) and the
-zeta series with its theta-products built by one check are reused by the
-later checks of its family (IdentityCheck.family) in the same run, each
-made once, and are dropped when the run ends.  Two families share no memo
+Hirota derivatives D^k and the zeta series with its theta-products built
+by one check are reused by the later checks of its family
+(IdentityCheck.family) in the same run, each made once, and are dropped
+when the run ends.  Two families share no memo
 value but one: the kiev tau, which the 4d-tau and 4d-zeta checks of a
 sample both read, so the 4d-tau domain on one sample runs as two groups.
 The (family, sample index) groups of a run are shared out between this

@@ -151,9 +151,7 @@ class Context:
              ask for, relative modes and their cocycles, each tau a check
              reads (see tau.TauSystem), the zeta series with its
              theta-products, and for each pair of 4d taus its Hirota
-             derivatives D^k with the store of basis products theta^j f * g
-             they are built from (see series.theta_products).  It is the
-             only cache a run keeps.
+             derivatives D^k.  It is the only cache a run keeps.
     """
 
     __slots__ = ("corrupt", "memo")
@@ -182,14 +180,13 @@ class Context:
 
     def hirota_4d(self, sigma: Frac, EB: Frac):
         """D: (k, f, g) -> D^k of the taus_4d(sigma, EB) taus named f
-        and g.  Each D^k is formed once per run, on one store of basis
-        products theta^j f * g per pair, which its D^k share."""
+        and g.  Each D^k is formed once per run, in one pass over the
+        pairs of terms of the two taus (see series.theta_products)."""
         tau = self.taus_4d(sigma, EB)
 
         def D(k, f, g):
-            pair = (sigma, EB, f, g)
-            return memoized(self.memo, ("hirota", *pair, k), lambda: hirota(
-                k, tau(f), tau(g), memo=memoized(self.memo, ("theta basis", *pair), dict)))
+            return memoized(self.memo, ("hirota", sigma, EB, f, g, k),
+                            lambda: hirota(k, tau(f), tau(g)))
 
         return D
 

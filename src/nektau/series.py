@@ -25,11 +25,11 @@ costs one mono_mul per pair of monomials.  Inverses (`sector_inverse`,
 sector 0 for a Puiseux series) and exp solve one recurrence
 (`solve_recurrence`) on the same integer terms.
 Every theta-weighted bilinear form of a pair (f, g) (`theta_products`,
-`weighted_theta_expand`, `hirota`) is a theta-combination of the basis
-products B_j = theta^j f * g, since x^a y^b = x^a ((x + y) - x)^b, made in
-one integer pass over the B_j (theta weighs the term at X by X/L); a
-caller may keep the B_j of a pair across calls (`memo=`), so that forms of
-one pair share them.
+`weighted_theta_expand`, `hirota`) is read from the moments
+B_j = sum x1^j f_x1 g_x2 of the pair, since theta^a f * theta^b g weighs
+f_x1 g_x2 by x1^a (X - x1)^b at z^X: one integer pass over the pairs of
+terms forms each product f_x1 g_x2 once, on the split rows of the product
+kernel, and keeps nothing once the forms are read.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .symbols import (MONO_ONE, _ONE, NonInvertible, SymExpr, _expr, _frac, mono
 
 Frac = Fraction
 ZERO = Frac(0)
-HALF = Frac(1, 2)
 from_ints = GaussianRational.from_ints
 
 
@@ -293,32 +292,40 @@ def sector_product(f, g):
     sector 0) or a FourierSeries.
 
     Sector s of the product is the sum of p * q over the sector pairs
-    (k1: p, k2: q) with k1 + k2 = s.  The bounds are those of
-    `_product_bounds` at a = b = 0, found on ints (`_int_bounds`) and made
-    Fractions once per output sector.  Each sector is split once by
-    monomial (`_split`) on (1/L)Z, L the lcm of the lattices of both
-    operands, and the pairs of each output sector are convolved together
-    (`_convolve`).
+    (k1: p, k2: q) with k1 + k2 = s.  The bounds are found on ints
+    (`_int_bounds`) and made Fractions once per output sector.  Each sector is split once by
+    monomial on (1/L)Z, L the lcm of the lattices of both operands
+    (`_sector_pairs`), and the pairs of each output sector are convolved
+    together (`_convolve`).
     """
     fs, gs = _sectors(f), _sectors(g)
-    T, M, top, bounds = _int_bounds(f, g)
-    L = lcm(*(p.L for hs in (fs, gs) for p in hs.values()))
-    g_split = [(_top(k, M), _split(q, L)) for k, q in gs.items()]
-    pairs = {S: [] for S in bounds}
-    for k, p in fs.items():
-        K1, split1 = _top(k, M), _split(p, L)
-        for K2, split2 in g_split:
-            pairs[K1 + K2].append((split1, split2))
+    T, M, top, bounds = _int_bounds(f, g, fs, gs)
+    L, pairs = _sector_pairs(fs, gs, M)
     step = T // L
     return Frac(top, T), {Frac(S, M): on_lattice(L, _convolve(pairs[S], B // step), Frac(B, T))
                           for S, B in bounds.items()}
 
 
-def _convolve(pairs, top):
-    """{X: SymExpr} of the sum of f * g over the pairs (f, g) of `_split`s
-    on one lattice, through X <= top.  A pair of monomials costs one
-    mono_mul; its rows are convolved in increasing X, stopping past top,
-    and the sums of one output monomial are put over one denominator."""
+def _sector_pairs(fs, gs, M):
+    """(L, {S: [(split1, split2)]}): the sector maps fs and gs each split
+    once by monomial (`_split`) on (1/L)Z, L the lcm of their lattices, and
+    the pairs of splits of the sectors k1 of fs and k2 of gs that make
+    S = (k1 + k2) M."""
+    L = lcm(*(p.L for hs in (fs, gs) for p in hs.values()))
+    g_split = [(_top(k, M), _split(q, L)) for k, q in gs.items()]
+    pairs = {}
+    for k, p in fs.items():
+        K1, split1 = _top(k, M), _split(p, L)
+        for K2, split2 in g_split:
+            pairs.setdefault(K1 + K2, []).append((split1, split2))
+    return L, pairs
+
+
+def _mono_groups(pairs, top):
+    """{monomial: (den, [(w, rows, rows)])}: the pairs of monomial rows of
+    the pairs (f, g) of `_split`s that reach X <= top, grouped by the
+    monomial of their product, one mono_mul per pair of monomials; a pair
+    of rows adds w times its products to a sum over den."""
     groups = {}  # monomial -> [(cofactor numerator, denominator, rows, rows)]
     for split1, split2 in pairs:
         for m1, (d1, *rows1) in split1.items():
@@ -327,12 +334,23 @@ def _convolve(pairs, top):
                     mono, cof = mono_mul(m1, m2)
                     groups.setdefault(mono, []).append(
                         (cof.numerator, cof.denominator * d1 * d2, rows1, rows2))
-    by_X = {}  # X -> monomial -> coefficient
+    out = {}
     for mono, group in groups.items():
         den = lcm(*(pair_den for _, pair_den, _, _ in group))
+        out[mono] = den, [(n * (den // pair_den), rows1, rows2)
+                          for n, pair_den, rows1, rows2 in group]
+    return out
+
+
+def _convolve(pairs, top):
+    """{X: SymExpr} of the sum of f * g over the pairs (f, g) of `_split`s
+    on one lattice, through X <= top.  The rows of each pair of monomials
+    (`_mono_groups`) are convolved in increasing X, stopping past top, and
+    the sums of one output monomial are put over one denominator."""
+    by_X = {}  # X -> monomial -> coefficient
+    for mono, (den, group) in _mono_groups(pairs, top).items():
         acc = {}  # X -> [re, im] over den
-        for n, pair_den, rows1, rows2 in group:
-            w = n * (den // pair_den)
+        for w, rows1, rows2 in group:
             low = rows2[0][0]
             for X1, a, b in zip(*rows1):
                 if X1 + low > top:
@@ -530,143 +548,124 @@ def solve_recurrence(steps, top, divide=0):
     return b
 
 
-def theta_products(f, g, polys, *, memo=None):
+def theta_products(f, g, polys):
     """sum c theta^a f * theta^b g over {(a, b): c}, c rational, for each
-    poly of polys.
+    poly of polys, f and g both PuiseuxSeries or both FourierSeries.
 
-    Since x^a y^b = x^a ((x + y) - x)^b and theta acts on a product as
-    x + y, each form is a theta-combination of the basis products
-    B_j = theta^{alpha+j} f * theta^beta g:
+    Theta weighs the term at z^x by x, so the term of theta^a f * theta^b g
+    at z^X sums x1^a x2^b f_x1 g_x2 over x1 + x2 = X; as x2 = X - x1,
 
-        theta^a f * theta^b g = sum_i C(b', i) (-1)^i theta^{b'-i} B_{a'+i}
+        theta^a f * theta^b g = sum_i C(b, i) (-1)^i X^(b-i) B_(a+i)
 
-    with a' = a - alpha, b' = b - beta: a poly is sum_j W_j(theta) B_j, a
-    polynomial W_j per basis product, made in one integer pass over the B_j
-    (`_theta_sum`).  (alpha, beta) is the least (a, b) of the poly set, but
-    beta is the poly's own least b where g has a z^0 term, which theta
-    drops: each B_j is then known at least as far as every product of the
-    poly (see `_product_bounds`).  When f is g and alpha = beta, only the
-    even B_j are products; an odd one is 2 B_n = sum_{i<n} C(n,i) (-1)^i
-    theta^{n-i} B_i, made by the same pass over the B_i, through the least
-    bounds of the B_i (`_least_bounds`).
+    at z^X, over the moments B_j = sum x1^j f_x1 g_x2 of the pair.  One
+    pass over the pairs of terms of f and g forms each product f_x1 g_x2
+    once and adds it to every moment the polys take (`_moments`); each poly
+    is then read from the moments at each X (`_read`).  A term of g at z^0
+    weighs 0 in every entry with b >= 1, which needs no special case.
 
-    Each B_j is formed once per call, or once per memo: a dict of the B_j
-    of the pair (f, g) that the caller keeps across calls (one
-    verification run's, see identities.Context).  Each output is known
-    through the bounds of the sum of its full products theta^a f *
-    theta^b g, in every sector; an entry with c = 0 still lowers them.  f
-    and g may be PuiseuxSeries or FourierSeries.
+    Each output is known through the bounds of the sum of its full products
+    theta^a f * theta^b g in every sector: those at the poly's least a and
+    b (see `_int_bounds`), so an entry with c = 0 still lowers them.  A
+    sector that no pair of terms reaches is zero through its bound.
     """
-    basis = {} if memo is None else memo
-    thf = [f]
-    thg = thf if f is g else [g]
-
-    def power(ths, n):
-        while len(ths) <= n:
-            ths.append(ths[-1].theta())
-        return ths[n]
-
-    def product(alpha, beta, j):
-        B = basis.get((alpha, beta, j))
-        if B is None:
-            if f is g and alpha == beta and j % 2:
-                lower = [product(alpha, beta, i) for i in range(j)]
-                B = _theta_form(f, [(B_i, {j - i: HALF * comb(j, i) * (-1) ** i})
-                                    for i, B_i in enumerate(lower)], *_least_bounds(lower))
-            else:
-                B = power(thf, alpha + j) * power(thg, beta)
-            basis[alpha, beta, j] = B
-        return B
-
-    alpha = min(a for poly in polys for a, _ in poly)
-    b0 = min(b for poly in polys for _, b in poly)
+    fs, gs = _sectors(f), _sectors(g)
+    cuts = [_int_bounds(f, g, fs, gs, min(a for a, _ in poly), min(b for _, b in poly))
+            for poly in polys]
+    T, M = cuts[0][:2]
+    L, pairs = _sector_pairs(fs, gs, M)
+    step = T // L
+    js = sorted({a + i for poly in polys for (a, b), c in poly.items() if c
+                 for i in range(b + 1)})
+    tops = {}  # S -> the loosest cut of any poly, on (1/L)Z
+    for *_, bounds in cuts:
+        for S, B in bounds.items():
+            tops[S] = max(tops.get(S, B // step), B // step)
+    moments = {S: _moments(pairs[S], top, js) for S, top in tops.items()}
     outs = []
-    for poly in polys:
-        a_min = min(a for a, _ in poly)
-        b_min = min(b for _, b in poly)
-        beta = b0 if b0 or not _has_z0(g) else b_min
-        weights = {}  # j -> {m: coefficient of theta^m B_j}
-        for (a, b), c in poly.items():
-            for i in range(b - beta + 1):
-                w = weights.setdefault(a - alpha + i, {})
-                m = b - beta - i
-                w[m] = w.get(m, 0) + c * comb(b - beta, i) * (-1) ** i
-        parts = []
-        for j, w in sorted(weights.items()):
-            w = {m: c for m, c in w.items() if c}
-            if w:
-                parts.append((product(alpha, beta, j), w))
-        outs.append(_theta_form(f, parts, *_product_bounds(f, g, a_min, b_min)))
-    del product  # it refers to itself; free this call's theta powers now
+    for poly, (_, _, top, bounds) in zip(polys, cuts):
+        scale, weights = _poly_weights(poly, L, js)
+        sectors = {Frac(S, M): on_lattice(L, _read(moments[S], weights, scale, B // step, len(js)),
+                                          Frac(B, T))
+                   for S, B in bounds.items()}
+        outs.append(sectors[ZERO] if isinstance(f, PuiseuxSeries)
+                    else type(f)(sectors, Frac(top, T)))
     return outs
 
 
-def _least_bounds(hs):
-    """The bounds of a sum of the series hs: the least bound, and for each
-    sector the least bound of the hs that hold it."""
-    bounds = {}
-    for h in hs:
-        for S, p in _sectors(h).items():
-            bounds[S] = min(bounds.get(S, p.trunc), p.trunc)
-    return min(h.trunc for h in hs), bounds
-
-
-def _theta_form(like, parts, trunc, bounds):
-    """sum W(theta) B over the parts (B, W), known through trunc and
-    through bounds[S] in each sector S, as a series of the type of like
-    (`_theta_sum`); a sector no B holds is zero through its bound."""
-    parts = [(_sectors(B), w) for B, w in parts]
-    if isinstance(like, PuiseuxSeries):
-        return _theta_sum(parts, {ZERO: trunc})[ZERO]
-    return type(like)(_theta_sum(parts, bounds), trunc)
-
-
-def _theta_sum(parts, bounds):
-    """{S: sector S of sum W(theta) B over the parts (B's sectors, W)},
-    through bounds[S] for each sector S of bounds: W is {m: c}, the
-    polynomial sum c theta^m with rational c.
-
-    Theta is e on the term at z^e, so the term at X/L of an output is
-    sum W(X/L) b over the terms b of the B at X/L.  With D the lcm of the
-    denominators of all c and M the highest m, D L^M W(X/L) is an integer:
-    each output term sums these times Gaussian-integer numerators over one
-    denominator, and is reduced once (`from_ints`).  Only the terms at or
-    below the bound are formed.
-    """
-    D = lcm(*(Frac(c).denominator for _, w in parts for c in w.values()))
-    M = max((m for _, w in parts for m in w), default=0)
+def _moments(pairs, top, js):
+    """{monomial: (den, {X: [re_j for j in js] + [im_j for j in js]})}: the
+    moments B_j = sum X1^j f_X1 g_X2 of the sum of f * g over the pairs
+    (f, g) of `_split`s on one lattice, as Gaussian integers over one
+    denominator per monomial, through X = X1 + X2 <= top.  X1 is the int
+    on (1/L)Z, so the j-th moment is L^j times the one at exponents X1/L.
+    Each pair of terms is multiplied once."""
+    nj = len(js)
     out = {}
-    for S, bound in bounds.items():
-        held = [(hs[S], w) for hs, w in parts if S in hs]
-        L = lcm(*(p.L for p, _ in held))
-        top = _top(bound, L)
-        acc = {}  # X -> monomial -> [(re, im, den)]
-        for p, w in held:
-            w = [(m, int(c * D) * L ** (M - m)) for m, c in w.items()]
-            step = L // p.L
-            for X, c in p.xterms.items():
-                X *= step
-                if X > top:
-                    continue
-                n = sum(k * X ** m for m, k in w)
-                if n:
-                    by_mono = acc.setdefault(X, {})
-                    for m, v in c.terms.items():
-                        by_mono.setdefault(m, []).append((n * v.a, n * v.b, v.d))
-        scale = D * L ** M
-        xterms = {}
-        for X, by_mono in acc.items():
-            terms = {}
-            for m, nums in by_mono.items():
-                den = lcm(*(d for _, _, d in nums))
-                re = sum(a * (den // d) for a, _, d in nums)
-                im = sum(b * (den // d) for _, b, d in nums)
-                if re or im:
-                    terms[m] = from_ints(re, im, den * scale)
-            if terms:
-                xterms[X] = _expr(terms)
-        out[S] = on_lattice(L, xterms, bound)
+    for mono, (den, group) in _mono_groups(pairs, top).items():
+        acc = {}
+        for w, rows1, rows2 in group:
+            low = rows2[0][0]
+            for X1, a, b in zip(*rows1):
+                if X1 + low > top:
+                    break
+                if w != 1:
+                    a, b = a * w, b * w
+                powers = [X1 ** j for j in js]
+                for X2, c, d in zip(*rows2):
+                    X = X1 + X2
+                    if X > top:
+                        break
+                    re, im = a * c - b * d, a * d + b * c
+                    t = acc.get(X)
+                    if t is None:
+                        acc[X] = [re * p for p in powers] + [im * p for p in powers]
+                    else:
+                        for i, p in enumerate(powers):
+                            t[i] += re * p
+                            t[nj + i] += im * p
+        out[mono] = (den, acc)
     return out
+
+
+def _poly_weights(poly, L, js):
+    """(D L^N, [(i, [(e, k)])]): the poly {(a, b): c} as integer weights on
+    the moments of `_moments`, the i-th moment B_(js[i]) at X weighing
+    sum k X^e, over the one denominator D L^N; D is the lcm of the
+    denominators of the c, and N the highest a + b.  The entry (a, b) takes
+    C(b, i) (-1)^i X^(b-i) B_(a+i) / L^(a+b), as X and the moments are
+    ints on (1/L)Z."""
+    D = lcm(*(Frac(c).denominator for c in poly.values()))
+    N = max(a + b for a, b in poly)
+    index = {j: i for i, j in enumerate(js)}
+    weights = {}  # i -> {e: k}
+    for (a, b), c in poly.items():
+        if c:
+            c = int(c * D) * L ** (N - a - b)
+            for i in range(b + 1):
+                ek = weights.setdefault(index[a + i], {})
+                ek[b - i] = ek.get(b - i, 0) + c * comb(b, i) * (-1) ** i
+    return D * L ** N, [(i, [(e, k) for e, k in ek.items() if k])
+                        for i, ek in weights.items()]
+
+
+def _read(moments, weights, scale, top, nj):
+    """{X: SymExpr} of the form sum_i n_i(X) B_(js[i]) / scale through
+    X <= top, from the moments of `_moments` (nj of them) and the weights
+    of `_poly_weights`; each output coefficient is reduced once."""
+    ns = {}  # X -> [(i, n_i(X))]
+    by_X = {}
+    for mono, (den, acc) in moments.items():
+        for X, t in acc.items():
+            if X > top:
+                continue
+            n = ns.get(X)
+            if n is None:
+                n = ns[X] = [(i, sum(k * X ** e for e, k in ek)) for i, ek in weights]
+            re = sum(v * t[i] for i, v in n)
+            im = sum(v * t[nj + i] for i, v in n)
+            if re or im:
+                by_X.setdefault(X, {})[mono] = from_ints(re, im, den * scale)
+    return {X: _expr(terms) for X, terms in by_X.items()}
 
 
 def _sectors(h):
@@ -674,39 +673,21 @@ def _sectors(h):
     return {ZERO: h} if isinstance(h, PuiseuxSeries) else h.sectors
 
 
-def _has_z0(h):
-    return any(0 in p.xterms for p in _sectors(h).values())
+def _int_bounds(f, g, fs, gs, a=0, b=0):
+    """(T, M, top, {S: B}): the bound top of theta^a f * theta^b g and the
+    bound B of each of its sectors S, given the sector maps fs and gs of f
+    and g (`_sectors`), as ints: top and each B on (1/T)Z, T the lcm of the
+    lattices and bounds' denominators of f, g and their sectors, and each S
+    on (1/M)Z, M the lcm of the sectors' denominators.
 
-
-def _product_bounds(f, g, a, b):
-    """The bound of theta^a f * theta^b g and of each of its sectors:
-    sector s is known through the least min(p.trunc + v(q), q.trunc + v(p))
+    Sector s is known through the least min(p.trunc + v(q), q.trunc + v(p))
     of its sector pairs, capped at min(f.trunc + v(theta^b g), g.trunc +
     v(theta^a f)), v the valuation (the bound, if zero).  At a = b = 0
-    these are the bounds of f * g, which `sector_product` gives it; both
-    find them on ints (`_int_bounds`).
-
-    Theta keeps bounds and drops z^0 terms only, so the valuations, and
-    these bounds, are the same for every a >= 1 (b >= 1) and least at a = 0
-    (b = 0): those of a sum over a poly are those at its least a and b.
-    Every basis product B_j = theta^{alpha+j} f * theta^beta g that a poly
-    of `theta_products` takes is known at least as far: alpha + j >= a_min,
-    and beta = b_min, or beta < b_min and theta^beta g has no z^0 term, so
-    that its valuations do not grow under theta.  So is an odd B_n formed
-    from B_0 when f is g and alpha = beta: either theta^alpha f has no z^0
-    term, or b_min = 0 and, as sector s sums both pairs (k1, k2) and
-    (k2, k1), the poly's bounds are those at a = b = 0, the bounds of B_0.
+    these are the bounds of f * g (`sector_product`).  Theta keeps bounds
+    and drops z^0 terms only, so the valuations, and these bounds, are the
+    same for every a >= 1 (b >= 1) and least at a = 0 (b = 0): those of a
+    sum over a poly are those at its least a and b (`theta_products`).
     """
-    T, M, top, bounds = _int_bounds(f, g, a, b)
-    return Frac(top, T), {Frac(S, M): Frac(B, T) for S, B in bounds.items()}
-
-
-def _int_bounds(f, g, a=0, b=0):
-    """(T, M, top, {S: B}): the bounds of `_product_bounds` as ints, top and
-    each B on (1/T)Z and each sector S on (1/M)Z; T is the lcm of the
-    lattices and bounds' denominators of f, g and their sectors, M that of
-    the sectors' denominators."""
-    fs, gs = _sectors(f), _sectors(g)
     ps = [*fs.values(), *gs.values()]
     T = lcm(*(p.L for p in ps), *(p.trunc.denominator for p in ps),
             f.trunc.denominator, g.trunc.denominator)
@@ -735,27 +716,26 @@ def _int_bounds(f, g, a=0, b=0):
     return T, M, top, bounds
 
 
-def weighted_theta_expand(f, g, w1, w2, k, *, memo=None):
+def weighted_theta_expand(f, g, w1, w2, k):
     """Coefficient of alpha^k/k! in f(e^{w1 alpha} z) g(e^{w2 alpha} z).
 
     f(e^{w1 alpha} z) g(e^{w2 alpha} z) sends z^x z^y to
     e^{(w1 x + w2 y) alpha} z^{x+y}, so the coefficient is
     sum (w1 x + w2 y)^k f_x g_y = sum_j C(k,j) w1^j w2^{k-j}
     theta^j f * theta^{k-j} g: the theta_products of that poly
-    (k = 0 is the product), on the B_j of memo if given.  f and g may be
-    PuiseuxSeries or FourierSeries.
+    (k = 0 is the product).  f and g may be PuiseuxSeries or
+    FourierSeries.
     """
     w1, w2 = _frac(w1), _frac(w2)
     poly = {(j, k - j): comb(k, j) * w1**j * w2 ** (k - j) for j in range(k + 1)}
-    return theta_products(f, g, [poly], memo=memo)[0]
+    return theta_products(f, g, [poly])[0]
 
 
-def hirota(k, f, g, *, memo=None):
+def hirota(k, f, g):
     """Hirota derivative D^k in log z, k <= 4: the alpha-expansion above at
     weights (1, -1), sum (x - y)^k f_x g_y (Hirota, The Direct Method in
-    Soliton Theory, CUP 2004).  As x - y = 2x - (x + y), this is
-    sum_j C(k,j) 2^j (-theta)^{k-j} B_j over B_j = theta^j f * g, applied
-    by Horner in theta; memo keeps the B_j of the pair across k."""
+    Soliton Theory, CUP 2004), read from the moments of (f, g) in one pass
+    over their pairs of terms (see theta_products)."""
     if k > 4:
         raise ValueError("Hirota order limited to 4")
-    return weighted_theta_expand(f, g, 1, -1, k, memo=memo)
+    return weighted_theta_expand(f, g, 1, -1, k)

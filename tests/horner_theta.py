@@ -1,12 +1,13 @@
 """Reference theta-forms for the tests: the basis products applied by Horner.
 
-`theta_products` is series.theta_products as it was before each poly became
-one integer pass over its basis products: the poly is applied by Horner in
+`theta_products` is the basis-product route of basis_theta.py as it was
+before each poly became one integer pass over its basis products: the poly is applied by Horner in
 theta over whole series (theta, scale and add, one coefficient object at a
 time), an odd basis product of a symmetric pair is built the same way from
 the lower ones, and each output is then cut to the bounds of its products
 (`_cut`).  `weighted_theta_expand` and `hirota` are the package's forms on
-it.  The tests compare the package against these, store included.
+it.  The tests compare the basis-product route against these, store
+included.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction as Frac
 from math import comb
 
-from nektau.series import (PuiseuxSeries, _has_z0, _product_bounds, _sectors,
-                           _with_bound, on_lattice)
+from basis_theta import _has_z0, _product_bounds
+from nektau.series import PuiseuxSeries, _sectors, _with_bound, on_lattice
 
 ZERO = Frac(0)
 HALF = Frac(1, 2)
@@ -24,7 +25,7 @@ HALF = Frac(1, 2)
 def theta_products(f, g, polys, *, memo=None):
     """sum c theta^a f * theta^b g over {(a, b): c}, for each poly of polys,
     by Horner in theta over the basis products B_j = theta^{alpha+j} f *
-    theta^beta g (see series.theta_products)."""
+    theta^beta g (see basis_theta.theta_products)."""
     basis = {} if memo is None else memo
     thf = [f]
     thg = thf if f is g else [g]

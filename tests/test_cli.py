@@ -599,40 +599,48 @@ HIROTA_IDS = ["NYtaupm", "NYtau01", "NYD2diff", "NYD4diff", "NYD1diff", "NYD3dif
               "NYdiffIS", "NYdiffHIS1", "NYdiffHIS3", "Todasg", "doubleprop", "KZsq"]
 
 
-def test_one_run_forms_each_hirota_basis_product_once(monkeypatch):
+def test_one_run_forms_each_hirota_derivative_once(monkeypatch):
     # the 4d-tau checks take D^k of five tau pairs.  One run forms each D^k
-    # once, on one store per pair, and each basis product theta^j f * g of
-    # a pair once (only the even j when f is g); the next run forms them
-    # again
-    calls = []  # (f, g, k, store, FourierSeries products made)
-    products = []
+    # once, in one pass over the pairs of terms of the two taus: no
+    # FourierSeries product, and the run memo keeps the D^k alone, with no
+    # store of basis products; the next run forms them again
+    calls = []  # (f, g, k, FourierSeries products made)
+    products, memos = [], {}  # id -> the run memo
     real_hirota, real_mul = idmod.hirota, FourierSeries.__mul__
+    real_hirota_4d = idmod.Context.hirota_4d
 
-    def hirota(k, f, g, *, memo):
+    def hirota(k, f, g):
         n = len(products)
-        out = real_hirota(k, f, g, memo=memo)
-        calls.append((id(f), id(g), k, id(memo), len(products) - n))
+        out = real_hirota(k, f, g)
+        calls.append((id(f), id(g), k, len(products) - n))
         return out
 
     def mul(self, other):
         products.append(1)
         return real_mul(self, other)
 
+    def hirota_4d(self, sigma, EB):
+        memos[id(self.memo)] = self.memo
+        return real_hirota_4d(self, sigma, EB)
+
     monkeypatch.setattr(idmod, "hirota", hirota)
     monkeypatch.setattr(FourierSeries, "__mul__", mul)
+    monkeypatch.setattr(idmod.Context, "hirota_4d", hirota_4d)
     cfg = RunConfig(identities=HIROTA_IDS, order=F(1))
     for _ in range(2):
         calls.clear()
+        memos.clear()
         assert run_verify(cfg)[0] == 0
         pairs = {}
-        for f, g, k, store, n in calls:
-            pairs.setdefault((f, g), []).append((k, store, n))
-        formed = sorted((tuple(sorted(k for k, _, _ in ks)), f == g,
-                         len({store for _, store, _ in ks}), sum(n for _, _, n in ks))
+        for f, g, k, n in calls:
+            pairs.setdefault((f, g), []).append((k, n))
+        formed = sorted((tuple(sorted(k for k, _ in ks)), f == g, sum(n for _, n in ks))
                         for (f, g), ks in pairs.items())
-        assert formed == [((0, 1, 2, 3, 4), False, 1, 5), ((0, 2, 4), True, 1, 3),
-                          ((0, 2, 4), True, 1, 3), ((1, 3), False, 1, 4),
-                          ((2,), True, 1, 2)]
+        assert formed == [((0, 1, 2, 3, 4), False, 0), ((0, 2, 4), True, 0),
+                          ((0, 2, 4), True, 0), ((1, 3), False, 0), ((2,), True, 0)]
+        (memo,) = memos.values()
+        assert {key[0] for key in memo} == {"cocycle", "inst_coeff_4d", "mode", "tau", "hirota"}
+        assert sum(key[0] == "hirota" for key in memo) == len(calls) == 14
 
 
 def test_run_writes_no_module_state(monkeypatch):

@@ -676,12 +676,10 @@ def assert_identical(new, ref):
 
 
 def assert_expansions_identical(f, g):
-    store = {}  # the basis products of (f, g), shared by every weight and k
     for w1, w2 in WEIGHTS:
         for k in range(5):
             ref = ref_weighted_theta_expand(f, g, w1, w2, k)
             assert_identical(weighted_theta_expand(f, g, w1, w2, k), ref)
-            assert_identical(weighted_theta_expand(f, g, w1, w2, k, memo=store), ref)
             if (w1, w2) == (1, -1):
                 assert_identical(hirota(k, f, g), ref)
 
@@ -842,10 +840,9 @@ def assert_theta_products_identical(f, g, polys=POLYS):
     assert len(outs) == len(refs)
     for new, ref in zip(outs, refs):
         assert_identical(new, ref)
-    # one poly per call on one store of basis products: the same outputs
-    store = {}
+    # one poly per call, each cut at its own bounds: the same outputs
     for poly, ref in zip(polys, refs):
-        assert_identical(theta_products(f, g, [poly], memo=store)[0], ref)
+        assert_identical(theta_products(f, g, [poly])[0], ref)
 
 
 polys_st = st.lists(
@@ -963,33 +960,27 @@ def counting_products(monkeypatch):
 
 
 @pytest.mark.parametrize("same", [False, True])
-def test_hirota_forms_each_basis_product_once_per_store(monkeypatch, same):
-    # D^0..D^4 of one pair on one store take the basis products
-    # theta^j f * g, j <= 4, each formed once; when f is g only the even
-    # ones are products.  Without a store each call forms its own.
+def test_hirota_forms_no_series_product(monkeypatch, same):
+    # D^0..D^4 of one pair are each one pass over the pairs of terms of f
+    # and g: no call forms a series product, and none keeps a store
     f = PuiseuxSeries({F(0): SymExpr.one(), F(1, 2): SymExpr.coerce(3),
                        F(1): SymExpr.coerce(F(-2, 5))}, F(3))
     g = f if same else PuiseuxSeries({F(0): SymExpr.coerce(2),
                                       F(3, 4): SymExpr.coerce(-1)}, F(5, 2))
     refs = {k: ref_weighted_theta_expand(f, g, 1, -1, k) for k in range(5)}
     calls = counting_products(monkeypatch)
-    store = {}
     for k in (2, 0, 4, 1, 3):
-        assert_identical(hirota(k, f, g, memo=store), refs[k])
-    assert sorted(store) == [(0, 0, j) for j in range(5)]
-    assert len(calls) == (3 if same else 5)
-    calls.clear()
-    assert_identical(hirota(4, f, g), refs[4])
-    assert len(calls) == (3 if same else 5)
+        assert_identical(hirota(k, f, g), refs[k])
+    assert calls == []
 
 
-def test_theta_products_factor_out_the_common_theta_power(monkeypatch):
-    # the zeta products of identities.Context.zeta_4d: (theta f)^2 and
-    # theta^3 f * theta f are the only products
+def test_theta_products_form_no_series_product(monkeypatch):
+    # the zeta products of identities.Context.zeta_4d, (theta f)^2 and
+    # theta^3 f * theta f among them, in one pass and no series product
     f = PuiseuxSeries({F(1, 2): SymExpr.coerce(3), F(1): SymExpr.coerce(-2),
                        F(2): SymExpr.coerce(F(1, 7))}, F(3))
     refs = [ref_theta_products(f, f, poly) for poly in POLYS[:3]]
     calls = counting_products(monkeypatch)
     for new, ref in zip(theta_products(f, f, POLYS[:3]), refs):
         assert_identical(new, ref)
-    assert len(calls) == 2
+    assert calls == []
