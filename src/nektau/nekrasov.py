@@ -14,7 +14,7 @@ t (the 5d series and modes take t itself), and 4d equivariant parameters
 are literal rationals.
 
 Each instanton coefficient is a partitions.pair_sum over a kernel: a
-partition table, tables of per-diagram factors and the one-pass pair factor
+partition table, tables of per-diagram factors and the partitions.pair_route
 (kernel_4d, kernel_5d, matter_kernel).  Each series builds one kernel for
 all its degrees, each diagram's entry on first use; a coefficient called on
 its own builds one through its degree.
@@ -44,9 +44,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .partitions import (BinomialTable, BoxWeights, attempt, diagram_entry, diagram_tables,
-                         mul_binomials, mul_factors_4d, mul_factors_5d, pair_4d, pair_5d,
-                         pair_sum, partition_table)
+from .partitions import (BinomialTable, BoxWeights, PairBinomials, PairLinears, attempt,
+                         diagram_entry, diagram_tables, mul_binomials, mul_factors_4d,
+                         mul_factors_5d, pair_route, pair_sum, partition_table)
 from .rationals import GaussianRational
 from .sampling import ParameterSample
 from .series import PuiseuxSeries
@@ -104,7 +104,7 @@ def kernel_4d(e1: Frac, e2: Frac, a: Frac, order: int):
 
     Over L = lcm of the denominators of (a, e1, e2) each factor is an
     integer over L; the tables hold each diagram's inverse integer N_{lam
-    lam}.
+    lam}, and pair is the pair_route on PairLinears at u = a L.
     """
     L = lcm(a.denominator, e1.denominator, e2.denominator)
     A = int(a * L)
@@ -121,7 +121,7 @@ def kernel_4d(e1: Frac, e2: Frac, a: Frac, order: int):
         return mul_factors_4d(acc[0], lam, mu, weights, A if s == 1 else -A), 0, 1
 
     return (partition_table(order), *diagram_tables(entries), factor,
-            pair_4d(weights, A, factor))
+            pair_route(weights, A, PairLinears(weights.e1 + weights.e2), factor))
 
 
 def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int, kernel=None) -> Frac:
@@ -201,7 +201,7 @@ def kernel_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, order: int):
     T_lam(u)^m (q1 q2)^{-m|lam|/2}, an int (D = cs_unit(E1, E2, Lu)), where
     T_lam = prod over boxes (i, j) of u^-1 q1^{1-i} q2^{1-j}, q_i = t^{E_i},
     and u = t^{Lu/2} for the first diagram of a pair, t^{-Lu/2} for the
-    second.
+    second.  pair is the pair_route on PairBinomials at u = Lu.
     """
     if not 0 <= m <= 2:
         raise ValueError("Chern-Simons level must be 0, 1 or 2")
@@ -225,7 +225,7 @@ def kernel_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, order: int):
         return mul_factors_5d(acc, lam, mu, weights, table, Lu if s == 1 else -Lu)
 
     return (partition_table(order), *diagram_tables(entries), factor,
-            pair_5d(weights, t, Lu, factor))
+            pair_route(weights, Lu, PairBinomials(t, weights.e1 + weights.e2), factor))
 
 
 def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int,
@@ -306,7 +306,7 @@ def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
         return mul_factors_5d(acc, lam, mu, weights, one_tab, u if s == 1 else -u)
 
     return (partition_table(order), *diagram_tables(entries), factor,
-            pair_5d(weights, t, u, factor))
+            pair_route(weights, u, PairBinomials(t, weights.e1 + weights.e2), factor))
 
 
 def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int,

@@ -9,11 +9,12 @@ An instanton coefficient sums over pairs of diagrams.  pair_sum reads each
 diagram's own factors from tables made once per series, each entry on first
 use, and forms per pair only its pair factor N_{lam1 lam2}(u) N_{lam2 lam1}(-u).
 Each box of N_{lam2 lam1}(-u) has the weight -w - (e1 + e2), where w is the
-weight of the same box in N_{lam1 lam2}(u), so the pair interface (pair_4d,
-pair_5d) forms that real product in one pass over one BoxWeights list.  A
-vanishing product, or non-integral weights or u, takes the box-by-box route
-of two factor calls, which raises what that product meets first.  The terms
-of one key are summed as integer triples (re, im, den), merged pairwise in a
+weight of the same box in N_{lam1 lam2}(u), so pair_route forms that real
+product in one pass over one BoxWeights list, a box's factor read from a
+table at e = u + w (PairLinears in 4d, PairBinomials in 5d).  A vanishing
+product, or non-integral weights or u, takes the box-by-box route of two
+factor calls, which raises what that product meets first.  The terms of
+one key are summed as integer triples (re, im, den), merged pairwise in a
 balanced tree, and made into one Fraction per key at the end.
 """
 
@@ -252,37 +253,20 @@ def diagram_tables(entries):
     return first, second
 
 
-def box_by_box_pair(factor):
-    """The pair factor N_{lam1 lam2} N_{lam2 lam1} as (num, den) from two
-    factor calls (see pair_sum): the route that raises what the box-by-box
-    product meets first."""
+class PairLinears(dict):
+    """PairBinomials in 4d, with P = R = 1: e -> (-e(e + S), 0, 0), a box's
+    factors e in N_{lam1 lam2} and -(e + S) in N_{lam2 lam1}.  Entries are
+    made on first use and live as long as the table."""
 
-    def pair(lam1, lam2):
-        num, _, den = factor(factor(_ONE, lam1, lam2, 1), lam2, lam1, -1)
-        return num, den
+    P = R = 1
 
-    return pair
+    def __init__(self, S: int):
+        super().__init__()
+        self.S = S
 
-
-def pair_4d(weights: BoxWeights, A: int, factor):
-    """The 4d pair factor N_{lam1 lam2}(A) N_{lam2 lam1}(-A) over integral
-    weights, as (num, 1): a box of weight w in the first gives A + w and
-    the same box in the second -(A + w + e1 + e2).  A zero product takes
-    the route of factor, the 4d box-by-box one."""
-    S = weights.e1 + weights.e2
-    fallback = box_by_box_pair(factor)
-
-    def pair(lam1, lam2):
-        ws = weights(lam1, lam2)
-        num = 1
-        for w in ws:
-            f = A + w
-            num *= f * (f + S)
-        if not num:
-            return fallback(lam1, lam2)
-        return (-num if len(ws) & 1 else num), 1
-
-    return pair
+    def __missing__(self, e: int):
+        val = self[e] = (-e * (e + self.S), 0, 0)
+        return val
 
 
 class PairBinomials(dict):
@@ -305,27 +289,39 @@ class PairBinomials(dict):
         return val
 
 
-def pair_5d(weights: BoxWeights, t: Frac, u: Frac, factor):
-    """The 5d pair factor N_{lam1 lam2}(t^u) N_{lam2 lam1}(t^-u) at the
-    coefficient 1, as (num, den): a box of weight w gives (1 - t^e)(1 -
-    t^{-e-e1-e2}) with e = u + w.  Non-integral weights or u, or a zero
-    product, take the route of factor, the 5d box-by-box one."""
-    fallback = box_by_box_pair(factor)
+def pair_route(weights: BoxWeights, u, table, factor):
+    """The pair factor N_{lam1 lam2}(u) N_{lam2 lam1}(-u) as (num, den): the
+    product over the boxes of weights(lam1, lam2) of table[u + w], a triple
+    (num, r, p) for num / (R^r P^p), kept here as (num, den) under w so a
+    box costs one lookup (table: PairLinears or PairBinomials, S = e1 + e2
+    of weights).  Non-integral weights or u, or a zero product, take the
+    box-by-box route of two factor calls (see pair_sum), which raises what
+    that product meets first."""
+
+    def box_by_box(lam1, lam2):
+        num, _, den = factor(factor(_ONE, lam1, lam2, 1), lam2, lam1, -1)
+        return num, den
+
     if not weights.integral or u.denominator != 1:
-        return fallback
-    table = PairBinomials(t, weights.e1 + weights.e2)
-    P, R, u = t.numerator, t.denominator, int(u)
+        return box_by_box
+    P, R, u = table.P, table.R, int(u)
+
+    def make(w):
+        n, r, p = table[u + w]
+        return n, R ** r * P ** p
+
+    by_weight = _Lazy()
+    by_weight.make = make
+    get = by_weight.__getitem__
 
     def pair(lam1, lam2):
-        num, r, p = 1, 0, 0
-        for w in weights(lam1, lam2):
-            n, dr, dp = table[u + w]
+        num = den = 1
+        for n, d in map(get, weights(lam1, lam2)):
             num *= n
-            r += dr
-            p += dp
+            den *= d
         if not num:
-            return fallback(lam1, lam2)
-        return num, R ** r * P ** p
+            return box_by_box(lam1, lam2)
+        return num, den
 
     return pair
 
@@ -368,9 +364,9 @@ def pair_sum(d: int, parts, first, second, factor, pair):
 
     first and second map each diagram of parts to (key, re, im, den), for
     the value (re + im i) / den, or to a Vanished.  pair(lam1, lam2) is the
-    real pair factor as (num, den) (pair_4d, pair_5d, box_by_box_pair);
-    factor(acc, lam, mu, s), the box-by-box route, is the triple acc times
-    N_{lam mu}, with s = 1 for the first pair factor and -1 for the second.
+    real pair factor as (num, den), a pair_route; factor(acc, lam, mu, s),
+    the box-by-box route, is the triple acc times N_{lam mu}, with s = 1
+    for the first pair factor and -1 for the second.
 
     The terms are integer triples, merged in balanced binary counters (one
     gcd per merge, so about log2 of the terms stay alive): those of one

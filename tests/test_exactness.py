@@ -3,8 +3,9 @@ src/nektau, keeps no cache of its own outside a run's memo, builds
 parameter samples only in its q-Painleve pool, writes and builds taus
 only in tau.py, builds and reads symbol monomials only in symbols.py,
 reaches a series' integer exponent lattice only in series.py, convolves
-series only in series.sector_product, and never changes a SymExpr's term
-map once it is built."""
+series only in series.sector_product, builds the pair-factor tables only in
+the instanton kernels and reads them only in partitions.pair_route, and
+never changes a SymExpr's term map once it is built."""
 
 import ast
 from pathlib import Path
@@ -174,6 +175,58 @@ def test_products_convolve_and_find_their_bounds_in_sector_product_alone():
     assert [(module, scope) for module, tree in trees.items()
             for scope in _callers(tree, "_convolve")] == [("series", "sector_product")]
     assert _callers(trees["fourier"], "min_exp") == ["FourierSeries.leading"]
+
+
+#: the per-series tables of what a box gives to a pair factor
+PAIR_TABLES = ("PairBinomials", "PairLinears")
+
+
+def _table_builds(tree):
+    """(scope, table, call) for each call that builds a pair table: the
+    qualified name of the function around it, the table's class and the
+    name of the call it is a direct argument of (None if it is not one)."""
+    found = []
+
+    def name(f):
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    def visit(node, scope, outer):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            if name(node.func) in PAIR_TABLES:
+                found.append((scope, name(node.func), outer))
+            visit(node.func, scope, None)
+            for arg in node.args + [k.value for k in node.keywords]:
+                visit(arg, scope, name(node.func))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, None)
+
+    visit(tree, "", None)
+    return found
+
+
+def test_pair_tables_are_built_in_the_kernels_and_read_in_pair_route_alone():
+    # each kernel hands its table straight to partitions.pair_route, so no
+    # other code holds one, and pair_route reads it only by index and for
+    # its base t = P / R
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert [(module, *build) for module, tree in trees.items()
+            for build in _table_builds(tree)] == [
+        ("nekrasov", "kernel_4d", "PairLinears", "pair_route"),
+        ("nekrasov", "kernel_5d", "PairBinomials", "pair_route"),
+        ("nekrasov", "matter_kernel", "PairBinomials", "pair_route"),
+    ]
+    (route,) = [node for node in trees["partitions"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "pair_route"]
+    parents = {id(child): node for node in ast.walk(route)
+               for child in ast.iter_child_nodes(node)}
+    uses = [parents[id(n)] for n in ast.walk(route)
+            if isinstance(n, ast.Name) and n.id == "table" and isinstance(n.ctx, ast.Load)]
+    assert uses and all(isinstance(use, ast.Subscript) or (
+        isinstance(use, ast.Attribute) and use.attr in ("P", "R")) for use in uses)
 
 
 #: dict methods that change a dict in place

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import pair_factors
 from diagram_pairs import enumerate_pairs
 from fraction_exponents import cs_exponent
 import nektau.identities as idmod
@@ -27,7 +28,6 @@ from nektau.partitions import (
     BinomialTable,
     BoxWeights,
     Vanished,
-    box_by_box_pair,
     boxes,
     conjugate,
     mul_factors_4d,
@@ -444,7 +444,7 @@ def test_pair_sum_groups_by_key_and_divides_by_the_pair_factors():
         return acc[0] * (2 if s == 1 else 3), 0, acc[2]
 
     # ((), (1,)): 1 * (-i/2) / 6 at key 0; ((1,), ()): (1 + 2i)/3 * 5 / 6 at key 3/2
-    pair = box_by_box_pair(factor)
+    pair = pair_factors.box_by_box_pair(factor)
     assert pair_sum(1, parts, first, second, factor, pair) == {
         0: [0, F(-1, 12)], F(3, 2): [F(5, 18), F(10, 18)]}
     assert pair_sum(0, parts, first, second, factor, pair) == {F(1, 2): [F(5, 6), 0]}
@@ -480,7 +480,8 @@ def test_pair_sum_raises_in_box_by_box_order():
 
         # ((), (2,)), ((), (1, 1)) and then ((1,), (1,))
         with pytest.raises(ZeroFactor) as info:
-            pair_sum(2, parts, first, second, factor, box_by_box_pair(factor))
+            pair_sum(2, parts, first, second, factor,
+                     pair_factors.box_by_box_pair(factor))
         assert str(info.value) == failing[0]
 
 
@@ -574,7 +575,7 @@ def test_inst_coeff_matter_raises_the_first_failing_factor():
 
 
 # ---------------------------------------------------------------------------
-# the one-pass pair factor and the integer merge against the routes they replaced
+# pair_route and the integer merge against the routes they replaced
 # ---------------------------------------------------------------------------
 
 
@@ -600,50 +601,86 @@ def old_pair_5d(E1, E2, u, t):
     return pair
 
 
-def _kernel_pair(kernel):
-    pair = kernel[4]
-    return lambda l1, l2: F(*pair(l1, l2))
+def _routes_4d(e1, e2, a):
+    """One kernel_4d's pair_route, the reference pair_4d on the kernel's
+    factor, and two box-by-box products."""
+    kernel = kernel_4d(e1, e2, a, 0)
+    L = lcm(a.denominator, e1.denominator, e2.denominator)
+    ref = pair_factors.pair_4d(BoxWeights(e1 * L, e2 * L), int(a * L), kernel[3])
+    return kernel[4], ref, old_pair_4d(e1, e2, a)
 
 
-PAIRS_TO_6 = [pair for n in range(7) for pair in enumerate_pairs(n)]
+def _routes_5d(E1, E2, Lu, t):
+    """As _routes_4d, of one kernel_5d, with the reference pair_5d."""
+    kernel = kernel_5d(E1, E2, 0, Lu, t, 0)
+    ref = pair_factors.pair_5d(BoxWeights(E1, E2), t, Lu, kernel[3])
+    return kernel[4], ref, old_pair_5d(E1, E2, Lu, t)
+
+
+def _routes_matter(sigma, smp):
+    """As _routes_5d, of one matter_kernel: its u is 2 dq sigma."""
+    kernel = matter_kernel(_matter_inputs()[0], sigma, smp, 0)
+    E1, E2, u = F(-smp.dq), F(smp.dq), 2 * smp.dq * sigma
+    ref = pair_factors.pair_5d(BoxWeights(E1, E2), smp.t, u, kernel[3])
+    return kernel[4], ref, old_pair_5d(E1, E2, u, smp.t)
+
+
+PAIRS_TO_8 = [pair for n in range(9) for pair in enumerate_pairs(n)]
 QP = idmod.POOL_QP[0]
 
 
-# each row names the outcomes it must produce over PAIRS_TO_6
-@pytest.mark.parametrize("kernel,old,kinds", [
-    (kernel_4d(F(1), F(-3, 7), F(2, 5), 6), old_pair_4d(F(1), F(-3, 7), F(2, 5)),
-     {"value"}),
-    (kernel_4d(F(1), F(1), F(0), 6), old_pair_4d(F(1), F(1), F(0)),
-     {"value", "ZeroFactor"}),
-    (kernel_4d(F(2), F(-1), F(1), 6), old_pair_4d(F(2), F(-1), F(1)),
-     {"value", "ZeroFactor"}),
-    *[(kernel_5d(E1, E2, 0, Lu, t, 6), old_pair_5d(E1, E2, Lu, t), {"value"})
-      for t, E1, E2, Lu in idmod.POOL_5D],
-    (kernel_5d(F(1), F(-1), 0, F(2), F(1, 3), 6), old_pair_5d(F(1), F(-1), F(2), F(1, 3)),
-     {"value", "ZeroFactor"}),
+def _same_pair_factors(new, ref, old):
+    """The outcome kinds of new over PAIRS_TO_8, each the same (num, den),
+    or the same exception type and message, as ref's, and the value or
+    exception of old."""
+    seen = set()
+    for lam1, lam2 in PAIRS_TO_8:
+        got = _outcome(new, lam1, lam2)
+        assert got == _outcome(ref, lam1, lam2), (lam1, lam2)
+        kind = got[0] if isinstance(got[0], str) else "value"
+        assert (F(*got) if kind == "value" else got) == _outcome(old, lam1, lam2), (lam1, lam2)
+        seen.add(kind)
+    return seen
+
+
+# each row names the outcomes it must produce over PAIRS_TO_8
+@pytest.mark.parametrize("routes,args,kinds", [
+    (_routes_4d, (F(1), F(-3, 7), F(2, 5)), {"value"}),
+    (_routes_4d, (F(1), F(1), F(0)), {"value", "ZeroFactor"}),
+    (_routes_4d, (F(2), F(-1), F(1)), {"value", "ZeroFactor"}),
+    *[(_routes_5d, (E1, E2, Lu, t), {"value"}) for t, E1, E2, Lu in idmod.POOL_5D],
+    (_routes_5d, (F(1), F(-1), F(2), F(1, 3)), {"value", "ZeroFactor"}),
     # non-integral u, then non-integral weights: the box-by-box route
-    (kernel_5d(F(2), F(4), 0, F(1, 2), F(1, 3), 6), old_pair_5d(F(2), F(4), F(1, 2), F(1, 3)),
-     {"value", "ValueError"}),
-    (kernel_5d(F(1, 3), F(2, 3), 0, F(0), F(5, 2), 6),
-     old_pair_5d(F(1, 3), F(2, 3), F(0), F(5, 2)), {"value", "ValueError", "ZeroFactor"}),
-    (matter_kernel(_matter_inputs()[0], QP.sigma, QP, 6),
-     old_pair_5d(F(-QP.dq), F(QP.dq), 2 * QP.dq * QP.sigma, QP.t), {"value"}),
-    (matter_kernel(_matter_inputs()[0], F(1, 2), QP, 6),
-     old_pair_5d(F(-QP.dq), F(QP.dq), F(QP.dq), QP.t), {"value", "ZeroFactor"}),
-    (matter_kernel(_matter_inputs()[0], F(1, 32), QP, 6),
-     old_pair_5d(F(-QP.dq), F(QP.dq), F(QP.dq, 16), QP.t), {"value", "ValueError"}),
+    (_routes_5d, (F(2), F(4), F(1, 2), F(1, 3)), {"value", "ValueError"}),
+    (_routes_5d, (F(1, 3), F(2, 3), F(0), F(5, 2)), {"value", "ValueError", "ZeroFactor"}),
+    (_routes_matter, (QP.sigma, QP), {"value"}),
+    (_routes_matter, (F(1, 2), QP), {"value", "ZeroFactor"}),
+    (_routes_matter, (F(1, 32), QP), {"value", "ValueError"}),
 ], ids=["4d", "4d-a0", "4d-zero", "5d-0", "5d-1", "5d-2", "5d-zero", "5d-u", "5d-weights",
         "matter", "matter-zero", "matter-u"])
-def test_one_pass_pair_factor_matches_two_box_by_box_products(kernel, old, kinds):
+def test_one_pass_pair_factor_matches_two_box_by_box_products(routes, args, kinds):
+    # pair_route forms what the per-dimension pair factors of
+    # tests/pair_factors.py form;
     # a vanishing or non-integral product raises what the box-by-box route
     # meets first, with the same type and message
-    new = _kernel_pair(kernel)
-    seen = set()
-    for lam1, lam2 in PAIRS_TO_6:
-        got = _outcome(new, lam1, lam2)
-        assert got == _outcome(old, lam1, lam2), (lam1, lam2)
-        seen.add(_kind(got))
-    assert seen == kinds
+    assert _same_pair_factors(*routes(*args)) == kinds
+
+
+EPS = st.fractions(-3, 3, max_denominator=3).filter(bool)
+
+
+@given(EPS, EPS, st.fractions(-4, 4, max_denominator=6))
+@settings(max_examples=30)
+def test_pair_route_is_the_4d_reference_at_any_point(e1, e2, a):
+    _same_pair_factors(*_routes_4d(e1, e2, a))
+
+
+@given(EPS, EPS, st.fractions(-4, 4, max_denominator=2),
+       st.fractions(-3, 3, max_denominator=5).filter(bool))
+@settings(max_examples=30)
+def test_pair_route_is_the_5d_reference_at_any_point(E1, E2, Lu, t):
+    # half-integer E or Lu take the box-by-box route, t = 1 zero products
+    _same_pair_factors(*_routes_5d(E1, E2, Lu, t))
 
 
 def _entries(draw, parts, keys):
