@@ -284,12 +284,12 @@ def _exit_code(rep) -> int:
 #: ms that the checks of each family (IdentityCheck.family) take together
 #: at their default orders on one sample: the report's timing of
 #: `taskset -c 0 nektau verify --seed 0 --report r.json`, summed over each
-#: family's checks, median of 5 runs.  A forked run hands out the heaviest
+#: family's checks, median of 15 runs.  A forked run hands out the heaviest
 #: groups first and keeps the first in this process: 4d-tau before 4d-zeta
 FAMILY_MS = {
-    "doubled-base": 115, "q-painleve": 85, "q-chern-simons": 48, "4d-tau": 38,
-    "5d-chern-simons": 32, "4d-eps": 23, "5d-generic": 20, "4d-zeta": 15,
-    "halfpow": 11, "20equiv1": 3,
+    "doubled-base": 92, "q-painleve": 45, "5d-chern-simons": 26, "q-chern-simons": 26,
+    "4d-tau": 20, "5d-generic": 16, "4d-eps": 15, "halfpow": 9, "4d-zeta": 5,
+    "20equiv1": 2,
 }
 _RECORD = 4  # bytes of one group index in the work queue
 

@@ -149,7 +149,8 @@ class Context:
              nekrasov.memoized under a kind name and the arguments it
              depends on: the instanton coefficients of the series checks
              ask for, relative modes and their cocycles, each tau a check
-             reads (see tau.TauSystem), the zeta series with its
+             reads, at the depth its order z^E sets (tau.TauSystem.depth:
+             every check passes its bare E), the zeta series with its
              theta-products, and for each pair of 4d taus its Hirota
              derivatives D^k.  It is the only cache a run keeps.
     """
@@ -173,25 +174,25 @@ class Context:
         coeffs[self.corrupt] = coeffs.get(self.corrupt, SymExpr.zero()) + SymExpr.one()
         return PuiseuxSeries(coeffs, x.trunc)
 
-    def taus_4d(self, sigma: Frac, EB: Frac):
-        """name -> the tau of TauSystem4d(sigma) named so, through z^EB,
-        built once per run on first use."""
-        return lambda name: TauSystem4d(sigma, memo=self.memo).tau(name, EB)
+    def taus_4d(self, sigma: Frac, E: Frac):
+        """name -> the tau of TauSystem4d(sigma) named so, as a comparison
+        through z^E reads it, built once per run on first use."""
+        return TauSystem4d(sigma, memo=self.memo).taus(E)
 
-    def hirota_4d(self, sigma: Frac, EB: Frac):
-        """D: (k, f, g) -> D^k of the taus_4d(sigma, EB) taus named f
-        and g.  Each D^k is formed once per run, in one pass over the
-        pairs of terms of the two taus (see series.theta_products)."""
-        tau = self.taus_4d(sigma, EB)
+    def hirota_4d(self, sigma: Frac, E: Frac):
+        """D: (k, f, g) -> D^k of the taus_4d(sigma, E) taus named f and
+        g.  Each D^k is formed once per run, in one pass over the pairs of
+        terms of the two taus (see series.theta_products)."""
+        tau = self.taus_4d(sigma, E)
 
         def D(k, f, g):
-            return memoized(self.memo, ("hirota", sigma, EB, f, g, k),
+            return memoized(self.memo, ("hirota", sigma, E, f, g, k),
                             lambda: hirota(k, tau(f), tau(g)))
 
         return D
 
-    def zeta_4d(self, sigma: Frac, EB: Frac):
-        """zeta = theta(tau)/tau of the taus_4d(sigma, EB) tau "kiev" (the
+    def zeta_4d(self, sigma: Frac, E: Frac):
+        """zeta = theta(tau)/tau of the taus_4d(sigma, E) tau "kiev" (the
         relative series, without the classical constant sigma^2), and the
         theta-products of zeta that zetac and zeta3 take, formed once per
         run: P = (theta zeta)^2, Q = (theta^2 zeta)^2 - theta zeta
@@ -200,19 +201,19 @@ class Context:
         on (P, zeta)."""
 
         def build():
-            z = zeta_from_tau(self.taus_4d(sigma, EB)("kiev"))
+            z = zeta_from_tau(self.taus_4d(sigma, E)("kiev"))
             P, Q, R = theta_products(z, z, [{(1, 1): 1},
                                             {(2, 2): 1, (1, 3): -1},
                                             {(2, 2): 1, (2, 1): -2, (1, 1): 1}])
             P_dz, P_z = theta_products(P, z, [{(0, 1): 1}, {(0, 0): 1}])
             return {"zeta": z, "P": P, "Q": Q, "R": R, "P dzeta": P_dz, "P zeta": P_z}
 
-        return memoized(self.memo, ("zeta_4d", sigma, EB), build)
+        return memoized(self.memo, ("zeta_4d", sigma, E), build)
 
-    def taus_q(self, sample: ParameterSample, m: int, EB: Frac):
-        """name -> the tau of TauSystemQ(sample, m) named so, through z^EB,
-        built once per run on first use."""
-        return lambda name: TauSystemQ(sample, m, memo=self.memo).tau(name, EB)
+    def taus_q(self, sample: ParameterSample, m: int, E: Frac):
+        """name -> the tau of TauSystemQ(sample, m) named so, as a
+        comparison through z^E reads it, built once per run on first use."""
+        return TauSystemQ(sample, m, memo=self.memo).taus(E)
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +385,22 @@ def run_NY1(sample, E, ctx):
 
 
 def run_NYtaupm(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     lhs = D(0, "plus", "minus")
     return [("product of short taus equals the full tau",
              lhs, ctx.corrupted(taus("kiev")))]
 
 
 def run_NYtau01(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     lhs = D(0, "long0", "long0") + D(0, "long1", "long1")
     return [("sum of squared parity taus equals the full tau", lhs, taus("kiev"))]
 
 
 def run_NYD2diff(sigma, E, ctx):
-    D = ctx.hirota_4d(sigma, E + 1)
+    D = ctx.hirota_4d(sigma, E)
     mid = D(2, "plus", "minus")
     lhs = D(2, "long0", "long0") + D(2, "long1", "long1")
     return [
@@ -409,8 +410,8 @@ def run_NYD2diff(sigma, E, ctx):
 
 
 def run_NYD4diff(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     mid = D(4, "plus", "minus")
     lhs = D(4, "long0", "long0") + D(4, "long1", "long1")
     rhs = taus("kiev").shift(1).scale(-2)
@@ -421,8 +422,8 @@ def run_NYD4diff(sigma, E, ctx):
 
 
 def run_NYD1diff(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     L = D(1, "long0", "long1")
     M = D(1, "plus", "minus")
     return [
@@ -432,8 +433,8 @@ def run_NYD1diff(sigma, E, ctx):
 
 
 def run_NYD3diff(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     L = D(3, "long0", "long1")
     M = D(3, "plus", "minus")
     return [
@@ -444,8 +445,8 @@ def run_NYD3diff(sigma, E, ctx):
 
 
 def run_NYdiffIS(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     D2 = D(2, "plus", "minus")
     D4 = D(4, "plus", "minus")
     rhs = taus("kiev").shift(1).scale(-2)
@@ -456,32 +457,32 @@ def run_NYdiffIS(sigma, E, ctx):
 
 
 def run_NYdiffHIS1(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     D1 = D(1, "plus", "minus")
     return [("degree-1 half sector slice",
              D1.sector(HALF), _quarter_tau1(taus("half")).sector(HALF))]
 
 
 def run_NYdiffHIS3(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     D3 = D(3, "plus", "minus")
     return [("degree-3 half sector slice",
              D3.sector(HALF), _quarter_tau1(taus("half"), sigma).sector(HALF))]
 
 
 def run_Todasg(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     lhs = D(2, "kiev", "kiev")
     rhs = (taus("up") * taus("down")).shift(HALF).scale(-2)
     return [("D^2(tau,tau) equals -2 z^{1/2} tau(+1/2) tau(-1/2)", lhs, rhs)]
 
 
 def run_doubleprop(sigma, E, ctx):
-    taus = ctx.taus_4d(sigma, E + 1)
-    D = ctx.hirota_4d(sigma, E + 1)
+    taus = ctx.taus_4d(sigma, E)
+    D = ctx.hirota_4d(sigma, E)
     lhs = D(2, "kiev", "kiev")
     D1 = D(1, "plus", "minus")
     rhs1 = (D1 * D1).scale(-2)
@@ -496,7 +497,7 @@ def run_zetac(sigma, E, ctx):
     """-2 (theta zeta)^3 + (theta^2 zeta)^2 - theta zeta theta^3 zeta
     + 2 z theta zeta vanishes; theta drops the constant that the relative
     zeta lacks."""
-    zs = ctx.zeta_4d(sigma, E + 1)
+    zs = ctx.zeta_4d(sigma, E)
     lhs = zs["P dzeta"].scale(-2) + zs["Q"] + zs["zeta"].theta().shift(1).scale(2)
     return [("constant-free third order form vanishes",
              lhs, FourierSeries.zero(lhs.trunc))]
@@ -506,14 +507,14 @@ def run_zeta3(sigma, E, ctx):
     """(theta^2 Z - theta Z)^2 = 4 (theta Z)^2 (Z - theta Z) - 4 z theta Z
     for Z = zeta + sigma^2 (relative series drop the classical
     z^{sigma^2}), with (theta Z)^2 Z = P zeta + sigma^2 P."""
-    zs = ctx.zeta_4d(sigma, E + 1)
+    zs = ctx.zeta_4d(sigma, E)
     rhs = ((zs["P zeta"] + zs["P"].scale(sigma * sigma) - zs["P dzeta"]).scale(4)
            - zs["zeta"].theta().shift(1).scale(4))
     return [("cleared second order form with constant sigma^2", zs["R"], rhs)]
 
 
 def run_KZsq(sigma, E, ctx):
-    D = ctx.hirota_4d(sigma, E + 1)
+    D = ctx.hirota_4d(sigma, E)
     D1 = D(1, "long0", "long1")
     lhs = (D1 * D1).scale(4)
     # zeta' tau^2 = theta^2(tau) tau - theta(tau)^2 = D^2(tau,tau)/2, the
@@ -561,7 +562,7 @@ def _at_5d_point(run):
 
 
 def run_qNYtaupm(smp, E, ctx):
-    taus = ctx.taus_q(smp, 0, E + 1)
+    taus = ctx.taus_q(smp, 0, E)
     return [("product of short q-taus equals the full q-tau",
              taus("plus") * taus("minus"), ctx.corrupted(taus("kiev0")))]
 
@@ -572,7 +573,7 @@ def _qpm_dilated(taus, smp, a):
 
 
 def run_qNYD2diff(smp, E, ctx):
-    taus = ctx.taus_q(smp, 0, E + 1)
+    taus = ctx.taus_q(smp, 0, E)
     Apl, Bpl = _qpm_dilated(taus, smp, 1)
     return [("symmetric unit dilation sum equals 2 tau",
              Apl + Bpl, taus("kiev0").scale(2))]
@@ -583,7 +584,7 @@ def run_qD1(m, name):
     -2 z^{1/4} tau_{1;m}."""
 
     def run(smp, E, ctx):
-        taus = ctx.taus_q(smp, m, E + 1)
+        taus = ctx.taus_q(smp, m, E)
         A, B = _qpm_dilated(taus, smp, 1)
         return [(name, A - B, taus("kiev1").shift(QUARTER).scale(-2 * OMEGA))]
 
@@ -591,21 +592,21 @@ def run_qD1(m, name):
 
 
 def run_qNYD2diffp(smp, E, ctx):
-    taus = ctx.taus_q(smp, 0, E + 1)
+    taus = ctx.taus_q(smp, 0, E)
     Apl, Bpl = _qpm_dilated(taus, smp, 1)
     return [("symmetric unit dilation sum equals 2 tau+ tau-",
              Apl + Bpl, (taus("plus") * taus("minus")).scale(2))]
 
 
 def run_qNYD4diff(smp, E, ctx):
-    taus = ctx.taus_q(smp, 0, E + 1)
+    taus = ctx.taus_q(smp, 0, E)
     A2, B2 = _qpm_dilated(taus, smp, 2)
     rhs = taus("kiev0").scale(2) - taus("kiev0").shift(1).scale(2)
     return [("symmetric double dilation sum equals 2 (1 - z) tau", A2 + B2, rhs)]
 
 
 def run_qG(smp, E, ctx):
-    taus = ctx.taus_q(smp, 0, E + 2)
+    taus = ctx.taus_q(smp, 0, E)
     G = g_function(taus("kiev0"), taus("kiev1"))
     one = FourierSeries.single(PuiseuxSeries.one(G.trunc))
     z1 = one.shift(1)
@@ -615,7 +616,7 @@ def run_qG(smp, E, ctx):
 
 
 def run_cdsystem(smp, E, ctx):
-    taus = ctx.taus_q(smp, 0, E + 1)
+    taus = ctx.taus_q(smp, 0, E)
     t0p, t0m, t1p, t1m = map(taus, ("plus", "minus", "plus_uq", "minus_uq"))
     p01 = (t1p * t1m).shift(QUARTER)
     p10 = (t0p * t0m).shift(QUARTER)
@@ -633,7 +634,7 @@ def run_cdsystem(smp, E, ctx):
 
 
 def run_qNYDCS2diff(smp, E, ctx):
-    taus = ctx.taus_q(smp, 1, E + 1)
+    taus = ctx.taus_q(smp, 1, E)
     lhs = taus("kiev0").scale(2)
     return [(f"{name} dilation mix equals 2 tau_{{1;0}}", A + B, lhs)
             for name, (A, B) in (("half", _qpm_dilated(taus, smp, HALF)),
@@ -648,7 +649,7 @@ def run_qToda(names):
     def run(smp, E, ctx):
         parts = []
         for m, name in names.items():
-            taus = ctx.taus_q(smp, m, E + 1)
+            taus = ctx.taus_q(smp, m, E)
             tau = taus("kiev0")
             lhs = tau.dilate(1, smp) * tau.dilate(-1, smp)
             bp = taus("up").dilate(Frac(m, 2), smp)
@@ -861,7 +862,7 @@ def run_m1chain(smp, E, ctx):
     consequence, and a sign-flip mutation that must fail."""
     lhs, rhs = _plus_position_expansion()
     book_ok = all(lhs.get(k, 0) == rhs.get(k, 0) for k in set(lhs) | set(rhs))
-    taus = ctx.taus_q(smp, 1, E + 1)
+    taus = ctx.taus_q(smp, 1, E)
     Ah, Bh = _qpm_dilated(taus, smp, HALF)
     T10 = (Ah + Bh).scale(HALF)
     lhs_s = T10.dilate(1, smp) * T10.dilate(-1, smp)

@@ -50,7 +50,7 @@ from .partitions import (BinomialTable, BoxWeights, PairBinomials, PairLinears, 
 from .rationals import GaussianRational
 from .sampling import ParameterSample
 from .series import PuiseuxSeries
-from .symbols import SymExpr, gamma_value, poch_value, rational_power
+from .symbols import SymExpr, ZeroFactor, gamma_value, poch_value, rational_power
 
 Frac = Fraction
 HALF = Frac(1, 2)
@@ -260,7 +260,10 @@ def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
     """The four-flavour pair sum through z^order: (parts, first, second,
     factor, pair) for pair_sum.  Each diagram's eight numerator products
     and its N_{lam lam} are made once, on first use, from its two numerator
-    weight lists; a pair adds only N_{lam1 lam2} N_{lam2 lam1}.
+    weight lists; a pair adds only N_{lam1 lam2} N_{lam2 lam1}.  A
+    vanishing numerator factor makes the diagram's entry zero, with no
+    factor after it formed; a vanishing N_{lam lam} or pair factor raises
+    ZeroFactor.
 
     vs: mapping with keys "0", "t", "1", "inf"; each value is a pair
     (coef: GaussianRational, p: Frac) encoding the multiplicative weight
@@ -286,8 +289,12 @@ def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
     }
 
     def numerator(lam, a_ws, b_ws, a_tab, a_texp, b_tab, b_texp):
-        num = mul_binomials(_ONE, (), lam, a_ws, weights.integral, a_tab, a_texp)
-        return mul_binomials(num, lam, (), b_ws, weights.integral, b_tab, b_texp)
+        """The a- then b-type product, zero at its first vanishing factor."""
+        try:
+            num = mul_binomials(_ONE, (), lam, a_ws, weights.integral, a_tab, a_texp)
+            return mul_binomials(num, lam, (), b_ws, weights.integral, b_tab, b_texp)
+        except ZeroFactor:
+            return 0, 0, 1
 
     def entries(lam):
         ws = weights((), lam), weights(lam, ())

@@ -50,6 +50,10 @@ class TauSpec(namedtuple("TauSpec", "base k_step k_offset fourier_offset sector_
         return (self.k_offset[0] + j * self.k_step[0],
                 self.k_offset[1] + j * self.k_step[1])
 
+    def gap(self, j) -> Frac:
+        """The classical gap of mode j: the least z-exponent of its sector."""
+        return self.base.classical_gap(*self.lattice(int(j)))
+
 
 def build_tau(spec: TauSpec, E) -> FourierSeries:
     """Assemble the tau as a FourierSeries exact through z^E.
@@ -58,12 +62,8 @@ def build_tau(spec: TauSpec, E) -> FourierSeries:
     E; raises IncompleteModeRange if the scan fails to close.
     """
     E = _frac(E)
-
-    def gap(j):
-        return spec.base.classical_gap(*spec.lattice(int(j)))
-
     sectors = {}
-    for j in blowup_modes(E, gap):
+    for j in blowup_modes(E, spec.gap):
         j = int(j)
         ps = spec.base.mode(*spec.lattice(j), E)
         if spec.prefactor is not None:
@@ -84,7 +84,27 @@ KAPPA = SymExpr.from_rational(GaussianRational(0, -1))
 class TauSystem:
     """A family of taus on common theories, set up by each subclass:
     recipes maps each name to its TauSpec, key names the system, and
-    tau(name, E) builds the tau named so through z^E once per memo."""
+    tau(name, E) builds the tau named so through z^E once per memo.
+
+    A comparison through z^E reads the taus through depth(E) = E - min(0,
+    v), v the least sector exponent of the system's taus: a product f g is
+    known through min(f.trunc + v(g), g.trunc + v(f)), so every product,
+    D^k or theta-product of two taus built to that depth is known through
+    z^E (theta keeps bounds), and so is zeta_from_tau of kiev, whose
+    inverse is led by a z^0 term.  At the pool samples v is -1/24 (4d,
+    sigma = 7/24) or -1/8 (q, sigma = 3/8), else 0.  A side that still
+    falls short makes fourier.fs_equal_to_order raise, never pass."""
+
+    def taus(self, E):
+        """name -> the tau named so, through depth(E)."""
+        depth = self.depth(E)
+        return lambda name: self.tau(name, depth)
+
+    def depth(self, E) -> Frac:
+        """E - min(0, v), v the least classical gap of the modes the
+        recipes sum (those at gaps <= 0 suffice): no instanton work."""
+        return _frac(E) - min(0, *(spec.gap(j) for spec in self.recipes.values()
+                                   for j in blowup_modes(0, spec.gap, 0)))
 
     def tau(self, name: str, E) -> FourierSeries:
         """The tau named so, kept in memo under ("tau", *key, name, E)."""

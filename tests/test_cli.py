@@ -502,7 +502,8 @@ def _check_groups(monkeypatch, cfg):
 def _kiev_crossings(sigmas):
     """The one memo value that crosses groups on each sigma: the kiev tau
     that the 4d-tau checks build and the 4d-zeta checks read."""
-    return {(("4d-tau", sigma), ("4d-zeta", sigma)): {("tau", "4d", sigma, "kiev", F(3))}
+    return {(("4d-tau", sigma), ("4d-zeta", sigma)):
+            {("tau", "4d", sigma, "kiev", tau.TauSystem4d(sigma).depth(F(2)))}
             for sigma in sigmas}
 
 
@@ -531,16 +532,17 @@ def test_on_three_samples_only_mirrored_4d_coefficients_cross_groups(monkeypatch
     mirrored = {("4d-tau", F(5, 24)), ("4d-tau", F(7, 24))}
     assert coefficients and all(set(pair) == mirrored for pair in coefficients)
     keys = set().union(*coefficients.values())
-    assert {key[0] for key in keys} == {"inst_coeff_4d"} and len(keys) == 18
+    assert {key[0] for key in keys} == {"inst_coeff_4d"} and len(keys) == 11
 
 
-@pytest.mark.parametrize("ids,builds", [(list(idmod.CATALOG), 27), (["qG"], 2),
+@pytest.mark.parametrize("ids,builds", [(list(idmod.CATALOG), 25), (["qG"], 2),
                                         (["qTodaCSsg"], 6)],
                          ids=["catalog", "qG", "qTodaCSsg"])
 def test_a_run_builds_only_the_taus_its_checks_read(monkeypatch, ids, builds):
     # each tau is built on first use: a seed-0 catalog run used to build
     # 34, with qG's four unread taus at z^4 and qTodaCSsg's three unread
-    # level-2 ones
+    # level-2 ones; qG reads its two taus at the depth of the other
+    # level-0 q checks, which build them too
     specs = []
     real = tau.build_tau
 

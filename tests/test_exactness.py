@@ -4,8 +4,9 @@ parameter samples only in its q-Painleve pool, writes and builds taus
 only in tau.py, builds and reads symbol monomials only in symbols.py,
 reaches a series' integer exponent lattice only in series.py, convolves
 series only in series.sector_product, builds the pair-factor tables only in
-the instanton kernels and reads them only in partitions.pair_route, and
-never changes a SymExpr's term map once it is built."""
+the instanton kernels and reads them only in partitions.pair_route, lets
+only the Context choose the depth of the taus a check reads, and never
+changes a SymExpr's term map once it is built."""
 
 import ast
 from pathlib import Path
@@ -227,6 +228,55 @@ def test_pair_tables_are_built_in_the_kernels_and_read_in_pair_route_alone():
             if isinstance(n, ast.Name) and n.id == "table" and isinstance(n.ctx, ast.Load)]
     assert uses and all(isinstance(use, ast.Subscript) or (
         isinstance(use, ast.Attribute) and use.attr in ("P", "R")) for use in uses)
+
+
+#: the Context methods that build taus, D^k and zeta through a depth of
+#: their own choosing (TauSystem.depth) for the order they are given
+TAU_ACCESSORS = {"taus_4d", "hirota_4d", "zeta_4d", "taus_q"}
+
+
+def _accessor_orders(tree):
+    """(functions, order) for each call of a TAU_ACCESSORS attribute: the
+    functions around it, innermost last, and its last argument."""
+    found = []
+
+    def visit(node, functions):
+        if isinstance(node, ast.FunctionDef):
+            functions = functions + [node]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in TAU_ACCESSORS):
+            found.append((functions, node.args[-1]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, functions)
+
+    visit(tree, [])
+    return found
+
+
+def _passes_its_bare_order(functions, order):
+    """order is the name E, a parameter of the innermost function around
+    the call that takes one and assigned in none of those inside it."""
+    if not (isinstance(order, ast.Name) and order.id == "E"):
+        return False
+    for fn in reversed(functions):
+        if any(isinstance(n, ast.Name) and n.id == "E" and isinstance(n.ctx, ast.Store)
+               for n in ast.walk(fn)):
+            return False
+        if "E" in {a.arg for a in fn.args.args}:
+            return True
+    return False
+
+
+def test_checks_pass_their_bare_order_to_the_tau_accessors():
+    # each check asks the Context for its taus, Hirota derivatives and zeta
+    # at the order z^E it compares through, so the depth they are built to
+    # is chosen in one place
+    calls = [(path.name, *call) for path in sorted(PACKAGE.glob("*.py"))
+             for call in _accessor_orders(ast.parse(path.read_text(), str(path)))]
+    assert len(calls) >= 34 and {name for name, *_ in calls} == {"identities.py"}
+    assert [f"{functions[-1].name}:{order.lineno}: {ast.unparse(order)}"
+            for _, functions, order in calls
+            if not _passes_its_bare_order(functions, order)] == []
 
 
 #: dict methods that change a dict in place

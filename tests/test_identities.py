@@ -14,7 +14,7 @@ from nektau.fourier import EqualityReport, FourierSeries
 from nektau.rationals import GaussianRational
 from nektau.series import PuiseuxSeries, _sectors
 from nektau.symbols import SymExpr
-from nektau.tau import zeta_from_tau
+from nektau.tau import TauSystem4d, TauSystemQ, zeta_from_tau
 from test_theta_pass import assert_same
 
 THEOREM_IDS = [
@@ -244,12 +244,116 @@ def test_context_shares_taus_within_itself_only():
     assert idmod.Context().taus_4d(sigma, F(2))("kiev") is not tau
 
 
+class MarginContext(idmod.Context):
+    """A Context that builds each tau through E + margin, at a fixed margin
+    over the comparison order z^E: 1 for every check, and 2 for qG, read
+    before the depth rule (TauSystem.depth)."""
+
+    __slots__ = ("margin",)
+
+    def __init__(self, margin):
+        super().__init__()
+        self.margin = margin
+
+    def taus_4d(self, sigma, E):
+        system = TauSystem4d(sigma, memo=self.memo)
+        return lambda name: system.tau(name, E + self.margin)
+
+    def taus_q(self, sample, m, E):
+        system = TauSystemQ(sample, m, memo=self.memo)
+        return lambda name: system.tau(name, E + self.margin)
+
+
+#: the checks that read taus: the 4d-tau domain, and the q-painleve checks
+#: that call Context.taus_q
+TAU_4D_IDS = [id for id, e in idmod.CATALOG.items() if e.domain == "4d-tau"]
+TAU_Q_IDS = ["qNYtaupm", "qNYD2diff", "qNYD1diff", "qNYD2diffp", "qNYD4diff", "qTodasg",
+             "qG", "cd-system", "qNYDCS2diff", "qNYDCS1diff", "qTodaCSsg", "m1chain"]
+
+
+def _cut_parts(parts, E):
+    """Each part of a run, its sides cut at z^E, or its report; raises
+    ValueError where a side is known only below z^E."""
+    out = []
+    for name, *sides in parts:
+        if len(sides) == 2:
+            idmod._compare(*sides, E)
+            sides = [side.truncate(E) for side in sides]
+        out.append((name, sides))
+    return out
+
+
+def assert_margin_free(ids, sample, E=None):
+    """The parts of each check at the depth rule are those at the old
+    margin, cut at z^E (by default the check's own order)."""
+    ctx, old = idmod.Context(), {1: MarginContext(1), 2: MarginContext(2)}
+    for id in ids:
+        entry = idmod.CATALOG[id]
+        order = entry.default_order if E is None else E
+        got = _cut_parts(entry.run(sample, order, ctx), order)
+        assert got == _cut_parts(entry.run(sample, order, old[1 + (id == "qG")]), order), id
+        assert all(rep.ok for _, rep in idmod.verify(id, sample, order, ctx).parts), id
+
+
+@pytest.mark.parametrize("E", [F(1), F(2), F(7, 2), F(4), F(6), F(8)])
+@pytest.mark.parametrize("sigma", idmod.POOL_SIGMA)
+def test_4d_taus_at_the_depth_rule_give_the_parts_of_the_old_margin(sigma, E):
+    assert_margin_free(TAU_4D_IDS, sigma, E)
+
+
+@pytest.mark.parametrize("sigma", [F(k, 48) for k in (-23, -17, -14, -10, -7, 1, 7, 10, 14,
+                                                      17, 23)])
+def test_4d_depth_rule_holds_across_sigma(sigma):
+    # the least sector exponent reaches -11/48 at sigma = +-23/48
+    assert_margin_free(TAU_4D_IDS, sigma, F(4))
+
+
+@pytest.mark.parametrize("E", [None, F(3), F(5)], ids=["default", "3", "5"])
+@pytest.mark.parametrize("k", range(len(idmod.POOL_QP)))
+def test_q_taus_at_the_depth_rule_give_the_parts_of_the_old_margin(k, E):
+    assert_margin_free(TAU_Q_IDS, idmod.POOL_QP[k], E)
+
+
+@pytest.mark.parametrize("system,depths", [
+    (lambda k: TauSystem4d(idmod.POOL_SIGMA[k]), [F(1, 24), 0, 0]),
+    (lambda k: TauSystemQ(idmod.POOL_QP[k]), [F(1, 8), 0, F(1, 8)]),
+], ids=["4d", "q"])
+def test_depth_lifts_by_the_least_sector_exponent(system, depths):
+    # the lift -v is sigma - 1/4 where sigma > 1/4: the mode at sigma - 1/2
+    # sits at (sigma - 1/2)^2 - sigma^2
+    for k, lift in enumerate(depths):
+        assert system(k).depth(F(3)) == 3 + lift
+
+
+def test_every_tau_check_reads_taus_through_the_context():
+    # the id lists above cover each check that asks the Context for taus
+    class Recording(idmod.Context):
+        __slots__ = ("asked",)
+
+        def taus_4d(self, sigma, E):
+            self.asked = True
+            return super().taus_4d(sigma, E)
+
+        def taus_q(self, sample, m, E):
+            self.asked = True
+            return super().taus_q(sample, m, E)
+
+    reading = set()
+    for id, entry in idmod.CATALOG.items():
+        if entry.domain in ("4d-tau", "q-painleve") and id not in ("prdx", "halfpow"):
+            ctx = Recording()
+            entry.run(idmod.default_samples(entry.domain, 1)[0], F(1), ctx)
+            if getattr(ctx, "asked", False):
+                reading.add(id)
+    assert reading == set(TAU_4D_IDS + TAU_Q_IDS)
+
+
 def ref_zeta_products(sigma, E, ctx):
     """Test-only copy of the product route zetac and zeta3 took before
     their theta-products came from one pass: full products of the
     theta-derivatives of zeta, and of z = zeta + sigma^2 for zeta3.
     Returns the pieces of Context.zeta_4d and the sides of both checks."""
-    zr = zeta_from_tau(ctx.taus_4d(sigma, E + 1)("kiev"))
+    zr = zeta_from_tau(ctx.taus_4d(sigma, E)("kiev"))
     zp = zr.theta()
     zpp = zp.theta()
     zppp = zpp.theta()
@@ -269,7 +373,7 @@ def ref_zeta_products(sigma, E, ctx):
 def test_zeta_products_are_the_product_route(sigma):
     ctx = idmod.Context()
     pieces, zetac, zeta3 = ref_zeta_products(sigma, F(3), ctx)
-    zs = ctx.zeta_4d(sigma, F(4))
+    zs = ctx.zeta_4d(sigma, F(3))
     pairs = [(zs[k], ref) for k, ref in pieces.items()]
     for run, ref in ((idmod.run_zetac, zetac), (idmod.run_zeta3, zeta3)):
         [(_, *sides)] = run(sigma, F(3), ctx)
@@ -365,8 +469,8 @@ def assert_truncates_to(lo, hi):
 
 
 #: the memo kinds keyed by an order, and the place of the order in the key:
-#: ("mode", ..., order), ("tau", ..., E), ("hirota", sigma, EB, f, g, k)
-#: and ("zeta_4d", sigma, EB)
+#: ("mode", ..., order), ("tau", ..., depth), ("hirota", sigma, E, f, g, k)
+#: and ("zeta_4d", sigma, E)
 ORDER_AT = {"mode": -1, "tau": -1, "hirota": 2, "zeta_4d": 2}
 #: the memo kinds that no order keys: a relative mode's one-loop cocycle
 #: and the instanton coefficients, one per degree

@@ -284,14 +284,26 @@ def ref_n_factor_5d(lam, mu, u_coef, u_texp, E1, E2, t):
     return out
 
 
-def ref_inst_coeff_matter(vs, sigma, sample, d):
+def _ref_numerator(*args):
+    """ref_n_factor_5d, or 0 where a factor vanishes."""
+    try:
+        return ref_n_factor_5d(*args)
+    except ZeroFactor:
+        return G(0)
+
+
+def ref_matter_terms(vs, sigma, sample, d):
+    """The term of each pair (lam1, lam2) of total size d of the
+    four-flavour sum, factor by factor: a vanishing numerator factor makes
+    the term zero, and the b-type factors after a vanishing a-type one are
+    not formed; a vanishing N_{lam mu} raises."""
     dq, t = sample.dq, sample.t
     E1, E2 = F(-dq), F(dq)
     c0, p0 = vs["0"]
     ct, pt = vs["t"]
     c1, p1 = vs["1"]
     cinf, pinf = vs["inf"]
-    total = SymExpr.zero()
+    terms = {}
     for lam1, lam2 in enumerate_pairs(d):
         diagrams = {1: lam1, -1: lam2}
         num, den = G(1), G(1)
@@ -299,13 +311,21 @@ def ref_inst_coeff_matter(vs, sigma, sample, d):
             for epsp in (1, -1):
                 a_coef = cinf ** eps * c1.inverse()
                 a_texp = dq * (eps * pinf - p1 - epsp * sigma)
-                num = num * ref_n_factor_5d((), diagrams[epsp], a_coef, a_texp, E1, E2, t)
+                a = _ref_numerator((), diagrams[epsp], a_coef, a_texp, E1, E2, t)
                 b_coef = c0 ** (-eps) * ct.inverse()
                 b_texp = dq * (epsp * sigma - pt - eps * p0)
-                num = num * ref_n_factor_5d(diagrams[epsp], (), b_coef, b_texp, E1, E2, t)
+                b = a and _ref_numerator(diagrams[epsp], (), b_coef, b_texp, E1, E2, t)
+                num = num * a * b
                 den = den * ref_n_factor_5d(diagrams[eps], diagrams[epsp], G(1),
                                             dq * (eps - epsp) * sigma, E1, E2, t)
-        total = total + SymExpr.from_rational(num * den.inverse())
+        terms[lam1, lam2] = num * den.inverse()
+    return terms
+
+
+def ref_inst_coeff_matter(vs, sigma, sample, d):
+    total = SymExpr.zero()
+    for term in ref_matter_terms(vs, sigma, sample, d).values():
+        total = total + SymExpr.from_rational(term)
     return total
 
 
@@ -545,33 +565,53 @@ def test_inst_coeff_matter_guards_match_per_factor_route():
     smp = idmod.POOL_QP[0]
     base = {k: (i1, F(0)) for k in ("0", "t", "1", "inf")}
     # sigma + 1/16 puts the a- and b-type factors on half-integer exponents;
-    # a unit mass q^sigma over a unit "1" weight makes 1 - t^0 appear
+    # a unit mass q^sigma over a unit "1" weight makes 1 - t^0 a numerator
+    # factor of every term past degree 0, each of which is then zero
+    unit = dict(base, inf=(G(1), smp.sigma), **{"1": (G(1), F(0))})
     cases = [
-        (base, smp.sigma + F(1, 16), "ValueError"),
-        (dict(base, inf=(G(1), smp.sigma), **{"1": (G(1), F(0))}), smp.sigma,
-         "ZeroFactor"),
+        (base, smp.sigma + F(1, 16), ["value", "ValueError", "ValueError"]),
+        (unit, smp.sigma, [SymExpr.one(), SymExpr.zero(), SymExpr.zero()]),
     ]
-    for vs, sigma, kind in cases:
-        kinds = []
-        for d in range(3):
-            got = _outcome(inst_coeff_matter, vs, sigma, smp, d)
-            assert got == _outcome(ref_inst_coeff_matter, vs, sigma, smp, d)
-            kinds.append(_kind(got))
-        assert kinds == ["value", kind, kind]
+    for vs, sigma, want in cases:
+        got = [_outcome(inst_coeff_matter, vs, sigma, smp, d) for d in range(3)]
+        assert got == [_outcome(ref_inst_coeff_matter, vs, sigma, smp, d) for d in range(3)]
+        assert [g if isinstance(w, SymExpr) else _kind(g) for g, w in zip(got, want)] == want
 
 
 def test_inst_coeff_matter_raises_the_first_failing_factor():
     # at sigma = 1/2, N_{() (2,)} vanishes at box (1, 2) in the pair
     # ((), (2,)), whose later numerator (1 - c0/ct t^{-4}) vanishes at box
-    # (1, 1) of (2,)/() too: the pair factor comes first
+    # (1, 1) of (2,)/() too: the pair factor raises.  At degree 1 a
+    # numerator of (1,)/() vanishes at box (1, 1), which zeroes its term
     smp = idmod.POOL_QP[0]
     t = smp.t
     vs = {"0": (G(t ** 5), F(0)), "t": (G(t), F(0)), "1": (G(1), F(0)),
           "inf": (G(1), F(0))}
     got = [_outcome(inst_coeff_matter, vs, F(1, 2), smp, d) for d in range(4)]
     assert got == [_outcome(ref_inst_coeff_matter, vs, F(1, 2), smp, d) for d in range(4)]
-    assert got[1:3] == [("ZeroFactor", "5d factor vanished at box (1, 1) of (1,)/()"),
-                        ("ZeroFactor", "5d factor vanished at box (1, 2) of ()/(2,)")]
+    assert got[1] == SymExpr.from_rational(G(F(-6561, 5513680)))
+    assert got[2:] == [("ZeroFactor", "5d factor vanished at box (1, 2) of ()/(2,)"),
+                       ("ZeroFactor", "5d factor vanished at box (1, 2) of ()/(3,)")]
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("p0,diagram", [(F(5, 8), lambda d: (d,)), (F(-5, 8), lambda d: (d,)),
+                                        (F(11, 8), lambda d: (1,) * d),
+                                        (F(-11, 8), lambda d: (1,) * d)],
+                         ids=["rows+", "rows-", "columns+", "columns-"])
+def test_at_degenerate_masses_one_pair_per_degree_survives(k, p0, diagram):
+    # at sigma = 3/8 these masses zero a numerator factor of every second
+    # diagram but the empty one and of every first diagram with two rows
+    # (p0 = +-5/8) or two columns (+-11/8): the series is the sum over the
+    # single-row or single-column pairs alone
+    smp = idmod.POOL_QP[k]
+    vs = {"0": (G(1), p0), "t": (G(1), F(0)), "1": (G(1), F(3, 8)), "inf": (G(1), F(0))}
+    series = inst_series_matter(vs, smp.sigma, smp, F(6))
+    for d in range(1, 7):
+        terms = ref_matter_terms(vs, smp.sigma, smp, d)
+        term = terms.pop((diagram(d), ()))
+        assert term and not any(terms.values())
+        assert series.coeff(F(d)) == SymExpr.from_rational(term)
 
 
 # ---------------------------------------------------------------------------
