@@ -15,9 +15,12 @@ are literal rationals.
 
 Each instanton coefficient is a partitions.pair_sum over a kernel: a
 partition table, tables of per-diagram factors and the partitions.pair_route
-(kernel_4d, kernel_5d, matter_kernel).  Each series builds one kernel for
-all its degrees, each diagram's entry on first use; a coefficient called on
-its own builds one through its degree.
+(kernel_4d, kernel_5d, matter_kernel, each a _kernel).  A kernel builds one
+table of box factors, a LinearTable in 4d and a BinomialTable of
+coefficient 1 in 5d, and every product of box factors it forms reads it:
+N_{lam lam}, the box-by-box pair factors and the pair_route.  Each series
+builds one kernel for all its degrees, each diagram's entry on first use; a
+coefficient called on its own builds one through its degree.
 
 Exponents are kept on ints where they are made per mode and per diagram: a
 classical gap is one Fraction from ints fixed per relative object (see
@@ -44,9 +47,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .partitions import (BinomialTable, BoxWeights, PairBinomials, PairLinears, attempt,
-                         diagram_entry, diagram_tables, mul_binomials, mul_factors_4d,
-                         mul_factors_5d, pair_route, pair_sum, partition_table)
+from .partitions import (BinomialTable, BoxWeights, LinearTable, attempt, diagram_entry,
+                         diagram_tables, mul_binomials, mul_factors, pair_route, pair_sum,
+                         partition_table)
 from .rationals import GaussianRational
 from .sampling import ParameterSample
 from .series import PuiseuxSeries
@@ -98,30 +101,46 @@ def _series(order, coeff) -> PuiseuxSeries:
     return PuiseuxSeries({Frac(d): coeff(d) for d in range(int(order) + 1)}, order)
 
 
-def kernel_4d(e1: Frac, e2: Frac, a: Frac, order: int):
-    """The 4d pair sum through z^order at (0, a, -a, 0): (parts, first,
-    second, factor, pair) for pair_sum.
+_ONE = (1, 0, 1)
 
-    Over L = lcm of the denominators of (a, e1, e2) each factor is an
-    integer over L; the tables hold each diagram's inverse integer N_{lam
-    lam}, and pair is the pair_route on PairLinears at u = a L.
-    """
-    L = lcm(a.denominator, e1.denominator, e2.denominator)
-    A = int(a * L)
-    weights = BoxWeights(e1 * L, e2 * L)
 
-    def inverse_diagonal(lam):
-        return 1, 0, mul_factors_4d(1, lam, lam, weights, 0)
+def _inverse_diagonal(lam, weights: BoxWeights, table):
+    """1 / N_{lam lam} at u = 0 (4d) or t^0 (5d) as a triple; a real table
+    keeps the factor real."""
+    re, _, den = mul_factors(_ONE, lam, lam, weights, table, 0)
+    return den, 0, re
 
-    def entries(lam):
-        inv = attempt(inverse_diagonal, lam)
-        return diagram_entry(0, [inv], []), diagram_entry(0, [], [inv])
+
+def _kernel(order: int, weights: BoxWeights, table, u, entries):
+    """A pair sum through z^order: (parts, first, second, factor, pair) for
+    pair_sum.  entries(lam) is a diagram's pair of entries (see
+    partitions.diagram_entry); factor and pair form the pair factors
+    N_{lam1 lam2}(u) N_{lam2 lam1}(-u) from the box factors table[+-u +
+    weight], box by box and as the pair_route."""
 
     def factor(acc, lam, mu, s):
-        return mul_factors_4d(acc[0], lam, mu, weights, A if s == 1 else -A), 0, 1
+        return mul_factors(acc, lam, mu, weights, table, u if s == 1 else -u)
 
     return (partition_table(order), *diagram_tables(entries), factor,
-            pair_route(weights, A, PairLinears(weights.e1 + weights.e2), factor))
+            pair_route(weights, u, table, factor))
+
+
+def kernel_4d(e1: Frac, e2: Frac, a: Frac, order: int):
+    """The 4d pair sum through z^order at (0, a, -a, 0), a _kernel on a
+    LinearTable.
+
+    Over L = lcm of the denominators of (a, e1, e2) each factor is an
+    integer over L, the table's entry at u = a L plus the box's weight;
+    the diagram tables hold each diagram's inverse integer N_{lam lam}.
+    """
+    L = lcm(a.denominator, e1.denominator, e2.denominator)
+    weights, table = BoxWeights(e1 * L, e2 * L), LinearTable()
+
+    def entries(lam):
+        inv = attempt(_inverse_diagonal, lam, weights, table)
+        return diagram_entry(0, [inv], []), diagram_entry(0, [], [inv])
+
+    return _kernel(order, weights, table, int(a * L), entries)
 
 
 def inst_coeff_4d(e1: Frac, e2: Frac, a: Frac, d: int, kernel=None) -> Frac:
@@ -172,16 +191,6 @@ def inst_series_4d(th: Theory4d, a: Frac, order, *, memo=None) -> PuiseuxSeries:
         lambda: inst_coeff_4d(th.e1, th.e2, a, d, kernel)))
 
 
-_ONE = (1, 0, 1)
-
-
-def _inverse_diagonal_5d(lam, weights: BoxWeights, table: BinomialTable):
-    """1 / N_{lam lam} at u = 1 as a triple; a table of coefficient 1 keeps
-    the factor real."""
-    re, _, den = mul_factors_5d(_ONE, lam, lam, weights, table, 0)
-    return den, 0, re
-
-
 def _on(x: Frac, D: int) -> int:
     """x D, for D a multiple of the denominator of x."""
     return x.numerator * (D // x.denominator)
@@ -195,13 +204,13 @@ def cs_unit(E1: Frac, E2: Frac, Lu: Frac) -> int:
 
 def kernel_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, order: int):
     """The 5d pair sum through z^order at u = t^Lu and Chern-Simons level
-    m: (parts, first, second, factor, pair) for pair_sum.
+    m, a _kernel on a BinomialTable of coefficient 1.
 
     A diagram's key is D times the t-exponent of its Chern-Simons weight
     T_lam(u)^m (q1 q2)^{-m|lam|/2}, an int (D = cs_unit(E1, E2, Lu)), where
     T_lam = prod over boxes (i, j) of u^-1 q1^{1-i} q2^{1-j}, q_i = t^{E_i},
     and u = t^{Lu/2} for the first diagram of a pair, t^{-Lu/2} for the
-    second.  pair is the pair_route on PairBinomials at u = Lu.
+    second.
     """
     if not 0 <= m <= 2:
         raise ValueError("Chern-Simons level must be 0, 1 or 2")
@@ -210,7 +219,7 @@ def kernel_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, order: int):
     b1, b2, half, S = _on(E1, D), _on(E2, D), _on(Lu, D // 2), _on(E1 + E2, D // 2)
 
     def entries(lam):
-        inv = attempt(_inverse_diagonal_5d, lam, weights, table)
+        inv = attempt(_inverse_diagonal, lam, weights, table)
         key = shift = 0
         if m and lam:
             # over the boxes: sum (1 - i) = s1 and sum (1 - j) = s2
@@ -221,11 +230,7 @@ def kernel_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, order: int):
         return (diagram_entry(key - shift, [inv], []),
                 diagram_entry(key + shift, [], [inv]))
 
-    def factor(acc, lam, mu, s):
-        return mul_factors_5d(acc, lam, mu, weights, table, Lu if s == 1 else -Lu)
-
-    return (partition_table(order), *diagram_tables(entries), factor,
-            pair_route(weights, Lu, PairBinomials(t, weights.e1 + weights.e2), factor))
+    return _kernel(order, weights, table, Lu, entries)
 
 
 def _inst_coeff_5d(E1: Frac, E2: Frac, m: int, Lu: Frac, t: Frac, d: int,
@@ -257,22 +262,21 @@ def inst_series_5d(th: Theory5d, Lu: Frac, t: Frac, order, *, memo=None) -> Puis
 
 
 def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
-    """The four-flavour pair sum through z^order: (parts, first, second,
-    factor, pair) for pair_sum.  Each diagram's eight numerator products
-    and its N_{lam lam} are made once, on first use, from its two numerator
-    weight lists; a pair adds only N_{lam1 lam2} N_{lam2 lam1}.  A
-    vanishing numerator factor makes the diagram's entry zero, with no
-    factor after it formed; a vanishing N_{lam lam} or pair factor raises
-    ZeroFactor.
+    """The four-flavour pair sum through z^order, a _kernel on a
+    BinomialTable of coefficient 1 at u = q^{2 sigma}.  Each diagram's
+    eight numerator products and its N_{lam lam} are made once, on first
+    use, from its two numerator weight lists; a pair adds only N_{lam1
+    lam2} N_{lam2 lam1}.  A vanishing numerator factor makes the diagram's
+    entry zero, with no factor after it formed; a vanishing N_{lam lam} or
+    pair factor raises ZeroFactor.
 
     vs: mapping with keys "0", "t", "1", "inf"; each value is a pair
     (coef: GaussianRational, p: Frac) encoding the multiplicative weight
     coef * q^p.  The first diagram of a pair is attached to the +1 label.
     """
-    dq = sample.dq
-    t = sample.t
+    dq, t = sample.dq, sample.t
     weights = BoxWeights(Frac(-dq), Frac(dq))
-    one_tab = BinomialTable(GaussianRational(1), t)
+    table = BinomialTable(GaussianRational(1), t)
     c0, p0 = vs["0"]
     ct, pt = vs["t"]
     c1, p1 = vs["1"]
@@ -299,7 +303,7 @@ def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
     def entries(lam):
         ws = weights((), lam), weights(lam, ())
         num = {sign: attempt(numerator, lam, *ws, *tabs) for sign, tabs in signs.items()}
-        inv = attempt(_inverse_diagonal_5d, lam, weights, one_tab)
+        inv = attempt(_inverse_diagonal, lam, weights, table)
         # the box-by-box order is sign (1, 1), (1, -1), (-1, 1), (-1, -1),
         # each sign's a and b factors then its N; (1, -1) and (-1, 1) hold
         # the pair factors
@@ -307,13 +311,7 @@ def matter_kernel(vs, sigma: Frac, sample: ParameterSample, order: int):
                 diagram_entry(0, [num[1, -1]], [num[-1, -1], inv]))
 
     # N_{lam1 lam2} at sign (1, -1) and N_{lam2 lam1} at (-1, 1)
-    u = 2 * dq * sigma
-
-    def factor(acc, lam, mu, s):
-        return mul_factors_5d(acc, lam, mu, weights, one_tab, u if s == 1 else -u)
-
-    return (partition_table(order), *diagram_tables(entries), factor,
-            pair_route(weights, u, PairBinomials(t, weights.e1 + weights.e2), factor))
+    return _kernel(order, weights, table, 2 * dq * sigma, entries)
 
 
 def inst_coeff_matter(vs, sigma: Frac, sample: ParameterSample, d: int,

@@ -5,13 +5,18 @@ Partitions are tuples of weakly decreasing positive integers.  Arm/leg
 lengths are evaluated with the conjugate-profile rule and may be negative
 (boxes of one diagram measured against another diagram's profile).
 
+A box of N_{lam mu}(u) of weight w gives one factor, table[u + w]: A + w in
+4d (a LinearTable) and 1 - c t^{u + w} in 5d (a BinomialTable), each an
+integer triple (re, im, den) made on first use.  mul_factors forms such a
+product box by box and raises at its first vanishing factor.
+
 An instanton coefficient sums over pairs of diagrams.  pair_sum reads each
 diagram's own factors from tables made once per series, each entry on first
 use, and forms per pair only its pair factor N_{lam1 lam2}(u) N_{lam2 lam1}(-u).
 Each box of N_{lam2 lam1}(-u) has the weight -w - (e1 + e2), where w is the
 weight of the same box in N_{lam1 lam2}(u), so pair_route forms that real
-product in one pass over one BoxWeights list, a box's factor read from a
-table at e = u + w (PairLinears in 4d, PairBinomials in 5d).  A vanishing
+product in one pass over one BoxWeights list, a box's two factors read from
+the kernel's own table at u + w and -u - w - (e1 + e2).  A vanishing
 product, or non-integral weights or u, takes the box-by-box route of two
 factor calls, which raises what that product meets first.  The terms of
 one key are summed as integer triples (re, im, den), merged pairwise in a
@@ -93,27 +98,17 @@ def _box_of(lam, mu, k):
     return (list(boxes(lam)) + list(boxes(mu)))[k]
 
 
-def mul_factors_4d(acc: int, lam, mu, weights: BoxWeights, A: int) -> int:
-    """acc times the integer numerators A + weight of N_{lam mu}.
+class LinearTable(dict):
+    """Exponent e -> the 4d factor e as an integer triple (e, 0, 1), the
+    4d counterpart of BinomialTable; dim names the dimension in a
+    ZeroFactor's message.  Entries are made on first use and live as long
+    as the table."""
 
-    With L a common denominator of (a, e1, e2), A = a L and weights made
-    from (e1 L, e2 L), the 4d pair factor is the product over L^{#boxes}.
-    """
-    for k, w in enumerate(weights(lam, mu)):
-        f = A + w
-        if not f:
-            raise ZeroFactor(
-                f"4d factor vanished at box {_box_of(lam, mu, k)} of {lam}/{mu}")
-        acc *= f
-    return acc
+    dim = "4d"
 
-
-def n_factor_4d(lam, mu, a: Frac, e1: Frac, e2: Frac) -> Frac:
-    """Pair factor: prod over lam-boxes of (a - e2(arm_mu+1) + e1 leg_lam)
-    times prod over mu-boxes of (a + e2 arm_lam - e1(leg_mu+1))."""
-    L = lcm(a.denominator, e1.denominator, e2.denominator)
-    num = mul_factors_4d(1, lam, mu, BoxWeights(e1 * L, e2 * L), int(a * L))
-    return Frac(num, L ** (sum(lam) + sum(mu)))
+    def __missing__(self, e: int):
+        val = self[e] = (e, 0, 1)
+        return val
 
 
 class BinomialTable(dict):
@@ -123,6 +118,8 @@ class BinomialTable(dict):
     t^e = n / d in lowest terms, re = cd d - cr n, im = -ci n, den = cd d.
     Entries are made on first use and live as long as the table.
     """
+
+    dim = "5d"
 
     def __init__(self, coef: GaussianRational, t: Frac):
         super().__init__()
@@ -141,38 +138,55 @@ def _integer_exponent(e: Frac) -> int:
     return e.numerator
 
 
-def mul_factors_5d(acc, lam, mu, weights: BoxWeights, table: BinomialTable,
-                   u_texp: Frac):
-    """acc times the factors (1 - c t^{u_texp + weight}) of N_{lam mu}.
+def mul_factors(acc, lam, mu, weights: BoxWeights, table, u_texp):
+    """acc times the factors table[u_texp + weight] of N_{lam mu}: A + weight
+    in 4d (table a LinearTable, u_texp = A an int) and (1 - c t^{u_texp +
+    weight}) in 5d (a BinomialTable of coefficient c and base t).
 
-    acc and the result are triples (re, im, den) for (re + im i) / den; the
-    coefficient c and the base t are those of table.  Every exponent must be
-    an integer: with integral weights that holds exactly when u_texp is one.
+    acc and the result are triples (re, im, den) for (re + im i) / den.
+    Every exponent must be an integer: with integral weights that holds
+    exactly when u_texp is one.
     """
     return mul_binomials(acc, lam, mu, weights(lam, mu), weights.integral,
                          table, u_texp)
 
 
-def mul_binomials(acc, lam, mu, ws, integral: bool, table: BinomialTable,
-                  u_texp: Frac):
-    """mul_factors_5d on the weights ws of N_{lam mu}, made once by the
-    caller; integral: whether the BoxWeights that made them is."""
+def mul_binomials(acc, lam, mu, ws, integral: bool, table, u_texp):
+    """mul_factors on the weights ws of N_{lam mu}, made once by the
+    caller; integral: whether the BoxWeights that made them is.  Exponents
+    are made box by box, so a vanishing factor raises ahead of a later
+    non-integer exponent."""
     re, im, den = acc
-    if integral:
-        if ws and u_texp.denominator != 1:
-            _integer_exponent(u_texp + ws[0])
-        u = int(u_texp)
-        exps = (u + w for w in ws)
+    if integral and u_texp.denominator == 1:
+        u, exps = int(u_texp), ws
     else:
-        exps = (_integer_exponent(u_texp + w) for w in ws)
-    for k, e in enumerate(exps):
-        fr, fi, fd = table[e]
-        if not (fr or fi):
-            raise ZeroFactor(
-                f"5d factor vanished at box {_box_of(lam, mu, k)} of {lam}/{mu}")
-        re, im = re * fr - im * fi, re * fi + im * fr
+        u, exps = 0, (_integer_exponent(u_texp + w) for w in ws)
+    for x in exps:
+        fr, fi, fd = table[u + x]
+        if not (fi or im) and fr:
+            re *= fr
+        elif fr or fi:
+            re, im = re * fr - im * fi, re * fi + im * fr
+        else:
+            # the first box of this exponent: an earlier one would have raised
+            k = ws.index(u + x - u_texp)
+            raise ZeroFactor(f"{table.dim} factor vanished at box "
+                             f"{_box_of(lam, mu, k)} of {lam}/{mu}")
         den *= fd
     return re, im, den
+
+
+def n_factor_4d(lam, mu, a: Frac, e1: Frac, e2: Frac) -> Frac:
+    """Pair factor: prod over lam-boxes of (a - e2(arm_mu+1) + e1 leg_lam)
+    times prod over mu-boxes of (a + e2 arm_lam - e1(leg_mu+1)).
+
+    With L a common denominator of (a, e1, e2), each factor is the integer
+    a L + weight, for weights made from (e1 L, e2 L), over L.
+    """
+    L = lcm(a.denominator, e1.denominator, e2.denominator)
+    num, _, _ = mul_factors(_ONE, lam, mu, BoxWeights(e1 * L, e2 * L), LinearTable(),
+                            int(a * L))
+    return Frac(num, L ** (sum(lam) + sum(mu)))
 
 
 def n_factor_5d(lam, mu, u_coef: GaussianRational, u_texp: Frac,
@@ -183,7 +197,7 @@ def n_factor_5d(lam, mu, u_coef: GaussianRational, u_texp: Frac,
     All exponents must land on integers (enforced), so the result is an
     exact Gaussian rational.
     """
-    re, im, den = mul_factors_5d(
+    re, im, den = mul_factors(
         _ONE, lam, mu, BoxWeights(E1, E2),
         BinomialTable(GaussianRational.coerce(u_coef), t), u_texp)
     return GaussianRational.from_ints(re, im, den)
@@ -253,50 +267,15 @@ def diagram_tables(entries):
     return first, second
 
 
-class PairLinears(dict):
-    """PairBinomials in 4d, with P = R = 1: e -> (-e(e + S), 0, 0), a box's
-    factors e in N_{lam1 lam2} and -(e + S) in N_{lam2 lam1}.  Entries are
-    made on first use and live as long as the table."""
-
-    P = R = 1
-
-    def __init__(self, S: int):
-        super().__init__()
-        self.S = S
-
-    def __missing__(self, e: int):
-        val = self[e] = (-e * (e + self.S), 0, 0)
-        return val
-
-
-class PairBinomials(dict):
-    """Exponent e -> (1 - t^e)(1 - t^{-e-S}) as an integer triple (num, r,
-    p) for num / (R^r P^p), with t = P / R in lowest terms.  Entries are
-    made on first use and live as long as the table."""
-
-    def __init__(self, t: Frac, S: int):
-        super().__init__()
-        self.P, self.R, self.S = t.numerator, t.denominator, S
-
-    def _binomial(self, e):
-        P, R = self.P, self.R
-        return (R ** e - P ** e, e, 0) if e >= 0 else (P ** -e - R ** -e, 0, -e)
-
-    def __missing__(self, e: int):
-        n1, r1, p1 = self._binomial(e)
-        n2, r2, p2 = self._binomial(-e - self.S)
-        val = self[e] = (n1 * n2, r1 + r2, p1 + p2)
-        return val
-
-
 def pair_route(weights: BoxWeights, u, table, factor):
     """The pair factor N_{lam1 lam2}(u) N_{lam2 lam1}(-u) as (num, den): the
-    product over the boxes of weights(lam1, lam2) of table[u + w], a triple
-    (num, r, p) for num / (R^r P^p), kept here as (num, den) under w so a
-    box costs one lookup (table: PairLinears or PairBinomials, S = e1 + e2
-    of weights).  Non-integral weights or u, or a zero product, take the
-    box-by-box route of two factor calls (see pair_sum), which raises what
-    that product meets first."""
+    product over the boxes of weights(lam1, lam2) of a box's two factors,
+    table[u + w] in the first and table[-u - w - S] in the second (S = e1 +
+    e2 of weights), kept here as (num, den) under w so a box costs one
+    lookup.  table is the kernel's own real table of box factors, a
+    LinearTable or a BinomialTable of coefficient 1.  Non-integral weights
+    or u, or a zero product, take the box-by-box route of two factor calls
+    (see pair_sum), which raises what that product meets first."""
 
     def box_by_box(lam1, lam2):
         num, _, den = factor(factor(_ONE, lam1, lam2, 1), lam2, lam1, -1)
@@ -304,11 +283,12 @@ def pair_route(weights: BoxWeights, u, table, factor):
 
     if not weights.integral or u.denominator != 1:
         return box_by_box
-    P, R, u = table.P, table.R, int(u)
+    u, S = int(u), weights.e1 + weights.e2
 
     def make(w):
-        n, r, p = table[u + w]
-        return n, R ** r * P ** p
+        n1, _, d1 = table[u + w]
+        n2, _, d2 = table[-u - w - S]
+        return n1 * n2, d1 * d2
 
     by_weight = _Lazy()
     by_weight.make = make

@@ -3,8 +3,8 @@ src/nektau, keeps no cache of its own outside a run's memo, builds
 parameter samples only in its q-Painleve pool, writes and builds taus
 only in tau.py, builds and reads symbol monomials only in symbols.py,
 reaches a series' integer exponent lattice only in series.py, convolves
-series only in series.sector_product, builds the pair-factor tables only in
-the instanton kernels and reads them only in partitions.pair_route, lets
+series only in series.sector_product, builds one table of box factors per
+instanton kernel for both its diagonal and its pair_route, lets
 only the Context choose the depth of the taus a check reads, and never
 changes a SymExpr's term map once it is built."""
 
@@ -178,47 +178,82 @@ def test_products_convolve_and_find_their_bounds_in_sector_product_alone():
     assert _callers(trees["fourier"], "min_exp") == ["FourierSeries.leading"]
 
 
-#: the per-series tables of what a box gives to a pair factor
-PAIR_TABLES = ("PairBinomials", "PairLinears")
+#: the tables of box factors, one class per dimension
+FACTOR_TABLES = ("LinearTable", "BinomialTable")
+#: the instanton kernels, each a nekrasov._kernel on its own factor table
+KERNELS = ("kernel_4d", "kernel_5d", "matter_kernel")
 
 
-def _table_builds(tree):
-    """(scope, table, call) for each call that builds a pair table: the
-    qualified name of the function around it, the table's class and the
-    name of the call it is a direct argument of (None if it is not one)."""
+def _call_name(node):
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _call_args(fn, name):
+    """The argument lists of the calls in fn of name, directly or as the
+    first argument of another call (attempt(name, ...))."""
+    return [node.args for node in ast.walk(fn) if isinstance(node, ast.Call)
+            for args in [node.args] if _call_name(node) == name or (
+                args and isinstance(args[0], ast.Name) and args[0].id == name)]
+
+
+def _table_bindings(fn):
+    """The names fn binds to a newly built factor table, one per build."""
     found = []
-
-    def name(f):
-        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-
-    def visit(node, scope, outer):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call):
-            if name(node.func) in PAIR_TABLES:
-                found.append((scope, name(node.func), outer))
-            visit(node.func, scope, None)
-            for arg in node.args + [k.value for k in node.keywords]:
-                visit(arg, scope, name(node.func))
-            return
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope, None)
-
-    visit(tree, "", None)
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = (zip(target.elts, node.value.elts)
+                     if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                     else [(target, node.value)])
+            found += [getattr(t, "id", None) for t, value in pairs
+                      if isinstance(value, ast.Call) and _call_name(value) in FACTOR_TABLES]
     return found
 
 
-def test_pair_tables_are_built_in_the_kernels_and_read_in_pair_route_alone():
-    # each kernel hands its table straight to partitions.pair_route, so no
-    # other code holds one, and pair_route reads it only by index and for
-    # its base t = P / R
+def _stores(fn, name):
+    return sum(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Store)
+               for n in ast.walk(fn))
+
+
+def _is_table(arg):
+    return isinstance(arg, ast.Name) and arg.id == "table"
+
+
+def test_each_kernel_builds_one_factor_table_for_its_diagonal_and_pair_route():
+    # N_{lam lam}, the box-by-box factors and the pair_route of a kernel
+    # read one table of box factors: the kernel binds it once, to the name
+    # table, and hands that object to _inverse_diagonal and to _kernel,
+    # which hands it on to mul_factors and pair_route; pair_route has no
+    # other caller, and reads its table only by index
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
-    assert [(module, *build) for module, tree in trees.items()
-            for build in _table_builds(tree)] == [
-        ("nekrasov", "kernel_4d", "PairLinears", "pair_route"),
-        ("nekrasov", "kernel_5d", "PairBinomials", "pair_route"),
-        ("nekrasov", "matter_kernel", "PairBinomials", "pair_route"),
+    functions = {node.name: node for node in trees["nekrasov"].body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in KERNELS:
+        fn = functions[name]
+        assert _table_bindings(fn) == ["table"] and _stores(fn, "table") == 1, name
+        (diagonal,) = _call_args(fn, "_inverse_diagonal")
+        (kernel,) = _call_args(fn, "_kernel")
+        assert _is_table(diagonal[-1]) and _is_table(kernel[2]), name
+    frame = functions["_kernel"]
+    (route,) = _call_args(frame, "pair_route")
+    (product,) = _call_args(frame, "mul_factors")
+    assert _stores(frame, "table") == 0 and _is_table(route[2]) and _is_table(product[4])
+    # no other code reaches pair_route, and tables are built only where the
+    # kernels' own table, their numerators' and the n_factor wrappers' are
+    assert [(module, scope) for module, tree in trees.items()
+            for callee in ("pair_route", "_kernel")
+            for scope in _callers(tree, callee)] == [
+        ("nekrasov", "_kernel"), *(("nekrasov", name) for name in KERNELS)]
+    assert sorted((module, scope, table) for module, tree in trees.items()
+                  for table in FACTOR_TABLES for scope in _callers(tree, table)) == [
+        ("nekrasov", "kernel_4d", "LinearTable"),
+        ("nekrasov", "kernel_5d", "BinomialTable"),
+        *[("nekrasov", "matter_kernel", "BinomialTable")] * 3,
+        ("partitions", "n_factor_4d", "LinearTable"),
+        ("partitions", "n_factor_5d", "BinomialTable"),
     ]
     (route,) = [node for node in trees["partitions"].body
                 if isinstance(node, ast.FunctionDef) and node.name == "pair_route"]
@@ -226,8 +261,7 @@ def test_pair_tables_are_built_in_the_kernels_and_read_in_pair_route_alone():
                for child in ast.iter_child_nodes(node)}
     uses = [parents[id(n)] for n in ast.walk(route)
             if isinstance(n, ast.Name) and n.id == "table" and isinstance(n.ctx, ast.Load)]
-    assert uses and all(isinstance(use, ast.Subscript) or (
-        isinstance(use, ast.Attribute) and use.attr in ("P", "R")) for use in uses)
+    assert uses and all(isinstance(use, ast.Subscript) for use in uses)
 
 
 #: the Context methods that build taus, D^k and zeta through a depth of
@@ -392,15 +426,21 @@ def _outside_reads(tree, package):
     return reads
 
 
+def _package_reads(trees):
+    """The (module, name) pairs that the package's own modules read."""
+    reads = set()
+    for module, tree in trees.items():
+        reads |= {(module, name) for name in _own_reads(tree, _definitions(tree))}
+        reads |= _outside_reads(tree, trees)
+    return reads
+
+
 def test_every_package_name_has_a_reader():
     # a module-level function, class or constant that nothing reads is dead
     # code; names resolve per module (series.ZERO is not rationals.ZERO)
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
-    reads = set(ENTRY_POINTS)
-    for module, tree in trees.items():
-        reads |= {(module, name) for name in _own_reads(tree, _definitions(tree))}
-        reads |= _outside_reads(tree, trees)
+    reads = ENTRY_POINTS | _package_reads(trees)
     for path in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         reads |= _outside_reads(tree, trees)
@@ -411,3 +451,24 @@ def test_every_package_name_has_a_reader():
     unread = [f"{module}.{name}" for module, tree in trees.items()
               for name in _definitions(tree) if (module, name) not in reads]
     assert unread == []
+
+
+#: module-level functions and classes that no module of the package names,
+#: each with what keeps it: perfbench/tracing.py wraps n_factor_4d and
+#: n_factor_5d for their per-layer metrics, and the qseries workload
+#: (perfbench/workloads.py) compares theta_z_series' two routes
+ONLY_BENCHMARKED = {"partitions.n_factor_4d", "partitions.n_factor_5d",
+                    "qseries.theta_z_series"}
+
+
+def test_only_the_benchmark_keeps_a_package_function_that_the_package_never_names():
+    # a function or class read only from outside src is dead to every
+    # command; the benchmark's readers are listed above, and a new one
+    # fails here until it is named there or used
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reads = _package_reads(trees)
+    assert {f"{module}.{name}" for module, tree in trees.items()
+            for name, node in _definitions(tree).items()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and (module, name) not in reads} == ONLY_BENCHMARKED

@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypergeometric
 import pair_factors
 from diagram_pairs import enumerate_pairs
 from fraction_exponents import cs_exponent
@@ -30,8 +31,7 @@ from nektau.partitions import (
     Vanished,
     boxes,
     conjugate,
-    mul_factors_4d,
-    mul_factors_5d,
+    mul_factors,
     n_factor_4d,
     n_factor_5d,
     pair_sum,
@@ -614,6 +614,22 @@ def test_at_degenerate_masses_one_pair_per_degree_survives(k, p0, diagram):
         assert series.coeff(F(d)) == SymExpr.from_rational(term)
 
 
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("p0,columns", [(F(5, 8), False), (F(-5, 8), False),
+                                        (F(11, 8), True), (F(-11, 8), True)],
+                         ids=["rows+", "rows-", "columns+", "columns-"])
+def test_at_degenerate_masses_the_sum_is_a_basic_hypergeometric_series(k, p0, columns):
+    # where one row or one column per degree survives, the four-flavour sum
+    # is the 4phi3 of tests/hypergeometric.py, whose parameters are read off
+    # the Nekrasov factors of that diagram by hand
+    smp = idmod.POOL_QP[k]
+    vs = {"0": (G(1), p0), "t": (G(1), F(0)), "1": (G(1), F(3, 8)), "inf": (G(1), F(0))}
+    series = inst_series_matter(vs, smp.sigma, smp, F(8))
+    want = hypergeometric.single_diagram_series(vs, smp.sigma, smp, 8, columns)
+    assert [series.coeff(F(d)) for d in range(9)] == \
+        [SymExpr.from_rational(G(c)) for c in want]
+
+
 # ---------------------------------------------------------------------------
 # pair_route and the integer merge against the routes they replaced
 # ---------------------------------------------------------------------------
@@ -623,8 +639,8 @@ def old_pair_4d(e1, e2, a):
     """N_{lam1 lam2}(a) N_{lam2 lam1}(-a) as two box-by-box products over L."""
     L = lcm(a.denominator, e1.denominator, e2.denominator)
     weights, A = BoxWeights(e1 * L, e2 * L), int(a * L)
-    return lambda l1, l2: F(mul_factors_4d(mul_factors_4d(1, l1, l2, weights, A),
-                                           l2, l1, weights, -A))
+    mul = pair_factors.mul_factors_4d
+    return lambda l1, l2: F(mul(mul(1, l1, l2, weights, A), l2, l1, weights, -A))
 
 
 def old_pair_5d(E1, E2, u, t):
@@ -633,8 +649,8 @@ def old_pair_5d(E1, E2, u, t):
     weights, table = BoxWeights(E1, E2), BinomialTable(G(1), t)
 
     def pair(l1, l2):
-        acc = mul_factors_5d((1, 0, 1), l1, l2, weights, table, u)
-        re, im, den = mul_factors_5d(acc, l2, l1, weights, table, -u)
+        acc = mul_factors((1, 0, 1), l1, l2, weights, table, u)
+        re, im, den = mul_factors(acc, l2, l1, weights, table, -u)
         assert im == 0
         return F(re, den)
 
