@@ -52,9 +52,10 @@ are those of one process.  A run of one group, a run under --fail-fast
 (which stops in job order) or a platform without os.fork runs in this
 process alone; a worker that dies makes verify exit 3.  dump and
 oracle never fork and keep no memo.  --corrupt-coefficient sets the
-contexts' corruption setting: the central series of a few theorem entries
-gains +1 at that z-exponent before it is compared, so those checks must
-fail.
+contexts' corruption setting: identities.verify adds +1 at that z-exponent
+to sector 0 of the right side of every part it compares, so every check
+with such a part must fail; determlemma and halfpow decide all their
+parts themselves and are not probed.
 
 Determinism: the seed fully determines the sample sequence; timing data is
 quarantined in a separate report section so residual sections are diffable.
@@ -104,7 +105,7 @@ class RunConfig:
         self.report = report
         self.format = format
         self.fail_fast = fail_fast
-        self.corrupt = corrupt  # debug: perturb one coefficient at this exponent
+        self.corrupt = corrupt  # debug: perturb every compared part at this exponent
 
     def to_dict(self):
         return {
@@ -616,8 +617,8 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("--config", help="JSON run-config file")
     pv.add_argument("--corrupt-coefficient", nargs="?", const="1",
                     metavar="N[/D]",
-                    help="debug: perturb one instanton coefficient at this "
-                         "z-exponent before checking")
+                    help="debug: add +1 at this z-exponent to the right "
+                         "side of every compared part, so those checks fail")
 
     pd = sub.add_parser("dump", help="dump an exact truncated series")
     pd.add_argument("selector", help=f"one of: {', '.join(DUMP_SELECTORS)}")

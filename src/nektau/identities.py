@@ -3,7 +3,9 @@
 Every entry asserts lhs = rhs through z^E.  Its run_* assembles both sides
 of each part as truncated exact series (Puiseux or Fourier-graded) and
 returns them as (name, lhs, rhs); verify alone compares them, coefficient by
-coefficient through z^E.  The few parts a check decides itself (a constant,
+coefficient through z^E; with a Context's corrupt set, the right side of
+every such part first gains +1 at z^corrupt in sector 0, so every check
+with one must fail.  The few parts a check decides itself (a constant,
 the oracle's levels, the level-1 chain's bookkeeping and its sign flip, the
 half-integer parts of prdx and halfpow) come back as (name, EqualityReport).
 All tau-level checks run in relative normalization (see tau.py), where the
@@ -29,8 +31,8 @@ Statuses:
 
 Every check runs in a Context, which holds the memo of everything its run
 has built (instanton coefficients, modes, cocycles, taus, zeta
-series) and an optional corrupted coefficient.  One Context lives for one
-run; nothing is kept at module level.
+series) and the exponent of verify's corruption probe, if set.  One
+Context lives for one run; nothing is kept at module level.
 """
 
 from __future__ import annotations
@@ -142,9 +144,11 @@ def describe_sample(domain: str, sample):
 class Context:
     """What the checks of one run share.
 
-    corrupt: if set, the central series of a few theorem entries gains +1 at
-             this z-exponent (in sector 0 for taus) before it is compared, a
-             probe that the catalog is not vacuous.
+    corrupt: if set, verify adds +1 at this z-exponent to sector 0 of the
+             right side of every (name, lhs, rhs) part before it compares
+             them, a probe that the comparison is not vacuous; the parts a
+             check decides itself are not probed, so determlemma and
+             halfpow, which have no other, still pass.  No check reads it.
     memo:    everything the checks share, each value made once through
              nekrasov.memoized under a kind name and the arguments it
              depends on: the instanton coefficients of the series checks
@@ -160,19 +164,6 @@ class Context:
     def __init__(self, corrupt: Frac | None = None):
         self.corrupt = corrupt
         self.memo = {}
-
-    def corrupted(self, x):
-        """x (a PuiseuxSeries or FourierSeries), or its corrupted copy."""
-        if self.corrupt is None:
-            return x
-        if isinstance(x, FourierSeries):
-            sectors = dict(x.sectors)
-            sectors[Frac(0)] = self.corrupted(
-                sectors.get(Frac(0), PuiseuxSeries({}, x.trunc)))
-            return FourierSeries(sectors, x.trunc)
-        coeffs = dict(x.coeffs)
-        coeffs[self.corrupt] = coeffs.get(self.corrupt, SymExpr.zero()) + SymExpr.one()
-        return PuiseuxSeries(coeffs, x.trunc)
 
     def taus_4d(self, sigma: Frac, E: Frac):
         """name -> the tau of TauSystem4d(sigma) named so, as a comparison
@@ -330,7 +321,7 @@ def _quarter_tau1(tau1, sigma=None):
 def run_NY(sample, E, ctx):
     e1, e2, a = sample
     A, B = _pair_4d(e1, e2, a, ctx.memo)
-    ZC = ctx.corrupted(inst_series_4d(Theory4d(e1, e2), a, E, memo=ctx.memo))
+    ZC = inst_series_4d(Theory4d(e1, e2), a, E, memo=ctx.memo)
     S0 = _mode_sum(A, B, E, Frac(0), _expand(0, -2 * e1, -2 * e2))
     return [("integer mode sum equals the central series", S0, ZC)]
 
@@ -389,7 +380,7 @@ def run_NYtaupm(sigma, E, ctx):
     D = ctx.hirota_4d(sigma, E)
     lhs = D(0, "plus", "minus")
     return [("product of short taus equals the full tau",
-             lhs, ctx.corrupted(taus("kiev")))]
+             lhs, taus("kiev"))]
 
 
 def run_NYtau01(sigma, E, ctx):
@@ -528,10 +519,9 @@ def run_KZsq(sigma, E, ctx):
 # ---------------------------------------------------------------------------
 
 
-def run_q_blowup(parts, corrupt=False):
+def run_q_blowup(parts):
     """The 5d blowup relation of the module docstring, one part per
-    (name, m, x, j), at a 5d-generic sample.  With corrupt, ctx's
-    corruption lands on Z_m before its shift and scale."""
+    (name, m, x, j), at a 5d-generic sample."""
 
     def run(sample, E, ctx):
         t, E1, E2, Lu = sample
@@ -539,7 +529,7 @@ def run_q_blowup(parts, corrupt=False):
              for m in dict.fromkeys(m for _, m, _, _ in parts)}
         out = []
         for name, m, x, j in parts:
-            lhs = ctx.corrupted(Z[m]) if corrupt else Z[m]
+            lhs = Z[m]
             if j:  # (-sgn x)^j (q1 q2)^{jx} z^{j/4}
                 c = rational_power(t, j * x * (E1 + E2)) * Frac((x < 0) - (x > 0)) ** j
                 lhs = lhs.shift(Frac(j, 4)).scale(c)
@@ -564,7 +554,7 @@ def _at_5d_point(run):
 def run_qNYtaupm(smp, E, ctx):
     taus = ctx.taus_q(smp, 0, E)
     return [("product of short q-taus equals the full q-tau",
-             taus("plus") * taus("minus"), ctx.corrupted(taus("kiev0")))]
+             taus("plus") * taus("minus"), taus("kiev0"))]
 
 
 def _qpm_dilated(taus, smp, a):
@@ -996,12 +986,11 @@ CATALOG = {
                r"(q_1^{-1/4}q_2^{-1/4}\Lambda)^{j}",
                "5d-generic", 3, run_q_blowup(
                    [(f"half-unit downward dilation, offset j={j}", 0, -QUARTER, j)
-                    for j in (0, 1)], corrupt=True)),
+                    for j in (0, 1)])),
         _entry("qNY2", "theorem",
                r"(q_1^{-1/4}q_2^{-1/4}\Lambda)^{j}",
                "5d-generic", 3, run_q_blowup(
-                   [(f"undilated sum, offset j={j}", 0, Frac(0), j) for j in (0, 1)],
-                   corrupt=True)),
+                   [(f"undilated sum, offset j={j}", 0, Frac(0), j) for j in (0, 1)])),
         _entry("qNY3", "theorem",
                r"(q_1^{-1/4}q_2^{-1/4}\Lambda)^{j}",
                "5d-generic", 3, run_q_blowup(
@@ -1121,12 +1110,16 @@ def manifest():
     ]
 
 
-def _compare(lhs, rhs, E) -> EqualityReport:
-    """lhs - rhs vanishes through z^E; Puiseux sides are sector 0."""
+def _compare(lhs, rhs, E, corrupt=None) -> EqualityReport:
+    """lhs - rhs vanishes through z^E; Puiseux sides are sector 0.  With
+    corrupt, rhs first gains +1 at z^corrupt in sector 0."""
     def fourier(x):
         return FourierSeries.single(x) if isinstance(x, PuiseuxSeries) else x
 
-    return fs_equal_to_order(fourier(lhs), fourier(rhs), E)
+    rhs = fourier(rhs)
+    if corrupt is not None:
+        rhs = rhs + FourierSeries.single(PuiseuxSeries.monomial(corrupt, 1, rhs.trunc))
+    return fs_equal_to_order(fourier(lhs), rhs, E)
 
 
 def check_order(id: str, E, samples=()):
@@ -1174,7 +1167,7 @@ def verify(id: str, sample=None, E=None, ctx=None) -> VerificationReport:
     check_order(id, E, [sample])
     ctx = Context() if ctx is None else ctx
     t0 = time.monotonic()
-    parts = [(name, _compare(*sides, E) if len(sides) == 2 else sides[0])
+    parts = [(name, _compare(*sides, E, ctx.corrupt) if len(sides) == 2 else sides[0])
              for name, *sides in entry.run(sample, E, ctx)]
     ok = all(rep.ok for _, rep in parts)
     note = entry.note

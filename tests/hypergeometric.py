@@ -68,9 +68,10 @@ def phi(uppers, lowers, base: Frac, w: Frac, order: int):
     return out
 
 
-def single_diagram_series(vs, sigma: Frac, sample, order: int, columns: bool = False):
-    """The coefficients through z^order of the four-flavour sum over the
-    pairs ((n), ()) alone, or ((1^n), ()) with columns, as Fractions.
+def parameters(vs, sigma: Frac, sample, columns: bool = False):
+    """(A, B, x, base) of the single-row series, or of the single-column
+    one with columns: A and B map e = +-1 to A_e and B_e, base is q or
+    q^{-1}, all as Fractions.
 
     vs maps "0", "t", "1", "inf" to (coef, p) for coef q^p, each coef a
     real GaussianRational; q = t^dq of sample and every power of q met must
@@ -87,7 +88,13 @@ def single_diagram_series(vs, sigma: Frac, sample, order: int, columns: bool = F
         (_real(c), p) for c, p in (vs["0"], vs["t"], vs["1"], vs["inf"]))
     A = {e: cinf ** e / c1 * q_power(e * pinf - p1 - sigma) for e in (1, -1)}
     B = {e: c0 ** -e / ct * q_power(sigma - pt - e * p0) for e in (1, -1)}
-    x, q = q_power(2 * sigma), q_power(Frac(1))
-    if columns:
-        q = 1 / q
+    q = q_power(Frac(1))
+    return A, B, q_power(2 * sigma), 1 / q if columns else q
+
+
+def single_diagram_series(vs, sigma: Frac, sample, order: int, columns: bool = False):
+    """The coefficients through z^order of the four-flavour sum over the
+    pairs ((n), ()) alone, or ((1^n), ()) with columns, as Fractions; vs as
+    in parameters."""
+    A, B, x, q = parameters(vs, sigma, sample, columns)
     return phi([1 / A[1], 1 / A[-1], B[1], B[-1]], [q, x, x], q, A[1] * A[-1] * q * x, order)

@@ -5,8 +5,9 @@ only in tau.py, builds and reads symbol monomials only in symbols.py,
 reaches a series' integer exponent lattice only in series.py, convolves
 series only in series.sector_product, builds one table of box factors per
 instanton kernel for both its diagonal and its pair_route, lets
-only the Context choose the depth of the taus a check reads, and never
-changes a SymExpr's term map once it is built."""
+only the Context choose the depth of the taus a check reads, reads the
+corruption setting only in identities.verify, and never changes a
+SymExpr's term map once it is built."""
 
 import ast
 from pathlib import Path
@@ -311,6 +312,49 @@ def test_checks_pass_their_bare_order_to_the_tau_accessors():
     assert [f"{functions[-1].name}:{order.lineno}: {ast.unparse(order)}"
             for _, functions, order in calls
             if not _passes_its_bare_order(functions, order)] == []
+
+
+def _corrupt_readers(tree):
+    """The innermost function around each read of an attribute named
+    corrupt, or "<module>"."""
+    found = set()
+
+    def visit(node, name):
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "corrupt"
+                and isinstance(node.ctx, ast.Load)):
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _runners(tree):
+    """The run functions of a module (run_* and the run they nest) and the
+    factories that return one or a lambda."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            nested = {n.name for n in ast.walk(fn)
+                      if isinstance(n, ast.FunctionDef) and n is not fn}
+            returned = [n.value for n in ast.walk(fn) if isinstance(n, ast.Return)]
+            if fn.name.startswith("run") or any(
+                    isinstance(r, ast.Lambda) or (isinstance(r, ast.Name) and r.id in nested)
+                    for r in returned):
+                yield fn
+
+
+def test_only_verify_reads_the_corruption_setting():
+    # the corruption probe lives in verify, which perturbs the right side
+    # of every part it compares; no check reads the setting or takes one
+    tree = ast.parse((PACKAGE / "identities.py").read_text())
+    assert _corrupt_readers(tree) <= {"verify", "_compare"}
+    runners = list(_runners(tree))
+    assert {"run_NY", "run_q_blowup", "run_qD1", "_at_5d_point"} <= {fn.name for fn in runners}
+    assert [fn.name for fn in runners
+            if "corrupt" in {a.arg for a in fn.args.args + fn.args.kwonlyargs}] == []
 
 
 #: dict methods that change a dict in place

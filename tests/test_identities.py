@@ -91,6 +91,30 @@ def test_mutation_breaks_theorems(id, exponent):
     assert idmod.verify(id, E=F(1)).ok
 
 
+def test_the_probe_reaches_qNY2s_half_offset_part():
+    # its left side (-sgn 0)^1 z^{1/4} Z_0 is zero, so a +1 in Z_0 could not
+    # show there; verify's +1 on the right side does
+    rep = idmod.verify("qNY2", E=F(2), ctx=idmod.Context(corrupt=F(1)))
+    part = dict(rep.parts)["undilated sum, offset j=1"]
+    assert not part.ok and part.residuals[0][:2] == (0, 1)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_the_probe_fails_every_check_with_a_compared_part(k):
+    # verify perturbs the right side of every (name, lhs, rhs) part; only
+    # the checks that decide every part themselves pass with it on
+    ctxs, passed = {}, set()
+    for id, entry in idmod.CATALOG.items():
+        ctx = ctxs.setdefault(entry.domain, idmod.Context(corrupt=F(1)))
+        sample, E = idmod._POOLS[entry.domain][k], entry.default_order
+        compared = any(len(sides) == 2 for _, *sides in entry.run(sample, E, ctx))
+        rep = idmod.verify(id, sample, E, ctx)
+        assert rep.ok is not compared, id
+        if rep.ok:
+            passed.add(id)
+    assert passed == {"determlemma", "halfpow"}
+
+
 def test_mutation_failure_localizes_residual():
     rep = idmod.verify("NY", E=F(2), ctx=idmod.Context(corrupt=F(1)))
     residuals = [r for _, part in rep.parts for r in part.residuals]
@@ -101,7 +125,7 @@ def test_mutation_failure_localizes_residual():
 
 #: the j = 1 parts of the q-blowup entries whose left side is not zero
 #: (qNY2's is: there the half-offset sum itself vanishes, so a sign flip
-#: cannot show); --corrupt-coefficient reaches only qNY1's
+#: cannot show)
 HALF_OFFSET_PARTS = {
     "qNY1": ["half-unit downward dilation, offset j=1"],
     "qNY3": ["half-unit upward dilation, offset j=1"],

@@ -38,6 +38,7 @@ from nektau.partitions import (
     partition_table,
 )
 from nektau.rationals import GaussianRational as G
+from nektau.qseries import PochhammerSpec, pochhammer_series
 from nektau.symbols import SymExpr, ZeroFactor, rational_power
 
 # p(0..10) = 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42
@@ -614,20 +615,61 @@ def test_at_degenerate_masses_one_pair_per_degree_survives(k, p0, diagram):
         assert series.coeff(F(d)) == SymExpr.from_rational(term)
 
 
-@pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("p0,columns", [(F(5, 8), False), (F(-5, 8), False),
-                                        (F(11, 8), True), (F(-11, 8), True)],
-                         ids=["rows+", "rows-", "columns+", "columns-"])
+def degenerate_points(test):
+    """test over the degenerate points whose sum is a single-row (p0 =
+    +-5/8) or single-column (+-11/8) series, on both sigma = 3/8 samples."""
+    points = pytest.mark.parametrize(
+        "p0,columns", [(F(5, 8), False), (F(-5, 8), False), (F(11, 8), True), (F(-11, 8), True)],
+        ids=["rows+", "rows-", "columns+", "columns-"])
+    return pytest.mark.parametrize("k", [0, 2])(points(test))
+
+
+def _degenerate_masses(p0):
+    return {"0": (G(1), p0), "t": (G(1), F(0)), "1": (G(1), F(3, 8)), "inf": (G(1), F(0))}
+
+
+@degenerate_points
 def test_at_degenerate_masses_the_sum_is_a_basic_hypergeometric_series(k, p0, columns):
     # where one row or one column per degree survives, the four-flavour sum
     # is the 4phi3 of tests/hypergeometric.py, whose parameters are read off
-    # the Nekrasov factors of that diagram by hand
+    # the Nekrasov factors of that diagram by hand.  Each mass (1, p) is
+    # also given as (t^j, p - j/dq), the same weight, which every A_e and
+    # B_e keeps but which moves the coefficient and q-power parts of
+    # matter_kernel's signs apart
     smp = idmod.POOL_QP[k]
-    vs = {"0": (G(1), p0), "t": (G(1), F(0)), "1": (G(1), F(3, 8)), "inf": (G(1), F(0))}
-    series = inst_series_matter(vs, smp.sigma, smp, F(8))
+    vs = _degenerate_masses(p0)
     want = hypergeometric.single_diagram_series(vs, smp.sigma, smp, 8, columns)
-    assert [series.coeff(F(d)) for d in range(9)] == \
-        [SymExpr.from_rational(G(c)) for c in want]
+    encodings = [("unit coefficients", vs)] + [
+        (f"{mass} as (t^{j}, p - {j}/dq)",
+         dict(vs, **{mass: (G(smp.t ** j), vs[mass][1] - F(j, smp.dq))}))
+        for mass in vs for j in (1, -2)]
+    for name, enc in encodings:
+        assert hypergeometric.parameters(enc, smp.sigma, smp, columns) == \
+            hypergeometric.parameters(vs, smp.sigma, smp, columns)
+        series = inst_series_matter(enc, smp.sigma, smp, F(8))
+        assert [series.coeff(F(d)) for d in range(9)] == \
+            [SymExpr.from_rational(G(c)) for c in want], name
+
+
+@degenerate_points
+@pytest.mark.parametrize("route", ["shift", "exp"])
+def test_at_degenerate_masses_the_sum_is_the_q_binomial_product(k, p0, columns, route):
+    # at these points A_+^{-1} = A_-^{-1} = x and one B_e is the base, so the
+    # 4phi3 is the 1phi0(b; -; base, w) in w = A_+ A_- base x z, b the other
+    # B_e, which the q-binomial theorem sums to (b w; base)_inf / (w;
+    # base)_inf (Gasper-Rahman, 2nd ed., 2004, sec. 1.3); the reciprocal is
+    # (w base^{-1}; base^{-1})_inf, both built by qseries on one route
+    smp = idmod.POOL_QP[k]
+    vs = _degenerate_masses(p0)
+    A, B, x, base = hypergeometric.parameters(vs, smp.sigma, smp, columns)
+    assert 1 / A[1] == 1 / A[-1] == x
+    [b] = [B[e] for e in (1, -1) if B[-e] == base]
+    w = A[1] * A[-1] * base * x
+    s = -smp.dq if columns else smp.dq  # base = t^s
+    num = pochhammer_series(PochhammerSpec(b * w, 1, (s,)), smp.t, 8, route)
+    inv = pochhammer_series(PochhammerSpec(w / base, 1, (-s,)), smp.t, 8, route)
+    series, product = inst_series_matter(vs, smp.sigma, smp, F(8)), num * inv
+    assert [series.coeff(F(d)) for d in range(9)] == [product.coeff(F(d)) for d in range(9)]
 
 
 # ---------------------------------------------------------------------------
