@@ -54,8 +54,7 @@ process alone; a worker that dies makes verify exit 3.  dump and
 oracle never fork and keep no memo.  --corrupt-coefficient sets the
 contexts' corruption setting: identities.verify adds +1 at that z-exponent
 to sector 0 of the right side of every part it compares, so every check
-with such a part must fail; determlemma and halfpow decide all their
-parts themselves and are not probed.
+with such a part, which is every catalog check, must fail.
 
 Determinism: the seed fully determines the sample sequence; timing data is
 quarantined in a separate report section so residual sections are diffable.

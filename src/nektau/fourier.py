@@ -1,14 +1,15 @@
 """Fourier-graded series: finite maps sector k in (1/2)Z -> PuiseuxSeries.
 
 The sector index is the formal s-power of a tau function; products and
-inverses run on the sector kernels of series.py (`sector_product`,
-`sector_inverse`), which alone read the integer lattices of sectors and
-exponents and find the bounds of their results (a Puiseux product is the
-one-sector case of the same `sector_product`), so the Hirota derivative of
-series.py, re-exported here, is sector-bilinear on FourierSeries.  Sector
-keys are Fractions.  `==` compares bounds and sectors; equality testing
-through an order produces a structural report (which sector, which
-exponent, what residual) rather than a bare boolean.
+inverses run on the sector kernels of series.py (`theta_products`, of
+which a product is the theta-form {(0, 0): 1}, and `sector_inverse`),
+which alone read the integer lattices of sectors and exponents and find
+the bounds of their results (a Puiseux series is their one-sector case),
+so the Hirota derivative of series.py, re-exported here, is
+sector-bilinear on FourierSeries.  Sector keys are Fractions.  `==`
+compares bounds and sectors; equality testing through an order produces a
+structural report (which sector, which exponent, what residual) rather
+than a bare boolean.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .series import (PuiseuxSeries, hirota,  # noqa: F401  (hirota re-exported)
-                     sector_inverse, sector_product)
+                     sector_inverse, theta_products)
 from .symbols import NonInvertible, SymExpr, _frac
 
 Frac = Fraction
@@ -73,12 +74,11 @@ class FourierSeries:
         return FourierSeries({k: ps.shift(de) for k, ps in self.sectors.items()}, self.trunc + _frac(de))
 
     def __mul__(self, other):
-        """The product: `sector_product`, which finds its bound and each
-        sector's."""
+        """The product: the theta-form {(0, 0): 1} (`theta_products`),
+        which finds its bound and each sector's."""
         if isinstance(other, (int, Frac, SymExpr)):
             return self.scale(other)
-        trunc, sectors = sector_product(self, other)
-        return FourierSeries(sectors, trunc)
+        return theta_products(self, other, [{(0, 0): 1}])[0]
 
     __rmul__ = __mul__
 

@@ -3,11 +3,13 @@
 Every entry asserts lhs = rhs through z^E.  Its run_* assembles both sides
 of each part as truncated exact series (Puiseux or Fourier-graded) and
 returns them as (name, lhs, rhs); verify alone compares them, coefficient by
-coefficient through z^E; with a Context's corrupt set, the right side of
-every such part first gains +1 at z^corrupt in sector 0, so every check
-with one must fail.  The few parts a check decides itself (a constant,
-the oracle's levels, the level-1 chain's bookkeeping and its sign flip, the
-half-integer parts of prdx and halfpow) come back as (name, EqualityReport).
+coefficient through z^E, or through z^through for a part (name, lhs, rhs,
+through) (the half-integer parts of prdx and halfpow, through their own
+bound, and the oracle's level-k coefficients, through z^k); with a
+Context's corrupt set, the right side of every such part first gains +1 at
+z^corrupt in sector 0, so every check with one must fail.  The few parts a
+check decides itself (a constant, the oracle's seed, the level-1 chain's
+bookkeeping and its sign flip) come back as (name, EqualityReport).
 All tau-level checks run in relative normalization (see tau.py), where the
 shared absolute normalizers cancel and each bilinear identity holds with
 constant exactly 1.
@@ -42,7 +44,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import ceil
 
-from .fourier import EqualityReport, FourierSeries, fs_equal_to_order, hirota, ps_equal_to_order
+from .fourier import EqualityReport, FourierSeries, fs_equal_to_order, hirota
 from .nekrasov import (RelativeZ4d, RelativeZ5d, Theory4d, Theory5d, admissible_degree_4d,
                        blowup_modes, inst_series_4d, inst_series_5d, inst_series_matter,
                        memoized)
@@ -145,10 +147,10 @@ class Context:
     """What the checks of one run share.
 
     corrupt: if set, verify adds +1 at this z-exponent to sector 0 of the
-             right side of every (name, lhs, rhs) part before it compares
-             them, a probe that the comparison is not vacuous; the parts a
-             check decides itself are not probed, so determlemma and
-             halfpow, which have no other, still pass.  No check reads it.
+             right side of every part (name, lhs, rhs[, through]) before it
+             compares them, a probe that the comparison is not vacuous; the
+             parts a check decides itself are not probed.  No check reads
+             it.
     memo:    everything the checks share, each value made once through
              nekrasov.memoized under a kind name and the arguments it
              depends on: the instanton coefficients of the series checks
@@ -693,12 +695,6 @@ def _split_even_odd(P: PuiseuxSeries, Ew: int):
     return PuiseuxSeries(even, Ez), PuiseuxSeries(odd, Ez)
 
 
-def _odd_part_vanishes(odd: PuiseuxSeries) -> EqualityReport:
-    """The half-integer part is compared through its own bound
-    z^{ceil(2E)/2}, which may lie above E."""
-    return ps_equal_to_order(odd, PuiseuxSeries.zero(odd.trunc), odd.trunc)
-
-
 def run_prdx(smp, E, ctx):
     # the w-series (w = z^{1/2}) is built through w^{ceil(2E)}, so the even
     # part is known through z^E also when 2E is not an integer
@@ -714,8 +710,10 @@ def run_prdx(smp, E, ctx):
         even, odd = _split_even_odd(_matter_product(smp, vs, Ew), Ew)
         parts.append((f"mass i q^{{{p}}}: even part equals the level-0 series"
                       " with doubled second base", even, rhs))
+        # the half-integer part is compared through its own bound
+        # z^{ceil(2E)/2}, which may lie above E
         parts.append((f"mass i q^{{{p}}}: half-integer part vanishes",
-                      _odd_part_vanishes(odd)))
+                      odd, PuiseuxSeries.zero(odd.trunc), odd.trunc))
     return parts
 
 
@@ -728,7 +726,7 @@ def run_halfpow(smp, E, ctx):
     vs["inf"] = (GaussianRational(0, Frac(5, 3)), Frac(3))
     _, odd = _split_even_odd(_matter_product(smp, vs, Ew), Ew)
     return [("all half-integer coefficients vanish for generic fourth mass",
-             _odd_part_vanishes(odd))]
+             odd, PuiseuxSeries.zero(odd.trunc), odd.trunc)]
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +798,11 @@ def run_determlemma(sample, E, ctx):
         c1 = (rhs[0] * rows[1][1] - rhs[1] * rows[0][1]) * inv
         c2 = (rhs[1] * rows[0][0] - rhs[0] * rows[1][0]) * inv
         parts.append((f"level {k}: first half-theory coefficient",
-                      bool_report(not (c1 - true1), k)))
+                      PuiseuxSeries.monomial(Ek, c1, Ek), PuiseuxSeries.monomial(Ek, true1, Ek),
+                      Ek))
         parts.append((f"level {k}: second half-theory coefficient",
-                      bool_report(not (c2 - true2), k)))
+                      PuiseuxSeries.monomial(Ek, c2, Ek), PuiseuxSeries.monomial(Ek, true2, Ek),
+                      Ek))
     return parts
 
 
@@ -1156,8 +1156,8 @@ def inadmissible(what, th, d, sample):
 def verify(id: str, sample=None, E=None, ctx=None) -> VerificationReport:
     """Run one catalog entry at a sample and order in ctx (by default a
     fresh Context) and compare the sides of each part it returns through
-    z^E; see module docstring.  An order that `check_order` rejects raises
-    ValueError."""
+    z^E, or through the part's own order; see module docstring.  An order
+    that `check_order` rejects raises ValueError."""
     if id not in CATALOG:
         raise KeyError(f"unknown identity {id!r}")
     entry = CATALOG[id]
@@ -1167,8 +1167,12 @@ def verify(id: str, sample=None, E=None, ctx=None) -> VerificationReport:
     check_order(id, E, [sample])
     ctx = Context() if ctx is None else ctx
     t0 = time.monotonic()
-    parts = [(name, _compare(*sides, E, ctx.corrupt) if len(sides) == 2 else sides[0])
-             for name, *sides in entry.run(sample, E, ctx)]
+    parts = []
+    for name, *sides in entry.run(sample, E, ctx):
+        if len(sides) > 1:  # (lhs, rhs) through z^E, or (lhs, rhs, through)
+            lhs, rhs, through = (*sides, E)[:3]
+            sides = [_compare(lhs, rhs, through, ctx.corrupt)]
+        parts.append((name, sides[0]))
     ok = all(rep.ok for _, rep in parts)
     note = entry.note
     if id == "zeta3" and not ok:

@@ -12,24 +12,25 @@ trusted constructor that the kernels here use, and no other module reads
 or writes xterms or L.  Every operation works on the ints, and cuts a
 lattice at a bound b by floor(b L).
 
-The convolution, the recurrence, the theta pass and the product of
-binomials (`binomial_product`, one shift and subtract of a dense row per
-binomial) make one object per output coefficient and none per intermediate
-term: each sums Gaussian-integer numerators over one lcm denominator and
-reduces each output coefficient once (`from_ints`).  One kernel
-(`sector_product`) multiplies both Puiseux series, as the single sector 0,
-and Fourier series: it finds the product's bounds on ints, then splits each
-sector by monomial into numerators over one denominator per monomial, at
-integer exponents on (1/L)Z, and convolves them (`_convolve`), so a product
-costs one mono_mul per pair of monomials.  Inverses (`sector_inverse`,
-sector 0 for a Puiseux series) and exp solve one recurrence
-(`solve_recurrence`) on the same integer terms.
-Every theta-weighted bilinear form of a pair (f, g) (`theta_products`,
-`weighted_theta_expand`, `hirota`) is read from the moments
+The pair pass, the recurrence and the product of binomials
+(`binomial_product`, one shift and subtract of a dense row per binomial)
+make one object per output coefficient and none per intermediate term: each
+sums Gaussian-integer numerators over one lcm denominator and reduces each
+output coefficient once (`from_ints`).  Inverses (`sector_inverse`, sector
+0 for a Puiseux series) and exp solve one recurrence (`solve_recurrence`)
+on the same integer terms.
+Every bilinear form of a pair (f, g), f and g each a Puiseux series (the
+single sector 0) or a Fourier series, is a theta-form sum c theta^a f *
+theta^b g (`theta_products`, `weighted_theta_expand`, `hirota`), and the
+product f * g is the theta-form {(0, 0): 1}.  Each is read from the moments
 B_j = sum x1^j f_x1 g_x2 of the pair, since theta^a f * theta^b g weighs
-f_x1 g_x2 by x1^a (X - x1)^b at z^X: one integer pass over the pairs of
-terms forms each product f_x1 g_x2 once, on the split rows of the product
-kernel, and keeps nothing once the forms are read.
+f_x1 g_x2 by x1^a (X - x1)^b at z^X.  The bounds of each output and of its
+sectors are found on ints (`_int_bounds`); each sector is split once by
+monomial into numerators over one denominator per monomial, at integer
+exponents on (1/L)Z (`_split`), and one integer pass over the pairs of
+terms (`_moments`, the only such loop) forms each product f_x1 g_x2 once,
+with one mono_mul per pair of monomials, and keeps nothing once the forms
+are read.
 """
 
 from __future__ import annotations
@@ -156,12 +157,12 @@ class PuiseuxSeries:
                           self.trunc + de)
 
     def __mul__(self, other):
-        """The product: sector 0 of `sector_product`, which finds its bound."""
+        """The product: the theta-form {(0, 0): 1} (`theta_products`)."""
         if other.__class__ is not PuiseuxSeries:
             if isinstance(other, (int, Frac, SymExpr)):
                 return self.scale(other)
             return NotImplemented
-        return sector_product(self, other)[1][ZERO]
+        return theta_products(self, other, [{(0, 0): 1}])[0]
 
     __rmul__ = __mul__
 
@@ -287,25 +288,6 @@ def _with_bound(p, b):
     return on_lattice(p.L, {X: c for X, c in p.xterms.items() if X <= top}, b)
 
 
-def sector_product(f, g):
-    """(bound, sectors) of f * g, f and g each a PuiseuxSeries (the single
-    sector 0) or a FourierSeries.
-
-    Sector s of the product is the sum of p * q over the sector pairs
-    (k1: p, k2: q) with k1 + k2 = s.  The bounds are found on ints
-    (`_int_bounds`) and made Fractions once per output sector.  Each sector is split once by
-    monomial on (1/L)Z, L the lcm of the lattices of both operands
-    (`_sector_pairs`), and the pairs of each output sector are convolved
-    together (`_convolve`).
-    """
-    fs, gs = _sectors(f), _sectors(g)
-    T, M, top, bounds = _int_bounds(f, g, fs, gs)
-    L, pairs = _sector_pairs(fs, gs, M)
-    step = T // L
-    return Frac(top, T), {Frac(S, M): on_lattice(L, _convolve(pairs[S], B // step), Frac(B, T))
-                          for S, B in bounds.items()}
-
-
 def _sector_pairs(fs, gs, M):
     """(L, {S: [(split1, split2)]}): the sector maps fs and gs each split
     once by monomial (`_split`) on (1/L)Z, L the lcm of their lattices, and
@@ -340,37 +322,6 @@ def _mono_groups(pairs, top):
         out[mono] = den, [(n * (den // pair_den), rows1, rows2)
                           for n, pair_den, rows1, rows2 in group]
     return out
-
-
-def _convolve(pairs, top):
-    """{X: SymExpr} of the sum of f * g over the pairs (f, g) of `_split`s
-    on one lattice, through X <= top.  The rows of each pair of monomials
-    (`_mono_groups`) are convolved in increasing X, stopping past top, and
-    the sums of one output monomial are put over one denominator."""
-    by_X = {}  # X -> monomial -> coefficient
-    for mono, (den, group) in _mono_groups(pairs, top).items():
-        acc = {}  # X -> [re, im] over den
-        for w, rows1, rows2 in group:
-            low = rows2[0][0]
-            for X1, a, b in zip(*rows1):
-                if X1 + low > top:
-                    break
-                if w != 1:
-                    a, b = a * w, b * w
-                for X2, c, d in zip(*rows2):
-                    X = X1 + X2
-                    if X > top:
-                        break
-                    t = acc.get(X)
-                    if t is None:
-                        acc[X] = [a * c - b * d, a * d + b * c]
-                    else:
-                        t[0] += a * c - b * d
-                        t[1] += a * d + b * c
-        for X, (re, im) in acc.items():
-            if re or im:
-                by_X.setdefault(X, {})[mono] = from_ints(re, im, den)
-    return {X: _expr(terms) for X, terms in by_X.items()}
 
 
 def binomial_product(factors, L, trunc):
@@ -550,7 +501,9 @@ def solve_recurrence(steps, top, divide=0):
 
 def theta_products(f, g, polys):
     """sum c theta^a f * theta^b g over {(a, b): c}, c rational, for each
-    poly of polys, f and g both PuiseuxSeries or both FourierSeries.
+    poly of polys, f and g each a PuiseuxSeries or a FourierSeries: the
+    output is a FourierSeries if either is one, else a PuiseuxSeries.  The
+    product f * g is the poly {(0, 0): 1}.
 
     Theta weighs the term at z^x by x, so the term of theta^a f * theta^b g
     at z^X sums x1^a x2^b f_x1 g_x2 over x1 + x2 = X; as x2 = X - x1,
@@ -574,21 +527,23 @@ def theta_products(f, g, polys):
     T, M = cuts[0][:2]
     L, pairs = _sector_pairs(fs, gs, M)
     step = T // L
+    # the moments the polys read; B_0 alone if every c is 0
     js = sorted({a + i for poly in polys for (a, b), c in poly.items() if c
-                 for i in range(b + 1)})
+                 for i in range(b + 1)}) or [0]
     tops = {}  # S -> the loosest cut of any poly, on (1/L)Z
     for *_, bounds in cuts:
         for S, B in bounds.items():
             tops[S] = max(tops.get(S, B // step), B // step)
     moments = {S: _moments(pairs[S], top, js) for S, top in tops.items()}
+    fourier = g if isinstance(f, PuiseuxSeries) else f
     outs = []
     for poly, (_, _, top, bounds) in zip(polys, cuts):
         scale, weights = _poly_weights(poly, L, js)
-        sectors = {Frac(S, M): on_lattice(L, _read(moments[S], weights, scale, B // step, len(js)),
+        sectors = {Frac(S, M): on_lattice(L, _read(moments[S], weights, scale, B // step),
                                           Frac(B, T))
                    for S, B in bounds.items()}
-        outs.append(sectors[ZERO] if isinstance(f, PuiseuxSeries)
-                    else type(f)(sectors, Frac(top, T)))
+        outs.append(sectors[ZERO] if isinstance(fourier, PuiseuxSeries)
+                    else type(fourier)(sectors, Frac(top, T)))
     return outs
 
 
@@ -596,10 +551,15 @@ def _moments(pairs, top, js):
     """{monomial: (den, {X: [re_j for j in js] + [im_j for j in js]})}: the
     moments B_j = sum X1^j f_X1 g_X2 of the sum of f * g over the pairs
     (f, g) of `_split`s on one lattice, as Gaussian integers over one
-    denominator per monomial, through X = X1 + X2 <= top.  X1 is the int
-    on (1/L)Z, so the j-th moment is L^j times the one at exponents X1/L.
-    Each pair of terms is multiplied once."""
-    nj = len(js)
+    denominator per monomial (`_mono_groups`), through X = X1 + X2 <= top.
+    X1 is the int on (1/L)Z, so the j-th moment is L^j times the one at
+    exponents X1/L.  The rows of each pair of monomials are walked in
+    increasing X, stopping past top, and each pair of terms is multiplied
+    once.  A term of f is scaled once by X1^(js[0]), so the least moment
+    sums the products themselves and the others weigh them by
+    X1^(j - js[0])."""
+    nj, j0 = len(js), js[0]
+    zeros = [0] * (2 * nj)
     out = {}
     for mono, (den, group) in _mono_groups(pairs, top).items():
         acc = {}
@@ -608,9 +568,10 @@ def _moments(pairs, top, js):
             for X1, a, b in zip(*rows1):
                 if X1 + low > top:
                     break
-                if w != 1:
-                    a, b = a * w, b * w
-                powers = [X1 ** j for j in js]
+                w1 = w * X1 ** j0
+                if w1 != 1:
+                    a, b = a * w1, b * w1
+                powers = [(i, nj + i, X1 ** (j - j0)) for i, j in enumerate(js) if i]
                 for X2, c, d in zip(*rows2):
                     X = X1 + X2
                     if X > top:
@@ -618,53 +579,55 @@ def _moments(pairs, top, js):
                     re, im = a * c - b * d, a * d + b * c
                     t = acc.get(X)
                     if t is None:
-                        acc[X] = [re * p for p in powers] + [im * p for p in powers]
-                    else:
-                        for i, p in enumerate(powers):
-                            t[i] += re * p
-                            t[nj + i] += im * p
+                        t = acc[X] = zeros[:]
+                    t[0] += re
+                    t[nj] += im
+                    for i, i_im, p in powers:
+                        t[i] += re * p
+                        t[i_im] += im * p
         out[mono] = (den, acc)
     return out
 
 
 def _poly_weights(poly, L, js):
-    """(D L^N, [(i, [(e, k)])]): the poly {(a, b): c} as integer weights on
-    the moments of `_moments`, the i-th moment B_(js[i]) at X weighing
-    sum k X^e, over the one denominator D L^N; D is the lcm of the
-    denominators of the c, and N the highest a + b.  The entry (a, b) takes
+    """(D L^N, [(i, nj + i, e, k)]): the poly {(a, b): c} as integer
+    weights on the nj moments of `_moments`, the i-th moment B_(js[i]) at X
+    (real part at i, imaginary at nj + i) weighing the sum of its k X^e,
+    over the one denominator D L^N; D is the lcm of the denominators of the
+    c, and N the highest a + b.  The entry (a, b) takes
     C(b, i) (-1)^i X^(b-i) B_(a+i) / L^(a+b), as X and the moments are
     ints on (1/L)Z."""
-    D = lcm(*(Frac(c).denominator for c in poly.values()))
+    D = lcm(*(c.denominator for c in poly.values()))
     N = max(a + b for a, b in poly)
     index = {j: i for i, j in enumerate(js)}
-    weights = {}  # i -> {e: k}
+    weights = {}  # (i, e) -> k
     for (a, b), c in poly.items():
         if c:
-            c = int(c * D) * L ** (N - a - b)
+            c = c.numerator * (D // c.denominator) * L ** (N - a - b)
             for i in range(b + 1):
-                ek = weights.setdefault(index[a + i], {})
-                ek[b - i] = ek.get(b - i, 0) + c * comb(b, i) * (-1) ** i
-    return D * L ** N, [(i, [(e, k) for e, k in ek.items() if k])
-                        for i, ek in weights.items()]
+                ie = (index[a + i], b - i)
+                weights[ie] = weights.get(ie, 0) + c * comb(b, i) * (-1) ** i
+    nj = len(js)
+    return D * L ** N, [(i, nj + i, e, k) for (i, e), k in weights.items() if k]
 
 
-def _read(moments, weights, scale, top, nj):
-    """{X: SymExpr} of the form sum_i n_i(X) B_(js[i]) / scale through
-    X <= top, from the moments of `_moments` (nj of them) and the weights
-    of `_poly_weights`; each output coefficient is reduced once."""
-    ns = {}  # X -> [(i, n_i(X))]
+def _read(moments, weights, scale, top):
+    """{X: SymExpr} of the form sum k X^e B_(js[i]) / scale over the
+    weights of `_poly_weights`, through X <= top, from the moments of
+    `_moments`; each output coefficient is reduced once."""
     by_X = {}
     for mono, (den, acc) in moments.items():
+        den *= scale
         for X, t in acc.items():
             if X > top:
                 continue
-            n = ns.get(X)
-            if n is None:
-                n = ns[X] = [(i, sum(k * X ** e for e, k in ek)) for i, ek in weights]
-            re = sum(v * t[i] for i, v in n)
-            im = sum(v * t[nj + i] for i, v in n)
+            re = im = 0
+            for i, i_im, e, k in weights:
+                v = k * X ** e
+                re += v * t[i]
+                im += v * t[i_im]
             if re or im:
-                by_X.setdefault(X, {})[mono] = from_ints(re, im, den * scale)
+                by_X.setdefault(X, {})[mono] = from_ints(re, im, den)
     return {X: _expr(terms) for X, terms in by_X.items()}
 
 
@@ -683,7 +646,7 @@ def _int_bounds(f, g, fs, gs, a=0, b=0):
     Sector s is known through the least min(p.trunc + v(q), q.trunc + v(p))
     of its sector pairs, capped at min(f.trunc + v(theta^b g), g.trunc +
     v(theta^a f)), v the valuation (the bound, if zero).  At a = b = 0
-    these are the bounds of f * g (`sector_product`).  Theta keeps bounds
+    these are the bounds of f * g.  Theta keeps bounds
     and drops z^0 terms only, so the valuations, and these bounds, are the
     same for every a >= 1 (b >= 1) and least at a = 0 (b = 0): those of a
     sum over a poly are those at its least a and b (`theta_products`).

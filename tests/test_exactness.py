@@ -2,8 +2,9 @@
 src/nektau, keeps no cache of its own outside a run's memo, builds
 parameter samples only in its q-Painleve pool, writes and builds taus
 only in tau.py, builds and reads symbol monomials only in symbols.py,
-reaches a series' integer exponent lattice only in series.py, convolves
-series only in series.sector_product, builds one table of box factors per
+reaches a series' integer exponent lattice only in series.py, runs every
+product and theta-form through one loop over pairs of terms
+(series._moments), builds one table of box factors per
 instanton kernel for both its diagonal and its pair_route, lets
 only the Context choose the depth of the taus a check reads, reads the
 corruption setting only in identities.verify, and never changes a
@@ -131,7 +132,7 @@ def test_package_builds_and_reads_monomials_only_in_symbols_py():
 
 def test_package_reaches_series_lattices_only_in_series_py():
     # every other module goes through PuiseuxSeries' public methods, its
-    # Fraction-keyed coeffs view and the sector kernels (sector_product,
+    # Fraction-keyed coeffs view and the sector kernels (theta_products,
     # sector_inverse), so the lattice form has one module to keep
     internals = {"on_lattice", "_top", "solve_recurrence"}
     found = []
@@ -168,14 +169,33 @@ def _callers(tree, name):
     return found
 
 
-def test_products_convolve_and_find_their_bounds_in_sector_product_alone():
-    # a Puiseux product is the one-sector case of series.sector_product, the
-    # one caller of the convolution, and a Fourier product wraps its result:
-    # fourier.py reads valuations only to lead an inverse
+def _names(tree):
+    """Every name that tree defines, imports, reads or reads as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_products_and_theta_forms_share_one_loop_over_pairs_of_terms():
+    # a product is the theta-form {(0, 0): 1}: both __mul__ call
+    # series.theta_products, the one caller of _moments, so one loop forms
+    # every product of a pair of terms and finds every bound; the old
+    # product kernel is gone, and fourier.py reads valuations only to lead
+    # an inverse
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert [(module, scope) for module, tree in trees.items()
-            for scope in _callers(tree, "_convolve")] == [("series", "sector_product")]
+            for scope in _callers(tree, "_moments")] == [("series", "theta_products")]
+    assert "PuiseuxSeries.__mul__" in _callers(trees["series"], "theta_products")
+    assert "FourierSeries.__mul__" in _callers(trees["fourier"], "theta_products")
+    assert [(module, name) for module, tree in trees.items() for name in _names(tree)
+            if name in ("sector_product", "_convolve")] == []
     assert _callers(trees["fourier"], "min_exp") == ["FourierSeries.leading"]
 
 
@@ -500,9 +520,10 @@ def test_every_package_name_has_a_reader():
 #: module-level functions and classes that no module of the package names,
 #: each with what keeps it: perfbench/tracing.py wraps n_factor_4d and
 #: n_factor_5d for their per-layer metrics, and the qseries workload
-#: (perfbench/workloads.py) compares theta_z_series' two routes
+#: (perfbench/workloads.py) compares theta_z_series' two routes, and each
+#: spec's two routes with ps_equal_to_order
 ONLY_BENCHMARKED = {"partitions.n_factor_4d", "partitions.n_factor_5d",
-                    "qseries.theta_z_series"}
+                    "qseries.theta_z_series", "fourier.ps_equal_to_order"}
 
 
 def test_only_the_benchmark_keeps_a_package_function_that_the_package_never_names():

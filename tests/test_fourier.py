@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convolution import ref_product
 from nektau.fourier import (
     EqualityReport,
     FourierSeries,
@@ -372,6 +373,8 @@ def assert_product_is_the_sector_pair_loop(f, g):
     new, ref = f * g, ref_fs_mul(f, g)
     assert new.trunc == ref.trunc
     assert new.sectors == ref.sectors  # PuiseuxSeries ==: coeffs and bound
+    # and the old product kernel (tests/convolution.py), bound for bound
+    assert new == ref_product(f, g)
 
 
 @st.composite
@@ -407,7 +410,7 @@ def test_product_keeps_a_cancelled_sector(p, q, trunc):
 @given(symbolic_series(), symbolic_fourier())
 @settings(max_examples=30)
 def test_puiseux_times_fourier_is_the_fourier_product(p, f):
-    # either operand order goes through sector_product on every sector of f
+    # either operand order is the theta-form {(0, 0): 1} on every sector of f
     assert p * f == f * p == f * FourierSeries.single(p)
 
 

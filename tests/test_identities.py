@@ -101,18 +101,19 @@ def test_the_probe_reaches_qNY2s_half_offset_part():
 
 @pytest.mark.parametrize("k", range(3))
 def test_the_probe_fails_every_check_with_a_compared_part(k):
-    # verify perturbs the right side of every (name, lhs, rhs) part; only
-    # the checks that decide every part themselves pass with it on
+    # verify perturbs the right side of every part (name, lhs, rhs) or
+    # (name, lhs, rhs, through); only a check that decided every part
+    # itself could pass with it on, and no check does
     ctxs, passed = {}, set()
     for id, entry in idmod.CATALOG.items():
         ctx = ctxs.setdefault(entry.domain, idmod.Context(corrupt=F(1)))
         sample, E = idmod._POOLS[entry.domain][k], entry.default_order
-        compared = any(len(sides) == 2 for _, *sides in entry.run(sample, E, ctx))
+        compared = any(len(sides) in (2, 3) for _, *sides in entry.run(sample, E, ctx))
         rep = idmod.verify(id, sample, E, ctx)
         assert rep.ok is not compared, id
         if rep.ok:
             passed.add(id)
-    assert passed == {"determlemma", "halfpow"}
+    assert passed == set()
 
 
 def test_mutation_failure_localizes_residual():
@@ -426,7 +427,9 @@ def test_determ_recursion_seed_level():
 
 def ref_run_determlemma(sample, E, ctx):
     """Test-only copy of the determining recursion's old route: each level
-    takes twelve mode sums, with the unknowns set to 0 and 1 in turn."""
+    takes twelve mode sums, with the unknowns set to 0 and 1 in turn.  Its
+    parts are those run_determlemma returns: the level-k coefficients as
+    monomials at z^k, compared through z^k."""
     t, E1, E2, Lu = sample
     A, B = idmod._pair_5d(t, E1, E2, Lu, ctx.memo, 2)
     xs = (F(-1, 2), F(-1, 4), F(0))
@@ -463,9 +466,11 @@ def ref_run_determlemma(sample, E, ctx):
         c1 = (rhs[0] * rows[1][1] - rhs[1] * rows[0][1]) * inv
         c2 = (rhs[1] * rows[0][0] - rhs[0] * rows[1][0]) * inv
         parts.append((f"level {k}: first half-theory coefficient",
-                      idmod.bool_report(not (c1 - true1), k)))
+                      PuiseuxSeries.monomial(Ek, c1, Ek), PuiseuxSeries.monomial(Ek, true1, Ek),
+                      Ek))
         parts.append((f"level {k}: second half-theory coefficient",
-                      idmod.bool_report(not (c2 - true2), k)))
+                      PuiseuxSeries.monomial(Ek, c2, Ek), PuiseuxSeries.monomial(Ek, true2, Ek),
+                      Ek))
     return parts
 
 
@@ -478,7 +483,7 @@ def test_determ_recursion_matches_the_twelve_sum_solve(sample):
         got = idmod.run_determlemma(sample, F(E), ctx)
         want = ref_run_determlemma(sample, F(E), ctx)
         assert got == want
-        assert all(r.ok for _, r in got)
+        assert idmod.verify("determlemma", sample, F(E), ctx).ok
 
 
 def assert_truncates_to(lo, hi):

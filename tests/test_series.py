@@ -9,15 +9,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convolution import _convolve, ref_product, sector_product
 from fraction_pair import ref_split
 import nektau.series as series_module
 from nektau.fourier import FourierSeries
 from nektau.identities import POOL_4D_EPS, POOL_SIGMA, Context
 from nektau.rationals import GaussianRational as G
 from nektau.sampling import ParameterSample
-from nektau.series import (PuiseuxSeries, _convolve, _nonzero, _split, _top, hirota,
-                           on_lattice, sector_product, solve_recurrence, theta_products,
-                           weighted_theta_expand)
+from nektau.series import (PuiseuxSeries, _nonzero, _split, _top, hirota, on_lattice,
+                           solve_recurrence, theta_products, weighted_theta_expand)
 from nektau.symbols import (NonInvertible, SymExpr, gamma_value, mono_mul, pi_power,
                             rational_power)
 
@@ -592,7 +592,8 @@ def test_product_cases(f, g):
 
 def ref_one_sector_product(f, g):
     """Test-only copy of the old one-sector PuiseuxSeries product: its bound
-    found on ints over T, then one `_convolve` of the two `_split`s."""
+    found on ints over T, then one `_convolve` (tests/convolution.py) of the
+    two `_split`s."""
     L = lcm(f.L, g.L)
     T = lcm(L, f.trunc.denominator, g.trunc.denominator)
     t1, t2 = _top(f.trunc, T), _top(g.trunc, T)
@@ -603,7 +604,8 @@ def ref_one_sector_product(f, g):
 
 
 def assert_product_is_sector_product(f, g):
-    # the product is sector 0 of sector_product, with the same bound
+    # the product, the theta-form {(0, 0): 1}, is sector 0 of the old
+    # product kernel (tests/convolution.py), with the same bound
     new, ref = f * g, ref_one_sector_product(f, g)
     assert (new.xterms, new.L, new.trunc) == (ref.xterms, ref.L, ref.trunc)
     assert sector_product(f, g) == (new.trunc, {F(0): new})
@@ -647,7 +649,8 @@ def test_product_cancels_across_monomial_pairs():
 def ref_weighted_theta_expand(f, g, w1, w2, k):
     """Test-only copy of the theta-product route: the alpha^k/k! coefficient
     as sum_j C(k,j) w1^j w2^{k-j} theta^j f * theta^{k-j} g, built from k+1
-    full products of theta-derivatives."""
+    full products of theta-derivatives, each by the old product kernel
+    (`ref_product`), since f * g is itself a theta-form."""
     w1, w2 = F(w1), F(w2)
     thf = [f]
     thg = [g]
@@ -656,7 +659,7 @@ def ref_weighted_theta_expand(f, g, w1, w2, k):
         thg.append(thg[-1].theta())
     out = None
     for j in range(k + 1):
-        term = (thf[j] * thg[k - j]).scale(F(comb(k, j)) * w1**j * w2 ** (k - j))
+        term = ref_product(thf[j], thg[k - j]).scale(F(comb(k, j)) * w1**j * w2 ** (k - j))
         out = term if out is None else out + term
     return out
 
@@ -806,7 +809,8 @@ def test_moment_expansion_keeps_the_bound_of_a_cancelled_term():
 
 def ref_theta_products(f, g, poly):
     """Test-only theta-product route: sum c theta^a f * theta^b g over the
-    poly {(a, b): c}, one full product per entry."""
+    poly {(a, b): c}, one full product per entry, by the old product kernel
+    (`ref_product`), since f * g is itself a theta-form."""
     out = None
     for (a, b), c in poly.items():
         fa, gb = f, g
@@ -814,7 +818,7 @@ def ref_theta_products(f, g, poly):
             fa = fa.theta()
         for _ in range(b):
             gb = gb.theta()
-        term = (fa * gb).scale(F(c))
+        term = ref_product(fa, gb).scale(F(c))
         out = term if out is None else out + term
     return out
 
@@ -909,6 +913,29 @@ def test_theta_products_keep_the_bound_of_a_cancelled_term():
     d1 = theta_products(f, g, [{(0, 0): 1}, {(1, 0): 1, (0, 1): -1}])[1]
     assert_identical(d1, hirota(1, f, g))
     assert d1.sector(0).trunc == 2
+
+
+@given(maybe_z0(bounded_series()), maybe_z0(bounded_fourier()))
+@settings(max_examples=30)
+def test_a_puiseux_and_a_fourier_operand_give_every_sector(p, f):
+    # a PuiseuxSeries is the single sector 0 of a FourierSeries, in either
+    # place: each form of the pair is a FourierSeries with all its sectors
+    P = FourierSeries.single(p)
+    for k in range(3):
+        assert hirota(k, p, f) == hirota(k, P, f)
+        assert hirota(k, f, p) == hirota(k, f, P)
+    for new, ref in zip(theta_products(p, f, POLYS), theta_products(P, f, POLYS)):
+        assert_identical(new, ref)
+    assert_theta_products_identical(p, f, POLYS[3:6])
+    assert_theta_products_identical(f, p, POLYS[3:6])
+
+
+def test_hirota_of_a_puiseux_and_a_fourier_series_keeps_every_sector():
+    p = PuiseuxSeries({F(0): SymExpr.one(), F(1, 2): SymExpr.coerce(3)}, F(2))
+    d1 = hirota(1, p, F_UNEQUAL)
+    assert isinstance(d1, FourierSeries)
+    assert d1 == hirota(1, FourierSeries.single(p), F_UNEQUAL)
+    assert sorted(d1.sectors) == sorted(F_UNEQUAL.sectors)
 
 
 def test_theta_products_leave_no_reference_cycle():
